@@ -15,12 +15,13 @@ import click
 import numpy as np
 
 from . import panels as pn
-from .ci import DEFAULT_BUDGET, derive as ci_derive
+from .ci import DEFAULT_BUDGET, UniverseError, derive as ci_derive
 from .dag import d_separated
 from .protocol import (
     ALL_CONDITIONS,
     AxiomaticMode,
     GraphicalMode,
+    UniverseMismatch,
     Verdict,
     base_statements,
     verify_coherence,
@@ -126,7 +127,7 @@ def check(spec_path, out, fmt, quiet, mode):
         if spec.system is None:
             raise MissingSection("check requires a protocol section")
         verdict = verify_coherence(spec.system, _mode_for(spec, mode))
-    except SpecError as exc:
+    except (SpecError, UniverseMismatch) as exc:
         _error_report("check", exc, out, fmt, quiet)
     results = _verdict_results(verdict)
     status = "pass" if verdict.sound_and_distributed else "fail"
@@ -153,7 +154,10 @@ def derive(spec_path, out, fmt, quiet):
         _error_report(
             "derive", MissingSection("derive requires statements or a protocol"), out, fmt, quiet
         )
-    result = ci_derive(base, deps, spec.goal, spec.run.budget, universe=universe)
+    try:
+        result = ci_derive(base, deps, spec.goal, spec.run.budget, universe=universe)
+    except UniverseError as exc:
+        _error_report("derive", exc, out, fmt, quiet)
     results = {
         "goal": spec.goal.render(),
         "status": result.status,
@@ -237,6 +241,19 @@ def _interior_grid(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 2)[1:-1]
 
 
+def _joint_loglik(logliks, strength: float):
+    """Sum of the per-panel log-likelihoods, plus ``strength`` times the
+    product of the blocks when the spec declares an interaction."""
+
+    def joint_ll(*blocks):
+        total = sum(ll(b) for ll, b in zip(logliks, blocks))
+        if strength:
+            total = total + strength * np.prod(np.broadcast_arrays(*blocks), axis=0)
+        return total
+
+    return joint_ll
+
+
 @main.command()
 @with_common
 def simulate(spec_path, out, fmt, quiet):
@@ -266,14 +283,7 @@ def simulate(spec_path, out, fmt, quiet):
     strength = float(spec.models.get("interaction", {}).get("strength", 0.0))
     logliks = [pn.bernoulli_loglik(s, t) for s, t in counts]
     prior_grids = [pn.beta_grid(p, n) for p in priors]
-
-    def joint_ll(*blocks):
-        total = sum(ll(b) for ll, b in zip(logliks, blocks))
-        if strength:
-            total = total + strength * np.prod(np.broadcast_arrays(*blocks), axis=0)
-        return total
-
-    oracle = pn.joint_oracle(prior_grids, joint_ll)
+    oracle = pn.joint_oracle(prior_grids, _joint_loglik(logliks, strength))
     div = pn.divergence(distributed, oracle)
     results["joint_oracle_product_mean"] = pn.functional_expectation(
         oracle, lambda *blocks: np.prod(np.broadcast_arrays(*blocks), axis=0)
@@ -317,12 +327,7 @@ def separability(spec_path, out, fmt, quiet):
 
     strength = float(spec.models.get("interaction", {}).get("strength", 0.0))
     logliks = [pn.bernoulli_loglik(s, t) for s, t in counts]
-
-    def joint_ll(*blocks):
-        total = sum(ll(b) for ll, b in zip(logliks, blocks))
-        if strength:
-            total = total + strength * np.prod(np.broadcast_arrays(*blocks), axis=0)
-        return total
+    joint_ll = _joint_loglik(logliks, strength)
 
     grid = _interior_grid(spec.run.grid)
     verdict = pn.separability_check_numeric(

@@ -81,9 +81,12 @@ class PanelSystem:
         return f"I_0^{self.epoch}"
 
     def evidence(self, i: int, j: int) -> Symbol:
+        """``I_ij^e`` for m <= 9; from m = 10 on the indices are separated,
+        ``I_i_j^e``, since (1, 11) and (11, 1) would both read ``I_111^e``."""
         self._check_index(i)
         self._check_index(j)
-        return f"I_{i}{j}^{self.epoch}"
+        sep = "_" if self.m >= 10 else ""
+        return f"I_{i}{sep}{j}^{self.epoch}"
 
     @property
     def own_evidence_pool(self) -> Symbol:
@@ -133,7 +136,9 @@ def build_system(m: int, epoch: int = 0) -> PanelSystem:
         raise InvalidPanelCount(f"panel count must be >= 1, got {m}")
     if epoch < 0:
         raise ProtocolError(f"epoch must be non-negative, got {epoch}")
-    return PanelSystem(m=m, epoch=epoch)
+    system = PanelSystem(m=m, epoch=epoch)
+    assert len(system.universe) == m * m + m + 3, "panel symbols collide"
+    return system
 
 
 def condition_statement(

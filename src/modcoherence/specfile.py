@@ -9,6 +9,7 @@ references are all hard errors; nothing is silently ignored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -75,6 +76,23 @@ def _statement_sets(raw: dict, where: str) -> tuple[frozenset, frozenset, frozen
     b = frozenset(str(s) for s in raw["b"])
     c = frozenset(str(s) for s in raw.get("c", ()))
     return a, b, c
+
+
+def _check_prior(prior, where: str) -> None:
+    _require_keys(prior, _PRIOR_KEYS, where)
+    for key in ("alpha", "beta"):
+        value = prior.get(key, 1)
+        if type(value) not in (int, float) or not 0 < value < math.inf:
+            raise ParseError(f"{where}.{key} must be a positive number, got {value!r}")
+
+
+def _check_counts(pair, where: str) -> None:
+    """``[successes, trials]``: two JSON integers with 0 <= successes <= trials."""
+    shaped = isinstance(pair, list) and len(pair) == 2
+    if shaped and not all(type(x) is int for x in pair):
+        raise ParseError(f"{where}: counts must be integers, got {pair}")
+    if not (shaped and 0 <= pair[0] <= pair[1]):
+        raise ParseError(f"{where}: need [successes, trials], got {pair}")
 
 
 @dataclass(frozen=True)
@@ -214,6 +232,11 @@ def parse_spec_dict(raw: dict) -> SpecFile:
     if "query" in raw:
         sets = _statement_sets(raw["query"], "query")
         resolve(sets, "query")
+        a, b, c = sets
+        if a & b or a & c or b & c:
+            raise ParseError(
+                f"query: sides must be pairwise disjoint: ({sorted(a)}, {sorted(b)}, {sorted(c)})"
+            )
         query = CIQuery(*sets)
 
     models = None
@@ -223,7 +246,7 @@ def parse_spec_dict(raw: dict) -> SpecFile:
         for k, panel in enumerate(models.get("panels", ())):
             _require_keys(panel, _PANEL_MODEL_KEYS, f"models.panels[{k}]")
             prior = panel.get("prior", {})
-            _require_keys(prior, _PRIOR_KEYS, f"models.panels[{k}].prior")
+            _check_prior(prior, f"models.panels[{k}].prior")
             if prior.get("family", "beta") != "beta":
                 raise ParseError(
                     f"models.panels[{k}]: unsupported prior family {prior.get('family')!r}"
@@ -236,8 +259,7 @@ def parse_spec_dict(raw: dict) -> SpecFile:
             _require_keys(models["interaction"], {"strength"}, "models.interaction")
         if "product_cell" in models:
             _require_keys(models["product_cell"], {"prior"}, "models.product_cell")
-            _require_keys(models["product_cell"].get("prior", {}), _PRIOR_KEYS,
-                          "models.product_cell.prior")
+            _check_prior(models["product_cell"].get("prior", {}), "models.product_cell.prior")
         for k, factor in enumerate(models.get("factors", ())):
             _require_keys(factor, {"name", "panels"}, f"models.factors[{k}]")
 
@@ -246,8 +268,9 @@ def parse_spec_dict(raw: dict) -> SpecFile:
         data = raw["data"]
         _require_keys(data, _DATA_KEYS, "data")
         for k, pair in enumerate(data.get("panel_counts", ())):
-            if len(pair) != 2 or pair[0] < 0 or pair[0] > pair[1]:
-                raise ParseError(f"data.panel_counts[{k}]: need [successes, trials], got {pair}")
+            _check_counts(pair, f"data.panel_counts[{k}]")
+        if "product_cell_counts" in data:
+            _check_counts(data["product_cell_counts"], "data.product_cell_counts")
 
     run = RunOptions()
     if "run" in raw:

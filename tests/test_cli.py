@@ -117,6 +117,58 @@ class TestExitCodes:
         result = run("dsep", "--spec", path)
         assert result.exit_code == 2
 
+    @staticmethod
+    def _separable_pair():
+        return json.loads((SPECS / "separable_pair.spec").read_text())
+
+    def test_zero_prior_parameter_exits_2(self, tmp_path):
+        spec = self._separable_pair()
+        spec["models"]["panels"][0]["prior"]["alpha"] = 0
+        for command in ("simulate", "separability"):
+            result = run(command, "--spec", write_spec(tmp_path, spec))
+            assert result.exit_code == 2
+            assert "ParseError" in result.output and "prior.alpha" in result.output
+
+    def test_fractional_counts_exit_2(self, tmp_path):
+        spec = self._separable_pair()
+        spec["data"]["panel_counts"] = [[1.5, 2], [0, 0]]
+        for command in ("simulate", "separability"):
+            result = run(command, "--spec", write_spec(tmp_path, spec))
+            assert result.exit_code == 2
+            assert "ParseError" in result.output and "integers" in result.output
+        spec["data"]["panel_counts"] = [[1, 2], [0, 0]]
+        spec["data"]["product_cell_counts"] = [True, 2]
+        with pytest.raises(ParseError, match="product_cell_counts"):
+            parse_spec_dict(spec)
+
+    def test_overlapping_dsep_query_exits_2(self, tmp_path):
+        spec = json.loads((SPECS / "chain_dsep.spec").read_text())
+        spec["query"] = {"a": ["A"], "b": ["A"]}
+        result = run("dsep", "--spec", write_spec(tmp_path, spec))
+        assert result.exit_code == 2
+        assert "ParseError" in result.output and "disjoint" in result.output
+
+    def test_derive_goal_outside_statements_exits_2(self, tmp_path):
+        path = write_spec(tmp_path, {
+            "version": 1,
+            "statements": [{"a": ["x"], "b": ["y"]}],
+            "goal": {"a": ["x"], "b": ["z"]},
+        })
+        result = run("derive", "--spec", path)
+        assert result.exit_code == 2
+        assert "UniverseError" in result.output
+
+    def test_graph_lacking_system_symbols_exits_2(self, tmp_path):
+        path = write_spec(tmp_path, {
+            "version": 1,
+            "protocol": {"panels": 2},
+            "graph": {"nodes": [{"name": "theta_1", "kind": "parameter"}], "edges": []},
+            "run": {"mode": "graphical"},
+        })
+        result = run("check", "--spec", path)
+        assert result.exit_code == 2
+        assert "UniverseMismatch" in result.output
+
 
 class TestCheckCommand:
     def test_canonical_m2_passes(self):

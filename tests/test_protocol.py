@@ -50,6 +50,26 @@ class TestBuildSystem:
         sys = build_system(1)
         assert sys.universe == frozenset({"theta_1", "I_0^0", "I_11^0", "I_*^0", "I_+^0"})
 
+    def test_evidence_names_unchanged_up_to_m9(self):
+        assert build_system(9).evidence(9, 1) == "I_91^0"
+        assert build_system(10).evidence(1, 10) == "I_1_10^0"
+
+    def test_m11_axiomatic_symbols_do_not_collide(self):
+        sys = build_system(11)
+        assert len(sys.universe) == 11 * 11 + 11 + 3
+        (_, own), (_, full) = sys.aggregates
+        assert len(own) == 11 and len(full) == 11 * 11 + 1
+        base = base_statements(sys)
+        assert all(s.symbols() <= sys.universe for s in base)
+        verdict = verify_coherence(sys, AxiomaticMode(base, budget=50))
+        assert all(c.holds for c in verdict.conditions)
+
+    def test_m11_canonical_dag(self):
+        sys = build_system(11)
+        dag = canonical_dag(sys)
+        assert dag.node_names == sys.universe
+        assert verify_coherence(sys, GraphicalMode(dag)).sound_and_distributed
+
     def test_invalid_panel_count(self):
         with pytest.raises(InvalidPanelCount):
             build_system(0)
