@@ -10,3 +10,9 @@ Subpackages:
 """
 
 __version__ = "0.1.0"
+
+
+class ModcoherenceError(Exception):
+    """Base of the package's exception classes (``CIError``, ``DagError``,
+    ``ProtocolError``, ``PanelsError``, ``SpecError``); the CLI reports any of
+    them as an input error, exit code 2."""

@@ -13,6 +13,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
+from . import ModcoherenceError
+
 Symbol = str
 VarSet = frozenset
 
@@ -30,7 +32,7 @@ RULES = (
 )
 
 
-class CIError(Exception):
+class CIError(ModcoherenceError):
     """Base class for statement-algebra errors."""
 
 
@@ -48,6 +50,10 @@ class ShapeMismatch(CIError):
 
 class UnlicensedDeterminism(CIError):
     """No functional dependency licenses the requested rewrite."""
+
+
+class SelfDependency(CIError, ValueError):
+    """A functional dependency lists its determined symbol among its determiners."""
 
 
 class UniverseError(CIError):
@@ -115,7 +121,7 @@ class FunctionalDependency:
     def __post_init__(self) -> None:
         object.__setattr__(self, "determiners", frozenset(self.determiners))
         if self.determined in self.determiners:
-            raise ValueError(f"{self.determined!r} cannot determine itself")
+            raise SelfDependency(f"{self.determined!r} cannot determine itself")
 
 
 def aggregate_dependencies(symbol: Symbol, components: Iterable[Symbol]) -> tuple[FunctionalDependency, ...]:

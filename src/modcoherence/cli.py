@@ -8,64 +8,56 @@ Exit codes are stable: 0 all requested checks hold, 1 a check failed,
 
 from __future__ import annotations
 
+import functools
 import sys
 from typing import Optional
 
 import click
 import numpy as np
 
+from . import ModcoherenceError
 from . import panels as pn
-from .ci import DEFAULT_BUDGET, UniverseError, derive as ci_derive
+from .ci import derive as ci_derive
 from .dag import d_separated
 from .protocol import (
-    ALL_CONDITIONS,
     AxiomaticMode,
     GraphicalMode,
-    UniverseMismatch,
     Verdict,
     base_statements,
     verify_coherence,
     ablate as run_ablate,
 )
-from .report import (
-    EXIT_INPUT_ERROR,
-    Report,
-    proof_to_dict,
-    render_human,
-)
-from .specfile import MissingSection, SpecError, SpecFile, parse_spec
-
-
-def _emit(report: Report, out: Optional[str], fmt: str, quiet: bool) -> None:
-    text = report.to_json() if fmt == "machine" else render_human(report, quiet=quiet)
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
-    sys.exit(report.exit_code)
-
-
-def _error_report(command: str, exc: Exception, out, fmt, quiet) -> None:
-    report = Report(command, "error", {"error": f"{type(exc).__name__}: {exc}"})
-    _emit(report, out, fmt, quiet)
-
-
-common_options = [
-    click.option("--spec", "spec_path", required=True, type=click.Path(), help="Run spec file."),
-    click.option("--out", default=None, type=click.Path(), help="Write the report here."),
-    click.option(
-        "--format", "fmt", default="human", type=click.Choice(["human", "machine"]),
-        help="Report format.",
-    ),
-    click.option("--quiet", is_flag=True, help="Truncate proof traces to verdicts."),
-]
+from .report import Report, proof_to_dict, render_human
+from .specfile import MissingSection, SpecFile, parse_spec
 
 
 def with_common(fn):
-    for option in reversed(common_options):
-        fn = option(fn)
-    return fn
+    """The CLI's one input boundary: parse ``--spec``, let ``fn(spec, **options)``
+    build the report, turn any package error into an exit-2 error report, then
+    write the report in the requested format and exit with its code."""
+
+    @click.option("--spec", "spec_path", required=True, type=click.Path(), help="Run spec file.")
+    @click.option("--out", default=None, type=click.Path(), help="Write the report here.")
+    @click.option(
+        "--format", "fmt", default="human", type=click.Choice(["human", "machine"]),
+        help="Report format.",
+    )
+    @click.option("--quiet", is_flag=True, help="Truncate proof traces to verdicts.")
+    @functools.wraps(fn)
+    def command(spec_path, out, fmt, quiet, **options):
+        try:
+            report = fn(parse_spec(spec_path), **options)
+        except ModcoherenceError as exc:
+            report = Report(fn.__name__, "error", {"error": f"{type(exc).__name__}: {exc}"})
+        text = report.to_json() if fmt == "machine" else render_human(report, quiet=quiet)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
+        else:
+            click.echo(text, nl=False)
+        sys.exit(report.exit_code)
+
+    return command
 
 
 @click.group()
@@ -73,14 +65,7 @@ def main() -> None:
     """Coherence checks and simulations for modular multi-panel inference."""
 
 
-def _load(command: str, spec_path: str, out, fmt, quiet) -> SpecFile:
-    try:
-        return parse_spec(spec_path)
-    except SpecError as exc:
-        _error_report(command, exc, out, fmt, quiet)
-
-
-def _verdict_results(verdict: Verdict, quiet_proofs: bool = False) -> dict:
+def _verdict_results(verdict: Verdict) -> dict:
     conditions = [
         {
             "condition": status.kind.value,
@@ -97,7 +82,7 @@ def _verdict_results(verdict: Verdict, quiet_proofs: bool = False) -> dict:
             "statement": goal.goal.render() if goal.goal else None,
             "status": goal.status,
         }
-        if goal.proof is not None and not quiet_proofs:
+        if goal.proof is not None:
             entry["proof"] = proof_to_dict(goal.proof)
         goals.append(entry)
     return {
@@ -120,27 +105,21 @@ def _mode_for(spec: SpecFile, mode_flag: Optional[str]):
 @main.command()
 @with_common
 @click.option("--mode", default=None, type=click.Choice(["axiomatic", "graphical"]))
-def check(spec_path, out, fmt, quiet, mode):
+def check(spec: SpecFile, mode: Optional[str]) -> Report:
     """Verify the four protocol conditions and the coherence conclusion."""
-    spec = _load("check", spec_path, out, fmt, quiet)
-    try:
-        if spec.system is None:
-            raise MissingSection("check requires a protocol section")
-        verdict = verify_coherence(spec.system, _mode_for(spec, mode))
-    except (SpecError, UniverseMismatch) as exc:
-        _error_report("check", exc, out, fmt, quiet)
-    results = _verdict_results(verdict)
+    if spec.system is None:
+        raise MissingSection("check requires a protocol section")
+    verdict = verify_coherence(spec.system, _mode_for(spec, mode))
     status = "pass" if verdict.sound_and_distributed else "fail"
-    _emit(Report("check", status, results, {"mode": mode or spec.run.mode}), out, fmt, quiet)
+    return Report("check", status, _verdict_results(verdict), {"mode": mode or spec.run.mode})
 
 
 @main.command()
 @with_common
-def derive(spec_path, out, fmt, quiet):
+def derive(spec: SpecFile) -> Report:
     """Derive the spec's goal statement from its base statements."""
-    spec = _load("derive", spec_path, out, fmt, quiet)
     if spec.goal is None:
-        _error_report("derive", MissingSection("derive requires a goal section"), out, fmt, quiet)
+        raise MissingSection("derive requires a goal section")
     base = list(spec.statements)
     deps: tuple = ()
     universe = None
@@ -151,13 +130,8 @@ def derive(spec_path, out, fmt, quiet):
     elif spec.dag is not None:
         deps = spec.dag.dependencies
     if not base:
-        _error_report(
-            "derive", MissingSection("derive requires statements or a protocol"), out, fmt, quiet
-        )
-    try:
-        result = ci_derive(base, deps, spec.goal, spec.run.budget, universe=universe)
-    except UniverseError as exc:
-        _error_report("derive", exc, out, fmt, quiet)
+        raise MissingSection("derive requires statements or a protocol")
+    result = ci_derive(base, deps, spec.goal, spec.run.budget, universe=universe)
     results = {
         "goal": spec.goal.render(),
         "status": result.status,
@@ -165,19 +139,15 @@ def derive(spec_path, out, fmt, quiet):
     }
     if result.proof is not None:
         results["proof"] = proof_to_dict(result.proof)
-    status = "pass" if result.proved else "fail"
-    _emit(Report("derive", status, results), out, fmt, quiet)
+    return Report("derive", "pass" if result.proved else "fail", results)
 
 
 @main.command()
 @with_common
-def dsep(spec_path, out, fmt, quiet):
+def dsep(spec: SpecFile) -> Report:
     """Answer the spec's separation query on its graph."""
-    spec = _load("dsep", spec_path, out, fmt, quiet)
     if spec.dag is None or spec.query is None:
-        _error_report(
-            "dsep", MissingSection("dsep requires graph and query sections"), out, fmt, quiet
-        )
+        raise MissingSection("dsep requires graph and query sections")
     separated = d_separated(spec.dag, spec.query.a, spec.query.b, spec.query.c)
     results = {
         "query": {
@@ -187,20 +157,19 @@ def dsep(spec_path, out, fmt, quiet):
         },
         "d_separated": separated,
     }
-    _emit(Report("dsep", "pass" if separated else "fail", results), out, fmt, quiet)
+    return Report("dsep", "pass" if separated else "fail", results)
 
 
 @main.command()
 @with_common
-def ablate(spec_path, out, fmt, quiet):
+def ablate(spec: SpecFile) -> Report:
     """Drop each protocol condition in turn and report what breaks.
 
     A failing row certifies non-derivability within this rule system
     (saturation completed without reaching the goal), not semantic falsity.
     """
-    spec = _load("ablate", spec_path, out, fmt, quiet)
     if spec.system is None:
-        _error_report("ablate", MissingSection("ablate requires a protocol section"), out, fmt, quiet)
+        raise MissingSection("ablate requires a protocol section")
     rows = run_ablate(spec.system, spec.run.budget)
     table = []
     ok = True
@@ -220,21 +189,7 @@ def ablate(spec_path, out, fmt, quiet):
             ok = ok and verdict.sound_and_distributed
         else:
             ok = ok and not verdict.sound_and_distributed
-    _emit(Report("ablate", "pass" if ok else "fail", {"rows": table}), out, fmt, quiet)
-
-
-def _panel_setup(spec: SpecFile):
-    if spec.models is None or spec.data is None:
-        raise MissingSection("this command requires models and data sections")
-    panel_models = spec.models.get("panels", [])
-    counts = spec.data.get("panel_counts", [])
-    if not panel_models or len(panel_models) != len(counts):
-        raise MissingSection("models.panels and data.panel_counts must align")
-    priors = [
-        pn.BetaParams(float(p["prior"].get("alpha", 1)), float(p["prior"].get("beta", 1)))
-        for p in panel_models
-    ]
-    return priors, [tuple(pair) for pair in counts]
+    return Report("ablate", "pass" if ok else "fail", {"rows": table})
 
 
 def _interior_grid(n: int) -> np.ndarray:
@@ -256,15 +211,11 @@ def _joint_loglik(logliks, strength: float):
 
 @main.command()
 @with_common
-def simulate(spec_path, out, fmt, quiet):
+def simulate(spec: SpecFile) -> Report:
     """Distributed updating versus the full-joint oracle on the spec's model."""
-    spec = _load("simulate", spec_path, out, fmt, quiet)
-    try:
-        priors, counts = _panel_setup(spec)
-    except SpecError as exc:
-        _error_report("simulate", exc, out, fmt, quiet)
+    models, data = spec.panel_inputs()
     n = spec.run.grid
-    posteriors = [pn.panel_update_conjugate(p, c) for p, c in zip(priors, counts)]
+    posteriors = [pn.panel_update_conjugate(p, c) for p, c in zip(models.priors, data.panel_counts)]
     grids = [pn.beta_grid(post, n) for post in posteriors]
     distributed = pn.compose_product(grids)
     product_mean_closed = float(np.prod([p.mean for p in posteriors]))
@@ -280,9 +231,9 @@ def simulate(spec_path, out, fmt, quiet):
         "distributed_product_mean_grid": product_mean_grid,
     }
 
-    strength = float(spec.models.get("interaction", {}).get("strength", 0.0))
-    logliks = [pn.bernoulli_loglik(s, t) for s, t in counts]
-    prior_grids = [pn.beta_grid(p, n) for p in priors]
+    strength = models.interaction_strength
+    logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
+    prior_grids = [pn.beta_grid(p, n) for p in models.priors]
     oracle = pn.joint_oracle(prior_grids, _joint_loglik(logliks, strength))
     div = pn.divergence(distributed, oracle)
     results["joint_oracle_product_mean"] = pn.functional_expectation(
@@ -291,48 +242,35 @@ def simulate(spec_path, out, fmt, quiet):
     results["divergence"] = {"max_abs": div.max_abs, "total_variation": div.total_variation}
     results["interaction_strength"] = strength
 
-    if "product_cell" in (spec.models or {}) and spec.data.get("product_cell_counts"):
-        prior_raw = spec.models["product_cell"]["prior"]
-        cell_prior = pn.BetaParams(float(prior_raw.get("alpha", 1)), float(prior_raw.get("beta", 1)))
-        s, t = spec.data["product_cell_counts"]
-        cell_post = pn.panel_update_conjugate(cell_prior, (int(s), int(t)))
+    if models.product_cell is not None and data.product_cell_counts is not None:
+        cell_post = pn.panel_update_conjugate(models.product_cell, data.product_cell_counts)
         results["product_cell_posterior_mean"] = cell_post.mean
         results["distributed_over_product_cell_ratio"] = product_mean_closed / cell_post.mean
 
-    _emit(Report("simulate", "pass", results, {"grid": n, "seed": spec.run.seed}), out, fmt, quiet)
+    return Report("simulate", "pass", results, {"grid": n, "seed": spec.run.seed})
 
 
 @main.command()
 @with_common
-def separability(spec_path, out, fmt, quiet):
+def separability(spec: SpecFile) -> Report:
     """Symbolic and numeric likelihood-separability checks."""
-    spec = _load("separability", spec_path, out, fmt, quiet)
-    try:
-        priors, counts = _panel_setup(spec)
-    except SpecError as exc:
-        _error_report("separability", exc, out, fmt, quiet)
+    models, data = spec.panel_inputs()
     results: dict = {}
 
-    factors_raw = (spec.models or {}).get("factors")
-    if factors_raw is not None:
-        fspec = pn.FactorSpec(
-            tuple(pn.Factor(str(f.get("name", k)), frozenset(f["panels"]))
-                  for k, f in enumerate(factors_raw))
-        )
-        symbolic = pn.separability_check_symbolic(fspec, len(priors))
+    if models.factors is not None:
+        symbolic = pn.separability_check_symbolic(models.factors, len(models.priors))
         results["symbolic"] = {
             "separable": symbolic.separable,
             "offending_factors": [f.name for f in symbolic.offending],
         }
 
-    strength = float(spec.models.get("interaction", {}).get("strength", 0.0))
-    logliks = [pn.bernoulli_loglik(s, t) for s, t in counts]
-    joint_ll = _joint_loglik(logliks, strength)
+    logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
+    joint_ll = _joint_loglik(logliks, models.interaction_strength)
 
     grid = _interior_grid(spec.run.grid)
     verdict = pn.separability_check_numeric(
         joint_ll,
-        [grid] * len(priors),
+        [grid] * len(models.priors),
         tolerance=spec.run.tolerance,
         samples=spec.run.separability_samples,
         seed=spec.run.seed,
@@ -350,7 +288,7 @@ def separability(spec_path, out, fmt, quiet):
         ],
     }
 
-    prior_grids = [pn.beta_grid(p, spec.run.grid) for p in priors]
+    prior_grids = [pn.beta_grid(p, spec.run.grid) for p in models.priors]
     distributed = pn.compose_product(
         [pn.panel_update_grid(g, ll) for g, ll in zip(prior_grids, logliks)]
     )
@@ -359,16 +297,8 @@ def separability(spec_path, out, fmt, quiet):
     results["divergence"] = {"max_abs": div.max_abs, "total_variation": div.total_variation}
 
     status = "pass" if verdict.separable else "fail"
-    _emit(
-        Report(
-            "separability",
-            status,
-            results,
-            {"seed": spec.run.seed, "tolerance": spec.run.tolerance},
-        ),
-        out,
-        fmt,
-        quiet,
+    return Report(
+        "separability", status, results, {"seed": spec.run.seed, "tolerance": spec.run.tolerance}
     )
 
 

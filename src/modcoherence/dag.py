@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
+from . import ModcoherenceError
 from .ci import (
     CIStatement,
     FunctionalDependency,
@@ -26,7 +27,7 @@ from .ci import (
 NODE_KINDS = ("parameter", "evidence", "data", "common-knowledge")
 
 
-class DagError(Exception):
+class DagError(ModcoherenceError):
     pass
 
 

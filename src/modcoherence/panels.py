@@ -16,10 +16,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import ModcoherenceError
+
 NORM_TOL = 1e-10
 
 
-class PanelsError(Exception):
+class PanelsError(ModcoherenceError):
     pass
 
 

@@ -16,6 +16,7 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
+from . import ModcoherenceError
 from .ci import (
     CIStatement,
     DEFAULT_BUDGET,
@@ -32,7 +33,7 @@ from .ci import (
 from .dag import Dag, d_separated, local_markov_basis
 
 
-class ProtocolError(Exception):
+class ProtocolError(ModcoherenceError):
     pass
 
 

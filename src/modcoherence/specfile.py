@@ -2,24 +2,28 @@
 
 A spec file is a JSON document with a ``version`` tag and optional sections
 (``protocol``, ``statements``, ``goal``, ``graph``, ``query``, ``models``,
-``data``, ``run``).  Unknown versions, unknown keys and dangling symbol
-references are all hard errors; nothing is silently ignored.
+``data``, ``run``).  Every field is type-checked here, once, and each section
+becomes a typed value; unknown versions, unknown keys, mistyped fields and
+dangling symbol references are all hard errors; nothing is silently ignored.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
-from .ci import CIStatement, EmptySide, FunctionalDependency, OverlappingSets, normalize
+from . import ModcoherenceError
+from .ci import CIError, CIStatement, FunctionalDependency, normalize
 from .dag import CIQuery, Dag, DagError, build_dag
+from .panels import BetaParams, Factor, FactorSpec
 from .protocol import (
     ALL_CONDITIONS,
     ConditionKind,
     PanelSystem,
+    ProtocolError,
     build_system,
     canonical_dag,
     confounded_dag,
@@ -27,8 +31,14 @@ from .protocol import (
 
 SUPPORTED_VERSION = 1
 
+# build_system makes m*m + m + 3 symbols; tests build protocols up to m = 11
+MAX_PANELS = 32
+# simulate and separability hold run.grid ** len(models.panels) float64 cells
+# several times over; 2**24 cells peak near 1 GB
+MAX_GRID_CELLS = 2**24
 
-class SpecError(Exception):
+
+class SpecError(ModcoherenceError):
     pass
 
 
@@ -67,32 +77,95 @@ def _require_keys(section: dict, allowed: set, where: str) -> None:
         raise ParseError(f"unknown key {sorted(unknown)[0]!r} in {where}")
 
 
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{where} must be a list, got {value!r}")
+    return value
+
+
+def _integer(section: dict, key: str, default: int, where: str) -> int:
+    """A JSON integer (bools are not)."""
+    value = section.get(key, default)
+    if type(value) is not int:
+        raise ParseError(f"{where}.{key} must be an integer, got {value!r}")
+    return value
+
+
+def _number(section: dict, key: str, default: float, where: str) -> float:
+    """A finite JSON number (bools are not), as a float."""
+    value = section.get(key, default)
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ParseError(f"{where}.{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _string(section: dict, key: str, where: str, default: Optional[str] = None) -> str:
+    if key not in section and default is None:
+        raise ParseError(f"{where} is missing {key!r}")
+    value = section.get(key, default)
+    if not isinstance(value, str):
+        raise ParseError(f"{where}.{key} must be a string, got {value!r}")
+    return value
+
+
+def _symbols(value, where: str) -> frozenset:
+    """A list of symbol names; a bare string is not read as its characters."""
+    if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
+        raise ParseError(f"{where} must be a list of symbol names, got {value!r}")
+    return frozenset(value)
+
+
 def _statement_sets(raw: dict, where: str) -> tuple[frozenset, frozenset, frozenset]:
     _require_keys(raw, _STMT_KEYS, where)
     for side in ("a", "b"):
         if side not in raw:
             raise ParseError(f"{where} is missing side {side!r}")
-    a = frozenset(str(s) for s in raw["a"])
-    b = frozenset(str(s) for s in raw["b"])
-    c = frozenset(str(s) for s in raw.get("c", ()))
+    a, b, c = (_symbols(raw.get(side, []), f"{where}.{side}") for side in ("a", "b", "c"))
     return a, b, c
 
 
-def _check_prior(prior, where: str) -> None:
-    _require_keys(prior, _PRIOR_KEYS, where)
+def _beta_prior(entry: dict, where: str) -> BetaParams:
+    """``entry["prior"]``; a missing prior, alpha or beta defaults to 1."""
+    prior = entry.get("prior", {})
+    _require_keys(prior, _PRIOR_KEYS, f"{where}.prior")
+    params = []
     for key in ("alpha", "beta"):
         value = prior.get(key, 1)
         if type(value) not in (int, float) or not 0 < value < math.inf:
-            raise ParseError(f"{where}.{key} must be a positive number, got {value!r}")
+            raise ParseError(f"{where}.prior.{key} must be a positive number, got {value!r}")
+        params.append(float(value))
+    if prior.get("family", "beta") != "beta":
+        raise ParseError(f"{where}: unsupported prior family {prior.get('family')!r}")
+    return BetaParams(*params)
 
 
-def _check_counts(pair, where: str) -> None:
+def _counts(pair, where: str) -> tuple[int, int]:
     """``[successes, trials]``: two JSON integers with 0 <= successes <= trials."""
     shaped = isinstance(pair, list) and len(pair) == 2
     if shaped and not all(type(x) is int for x in pair):
         raise ParseError(f"{where}: counts must be integers, got {pair}")
     if not (shaped and 0 <= pair[0] <= pair[1]):
         raise ParseError(f"{where}: need [successes, trials], got {pair}")
+    return pair[0], pair[1]
+
+
+@dataclass(frozen=True)
+class Models:
+    """The ``models`` section: one Beta prior per panel, each with a
+    Bernoulli likelihood."""
+
+    priors: tuple[BetaParams, ...] = ()
+    interaction_strength: float = 0.0
+    product_cell: Optional[BetaParams] = None
+    factors: Optional[FactorSpec] = None
+
+
+@dataclass(frozen=True)
+class Data:
+    """The ``data`` section: ``(successes, trials)`` per panel."""
+
+    panel_counts: tuple[tuple[int, int], ...] = ()
+    product_cell_counts: Optional[tuple[int, int]] = None
 
 
 @dataclass(frozen=True)
@@ -115,85 +188,178 @@ class SpecFile:
     goal: Optional[CIStatement] = None
     dag: Optional[Dag] = None
     query: Optional[CIQuery] = None
-    models: Optional[dict] = None
-    data: Optional[dict] = None
+    models: Optional[Models] = None
+    data: Optional[Data] = None
     run: RunOptions = field(default_factory=RunOptions)
+
+    def panel_inputs(self) -> tuple[Models, Data]:
+        """The sections the numeric commands need, with one count pair per
+        panel model."""
+        if self.models is None or self.data is None:
+            raise MissingSection("this command requires models and data sections")
+        if not self.models.priors or len(self.models.priors) != len(self.data.panel_counts):
+            raise MissingSection("models.panels and data.panel_counts must align")
+        return self.models, self.data
 
 
 def parse_spec(path: str | Path) -> SpecFile:
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    spec = parse_spec_dict(raw)
-    return SpecFile(**{**spec.__dict__, "path": str(path)})
+    return replace(parse_spec_dict(raw), path=str(path))
+
+
+def _protocol(section: dict) -> tuple[PanelSystem, tuple[ConditionKind, ...]]:
+    _require_keys(section, _PROTOCOL_KEYS, "protocol")
+    if "panels" not in section:
+        raise ParseError("protocol is missing the panel count")
+    m = _integer(section, "panels", 0, "protocol")
+    if m > MAX_PANELS:
+        raise ParseError(f"protocol.panels must be at most {MAX_PANELS}, got {m}")
+    try:
+        system = build_system(m, _integer(section, "epoch", 0, "protocol"))
+    except ProtocolError as exc:
+        raise ParseError(f"protocol: {exc}") from exc
+    if "conditions" not in section:
+        return system, ALL_CONDITIONS
+    kinds = []
+    for name in _list(section["conditions"], "protocol.conditions"):
+        try:
+            kinds.append(ConditionKind(name))
+        except ValueError:
+            raise ParseError(f"protocol: unknown condition {name!r}") from None
+    return system, tuple(kinds)
+
+
+def _graph(section: dict, system: Optional[PanelSystem]) -> Dag:
+    _require_keys(section, _GRAPH_KEYS, "graph")
+    template = section.get("template")
+    if template is not None and system is None:
+        raise MissingSection("graph templates require a protocol section")
+    try:
+        if template == "canonical":
+            return canonical_dag(system)
+        if template == "confounded":
+            return confounded_dag(system, _string(section, "latent", "graph", default="H"))
+        if template is not None:
+            raise ParseError(f"graph: unknown template {template!r}")
+        for key in ("nodes", "edges"):
+            if key not in section:
+                raise ParseError(f"graph is missing {key!r}")
+        nodes = []
+        for node in _list(section["nodes"], "graph.nodes"):
+            _require_keys(node, {"name", "kind"}, "graph node")
+            nodes.append((_string(node, "name", "graph node"),
+                          _string(node, "kind", "graph node", default="evidence")))
+        edges = []
+        for k, edge in enumerate(_list(section["edges"], "graph.edges")):
+            if not (isinstance(edge, list) and len(edge) == 2
+                    and all(isinstance(s, str) for s in edge)):
+                raise ParseError(f"graph.edges[{k}] must be [parent, child], got {edge!r}")
+            edges.append(tuple(edge))
+        deps = []
+        for dep in _list(section.get("dependencies", []), "graph.dependencies"):
+            _require_keys(dep, {"determined", "determiners"}, "graph dependency")
+            deps.append(FunctionalDependency(
+                _string(dep, "determined", "graph dependency"),
+                _symbols(dep.get("determiners"), "graph dependency.determiners"),
+            ))
+        return build_dag(nodes, edges, deps)
+    except (DagError, CIError) as exc:
+        raise ParseError(f"graph: {exc}") from exc
+
+
+def _models(section: dict) -> Models:
+    _require_keys(section, _MODELS_KEYS, "models")
+    priors = []
+    for k, panel in enumerate(_list(section.get("panels", []), "models.panels")):
+        where = f"models.panels[{k}]"
+        _require_keys(panel, _PANEL_MODEL_KEYS, where)
+        priors.append(_beta_prior(panel, where))
+        if panel.get("likelihood", "bernoulli") != "bernoulli":
+            raise ParseError(f"{where}: unsupported likelihood {panel.get('likelihood')!r}")
+    strength = 0.0
+    if "interaction" in section:
+        _require_keys(section["interaction"], {"strength"}, "models.interaction")
+        strength = _number(section["interaction"], "strength", 0.0, "models.interaction")
+    product_cell = None
+    if "product_cell" in section:
+        _require_keys(section["product_cell"], {"prior"}, "models.product_cell")
+        product_cell = _beta_prior(section["product_cell"], "models.product_cell")
+    factors = None
+    if "factors" in section:
+        # without panel models the numeric commands report those as missing
+        top = len(priors) or math.inf
+        scoped = []
+        for k, factor in enumerate(_list(section["factors"], "models.factors")):
+            where = f"models.factors[{k}]"
+            _require_keys(factor, {"name", "panels"}, where)
+            scope = factor.get("panels")
+            if not (isinstance(scope, list) and all(type(i) is int and 1 <= i <= top for i in scope)):
+                raise ParseError(
+                    f"{where}.panels must list panel numbers in 1..{len(priors)}, got {scope!r}"
+                )
+            scoped.append(Factor(_string(factor, "name", where, default=str(k)), frozenset(scope)))
+        factors = FactorSpec(tuple(scoped))
+    return Models(tuple(priors), strength, product_cell, factors)
+
+
+def _data(section: dict) -> Data:
+    _require_keys(section, _DATA_KEYS, "data")
+    counts = tuple(
+        _counts(pair, f"data.panel_counts[{k}]")
+        for k, pair in enumerate(_list(section.get("panel_counts", []), "data.panel_counts"))
+    )
+    cell = None
+    if "product_cell_counts" in section:
+        cell = _counts(section["product_cell_counts"], "data.product_cell_counts")
+    return Data(counts, cell)
+
+
+def _run(section: dict) -> RunOptions:
+    _require_keys(section, _RUN_KEYS, "run")
+    mode = section.get("mode", "axiomatic")
+    if mode not in ("axiomatic", "graphical"):
+        raise ParseError(f"run.mode must be axiomatic or graphical, got {mode!r}")
+    default = RunOptions()
+    run = RunOptions(
+        mode=mode,
+        grid=_integer(section, "grid", default.grid, "run"),
+        seed=_integer(section, "seed", default.seed, "run"),
+        tolerance=_number(section, "tolerance", default.tolerance, "run"),
+        budget=_integer(section, "budget", default.budget, "run"),
+        separability_samples=_integer(
+            section, "separability_samples", default.separability_samples, "run"
+        ),
+    )
+    if run.grid < 3:
+        raise ParseError("run.grid must be at least 3")
+    if run.budget <= 0:
+        raise ParseError("run.budget must be positive")
+    if run.seed < 0:
+        raise ParseError("run.seed must be non-negative")
+    if run.separability_samples <= 0:
+        raise ParseError("run.separability_samples must be positive")
+    return run
 
 
 def parse_spec_dict(raw: dict) -> SpecFile:
     _require_keys(raw, _TOP_KEYS, "spec")
     if "version" not in raw:
         raise ParseError("spec is missing the version tag")
-    if raw["version"] != SUPPORTED_VERSION:
+    if type(raw["version"]) is not int or raw["version"] != SUPPORTED_VERSION:
         raise UnknownVersion(f"unsupported spec version {raw['version']!r}")
 
     system = None
     conditions: tuple[ConditionKind, ...] = ALL_CONDITIONS
     if "protocol" in raw:
-        section = raw["protocol"]
-        _require_keys(section, _PROTOCOL_KEYS, "protocol")
-        if "panels" not in section:
-            raise ParseError("protocol is missing the panel count")
-        try:
-            system = build_system(int(section["panels"]), int(section.get("epoch", 0)))
-        except Exception as exc:
-            raise ParseError(f"protocol: {exc}") from exc
-        if "conditions" in section:
-            kinds = []
-            for name in section["conditions"]:
-                try:
-                    kinds.append(ConditionKind(name))
-                except ValueError:
-                    raise ParseError(f"protocol: unknown condition {name!r}") from None
-            conditions = tuple(kinds)
+        system, conditions = _protocol(raw["protocol"])
 
-    dag = None
-    if "graph" in raw:
-        section = raw["graph"]
-        _require_keys(section, _GRAPH_KEYS, "graph")
-        template = section.get("template")
-        if template is not None:
-            if system is None:
-                raise MissingSection("graph templates require a protocol section")
-            if template == "canonical":
-                dag = canonical_dag(system)
-            elif template == "confounded":
-                dag = confounded_dag(system, str(section.get("latent", "H")))
-            else:
-                raise ParseError(f"graph: unknown template {template!r}")
-        else:
-            for key in ("nodes", "edges"):
-                if key not in section:
-                    raise ParseError(f"graph is missing {key!r}")
-            nodes = []
-            for node in section["nodes"]:
-                _require_keys(node, {"name", "kind"}, "graph node")
-                nodes.append((str(node["name"]), str(node.get("kind", "evidence"))))
-            edges = [(str(u), str(v)) for u, v in section["edges"]]
-            deps = []
-            for dep in section.get("dependencies", ()):
-                _require_keys(dep, {"determined", "determiners"}, "graph dependency")
-                deps.append(
-                    FunctionalDependency(
-                        str(dep["determined"]), frozenset(str(s) for s in dep["determiners"])
-                    )
-                )
-            try:
-                dag = build_dag(nodes, edges, deps)
-            except DagError as exc:
-                raise ParseError(f"graph: {exc}") from exc
+    dag = _graph(raw["graph"], system) if "graph" in raw else None
 
     known_symbols: Optional[frozenset] = None
     if system is not None or dag is not None:
@@ -203,100 +369,54 @@ def parse_spec_dict(raw: dict) -> SpecFile:
         if dag is not None:
             known_symbols |= dag.node_names
 
-    def resolve(sets: tuple[frozenset, ...], where: str) -> None:
-        if known_symbols is None:
-            return
-        stray = frozenset().union(*sets) - known_symbols
-        if stray:
-            raise UnresolvedSymbol(f"{where} references undeclared symbols: {sorted(stray)}")
+    def statement(raw_stmt, where: str) -> tuple[frozenset, frozenset, frozenset]:
+        sets = _statement_sets(raw_stmt, where)
+        if known_symbols is not None:
+            stray = frozenset().union(*sets) - known_symbols
+            if stray:
+                raise UnresolvedSymbol(f"{where} references undeclared symbols: {sorted(stray)}")
+        return sets
 
-    statements = []
-    for k, stmt_raw in enumerate(raw.get("statements", ())):
-        sets = _statement_sets(stmt_raw, f"statements[{k}]")
-        resolve(sets, f"statements[{k}]")
+    def normalized(raw_stmt, where: str) -> CIStatement:
         try:
-            statements.append(normalize(*sets))
-        except (OverlappingSets, EmptySide) as exc:
-            raise ParseError(f"statements[{k}]: {exc}") from exc
+            return normalize(*statement(raw_stmt, where))
+        except CIError as exc:
+            raise ParseError(f"{where}: {exc}") from exc
 
-    goal = None
-    if "goal" in raw:
-        sets = _statement_sets(raw["goal"], "goal")
-        resolve(sets, "goal")
-        try:
-            goal = normalize(*sets)
-        except (OverlappingSets, EmptySide) as exc:
-            raise ParseError(f"goal: {exc}") from exc
+    statements = tuple(
+        normalized(stmt, f"statements[{k}]")
+        for k, stmt in enumerate(_list(raw.get("statements", []), "statements"))
+    )
+    goal = normalized(raw["goal"], "goal") if "goal" in raw else None
 
     query = None
     if "query" in raw:
-        sets = _statement_sets(raw["query"], "query")
-        resolve(sets, "query")
-        a, b, c = sets
+        a, b, c = statement(raw["query"], "query")
         if a & b or a & c or b & c:
             raise ParseError(
                 f"query: sides must be pairwise disjoint: ({sorted(a)}, {sorted(b)}, {sorted(c)})"
             )
-        query = CIQuery(*sets)
+        query = CIQuery(a, b, c)
 
-    models = None
-    if "models" in raw:
-        models = raw["models"]
-        _require_keys(models, _MODELS_KEYS, "models")
-        for k, panel in enumerate(models.get("panels", ())):
-            _require_keys(panel, _PANEL_MODEL_KEYS, f"models.panels[{k}]")
-            prior = panel.get("prior", {})
-            _check_prior(prior, f"models.panels[{k}].prior")
-            if prior.get("family", "beta") != "beta":
+    models = _models(raw["models"]) if "models" in raw else None
+    data = _data(raw["data"]) if "data" in raw else None
+    run = _run(raw["run"]) if "run" in raw else RunOptions()
+
+    if models is not None:
+        cells = 1
+        for _ in models.priors:
+            cells *= run.grid
+            if cells > MAX_GRID_CELLS:
                 raise ParseError(
-                    f"models.panels[{k}]: unsupported prior family {prior.get('family')!r}"
+                    f"{len(models.priors)} models.panels at run.grid {run.grid} exceed "
+                    f"the cap of {MAX_GRID_CELLS} product-grid cells"
                 )
-            if panel.get("likelihood", "bernoulli") != "bernoulli":
-                raise ParseError(
-                    f"models.panels[{k}]: unsupported likelihood {panel.get('likelihood')!r}"
-                )
-        if "interaction" in models:
-            _require_keys(models["interaction"], {"strength"}, "models.interaction")
-        if "product_cell" in models:
-            _require_keys(models["product_cell"], {"prior"}, "models.product_cell")
-            _check_prior(models["product_cell"].get("prior", {}), "models.product_cell.prior")
-        for k, factor in enumerate(models.get("factors", ())):
-            _require_keys(factor, {"name", "panels"}, f"models.factors[{k}]")
-
-    data = None
-    if "data" in raw:
-        data = raw["data"]
-        _require_keys(data, _DATA_KEYS, "data")
-        for k, pair in enumerate(data.get("panel_counts", ())):
-            _check_counts(pair, f"data.panel_counts[{k}]")
-        if "product_cell_counts" in data:
-            _check_counts(data["product_cell_counts"], "data.product_cell_counts")
-
-    run = RunOptions()
-    if "run" in raw:
-        section = raw["run"]
-        _require_keys(section, _RUN_KEYS, "run")
-        mode = str(section.get("mode", "axiomatic"))
-        if mode not in ("axiomatic", "graphical"):
-            raise ParseError(f"run.mode must be axiomatic or graphical, got {mode!r}")
-        run = RunOptions(
-            mode=mode,
-            grid=int(section.get("grid", 101)),
-            seed=int(section.get("seed", 0)),
-            tolerance=float(section.get("tolerance", 1e-9)),
-            budget=int(section.get("budget", 200_000)),
-            separability_samples=int(section.get("separability_samples", 256)),
-        )
-        if run.grid < 3:
-            raise ParseError("run.grid must be at least 3")
-        if run.budget <= 0:
-            raise ParseError("run.budget must be positive")
 
     return SpecFile(
         version=SUPPORTED_VERSION,
         system=system,
         conditions=conditions,
-        statements=tuple(statements),
+        statements=statements,
         goal=goal,
         dag=dag,
         query=query,

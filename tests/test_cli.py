@@ -9,6 +9,8 @@ from click.testing import CliRunner
 from modcoherence.cli import main
 from modcoherence.report import Report
 from modcoherence.specfile import (
+    MAX_GRID_CELLS,
+    MAX_PANELS,
     ParseError,
     SpecError,
     UnknownVersion,
@@ -91,6 +93,41 @@ class TestParseSpec:
             parse_spec(path)
 
 
+# (command, bundled spec, path to the replaced field, new value or _DROP,
+#  text the error must contain); each of these was a traceback or a
+#  silent misreading before the spec was type-checked at parse
+_DROP = object()
+_BAD_FIELDS = [
+    ("simulate", "separable_pair", ["data", "panel_counts"], 5, "data.panel_counts"),
+    ("check", "coherence_m2", ["statements"], 5, "statements"),
+    ("check", "coherence_m2", ["protocol", "conditions"], 5, "protocol.conditions"),
+    ("separability", "separable_pair", ["models", "interaction"], {"strength": "abc"},
+     "models.interaction.strength"),
+    ("separability", "separable_pair", ["run", "tolerance"], "x", "run.tolerance"),
+    ("simulate", "separable_pair", ["run", "grid"], "abc", "run.grid"),
+    ("check", "coherence_m2", ["run", "budget"], "x", "run.budget"),
+    ("separability", "separable_pair", ["run", "separability_samples"], 0,
+     "run.separability_samples"),
+    ("separability", "separable_pair", ["models", "factors", 0, "panels"], _DROP,
+     "models.factors[0].panels"),
+    ("separability", "separable_pair", ["models", "factors", 0, "panels"], ["a"],
+     "models.factors[0].panels"),
+    ("separability", "separable_pair", ["models", "factors", 0, "panels"], [7],
+     "models.factors[0].panels"),
+    ("dsep", "chain_dsep", ["graph", "edges", 0], ["A"], "graph.edges[0]"),
+    ("dsep", "chain_dsep", ["graph", "nodes", 0], {"kind": "parameter"}, "graph node"),
+    ("dsep", "chain_dsep", ["graph", "dependencies"], [{"determined": "A", "determiners": ["A"]}],
+     "graph: 'A' cannot determine itself"),
+    ("simulate", "separable_pair", ["models", "panels"], [{}] * 6, "run.grid"),
+    ("check", "coherence_m2", ["protocol", "panels"], 2.5, "protocol.panels"),
+    ("check", "coherence_m2", ["protocol", "panels"], 100000,
+     f"protocol.panels must be at most {MAX_PANELS}"),
+    ("derive", "coherence_m2", ["statements"], [{"a": "theta_1", "b": ["theta_2"]}],
+     "statements[0].a"),
+    ("dsep", "chain_dsep", ["query", "a"], "AC", "query.a"),
+]
+
+
 class TestExitCodes:
     def test_parse_error_exits_2(self, tmp_path):
         path = write_spec(tmp_path, {"version": "99"})
@@ -168,6 +205,49 @@ class TestExitCodes:
         result = run("check", "--spec", path)
         assert result.exit_code == 2
         assert "UniverseMismatch" in result.output
+
+
+    @pytest.mark.parametrize(
+        "command, bundled, path, value, names",
+        _BAD_FIELDS,
+        ids=[f"{c}-{'.'.join(map(str, p))}=" + ("missing" if v is _DROP else repr(v))
+             for c, _, p, v, _ in _BAD_FIELDS],
+    )
+    def test_bad_field_exits_2(self, tmp_path, command, bundled, path, value, names):
+        spec = (self._separable_pair() if bundled == "separable_pair"
+                else json.loads((SPECS / f"{bundled}.spec").read_text()))
+        *parents, last = path
+        node = spec
+        for key in parents:
+            node = node[key]
+        if value is _DROP:
+            del node[last]
+        else:
+            node[last] = value
+        result = run(command, "--spec", write_spec(tmp_path, spec))
+        assert result.exit_code == 2, result.output
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert names in result.output
+
+    def test_missing_prior_is_beta_1_1(self, tmp_path):
+        explicit = run("simulate", "--spec", str(SPECS / "food_example.spec"))
+        assert explicit.exit_code == 0
+        spec = json.loads((SPECS / "food_example.spec").read_text())
+        del spec["models"]["panels"][0]["prior"]
+        spec["models"]["product_cell"] = {}
+        implicit = run("simulate", "--spec", write_spec(tmp_path, spec))
+        assert implicit.exit_code == 0
+        assert implicit.output == explicit.output
+
+    def test_product_grid_cap(self):
+        spec = self._separable_pair()
+        spec["models"]["panels"] = [{}] * 3
+        spec["data"]["panel_counts"] = [[0, 0]] * 3
+        spec["run"]["grid"] = 256
+        assert parse_spec_dict(spec).run.grid ** 3 == MAX_GRID_CELLS
+        spec["run"]["grid"] = 257
+        with pytest.raises(ParseError, match="cap"):
+            parse_spec_dict(spec)
 
 
 class TestCheckCommand:
