@@ -1,0 +1,56 @@
+#!/usr/bin/env python3
+"""Fingerprint every CLI report this checkout produces on the bundled specs.
+
+Runs ``check``, ``derive``, ``dsep``, ``simulate`` and ``separability`` on
+every spec in ``specs/``, and ``ablate`` on the three two-panel specs, each
+as ``--format machine``, ``--format human`` and ``--format human --quiet``,
+in this process.  Prints one line per run: command, spec, format, exit code
+and the sha256 of the output (plus the exception class if a run ended in
+one).  The package is imported from this checkout's ``src/``, so two
+checkouts are compared byte for byte by diffing their outputs:
+
+    python3 scripts/report_digest.py > after.txt
+"""
+
+import hashlib
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from click.testing import CliRunner  # noqa: E402
+
+from modcoherence.cli import main as cli_main  # noqa: E402
+
+COMMANDS = ("check", "derive", "dsep", "simulate", "separability")
+ABLATE_SPECS = ("canonical_graph", "coherence_m2", "confounded")
+FORMATS = {
+    "machine": ("--format", "machine"),
+    "human": ("--format", "human"),
+    "quiet": ("--format", "human", "--quiet"),
+}
+
+
+def runs():
+    for spec in sorted((ROOT / "specs").glob("*.spec")):
+        for command in COMMANDS:
+            yield command, spec
+    for name in ABLATE_SPECS:
+        yield "ablate", ROOT / "specs" / f"{name}.spec"
+
+
+def main() -> None:
+    runner = CliRunner()
+    for command, spec in runs():
+        for fmt, flags in FORMATS.items():
+            result = runner.invoke(cli_main, [command, "--spec", str(spec), *flags])
+            digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+            line = f"{command} {spec.stem} {fmt} exit={result.exit_code} sha256={digest}"
+            if result.exception is not None and not isinstance(result.exception, SystemExit):
+                line += f" exception={type(result.exception).__name__}"
+            print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -310,11 +310,26 @@ class DeriveResult:
         return self.status == "proved"
 
 
-_Prov = Optional[tuple]  # (rule, premises, selection) or None for base statements
+_Prov = Optional[tuple]  # (rule, parent triples, selection mask) or None for base statements
+_Triple = tuple  # (a, b, c) int bitmasks with disjoint sides
+
+
+def _orient(x: int, y: int, c: int) -> _Triple:
+    """The canonical triple: the side with the lower lowest set bit first."""
+    return (x, y, c) if x & -x < y & -y else (y, x, c)
 
 
 class _Saturation:
     """Deterministic worklist saturation over a fixed finite universe.
+
+    A statement is an ``(a, b, c)`` triple of int bitmasks.  Bit i stands for
+    the i-th name, in sorted order, among the universe and every symbol a
+    dependency mentions; rewrites only add or move universe symbols, while
+    the determinism closure may chain through the others.  Names and bits
+    sort alike and sides are disjoint, so putting the side with the lower
+    lowest set bit first is :func:`normalize`'s orientation, and walking a
+    mask from its lowest bit visits its symbols in sorted order.  Triples are
+    decoded to :class:`CIStatement` only for the goal, proofs and closures.
 
     Decomposition and weak union are generated one symbol at a time; any
     multi-symbol split is reachable as a chain of single-symbol moves, so the
@@ -332,125 +347,147 @@ class _Saturation:
             raise ValueError("budget must be positive")
         base = sorted(set(base), key=CIStatement.sort_key)
         self.deps = tuple(deps)
+        dep_symbols = set()
+        for d in self.deps:
+            dep_symbols.add(d.determined)
+            dep_symbols |= d.determiners
         if universe is None:
-            syms = set()
+            universe = set(dep_symbols)
             for s in base:
-                syms |= s.symbols()
-            for d in self.deps:
-                syms.add(d.determined)
-                syms |= d.determiners
-            universe = syms
+                universe |= s.symbols()
         self.universe = frozenset(universe)
         for s in base:
             if not s.symbols() <= self.universe:
                 raise UniverseError(f"base statement {s.render()} leaves the universe")
+        self._names = sorted(self.universe | dep_symbols)
+        self._bit = {name: 1 << i for i, name in enumerate(self._names)}
+        self._universe_mask = self._mask(self.universe)
+        self._dep_masks = tuple(
+            (self._bit[d.determined], self._mask(d.determiners)) for d in self.deps
+        )
         self.budget = budget
-        self.known: dict[CIStatement, _Prov] = {s: None for s in base}
+        self.known: dict[_Triple, _Prov] = {self.encode(s): None for s in base}
         self.complete = False
-        # contraction indexes: orientation (x, y, c) of every known statement
+        # contraction indexes over both orientations (x, y, c) of every known
+        # statement: s as first premise looks up (x, y|c) in the first, as
+        # second premise (x, c) in the second
         self._by_x_and_ctx: dict[tuple, list] = {}  # (x, c) -> [(stmt, y)]
-        self._by_x: dict[VarSet, list] = {}  # x -> [(stmt, y, c)]
-        self._det_cache: dict[VarSet, VarSet] = {}
+        self._by_x_and_span: dict[tuple, list] = {}  # (x, y|c) -> [(stmt, y, c)]
+        self._det_cache: dict[int, int] = {}
 
-    def _det(self, ctx: VarSet) -> VarSet:
+    def _mask(self, names: Iterable[Symbol]) -> int:
+        mask = 0
+        for name in names:
+            mask |= self._bit[name]
+        return mask
+
+    def _names_of(self, mask: int) -> VarSet:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self._names[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+
+    def encode(self, s: CIStatement) -> _Triple:
+        return (self._mask(s.a), self._mask(s.b), self._mask(s.c))
+
+    def decode(self, t: _Triple) -> CIStatement:
+        return CIStatement(*(self._names_of(m) for m in t))
+
+    def _det(self, ctx: int) -> int:
+        """Mask of :func:`determined_closure` of ``ctx``."""
         got = self._det_cache.get(ctx)
         if got is None:
-            got = determined_closure(ctx, self.deps)
+            got = ctx
+            changed = True
+            while changed:
+                changed = False
+                for det, determiners in self._dep_masks:
+                    if not got & det and not determiners & ~got:
+                        got |= det
+                        changed = True
             self._det_cache[ctx] = got
         return got
 
-    def _index(self, s: CIStatement) -> None:
-        for x, y in ((s.a, s.b), (s.b, s.a)):
-            self._by_x_and_ctx.setdefault((x, s.c), []).append((s, y))
-            self._by_x.setdefault(x, []).append((s, y, s.c))
+    def _index(self, s: _Triple) -> None:
+        a, b, c = s
+        for x, y in ((a, b), (b, a)):
+            self._by_x_and_ctx.setdefault((x, c), []).append((s, y))
+            self._by_x_and_span.setdefault((x, y | c), []).append((s, y, c))
 
-    def _consequences(self, s: CIStatement):
+    def _consequences(self, s: _Triple):
+        a, b, c = s
         # single-symbol decomposition and weak union, both orientations
-        for x, y in ((s.a, s.b), (s.b, s.a)):
-            if len(y) > 1:
-                for sym in sorted(y):
-                    keep = y - {sym}
-                    yield CIStatement(*_orient(x, keep, s.c)), ("decomposition", (s,), keep)
-                    yield CIStatement(*_orient(x, keep, s.c | {sym})), (
-                        "weak_union",
-                        (s,),
-                        frozenset({sym}),
-                    )
-        # contraction, s as either premise
-        for x, y in ((s.a, s.b), (s.b, s.a)):
-            for other, y2 in self._by_x_and_ctx.get((x, y | s.c), ()):
-                if y2 & y:
-                    continue
-                concl = apply_axiom("contraction", (s, other), deps=self.deps)
-                yield concl, ("contraction", (s, other), EMPTY)
-            for other, y1, c1 in self._by_x.get(x, ()):
-                if c1 <= s.c and y1 == s.c - c1 and not (y1 & y):
-                    concl = apply_axiom("contraction", (other, s), deps=self.deps)
-                    yield concl, ("contraction", (other, s), EMPTY)
+        for x, y in ((a, b), (b, a)):
+            if y & (y - 1):
+                rest = y
+                while rest:
+                    sym = rest & -rest
+                    rest ^= sym
+                    keep = y ^ sym
+                    yield _orient(x, keep, c), ("decomposition", (s,), keep)
+                    yield _orient(x, keep, c | sym), ("weak_union", (s,), sym)
+        # contraction, s as either premise; the lists are live, so statements
+        # indexed while s is expanded are matched too
+        for x, y in ((a, b), (b, a)):
+            for other, y2 in self._by_x_and_ctx.get((x, y | c), ()):
+                yield _orient(x, y | y2, c), ("contraction", (s, other), 0)
+            for other, y1, c1 in self._by_x_and_span.get((x, c), ()):
+                yield _orient(x, y1 | y, c1), ("contraction", (other, s), 0)
         # determinism rewrites
-        det_c = self._det(s.c)
-        for sym in sorted(self.universe - s.c):
-            if sym not in det_c:
-                continue
-            sel = frozenset({sym})
-            if sym in s.b:
-                if len(s.b) > 1:
-                    yield CIStatement(*_orient(s.a, s.b - {sym}, s.c | {sym})), (
-                        "determinism_augment",
-                        (s,),
-                        sel,
-                    )
-            elif sym in s.a:
-                if len(s.a) > 1:
-                    yield CIStatement(*_orient(s.a - {sym}, s.b, s.c | {sym})), (
-                        "determinism_augment",
-                        (s,),
-                        sel,
-                    )
+        free = self._det(c) & self._universe_mask & ~c
+        while free:
+            sym = free & -free
+            free ^= sym
+            if sym & b:
+                if b != sym:
+                    yield _orient(a, b ^ sym, c | sym), ("determinism_augment", (s,), sym)
+            elif sym & a:
+                if a != sym:
+                    yield _orient(a ^ sym, b, c | sym), ("determinism_augment", (s,), sym)
             else:
-                yield CIStatement(*_orient(s.a, s.b, s.c | {sym})), (
-                    "determinism_augment",
-                    (s,),
-                    sel,
-                )
-        for sym in sorted(s.c):
-            if sym not in self._det(s.c - {sym}):
+                yield (a, b, c | sym), ("determinism_augment", (s,), sym)
+        rest = c
+        while rest:
+            sym = rest & -rest
+            rest ^= sym
+            if not sym & self._det(c ^ sym):
                 continue
-            sel = frozenset({sym})
-            yield CIStatement(*_orient(s.a, s.b, s.c - {sym})), ("determinism_drop", (s,), sel)
-            yield CIStatement(*_orient(s.a, s.b | {sym}, s.c - {sym})), (
-                "determinism_augment",
-                (s,),
-                sel,
-            )
+            yield (a, b, c ^ sym), ("determinism_drop", (s,), sym)
+            yield _orient(a, b | sym, c ^ sym), ("determinism_augment", (s,), sym)
 
-    def run(self, goal: Optional[CIStatement] = None) -> Optional[CIStatement]:
-        if goal is not None and goal in self.known:
+    def run(self, goal: Optional[CIStatement] = None) -> bool:
+        """Saturate until ``goal`` appears (True) or the closure or the budget
+        is exhausted (False)."""
+        target = self.encode(goal) if goal is not None else None
+        if target in self.known:
             self.complete = True
-            return goal
-        agenda = deque(self.known)
-        for s in self.known:
+            return True
+        known = self.known
+        agenda = deque(known)
+        for s in known:
             self._index(s)
         while agenda:
             s = agenda.popleft()
             for concl, prov in self._consequences(s):
-                if concl in self.known:
+                if concl in known:
                     continue
-                if len(self.known) >= self.budget:
+                if len(known) >= self.budget:
                     self.complete = False
-                    return None
-                self.known[concl] = prov
+                    return False
+                known[concl] = prov
                 self._index(concl)
                 agenda.append(concl)
-                if goal is not None and concl == goal:
-                    return goal
+                if concl == target:
+                    return True
         self.complete = True
-        return goal if goal is not None and goal in self.known else None
+        return False
 
     def extract_proof(self, goal: CIStatement) -> Proof:
-        order: list[CIStatement] = []
-        seen: set[CIStatement] = set()
-        stack = [(goal, False)]
+        order: list[_Triple] = []
+        seen: set[_Triple] = set()
+        stack = [(self.encode(goal), False)]
         while stack:
             stmt, expanded = stack.pop()
             if expanded:
@@ -465,22 +502,19 @@ class _Saturation:
             stack.append((stmt, True))
             for parent in reversed(prov[1]):
                 stack.append((parent, False))
+        decoded = {t: self.decode(t) for t in seen}
         premises = sorted(
-            (s for s in seen if self.known[s] is None), key=CIStatement.sort_key
+            (decoded[t] for t in seen if self.known[t] is None), key=CIStatement.sort_key
         )
         index: dict[CIStatement, int] = {s: i for i, s in enumerate(premises)}
         steps: list[ProofStep] = []
-        for stmt in order:
-            rule, parents, selection = self.known[stmt]
-            steps.append(ProofStep(rule, tuple(index[p] for p in parents), selection, stmt))
+        for t in order:
+            rule, parents, selection = self.known[t]
+            stmt = decoded[t]
+            inputs = tuple(index[decoded[p]] for p in parents)
+            steps.append(ProofStep(rule, inputs, self._names_of(selection), stmt))
             index[stmt] = len(premises) + len(steps) - 1
         return Proof(tuple(premises), tuple(steps), goal)
-
-
-def _orient(a: VarSet, b: VarSet, c: VarSet) -> tuple[VarSet, VarSet, VarSet]:
-    if _skey(b) < _skey(a):
-        a, b = b, a
-    return a, b, c
 
 
 def closure(
@@ -496,7 +530,8 @@ def closure(
     """
     engine = _Saturation(base, deps, universe, budget)
     engine.run()
-    return ClosureResult(frozenset(engine.known), engine.complete, len(engine.known))
+    statements = frozenset(engine.decode(t) for t in engine.known)
+    return ClosureResult(statements, engine.complete, len(engine.known))
 
 
 def derive(
@@ -516,8 +551,7 @@ def derive(
     engine = _Saturation(base, deps, universe, budget)
     if not goal.symbols() <= engine.universe:
         raise UniverseError(f"goal {goal.render()} leaves the universe")
-    found = engine.run(goal)
-    if found is not None:
+    if engine.run(goal):
         proof = engine.extract_proof(goal)
         assert proof.replay(engine.deps), "internal error: extracted proof failed replay"
         return DeriveResult("proved", proof, len(engine.known))

@@ -34,7 +34,9 @@ from .specfile import MissingSection, SpecFile, parse_spec
 def with_common(fn):
     """The CLI's one input boundary: parse ``--spec``, let ``fn(spec, **options)``
     build the report, turn any package error into an exit-2 error report, then
-    write the report in the requested format and exit with its code."""
+    write the report in the requested format and exit with its code.  A
+    ``--out`` file that cannot be written is an exit-2 error report on
+    stdout."""
 
     @click.option("--spec", "spec_path", required=True, type=click.Path(), help="Run spec file.")
     @click.option("--out", default=None, type=click.Path(), help="Write the report here.")
@@ -45,16 +47,25 @@ def with_common(fn):
     @click.option("--quiet", is_flag=True, help="Truncate proof traces to verdicts.")
     @functools.wraps(fn)
     def command(spec_path, out, fmt, quiet, **options):
+        def error(exc: Exception) -> Report:
+            return Report(fn.__name__, "error", {"error": f"{type(exc).__name__}: {exc}"})
+
+        def render(report: Report) -> str:
+            return report.to_json() if fmt == "machine" else render_human(report, quiet=quiet)
+
         try:
             report = fn(parse_spec(spec_path), **options)
         except ModcoherenceError as exc:
-            report = Report(fn.__name__, "error", {"error": f"{type(exc).__name__}: {exc}"})
-        text = report.to_json() if fmt == "machine" else render_human(report, quiet=quiet)
+            report = error(exc)
         if out:
-            with open(out, "w") as fh:
-                fh.write(text)
+            try:
+                with open(out, "w") as fh:
+                    fh.write(render(report))
+            except OSError as exc:
+                report = error(exc)
+                click.echo(render(report), nl=False)
         else:
-            click.echo(text, nl=False)
+            click.echo(render(report), nl=False)
         sys.exit(report.exit_code)
 
     return command

@@ -36,6 +36,15 @@ MAX_PANELS = 32
 # simulate and separability hold run.grid ** len(models.panels) float64 cells
 # several times over; 2**24 cells peak near 1 GB
 MAX_GRID_CELLS = 2**24
+# one saturation holds up to run.budget statements, at about 0.8 kB each at
+# m = 3 and 1.4 kB at m = 32 (peak RSS of derivations that exhaust a budget
+# of 50k-200k), so the cap peaks near 0.7 GB; the bundled m = 3 spec asks
+# for 400k
+MAX_BUDGET = 500_000
+# separability tests each block pair on run.separability_samples Halton
+# draws, at about 110 B per draw for 2 panels and 300 B for 15 (the most
+# MAX_GRID_CELLS allows, at grid 3), so the cap peaks near 0.3 GB
+MAX_SEPARABILITY_SAMPLES = 2**20
 
 
 class SpecError(ModcoherenceError):
@@ -340,10 +349,17 @@ def _run(section: dict) -> RunOptions:
         raise ParseError("run.grid must be at least 3")
     if run.budget <= 0:
         raise ParseError("run.budget must be positive")
+    if run.budget > MAX_BUDGET:
+        raise ParseError(f"run.budget must be at most {MAX_BUDGET}, got {run.budget}")
     if run.seed < 0:
         raise ParseError("run.seed must be non-negative")
     if run.separability_samples <= 0:
         raise ParseError("run.separability_samples must be positive")
+    if run.separability_samples > MAX_SEPARABILITY_SAMPLES:
+        raise ParseError(
+            f"run.separability_samples must be at most {MAX_SEPARABILITY_SAMPLES}, "
+            f"got {run.separability_samples}"
+        )
     return run
 
 

@@ -1,7 +1,8 @@
 """Independent brute-force oracles used to validate the symbolic machinery.
 
-Everything here works by full enumeration over small discrete joints and is
-deliberately separate from the code paths it checks.
+Everything here works by full enumeration, over small discrete joints or over
+every instance of the inference rules, and is deliberately separate from the
+code paths it checks.
 """
 
 from __future__ import annotations
@@ -9,6 +10,8 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from modcoherence.ci import CIError, apply_axiom
 
 
 def marg_keep(p: np.ndarray, keep: set) -> np.ndarray:
@@ -127,3 +130,50 @@ def premise_joint_independent_given(
             prob *= parts[k][assignment[k], cfg]
         joint[assignment] = prob
     return joint
+
+
+def reference_closure(base, deps, universe):
+    """Naive fixed point of ``ci.apply_axiom`` over every rule instance.
+
+    Each round applies every rule to every known statement (contraction to
+    every ordered pair with at least one statement new in the last round),
+    with every proper non-empty selection for decomposition and weak union
+    and every universe symbol for the determinism rules; instances that
+    ``apply_axiom`` rejects are skipped.  Independent of the prover's
+    worklist, indexes and single-symbol moves.
+    """
+    deps = tuple(deps)
+    universe = sorted(universe)
+
+    def consequences(s, known):
+        yield apply_axiom("symmetry", [s])
+        for side in (s.a, s.b):
+            members = sorted(side)
+            for r in range(1, len(members)):
+                for selection in itertools.combinations(members, r):
+                    yield apply_axiom("decomposition", [s], selection)
+                    yield apply_axiom("weak_union", [s], selection)
+        for sym in universe:
+            for rule in ("determinism_augment", "determinism_drop"):
+                try:
+                    yield apply_axiom(rule, [s], {sym}, deps)
+                except CIError:
+                    pass
+        for other in known:
+            if not {s.a, s.b} & {other.a, other.b}:
+                continue  # contraction needs a side the premises share
+            for pair in ((s, other), (other, s)):
+                try:
+                    yield apply_axiom("contraction", pair)
+                except CIError:
+                    pass
+
+    known = set(base)
+    fresh = set(base)
+    while fresh:
+        found = set()
+        for s in fresh:
+            found.update(consequences(s, known))
+        fresh = found - known
+        known |= fresh
+    return frozenset(known)

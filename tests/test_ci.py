@@ -1,5 +1,7 @@
 """Unit and property tests for the statement algebra and saturation prover."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +22,9 @@ from modcoherence.ci import (
     determined_closure,
     normalize,
 )
+from modcoherence.protocol import base_statements, build_system
+
+from .oracles import reference_closure
 
 T1, T2, I0, ISTAR, IPLUS, I11 = "theta_1", "theta_2", "I_0", "I_*", "I_+", "I_11"
 
@@ -264,3 +269,55 @@ def test_closure_order_independent(base, rnd):
     shuffled = list(base)
     rnd.shuffle(shuffled)
     assert closure(base, universe=SYMS).statements == closure(shuffled, universe=SYMS).statements
+
+
+# -- reference closure and pinned counters --------------------------------
+
+# names whose sorted order differs from the order they are drawn in; "X" is
+# never in the universe, so dependencies may chain through it
+NAMES = ["theta_2", "I_0", "theta_1", "I_+", "A", "I_11"]
+
+
+def _random_instance(rng):
+    universe = rng.sample(NAMES, rng.randint(3, 5))
+    base = set()
+    for _ in range(rng.randint(1, 3)):
+        picked = rng.sample(universe, len(universe))
+        n_a = rng.randint(1, len(picked) - 1)
+        n_b = rng.randint(1, len(picked) - n_a)
+        n_c = rng.randint(0, len(picked) - n_a - n_b)
+        base.add(normalize(picked[:n_a], picked[n_a : n_a + n_b], picked[n_a + n_b : n_a + n_b + n_c]))
+    deps = []
+    for _ in range(rng.randint(0, 2)):
+        determined = rng.choice(universe + ["X"])
+        others = [s for s in universe + ["X"] if s != determined]
+        deps.append(FunctionalDependency(determined, frozenset(rng.sample(others, rng.randint(1, 2)))))
+    return sorted(base, key=CIStatement.sort_key), deps, universe
+
+
+def test_closure_matches_reference_on_random_instances():
+    mismatched = []
+    for seed in range(200):
+        base, deps, universe = _random_instance(random.Random(seed))
+        got = closure(base, deps, universe)
+        if not got.complete or got.statements != reference_closure(base, deps, universe):
+            mismatched.append(seed)
+    assert mismatched == []
+
+
+def test_dependency_chain_through_symbol_outside_universe():
+    # C determines X and X determines D, so D may join the context although
+    # X is not in the universe
+    deps = (FunctionalDependency("X", frozenset({"C"})), FunctionalDependency("D", frozenset({"X"})))
+    goal = normalize({"A"}, {"B"}, {"C", "D"})
+    result = derive([normalize({"A"}, {"B"}, {"C"})], deps, goal, universe={"A", "B", "C", "D"})
+    assert result.status == "proved"
+    assert result.generated == 2
+    assert result.proof.replay(deps)
+
+
+def test_full_m2_closure_size_is_pinned():
+    system = build_system(2)
+    result = closure(base_statements(system), system.dependencies, system.universe)
+    assert result.complete
+    assert result.generated == len(result.statements) == 29_880

@@ -9,8 +9,10 @@ from click.testing import CliRunner
 from modcoherence.cli import main
 from modcoherence.report import Report
 from modcoherence.specfile import (
+    MAX_BUDGET,
     MAX_GRID_CELLS,
     MAX_PANELS,
+    MAX_SEPARABILITY_SAMPLES,
     ParseError,
     SpecError,
     UnknownVersion,
@@ -249,6 +251,31 @@ class TestExitCodes:
         with pytest.raises(ParseError, match="cap"):
             parse_spec_dict(spec)
 
+    @pytest.mark.parametrize(
+        "command, name, key, cap",
+        [
+            ("check", "coherence_m2", "budget", MAX_BUDGET),
+            ("separability", "separable_pair", "separability_samples", MAX_SEPARABILITY_SAMPLES),
+        ],
+    )
+    def test_run_caps(self, tmp_path, command, name, key, cap):
+        spec = json.loads((SPECS / f"{name}.spec").read_text())
+        spec.setdefault("run", {})[key] = cap
+        assert getattr(parse_spec_dict(spec).run, key) == cap
+        # a billion Halton draws used to end in an _ArrayMemoryError traceback
+        for value in (cap + 1, 1_000_000_000):
+            spec["run"][key] = value
+            result = run(command, "--spec", write_spec(tmp_path, spec))
+            assert result.exit_code == 2
+            assert "ParseError" in result.output and f"run.{key} must be at most {cap}" in result.output
+
+    def test_unwritable_out_exits_2(self, tmp_path):
+        out = tmp_path / "missing_dir" / "r.json"
+        result = run("dsep", "--spec", str(SPECS / "chain_dsep.spec"), "--out", str(out))
+        assert result.exit_code == 2
+        assert "FileNotFoundError" in result.output
+        assert not out.exists()
+
 
 class TestCheckCommand:
     def test_canonical_m2_passes(self):
@@ -283,6 +310,13 @@ class TestDeriveCommand:
         report = Report.from_json(result.output)
         assert report.results["status"] == "proved"
         assert report.results["proof"]["steps"]
+
+    def test_counters_are_pinned(self):
+        # these move whenever the saturation order moves
+        result = run("derive", "--spec", str(SPECS / "coherence_m2.spec"), "--format", "machine")
+        report = Report.from_json(result.output)
+        assert report.results["statements_generated"] == 571
+        assert len(report.results["proof"]["steps"]) == 10
 
     def test_underivable_goal_fails(self, tmp_path):
         path = write_spec(
