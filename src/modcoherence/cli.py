@@ -159,13 +159,10 @@ def dsep(spec: SpecFile) -> Report:
     """Answer the spec's separation query on its graph."""
     if spec.dag is None or spec.query is None:
         raise MissingSection("dsep requires graph and query sections")
-    separated = d_separated(spec.dag, spec.query.a, spec.query.b, spec.query.c)
+    a, b, c = spec.query
+    separated = d_separated(spec.dag, a, b, c)
     results = {
-        "query": {
-            "a": sorted(spec.query.a),
-            "b": sorted(spec.query.b),
-            "c": sorted(spec.query.c),
-        },
+        "query": {"a": sorted(a), "b": sorted(b), "c": sorted(c)},
         "d_separated": separated,
     }
     return Report("dsep", "pass" if separated else "fail", results)
@@ -178,33 +175,40 @@ def ablate(spec: SpecFile) -> Report:
 
     A failing row certifies non-derivability within this rule system
     (saturation completed without reaching the goal), not semantic falsity.
+    A row with a goal that ran out of budget is inconclusive: it carries no
+    certificate, and the command fails.
     """
     if spec.system is None:
         raise MissingSection("ablate requires a protocol section")
-    rows = run_ablate(spec.system, spec.run.budget)
+
+    def goals(verdict: Verdict, status: str) -> list[str]:
+        return [f"panel {g.panel}: {g.name}" for g in verdict.goals if g.status == status]
+
     table = []
     ok = True
-    for dropped, verdict in rows:
-        failing = [
-            f"panel {g.panel}: {g.name}" for g in verdict.goals if not g.established
-        ]
-        table.append(
-            {
-                "dropped": dropped.value if dropped else None,
-                "sound_and_distributed": verdict.sound_and_distributed,
-                "unreachable_goals": failing,
-                "certificate": "rule-system-relative non-derivability" if failing else None,
-            }
-        )
-        if dropped is None:
-            ok = ok and verdict.sound_and_distributed
-        else:
-            ok = ok and not verdict.sound_and_distributed
+    for dropped, verdict in run_ablate(spec.system, spec.run.budget):
+        unreachable = goals(verdict, "not_derivable")
+        certified = unreachable and not verdict.inconclusive
+        row = {
+            "dropped": dropped.value if dropped else None,
+            "sound_and_distributed": verdict.sound_and_distributed,
+            "unreachable_goals": unreachable,
+            "certificate": "rule-system-relative non-derivability" if certified else None,
+        }
+        if verdict.inconclusive:
+            row["inconclusive_goals"] = goals(verdict, "budget_exhausted")
+        table.append(row)
+        ok = ok and verdict.sound_and_distributed == (dropped is None) and not verdict.inconclusive
     return Report("ablate", "pass" if ok else "fail", {"rows": table})
 
 
 def _interior_grid(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 2)[1:-1]
+
+
+def _product(*blocks):
+    """The product of the blocks, broadcast against each other."""
+    return np.prod(np.broadcast_arrays(*blocks), axis=0)
 
 
 def _joint_loglik(logliks, strength: float):
@@ -214,7 +218,7 @@ def _joint_loglik(logliks, strength: float):
     def joint_ll(*blocks):
         total = sum(ll(b) for ll, b in zip(logliks, blocks))
         if strength:
-            total = total + strength * np.prod(np.broadcast_arrays(*blocks), axis=0)
+            total = total + strength * _product(*blocks)
         return total
 
     return joint_ll
@@ -230,9 +234,7 @@ def simulate(spec: SpecFile) -> Report:
     grids = [pn.beta_grid(post, n) for post in posteriors]
     distributed = pn.compose_product(grids)
     product_mean_closed = float(np.prod([p.mean for p in posteriors]))
-    product_mean_grid = pn.functional_expectation(
-        distributed, lambda *blocks: np.prod(np.broadcast_arrays(*blocks), axis=0)
-    )
+    product_mean_grid = pn.functional_expectation(distributed, _product)
     results: dict = {
         "panel_posteriors": [
             {"panel": i + 1, "alpha": p.alpha, "beta": p.beta, "mean": p.mean}
@@ -247,9 +249,7 @@ def simulate(spec: SpecFile) -> Report:
     prior_grids = [pn.beta_grid(p, n) for p in models.priors]
     oracle = pn.joint_oracle(prior_grids, _joint_loglik(logliks, strength))
     div = pn.divergence(distributed, oracle)
-    results["joint_oracle_product_mean"] = pn.functional_expectation(
-        oracle, lambda *blocks: np.prod(np.broadcast_arrays(*blocks), axis=0)
-    )
+    results["joint_oracle_product_mean"] = pn.functional_expectation(oracle, _product)
     results["divergence"] = {"max_abs": div.max_abs, "total_variation": div.total_variation}
     results["interaction_strength"] = strength
 

@@ -48,15 +48,6 @@ class UnknownSymbol(DagError):
 
 
 @dataclass(frozen=True)
-class CIQuery:
-    """A separation query; unlike CIStatement the a/b order is immaterial."""
-
-    a: VarSet
-    b: VarSet
-    c: VarSet = frozenset()
-
-
-@dataclass(frozen=True)
 class Dag:
     nodes: tuple[tuple[Symbol, str], ...]
     edges: tuple[tuple[Symbol, Symbol], ...]
@@ -65,12 +56,6 @@ class Dag:
     @property
     def node_names(self) -> VarSet:
         return frozenset(name for name, _ in self.nodes)
-
-    def kind(self, name: Symbol) -> str:
-        for node, kind in self.nodes:
-            if node == name:
-                return kind
-        raise UnknownSymbol(name)
 
     def parents(self, name: Symbol) -> VarSet:
         return frozenset(u for u, v in self.edges if v == name)
@@ -184,10 +169,6 @@ def d_separated(
                 visited.add(move)
                 frontier.append(move)
     return True
-
-
-def answer(dag: Dag, query: CIQuery) -> bool:
-    return d_separated(dag, query.a, query.b, query.c)
 
 
 def local_markov_basis(dag: Dag) -> frozenset:

@@ -242,6 +242,11 @@ class Verdict:
     goals: tuple[GoalResult, ...]
     sound_and_distributed: bool
 
+    @property
+    def inconclusive(self) -> bool:
+        """Some goal's search ran out of budget, so a failure certifies nothing."""
+        return any(g.status == "budget_exhausted" for g in self.goals)
+
 
 def independence_goal(sys: PanelSystem, i: int) -> Optional[CIStatement]:
     """Panel i's block is independent of all other blocks given the full pool."""
@@ -357,7 +362,8 @@ def ablate(
     """Verdicts with each condition dropped in turn, plus a control row.
 
     Axiomatic only: a "fails" row is a saturation certificate that the goal
-    is not derivable in this rule system from the remaining conditions.
+    is not derivable in this rule system from the remaining conditions,
+    unless the row's verdict is ``inconclusive``.
     """
     rows: list[tuple[Optional[ConditionKind], Verdict]] = []
     rows.append((None, verify_coherence(sys, AxiomaticMode(base_statements(sys), budget))))

@@ -93,16 +93,13 @@ def _render_value(value: Any, indent: int, quiet: bool, key: str = "") -> list[s
     pad = "  " * indent
     out: list[str] = []
     if isinstance(value, dict):
-        if quiet and key in ("steps", "premises"):
-            out.append(f"{pad}{key}: <{len(value)} entries elided>")
-            return out
         if key:
             out.append(f"{pad}{key}:")
         for k, v in value.items():
             out.extend(_render_value(v, indent + bool(key), quiet, key=str(k)))
         return out
     if isinstance(value, list):
-        if quiet and key in ("steps", "premises", "witnesses", "trace"):
+        if quiet and key in ("steps", "premises", "witnesses"):
             out.append(f"{pad}{key}: <{len(value)} entries elided>")
             return out
         out.append(f"{pad}{key}: [{len(value)}]" if key else f"{pad}[{len(value)}]")

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from . import ModcoherenceError
-from .ci import CIError, CIStatement, FunctionalDependency, normalize
-from .dag import CIQuery, Dag, DagError, build_dag
+from .ci import CIError, CIStatement, DEFAULT_BUDGET, FunctionalDependency, normalize
+from .dag import Dag, DagError, build_dag
 from .panels import BetaParams, Factor, FactorSpec
 from .protocol import (
     ALL_CONDITIONS,
@@ -183,7 +183,7 @@ class RunOptions:
     grid: int = 101
     seed: int = 0
     tolerance: float = 1e-9
-    budget: int = 200_000
+    budget: int = DEFAULT_BUDGET
     separability_samples: int = 256
 
 
@@ -196,7 +196,7 @@ class SpecFile:
     statements: tuple[CIStatement, ...] = ()
     goal: Optional[CIStatement] = None
     dag: Optional[Dag] = None
-    query: Optional[CIQuery] = None
+    query: Optional[tuple[frozenset, frozenset, frozenset]] = None  # (a, b, c)
     models: Optional[Models] = None
     data: Optional[Data] = None
     run: RunOptions = field(default_factory=RunOptions)
@@ -412,7 +412,7 @@ def parse_spec_dict(raw: dict) -> SpecFile:
             raise ParseError(
                 f"query: sides must be pairwise disjoint: ({sorted(a)}, {sorted(b)}, {sorted(c)})"
             )
-        query = CIQuery(a, b, c)
+        query = (a, b, c)
 
     models = _models(raw["models"]) if "models" in raw else None
     data = _data(raw["data"]) if "data" in raw else None

@@ -352,6 +352,27 @@ class TestAblateCommand:
             assert not row["sound_and_distributed"]
             assert row["unreachable_goals"]
             assert row["certificate"] == "rule-system-relative non-derivability"
+            assert "inconclusive_goals" not in row
+
+    def test_small_budget_rows_are_inconclusive_and_fail(self, tmp_path):
+        spec = json.loads((SPECS / "coherence_m2.spec").read_text())
+        spec["run"]["budget"] = 500
+        result = run("ablate", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 1
+        report = Report.from_json(result.output)
+        assert report.status == "fail"
+        rows = {row["dropped"]: row for row in report.results["rows"]}
+        for name in ("separately_informed", "commonly_separated"):
+            assert rows[name]["certificate"] is None
+            assert rows[name]["unreachable_goals"] == []
+            assert rows[name]["inconclusive_goals"] == [
+                f"panel {i}: {goal}"
+                for i in (1, 2)
+                for goal in ("panel_independence", "autonomous_updating")
+            ]
+        for name in ("delegable", "cutting"):
+            assert rows[name]["certificate"] == "rule-system-relative non-derivability"
+            assert "inconclusive_goals" not in rows[name]
 
 
 class TestSimulateCommand:

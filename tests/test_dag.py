@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 from modcoherence.ci import FunctionalDependency, normalize
 from modcoherence.dag import (
-    CIQuery,
     CycleDetected,
     DagError,
     DuplicateNode,
     UnknownEndpoint,
     UnknownSymbol,
-    answer,
     build_dag,
     d_separated,
     local_markov_basis,
@@ -110,10 +108,6 @@ class TestDSeparation:
             d_separated(dag, {"A"}, {"Z"})
         with pytest.raises(Exception):
             d_separated(dag, {"A"}, {"A"})
-
-    def test_answer_matches_d_separated(self):
-        dag = build_dag(nodes("A", "B", "C"), [("A", "C"), ("C", "B")])
-        assert answer(dag, CIQuery(frozenset({"A"}), frozenset({"B"}), frozenset({"C"})))
 
 
 class TestLocalMarkovBasis:

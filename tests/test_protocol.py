@@ -221,6 +221,17 @@ class TestAblation:
             assert not verdict.sound_and_distributed, f"dropping {kind} should break a goal"
             failed = [g for g in verdict.goals if not g.established]
             assert all(g.status == "not_derivable" for g in failed)
+            assert not verdict.inconclusive
+
+    def test_budget_exhausted_rows_are_inconclusive(self):
+        rows = dict(ablate(build_system(2), budget=500))
+        inconclusive = {kind for kind, verdict in rows.items() if verdict.inconclusive}
+        assert inconclusive == {
+            ConditionKind.SEPARATELY_INFORMED,
+            ConditionKind.COMMONLY_SEPARATED,
+        }
+        for kind in inconclusive:
+            assert {g.status for g in rows[kind].goals} == {"budget_exhausted"}
 
 
 class TestModeAgreement:
