@@ -1,0 +1,123 @@
+#!/usr/bin/env python3
+"""Record paired benchmark runs of a parent checkout against this one.
+
+For each workload, runs ``perfbench/run.py --trace 0`` on both checkouts for
+seeds 1..N, alternating which side goes first, and writes one JSON record:
+every run's end-to-end metrics, the order of each pair, the per-side median
+and quartiles of each metric, how many pairs each side won, the environment
+and the net line count of ``src/``.  ``--traced`` adds one ``--trace 1`` run
+per side of the named workloads, for the per-layer metrics.  Run the pairs
+one at a time on an otherwise idle host:
+
+    python3 scripts/bench_record.py --parent ../parent --label 6021187 \\
+        --workload cli:10 --workload prove:3 --workload numeric:3 \\
+        --traced cli --out BENCH_6021187.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SECONDS = 20
+
+
+def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    cmd = [sys.executable, str(checkout / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {proc.returncode}: {proc.stderr.strip()}")
+    lines = proc.stdout.strip().splitlines()
+    env = dict(item.split("=", 1) for item in lines[0].lstrip("# ").split())
+    out = json.loads(lines[-1])
+    result = {
+        "correct": out["correct"],
+        "metrics": {name: m["value"] for name, m in out["metrics"].items()},
+    }
+    if not trace:
+        result["failed_ratio"] = out["failed"] / out["attempted"] if out["attempted"] else 0.0
+        result["environment"] = {k: env[k] for k in ("nproc", "python", "numpy", "scipy")}
+    return result
+
+
+def quartiles(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"q1": q1, "median": median, "q3": q3}
+
+
+def src_lines(checkout: Path) -> int:
+    return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
+
+
+def paired(parent: Path, workload: str, pairs: int, better: dict) -> dict:
+    runs = []
+    for seed in range(1, pairs + 1):
+        order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+        sides = {}
+        for side in order:
+            sides[side] = run_bench(parent if side == "parent" else ROOT, workload, seed, 0)
+            print(f"{workload} seed {seed} {side}: {sides[side]['metrics']}", file=sys.stderr)
+        runs.append({"seed": seed, "order": order, **sides})
+    summary = {}
+    for name, direction in better.items():
+        values = {side: [r[side]["metrics"][name] for r in runs] for side in ("parent", "change")}
+        sign = 1 if direction == "lower" else -1
+        wins = sum(sign * (p - c) > 0 for p, c in zip(values["parent"], values["change"]))
+        summary[name] = {side: quartiles(v) for side, v in values.items()}
+        summary[name]["change_wins"] = wins
+    return {
+        "environment": runs[0]["change"]["environment"],
+        "pairs": pairs,
+        "all_correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
+        "max_failed_ratio": max(r[s]["failed_ratio"] for r in runs for s in ("parent", "change")),
+        "summary": summary,
+        "runs": [
+            {"seed": r["seed"], "order": r["order"],
+             **{s: r[s]["metrics"] for s in ("parent", "change")}}
+            for r in runs
+        ],
+    }
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, type=Path, help="Checkout of the parent commit.")
+    ap.add_argument("--label", required=True, help="Short sha of the parent commit.")
+    ap.add_argument("--workload", action="append", required=True, help="NAME:PAIRS")
+    ap.add_argument("--traced", action="append", default=[], help="Workload for --trace 1.")
+    ap.add_argument("--out", required=True, type=Path)
+    args = ap.parse_args()
+    parent = args.parent.resolve()
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    record: dict = {
+        "parent": args.label,
+        "change": f"working tree on top of {args.label}",
+        "command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
+        "src_lines": {"parent": src_lines(parent), "change": src_lines(ROOT)},
+        "workloads": {},
+        "traced": {},
+    }
+    record["src_lines"]["net"] = record["src_lines"]["change"] - record["src_lines"]["parent"]
+    for item in args.workload:
+        name, pairs = item.split(":")
+        result = paired(parent, name, int(pairs), better)
+        record["environment"] = result.pop("environment")
+        record["workloads"][name] = result
+    for name in args.traced:
+        record["traced"][name] = {
+            side: run_bench(checkout, name, 1, 1)
+            for side, checkout in (("parent", parent), ("change", ROOT))
+        }
+    args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -6,6 +6,7 @@ Subpackages:
 - ``dag``: DAGs with an exact (determinism-aware) d-separation oracle
 - ``protocol``: m-panel admissibility protocols and coherence verification
 - ``panels``: distributed versus full-joint numeric posterior updating
+- ``values``: the numeric models' plain value types, importable without numpy
 - ``specfile`` / ``report`` / ``cli``: run-spec parsing, reports, front end
 """
 

@@ -3,7 +3,9 @@
 Subcommands: ``check``, ``derive``, ``dsep``, ``ablate`` (protocol
 verification) and ``simulate``, ``separability`` (numeric experiments).
 Exit codes are stable: 0 all requested checks hold, 1 a check failed,
-2 input error.
+2 input error.  Only ``simulate`` and ``separability`` import ``panels``
+(and with it numpy), inside the command, so the symbolic commands start
+without numpy.
 """
 
 from __future__ import annotations
@@ -13,13 +15,12 @@ import sys
 from typing import Optional
 
 import click
-import numpy as np
 
 from . import ModcoherenceError
-from . import panels as pn
 from .ci import derive as ci_derive
 from .dag import d_separated
 from .protocol import (
+    ALL_CONDITIONS,
     AxiomaticMode,
     GraphicalMode,
     Verdict,
@@ -28,7 +29,7 @@ from .protocol import (
     ablate as run_ablate,
 )
 from .report import Report, proof_to_dict, render_human
-from .specfile import MissingSection, SpecFile, parse_spec
+from .specfile import MissingSection, SpecError, SpecFile, parse_spec
 
 
 def with_common(fn):
@@ -176,10 +177,17 @@ def ablate(spec: SpecFile) -> Report:
     A failing row certifies non-derivability within this rule system
     (saturation completed without reaching the goal), not semantic falsity.
     A row with a goal that ran out of budget is inconclusive: it carries no
-    certificate, and the command fails.
+    certificate, and the command fails.  Every row starts from all four
+    conditions, so a spec that restricts ``protocol.conditions`` is refused.
     """
     if spec.system is None:
         raise MissingSection("ablate requires a protocol section")
+    if set(spec.conditions) != set(ALL_CONDITIONS):
+        kept = [kind.value for kind in spec.conditions]
+        raise SpecError(
+            f"ablate drops each of the four conditions in turn, so protocol.conditions "
+            f"must list all four, got {kept}"
+        )
 
     def goals(verdict: Verdict, status: str) -> list[str]:
         return [f"panel {g.panel}: {g.name}" for g in verdict.goals if g.status == status]
@@ -202,39 +210,19 @@ def ablate(spec: SpecFile) -> Report:
     return Report("ablate", "pass" if ok else "fail", {"rows": table})
 
 
-def _interior_grid(n: int) -> np.ndarray:
-    return np.linspace(0.0, 1.0, n + 2)[1:-1]
-
-
-def _product(*blocks):
-    """The product of the blocks, broadcast against each other."""
-    return np.prod(np.broadcast_arrays(*blocks), axis=0)
-
-
-def _joint_loglik(logliks, strength: float):
-    """Sum of the per-panel log-likelihoods, plus ``strength`` times the
-    product of the blocks when the spec declares an interaction."""
-
-    def joint_ll(*blocks):
-        total = sum(ll(b) for ll, b in zip(logliks, blocks))
-        if strength:
-            total = total + strength * _product(*blocks)
-        return total
-
-    return joint_ll
-
-
 @main.command()
 @with_common
 def simulate(spec: SpecFile) -> Report:
     """Distributed updating versus the full-joint oracle on the spec's model."""
+    from . import panels as pn
+
     models, data = spec.panel_inputs()
     n = spec.run.grid
     posteriors = [pn.panel_update_conjugate(p, c) for p, c in zip(models.priors, data.panel_counts)]
     grids = [pn.beta_grid(post, n) for post in posteriors]
     distributed = pn.compose_product(grids)
-    product_mean_closed = float(np.prod([p.mean for p in posteriors]))
-    product_mean_grid = pn.functional_expectation(distributed, _product)
+    product_mean_closed = pn.product_mean(posteriors)
+    product_mean_grid = pn.functional_expectation(distributed, pn.block_product)
     results: dict = {
         "panel_posteriors": [
             {"panel": i + 1, "alpha": p.alpha, "beta": p.beta, "mean": p.mean}
@@ -247,9 +235,9 @@ def simulate(spec: SpecFile) -> Report:
     strength = models.interaction_strength
     logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
     prior_grids = [pn.beta_grid(p, n) for p in models.priors]
-    oracle = pn.joint_oracle(prior_grids, _joint_loglik(logliks, strength))
+    oracle = pn.joint_oracle(prior_grids, pn.panel_joint_loglik(logliks, strength))
     div = pn.divergence(distributed, oracle)
-    results["joint_oracle_product_mean"] = pn.functional_expectation(oracle, _product)
+    results["joint_oracle_product_mean"] = pn.functional_expectation(oracle, pn.block_product)
     results["divergence"] = {"max_abs": div.max_abs, "total_variation": div.total_variation}
     results["interaction_strength"] = strength
 
@@ -265,6 +253,8 @@ def simulate(spec: SpecFile) -> Report:
 @with_common
 def separability(spec: SpecFile) -> Report:
     """Symbolic and numeric likelihood-separability checks."""
+    from . import panels as pn
+
     models, data = spec.panel_inputs()
     results: dict = {}
 
@@ -276,9 +266,9 @@ def separability(spec: SpecFile) -> Report:
         }
 
     logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
-    joint_ll = _joint_loglik(logliks, models.interaction_strength)
+    joint_ll = pn.panel_joint_loglik(logliks, models.interaction_strength)
 
-    grid = _interior_grid(spec.run.grid)
+    grid = pn.interior_grid(spec.run.grid)
     verdict = pn.separability_check_numeric(
         joint_ll,
         [grid] * len(models.priors),

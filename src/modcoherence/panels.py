@@ -16,13 +16,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import ModcoherenceError
+# the numpy-free value types live in .values; panels re-exports them
+from .values import BetaParams, Factor, FactorSpec, PanelsError  # noqa: F401
 
 NORM_TOL = 1e-10
-
-
-class PanelsError(ModcoherenceError):
-    pass
 
 
 class InvalidCounts(PanelsError):
@@ -48,25 +45,6 @@ def _as_points(arr) -> np.ndarray:
     elif pts.ndim != 2:
         raise ShapeMismatch(f"points must be 1-D or 2-D, got shape {pts.shape}")
     return pts
-
-
-@dataclass(frozen=True)
-class BetaParams:
-    alpha: float
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (self.alpha > 0 and self.beta > 0):
-            raise PanelsError(f"Beta parameters must be positive: ({self.alpha}, {self.beta})")
-
-    @property
-    def mean(self) -> float:
-        return self.alpha / (self.alpha + self.beta)
-
-    @property
-    def variance(self) -> float:
-        s = self.alpha + self.beta
-        return self.alpha * self.beta / (s * s * (s + 1.0))
 
 
 @dataclass(frozen=True)
@@ -153,6 +131,11 @@ def uniform_grid(n: int = 101, lo: float = 0.0, hi: float = 1.0) -> GridDensity:
     return GridDensity(points.reshape(-1, 1), np.full(n, 1.0 / n))
 
 
+def interior_grid(n: int) -> np.ndarray:
+    """n equispaced points strictly inside (0, 1)."""
+    return np.linspace(0.0, 1.0, n + 2)[1:-1]
+
+
 def beta_grid(params: BetaParams, n: int = 101) -> GridDensity:
     """Discretize a Beta density onto n equispaced support points.
 
@@ -178,6 +161,11 @@ def panel_update_conjugate(prior: BetaParams, stat: tuple[int, int]) -> BetaPara
     if not (0 <= successes <= trials):
         raise InvalidCounts(f"need 0 <= successes <= trials, got {stat}")
     return BetaParams(prior.alpha + successes, prior.beta + (trials - successes))
+
+
+def product_mean(posteriors: Sequence[BetaParams]) -> float:
+    """Closed-form mean of the product of independent Beta blocks."""
+    return float(np.prod([p.mean for p in posteriors]))
 
 
 def dirichlet_update(prior: DirichletParams, counts: Sequence[int]) -> DirichletParams:
@@ -294,20 +282,6 @@ def functional_expectation(
 
 
 @dataclass(frozen=True)
-class Factor:
-    name: str
-    scope: frozenset  # panel ids touched by this factor
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scope", frozenset(int(i) for i in self.scope))
-
-
-@dataclass(frozen=True)
-class FactorSpec:
-    factors: tuple[Factor, ...]
-
-
-@dataclass(frozen=True)
 class SeparabilityVerdict:
     separable: bool
     offending: tuple = ()  # factors (symbolic) or witness quadruples (numeric)
@@ -410,6 +384,26 @@ def bernoulli_loglik(successes: int, trials: int) -> Callable[[np.ndarray], np.n
         return out
 
     return ll
+
+
+def block_product(*blocks) -> np.ndarray:
+    """The product of the blocks, broadcast against each other."""
+    return np.prod(np.broadcast_arrays(*blocks), axis=0)
+
+
+def panel_joint_loglik(
+    logliks: Sequence[Callable[[np.ndarray], np.ndarray]], strength: float
+) -> Callable[..., np.ndarray]:
+    """Sum of the per-panel log-likelihoods, plus ``strength`` times the
+    product of the blocks when the spec declares an interaction."""
+
+    def joint_ll(*blocks):
+        total = sum(ll(b) for ll, b in zip(logliks, blocks))
+        if strength:
+            total = total + strength * block_product(*blocks)
+        return total
+
+    return joint_ll
 
 
 def categorical_loglik(counts: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:

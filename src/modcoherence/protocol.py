@@ -30,7 +30,7 @@ from .ci import (
     derive_through,
     normalize,
 )
-from .dag import Dag, d_separated, local_markov_basis
+from .dag import Dag, build_dag, d_separated, local_markov_basis
 
 
 class ProtocolError(ModcoherenceError):
@@ -384,8 +384,6 @@ def canonical_dag(sys: PanelSystem) -> Dag:
     each panel's own evidence is driven by its block plus common knowledge,
     cross-panel evidence carries only common knowledge, and the two pool
     nodes deterministically aggregate their components."""
-    from .dag import build_dag
-
     nodes = [(t, "parameter") for t in sorted(sys.thetas())]
     nodes.append((sys.common, "common-knowledge"))
     edges = []
@@ -410,8 +408,6 @@ def canonical_dag(sys: PanelSystem) -> Dag:
 
 def confounded_dag(sys: PanelSystem, latent: Symbol = "H") -> Dag:
     """Canonical graph plus a hidden confounder across all parameter blocks."""
-    from .dag import build_dag
-
     base = canonical_dag(sys)
     nodes = base.nodes + ((latent, "parameter"),)
     edges = base.edges + tuple((latent, t) for t in sorted(sys.thetas()))

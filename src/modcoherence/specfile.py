@@ -18,7 +18,6 @@ from typing import Optional
 from . import ModcoherenceError
 from .ci import CIError, CIStatement, DEFAULT_BUDGET, FunctionalDependency, normalize
 from .dag import Dag, DagError, build_dag
-from .panels import BetaParams, Factor, FactorSpec
 from .protocol import (
     ALL_CONDITIONS,
     ConditionKind,
@@ -28,6 +27,7 @@ from .protocol import (
     canonical_dag,
     confounded_dag,
 )
+from .values import BetaParams, Factor, FactorSpec
 
 SUPPORTED_VERSION = 1
 

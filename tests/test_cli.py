@@ -374,6 +374,22 @@ class TestAblateCommand:
             assert rows[name]["certificate"] == "rule-system-relative non-derivability"
             assert "inconclusive_goals" not in rows[name]
 
+    def test_restricted_conditions_are_refused(self, tmp_path):
+        # check fails on this spec; an ablation table that ignored the
+        # restriction would show a passing control row
+        spec = {
+            "version": 1,
+            "protocol": {"panels": 2, "conditions": ["delegable"]},
+            "run": {"budget": 2000},
+        }
+        path = write_spec(tmp_path, spec)
+        assert run("check", "--spec", path, "--format", "machine").exit_code == 1
+        result = run("ablate", "--spec", path, "--format", "machine")
+        assert result.exit_code == 2
+        report = Report.from_json(result.output)
+        assert report.status == "error"
+        assert "protocol.conditions" in report.results["error"]
+
 
 class TestSimulateCommand:
     def test_food_example_numbers(self):
