@@ -6,18 +6,22 @@ seeds 1..N, alternating which side goes first, and writes one JSON record:
 every run's end-to-end metrics, the order of each pair, the per-side median
 and quartiles of each metric, how many pairs each side won, the environment
 and the net line count of ``src/``.  ``--traced`` adds one ``--trace 1`` run
-per side of the named workloads, for the per-layer metrics.  Run the pairs
-one at a time on an otherwise idle host:
+per side of the named workloads, for the per-layer metrics.  Then each layer
+case below runs in a fresh interpreter on both checkouts, alternating which
+side goes first, and its wall time, peak RSS and a summary of its result are
+recorded under ``layers``.  Run everything one at a time on an otherwise idle
+host:
 
-    python3 scripts/bench_record.py --parent ../parent --label 6021187 \\
-        --workload cli:10 --workload prove:3 --workload numeric:3 \\
-        --traced cli --out BENCH_6021187.json
+    python3 scripts/bench_record.py --parent ../parent --label 3b8dff0 \\
+        --workload prove:10 --workload cli:4 --workload numeric:4 \\
+        --traced prove --out BENCH_3b8dff0.json
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -25,6 +29,34 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
+
+# (name, runs per side, code that leaves a JSON-able summary in ``out``); the
+# m=3 ablation runs once, since a parent may take many minutes over it
+LAYER_CASES = (
+    ("closure_m2", 3,
+     "s = p.build_system(2)\n"
+     "r = ci.closure(p.base_statements(s), s.dependencies, s.universe)\n"
+     "out = {'statements': r.generated, 'complete': r.complete}"),
+    ("verify_coherence_m6", 3,
+     "s = p.build_system(6)\n"
+     "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))\n"
+     "out = [g.status for g in v.goals]"),
+    ("ablate_m2", 3,
+     "rows = p.ablate(p.build_system(2))\n"
+     "out = [[d and d.value, [g.status for g in v.goals]] for d, v in rows]"),
+    ("ablate_m3_budget_500000", 1,
+     "rows = p.ablate(p.build_system(3), 500_000)\n"
+     "out = [[d and d.value, [g.status for g in v.goals]] for d, v in rows]"),
+)
+LAYER_CHILD = """\
+import json, resource, time
+from modcoherence import ci, protocol as p
+start = time.perf_counter()
+{code}
+seconds = time.perf_counter() - start
+rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({{"seconds": seconds, "peak_rss_mb": rss_mb, "result": out}}))
+"""
 
 
 def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
@@ -44,6 +76,39 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
         result["failed_ratio"] = out["failed"] / out["attempted"] if out["attempted"] else 0.0
         result["environment"] = {k: env[k] for k in ("nproc", "python", "numpy", "scipy")}
     return result
+
+
+def run_layer(checkout: Path, code: str) -> dict:
+    cmd = [sys.executable, "-c", LAYER_CHILD.format(code=code)]
+    env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=False)
+    if proc.returncode != 0:
+        raise RuntimeError(f"layer case in {checkout} exited {proc.returncode}: {proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def layers(parent: Path) -> dict:
+    record = {}
+    for name, runs, code in LAYER_CASES:
+        sides: dict = {"parent": [], "change": []}
+        for run in range(runs):
+            order = ["parent", "change"] if run % 2 == 0 else ["change", "parent"]
+            for side in order:
+                sides[side].append(run_layer(parent if side == "parent" else ROOT, code))
+                print(f"layer {name} {side}: {sides[side][-1]['seconds']:.2f} s", file=sys.stderr)
+        record[name] = {
+            side: {
+                "seconds": [r["seconds"] for r in results],
+                "median_s": statistics.median(r["seconds"] for r in results),
+                "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
+                "result": results[0]["result"],
+            }
+            for side, results in sides.items()
+        }
+        record[name]["same_result"] = all(
+            r["result"] == sides["parent"][0]["result"] for r in sides["parent"] + sides["change"]
+        )
+    return record
 
 
 def quartiles(values: list[float]) -> dict:
@@ -116,6 +181,7 @@ def main() -> None:
             side: run_bench(checkout, name, 1, 1)
             for side, checkout in (("parent", parent), ("change", ROOT))
         }
+    record["layers"] = layers(parent)
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
 
 

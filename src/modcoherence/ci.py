@@ -319,61 +319,37 @@ def _orient(x: int, y: int, c: int) -> _Triple:
     return (x, y, c) if x & -x < y & -y else (y, x, c)
 
 
-class _Saturation:
-    """Deterministic worklist saturation over a fixed finite universe.
+class Memo:
+    """What the derivations over one set of dependencies and one universe share.
 
-    A statement is an ``(a, b, c)`` triple of int bitmasks.  Bit i stands for
-    the i-th name, in sorted order, among the universe and every symbol a
-    dependency mentions; rewrites only add or move universe symbols, while
-    the determinism closure may chain through the others.  Names and bits
-    sort alike and sides are disjoint, so putting the side with the lower
-    lowest set bit first is :func:`normalize`'s orientation, and walking a
-    mask from its lowest bit visits its symbols in sorted order.  Triples are
-    decoded to :class:`CIStatement` only for the goal, proofs and closures.
+    It holds the bit encoding (bit i stands for the i-th name, in sorted
+    order, among the universe and every symbol a dependency mentions), one
+    determinism-closure cache for every saturation it serves, the results of
+    proved queries, and the statement set of the most recent complete
+    ``not_derivable`` saturation.  A complete closure does not depend on the
+    goal, so a later query on the same base and budget whose goal is absent
+    from it is ``not_derivable`` with the closure's size; a present goal runs
+    the normal search, so proofs and counts are those of a fresh run.
 
-    Decomposition and weak union are generated one symbol at a time; any
-    multi-symbol split is reachable as a chain of single-symbol moves, so the
-    fixed point is unchanged while per-statement fanout stays linear.
+    Pass one memo to every :func:`derive` and :func:`derive_through` call
+    over the same dependencies and universe; a call without one makes its
+    own.  A memo keeps one closure alive, so keep it no longer than the
+    queries that share it.
     """
 
-    def __init__(
-        self,
-        base: Iterable[CIStatement],
-        deps: Iterable[FunctionalDependency],
-        universe: Optional[Iterable[Symbol]],
-        budget: int,
-    ) -> None:
-        if budget <= 0:
-            raise ValueError("budget must be positive")
-        base = sorted(set(base), key=CIStatement.sort_key)
+    def __init__(self, deps: Iterable[FunctionalDependency], universe: Iterable[Symbol]) -> None:
         self.deps = tuple(deps)
-        dep_symbols = set()
-        for d in self.deps:
-            dep_symbols.add(d.determined)
-            dep_symbols |= d.determiners
-        if universe is None:
-            universe = set(dep_symbols)
-            for s in base:
-                universe |= s.symbols()
         self.universe = frozenset(universe)
-        for s in base:
-            if not s.symbols() <= self.universe:
-                raise UniverseError(f"base statement {s.render()} leaves the universe")
-        self._names = sorted(self.universe | dep_symbols)
+        self._names = sorted(self.universe | _dependency_symbols(self.deps))
         self._bit = {name: 1 << i for i, name in enumerate(self._names)}
-        self._universe_mask = self._mask(self.universe)
+        self.width = len(self._names)
+        self.universe_mask = self._mask(self.universe)
         self._dep_masks = tuple(
             (self._bit[d.determined], self._mask(d.determiners)) for d in self.deps
         )
-        self.budget = budget
-        self.known: dict[_Triple, _Prov] = {self.encode(s): None for s in base}
-        self.complete = False
-        # contraction indexes over both orientations (x, y, c) of every known
-        # statement: s as first premise looks up (x, y|c) in the first, as
-        # second premise (x, c) in the second
-        self._by_x_and_ctx: dict[tuple, list] = {}  # (x, c) -> [(stmt, y)]
-        self._by_x_and_span: dict[tuple, list] = {}  # (x, y|c) -> [(stmt, y, c)]
-        self._det_cache: dict[int, int] = {}
+        self.det_cache: dict[int, int] = {}
+        self.proved: dict[tuple, DeriveResult] = {}  # ((base, budget), goal) -> result
+        self.closure: Optional[tuple] = None  # ((base, budget), statement triples)
 
     def _mask(self, names: Iterable[Symbol]) -> int:
         mask = 0
@@ -381,7 +357,7 @@ class _Saturation:
             mask |= self._bit[name]
         return mask
 
-    def _names_of(self, mask: int) -> VarSet:
+    def names_of(self, mask: int) -> VarSet:
         out = []
         while mask:
             low = mask & -mask
@@ -393,11 +369,11 @@ class _Saturation:
         return (self._mask(s.a), self._mask(s.b), self._mask(s.c))
 
     def decode(self, t: _Triple) -> CIStatement:
-        return CIStatement(*(self._names_of(m) for m in t))
+        return CIStatement(*(self.names_of(m) for m in t))
 
-    def _det(self, ctx: int) -> int:
+    def det(self, ctx: int) -> int:
         """Mask of :func:`determined_closure` of ``ctx``."""
-        got = self._det_cache.get(ctx)
+        got = self.det_cache.get(ctx)
         if got is None:
             got = ctx
             changed = True
@@ -407,87 +383,203 @@ class _Saturation:
                     if not got & det and not determiners & ~got:
                         got |= det
                         changed = True
-            self._det_cache[ctx] = got
+            self.det_cache[ctx] = got
         return got
 
-    def _index(self, s: _Triple) -> None:
-        a, b, c = s
-        for x, y in ((a, b), (b, a)):
-            self._by_x_and_ctx.setdefault((x, c), []).append((s, y))
-            self._by_x_and_span.setdefault((x, y | c), []).append((s, y, c))
 
-    def _consequences(self, s: _Triple):
-        a, b, c = s
-        # single-symbol decomposition and weak union, both orientations
-        for x, y in ((a, b), (b, a)):
-            if y & (y - 1):
-                rest = y
-                while rest:
-                    sym = rest & -rest
-                    rest ^= sym
-                    keep = y ^ sym
-                    yield _orient(x, keep, c), ("decomposition", (s,), keep)
-                    yield _orient(x, keep, c | sym), ("weak_union", (s,), sym)
-        # contraction, s as either premise; the lists are live, so statements
-        # indexed while s is expanded are matched too
-        for x, y in ((a, b), (b, a)):
-            for other, y2 in self._by_x_and_ctx.get((x, y | c), ()):
-                yield _orient(x, y | y2, c), ("contraction", (s, other), 0)
-            for other, y1, c1 in self._by_x_and_span.get((x, c), ()):
-                yield _orient(x, y1 | y, c1), ("contraction", (other, s), 0)
-        # determinism rewrites
-        free = self._det(c) & self._universe_mask & ~c
-        while free:
-            sym = free & -free
-            free ^= sym
-            if sym & b:
-                if b != sym:
-                    yield _orient(a, b ^ sym, c | sym), ("determinism_augment", (s,), sym)
-            elif sym & a:
-                if a != sym:
-                    yield _orient(a ^ sym, b, c | sym), ("determinism_augment", (s,), sym)
-            else:
-                yield (a, b, c | sym), ("determinism_augment", (s,), sym)
-        rest = c
-        while rest:
-            sym = rest & -rest
-            rest ^= sym
-            if not sym & self._det(c ^ sym):
-                continue
-            yield (a, b, c ^ sym), ("determinism_drop", (s,), sym)
-            yield _orient(a, b | sym, c ^ sym), ("determinism_augment", (s,), sym)
+def _dependency_symbols(deps: Iterable[FunctionalDependency]) -> set:
+    out = set()
+    for d in deps:
+        out.add(d.determined)
+        out |= d.determiners
+    return out
+
+
+def _memo_for(
+    memo: Optional[Memo],
+    base: Iterable[CIStatement],
+    deps: Iterable[FunctionalDependency],
+    universe: Optional[Iterable[Symbol]],
+) -> Memo:
+    """``memo`` after checking it was built for ``deps`` and ``universe``, or a
+    new one.  Without a universe, it is every symbol of the base and the
+    dependencies."""
+    deps = tuple(deps)
+    if universe is None:
+        universe = _dependency_symbols(deps)
+        for s in base:
+            universe |= s.symbols()
+    universe = frozenset(universe)
+    if memo is None:
+        return Memo(deps, universe)
+    if memo.deps != deps or memo.universe != universe:
+        raise ValueError("the memo was built for other dependencies or another universe")
+    return memo
+
+
+class _Saturation:
+    """Deterministic worklist saturation over a fixed finite universe.
+
+    A statement is an ``(a, b, c)`` triple of int bitmasks in the encoding of
+    the :class:`Memo`; rewrites only add or move universe symbols, while the
+    determinism closure may chain through the other dependency symbols.
+    Names and bits sort alike and sides are disjoint, so putting the side
+    with the lower lowest set bit first is :func:`normalize`'s orientation,
+    and walking a mask from its lowest bit visits its symbols in sorted
+    order.  Triples are decoded to :class:`CIStatement` only for the goal,
+    proofs and closures.
+
+    Decomposition and weak union are generated one symbol at a time; any
+    multi-symbol split is reachable as a chain of single-symbol moves, so the
+    fixed point is unchanged while per-statement fanout stays linear.
+    """
+
+    def __init__(self, base: Iterable[CIStatement], memo: Memo, budget: int) -> None:
+        if budget <= 0:
+            raise ValueError("budget must be positive")
+        base = sorted(set(base), key=CIStatement.sort_key)
+        for s in base:
+            if not s.symbols() <= memo.universe:
+                raise UniverseError(f"base statement {s.render()} leaves the universe")
+        self.memo = memo
+        self.budget = budget
+        self.known: dict[_Triple, _Prov] = {memo.encode(s): None for s in base}
+        self.complete = False
 
     def run(self, goal: Optional[CIStatement] = None) -> bool:
         """Saturate until ``goal`` appears (True) or the closure or the budget
         is exhausted (False)."""
-        target = self.encode(goal) if goal is not None else None
-        if target in self.known:
+        memo = self.memo
+        target = memo.encode(goal) if goal is not None else None
+        known = self.known
+        if target in known:
             self.complete = True
             return True
-        known = self.known
+        budget = self.budget
+        width = memo.width
+        universe_mask = memo.universe_mask
+        det_cache, det = memo.det_cache, memo.det
         agenda = deque(known)
-        for s in known:
-            self._index(s)
+        # contraction indexes over both orientations (x, y, c) of every known
+        # statement, keyed by x << width | ctx and holding the triple, whose
+        # other side is (a | b) ^ x: by_ctx under ctx = c, by_span under
+        # ctx = y | c.  s as first premise looks up x and y | c in by_ctx, as
+        # second premise x and c in by_span
+        by_ctx: dict[int, list] = {}
+        by_span: dict[int, list] = {}
+
+        def index(t: _Triple) -> None:
+            a, b, c = t
+            for x, y in ((a, b), (b, a)):
+                key = x << width | c
+                got = by_ctx.get(key)
+                if got is None:
+                    by_ctx[key] = [t]
+                else:
+                    got.append(t)
+                key |= y
+                got = by_span.get(key)
+                if got is None:
+                    by_span[key] = [t]
+                else:
+                    got.append(t)
+
+        def add(concl: _Triple, prov: _Prov) -> bool:
+            """Record a new statement; True when the search stops, which is
+            at the goal (now known) or at the budget (not added)."""
+            if len(known) >= budget:
+                return True
+            known[concl] = prov
+            index(concl)
+            agenda.append(concl)
+            return concl == target
+
+        for t in known:
+            index(t)
+        # each candidate is tested against known before its provenance is
+        # built; the order is decomposition and weak union, contraction, then
+        # the determinism rewrites, as the proofs and counts depend on it
         while agenda:
             s = agenda.popleft()
-            for concl, prov in self._consequences(s):
-                if concl in known:
+            a, b, c = s
+            # single-symbol decomposition and weak union, both orientations
+            for x, y in ((a, b), (b, a)):
+                if y & (y - 1):
+                    low = x & -x
+                    rest = y
+                    while rest:
+                        sym = rest & -rest
+                        rest ^= sym
+                        keep = y ^ sym
+                        first = low < keep & -keep
+                        concl = (x, keep, c) if first else (keep, x, c)
+                        if concl not in known and add(concl, ("decomposition", (s,), keep)):
+                            return concl in known
+                        wider = c | sym
+                        concl = (x, keep, wider) if first else (keep, x, wider)
+                        if concl not in known and add(concl, ("weak_union", (s,), sym)):
+                            return concl in known
+            # contraction, s as either premise; the lists are live, so
+            # statements indexed while s is expanded are matched too
+            for x, y in ((a, b), (b, a)):
+                high = x << width
+                low = x & -x
+                for other in by_ctx.get(high | y | c, ()):
+                    joined = y | (other[0] | other[1]) ^ x
+                    concl = (x, joined, c) if low < joined & -joined else (joined, x, c)
+                    if concl not in known and add(concl, ("contraction", (s, other), 0)):
+                        return concl in known
+                for other in by_span.get(high | c, ()):
+                    joined = y | (other[0] | other[1]) ^ x
+                    c1 = other[2]
+                    concl = (x, joined, c1) if low < joined & -joined else (joined, x, c1)
+                    if concl not in known and add(concl, ("contraction", (other, s), 0)):
+                        return concl in known
+            # determinism rewrites
+            closed = det_cache.get(c)
+            if closed is None:
+                closed = det(c)
+            free = closed & universe_mask & ~c
+            while free:
+                sym = free & -free
+                free ^= sym
+                wider = c | sym
+                if sym & b:
+                    if b == sym:
+                        continue
+                    concl = _orient(a, b ^ sym, wider)
+                elif sym & a:
+                    if a == sym:
+                        continue
+                    concl = _orient(a ^ sym, b, wider)
+                else:
+                    concl = (a, b, wider)
+                if concl not in known and add(concl, ("determinism_augment", (s,), sym)):
+                    return concl in known
+            rest = c
+            while rest:
+                sym = rest & -rest
+                rest ^= sym
+                narrower = c ^ sym
+                closed = det_cache.get(narrower)
+                if closed is None:
+                    closed = det(narrower)
+                if not sym & closed:
                     continue
-                if len(known) >= self.budget:
-                    self.complete = False
-                    return False
-                known[concl] = prov
-                self._index(concl)
-                agenda.append(concl)
-                if concl == target:
-                    return True
+                concl = (a, b, narrower)
+                if concl not in known and add(concl, ("determinism_drop", (s,), sym)):
+                    return concl in known
+                concl = _orient(a, b | sym, narrower)
+                if concl not in known and add(concl, ("determinism_augment", (s,), sym)):
+                    return concl in known
         self.complete = True
         return False
 
     def extract_proof(self, goal: CIStatement) -> Proof:
+        memo = self.memo
         order: list[_Triple] = []
         seen: set[_Triple] = set()
-        stack = [(self.encode(goal), False)]
+        stack = [(memo.encode(goal), False)]
         while stack:
             stmt, expanded = stack.pop()
             if expanded:
@@ -502,7 +594,7 @@ class _Saturation:
             stack.append((stmt, True))
             for parent in reversed(prov[1]):
                 stack.append((parent, False))
-        decoded = {t: self.decode(t) for t in seen}
+        decoded = {t: memo.decode(t) for t in seen}
         premises = sorted(
             (decoded[t] for t in seen if self.known[t] is None), key=CIStatement.sort_key
         )
@@ -512,7 +604,7 @@ class _Saturation:
             rule, parents, selection = self.known[t]
             stmt = decoded[t]
             inputs = tuple(index[decoded[p]] for p in parents)
-            steps.append(ProofStep(rule, inputs, self._names_of(selection), stmt))
+            steps.append(ProofStep(rule, inputs, memo.names_of(selection), stmt))
             index[stmt] = len(premises) + len(steps) - 1
         return Proof(tuple(premises), tuple(steps), goal)
 
@@ -528,9 +620,10 @@ def closure(
     Deterministic given identical inputs; the resulting set is invariant
     under permutation of the base statements whenever the run completes.
     """
-    engine = _Saturation(base, deps, universe, budget)
+    base = frozenset(base)
+    engine = _Saturation(base, _memo_for(None, base, deps, universe), budget)
     engine.run()
-    statements = frozenset(engine.decode(t) for t in engine.known)
+    statements = frozenset(engine.memo.decode(t) for t in engine.known)
     return ClosureResult(statements, engine.complete, len(engine.known))
 
 
@@ -540,22 +633,38 @@ def derive(
     goal: CIStatement = None,
     budget: int = DEFAULT_BUDGET,
     universe: Optional[Iterable[Symbol]] = None,
+    memo: Optional[Memo] = None,
 ) -> DeriveResult:
     """Search for a proof of ``goal`` from ``base`` under ``deps``.
 
     ``not_derivable`` certifies that the goal is absent from the saturated
     closure of this rule system; ``budget_exhausted`` is inconclusive.
+    ``memo`` (see :class:`Memo`) answers repeated queries without a search;
+    the result is the one a fresh search gives.
     """
     if goal is None:
         raise ValueError("derive requires a goal statement")
-    engine = _Saturation(base, deps, universe, budget)
-    if not goal.symbols() <= engine.universe:
+    base = frozenset(base)
+    memo = _memo_for(memo, base, deps, universe)
+    query = (base, budget)
+    result = memo.proved.get((query, goal))
+    if result is not None:
+        return result
+    engine = _Saturation(base, memo, budget)  # checks the budget and the base
+    if not goal.symbols() <= memo.universe:
         raise UniverseError(f"goal {goal.render()} leaves the universe")
+    if memo.closure is not None and memo.closure[0] == query:
+        closed = memo.closure[1]
+        if memo.encode(goal) not in closed:
+            return DeriveResult("not_derivable", None, len(closed))
     if engine.run(goal):
         proof = engine.extract_proof(goal)
-        assert proof.replay(engine.deps), "internal error: extracted proof failed replay"
-        return DeriveResult("proved", proof, len(engine.known))
+        assert proof.replay(memo.deps), "internal error: extracted proof failed replay"
+        result = DeriveResult("proved", proof, len(engine.known))
+        memo.proved[query, goal] = result
+        return result
     if engine.complete:
+        memo.closure = (query, engine.known)
         return DeriveResult("not_derivable", None, len(engine.known))
     return DeriveResult("budget_exhausted", None, len(engine.known))
 
@@ -566,24 +675,27 @@ def derive_through(
     waypoints: Sequence[CIStatement] = (),
     budget: int = DEFAULT_BUDGET,
     universe: Optional[Iterable[Symbol]] = None,
+    memo: Optional[Memo] = None,
 ) -> DeriveResult:
     """Derive the last waypoint with a trace that passes through all of them.
 
     Each waypoint is derived from the base plus the waypoints already proved,
     and the sub-proofs are spliced into one trace over the original premises.
-    The final waypoint is the goal of the returned proof.
+    The final waypoint is the goal of the returned proof.  Every sub-query
+    goes through :func:`derive` with one shared ``memo``.
     """
     if not waypoints:
         raise ValueError("derive_through requires at least one waypoint")
     deps = tuple(deps)
     base = sorted(set(base), key=CIStatement.sort_key)
+    memo = _memo_for(memo, base, deps, universe)
     premises = tuple(base)
     index: dict[CIStatement, int] = {s: i for i, s in enumerate(premises)}
     steps: list[ProofStep] = []
     current: list[CIStatement] = list(base)
     total_generated = 0
     for waypoint in waypoints:
-        sub = derive(current, deps, waypoint, budget, universe)
+        sub = derive(current, deps, waypoint, budget, memo.universe, memo=memo)
         total_generated += sub.generated
         if not sub.proved:
             return DeriveResult(sub.status, None, total_generated)

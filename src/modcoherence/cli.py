@@ -104,11 +104,18 @@ def _verdict_results(verdict: Verdict) -> dict:
     }
 
 
+def _require_all_conditions(spec: SpecFile, reason: str) -> None:
+    if set(spec.conditions) != set(ALL_CONDITIONS):
+        kept = [kind.value for kind in spec.conditions]
+        raise SpecError(f"{reason}, so protocol.conditions must list all four, got {kept}")
+
+
 def _mode_for(spec: SpecFile, mode_flag: Optional[str]):
     mode_name = mode_flag or spec.run.mode
     if mode_name == "graphical":
         if spec.dag is None:
             raise MissingSection("graphical mode requires a graph section")
+        _require_all_conditions(spec, "graphical mode tests all four conditions on the graph")
         return GraphicalMode(spec.dag)
     base = base_statements(spec.system, spec.conditions) + spec.statements
     return AxiomaticMode(tuple(sorted(set(base), key=lambda s: s.sort_key())), spec.run.budget)
@@ -182,12 +189,7 @@ def ablate(spec: SpecFile) -> Report:
     """
     if spec.system is None:
         raise MissingSection("ablate requires a protocol section")
-    if set(spec.conditions) != set(ALL_CONDITIONS):
-        kept = [kind.value for kind in spec.conditions]
-        raise SpecError(
-            f"ablate drops each of the four conditions in turn, so protocol.conditions "
-            f"must list all four, got {kept}"
-        )
+    _require_all_conditions(spec, "ablate drops each of the four conditions in turn")
 
     def goals(verdict: Verdict, status: str) -> list[str]:
         return [f"panel {g.panel}: {g.name}" for g in verdict.goals if g.status == status]

@@ -22,6 +22,7 @@ from .ci import (
     DEFAULT_BUDGET,
     DeriveResult,
     FunctionalDependency,
+    Memo,
     Proof,
     Symbol,
     VarSet,
@@ -276,19 +277,20 @@ def _goal_waypoints(sys: PanelSystem, i: int, name: str) -> tuple[CIStatement, .
     return tuple(w for w in waypoints if w is not None)
 
 
-def _check_axiomatic(sys: PanelSystem, mode: AxiomaticMode) -> tuple[ConditionStatus, ...]:
+def _check_axiomatic(
+    sys: PanelSystem, mode: AxiomaticMode, memo: Memo
+) -> tuple[ConditionStatus, ...]:
     for stmt in mode.base:
         if not stmt.symbols() <= sys.universe:
             raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
     out: list[ConditionStatus] = []
-    base = set(mode.base)
     for kind in ALL_CONDITIONS:
         stmts = condition_statements(sys, kind)
         witnesses: list[Proof] = []
         status = "holds"
         for stmt in stmts:
             result = derive(
-                mode.base, sys.dependencies, stmt, mode.budget, universe=sys.universe
+                mode.base, memo.deps, stmt, mode.budget, universe=memo.universe, memo=memo
             )
             if result.proved:
                 witnesses.append(result.proof)
@@ -314,9 +316,14 @@ def _check_graphical(sys: PanelSystem, mode: GraphicalMode) -> tuple[ConditionSt
     return tuple(out)
 
 
-def check_conditions(sys: PanelSystem, mode: Mode) -> tuple[ConditionStatus, ...]:
+def check_conditions(
+    sys: PanelSystem, mode: Mode, memo: Optional[Memo] = None
+) -> tuple[ConditionStatus, ...]:
+    """Statuses of the four conditions.  In axiomatic mode the derivations
+    share ``memo``, which must be built for the system's dependencies and
+    universe; without one they share a new one."""
     if isinstance(mode, AxiomaticMode):
-        return _check_axiomatic(sys, mode)
+        return _check_axiomatic(sys, mode, memo or Memo(sys.dependencies, sys.universe))
     if isinstance(mode, GraphicalMode):
         return _check_graphical(sys, mode)
     raise TypeError(f"unsupported mode: {mode!r}")
@@ -324,8 +331,14 @@ def check_conditions(sys: PanelSystem, mode: Mode) -> tuple[ConditionStatus, ...
 
 def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     """Check the coherence conclusion: panel-independent beliefs plus
-    own-evidence-only updating for every panel."""
-    conditions = check_conditions(sys, mode)
+    own-evidence-only updating for every panel.
+
+    In axiomatic mode every derivation of the verdict shares one
+    :class:`~modcoherence.ci.Memo`, which is dropped when the verdict is made.
+    """
+    axiomatic = isinstance(mode, AxiomaticMode)
+    memo = Memo(sys.dependencies, sys.universe) if axiomatic else None
+    conditions = check_conditions(sys, mode, memo)
     goals: list[GoalResult] = []
     for i in range(1, sys.m + 1):
         for name, goal in (
@@ -335,18 +348,19 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
             if goal is None:
                 goals.append(GoalResult(i, name, None, "trivial"))
                 continue
-            if isinstance(mode, AxiomaticMode):
+            if axiomatic:
                 result = derive_through(
                     mode.base,
-                    sys.dependencies,
+                    memo.deps,
                     _goal_waypoints(sys, i, name),
                     mode.budget,
-                    universe=sys.universe,
+                    universe=memo.universe,
+                    memo=memo,
                 )
                 if not result.proved:
                     # waypoint route failed; fall back to an unconstrained search
                     result = derive(
-                        mode.base, sys.dependencies, goal, mode.budget, universe=sys.universe
+                        mode.base, memo.deps, goal, mode.budget, universe=memo.universe, memo=memo
                     )
                 goals.append(GoalResult(i, name, goal, result.status, result.proof))
             else:

@@ -10,6 +10,7 @@ from modcoherence.ci import (
     CIStatement,
     EmptySide,
     FunctionalDependency,
+    Memo,
     OverlappingSets,
     ShapeMismatch,
     UnlicensedDeterminism,
@@ -22,7 +23,12 @@ from modcoherence.ci import (
     determined_closure,
     normalize,
 )
-from modcoherence.protocol import base_statements, build_system
+from modcoherence.protocol import (
+    ALL_CONDITIONS,
+    ConditionKind,
+    base_statements,
+    build_system,
+)
 
 from .oracles import reference_closure
 
@@ -202,6 +208,28 @@ class TestDerive:
         proof = derive(base, goal=goal).proof
         bad = proof.__class__(proof.premises, proof.steps, normalize({"A"}, {"D"}, {"C"}))
         assert not bad.replay()
+
+    def test_memo_answers_as_a_fresh_search(self):
+        # dropping separately_informed at m=2 leaves goals outside a
+        # 1,282-statement closure
+        system = build_system(2)
+        deps, universe = system.dependencies, system.universe
+        kept = base_statements(
+            system, [k for k in ALL_CONDITIONS if k is not ConditionKind.SEPARATELY_INFORMED]
+        )
+        absent = normalize({"theta_1"}, {"theta_2"}, {"I_+^0"})
+        present = normalize({"theta_1"}, {"theta_2"}, {"I_0^0"})
+        memo = Memo(deps, universe)
+        # a smaller budget is not answered from the complete closure
+        queries = [(absent, 200_000), (absent, 500), (present, 200_000)] * 2
+        for goal, budget in queries:
+            fresh = derive(kept, deps, goal, budget, universe)
+            assert derive(kept, deps, goal, budget, universe, memo=memo) == fresh
+        assert [derive(kept, deps, g, b, universe).status for g, b in queries[:3]] == [
+            "not_derivable", "budget_exhausted", "proved",
+        ]
+        with pytest.raises(ValueError):
+            derive(kept, (), absent, universe=universe, memo=memo)
 
 
 class TestDeriveThrough:

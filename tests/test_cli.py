@@ -302,6 +302,20 @@ class TestCheckCommand:
         assert result.exit_code == 0
         assert Report.from_json(result.output).options["mode"] == "graphical"
 
+    def test_graphical_mode_refuses_restricted_conditions(self, tmp_path):
+        # the graph is tested against all four conditions, so a restricted
+        # list would pass in graphical mode while axiomatic mode fails
+        spec = json.loads((SPECS / "canonical_graph.spec").read_text())
+        spec["protocol"]["conditions"] = ["delegable"]
+        path = write_spec(tmp_path, spec)
+        assert run("check", "--spec", path, "--mode", "axiomatic").exit_code == 1
+        result = run("check", "--spec", path, "--format", "machine")
+        assert result.exit_code == 2
+        report = Report.from_json(result.output)
+        assert report.status == "error"
+        assert report.results["error"].startswith("SpecError: ")
+        assert "protocol.conditions" in report.results["error"]
+
 
 class TestDeriveCommand:
     def test_goal_derivation_with_trace(self):

@@ -1,18 +1,24 @@
 """Tests for panel-system construction, condition generation and the
 mechanized coherence theorem (both proof modes, plus ablation)."""
 
+import random
+
 import pytest
 
-from modcoherence.ci import normalize
+from modcoherence import ci, protocol
+from modcoherence.ci import derive, derive_through, normalize
 from modcoherence.dag import d_separated
 from modcoherence.protocol import (
     ALL_CONDITIONS,
     AxiomaticMode,
     ConditionKind,
+    ConditionStatus,
+    GoalResult,
     GraphicalMode,
     IndexOutOfRange,
     InvalidPanelCount,
     UniverseMismatch,
+    _goal_waypoints,
     ablate,
     autonomy_goal,
     base_statements,
@@ -252,3 +258,106 @@ class TestModeAgreement:
         for goal in verdict.goals:
             for stmt in goal.proof.statements():
                 assert d_separated(dag, stmt.a, stmt.b, stmt.c), stmt.render()
+
+
+# -- the per-verdict memo -------------------------------------------------
+
+
+def _reference_verdict(sys, mode):
+    """verify_coherence's conditions and goals from memo-less derivations."""
+    deps, universe = sys.dependencies, sys.universe
+    conditions = []
+    for kind in ALL_CONDITIONS:
+        stmts = condition_statements(sys, kind)
+        witnesses, status = [], "holds"
+        for stmt in stmts:
+            result = derive(mode.base, deps, stmt, mode.budget, universe=universe)
+            if not result.proved:
+                exhausted = result.status == "budget_exhausted"
+                status = "inconclusive" if exhausted else "not_established"
+                break
+            witnesses.append(result.proof)
+        conditions.append(ConditionStatus(kind, stmts, status, tuple(witnesses)))
+    goals = []
+    for i in range(1, sys.m + 1):
+        for name, goal in (
+            ("panel_independence", independence_goal(sys, i)),
+            ("autonomous_updating", autonomy_goal(sys, i)),
+        ):
+            if goal is None:
+                goals.append(GoalResult(i, name, None, "trivial"))
+                continue
+            waypoints = _goal_waypoints(sys, i, name)
+            result = derive_through(mode.base, deps, waypoints, mode.budget, universe=universe)
+            if not result.proved:
+                result = derive(mode.base, deps, goal, mode.budget, universe=universe)
+            goals.append(GoalResult(i, name, goal, result.status, result.proof))
+    return tuple(conditions), tuple(goals)
+
+
+def _random_mode(rng, sys, budget):
+    """Some of the conditions plus up to three random extra statements."""
+    kept = [kind for kind in ALL_CONDITIONS if rng.random() < 0.75]
+    symbols = sorted(sys.universe)
+    base = set(base_statements(sys, kept))
+    for _ in range(rng.randint(0, 3)):
+        a, b, *c = rng.sample(symbols, rng.randint(2, 4))
+        base.add(normalize({a}, {b}, c))
+    return AxiomaticMode(tuple(sorted(base, key=lambda s: s.sort_key())), budget)
+
+
+def _assert_matches_reference(sys, mode, verdict):
+    conditions, goals = _reference_verdict(sys, mode)
+    assert verdict.conditions == conditions
+    assert verdict.goals == goals
+
+
+class TestMemo:
+    @pytest.mark.parametrize("m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6)])
+    def test_random_bases_match_memo_less_derivations(self, m, budget, instances):
+        sys = build_system(m)
+        statuses = set()
+        for seed in range(instances):
+            mode = _random_mode(random.Random(seed), sys, budget)
+            verdict = verify_coherence(sys, mode)
+            _assert_matches_reference(sys, mode, verdict)
+            statuses.update(g.status for g in verdict.goals)
+        # the instances reach every way a search ends
+        assert {"proved", "not_derivable", "budget_exhausted"} <= statuses
+
+    def test_ablation_rows_match_memo_less_derivations(self):
+        sys = build_system(2)
+        for dropped, verdict in ablate(sys):
+            kept = tuple(k for k in ALL_CONDITIONS if k is not dropped)
+            _assert_matches_reference(sys, AxiomaticMode(base_statements(sys, kept)), verdict)
+
+    @pytest.mark.parametrize(
+        "dropped, generated",
+        [(ConditionKind.SEPARATELY_INFORMED, 1_282), (ConditionKind.COMMONLY_SEPARATED, 1_283)],
+    )
+    def test_not_derivable_counters_are_pinned(self, monkeypatch, dropped, generated):
+        """Each of the row's nine not_derivable queries reports the size of
+        its base's closure, and only the first one saturates it."""
+        results, saturations = [], []
+        original_derive, original_run = ci.derive, ci._Saturation.run
+
+        def recorded_derive(*args, **kwargs):
+            results.append(original_derive(*args, **kwargs))
+            return results[-1]
+
+        def recorded_run(engine, goal=None):
+            found = original_run(engine, goal)
+            saturations.append(not found and engine.complete)
+            return found
+
+        # the bindings protocol and derive_through look derive up through
+        monkeypatch.setattr(ci, "derive", recorded_derive)
+        monkeypatch.setattr(protocol, "derive", recorded_derive)
+        monkeypatch.setattr(ci._Saturation, "run", recorded_run)
+        sys = build_system(2)
+        kept = tuple(k for k in ALL_CONDITIONS if k is not dropped)
+        verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys, kept)))
+        assert not verdict.sound_and_distributed
+        missed = [r.generated for r in results if r.status == "not_derivable"]
+        assert missed == [generated] * 9
+        assert saturations.count(True) == 1
