@@ -40,16 +40,20 @@ def runs():
         yield "ablate", ROOT / "specs" / f"{name}.spec"
 
 
+def digest_line(runner: CliRunner, command: str, spec: Path, fmt: str) -> str:
+    result = runner.invoke(cli_main, [command, "--spec", str(spec), *FORMATS[fmt]])
+    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    line = f"{command} {spec.stem} {fmt} exit={result.exit_code} sha256={digest}"
+    if result.exception is not None and not isinstance(result.exception, SystemExit):
+        line += f" exception={type(result.exception).__name__}"
+    return line
+
+
 def main() -> None:
     runner = CliRunner()
     for command, spec in runs():
-        for fmt, flags in FORMATS.items():
-            result = runner.invoke(cli_main, [command, "--spec", str(spec), *flags])
-            digest = hashlib.sha256(result.stdout_bytes).hexdigest()
-            line = f"{command} {spec.stem} {fmt} exit={result.exit_code} sha256={digest}"
-            if result.exception is not None and not isinstance(result.exception, SystemExit):
-                line += f" exception={type(result.exception).__name__}"
-            print(line, flush=True)
+        for fmt in FORMATS:
+            print(digest_line(runner, command, spec, fmt), flush=True)
 
 
 if __name__ == "__main__":

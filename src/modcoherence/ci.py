@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import ModcoherenceError
 
@@ -714,9 +714,6 @@ def derive_through(
             steps.append(ProofStep("symmetry", (index[waypoint],), EMPTY, waypoint))
             index[waypoint] = len(premises) + len(steps) - 1
         current.append(waypoint)
-    goal = waypoints[-1]
-    if steps[-1].output != goal:
-        steps.append(ProofStep("symmetry", (index[goal],), EMPTY, goal))
-    proof = Proof(premises, tuple(steps), goal)
+    proof = Proof(premises, tuple(steps), waypoints[-1])
     assert proof.replay(deps), "internal error: spliced proof failed replay"
     return DeriveResult("proved", proof, total_generated)

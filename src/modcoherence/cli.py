@@ -116,6 +116,8 @@ def _mode_for(spec: SpecFile, mode_flag: Optional[str]):
         if spec.dag is None:
             raise MissingSection("graphical mode requires a graph section")
         _require_all_conditions(spec, "graphical mode tests all four conditions on the graph")
+        if spec.statements:
+            raise SpecError("graphical mode tests the graph alone, so statements must be empty")
         return GraphicalMode(spec.dag)
     base = base_statements(spec.system, spec.conditions) + spec.statements
     return AxiomaticMode(tuple(sorted(set(base), key=lambda s: s.sort_key())), spec.run.budget)
@@ -148,6 +150,7 @@ def derive(spec: SpecFile) -> Report:
         universe = spec.system.universe
     elif spec.dag is not None:
         deps = spec.dag.dependencies
+        universe = spec.dag.node_names
     if not base:
         raise MissingSection("derive requires statements or a protocol")
     result = ci_derive(base, deps, spec.goal, spec.run.budget, universe=universe)

@@ -47,6 +47,18 @@ class UnknownSymbol(DagError):
     pass
 
 
+def _reach(start: Iterable[Symbol], step) -> VarSet:
+    """Every node reached from ``start`` by one or more ``step`` moves."""
+    seen: set[Symbol] = set()
+    frontier = deque(start)
+    while frontier:
+        for node in step(frontier.popleft()):
+            if node not in seen:
+                seen.add(node)
+                frontier.append(node)
+    return frozenset(seen)
+
+
 @dataclass(frozen=True)
 class Dag:
     nodes: tuple[tuple[Symbol, str], ...]
@@ -64,30 +76,10 @@ class Dag:
         return frozenset(v for u, v in self.edges if u == name)
 
     def ancestors(self, of: Iterable[Symbol]) -> VarSet:
-        seen: set[Symbol] = set()
-        frontier = deque(of)
-        while frontier:
-            node = frontier.popleft()
-            for parent in self.parents(node):
-                if parent not in seen:
-                    seen.add(parent)
-                    frontier.append(parent)
-        return frozenset(seen)
+        return _reach(of, self.parents)
 
     def descendants(self, of: Symbol) -> VarSet:
-        seen: set[Symbol] = set()
-        frontier = deque([of])
-        while frontier:
-            node = frontier.popleft()
-            for child in self.children(node):
-                if child not in seen:
-                    seen.add(child)
-                    frontier.append(child)
-        return frozenset(seen)
-
-    def topological_order(self) -> tuple[Symbol, ...]:
-        ts = TopologicalSorter({name: sorted(self.parents(name)) for name, _ in self.nodes})
-        return tuple(ts.static_order())
+        return _reach((of,), self.children)
 
 
 def build_dag(

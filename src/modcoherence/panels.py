@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 # the numpy-free value types live in .values; panels re-exports them
-from .values import BetaParams, Factor, FactorSpec, PanelsError  # noqa: F401
+from .values import BetaParams, Factor, PanelsError  # noqa: F401
 
 NORM_TOL = 1e-10
 
@@ -55,11 +55,6 @@ class DirichletParams:
         object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
         if len(self.alpha) < 2 or any(a <= 0 for a in self.alpha):
             raise PanelsError(f"Dirichlet parameters must be positive: {self.alpha}")
-
-    @property
-    def mean(self) -> tuple[float, ...]:
-        total = sum(self.alpha)
-        return tuple(a / total for a in self.alpha)
 
 
 @dataclass
@@ -126,8 +121,8 @@ class JointGridPosterior:
         return GridDensity(self.blocks[i], self.weights.sum(axis=axes))
 
 
-def uniform_grid(n: int = 101, lo: float = 0.0, hi: float = 1.0) -> GridDensity:
-    points = np.linspace(lo, hi, n)
+def uniform_grid(n: int = 101) -> GridDensity:
+    points = np.linspace(0.0, 1.0, n)
     return GridDensity(points.reshape(-1, 1), np.full(n, 1.0 / n))
 
 
@@ -288,12 +283,12 @@ class SeparabilityVerdict:
     max_residual: float = 0.0
 
 
-def separability_check_symbolic(spec: FactorSpec, m: int) -> SeparabilityVerdict:
+def separability_check_symbolic(factors: Sequence[Factor], m: int) -> SeparabilityVerdict:
     """Separable iff every declared factor touches at most one panel."""
-    for factor in spec.factors:
+    for factor in factors:
         if not factor.scope <= set(range(1, m + 1)):
             raise PanelsError(f"factor {factor.name!r} scope {sorted(factor.scope)} not in 1..{m}")
-    offending = tuple(f for f in spec.factors if len(f.scope) > 1)
+    offending = tuple(f for f in factors if len(f.scope) > 1)
     return SeparabilityVerdict(not offending, offending)
 
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from . import ModcoherenceError
 from .ci import (
     CIStatement,
     DEFAULT_BUDGET,
-    DeriveResult,
     FunctionalDependency,
     Memo,
     Proof,
@@ -210,6 +209,9 @@ class GraphicalMode:
 
 
 Mode = Union[AxiomaticMode, GraphicalMode]
+# (statement, route=None) -> (status, proof); a goal's route is its (panel, name)
+Decide = Callable[..., tuple[str, Optional[Proof]]]
+ESTABLISHED = ("proved", "trivial", "separated")  # statuses that establish a statement
 
 
 @dataclass(frozen=True)
@@ -217,7 +219,9 @@ class ConditionStatus:
     kind: ConditionKind
     statements: tuple[CIStatement, ...]
     status: str  # "holds" | "not_established" | "inconclusive"
-    witnesses: tuple  # Proof per statement (axiomatic) or bool per statement (graphical)
+    # statements are decided in order up to the first one not established:
+    # the proofs of those before it (axiomatic), or empty (graphical)
+    witnesses: tuple[Proof, ...]
 
     @property
     def holds(self) -> bool:
@@ -234,7 +238,7 @@ class GoalResult:
 
     @property
     def established(self) -> bool:
-        return self.status in ("proved", "trivial", "separated")
+        return self.status in ESTABLISHED
 
 
 @dataclass(frozen=True)
@@ -277,56 +281,60 @@ def _goal_waypoints(sys: PanelSystem, i: int, name: str) -> tuple[CIStatement, .
     return tuple(w for w in waypoints if w is not None)
 
 
-def _check_axiomatic(
-    sys: PanelSystem, mode: AxiomaticMode, memo: Memo
-) -> tuple[ConditionStatus, ...]:
-    for stmt in mode.base:
-        if not stmt.symbols() <= sys.universe:
-            raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
+def _decider(sys: PanelSystem, mode: Mode) -> Decide:
+    """The mode's ``(status, proof)`` for a statement.  Axiomatic mode derives
+    a goal through its route's waypoints, falling back to an unconstrained search,
+    every derivation sharing one memo; graphical mode asks d-separation."""
+    if isinstance(mode, AxiomaticMode):
+        for stmt in mode.base:
+            if not stmt.symbols() <= sys.universe:
+                raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
+        memo = Memo(sys.dependencies, sys.universe)
+
+        def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
+            base, deps, budget, universe = mode.base, memo.deps, mode.budget, memo.universe
+            if route is not None:
+                waypoints = _goal_waypoints(sys, *route)
+                result = derive_through(base, deps, waypoints, budget, universe, memo=memo)
+                if result.proved:
+                    return result.status, result.proof
+            result = derive(base, deps, stmt, budget, universe, memo=memo)
+            return result.status, result.proof
+
+        return derived
+    if isinstance(mode, GraphicalMode):
+        if not sys.universe <= mode.dag.node_names:
+            missing = sorted(sys.universe - mode.dag.node_names)
+            raise UniverseMismatch(f"graph is missing system symbols: {missing}")
+
+        def separated(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
+            sep = d_separated(mode.dag, stmt.a, stmt.b, stmt.c)
+            return ("separated" if sep else "not_separated"), None
+
+        return separated
+    raise TypeError(f"unsupported mode: {mode!r}")
+
+
+def _conditions(sys: PanelSystem, decide: Decide) -> tuple[ConditionStatus, ...]:
     out: list[ConditionStatus] = []
     for kind in ALL_CONDITIONS:
         stmts = condition_statements(sys, kind)
         witnesses: list[Proof] = []
         status = "holds"
         for stmt in stmts:
-            result = derive(
-                mode.base, memo.deps, stmt, mode.budget, universe=memo.universe, memo=memo
-            )
-            if result.proved:
-                witnesses.append(result.proof)
-            else:
-                status = (
-                    "inconclusive" if result.status == "budget_exhausted" else "not_established"
-                )
+            answer, proof = decide(stmt)
+            if answer not in ESTABLISHED:
+                status = "inconclusive" if answer == "budget_exhausted" else "not_established"
                 break
+            if proof is not None:
+                witnesses.append(proof)
         out.append(ConditionStatus(kind, stmts, status, tuple(witnesses)))
     return tuple(out)
 
 
-def _check_graphical(sys: PanelSystem, mode: GraphicalMode) -> tuple[ConditionStatus, ...]:
-    if not sys.universe <= mode.dag.node_names:
-        missing = sorted(sys.universe - mode.dag.node_names)
-        raise UniverseMismatch(f"graph is missing system symbols: {missing}")
-    out: list[ConditionStatus] = []
-    for kind in ALL_CONDITIONS:
-        stmts = condition_statements(sys, kind)
-        answers = tuple(d_separated(mode.dag, s.a, s.b, s.c) for s in stmts)
-        status = "holds" if all(answers) else "not_established"
-        out.append(ConditionStatus(kind, stmts, status, answers))
-    return tuple(out)
-
-
-def check_conditions(
-    sys: PanelSystem, mode: Mode, memo: Optional[Memo] = None
-) -> tuple[ConditionStatus, ...]:
-    """Statuses of the four conditions.  In axiomatic mode the derivations
-    share ``memo``, which must be built for the system's dependencies and
-    universe; without one they share a new one."""
-    if isinstance(mode, AxiomaticMode):
-        return _check_axiomatic(sys, mode, memo or Memo(sys.dependencies, sys.universe))
-    if isinstance(mode, GraphicalMode):
-        return _check_graphical(sys, mode)
-    raise TypeError(f"unsupported mode: {mode!r}")
+def check_conditions(sys: PanelSystem, mode: Mode) -> tuple[ConditionStatus, ...]:
+    """Statuses of the four conditions."""
+    return _conditions(sys, _decider(sys, mode))
 
 
 def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
@@ -336,9 +344,8 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     In axiomatic mode every derivation of the verdict shares one
     :class:`~modcoherence.ci.Memo`, which is dropped when the verdict is made.
     """
-    axiomatic = isinstance(mode, AxiomaticMode)
-    memo = Memo(sys.dependencies, sys.universe) if axiomatic else None
-    conditions = check_conditions(sys, mode, memo)
+    decide = _decider(sys, mode)
+    conditions = _conditions(sys, decide)
     goals: list[GoalResult] = []
     for i in range(1, sys.m + 1):
         for name, goal in (
@@ -348,26 +355,10 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
             if goal is None:
                 goals.append(GoalResult(i, name, None, "trivial"))
                 continue
-            if axiomatic:
-                result = derive_through(
-                    mode.base,
-                    memo.deps,
-                    _goal_waypoints(sys, i, name),
-                    mode.budget,
-                    universe=memo.universe,
-                    memo=memo,
-                )
-                if not result.proved:
-                    # waypoint route failed; fall back to an unconstrained search
-                    result = derive(
-                        mode.base, memo.deps, goal, mode.budget, universe=memo.universe, memo=memo
-                    )
-                goals.append(GoalResult(i, name, goal, result.status, result.proof))
-            else:
-                sep = d_separated(mode.dag, goal.a, goal.b, goal.c)
-                goals.append(GoalResult(i, name, goal, "separated" if sep else "not_separated"))
+            status, proof = decide(goal, (i, name))
+            goals.append(GoalResult(i, name, goal, status, proof))
     ok = all(g.established for g in goals)
-    return Verdict(tuple(conditions), tuple(goals), ok)
+    return Verdict(conditions, tuple(goals), ok)
 
 
 def ablate(

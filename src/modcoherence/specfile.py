@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -27,7 +27,7 @@ from .protocol import (
     canonical_dag,
     confounded_dag,
 )
-from .values import BetaParams, Factor, FactorSpec
+from .values import BetaParams, Factor
 
 SUPPORTED_VERSION = 1
 
@@ -166,7 +166,7 @@ class Models:
     priors: tuple[BetaParams, ...] = ()
     interaction_strength: float = 0.0
     product_cell: Optional[BetaParams] = None
-    factors: Optional[FactorSpec] = None
+    factors: Optional[tuple[Factor, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -189,8 +189,6 @@ class RunOptions:
 
 @dataclass(frozen=True)
 class SpecFile:
-    version: int
-    path: Optional[str] = None
     system: Optional[PanelSystem] = None
     conditions: tuple[ConditionKind, ...] = ALL_CONDITIONS
     statements: tuple[CIStatement, ...] = ()
@@ -219,7 +217,7 @@ def parse_spec(path: str | Path) -> SpecFile:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    return replace(parse_spec_dict(raw), path=str(path))
+    return parse_spec_dict(raw)
 
 
 def _protocol(section: dict) -> tuple[PanelSystem, tuple[ConditionKind, ...]]:
@@ -313,7 +311,7 @@ def _models(section: dict) -> Models:
                     f"{where}.panels must list panel numbers in 1..{len(priors)}, got {scope!r}"
                 )
             scoped.append(Factor(_string(factor, "name", where, default=str(k)), frozenset(scope)))
-        factors = FactorSpec(tuple(scoped))
+        factors = tuple(scoped)
     return Models(tuple(priors), strength, product_cell, factors)
 
 
@@ -429,7 +427,6 @@ def parse_spec_dict(raw: dict) -> SpecFile:
                 )
 
     return SpecFile(
-        version=SUPPORTED_VERSION,
         system=system,
         conditions=conditions,
         statements=statements,

@@ -42,8 +42,3 @@ class Factor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scope", frozenset(int(i) for i in self.scope))
-
-
-@dataclass(frozen=True)
-class FactorSpec:
-    factors: tuple[Factor, ...]

@@ -127,6 +127,26 @@ _BAD_FIELDS = [
     ("derive", "coherence_m2", ["statements"], [{"a": "theta_1", "b": ["theta_2"]}],
      "statements[0].a"),
     ("dsep", "chain_dsep", ["query", "a"], "AC", "query.a"),
+    ("check", "coherence_m2", ["protocol"], _DROP, "check requires a protocol section"),
+    ("check", "canonical_graph", ["graph"], _DROP, "graphical mode requires a graph section"),
+    ("derive", "coherence_m2", ["goal"], _DROP, "derive requires a goal section"),
+    ("derive", "chain_dsep", ["goal"], {"a": ["A"], "b": ["B"], "c": ["C"]},
+     "derive requires statements or a protocol"),
+    ("ablate", "coherence_m2", ["protocol"], _DROP, "ablate requires a protocol section"),
+    ("simulate", "separable_pair", ["data"], _DROP, "requires models and data sections"),
+    ("simulate", "separable_pair", ["data", "panel_counts"], [[1, 2]],
+     "models.panels and data.panel_counts must align"),
+    ("check", "coherence_m2", ["run"], 5, "run must be an object"),
+    ("derive", "coherence_m2", ["statements"], [{"a": ["theta_1"]}],
+     "statements[0] is missing side 'b'"),
+    ("derive", "coherence_m2", ["statements"], [{"a": ["theta_1"], "b": ["theta_1"]}],
+     "statements[0]: sides must be pairwise disjoint"),
+    ("simulate", "separable_pair", ["data", "panel_counts", 0], [1], "data.panel_counts[0]"),
+    ("check", "coherence_m2", ["protocol", "panels"], _DROP, "protocol is missing the panel count"),
+    ("check", "coherence_m2", ["protocol", "conditions"], ["bogus"], "unknown condition 'bogus'"),
+    ("dsep", "chain_dsep", ["graph", "edges"], _DROP, "graph is missing 'edges'"),
+    ("simulate", "food_example", ["run", "seed"], -1, "run.seed must be non-negative"),
+    ("check", "coherence_m2", ["protocol", "epoch"], -1, "epoch must be non-negative"),
 ]
 
 
@@ -316,6 +336,20 @@ class TestCheckCommand:
         assert report.results["error"].startswith("SpecError: ")
         assert "protocol.conditions" in report.results["error"]
 
+    def test_graphical_mode_refuses_statements(self, tmp_path):
+        # the graph alone decides every condition, so an extra statement
+        # would play no part in graphical mode while axiomatic mode uses it
+        spec = json.loads((SPECS / "canonical_graph.spec").read_text())
+        spec["statements"] = [{"a": ["theta_1"], "b": ["I_+^0"]}]
+        path = write_spec(tmp_path, spec)
+        assert run("check", "--spec", path, "--mode", "axiomatic").exit_code == 0
+        result = run("check", "--spec", path, "--format", "machine")
+        assert result.exit_code == 2
+        report = Report.from_json(result.output)
+        assert report.status == "error"
+        assert report.results["error"].startswith("SpecError: ")
+        assert "statements" in report.results["error"]
+
 
 class TestDeriveCommand:
     def test_goal_derivation_with_trace(self):
@@ -344,6 +378,28 @@ class TestDeriveCommand:
         result = run("derive", "--spec", path, "--format", "machine")
         assert result.exit_code == 1
         assert Report.from_json(result.output).results["status"] == "not_derivable"
+
+    def test_graph_nodes_are_the_universe(self, tmp_path):
+        # C is a declared node, so a goal mentioning it is a query to decide,
+        # not a goal that leaves the universe
+        spec = {
+            "version": 1,
+            "graph": {
+                "nodes": [{"name": name} for name in "ABCD"],
+                "edges": [["A", "C"], ["A", "B"], ["B", "D"]],
+            },
+            "statements": [{"a": ["B"], "b": ["D"], "c": ["A"]}],
+            "goal": {"a": ["B"], "b": ["C", "D"], "c": ["A"]},
+        }
+        result = run("derive", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 1, result.output
+        assert Report.from_json(result.output).results["status"] == "not_derivable"
+        # the graph's dependencies license moving C in beside D
+        spec["graph"]["dependencies"] = [{"determined": "C", "determiners": ["A"]}]
+        result = run("derive", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 0, result.output
+        proof = Report.from_json(result.output).results["proof"]
+        assert [step["rule"] for step in proof["steps"]] == ["determinism_augment"] * 2
 
 
 class TestDsepCommand:

@@ -12,7 +12,6 @@ from modcoherence.panels import (
     DirichletParams,
     Divergence,
     Factor,
-    FactorSpec,
     GridDensity,
     InvalidCounts,
     JointGridPosterior,
@@ -169,22 +168,22 @@ class TestComposeAndOracle:
 
 class TestSeparability:
     def test_symbolic_single_panel_scopes(self):
-        spec = FactorSpec((Factor("f1", frozenset({1})), Factor("f2", frozenset({2})),
-                           Factor("f3", frozenset({1}))))
-        assert separability_check_symbolic(spec, 2).separable
+        factors = (Factor("f1", frozenset({1})), Factor("f2", frozenset({2})),
+                   Factor("f3", frozenset({1})))
+        assert separability_check_symbolic(factors, 2).separable
 
     def test_symbolic_cross_scope_offends(self):
-        spec = FactorSpec((Factor("f1", frozenset({1})), Factor("g", frozenset({1, 2}))))
-        verdict = separability_check_symbolic(spec, 2)
+        factors = (Factor("f1", frozenset({1})), Factor("g", frozenset({1, 2})))
+        verdict = separability_check_symbolic(factors, 2)
         assert not verdict.separable
         assert verdict.offending[0].name == "g"
 
     def test_symbolic_empty_factor_list(self):
-        assert separability_check_symbolic(FactorSpec(()), 3).separable
+        assert separability_check_symbolic((), 3).separable
 
     def test_symbolic_scope_out_of_range(self):
         with pytest.raises(PanelsError):
-            separability_check_symbolic(FactorSpec((Factor("f", frozenset({5})),)), 2)
+            separability_check_symbolic((Factor("f", frozenset({5})),), 2)
 
     def test_numeric_separable(self):
         grid = np.linspace(0.05, 0.95, 64)
@@ -210,6 +209,19 @@ class TestSeparability:
         f = lambda a, b: 12.0 * a * b
         assert res == pytest.approx(f(u[0], v[0]) + f(up[0], vp[0])
                                     - f(u[0], vp[0]) - f(up[0], v[0]), abs=1e-12)
+
+    def test_numeric_three_blocks_hold_the_third_at_its_reference(self):
+        # blocks 1 and 3 interact; each pair's residual holds the remaining
+        # block at one reference point, so only the pair (1, 3) offends
+        grids = [np.linspace(0.05, 0.95, n) for n in (64, 33, 48)]
+        f = lambda a, b, c: 12.0 * a * c + 5.0 * b * b + 3.0 * a - c
+        verdict = separability_check_numeric(f, grids)
+        assert not verdict.separable
+        assert [(w[0], w[1]) for w in verdict.offending] == [(1, 3)]
+        _, _, u, up, v, vp, res = verdict.offending[0]
+        g = lambda a, c: f(a, 0.5, c)
+        assert res == pytest.approx(g(u[0], v[0]) + g(up[0], vp[0])
+                                    - g(u[0], vp[0]) - g(up[0], v[0]), abs=1e-12)
 
     def test_numeric_deterministic_given_seed(self):
         grid = np.linspace(0.05, 0.95, 32)
