@@ -16,7 +16,9 @@ from modcoherence.panels import (
     bernoulli_loglik,
     compose_product,
     divergence,
+    interior_grid,
     joint_oracle,
+    panel_joint_loglik,
     panel_update_grid,
     separability_check_numeric,
 )
@@ -30,7 +32,7 @@ def main() -> None:
                         default=[0.0, 0.5, 1.0, 2.0, 4.0, 8.0, 12.0])
     args = parser.parse_args()
 
-    grid = np.linspace(0.0, 1.0, args.grid + 2)[1:-1]
+    grid = interior_grid(args.grid)
     priors = [GridDensity(grid, np.full(grid.size, 1.0 / grid.size)) for _ in range(2)]
     logliks = [bernoulli_loglik(50, 100), bernoulli_loglik(20, 60)]
     distributed = compose_product(
@@ -39,9 +41,7 @@ def main() -> None:
 
     print(f"{'strength':>9} {'separable':>10} {'max residual':>13} {'TV gap':>10}")
     for strength in args.strengths:
-        def joint_ll(a, b, s=strength):
-            return logliks[0](a) + logliks[1](b) + s * a * b
-
+        joint_ll = panel_joint_loglik(logliks, strength)
         verdict = separability_check_numeric(joint_ll, [grid, grid], seed=args.seed)
         gap = divergence(distributed, joint_oracle(priors, joint_ll)).total_variation
         print(f"{strength:>9.2f} {str(verdict.separable):>10} "

@@ -10,6 +10,7 @@ condition under which the two pipelines agree - is checked both symbolically
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -47,16 +48,6 @@ def _as_points(arr) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
-class DirichletParams:
-    alpha: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", tuple(float(a) for a in self.alpha))
-        if len(self.alpha) < 2 or any(a <= 0 for a in self.alpha):
-            raise PanelsError(f"Dirichlet parameters must be positive: {self.alpha}")
-
-
 @dataclass
 class GridDensity:
     """Probability masses over a finite set of support points.
@@ -84,13 +75,6 @@ class GridDensity:
     @property
     def size(self) -> int:
         return self.points.shape[0]
-
-    def mean(self) -> np.ndarray:
-        return self.weights @ self.points
-
-    def expectation(self, g: Callable[[np.ndarray], np.ndarray]) -> float:
-        pts = self.points[:, 0] if self.points.shape[1] == 1 else self.points
-        return float(np.sum(np.asarray(g(pts)) * self.weights))
 
 
 @dataclass
@@ -163,12 +147,6 @@ def product_mean(posteriors: Sequence[BetaParams]) -> float:
     return float(np.prod([p.mean for p in posteriors]))
 
 
-def dirichlet_update(prior: DirichletParams, counts: Sequence[int]) -> DirichletParams:
-    if len(counts) != len(prior.alpha) or any(c < 0 for c in counts):
-        raise InvalidCounts(f"counts {counts} do not match {len(prior.alpha)} categories")
-    return DirichletParams(tuple(a + c for a, c in zip(prior.alpha, counts)))
-
-
 def _reweight(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
     """Grid Bayes step: ``weights * exp(ll)`` renormalized.
 
@@ -214,23 +192,22 @@ def compose_product(posteriors: Sequence[GridDensity]) -> JointGridPosterior:
     return JointGridPosterior(tuple(p.points for p in posteriors), weights)
 
 
-def _open_mesh(blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Per-block point arrays reshaped for broadcasting over the product grid.
+def _on_product_grid(f: Callable[..., np.ndarray], blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """``f`` evaluated on the product grid of ``blocks``, as floats of shape
+    (n_1, ..., n_m).
 
-    Block i with points (n_i, d_i) becomes shape (1,..,n_i,..,1) when the
-    block is scalar, or (1,..,n_i,..,1, d_i) otherwise.
+    ``f`` receives one broadcast-ready array per block: block i with points
+    (n_i, d_i) has shape (1,..,n_i,..,1) when the block is scalar, or
+    (1,..,n_i,..,1, d_i) otherwise.
     """
     m = len(blocks)
-    out = []
+    mesh = []
     for i, pts in enumerate(blocks):
         n, d = pts.shape
         shape = [1] * m
         shape[i] = n
-        if d == 1:
-            out.append(pts[:, 0].reshape(shape))
-        else:
-            out.append(pts.reshape(shape + [d]))
-    return out
+        mesh.append(pts[:, 0].reshape(shape) if d == 1 else pts.reshape(shape + [d]))
+    return np.broadcast_to(np.asarray(f(*mesh), dtype=float), tuple(len(b) for b in blocks))
 
 
 def joint_oracle(
@@ -240,13 +217,12 @@ def joint_oracle(
     """Exact grid Bayes: product of priors times the full likelihood.
 
     ``joint_loglik`` receives one broadcast-ready array per block (see
-    ``_open_mesh``) and must return log-likelihoods over the product grid.
-    A flat likelihood (e.g. no data) returns ``compose_product(priors)`` exactly.
+    ``_on_product_grid``) and must return log-likelihoods over the product
+    grid.  A flat likelihood (e.g. no data) returns ``compose_product(priors)``
+    exactly.
     """
     prior = compose_product(priors)
-    ll = np.broadcast_to(
-        np.asarray(joint_loglik(*_open_mesh(prior.blocks)), dtype=float), prior.weights.shape
-    )
+    ll = _on_product_grid(joint_loglik, prior.blocks)
     return JointGridPosterior(prior.blocks, _reweight(prior.weights, ll))
 
 
@@ -270,10 +246,7 @@ def functional_expectation(
     post: JointGridPosterior, g: Callable[..., np.ndarray]
 ) -> float:
     """Expectation of g over the joint grid; g sees broadcast block arrays."""
-    values = np.broadcast_to(
-        np.asarray(g(*_open_mesh(post.blocks)), dtype=float), post.weights.shape
-    )
-    return float(np.sum(values * post.weights))
+    return float(np.sum(_on_product_grid(g, post.blocks) * post.weights))
 
 
 @dataclass(frozen=True)
@@ -310,55 +283,40 @@ def separability_check_numeric(
     from scipy.stats import qmc  # scipy.stats is slow to import; only this check needs it
 
     grids = [_as_points(g) for g in grids]
-    m = len(grids)
-    if m < 2:
-        return SeparabilityVerdict(True)
+    held = [np.broadcast_to(g[g.shape[0] // 2], (samples, g.shape[1])) for g in grids]
 
-    def evaluate(assign: list[np.ndarray]) -> np.ndarray:
-        args = []
-        for g, pts in zip(grids, assign):
-            args.append(pts[:, 0] if g.shape[1] == 1 else pts)
-        values = np.asarray(loglik(*args), dtype=float)
+    def evaluate(pair: tuple[int, int], xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
+        """``loglik`` with blocks ``pair`` at ``xi`` and ``xj``, the rest held."""
+        points = list(held)
+        points[pair[0]], points[pair[1]] = xi, xj
+        values = np.asarray(
+            loglik(*(p[:, 0] if p.shape[1] == 1 else p for p in points)), dtype=float
+        )
         if not np.all(np.isfinite(values)):
             raise NonFiniteLogLikelihood("log-likelihood not finite at a tested point")
         return values
 
     worst = 0.0
     witnesses: list[tuple] = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            sampler = qmc.Halton(d=4, seed=seed + 101 * i + j)
-            draws = sampler.random(samples)
-            refs = [g[g.shape[0] // 2] for g in grids]
-
-            def pick(grid: np.ndarray, u: np.ndarray) -> np.ndarray:
-                idx = np.minimum((u * grid.shape[0]).astype(int), grid.shape[0] - 1)
-                return grid[idx]
-
-            u, up = pick(grids[i], draws[:, 0]), pick(grids[i], draws[:, 1])
-            v, vp = pick(grids[j], draws[:, 2]), pick(grids[j], draws[:, 3])
-
-            def batch(xi: np.ndarray, xj: np.ndarray) -> np.ndarray:
-                assign = []
-                for k in range(m):
-                    if k == i:
-                        assign.append(xi)
-                    elif k == j:
-                        assign.append(xj)
-                    else:
-                        assign.append(np.broadcast_to(refs[k], (samples, grids[k].shape[1])))
-                return evaluate(assign)
-
-            residual = batch(u, v) + batch(up, vp) - batch(u, vp) - batch(up, v)
-            abs_res = np.abs(residual)
-            k = int(abs_res.argmax())
-            if abs_res[k] > worst:
-                worst = float(abs_res[k])
-            if abs_res[k] > tolerance:
-                witnesses.append(
-                    (i + 1, j + 1, tuple(u[k]), tuple(up[k]), tuple(v[k]), tuple(vp[k]),
-                     float(residual[k]))
-                )
+    for pair in itertools.combinations(range(len(grids)), 2):
+        i, j = pair
+        draws = qmc.Halton(d=4, seed=seed + 101 * i + j).random(samples)
+        # draws in [0, 1) pick the grid point at that fraction of the grid
+        u, up, v, vp = (
+            grid[np.minimum((col * grid.shape[0]).astype(int), grid.shape[0] - 1)]
+            for grid, col in zip((grids[i], grids[i], grids[j], grids[j]), draws.T)
+        )
+        residual = (evaluate(pair, u, v) + evaluate(pair, up, vp)
+                    - evaluate(pair, u, vp) - evaluate(pair, up, v))
+        abs_res = np.abs(residual)
+        k = int(abs_res.argmax())
+        if abs_res[k] > worst:
+            worst = float(abs_res[k])
+        if abs_res[k] > tolerance:
+            witnesses.append(
+                (i + 1, j + 1, tuple(u[k]), tuple(up[k]), tuple(v[k]), tuple(vp[k]),
+                 float(residual[k]))
+            )
     return SeparabilityVerdict(not witnesses, tuple(witnesses), worst)
 
 

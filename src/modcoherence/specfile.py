@@ -351,6 +351,8 @@ def _run(section: dict) -> RunOptions:
         raise ParseError(f"run.budget must be at most {MAX_BUDGET}, got {run.budget}")
     if run.seed < 0:
         raise ParseError("run.seed must be non-negative")
+    if run.tolerance < 0:
+        raise ParseError("run.tolerance must be non-negative")
     if run.separability_samples <= 0:
         raise ParseError("run.separability_samples must be positive")
     if run.separability_samples > MAX_SEPARABILITY_SAMPLES:
@@ -384,33 +386,24 @@ def parse_spec_dict(raw: dict) -> SpecFile:
             known_symbols |= dag.node_names
 
     def statement(raw_stmt, where: str) -> tuple[frozenset, frozenset, frozenset]:
+        """The sides as written, held to ``normalize``'s rules."""
         sets = _statement_sets(raw_stmt, where)
         if known_symbols is not None:
             stray = frozenset().union(*sets) - known_symbols
             if stray:
                 raise UnresolvedSymbol(f"{where} references undeclared symbols: {sorted(stray)}")
-        return sets
-
-    def normalized(raw_stmt, where: str) -> CIStatement:
         try:
-            return normalize(*statement(raw_stmt, where))
+            normalize(*sets)
         except CIError as exc:
             raise ParseError(f"{where}: {exc}") from exc
+        return sets
 
     statements = tuple(
-        normalized(stmt, f"statements[{k}]")
+        normalize(*statement(stmt, f"statements[{k}]"))
         for k, stmt in enumerate(_list(raw.get("statements", []), "statements"))
     )
-    goal = normalized(raw["goal"], "goal") if "goal" in raw else None
-
-    query = None
-    if "query" in raw:
-        a, b, c = statement(raw["query"], "query")
-        if a & b or a & c or b & c:
-            raise ParseError(
-                f"query: sides must be pairwise disjoint: ({sorted(a)}, {sorted(b)}, {sorted(c)})"
-            )
-        query = (a, b, c)
+    goal = normalize(*statement(raw["goal"], "goal")) if "goal" in raw else None
+    query = statement(raw["query"], "query") if "query" in raw else None
 
     models = _models(raw["models"]) if "models" in raw else None
     data = _data(raw["data"]) if "data" in raw else None

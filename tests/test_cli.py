@@ -147,6 +147,10 @@ _BAD_FIELDS = [
     ("dsep", "chain_dsep", ["graph", "edges"], _DROP, "graph is missing 'edges'"),
     ("simulate", "food_example", ["run", "seed"], -1, "run.seed must be non-negative"),
     ("check", "coherence_m2", ["protocol", "epoch"], -1, "epoch must be non-negative"),
+    ("dsep", "chain_dsep", ["query"], {"a": [], "b": ["B"], "c": []},
+     "query: independence sides must be non-empty"),
+    ("separability", "separable_pair", ["run", "tolerance"], -1.0,
+     "run.tolerance must be non-negative"),
 ]
 
 

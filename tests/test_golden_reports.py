@@ -1,24 +1,39 @@
-"""The symbolic commands' reports on the bundled specs, byte for byte.
+"""The CLI's reports on the bundled specs, pinned against golden files.
 
 ``golden/symbolic_reports.txt`` holds the ``check``, ``derive``, ``dsep`` and
-``ablate`` lines that ``scripts/report_digest.py`` prints; ``simulate`` and
-``separability`` are left out, as their floats depend on the numpy and scipy
-builds.  A change that moves a report on purpose regenerates the file with
+``ablate`` lines that ``scripts/report_digest.py`` prints, byte for byte.  A
+change that moves one of them on purpose regenerates the file with
 
     python3 scripts/report_digest.py | grep -E '^(check|derive|dsep|ablate) ' \\
         > tests/golden/symbolic_reports.txt
 
-and says which lines moved and why.
+``golden/numeric_reports.json`` holds the ``simulate`` and ``separability``
+machine reports and exit codes on the three specs with ``models`` and
+``data``.  Their floats depend on the numpy and scipy builds, so they are
+compared field by field: strings, bools, ints and exit codes exactly, floats
+within ``rel=1e-9, abs=1e-12``.  A change that moves one of them on purpose
+regenerates the file with
+
+    PYTHONPATH=src python3 tests/test_golden_reports.py
+
+Either way, the change says which lines or fields moved and why.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
+import pytest
 from click.testing import CliRunner
+
+from modcoherence.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "symbolic_reports.txt"
+GOLDEN_NUMERIC = Path(__file__).resolve().parent / "golden" / "numeric_reports.json"
 SYMBOLIC = ("check", "derive", "dsep", "ablate")
+NUMERIC = ("simulate", "separability")
+NUMERIC_SPECS = ("food_example", "interaction_pair", "separable_pair")
 
 
 def _report_digest():
@@ -41,3 +56,52 @@ def test_symbolic_reports_match_the_golden_file():
         for fmt in digest.FORMATS
     ]
     assert lines == GOLDEN.read_text().splitlines()
+
+
+def numeric_reports() -> dict:
+    """``"<command> <spec>"`` -> the run's exit code and parsed machine report."""
+    runner = CliRunner()
+    out = {}
+    for command in NUMERIC:
+        for name in NUMERIC_SPECS:
+            spec = ROOT / "specs" / f"{name}.spec"
+            result = runner.invoke(cli_main, [command, "--spec", str(spec), "--format", "machine"])
+            out[f"{command} {name}"] = {
+                "exit_code": result.exit_code,
+                "report": json.loads(result.stdout),
+            }
+    return out
+
+
+def assert_matches(got, expected, where: str = "") -> None:
+    """Field-by-field comparison: floats within tolerance, all else exact."""
+    assert type(got) is type(expected), f"{where}: {got!r} != {expected!r}"
+    if isinstance(expected, dict):
+        assert sorted(got) == sorted(expected), f"{where}: keys differ"
+        for key in expected:
+            assert_matches(got[key], expected[key], f"{where}.{key}")
+    elif isinstance(expected, list):
+        assert len(got) == len(expected), f"{where}: lengths differ"
+        for k, (g, e) in enumerate(zip(got, expected)):
+            assert_matches(g, e, f"{where}[{k}]")
+    elif isinstance(expected, float):
+        assert got == pytest.approx(expected, rel=1e-9, abs=1e-12), where
+    else:
+        assert got == expected, where
+
+
+def test_numeric_reports_match_the_golden_file():
+    assert_matches(numeric_reports(), json.loads(GOLDEN_NUMERIC.read_text()))
+
+
+def test_only_floats_are_compared_within_tolerance():
+    report = {"r": 1.0, "n": 1, "s": "a", "b": True, "l": [0.5]}
+    assert_matches(dict(report, r=1.0 + 1e-12), report)
+    for moved in (dict(report, r=1.0 + 1e-6), dict(report, r=1), dict(report, n=2),
+                  dict(report, s="b"), dict(report, b=False), dict(report, l=[0.5, 0.5])):
+        with pytest.raises(AssertionError):
+            assert_matches(moved, report)
+
+
+if __name__ == "__main__":
+    GOLDEN_NUMERIC.write_text(json.dumps(numeric_reports(), sort_keys=True, indent=1) + "\n")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from modcoherence.panels import (
     BetaParams,
     DegenerateLikelihood,
-    DirichletParams,
     Divergence,
     Factor,
     GridDensity,
@@ -17,12 +16,12 @@ from modcoherence.panels import (
     JointGridPosterior,
     NonFiniteLogLikelihood,
     PanelsError,
+    SeparabilityVerdict,
     ShapeMismatch,
     bernoulli_loglik,
     beta_grid,
     categorical_loglik,
     compose_product,
-    dirichlet_update,
     divergence,
     functional_expectation,
     joint_oracle,
@@ -59,20 +58,15 @@ class TestConjugate:
         with pytest.raises(PanelsError):
             BetaParams(0, 1)
 
-    def test_dirichlet_update(self):
-        post = dirichlet_update(DirichletParams((1, 1, 1)), (3, 0, 7))
-        assert post.alpha == (4.0, 1.0, 8.0)
-        with pytest.raises(InvalidCounts):
-            dirichlet_update(DirichletParams((1, 1)), (1, 2, 3))
-
 
 class TestGridUpdate:
     def test_agrees_with_conjugate_at_high_resolution(self):
         prior = uniform_grid(1001)
         post = panel_update_grid(prior, bernoulli_loglik(50, 100))
         exact = panel_update_conjugate(BetaParams(1, 1), (50, 100))
-        mean = float(post.mean()[0])
-        var = post.expectation(lambda t: t * t) - mean * mean
+        joint = compose_product([post])
+        mean = functional_expectation(joint, lambda t: t)
+        var = functional_expectation(joint, lambda t: t * t) - mean * mean
         assert mean == pytest.approx(exact.mean, abs=1e-6)
         assert var == pytest.approx(exact.variance, abs=1e-6)
 
@@ -223,6 +217,24 @@ class TestSeparability:
         assert res == pytest.approx(g(u[0], v[0]) + g(up[0], vp[0])
                                     - g(u[0], vp[0]) - g(up[0], v[0]), abs=1e-12)
 
+    def test_numeric_one_block_has_no_pair_to_test(self):
+        verdict = separability_check_numeric(lambda a: 12.0 * a * a, [np.linspace(0, 1, 9)])
+        assert verdict == SeparabilityVerdict(True, (), 0.0)
+
+    def test_numeric_simplex_blocks(self):
+        # d-dimensional blocks reach loglik as (samples, d) arrays, and their
+        # witnesses carry whole probability vectors
+        pts = simplex_grid(3, 8)
+        ll1, ll2 = categorical_loglik((4, 1, 5)), categorical_loglik((2, 2, 6))
+        assert separability_check_numeric(lambda a, b: ll1(a) + ll2(b), [pts, pts]).separable
+        verdict = separability_check_numeric(
+            lambda a, b: ll1(a) + ll2(b) + 3.0 * a[..., 0] * b[..., 0], [pts, pts]
+        )
+        assert not verdict.separable
+        [(i, j, u, up, v, vp, _)] = verdict.offending
+        assert (i, j) == (1, 2)
+        assert all(len(p) == 3 for p in (u, up, v, vp))
+
     def test_numeric_deterministic_given_seed(self):
         grid = np.linspace(0.05, 0.95, 32)
         ll = lambda a, b: 3.0 * a * b
@@ -273,7 +285,8 @@ def test_grid_mean_tracks_conjugate_mean(s1, n_extra, alpha, beta):
     grid = panel_update_grid(beta_grid(BetaParams(alpha, beta), 1001),
                              bernoulli_loglik(s1, trials))
     # plain Riemann discretization of a skewed prior has O(1/n) endpoint error
-    assert float(grid.mean()[0]) == pytest.approx(exact.mean, abs=5e-3)
+    mean = functional_expectation(compose_product([grid]), lambda t: t)
+    assert mean == pytest.approx(exact.mean, abs=5e-3)
 
 
 @settings(deadline=None, max_examples=30)
