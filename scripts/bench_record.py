@@ -31,8 +31,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
 
 # (name, runs per side, code that leaves a JSON-able summary in ``out``); the
-# m=3 ablation runs once, since a parent may take many minutes over it
+# m=3 ablation runs once, since a parent may take many minutes over it, and
+# separability_m2 imports panels inside the timed code, so its import cost shows
 LAYER_CASES = (
+    ("separability_m2", 3,
+     "from modcoherence import panels as pn\n"
+     "lls = [pn.bernoulli_loglik(30, 80), pn.bernoulli_loglik(10, 40)]\n"
+     "ll = pn.panel_joint_loglik(lls, 12.0)\n"
+     "v = pn.separability_check_numeric(ll, [pn.interior_grid(101)] * 2)\n"
+     "out = {'separable': v.separable, 'witnesses': len(v.offending)}"),
     ("closure_m2", 3,
      "s = p.build_system(2)\n"
      "r = ci.closure(p.base_statements(s), s.dependencies, s.universe)\n"

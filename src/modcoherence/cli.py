@@ -251,7 +251,7 @@ def simulate(spec: SpecFile) -> Report:
         results["product_cell_posterior_mean"] = cell_post.mean
         results["distributed_over_product_cell_ratio"] = product_mean_closed / cell_post.mean
 
-    return Report("simulate", "pass", results, {"grid": n, "seed": spec.run.seed})
+    return Report("simulate", "pass", results, {"grid": n})
 
 
 @main.command()
@@ -275,11 +275,7 @@ def separability(spec: SpecFile) -> Report:
 
     grid = pn.interior_grid(spec.run.grid)
     verdict = pn.separability_check_numeric(
-        joint_ll,
-        [grid] * len(models.priors),
-        tolerance=spec.run.tolerance,
-        samples=spec.run.separability_samples,
-        seed=spec.run.seed,
+        joint_ll, [grid] * len(models.priors), tolerance=spec.run.tolerance
     )
     results["numeric"] = {
         "separable": verdict.separable,
@@ -303,9 +299,7 @@ def separability(spec: SpecFile) -> Report:
     results["divergence"] = {"max_abs": div.max_abs, "total_variation": div.total_variation}
 
     status = "pass" if verdict.separable else "fail"
-    return Report(
-        "separability", status, results, {"seed": spec.run.seed, "tolerance": spec.run.tolerance}
-    )
+    return Report("separability", status, results, {"tolerance": spec.run.tolerance})
 
 
 if __name__ == "__main__":  # pragma: no cover

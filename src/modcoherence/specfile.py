@@ -34,17 +34,14 @@ SUPPORTED_VERSION = 1
 # build_system makes m*m + m + 3 symbols; tests build protocols up to m = 11
 MAX_PANELS = 32
 # simulate and separability hold run.grid ** len(models.panels) float64 cells
-# several times over; 2**24 cells peak near 1 GB
+# several times over; 2**24 cells peak near 1 GB.  The pair grids that
+# separability checks, run.grid ** 2 cells each, lie within the same cap
 MAX_GRID_CELLS = 2**24
 # one saturation holds up to run.budget statements, at about 0.8 kB each at
 # m = 3 and 1.4 kB at m = 32 (peak RSS of derivations that exhaust a budget
 # of 50k-200k), so the cap peaks near 0.7 GB; the bundled m = 3 spec asks
 # for 400k
 MAX_BUDGET = 500_000
-# separability tests each block pair on run.separability_samples Halton
-# draws, at about 110 B per draw for 2 panels and 300 B for 15 (the most
-# MAX_GRID_CELLS allows, at grid 3), so the cap peaks near 0.3 GB
-MAX_SEPARABILITY_SAMPLES = 2**20
 
 
 class SpecError(ModcoherenceError):
@@ -74,7 +71,7 @@ _MODELS_KEYS = {"panels", "interaction", "product_cell", "factors"}
 _PANEL_MODEL_KEYS = {"prior", "likelihood"}
 _PRIOR_KEYS = {"family", "alpha", "beta"}
 _DATA_KEYS = {"panel_counts", "product_cell_counts"}
-_RUN_KEYS = {"mode", "grid", "seed", "tolerance", "budget", "separability_samples"}
+_RUN_KEYS = {"mode", "grid", "tolerance", "budget"}
 _STMT_KEYS = {"a", "b", "c"}
 
 
@@ -181,10 +178,8 @@ class Data:
 class RunOptions:
     mode: str = "axiomatic"
     grid: int = 101
-    seed: int = 0
     tolerance: float = 1e-9
     budget: int = DEFAULT_BUDGET
-    separability_samples: int = 256
 
 
 @dataclass(frozen=True)
@@ -336,12 +331,8 @@ def _run(section: dict) -> RunOptions:
     run = RunOptions(
         mode=mode,
         grid=_integer(section, "grid", default.grid, "run"),
-        seed=_integer(section, "seed", default.seed, "run"),
         tolerance=_number(section, "tolerance", default.tolerance, "run"),
         budget=_integer(section, "budget", default.budget, "run"),
-        separability_samples=_integer(
-            section, "separability_samples", default.separability_samples, "run"
-        ),
     )
     if run.grid < 3:
         raise ParseError("run.grid must be at least 3")
@@ -349,17 +340,8 @@ def _run(section: dict) -> RunOptions:
         raise ParseError("run.budget must be positive")
     if run.budget > MAX_BUDGET:
         raise ParseError(f"run.budget must be at most {MAX_BUDGET}, got {run.budget}")
-    if run.seed < 0:
-        raise ParseError("run.seed must be non-negative")
     if run.tolerance < 0:
         raise ParseError("run.tolerance must be non-negative")
-    if run.separability_samples <= 0:
-        raise ParseError("run.separability_samples must be positive")
-    if run.separability_samples > MAX_SEPARABILITY_SAMPLES:
-        raise ParseError(
-            f"run.separability_samples must be at most {MAX_SEPARABILITY_SAMPLES}, "
-            f"got {run.separability_samples}"
-        )
     return run
 
 

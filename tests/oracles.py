@@ -177,3 +177,26 @@ def reference_closure(base, deps, universe):
         fresh = found - known
         known |= fresh
     return frozenset(known)
+
+
+def four_point_residuals(loglik, grids) -> dict:
+    """Largest four-point interaction residual of each block pair, over every
+    quadruple (u, u', v, v') of the pair's 1-D grids.
+
+    ``loglik`` is called once per point with scalar arguments; blocks outside
+    the pair sit at their mid-grid reference point, as in the numeric check.
+    Keys are 1-based block pairs.
+    """
+    ref = [float(g[len(g) // 2]) for g in grids]
+    worst = {}
+    for i, j in itertools.combinations(range(len(grids)), 2):
+        table = np.empty((len(grids[i]), len(grids[j])))
+        for (a, u), (b, v) in itertools.product(enumerate(grids[i]), enumerate(grids[j])):
+            point = list(ref)
+            point[i], point[j] = float(u), float(v)
+            table[a, b] = float(loglik(*point))
+        # axes (u, u', v, v'): ll(u,v) + ll(u',v') - ll(u,v') - ll(u',v)
+        residual = (table[:, None, :, None] + table[None, :, None, :]
+                    - table[:, None, None, :] - table[None, :, :, None])
+        worst[(i + 1, j + 1)] = float(np.abs(residual).max())
+    return worst

@@ -193,7 +193,7 @@ def test_criterion_5_interaction_breaks_distributivity():
         def joint_ll(a, b):
             return logliks[0](a) + logliks[1](b) + strength * a * b
 
-        verdict = separability_check_numeric(joint_ll, [grid, grid], seed=int(rng.integers(1e6)))
+        verdict = separability_check_numeric(joint_ll, [grid, grid])
         if not verdict.separable and verdict.max_residual > 1e-3:
             flagged += 1
         priors = [GridDensity(grid, np.full(grid.size, 1.0 / grid.size)) for _ in range(2)]

@@ -1,6 +1,8 @@
 """Numeric tests: conjugate updates, grid posteriors, product composition,
 the joint oracle, divergence metrics and separability checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from modcoherence.panels import (
     compose_product,
     divergence,
     functional_expectation,
+    interior_grid,
     joint_oracle,
     panel_update_conjugate,
     panel_update_grid,
@@ -32,6 +35,8 @@ from modcoherence.panels import (
     simplex_grid,
     uniform_grid,
 )
+
+from .oracles import four_point_residuals
 
 
 class TestConjugate:
@@ -222,8 +227,8 @@ class TestSeparability:
         assert verdict == SeparabilityVerdict(True, (), 0.0)
 
     def test_numeric_simplex_blocks(self):
-        # d-dimensional blocks reach loglik as (samples, d) arrays, and their
-        # witnesses carry whole probability vectors
+        # d-dimensional blocks reach loglik as broadcast (..., d) arrays, and
+        # their witnesses carry whole probability vectors
         pts = simplex_grid(3, 8)
         ll1, ll2 = categorical_loglik((4, 1, 5)), categorical_loglik((2, 2, 6))
         assert separability_check_numeric(lambda a, b: ll1(a) + ll2(b), [pts, pts]).separable
@@ -235,12 +240,57 @@ class TestSeparability:
         assert (i, j) == (1, 2)
         assert all(len(p) == 3 for p in (u, up, v, vp))
 
-    def test_numeric_deterministic_given_seed(self):
+    def test_numeric_deterministic(self):
         grid = np.linspace(0.05, 0.95, 32)
         ll = lambda a, b: 3.0 * a * b
-        v1 = separability_check_numeric(ll, [grid, grid], seed=5)
-        v2 = separability_check_numeric(ll, [grid, grid], seed=5)
+        v1 = separability_check_numeric(ll, [grid, grid])
+        v2 = separability_check_numeric(ll, [grid, grid])
         assert v1 == v2
+
+    def test_numeric_finds_a_one_cell_interaction(self):
+        # a sampled check sees this cell only if it happens to draw it
+        g = interior_grid(101)
+        f = lambda a, b: 40.0 * np.log(a) + 3.0 * ((a == g[17]) & (b == g[83]))
+        verdict = separability_check_numeric(f, [g, g])
+        assert not verdict.separable
+        assert verdict.max_residual == pytest.approx(3.0)
+        [(i, j, u, up, v, vp, res)] = verdict.offending
+        assert (i, j, u, v) == (1, 2, (g[17],), (g[83],))
+        assert res == pytest.approx(f(u[0], v[0]) + f(up[0], vp[0])
+                                    - f(u[0], vp[0]) - f(up[0], v[0]), abs=1e-12)
+
+    def test_numeric_agrees_with_the_four_point_oracle(self):
+        # random polynomials; cross terms, when present, span many orders of
+        # magnitude so that some fall on each side of the tolerance
+        rng = np.random.default_rng(2024)
+        tolerance = 1e-9
+        for _ in range(60):
+            m = int(rng.integers(2, 4))
+            grids = [np.sort(rng.uniform(0.0, 1.0, int(rng.integers(2, 13)))) for _ in range(m)]
+            powers = rng.integers(0, 4, size=(6, m))
+            coeffs = rng.normal(size=6) * 10.0 ** rng.uniform(-13, 1, size=6)
+            if rng.random() < 0.3:  # separable: each term in one block only
+                powers *= np.arange(m) == (np.arange(6) % m)[:, None]
+
+            def f(*blocks):
+                return sum(c * math.prod(b ** int(k) for b, k in zip(blocks, row))
+                           for c, row in zip(coeffs, powers))
+
+            verdict = separability_check_numeric(f, grids, tolerance=tolerance)
+            brute = max(four_point_residuals(f, grids).values())
+            anchored = verdict.max_residual
+            assert anchored - 1e-12 <= brute <= 4 * anchored + 1e-12
+            assert verdict.separable == (anchored <= tolerance) == (not verdict.offending)
+            ref = [g[len(g) // 2] for g in grids]
+            for i, j, u, up, v, vp, res in verdict.offending:
+                def at(x, y):
+                    point = list(ref)
+                    point[i - 1], point[j - 1] = x[0], y[0]
+                    return f(*point)
+
+                assert abs(res) > tolerance
+                assert res == pytest.approx(at(u, v) + at(up, vp) - at(u, vp) - at(up, v),
+                                            rel=1e-9, abs=1e-12)
 
     def test_numeric_nonfinite_rejected(self):
         grid = np.linspace(0.0, 1.0, 8)

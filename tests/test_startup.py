@@ -1,5 +1,5 @@
 """Start-up cost of the CLI: the symbolic commands import neither numpy nor
-``scipy.stats``, and only ``separability`` imports ``scipy.stats``.
+``scipy.stats``, and the numeric commands import numpy but not ``scipy.stats``.
 
 ``beta_grid`` evaluates the Beta density with the private ``scipy.special``
 kernel that ``scipy.stats.beta.pdf`` itself calls; the equality sweep below
@@ -30,14 +30,17 @@ def loaded():
     return [name for name in ("numpy", "scipy.stats") if name in sys.modules]
 
 seen = [loaded()]
-for command, spec in (("check", "coherence_m2"), ("derive", "coherence_m2"),
-                      ("dsep", "chain_dsep"), ("ablate", "coherence_m2")):
+for command, spec, code in (("check", "coherence_m2", 0), ("derive", "coherence_m2", 0),
+                            ("dsep", "chain_dsep", 0), ("ablate", "coherence_m2", 0),
+                            ("simulate", "food_example", 0),
+                            ("separability", "separable_pair", 0),
+                            ("separability", "interaction_pair", 1)):
     try:
         modcoherence.cli.main(
             args=[command, "--spec", f"{sys.argv[1]}/{spec}.spec", "--out", os.devnull]
         )
     except SystemExit as exc:
-        assert exc.code == 0, (command, exc.code)
+        assert exc.code == code, (command, spec, exc.code)
     seen.append(loaded())
 print(seen)
 """
@@ -52,8 +55,9 @@ def test_cli_commands_do_not_import_scipy_stats():
         capture_output=True, text=True, env=env, timeout=120, check=False,
     )
     assert proc.returncode == 0, proc.stderr
-    # after the import, then after check, derive, dsep and ablate
-    assert proc.stdout.strip() == str([[]] * 5)
+    # after the import, then after check, derive, dsep and ablate, then after
+    # simulate and the two separability runs
+    assert proc.stdout.strip() == str([[]] * 5 + [["numpy"]] * 3)
 
 
 def _reference_weights(alpha, beta, n):
