@@ -31,8 +31,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
 
 # (name, runs per side, code that leaves a JSON-able summary in ``out``); the
-# m=3 ablation runs once, since a parent may take many minutes over it, and
-# separability_m2 imports panels inside the timed code, so its import cost shows
+# m=7 verification and the m=3 ablation run once, since a parent may take
+# minutes over each, and separability_m2 imports panels inside the timed code,
+# so its import cost shows
 LAYER_CASES = (
     ("separability_m2", 3,
      "from modcoherence import panels as pn\n"
@@ -47,6 +48,10 @@ LAYER_CASES = (
     ("verify_coherence_m6", 3,
      "s = p.build_system(6)\n"
      "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))\n"
+     "out = [g.status for g in v.goals]"),
+    ("verify_coherence_m7", 1,
+     "s = p.build_system(7)\n"
+     "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s), 500_000))\n"
      "out = [g.status for g in v.goals]"),
     ("ablate_m2", 3,
      "rows = p.ablate(p.build_system(2))\n"

@@ -13,6 +13,7 @@ axiomatic prover or by d-separation on a user-supplied graph.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
 
@@ -20,9 +21,11 @@ from . import ModcoherenceError
 from .ci import (
     CIStatement,
     DEFAULT_BUDGET,
+    DeriveResult,
     FunctionalDependency,
     Memo,
     Proof,
+    ProofStep,
     Symbol,
     VarSet,
     aggregate_dependencies,
@@ -99,7 +102,7 @@ class PanelSystem:
         """All admissible evidence at this epoch."""
         return f"I_+^{self.epoch}"
 
-    @property
+    @functools.cached_property
     def universe(self) -> VarSet:
         syms = set(self.thetas()) | {self.common, self.own_evidence_pool, self.full_pool}
         syms.update(
@@ -120,7 +123,7 @@ class PanelSystem:
         ) | {self.common}
         return ((self.own_evidence_pool, own), (self.full_pool, full))
 
-    @property
+    @functools.cached_property
     def dependencies(self) -> tuple[FunctionalDependency, ...]:
         facts: list[FunctionalDependency] = []
         for symbol, components in self.aggregates:
@@ -281,19 +284,98 @@ def _goal_waypoints(sys: PanelSystem, i: int, name: str) -> tuple[CIStatement, .
     return tuple(w for w in waypoints if w is not None)
 
 
+def _lumped_universe(sys: PanelSystem, i: int) -> VarSet:
+    """The six symbols of panel i's lumped derivations; the first name of
+    theta_rest(i) stands for all of it (see :func:`_derive_lumped`)."""
+    first = sorted(sys.theta_rest(i))[:1]
+    own = {sys.theta(i), sys.common, sys.evidence(i, i), sys.own_evidence_pool, sys.full_pool}
+    return frozenset(own).union(first)
+
+
+def _derive_lumped(
+    sys: PanelSystem,
+    base: Iterable[CIStatement],
+    route: tuple[int, str],
+    budget: int,
+    memo: Optional[Memo] = None,
+) -> DeriveResult:
+    """Goal ``route = (i, name)`` derived with theta_rest(i) lumped into one
+    symbol, over :func:`_lumped_universe`.
+
+    Every waypoint of panel i holds theta_rest(i) whole, and no dependency
+    mentions a theta, so the determinism rules never select the lumped
+    symbol.  It is the first name of theta_rest(i): a statement's
+    orientation (see :func:`~modcoherence.ci.normalize`) follows the first
+    name of each side, so every statement keeps it, and
+    ``determinism_augment``, which moves a context symbol to the second
+    side, stays the same rule instance.  The derivation runs on the base
+    statements that hold theta_rest(i) whole on one side or not at all and
+    otherwise stay in the lumped universe.  A proof is expanded back, symbol
+    for set, into a proof in the full system, whose premises are those base
+    statements; a selection of the lumped symbol becomes a multi-symbol
+    decomposition or weak union.  Any other status certifies nothing about
+    the full system.  ``memo`` is one for ``sys.dependencies`` and the
+    lumped universe.
+    """
+    i, name = route
+    rest = sys.theta_rest(i)
+    universe = _lumped_universe(sys, i)
+    lumped = min(universe & rest, default=None)
+
+    def lump(s: CIStatement) -> Optional[CIStatement]:
+        sides = []
+        for side in (s.a, s.b, s.c):
+            if side & rest:
+                if not rest <= side:
+                    return None
+                side = side - rest | {lumped}
+            sides.append(side)
+        return normalize(*sides)
+
+    def expand(side: VarSet) -> VarSet:
+        return side | rest if lumped in side else side
+
+    def expanded(s: CIStatement) -> CIStatement:
+        return normalize(expand(s.a), expand(s.b), expand(s.c))
+
+    deps = sys.dependencies
+    sliced = [t for s in base if (t := lump(s)) is not None and t.symbols() <= universe]
+    waypoints = tuple(lump(w) for w in _goal_waypoints(sys, i, name))
+    result = derive_through(sliced, deps, waypoints, budget, universe, memo=memo)
+    if not result.proved:
+        return result
+    steps = tuple(
+        ProofStep(step.rule, step.inputs, expand(step.selection), expanded(step.output))
+        for step in result.proof.steps
+    )
+    proof = Proof(tuple(map(expanded, result.proof.premises)), steps, expanded(result.proof.goal))
+    assert proof.replay(deps), "internal error: expanded proof failed replay"
+    return DeriveResult("proved", proof, result.generated)
+
+
 def _decider(sys: PanelSystem, mode: Mode) -> Decide:
-    """The mode's ``(status, proof)`` for a statement.  Axiomatic mode derives
-    a goal through its route's waypoints, falling back to an unconstrained search,
-    every derivation sharing one memo; graphical mode asks d-separation."""
+    """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
+    goal's lumped derivation first (:func:`_derive_lumped`, one memo per
+    panel), then derives it through its route's waypoints, then by an
+    unconstrained search, the full derivations sharing one memo; so every
+    status but ``proved`` comes from the full system.  Graphical mode asks
+    d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
         memo = Memo(sys.dependencies, sys.universe)
+        lumped_memos: dict[int, Memo] = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             base, deps, budget, universe = mode.base, memo.deps, mode.budget, memo.universe
             if route is not None:
+                panel = route[0]
+                if panel not in lumped_memos:
+                    lumped_memos[panel] = Memo(deps, _lumped_universe(sys, panel))
+                result = _derive_lumped(sys, base, route, budget, lumped_memos[panel])
+                if result.proved:
+                    return result.status, result.proof
                 waypoints = _goal_waypoints(sys, *route)
                 result = derive_through(base, deps, waypoints, budget, universe, memo=memo)
                 if result.proved:
@@ -341,8 +423,9 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     """Check the coherence conclusion: panel-independent beliefs plus
     own-evidence-only updating for every panel.
 
-    In axiomatic mode every derivation of the verdict shares one
-    :class:`~modcoherence.ci.Memo`, which is dropped when the verdict is made.
+    In axiomatic mode the full derivations of the verdict share one
+    :class:`~modcoherence.ci.Memo`, and each panel's lumped derivations one
+    more; all are dropped when the verdict is made.
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

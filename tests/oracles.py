@@ -11,7 +11,8 @@ import itertools
 
 import numpy as np
 
-from modcoherence.ci import CIError, apply_axiom
+from modcoherence.ci import CIError, apply_axiom, derive, derive_through
+from modcoherence.protocol import _goal_waypoints, autonomy_goal, independence_goal
 
 
 def marg_keep(p: np.ndarray, keep: set) -> np.ndarray:
@@ -177,6 +178,27 @@ def reference_closure(base, deps, universe):
         fresh = found - known
         known |= fresh
     return frozenset(known)
+
+
+def full_path_goal_statuses(sys, mode) -> tuple:
+    """The goal statuses of an axiomatic verdict decided in the full system
+    only, without memos: each goal derived through its waypoints, then by an
+    unconstrained search.  In the order of ``Verdict.goals``."""
+    out = []
+    for i in range(1, sys.m + 1):
+        for name, goal in (
+            ("panel_independence", independence_goal(sys, i)),
+            ("autonomous_updating", autonomy_goal(sys, i)),
+        ):
+            if goal is None:
+                out.append("trivial")
+                continue
+            args = (mode.base, sys.dependencies)
+            result = derive_through(*args, _goal_waypoints(sys, i, name), mode.budget, sys.universe)
+            if not result.proved:
+                result = derive(*args, goal, mode.budget, sys.universe)
+            out.append(result.status)
+    return tuple(out)
 
 
 def four_point_residuals(loglik, grids) -> dict:

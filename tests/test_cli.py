@@ -309,6 +309,17 @@ class TestCheckCommand:
         # proofs ride along by default
         assert any("proof" in g for g in report.results["goals"])
 
+    def test_axiomatic_m7_proves_every_goal(self, tmp_path):
+        spec = write_spec(tmp_path, {
+            "version": 1,
+            "protocol": {"panels": 7},
+            "run": {"mode": "axiomatic", "budget": 500_000},
+        })
+        result = run("check", "--spec", spec, "--format", "machine", "--quiet")
+        assert result.exit_code == 0
+        goals = Report.from_json(result.output).results["goals"]
+        assert [g["status"] for g in goals] == ["proved"] * 14
+
     def test_confounded_graphical_fails(self):
         result = run("check", "--spec", str(SPECS / "confounded.spec"), "--format", "machine")
         assert result.exit_code == 1

@@ -18,6 +18,7 @@ from modcoherence.protocol import (
     IndexOutOfRange,
     InvalidPanelCount,
     UniverseMismatch,
+    _derive_lumped,
     _goal_waypoints,
     ablate,
     autonomy_goal,
@@ -32,6 +33,7 @@ from modcoherence.protocol import (
     markov_seed,
     verify_coherence,
 )
+from .oracles import full_path_goal_statuses
 
 
 class TestBuildSystem:
@@ -158,16 +160,19 @@ class TestCheckConditions:
 
 
 class TestVerifyTheorem:
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7, 8, 16, 32])
     def test_axiomatic_all_conditions(self, m):
         sys = build_system(m)
-        verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+        base = base_statements(sys)
+        verdict = verify_coherence(sys, AxiomaticMode(base))
         assert verdict.sound_and_distributed
         assert len(verdict.goals) == 2 * m
         for goal in verdict.goals:
-            assert goal.established
-            assert goal.proof is not None
+            assert goal.status == "proved"
             assert goal.proof.replay(sys.dependencies)
+            assert set(goal.proof.premises) <= set(base)
+            trace = goal.proof.statements()
+            assert all(w in trace for w in _goal_waypoints(sys, goal.panel, goal.name))
 
     def test_goal_statements(self):
         sys = build_system(2)
@@ -252,19 +257,22 @@ class TestModeAgreement:
         assert verdict.sound_and_distributed
 
     def test_proof_statements_hold_on_canonical_dag(self):
-        sys = build_system(2)
-        dag = canonical_dag(sys)
-        verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys)))
-        for goal in verdict.goals:
-            for stmt in goal.proof.statements():
-                assert d_separated(dag, stmt.a, stmt.b, stmt.c), stmt.render()
+        for m in (2, 3, 4):
+            sys = build_system(m)
+            dag = canonical_dag(sys)
+            verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+            for goal in verdict.goals:
+                for stmt in goal.proof.statements():
+                    assert d_separated(dag, stmt.a, stmt.b, stmt.c), stmt.render()
 
 
 # -- the per-verdict memo -------------------------------------------------
 
 
 def _reference_verdict(sys, mode):
-    """verify_coherence's conditions and goals from memo-less derivations."""
+    """verify_coherence's conditions and goals from memo-less derivations:
+    a goal's lumped derivation, then its full one through the waypoints,
+    then the unconstrained full search."""
     deps, universe = sys.dependencies, sys.universe
     conditions = []
     for kind in ALL_CONDITIONS:
@@ -287,8 +295,10 @@ def _reference_verdict(sys, mode):
             if goal is None:
                 goals.append(GoalResult(i, name, None, "trivial"))
                 continue
-            waypoints = _goal_waypoints(sys, i, name)
-            result = derive_through(mode.base, deps, waypoints, mode.budget, universe=universe)
+            result = _derive_lumped(sys, mode.base, (i, name), mode.budget)
+            if not result.proved:
+                waypoints = _goal_waypoints(sys, i, name)
+                result = derive_through(mode.base, deps, waypoints, mode.budget, universe=universe)
             if not result.proved:
                 result = derive(mode.base, deps, goal, mode.budget, universe=universe)
             goals.append(GoalResult(i, name, goal, result.status, result.proof))
@@ -336,28 +346,77 @@ class TestMemo:
         [(ConditionKind.SEPARATELY_INFORMED, 1_282), (ConditionKind.COMMONLY_SEPARATED, 1_283)],
     )
     def test_not_derivable_counters_are_pinned(self, monkeypatch, dropped, generated):
-        """Each of the row's nine not_derivable queries reports the size of
-        its base's closure, and only the first one saturates it."""
+        """Each of the row's nine not_derivable queries in the full system
+        reports the size of its base's closure, and only the first one
+        saturates it.  The lumped derivations tried first report their own,
+        smaller closures and are not counted."""
+        sys = build_system(2)
         results, saturations = [], []
         original_derive, original_run = ci.derive, ci._Saturation.run
 
-        def recorded_derive(*args, **kwargs):
-            results.append(original_derive(*args, **kwargs))
-            return results[-1]
+        def recorded_derive(base, deps, goal, budget, universe, **kwargs):
+            result = original_derive(base, deps, goal, budget, universe, **kwargs)
+            if universe == sys.universe:
+                results.append(result)
+            return result
 
         def recorded_run(engine, goal=None):
             found = original_run(engine, goal)
-            saturations.append(not found and engine.complete)
+            if engine.memo.universe == sys.universe:
+                saturations.append(not found and engine.complete)
             return found
 
         # the bindings protocol and derive_through look derive up through
         monkeypatch.setattr(ci, "derive", recorded_derive)
         monkeypatch.setattr(protocol, "derive", recorded_derive)
         monkeypatch.setattr(ci._Saturation, "run", recorded_run)
-        sys = build_system(2)
         kept = tuple(k for k in ALL_CONDITIONS if k is not dropped)
         verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys, kept)))
         assert not verdict.sound_and_distributed
         missed = [r.generated for r in results if r.status == "not_derivable"]
         assert missed == [generated] * 9
         assert saturations.count(True) == 1
+
+
+class TestLumpedRoute:
+    @pytest.mark.parametrize(
+        "m, budget, instances",
+        [(2, 3_000, 12), (2, 300, 12), (3, 2_000, 8), (3, 300, 8), (4, 2_000, 4), (4, 300, 4)],
+    )
+    def test_statuses_against_the_full_path(self, m, budget, instances):
+        """Trying the lumped derivation first can only turn an exhausted
+        budget into a proof."""
+        sys = build_system(m)
+        for seed in range(instances):
+            mode = _random_mode(random.Random(seed), sys, budget)
+            verdict = verify_coherence(sys, mode)
+            full = full_path_goal_statuses(sys, mode)
+            for goal, old in zip(verdict.goals, full, strict=True):
+                assert goal.status == old or (old, goal.status) == ("budget_exhausted", "proved")
+
+    def test_statements_splitting_the_other_blocks_are_not_premises(self):
+        """An extra statement that mentions part of theta_rest(i) cannot be
+        lumped, so it stays out of every goal proof, which still succeeds."""
+        sys = build_system(3)
+        split = normalize({"theta_1"}, {"theta_2"}, {"I_0^0"})
+        verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys) + (split,)))
+        for goal in verdict.goals:
+            assert goal.status == "proved"
+            assert goal.proof.replay(sys.dependencies)
+            assert split not in goal.proof.premises
+
+    def test_lumped_proofs_keep_each_statements_orientation(self):
+        """determinism_augment moves a context symbol to a statement's second
+        side, so an expanded proof replays only if lumping keeps which side
+        comes first.  Panel 2's autonomy proof here moves I_* next to
+        theta_1 out of a statement with theta_1 and theta_2 on its sides."""
+        sys = build_system(2)
+        kept = [k for k in ALL_CONDITIONS if k is not ConditionKind.DELEGABLE]
+        extra = normalize({"I_+^0", "I_0^0"}, {"I_22^0", "theta_1", "theta_2"})
+        mode = AxiomaticMode(base_statements(sys, kept) + (extra,))
+        verdict = verify_coherence(sys, mode)
+        assert [g.status for g in verdict.goals] == ["proved"] * 4
+        assert all(g.proof.replay(sys.dependencies) for g in verdict.goals)
+        autonomy = verdict.goals[3].proof
+        assert extra in autonomy.premises
+        assert any(step.rule == "determinism_augment" for step in autonomy.steps)
