@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import sys
-from typing import Optional
 
 import click
 
@@ -110,29 +109,32 @@ def _require_all_conditions(spec: SpecFile, reason: str) -> None:
         raise SpecError(f"{reason}, so protocol.conditions must list all four, got {kept}")
 
 
-def _mode_for(spec: SpecFile, mode_flag: Optional[str]):
-    mode_name = mode_flag or spec.run.mode
-    if mode_name == "graphical":
+def _axiomatic_base(spec: SpecFile) -> tuple:
+    """The spec's statements, plus its protocol's condition statements."""
+    system = spec.system
+    return spec.statements + (base_statements(system, spec.conditions) if system else ())
+
+
+def _mode_for(spec: SpecFile):
+    if spec.run.mode == "graphical":
         if spec.dag is None:
             raise MissingSection("graphical mode requires a graph section")
         _require_all_conditions(spec, "graphical mode tests all four conditions on the graph")
         if spec.statements:
             raise SpecError("graphical mode tests the graph alone, so statements must be empty")
         return GraphicalMode(spec.dag)
-    base = base_statements(spec.system, spec.conditions) + spec.statements
-    return AxiomaticMode(tuple(sorted(set(base), key=lambda s: s.sort_key())), spec.run.budget)
+    return AxiomaticMode(_axiomatic_base(spec), spec.run.budget)
 
 
 @main.command()
 @with_common
-@click.option("--mode", default=None, type=click.Choice(["axiomatic", "graphical"]))
-def check(spec: SpecFile, mode: Optional[str]) -> Report:
+def check(spec: SpecFile) -> Report:
     """Verify the four protocol conditions and the coherence conclusion."""
     if spec.system is None:
         raise MissingSection("check requires a protocol section")
-    verdict = verify_coherence(spec.system, _mode_for(spec, mode))
+    verdict = verify_coherence(spec.system, _mode_for(spec))
     status = "pass" if verdict.sound_and_distributed else "fail"
-    return Report("check", status, _verdict_results(verdict), {"mode": mode or spec.run.mode})
+    return Report("check", status, _verdict_results(verdict), {"mode": spec.run.mode})
 
 
 @main.command()
@@ -141,11 +143,10 @@ def derive(spec: SpecFile) -> Report:
     """Derive the spec's goal statement from its base statements."""
     if spec.goal is None:
         raise MissingSection("derive requires a goal section")
-    base = list(spec.statements)
+    base = _axiomatic_base(spec)
     deps: tuple = ()
     universe = None
     if spec.system is not None:
-        base.extend(base_statements(spec.system, spec.conditions))
         deps = spec.system.dependencies
         universe = spec.system.universe
     elif spec.dag is not None:

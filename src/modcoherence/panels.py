@@ -116,23 +116,27 @@ def interior_grid(n: int) -> np.ndarray:
     return np.linspace(0.0, 1.0, n + 2)[1:-1]
 
 
+def _log_kernel(theta: np.ndarray, a: float, b: float) -> np.ndarray:
+    """a·log θ + b·log(1-θ), the log of θ^a (1-θ)^b; a zero coefficient's
+    term is skipped, so 0·log 0 contributes 0, not nan."""
+    out = np.zeros_like(theta)
+    with np.errstate(divide="ignore"):
+        if a:
+            out = out + a * np.log(theta)
+        if b:
+            out = out + b * np.log1p(-theta)
+    return out
+
+
 def beta_grid(params: BetaParams, n: int = 101) -> GridDensity:
-    """Discretize a Beta density onto n equispaced support points.
+    """A Beta density on n equispaced support points: the uniform grid updated
+    by the log kernel (alpha-1)·log θ + (beta-1)·log(1-θ), so the Beta function
+    cancels.  An endpoint of infinite density (alpha or beta below 1) gets no mass."""
+    def ll(theta: np.ndarray) -> np.ndarray:
+        out = _log_kernel(theta, params.alpha - 1, params.beta - 1)
+        return np.where(out == np.inf, -np.inf, out)
 
-    The density comes from the ``scipy.special`` kernel that
-    ``scipy.stats.beta.pdf`` itself evaluates: importing ``scipy.stats``
-    costs about 1 s, ``scipy.special`` about a third of that.
-    """
-    from scipy.special._ufuncs import _beta_pdf  # private; pinned by tests/test_startup.py
-
-    points = np.linspace(0.0, 1.0, n)
-    with np.errstate(over="ignore"):
-        dens = _beta_pdf(points, params.alpha, params.beta)
-    dens = np.where(np.isfinite(dens), dens, 0.0)
-    total = dens.sum()
-    if total <= 0:
-        raise DegenerateLikelihood("Beta density vanished on the whole grid")
-    return GridDensity(points.reshape(-1, 1), dens / total)
+    return panel_update_grid(uniform_grid(n), ll)
 
 
 def panel_update_conjugate(prior: BetaParams, stat: tuple[int, int]) -> BetaParams:
@@ -286,6 +290,10 @@ def separability_check_numeric(
     |R|, whose four-point residual is R itself.  ``max_residual`` is the
     largest |R| over all pairs; every four-point residual on the pair grid
     is at most four times it.
+
+    With three or more blocks a term that vanishes whenever some block sits
+    at its mid-grid point g₅₀ passes: ``5·(a-g₅₀)(b-g₅₀)(c-g₅₀)`` on three
+    ``interior_grid(101)`` blocks reads separable with ``max_residual`` 0.
     """
     grids = [_as_points(g) for g in grids]
     mid = [g.shape[0] // 2 for g in grids]
@@ -315,18 +323,7 @@ def bernoulli_loglik(successes: int, trials: int) -> Callable[[np.ndarray], np.n
     if not (0 <= successes <= trials):
         raise InvalidCounts(f"need 0 <= successes <= trials, got ({successes}, {trials})")
 
-    def ll(theta: np.ndarray) -> np.ndarray:
-        theta = np.asarray(theta, dtype=float)
-        # skip zero-count terms so 0 * log(0) contributes 0, not nan
-        out = np.zeros_like(theta)
-        with np.errstate(divide="ignore"):
-            if successes:
-                out = out + successes * np.log(theta)
-            if trials - successes:
-                out = out + (trials - successes) * np.log1p(-theta)
-        return out
-
-    return ll
+    return lambda theta: _log_kernel(np.asarray(theta, dtype=float), successes, trials - successes)
 
 
 def block_product(*blocks) -> np.ndarray:

@@ -31,7 +31,7 @@ from .values import BetaParams, Factor
 
 SUPPORTED_VERSION = 1
 
-# build_system makes m*m + m + 3 symbols; tests build protocols up to m = 11
+# build_system makes m*m + m + 3 symbols; TestVerifyTheorem builds m = 32
 MAX_PANELS = 32
 # simulate and separability hold run.grid ** len(models.panels) float64 cells
 # several times over; 2**24 cells peak near 1 GB.  The pair grids that
@@ -40,7 +40,7 @@ MAX_GRID_CELLS = 2**24
 # one saturation holds up to run.budget statements, at about 0.8 kB each at
 # m = 3 and 1.4 kB at m = 32 (peak RSS of derivations that exhaust a budget
 # of 50k-200k), so the cap peaks near 0.7 GB; the bundled m = 3 spec asks
-# for 400k
+# for all of it
 MAX_BUDGET = 500_000
 
 

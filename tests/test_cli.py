@@ -327,21 +327,14 @@ class TestCheckCommand:
         broken = [c for c in report.results["conditions"] if c["status"] != "holds"]
         assert [c["condition"] for c in broken] == ["commonly_separated"]
 
-    def test_mode_flag_overrides_spec(self):
-        result = run(
-            "check", "--spec", str(SPECS / "canonical_graph.spec"),
-            "--mode", "graphical", "--format", "machine",
-        )
-        assert result.exit_code == 0
-        assert Report.from_json(result.output).options["mode"] == "graphical"
-
     def test_graphical_mode_refuses_restricted_conditions(self, tmp_path):
         # the graph is tested against all four conditions, so a restricted
         # list would pass in graphical mode while axiomatic mode fails
         spec = json.loads((SPECS / "canonical_graph.spec").read_text())
         spec["protocol"]["conditions"] = ["delegable"]
         path = write_spec(tmp_path, spec)
-        assert run("check", "--spec", path, "--mode", "axiomatic").exit_code == 1
+        axiomatic = {**spec, "run": {**spec["run"], "mode": "axiomatic"}}
+        assert run("check", "--spec", write_spec(tmp_path, axiomatic, "ax.spec")).exit_code == 1
         result = run("check", "--spec", path, "--format", "machine")
         assert result.exit_code == 2
         report = Report.from_json(result.output)
@@ -355,7 +348,8 @@ class TestCheckCommand:
         spec = json.loads((SPECS / "canonical_graph.spec").read_text())
         spec["statements"] = [{"a": ["theta_1"], "b": ["I_+^0"]}]
         path = write_spec(tmp_path, spec)
-        assert run("check", "--spec", path, "--mode", "axiomatic").exit_code == 0
+        axiomatic = {**spec, "run": {**spec["run"], "mode": "axiomatic"}}
+        assert run("check", "--spec", write_spec(tmp_path, axiomatic, "ax.spec")).exit_code == 0
         result = run("check", "--spec", path, "--format", "machine")
         assert result.exit_code == 2
         report = Report.from_json(result.output)

@@ -9,7 +9,7 @@ change that moves one of them on purpose regenerates the file with
 
 ``golden/numeric_reports.json`` holds the ``simulate`` and ``separability``
 machine reports and exit codes on the three specs with ``models`` and
-``data``.  Their floats depend on the numpy and scipy builds, so they are
+``data``.  Their floats depend on the numpy build only, so they are
 compared field by field: strings, bools, ints and exit codes exactly, floats
 within ``rel=1e-9, abs=1e-12``.  A change that moves one of them on purpose
 regenerates the file with

@@ -80,6 +80,14 @@ class TestGridUpdate:
         post = panel_update_grid(prior, lambda t: np.zeros_like(t))
         assert np.array_equal(post.weights, prior.weights)
 
+    def test_beta_grid_when_the_density_underflows_everywhere(self):
+        # the Beta density is 0 in floating point at every grid point; the
+        # grid-normalized kernel puts all the mass on 0.99, the last point
+        # before 1 (at 1 itself the density is exactly 0)
+        weights = beta_grid(BetaParams(1e6, 3), 101).weights
+        assert weights.sum() == 1.0
+        assert np.flatnonzero(weights).tolist() == [99]
+
     def test_degenerate_likelihood(self):
         with pytest.raises(DegenerateLikelihood):
             panel_update_grid(uniform_grid(11), lambda t: np.full_like(t, -np.inf))
@@ -221,6 +229,17 @@ class TestSeparability:
         g = lambda a, c: f(a, 0.5, c)
         assert res == pytest.approx(g(u[0], v[0]) + g(up[0], vp[0])
                                     - g(u[0], vp[0]) - g(up[0], v[0]), abs=1e-12)
+
+    @pytest.mark.xfail(strict=True, reason="pairs are checked only through the other "
+                       "blocks' mid-grid points; see separability_check_numeric")
+    def test_numeric_three_way_term_vanishing_at_the_references(self):
+        # the term is 0 wherever one block sits at its mid-grid point, so
+        # every pair slice the check evaluates is separable
+        g = interior_grid(101)
+        verdict = separability_check_numeric(
+            lambda a, b, c: 5.0 * (a - g[50]) * (b - g[50]) * (c - g[50]), [g] * 3
+        )
+        assert not verdict.separable
 
     def test_numeric_one_block_has_no_pair_to_test(self):
         verdict = separability_check_numeric(lambda a: 12.0 * a * a, [np.linspace(0, 1, 9)])

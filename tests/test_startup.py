@@ -1,10 +1,13 @@
 """Start-up cost of the CLI: the symbolic commands import neither numpy nor
-``scipy.stats``, and the numeric commands import numpy but not ``scipy.stats``.
+scipy, the numeric commands import numpy, and no command needs scipy: the
+probe blocks it, and every command still exits with its README code.
 
-``beta_grid`` evaluates the Beta density with the private ``scipy.special``
-kernel that ``scipy.stats.beta.pdf`` itself calls; the equality sweep below
-pins that kernel against the public function, so a scipy upgrade that changes
-either one fails here instead of silently changing reports.
+``beta_grid`` builds the Beta grid from a numpy log kernel; the sweep below
+checks it against ``scipy.stats.beta.pdf`` as an oracle (scipy is a test-only
+dependency).  The two evaluate the density differently, so they agree to
+``rtol=1e-12``, not bit for bit: the sweep's largest relative deviation on
+masses above 1e-300 is 2.4e-13.  Masses below 1e-300, where one side may
+underflow to 0 while the other is subnormal, are held to ``atol=1e-300``.
 """
 
 import os
@@ -24,10 +27,13 @@ SRC = Path(modcoherence.__file__).resolve().parent.parent
 PROBE = """
 import os
 import sys
+sys.modules["scipy"] = None  # any scipy import now raises ImportError
 import modcoherence.cli
 
 def loaded():
-    return [name for name in ("numpy", "scipy.stats") if name in sys.modules]
+    scipy = [name for name in sys.modules if name.split(".")[0] == "scipy"]
+    assert scipy == ["scipy"] and sys.modules["scipy"] is None, scipy
+    return [name for name in ("numpy",) if name in sys.modules]
 
 seen = [loaded()]
 for command, spec, code in (("check", "coherence_m2", 0), ("derive", "coherence_m2", 0),
@@ -67,7 +73,7 @@ def _reference_weights(alpha, beta, n):
     return dens / dens.sum()
 
 
-def test_beta_grid_equals_scipy_stats_beta_pdf():
+def test_beta_grid_matches_scipy_stats_beta_pdf():
     # alpha or beta below 1 puts an infinite density on an endpoint
     shapes = (0.05, 0.5, 1, 1.0, 2, 2.5, 7.0, 31.0, 200.0)
     for n in (3, 51, 101, 401, 1001):
@@ -75,4 +81,6 @@ def test_beta_grid_equals_scipy_stats_beta_pdf():
             for beta in shapes:
                 got = beta_grid(BetaParams(alpha, beta), n).weights
                 want = _reference_weights(alpha, beta, n)
-                assert np.array_equal(got, want), (alpha, beta, n)
+                np.testing.assert_allclose(
+                    got, want, rtol=1e-12, atol=1e-300, err_msg=str((alpha, beta, n))
+                )
