@@ -325,16 +325,16 @@ class Memo:
     It holds the bit encoding (bit i stands for the i-th name, in sorted
     order, among the universe and every symbol a dependency mentions), one
     determinism-closure cache for every saturation it serves, the results of
-    proved queries, and the statement set of the most recent complete
-    ``not_derivable`` saturation.  A complete closure does not depend on the
-    goal, so a later query on the same base and budget whose goal is absent
-    from it is ``not_derivable`` with the closure's size; a present goal runs
-    the normal search, so proofs and counts are those of a fresh run.
+    proved queries, and the statement set and status of the most recent
+    failed search.  The search order does not depend on the goal, so a later
+    query on the same base and budget whose goal is absent from that set
+    gets that status, ``not_derivable`` or ``budget_exhausted``, and size; a
+    present goal runs the normal search, as a fresh run would.
 
     Pass one memo to every :func:`derive` and :func:`derive_through` call
     over the same dependencies and universe; a call without one makes its
-    own.  A memo keeps one closure alive, so keep it no longer than the
-    queries that share it.
+    own.  A memo keeps one statement set alive, so keep it no longer than
+    the queries that share it.
     """
 
     def __init__(self, deps: Iterable[FunctionalDependency], universe: Iterable[Symbol]) -> None:
@@ -349,7 +349,7 @@ class Memo:
         )
         self.det_cache: dict[int, int] = {}
         self.proved: dict[tuple, DeriveResult] = {}  # ((base, budget), goal) -> result
-        self.closure: Optional[tuple] = None  # ((base, budget), statement triples)
+        self.failed: tuple = (None, "", {})  # ((base, budget), status, statement triples)
 
     def _mask(self, names: Iterable[Symbol]) -> int:
         mask = 0
@@ -639,8 +639,8 @@ def derive(
 
     ``not_derivable`` certifies that the goal is absent from the saturated
     closure of this rule system; ``budget_exhausted`` is inconclusive.
-    ``memo`` (see :class:`Memo`) answers repeated queries without a search;
-    the result is the one a fresh search gives.
+    ``memo`` (see :class:`Memo`) answers a repeated proof, or a goal absent
+    from the last failed search, without a search, as a fresh search would.
     """
     if goal is None:
         raise ValueError("derive requires a goal statement")
@@ -653,20 +653,18 @@ def derive(
     engine = _Saturation(base, memo, budget)  # checks the budget and the base
     if not goal.symbols() <= memo.universe:
         raise UniverseError(f"goal {goal.render()} leaves the universe")
-    if memo.closure is not None and memo.closure[0] == query:
-        closed = memo.closure[1]
-        if memo.encode(goal) not in closed:
-            return DeriveResult("not_derivable", None, len(closed))
+    failed_query, status, known = memo.failed
+    if failed_query == query and memo.encode(goal) not in known:
+        return DeriveResult(status, None, len(known))
     if engine.run(goal):
         proof = engine.extract_proof(goal)
         assert proof.replay(memo.deps), "internal error: extracted proof failed replay"
         result = DeriveResult("proved", proof, len(engine.known))
         memo.proved[query, goal] = result
         return result
-    if engine.complete:
-        memo.closure = (query, engine.known)
-        return DeriveResult("not_derivable", None, len(engine.known))
-    return DeriveResult("budget_exhausted", None, len(engine.known))
+    status = "not_derivable" if engine.complete else "budget_exhausted"
+    memo.failed = (query, status, engine.known)
+    return DeriveResult(status, None, len(engine.known))
 
 
 def derive_through(

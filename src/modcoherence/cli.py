@@ -153,7 +153,7 @@ def derive(spec: SpecFile) -> Report:
         deps = spec.dag.dependencies
         universe = spec.dag.node_names
     if not base:
-        raise MissingSection("derive requires statements or a protocol")
+        raise MissingSection("derive requires base statements (statements or protocol.conditions)")
     result = ci_derive(base, deps, spec.goal, spec.run.budget, universe=universe)
     results = {
         "goal": spec.goal.render(),

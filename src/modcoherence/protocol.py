@@ -7,7 +7,8 @@ conditions over these symbols (delegable, separately informed, cutting,
 commonly separated) are generated here, and the coherence claim - that every
 panel's parameter block is independent of the others given the full pool,
 and is updated only through its own evidence - is verified either by the
-axiomatic prover or by d-separation on a user-supplied graph.
+axiomatic prover (a lumped derivation, then one search of the full system)
+or by d-separation on a user-supplied graph.
 """
 
 from __future__ import annotations
@@ -356,10 +357,9 @@ def _derive_lumped(
 def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
     goal's lumped derivation first (:func:`_derive_lumped`, one memo per
-    panel), then derives it through its route's waypoints, then by an
-    unconstrained search, the full derivations sharing one memo; so every
-    status but ``proved`` comes from the full system.  Graphical mode asks
-    d-separation."""
+    panel), then one unconstrained search of the full system, the full
+    searches sharing one memo; so every status but ``proved`` comes from the
+    full system.  Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
@@ -368,19 +368,14 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
         lumped_memos: dict[int, Memo] = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
-            base, deps, budget, universe = mode.base, memo.deps, mode.budget, memo.universe
             if route is not None:
                 panel = route[0]
                 if panel not in lumped_memos:
-                    lumped_memos[panel] = Memo(deps, _lumped_universe(sys, panel))
-                result = _derive_lumped(sys, base, route, budget, lumped_memos[panel])
+                    lumped_memos[panel] = Memo(memo.deps, _lumped_universe(sys, panel))
+                result = _derive_lumped(sys, mode.base, route, mode.budget, lumped_memos[panel])
                 if result.proved:
                     return result.status, result.proof
-                waypoints = _goal_waypoints(sys, *route)
-                result = derive_through(base, deps, waypoints, budget, universe, memo=memo)
-                if result.proved:
-                    return result.status, result.proof
-            result = derive(base, deps, stmt, budget, universe, memo=memo)
+            result = derive(mode.base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)
             return result.status, result.proof
 
         return derived
@@ -423,7 +418,7 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     """Check the coherence conclusion: panel-independent beliefs plus
     own-evidence-only updating for every panel.
 
-    In axiomatic mode the full derivations of the verdict share one
+    In axiomatic mode the full-system searches of the verdict share one
     :class:`~modcoherence.ci.Memo`, and each panel's lumped derivations one
     more; all are dropped when the verdict is made.
     """

@@ -391,6 +391,11 @@ def parse_spec_dict(raw: dict) -> SpecFile:
     data = _data(raw["data"]) if "data" in raw else None
     run = _run(raw["run"]) if "run" in raw else RunOptions()
 
+    has_cell_prior = models is not None and models.product_cell is not None
+    has_cell_counts = data is not None and data.product_cell_counts is not None
+    if has_cell_prior != has_cell_counts:
+        raise ParseError("models.product_cell and data.product_cell_counts must be given together")
+
     if models is not None:
         cells = 1
         for _ in models.priors:

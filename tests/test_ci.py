@@ -28,6 +28,7 @@ from modcoherence.protocol import (
     ConditionKind,
     base_statements,
     build_system,
+    condition_statements,
 )
 
 from .oracles import reference_closure
@@ -218,15 +219,17 @@ class TestDerive:
             system, [k for k in ALL_CONDITIONS if k is not ConditionKind.SEPARATELY_INFORMED]
         )
         absent = normalize({"theta_1"}, {"theta_2"}, {"I_+^0"})
+        dropped = condition_statements(system, ConditionKind.SEPARATELY_INFORMED)[0]
         present = normalize({"theta_1"}, {"theta_2"}, {"I_0^0"})
         memo = Memo(deps, universe)
-        # a smaller budget is not answered from the complete closure
-        queries = [(absent, 200_000), (absent, 500), (present, 200_000)] * 2
+        # a smaller budget is not answered from the complete closure; the
+        # second absent goal at 500 is answered from the exhausted search
+        queries = [(absent, 200_000), (absent, 500), (dropped, 500), (present, 200_000)] * 2
         for goal, budget in queries:
             fresh = derive(kept, deps, goal, budget, universe)
             assert derive(kept, deps, goal, budget, universe, memo=memo) == fresh
-        assert [derive(kept, deps, g, b, universe).status for g, b in queries[:3]] == [
-            "not_derivable", "budget_exhausted", "proved",
+        assert [derive(kept, deps, g, b, universe).status for g, b in queries[:4]] == [
+            "not_derivable", "budget_exhausted", "budget_exhausted", "proved",
         ]
         with pytest.raises(ValueError):
             derive(kept, (), absent, universe=universe, memo=memo)

@@ -131,9 +131,15 @@ _BAD_FIELDS = [
     ("check", "canonical_graph", ["graph"], _DROP, "graphical mode requires a graph section"),
     ("derive", "coherence_m2", ["goal"], _DROP, "derive requires a goal section"),
     ("derive", "chain_dsep", ["goal"], {"a": ["A"], "b": ["B"], "c": ["C"]},
-     "derive requires statements or a protocol"),
+     "derive requires base statements (statements or protocol.conditions)"),
+    ("derive", "coherence_m2", ["protocol", "conditions"], [],
+     "derive requires base statements (statements or protocol.conditions)"),
     ("ablate", "coherence_m2", ["protocol"], _DROP, "ablate requires a protocol section"),
     ("simulate", "separable_pair", ["data"], _DROP, "requires models and data sections"),
+    ("simulate", "food_example", ["data", "product_cell_counts"], _DROP,
+     "models.product_cell and data.product_cell_counts must be given together"),
+    ("simulate", "food_example", ["models", "product_cell"], _DROP,
+     "models.product_cell and data.product_cell_counts must be given together"),
     ("simulate", "separable_pair", ["data", "panel_counts"], [[1, 2]],
      "models.panels and data.panel_counts must align"),
     ("check", "coherence_m2", ["run"], 5, "run must be an object"),

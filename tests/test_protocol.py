@@ -6,7 +6,7 @@ import random
 import pytest
 
 from modcoherence import ci, protocol
-from modcoherence.ci import derive, derive_through, normalize
+from modcoherence.ci import derive, normalize
 from modcoherence.dag import d_separated
 from modcoherence.protocol import (
     ALL_CONDITIONS,
@@ -253,8 +253,16 @@ class TestModeAgreement:
         dag = canonical_dag(sys)
         statuses = check_conditions(sys, GraphicalMode(dag))
         assert all(s.holds for s in statuses)
-        verdict = verify_coherence(sys, AxiomaticMode(markov_seed(dag)))
+        seed = markov_seed(dag)
+        verdict = verify_coherence(sys, AxiomaticMode(seed))
         assert verdict.sound_and_distributed
+        # the lumped route proves none of these goals, so their proofs come
+        # from the full-system search
+        for goal in verdict.goals:
+            assert goal.proof.replay(sys.dependencies)
+            assert set(goal.proof.premises) <= set(seed)
+            for stmt in goal.proof.statements():
+                assert d_separated(dag, stmt.a, stmt.b, stmt.c), stmt.render()
 
     def test_proof_statements_hold_on_canonical_dag(self):
         for m in (2, 3, 4):
@@ -271,8 +279,7 @@ class TestModeAgreement:
 
 def _reference_verdict(sys, mode):
     """verify_coherence's conditions and goals from memo-less derivations:
-    a goal's lumped derivation, then its full one through the waypoints,
-    then the unconstrained full search."""
+    a goal's lumped derivation, then the unconstrained full search."""
     deps, universe = sys.dependencies, sys.universe
     conditions = []
     for kind in ALL_CONDITIONS:
@@ -296,9 +303,6 @@ def _reference_verdict(sys, mode):
                 goals.append(GoalResult(i, name, None, "trivial"))
                 continue
             result = _derive_lumped(sys, mode.base, (i, name), mode.budget)
-            if not result.proved:
-                waypoints = _goal_waypoints(sys, i, name)
-                result = derive_through(mode.base, deps, waypoints, mode.budget, universe=universe)
             if not result.proved:
                 result = derive(mode.base, deps, goal, mode.budget, universe=universe)
             goals.append(GoalResult(i, name, goal, result.status, result.proof))
@@ -341,17 +345,12 @@ class TestMemo:
             kept = tuple(k for k in ALL_CONDITIONS if k is not dropped)
             _assert_matches_reference(sys, AxiomaticMode(base_statements(sys, kept)), verdict)
 
-    @pytest.mark.parametrize(
-        "dropped, generated",
-        [(ConditionKind.SEPARATELY_INFORMED, 1_282), (ConditionKind.COMMONLY_SEPARATED, 1_283)],
-    )
-    def test_not_derivable_counters_are_pinned(self, monkeypatch, dropped, generated):
-        """Each of the row's nine not_derivable queries in the full system
-        reports the size of its base's closure, and only the first one
-        saturates it.  The lumped derivations tried first report their own,
-        smaller closures and are not counted."""
-        sys = build_system(2)
-        results, saturations = [], []
+    @staticmethod
+    def _record_full_system(monkeypatch, sys):
+        """Lists that fill with the results of the full-system ``derive``
+        queries and with ``(found, complete)`` for each full-system search.
+        The lumped derivations have their own universe and are not recorded."""
+        results, searches = [], []
         original_derive, original_run = ci.derive, ci._Saturation.run
 
         def recorded_derive(base, deps, goal, budget, universe, **kwargs):
@@ -363,19 +362,47 @@ class TestMemo:
         def recorded_run(engine, goal=None):
             found = original_run(engine, goal)
             if engine.memo.universe == sys.universe:
-                saturations.append(not found and engine.complete)
+                searches.append((found, engine.complete))
             return found
 
         # the bindings protocol and derive_through look derive up through
         monkeypatch.setattr(ci, "derive", recorded_derive)
         monkeypatch.setattr(protocol, "derive", recorded_derive)
         monkeypatch.setattr(ci._Saturation, "run", recorded_run)
+        return results, searches
+
+    @pytest.mark.parametrize(
+        "dropped, generated",
+        [(ConditionKind.SEPARATELY_INFORMED, 1_282), (ConditionKind.COMMONLY_SEPARATED, 1_283)],
+    )
+    def test_not_derivable_counters_are_pinned(self, monkeypatch, dropped, generated):
+        """Each of the row's five not_derivable queries in the full system
+        (the dropped condition's first statement and the four goals) reports
+        the size of its base's closure, and only the first one saturates it."""
+        sys = build_system(2)
+        results, searches = self._record_full_system(monkeypatch, sys)
         kept = tuple(k for k in ALL_CONDITIONS if k is not dropped)
         verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys, kept)))
         assert not verdict.sound_and_distributed
         missed = [r.generated for r in results if r.status == "not_derivable"]
-        assert missed == [generated] * 9
-        assert saturations.count(True) == 1
+        assert missed == [generated] * 5
+        assert searches.count((False, True)) == 1
+
+    @pytest.mark.parametrize(
+        "dropped", [ConditionKind.SEPARATELY_INFORMED, ConditionKind.COMMONLY_SEPARATED]
+    )
+    def test_budget_exhausted_counters_are_pinned(self, monkeypatch, dropped):
+        """At budget 500 each of the row's budget_exhausted queries in the
+        full system reports 500 statements, and only the first one searches:
+        the others are answered from its statement set."""
+        sys = build_system(2)
+        results, searches = self._record_full_system(monkeypatch, sys)
+        kept = tuple(k for k in ALL_CONDITIONS if k is not dropped)
+        verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys, kept), 500))
+        assert verdict.inconclusive
+        exhausted = [r.generated for r in results if r.status == "budget_exhausted"]
+        assert exhausted == [500] * 5
+        assert [found for found, _ in searches].count(False) == 1
 
 
 class TestLumpedRoute:
