@@ -320,21 +320,22 @@ def _orient(x: int, y: int, c: int) -> _Triple:
 
 
 class Memo:
-    """What the derivations over one set of dependencies and one universe share.
+    """What the derivations over one set of dependencies share, in the
+    universe it was built for or any universe inside it.
 
     It holds the bit encoding (bit i stands for the i-th name, in sorted
     order, among the universe and every symbol a dependency mentions), one
-    determinism-closure cache for every saturation it serves, the results of
-    proved queries, and the statement set and status of the most recent
-    failed search.  The search order does not depend on the goal, so a later
-    query on the same base and budget whose goal is absent from that set
-    gets that status, ``not_derivable`` or ``budget_exhausted``, and size; a
-    present goal runs the normal search, as a fresh run would.
+    determinism-closure cache, and one search per ``(universe, base,
+    budget)``.  The search order does not depend on the goal, so every query
+    on a base is answered from that search: a goal it already knows is
+    proved from the stored provenance, any other goal resumes it, and once
+    it has ended its status, ``not_derivable`` or ``budget_exhausted``, and
+    size answer every goal it does not know, as a fresh search would.
 
     Pass one memo to every :func:`derive` and :func:`derive_through` call
-    over the same dependencies and universe; a call without one makes its
-    own.  A memo keeps one statement set alive, so keep it no longer than
-    the queries that share it.
+    over the same dependencies; a call without one makes its own.  A memo
+    keeps its searches alive, so keep it no longer than the queries that
+    share it.
     """
 
     def __init__(self, deps: Iterable[FunctionalDependency], universe: Iterable[Symbol]) -> None:
@@ -343,13 +344,11 @@ class Memo:
         self._names = sorted(self.universe | _dependency_symbols(self.deps))
         self._bit = {name: 1 << i for i, name in enumerate(self._names)}
         self.width = len(self._names)
-        self.universe_mask = self._mask(self.universe)
         self._dep_masks = tuple(
             (self._bit[d.determined], self._mask(d.determiners)) for d in self.deps
         )
         self.det_cache: dict[int, int] = {}
-        self.proved: dict[tuple, DeriveResult] = {}  # ((base, budget), goal) -> result
-        self.failed: tuple = (None, "", {})  # ((base, budget), status, statement triples)
+        self.searches: dict[tuple, _Saturation] = {}  # (universe, base, budget) -> search
 
     def _mask(self, names: Iterable[Symbol]) -> int:
         mask = 0
@@ -400,10 +399,10 @@ def _memo_for(
     base: Iterable[CIStatement],
     deps: Iterable[FunctionalDependency],
     universe: Optional[Iterable[Symbol]],
-) -> Memo:
-    """``memo`` after checking it was built for ``deps`` and ``universe``, or a
-    new one.  Without a universe, it is every symbol of the base and the
-    dependencies."""
+) -> tuple[Memo, VarSet]:
+    """The universe, and ``memo`` after checking it was built for ``deps`` and
+    a universe holding this one, or a new memo.  Without a universe, it is
+    every symbol of the base and the dependencies."""
     deps = tuple(deps)
     if universe is None:
         universe = _dependency_symbols(deps)
@@ -411,95 +410,98 @@ def _memo_for(
             universe |= s.symbols()
     universe = frozenset(universe)
     if memo is None:
-        return Memo(deps, universe)
-    if memo.deps != deps or memo.universe != universe:
-        raise ValueError("the memo was built for other dependencies or another universe")
-    return memo
+        return Memo(deps, universe), universe
+    if memo.deps != deps or not universe <= memo.universe:
+        raise ValueError("the memo was built for other dependencies or a smaller universe")
+    return memo, universe
+
+
+def _index(by_ctx: dict, by_span: dict, width: int, t: _Triple) -> None:
+    """File ``t`` in the contraction indexes of :meth:`_Saturation.run`."""
+    a, b, c = t
+    for x, y in ((a, b), (b, a)):
+        key = x << width | c
+        got = by_ctx.get(key)
+        if got is None:
+            by_ctx[key] = [t]
+        else:
+            got.append(t)
+        key |= y
+        got = by_span.get(key)
+        if got is None:
+            by_span[key] = [t]
+        else:
+            got.append(t)
 
 
 class _Saturation:
-    """Deterministic worklist saturation over a fixed finite universe.
+    """Deterministic worklist saturation of one base over a fixed finite
+    universe, resumed by each query that needs more of it.
 
     A statement is an ``(a, b, c)`` triple of int bitmasks in the encoding of
-    the :class:`Memo`; rewrites only add or move universe symbols, while the
-    determinism closure may chain through the other dependency symbols.
-    Names and bits sort alike and sides are disjoint, so putting the side
-    with the lower lowest set bit first is :func:`normalize`'s orientation,
-    and walking a mask from its lowest bit visits its symbols in sorted
-    order.  Triples are decoded to :class:`CIStatement` only for the goal,
-    proofs and closures.
+    the :class:`Memo`; rewrites only add or move symbols of the search's own
+    universe, while the determinism closure may chain through every
+    dependency symbol.  Names and bits sort alike and sides are disjoint, so
+    putting the side with the lower lowest set bit first is
+    :func:`normalize`'s orientation, and walking a mask from its lowest bit
+    visits its symbols in sorted order, in any memo's encoding.  Triples are
+    decoded to :class:`CIStatement` only for the goal, proofs and closures,
+    by the memo that :meth:`run` and :meth:`extract_proof` take.
 
     Decomposition and weak union are generated one symbol at a time; any
     multi-symbol split is reachable as a chain of single-symbol moves, so the
     fixed point is unchanged while per-statement fanout stays linear.
     """
 
-    def __init__(self, base: Iterable[CIStatement], memo: Memo, budget: int) -> None:
+    def __init__(self, base: Iterable[CIStatement], memo: Memo, universe: VarSet, budget: int) -> None:
         if budget <= 0:
             raise ValueError("budget must be positive")
         base = sorted(set(base), key=CIStatement.sort_key)
         for s in base:
-            if not s.symbols() <= memo.universe:
+            if not s.symbols() <= universe:
                 raise UniverseError(f"base statement {s.render()} leaves the universe")
-        self.memo = memo
+        self.universe = memo._mask(universe)
         self.budget = budget
         self.known: dict[_Triple, _Prov] = {memo.encode(s): None for s in base}
-        self.complete = False
-
-    def run(self, goal: Optional[CIStatement] = None) -> bool:
-        """Saturate until ``goal`` appears (True) or the closure or the budget
-        is exhausted (False)."""
-        memo = self.memo
-        target = memo.encode(goal) if goal is not None else None
-        known = self.known
-        if target in known:
-            self.complete = True
-            return True
-        budget = self.budget
-        width = memo.width
-        universe_mask = memo.universe_mask
-        det_cache, det = memo.det_cache, memo.det
-        agenda = deque(known)
-        # contraction indexes over both orientations (x, y, c) of every known
+        self.status: Optional[str] = None  # "not_derivable" | "budget_exhausted" once ended
+        # the statements still to expand and the contraction indexes: by_ctx
+        # and by_span hold both orientations (x, y, c) of every known
         # statement, keyed by x << width | ctx and holding the triple, whose
         # other side is (a | b) ^ x: by_ctx under ctx = c, by_span under
         # ctx = y | c.  s as first premise looks up x and y | c in by_ctx, as
         # second premise x and c in by_span
-        by_ctx: dict[int, list] = {}
-        by_span: dict[int, list] = {}
+        self.agenda = deque(self.known)
+        self.by_ctx, self.by_span = {}, {}
+        for t in self.known:
+            _index(self.by_ctx, self.by_span, memo.width, t)
 
-        def index(t: _Triple) -> None:
-            a, b, c = t
-            for x, y in ((a, b), (b, a)):
-                key = x << width | c
-                got = by_ctx.get(key)
-                if got is None:
-                    by_ctx[key] = [t]
-                else:
-                    got.append(t)
-                key |= y
-                got = by_span.get(key)
-                if got is None:
-                    by_span[key] = [t]
-                else:
-                    got.append(t)
+    def run(self, memo: Memo, goal: Optional[CIStatement] = None) -> bool:
+        """Continue the search until ``goal`` is known (True) or the closure
+        is complete or the budget spent (False).  Statements are expanded in
+        full, so the next run resumes where this one stopped."""
+        target = memo.encode(goal) if goal is not None else None
+        known = self.known
+        if self.status is not None:
+            return target in known
+        budget, width, universe = self.budget, memo.width, self.universe
+        det_cache, det = memo.det_cache, memo.det
+        agenda, by_ctx, by_span = self.agenda, self.by_ctx, self.by_span
 
         def add(concl: _Triple, prov: _Prov) -> bool:
-            """Record a new statement; True when the search stops, which is
-            at the goal (now known) or at the budget (not added)."""
+            """Record a new statement; True when the budget is spent, which
+            ends the search without adding it."""
             if len(known) >= budget:
+                self.status = "budget_exhausted"
                 return True
             known[concl] = prov
-            index(concl)
+            _index(by_ctx, by_span, width, concl)
             agenda.append(concl)
-            return concl == target
+            return False
 
-        for t in known:
-            index(t)
         # each candidate is tested against known before its provenance is
         # built; the order is decomposition and weak union, contraction, then
         # the determinism rewrites, as the proofs and counts depend on it
-        while agenda:
+        while agenda and target not in known:
             s = agenda.popleft()
             a, b, c = s
             # single-symbol decomposition and weak union, both orientations
@@ -514,11 +516,11 @@ class _Saturation:
                         first = low < keep & -keep
                         concl = (x, keep, c) if first else (keep, x, c)
                         if concl not in known and add(concl, ("decomposition", (s,), keep)):
-                            return concl in known
+                            return target in known
                         wider = c | sym
                         concl = (x, keep, wider) if first else (keep, x, wider)
                         if concl not in known and add(concl, ("weak_union", (s,), sym)):
-                            return concl in known
+                            return target in known
             # contraction, s as either premise; the lists are live, so
             # statements indexed while s is expanded are matched too
             for x, y in ((a, b), (b, a)):
@@ -528,18 +530,18 @@ class _Saturation:
                     joined = y | (other[0] | other[1]) ^ x
                     concl = (x, joined, c) if low < joined & -joined else (joined, x, c)
                     if concl not in known and add(concl, ("contraction", (s, other), 0)):
-                        return concl in known
+                        return target in known
                 for other in by_span.get(high | c, ()):
                     joined = y | (other[0] | other[1]) ^ x
                     c1 = other[2]
                     concl = (x, joined, c1) if low < joined & -joined else (joined, x, c1)
                     if concl not in known and add(concl, ("contraction", (other, s), 0)):
-                        return concl in known
+                        return target in known
             # determinism rewrites
             closed = det_cache.get(c)
             if closed is None:
                 closed = det(c)
-            free = closed & universe_mask & ~c
+            free = closed & universe & ~c
             while free:
                 sym = free & -free
                 free ^= sym
@@ -555,7 +557,7 @@ class _Saturation:
                 else:
                     concl = (a, b, wider)
                 if concl not in known and add(concl, ("determinism_augment", (s,), sym)):
-                    return concl in known
+                    return target in known
             rest = c
             while rest:
                 sym = rest & -rest
@@ -568,15 +570,15 @@ class _Saturation:
                     continue
                 concl = (a, b, narrower)
                 if concl not in known and add(concl, ("determinism_drop", (s,), sym)):
-                    return concl in known
+                    return target in known
                 concl = _orient(a, b | sym, narrower)
                 if concl not in known and add(concl, ("determinism_augment", (s,), sym)):
-                    return concl in known
-        self.complete = True
-        return False
+                    return target in known
+        if not agenda:
+            self.status = "not_derivable"
+        return target in known
 
-    def extract_proof(self, goal: CIStatement) -> Proof:
-        memo = self.memo
+    def extract_proof(self, memo: Memo, goal: CIStatement) -> Proof:
         order: list[_Triple] = []
         seen: set[_Triple] = set()
         stack = [(memo.encode(goal), False)]
@@ -621,10 +623,11 @@ def closure(
     under permutation of the base statements whenever the run completes.
     """
     base = frozenset(base)
-    engine = _Saturation(base, _memo_for(None, base, deps, universe), budget)
-    engine.run()
-    statements = frozenset(engine.memo.decode(t) for t in engine.known)
-    return ClosureResult(statements, engine.complete, len(engine.known))
+    memo, universe = _memo_for(None, base, deps, universe)
+    search = _Saturation(base, memo, universe, budget)
+    search.run(memo)
+    statements = frozenset(memo.decode(t) for t in search.known)
+    return ClosureResult(statements, search.status == "not_derivable", len(search.known))
 
 
 def derive(
@@ -639,32 +642,25 @@ def derive(
 
     ``not_derivable`` certifies that the goal is absent from the saturated
     closure of this rule system; ``budget_exhausted`` is inconclusive.
-    ``memo`` (see :class:`Memo`) answers a repeated proof, or a goal absent
-    from the last failed search, without a search, as a fresh search would.
+    With a ``memo`` (see :class:`Memo`) the query is answered from the
+    memo's search of this universe, base and budget, as a fresh search would.
     """
     if goal is None:
         raise ValueError("derive requires a goal statement")
     base = frozenset(base)
-    memo = _memo_for(memo, base, deps, universe)
-    query = (base, budget)
-    result = memo.proved.get((query, goal))
-    if result is not None:
-        return result
-    engine = _Saturation(base, memo, budget)  # checks the budget and the base
-    if not goal.symbols() <= memo.universe:
+    memo, universe = _memo_for(memo, base, deps, universe)
+    search = memo.searches.get((universe, base, budget))
+    if search is None:  # checks the budget and the base
+        search = memo.searches[universe, base, budget] = _Saturation(base, memo, universe, budget)
+    if not goal.symbols() <= universe:
         raise UniverseError(f"goal {goal.render()} leaves the universe")
-    failed_query, status, known = memo.failed
-    if failed_query == query and memo.encode(goal) not in known:
-        return DeriveResult(status, None, len(known))
-    if engine.run(goal):
-        proof = engine.extract_proof(goal)
-        assert proof.replay(memo.deps), "internal error: extracted proof failed replay"
-        result = DeriveResult("proved", proof, len(engine.known))
-        memo.proved[query, goal] = result
-        return result
-    status = "not_derivable" if engine.complete else "budget_exhausted"
-    memo.failed = (query, status, engine.known)
-    return DeriveResult(status, None, len(engine.known))
+    if not search.run(memo, goal):
+        return DeriveResult(search.status, None, len(search.known))
+    proof = search.extract_proof(memo, goal)
+    assert proof.replay(memo.deps), "internal error: extracted proof failed replay"
+    # a fresh search stops at the goal, or at once on a premise
+    generated = max(list(search.known).index(memo.encode(goal)) + 1, len(base))
+    return DeriveResult("proved", proof, generated)
 
 
 def derive_through(
@@ -686,14 +682,14 @@ def derive_through(
         raise ValueError("derive_through requires at least one waypoint")
     deps = tuple(deps)
     base = sorted(set(base), key=CIStatement.sort_key)
-    memo = _memo_for(memo, base, deps, universe)
+    memo, universe = _memo_for(memo, base, deps, universe)
     premises = tuple(base)
     index: dict[CIStatement, int] = {s: i for i, s in enumerate(premises)}
     steps: list[ProofStep] = []
     current: list[CIStatement] = list(base)
     total_generated = 0
     for waypoint in waypoints:
-        sub = derive(current, deps, waypoint, budget, memo.universe, memo=memo)
+        sub = derive(current, deps, waypoint, budget, universe, memo=memo)
         total_generated += sub.generated
         if not sub.proved:
             return DeriveResult(sub.status, None, total_generated)

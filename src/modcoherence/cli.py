@@ -247,7 +247,7 @@ def simulate(spec: SpecFile) -> Report:
     results["divergence"] = {"max_abs": div.max_abs, "total_variation": div.total_variation}
     results["interaction_strength"] = strength
 
-    if models.product_cell is not None and data.product_cell_counts is not None:
+    if models.product_cell is not None:
         cell_post = pn.panel_update_conjugate(models.product_cell, data.product_cell_counts)
         results["product_cell_posterior_mean"] = cell_post.mean
         results["distributed_over_product_cell_ratio"] = product_mean_closed / cell_post.mean

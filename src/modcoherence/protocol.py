@@ -315,8 +315,10 @@ def _derive_lumped(
     for set, into a proof in the full system, whose premises are those base
     statements; a selection of the lumped symbol becomes a multi-symbol
     decomposition or weak union.  Any other status certifies nothing about
-    the full system.  ``memo`` is one for ``sys.dependencies`` and the
-    lumped universe.
+    the full system.  ``memo`` is one for ``sys.dependencies`` and a
+    universe holding the lumped one, such as the system's: the encoding
+    keeps names in sorted order, so every orientation and rule order, and
+    with them the proof, are the same as in a memo of the lumped universe.
     """
     i, name = route
     rest = sys.theta_rest(i)
@@ -356,23 +358,19 @@ def _derive_lumped(
 
 def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
-    goal's lumped derivation first (:func:`_derive_lumped`, one memo per
-    panel), then one unconstrained search of the full system, the full
-    searches sharing one memo; so every status but ``proved`` comes from the
-    full system.  Graphical mode asks d-separation."""
+    goal's lumped derivation first (:func:`_derive_lumped`), then one
+    unconstrained search of the full system, so every status but ``proved``
+    comes from the full system; all of them share one memo.  Graphical mode
+    asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
         memo = Memo(sys.dependencies, sys.universe)
-        lumped_memos: dict[int, Memo] = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
-                panel = route[0]
-                if panel not in lumped_memos:
-                    lumped_memos[panel] = Memo(memo.deps, _lumped_universe(sys, panel))
-                result = _derive_lumped(sys, mode.base, route, mode.budget, lumped_memos[panel])
+                result = _derive_lumped(sys, mode.base, route, mode.budget, memo)
                 if result.proved:
                     return result.status, result.proof
             result = derive(mode.base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)
@@ -418,9 +416,9 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     """Check the coherence conclusion: panel-independent beliefs plus
     own-evidence-only updating for every panel.
 
-    In axiomatic mode the full-system searches of the verdict share one
-    :class:`~modcoherence.ci.Memo`, and each panel's lumped derivations one
-    more; all are dropped when the verdict is made.
+    In axiomatic mode the verdict's derivations, lumped and full-system,
+    share one :class:`~modcoherence.ci.Memo`, so each base is searched once,
+    and it is dropped when the verdict is made.
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

@@ -240,6 +240,11 @@ def _protocol(section: dict) -> tuple[PanelSystem, tuple[ConditionKind, ...]]:
 def _graph(section: dict, system: Optional[PanelSystem]) -> Dag:
     _require_keys(section, _GRAPH_KEYS, "graph")
     template = section.get("template")
+    for key in ("nodes", "edges", "dependencies"):
+        if template is not None and key in section:
+            raise ParseError(f"graph: {key!r} cannot be given with a template")
+    if "latent" in section and template != "confounded":
+        raise ParseError("graph: 'latent' needs the 'confounded' template")
     if template is not None and system is None:
         raise MissingSection("graph templates require a protocol section")
     try:

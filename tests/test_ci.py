@@ -26,6 +26,8 @@ from modcoherence.ci import (
 from modcoherence.protocol import (
     ALL_CONDITIONS,
     ConditionKind,
+    _lumped_universe,
+    autonomy_goal,
     base_statements,
     build_system,
     condition_statements,
@@ -231,8 +233,24 @@ class TestDerive:
         assert [derive(kept, deps, g, b, universe).status for g, b in queries[:4]] == [
             "not_derivable", "budget_exhausted", "budget_exhausted", "proved",
         ]
+        # a goal the search for a later one has already passed
+        memo = Memo(deps, universe)
+        proved = normalize({"I_*^0"}, {"I_11^0", "I_22^0"}, {"I_+^0", "theta_1"})
+        late = derive(kept, deps, proved, universe=universe, memo=memo)
+        early = late.proof.steps[len(late.proof.steps) // 2].output
+        fresh = derive(kept, deps, early, universe=universe)
+        assert fresh.generated < late.generated
+        assert derive(kept, deps, early, universe=universe, memo=memo) == fresh
+        # a smaller universe on the same memo
+        lumped = _lumped_universe(system, 1)
+        inside = [s for s in kept if s.symbols() <= lumped]
+        for goal in (autonomy_goal(system, 1), absent):
+            fresh = derive(inside, deps, goal, universe=lumped)
+            assert derive(inside, deps, goal, universe=lumped, memo=memo) == fresh
         with pytest.raises(ValueError):
             derive(kept, (), absent, universe=universe, memo=memo)
+        with pytest.raises(ValueError):
+            derive(kept, deps, absent, universe=universe | {"extra"}, memo=memo)
 
 
 class TestDeriveThrough:

@@ -157,6 +157,17 @@ _BAD_FIELDS = [
      "query: independence sides must be non-empty"),
     ("separability", "separable_pair", ["run", "tolerance"], -1.0,
      "run.tolerance must be non-negative"),
+    # a template and an explicit graph are exclusive; latent is the confounder's name
+    ("check", "canonical_graph", ["graph", "latent"], "Z",
+     "graph: 'latent' needs the 'confounded' template"),
+    ("check", "canonical_graph", ["graph", "nodes"], [{"name": "Y"}],
+     "graph: 'nodes' cannot be given with a template"),
+    ("check", "canonical_graph", ["graph", "edges"], [["theta_1", "Y"]],
+     "graph: 'edges' cannot be given with a template"),
+    ("check", "confounded", ["graph", "dependencies"], [{"determined": "Y", "determiners": ["W"]}],
+     "graph: 'dependencies' cannot be given with a template"),
+    ("dsep", "chain_dsep", ["graph", "latent"], "H",
+     "graph: 'latent' needs the 'confounded' template"),
 ]
 
 

@@ -348,10 +348,10 @@ class TestMemo:
     @staticmethod
     def _record_full_system(monkeypatch, sys):
         """Lists that fill with the results of the full-system ``derive``
-        queries and with ``(found, complete)`` for each full-system search.
-        The lumped derivations have their own universe and are not recorded."""
+        queries and with each full-system search as it is created.  The
+        lumped derivations search smaller universes and are not recorded."""
         results, searches = [], []
-        original_derive, original_run = ci.derive, ci._Saturation.run
+        original_derive, original_init = ci.derive, ci._Saturation.__init__
 
         def recorded_derive(base, deps, goal, budget, universe, **kwargs):
             result = original_derive(base, deps, goal, budget, universe, **kwargs)
@@ -359,16 +359,15 @@ class TestMemo:
                 results.append(result)
             return result
 
-        def recorded_run(engine, goal=None):
-            found = original_run(engine, goal)
-            if engine.memo.universe == sys.universe:
-                searches.append((found, engine.complete))
-            return found
+        def recorded_init(search, base, memo, universe, budget):
+            original_init(search, base, memo, universe, budget)
+            if universe == sys.universe:
+                searches.append(search)
 
         # the bindings protocol and derive_through look derive up through
         monkeypatch.setattr(ci, "derive", recorded_derive)
         monkeypatch.setattr(protocol, "derive", recorded_derive)
-        monkeypatch.setattr(ci._Saturation, "run", recorded_run)
+        monkeypatch.setattr(ci._Saturation, "__init__", recorded_init)
         return results, searches
 
     @pytest.mark.parametrize(
@@ -378,7 +377,7 @@ class TestMemo:
     def test_not_derivable_counters_are_pinned(self, monkeypatch, dropped, generated):
         """Each of the row's five not_derivable queries in the full system
         (the dropped condition's first statement and the four goals) reports
-        the size of its base's closure, and only the first one saturates it."""
+        the size of its base's closure, and one search saturates it."""
         sys = build_system(2)
         results, searches = self._record_full_system(monkeypatch, sys)
         kept = tuple(k for k in ALL_CONDITIONS if k is not dropped)
@@ -386,15 +385,14 @@ class TestMemo:
         assert not verdict.sound_and_distributed
         missed = [r.generated for r in results if r.status == "not_derivable"]
         assert missed == [generated] * 5
-        assert searches.count((False, True)) == 1
+        assert [s.status for s in searches] == ["not_derivable"]
 
     @pytest.mark.parametrize(
         "dropped", [ConditionKind.SEPARATELY_INFORMED, ConditionKind.COMMONLY_SEPARATED]
     )
     def test_budget_exhausted_counters_are_pinned(self, monkeypatch, dropped):
         """At budget 500 each of the row's budget_exhausted queries in the
-        full system reports 500 statements, and only the first one searches:
-        the others are answered from its statement set."""
+        full system reports 500 statements, all answered by one search."""
         sys = build_system(2)
         results, searches = self._record_full_system(monkeypatch, sys)
         kept = tuple(k for k in ALL_CONDITIONS if k is not dropped)
@@ -402,7 +400,19 @@ class TestMemo:
         assert verdict.inconclusive
         exhausted = [r.generated for r in results if r.status == "budget_exhausted"]
         assert exhausted == [500] * 5
-        assert [found for found, _ in searches].count(False) == 1
+        assert [s.status for s in searches] == ["budget_exhausted"]
+
+    def test_markov_seed_verdict_searches_the_full_system_once(self, monkeypatch):
+        """The m = 2 Markov seed's condition statements and goals are all
+        proved by the full system, each query resuming the one search."""
+        sys = build_system(2)
+        mode = AxiomaticMode(markov_seed(canonical_dag(sys)))
+        _, searches = self._record_full_system(monkeypatch, sys)
+        verdict = verify_coherence(sys, mode)
+        assert len(searches) == 1
+        monkeypatch.undo()
+        _assert_matches_reference(sys, mode, verdict)
+        assert verdict.sound_and_distributed
 
 
 class TestLumpedRoute:
