@@ -1,19 +1,18 @@
-"""Command-line front end.
+"""Command-line front end, on stdlib ``argparse``.
 
 Subcommands: ``check``, ``derive``, ``dsep``, ``ablate`` (protocol
-verification) and ``simulate``, ``separability`` (numeric experiments).
-Exit codes are stable: 0 all requested checks hold, 1 a check failed,
-2 input error.  Only ``simulate`` and ``separability`` import ``panels``
-(and with it numpy), inside the command, so the symbolic commands start
-without numpy.
+verification) and ``simulate``, ``separability`` (numeric experiments), each
+a function ``spec -> Report`` that takes the same four options.  Exit codes
+are stable: 0 all requested checks hold, 1 a check failed, 2 input or usage
+error; an interrupt prints ``Aborted!`` to stderr and exits 1.  Only
+``simulate`` and ``separability`` import ``panels`` (and with it numpy),
+inside the command, so the symbolic commands start without numpy.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import sys
-
-import click
 
 from . import ModcoherenceError
 from .ci import derive as ci_derive
@@ -30,50 +29,64 @@ from .protocol import (
 from .report import Report, proof_to_dict, render_human
 from .specfile import MissingSection, SpecError, SpecFile, parse_spec
 
+OPTIONS = (
+    ("--spec", {"required": True, "help": "Run spec file."}),
+    ("--out", {"help": "Write the report here."}),
+    ("--format", {"dest": "fmt", "choices": ("human", "machine"), "default": "human",
+                  "help": "Report format."}),
+    ("--quiet", {"action": "store_true", "help": "Truncate proof traces to verdicts."}),
+)
 
-def with_common(fn):
-    """The CLI's one input boundary: parse ``--spec``, let ``fn(spec, **options)``
+
+def run(command, spec: str, out: str | None, fmt: str, quiet: bool) -> int:
+    """The CLI's one input boundary: parse the spec, let ``command(spec)``
     build the report, turn any package error into an exit-2 error report, then
-    write the report in the requested format and exit with its code.  A
+    write the report in the requested format and return its exit code.  A
     ``--out`` file that cannot be written is an exit-2 error report on
     stdout."""
 
-    @click.option("--spec", "spec_path", required=True, type=click.Path(), help="Run spec file.")
-    @click.option("--out", default=None, type=click.Path(), help="Write the report here.")
-    @click.option(
-        "--format", "fmt", default="human", type=click.Choice(["human", "machine"]),
-        help="Report format.",
-    )
-    @click.option("--quiet", is_flag=True, help="Truncate proof traces to verdicts.")
-    @functools.wraps(fn)
-    def command(spec_path, out, fmt, quiet, **options):
-        def error(exc: Exception) -> Report:
-            return Report(fn.__name__, "error", {"error": f"{type(exc).__name__}: {exc}"})
+    def error(exc: Exception) -> Report:
+        return Report(command.__name__, "error", {"error": f"{type(exc).__name__}: {exc}"})
 
-        def render(report: Report) -> str:
-            return report.to_json() if fmt == "machine" else render_human(report, quiet=quiet)
+    def render(report: Report) -> str:
+        return report.to_json() if fmt == "machine" else render_human(report, quiet=quiet)
 
+    try:
+        report = command(parse_spec(spec))
+    except ModcoherenceError as exc:
+        report = error(exc)
+    if out:
         try:
-            report = fn(parse_spec(spec_path), **options)
-        except ModcoherenceError as exc:
+            with open(out, "w") as fh:
+                fh.write(render(report))
+        except OSError as exc:
             report = error(exc)
-        if out:
-            try:
-                with open(out, "w") as fh:
-                    fh.write(render(report))
-            except OSError as exc:
-                report = error(exc)
-                click.echo(render(report), nl=False)
-        else:
-            click.echo(render(report), nl=False)
-        sys.exit(report.exit_code)
-
-    return command
+            sys.stdout.write(render(report))
+    else:
+        sys.stdout.write(render(report))
+    return report.exit_code
 
 
-@click.group()
-def main() -> None:
+def main(args=None, prog_name=None) -> None:
     """Coherence checks and simulations for modular multi-panel inference."""
+    parser = argparse.ArgumentParser(
+        prog=prog_name or "modcoherence", description=main.__doc__, allow_abbrev=False
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for fn in (check, derive, dsep, ablate, simulate, separability):
+        doc = fn.__doc__ or ""  # None under python -OO
+        sub = commands.add_parser(
+            fn.__name__, help=doc.split("\n")[0], description=doc, allow_abbrev=False
+        )
+        sub.set_defaults(command=fn)
+        for flag, options in OPTIONS:
+            sub.add_argument(flag, **options)
+    try:
+        code = run(**vars(parser.parse_args(args)))
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr)
+        code = 1
+    sys.exit(code)
 
 
 def _verdict_results(verdict: Verdict) -> dict:
@@ -126,8 +139,6 @@ def _mode_for(spec: SpecFile):
     return AxiomaticMode(_axiomatic_base(spec), spec.run.budget)
 
 
-@main.command()
-@with_common
 def check(spec: SpecFile) -> Report:
     """Verify the four protocol conditions and the coherence conclusion."""
     if spec.system is None:
@@ -137,8 +148,6 @@ def check(spec: SpecFile) -> Report:
     return Report("check", status, _verdict_results(verdict), {"mode": spec.run.mode})
 
 
-@main.command()
-@with_common
 def derive(spec: SpecFile) -> Report:
     """Derive the spec's goal statement from its base statements."""
     if spec.goal is None:
@@ -165,8 +174,6 @@ def derive(spec: SpecFile) -> Report:
     return Report("derive", "pass" if result.proved else "fail", results)
 
 
-@main.command()
-@with_common
 def dsep(spec: SpecFile) -> Report:
     """Answer the spec's separation query on its graph."""
     if spec.dag is None or spec.query is None:
@@ -180,8 +187,6 @@ def dsep(spec: SpecFile) -> Report:
     return Report("dsep", "pass" if separated else "fail", results)
 
 
-@main.command()
-@with_common
 def ablate(spec: SpecFile) -> Report:
     """Drop each protocol condition in turn and report what breaks.
 
@@ -216,8 +221,6 @@ def ablate(spec: SpecFile) -> Report:
     return Report("ablate", "pass" if ok else "fail", {"rows": table})
 
 
-@main.command()
-@with_common
 def simulate(spec: SpecFile) -> Report:
     """Distributed updating versus the full-joint oracle on the spec's model."""
     from . import panels as pn
@@ -255,8 +258,6 @@ def simulate(spec: SpecFile) -> Report:
     return Report("simulate", "pass", results, {"grid": n})
 
 
-@main.command()
-@with_common
 def separability(spec: SpecFile) -> Report:
     """Symbolic and numeric likelihood-separability checks."""
     from . import panels as pn

@@ -101,10 +101,6 @@ class JointGridPosterior:
     def m(self) -> int:
         return len(self.blocks)
 
-    def marginal(self, i: int) -> GridDensity:
-        axes = tuple(k for k in range(self.m) if k != i)
-        return GridDensity(self.blocks[i], self.weights.sum(axis=axes))
-
 
 def uniform_grid(n: int = 101) -> GridDensity:
     points = np.linspace(0.0, 1.0, n)

@@ -407,11 +407,6 @@ def _conditions(sys: PanelSystem, decide: Decide) -> tuple[ConditionStatus, ...]
     return tuple(out)
 
 
-def check_conditions(sys: PanelSystem, mode: Mode) -> tuple[ConditionStatus, ...]:
-    """Statuses of the four conditions."""
-    return _conditions(sys, _decider(sys, mode))
-
-
 def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     """Check the coherence conclusion: panel-independent beliefs plus
     own-evidence-only updating for every panel.

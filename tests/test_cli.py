@@ -4,9 +4,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from modcoherence.cli import main
+from modcoherence import cli
 from modcoherence.report import Report
 from modcoherence.specfile import (
     MAX_BUDGET,
@@ -20,11 +19,13 @@ from modcoherence.specfile import (
     parse_spec_dict,
 )
 
+from .cli_runner import invoke
+
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
 
 def run(*args):
-    return CliRunner().invoke(main, list(args))
+    return invoke(args)
 
 
 def write_spec(tmp_path, payload, name="run.spec") -> str:
@@ -269,7 +270,7 @@ class TestExitCodes:
             node[last] = value
         result = run(command, "--spec", write_spec(tmp_path, spec))
         assert result.exit_code == 2, result.output
-        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert result.exception is None
         assert names in result.output
 
     def test_missing_prior_is_beta_1_1(self, tmp_path):
@@ -569,3 +570,55 @@ class TestReportContract:
         assert full.exit_code == 0 and quiet.exit_code == 0
         assert "elided" in quiet.output
         assert len(quiet.output) < len(full.output)
+
+
+class TestUsage:
+    """Usage errors exit 2 with nothing on stdout; help exits 0."""
+
+    SPEC = str(SPECS / "chain_dsep.spec")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (),
+            ("bogus",),
+            ("check",),
+            ("check", "--spec"),
+            ("dsep", "--spec", SPEC, "--out"),
+            ("check", "--spec", SPEC, "--format", "xml"),
+            ("check", "--spec", SPEC, "extra"),
+            ("check", "--sp", SPEC),
+            ("--spec", SPEC, "check"),
+        ],
+        ids=["no-command", "unknown-command", "no-spec", "valueless-spec", "valueless-out",
+             "bad-format", "extra-positional", "abbreviated-option", "option-before-command"],
+    )
+    def test_usage_error_exits_2_with_empty_stdout(self, args):
+        result = run(*args)
+        assert result.exit_code == 2, result.output
+        assert result.output == ""
+        assert result.stderr
+        assert result.exception is None
+
+    def test_help_exits_0(self):
+        result = run("--help")
+        assert result.exit_code == 0
+        assert all(name in result.output for name in
+                   ("check", "derive", "dsep", "ablate", "simulate", "separability"))
+        result = run("check", "--help")
+        assert result.exit_code == 0
+        assert all(flag in result.output for flag in ("--spec", "--out", "--format", "--quiet"))
+
+    def test_interrupt_exits_1_without_a_traceback(self, monkeypatch):
+        def interrupted(path):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "parse_spec", interrupted)
+        try:
+            result = run("dsep", "--spec", self.SPEC)
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main")
+        assert result.exit_code == 1
+        assert result.output == ""
+        assert "Aborted!" in result.stderr and "Traceback" not in result.stderr
+        assert result.exception is None

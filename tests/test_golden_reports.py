@@ -14,7 +14,7 @@ compared field by field: strings, bools, ints and exit codes exactly, floats
 within ``rel=1e-9, abs=1e-12``.  A change that moves one of them on purpose
 regenerates the file with
 
-    PYTHONPATH=src python3 tests/test_golden_reports.py
+    PYTHONPATH=src python3 -m tests.test_golden_reports
 
 Either way, the change says which lines or fields moved and why.
 """
@@ -24,9 +24,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from modcoherence.cli import main as cli_main
+from .cli_runner import invoke
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden" / "symbolic_reports.txt"
@@ -48,9 +47,8 @@ def _report_digest():
 
 def test_symbolic_reports_match_the_golden_file():
     digest = _report_digest()
-    runner = CliRunner()
     lines = [
-        digest.digest_line(runner, command, spec, fmt)
+        digest.digest_line(command, spec, fmt)
         for command, spec in digest.runs()
         if command in SYMBOLIC
         for fmt in digest.FORMATS
@@ -60,15 +58,14 @@ def test_symbolic_reports_match_the_golden_file():
 
 def numeric_reports() -> dict:
     """``"<command> <spec>"`` -> the run's exit code and parsed machine report."""
-    runner = CliRunner()
     out = {}
     for command in NUMERIC:
         for name in NUMERIC_SPECS:
             spec = ROOT / "specs" / f"{name}.spec"
-            result = runner.invoke(cli_main, [command, "--spec", str(spec), "--format", "machine"])
+            result = invoke([command, "--spec", str(spec), "--format", "machine"])
             out[f"{command} {name}"] = {
                 "exit_code": result.exit_code,
-                "report": json.loads(result.stdout),
+                "report": json.loads(result.output),
             }
     return out
 

@@ -36,7 +36,7 @@ from modcoherence.panels import (
     uniform_grid,
 )
 
-from .oracles import four_point_residuals
+from .oracles import four_point_residuals, marg_keep
 
 
 class TestConjugate:
@@ -115,8 +115,8 @@ class TestComposeAndOracle:
         p1 = panel_update_grid(uniform_grid(101), bernoulli_loglik(50, 100))
         p2 = panel_update_grid(uniform_grid(101), bernoulli_loglik(20, 60))
         joint = compose_product([p1, p2])
-        assert np.max(np.abs(joint.marginal(0).weights - p1.weights)) <= 1e-12
-        assert np.max(np.abs(joint.marginal(1).weights - p2.weights)) <= 1e-12
+        assert np.max(np.abs(marg_keep(joint.weights, {0}).ravel() - p1.weights)) <= 1e-12
+        assert np.max(np.abs(marg_keep(joint.weights, {1}).ravel() - p2.weights)) <= 1e-12
 
     def test_single_panel_identity(self):
         p = beta_grid(BetaParams(3, 2), 41)
@@ -368,5 +368,5 @@ def test_compose_marginals_preserved_for_random_weights(raw):
     p = GridDensity(np.linspace(0, 1, len(raw)).reshape(-1, 1), weights)
     q = uniform_grid(4)
     joint = compose_product([p, q])
-    assert np.max(np.abs(joint.marginal(0).weights - p.weights)) <= 1e-12
-    assert np.max(np.abs(joint.marginal(1).weights - q.weights)) <= 1e-12
+    assert np.max(np.abs(marg_keep(joint.weights, {0}).ravel() - p.weights)) <= 1e-12
+    assert np.max(np.abs(marg_keep(joint.weights, {1}).ravel() - q.weights)) <= 1e-12

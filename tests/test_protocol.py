@@ -25,7 +25,6 @@ from modcoherence.protocol import (
     base_statements,
     build_system,
     canonical_dag,
-    check_conditions,
     condition_statement,
     condition_statements,
     confounded_dag,
@@ -135,18 +134,18 @@ class TestConditionStatements:
 class TestCheckConditions:
     def test_axiomatic_direct_membership(self):
         sys = build_system(2)
-        statuses = check_conditions(sys, AxiomaticMode(base_statements(sys)))
+        statuses = verify_coherence(sys, AxiomaticMode(base_statements(sys))).conditions
         assert all(s.holds for s in statuses)
         assert {s.kind for s in statuses} == set(ALL_CONDITIONS)
 
     def test_graphical_canonical_dag_all_hold(self):
         sys = build_system(2)
-        statuses = check_conditions(sys, GraphicalMode(canonical_dag(sys)))
+        statuses = verify_coherence(sys, GraphicalMode(canonical_dag(sys))).conditions
         assert all(s.holds for s in statuses)
 
     def test_graphical_confounder_breaks_common_separation(self):
         sys = build_system(2)
-        statuses = check_conditions(sys, GraphicalMode(confounded_dag(sys)))
+        statuses = verify_coherence(sys, GraphicalMode(confounded_dag(sys))).conditions
         by_kind = {s.kind: s for s in statuses}
         assert not by_kind[ConditionKind.COMMONLY_SEPARATED].holds
         assert by_kind[ConditionKind.DELEGABLE].holds
@@ -156,7 +155,7 @@ class TestCheckConditions:
     def test_universe_mismatch(self):
         sys = build_system(2)
         with pytest.raises(UniverseMismatch):
-            check_conditions(sys, AxiomaticMode((normalize({"theta_9"}, {"theta_1"}),)))
+            verify_coherence(sys, AxiomaticMode((normalize({"theta_9"}, {"theta_1"}),)))
 
 
 class TestVerifyTheorem:
@@ -251,7 +250,7 @@ class TestModeAgreement:
         statements plus the determinism facts also prove both goals."""
         sys = build_system(2)
         dag = canonical_dag(sys)
-        statuses = check_conditions(sys, GraphicalMode(dag))
+        statuses = verify_coherence(sys, GraphicalMode(dag)).conditions
         assert all(s.holds for s in statuses)
         seed = markov_seed(dag)
         verdict = verify_coherence(sys, AxiomaticMode(seed))

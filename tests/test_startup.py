@@ -1,6 +1,7 @@
 """Start-up cost of the CLI: the symbolic commands import neither numpy nor
-scipy, the numeric commands import numpy, and no command needs scipy: the
-probe blocks it, and every command still exits with its README code.
+scipy, the numeric commands import numpy, and no command needs scipy or
+click: the probe blocks both, and every command still exits with its README
+code.
 
 ``beta_grid`` builds the Beta grid from a numpy log kernel; the sweep below
 checks it against ``scipy.stats.beta.pdf`` as an oracle (scipy is a test-only
@@ -28,11 +29,13 @@ PROBE = """
 import os
 import sys
 sys.modules["scipy"] = None  # any scipy import now raises ImportError
+sys.modules["click"] = None  # and so does any click import
 import modcoherence.cli
 
 def loaded():
-    scipy = [name for name in sys.modules if name.split(".")[0] == "scipy"]
-    assert scipy == ["scipy"] and sys.modules["scipy"] is None, scipy
+    blocked = sorted(name for name in sys.modules if name.split(".")[0] in ("click", "scipy"))
+    assert blocked == ["click", "scipy"], blocked
+    assert sys.modules["click"] is None and sys.modules["scipy"] is None
     return [name for name in ("numpy",) if name in sys.modules]
 
 seen = [loaded()]
@@ -52,18 +55,28 @@ print(seen)
 """
 
 
-def test_cli_commands_do_not_import_scipy_stats():
+def _python(*args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     )}
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(SPECS)],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, check=False
     )
+
+
+def test_cli_commands_do_not_import_scipy_stats():
+    proc = _python("-c", PROBE, str(SPECS))
     assert proc.returncode == 0, proc.stderr
     # after the import, then after check, derive, dsep and ablate, then after
     # simulate and the two separability runs
     assert proc.stdout.strip() == str([[]] * 5 + [["numpy"]] * 3)
+
+
+def test_cli_runs_without_docstrings():
+    # python -OO strips the docstrings the subcommands' help is built from
+    proc = _python("-OO", "-m", "modcoherence.cli", "dsep", "--spec", str(SPECS / "chain_dsep.spec"))
+    assert proc.returncode == 0, proc.stderr
+    assert _python("-OO", "-m", "modcoherence.cli", "--help").returncode == 0
 
 
 def _reference_weights(alpha, beta, n):
