@@ -310,7 +310,7 @@ class DeriveResult:
         return self.status == "proved"
 
 
-_Prov = Optional[tuple]  # (rule, parent triples, selection mask) or None for base statements
+_Prov = Optional[tuple]  # (rule, parent triples, selection mask, position) or None for a premise
 _Triple = tuple  # (a, b, c) int bitmasks with disjoint sides
 
 
@@ -487,13 +487,13 @@ class _Saturation:
         det_cache, det = memo.det_cache, memo.det
         agenda, by_ctx, by_span = self.agenda, self.by_ctx, self.by_span
 
-        def add(concl: _Triple, prov: _Prov) -> bool:
+        def add(concl: _Triple, rule: str, parents: tuple, selection: int) -> bool:
             """Record a new statement; True when the budget is spent, which
             ends the search without adding it."""
             if len(known) >= budget:
                 self.status = "budget_exhausted"
                 return True
-            known[concl] = prov
+            known[concl] = (rule, parents, selection, len(known))
             _index(by_ctx, by_span, width, concl)
             agenda.append(concl)
             return False
@@ -515,11 +515,11 @@ class _Saturation:
                         keep = y ^ sym
                         first = low < keep & -keep
                         concl = (x, keep, c) if first else (keep, x, c)
-                        if concl not in known and add(concl, ("decomposition", (s,), keep)):
+                        if concl not in known and add(concl, "decomposition", (s,), keep):
                             return target in known
                         wider = c | sym
                         concl = (x, keep, wider) if first else (keep, x, wider)
-                        if concl not in known and add(concl, ("weak_union", (s,), sym)):
+                        if concl not in known and add(concl, "weak_union", (s,), sym):
                             return target in known
             # contraction, s as either premise; the lists are live, so
             # statements indexed while s is expanded are matched too
@@ -529,13 +529,13 @@ class _Saturation:
                 for other in by_ctx.get(high | y | c, ()):
                     joined = y | (other[0] | other[1]) ^ x
                     concl = (x, joined, c) if low < joined & -joined else (joined, x, c)
-                    if concl not in known and add(concl, ("contraction", (s, other), 0)):
+                    if concl not in known and add(concl, "contraction", (s, other), 0):
                         return target in known
                 for other in by_span.get(high | c, ()):
                     joined = y | (other[0] | other[1]) ^ x
                     c1 = other[2]
                     concl = (x, joined, c1) if low < joined & -joined else (joined, x, c1)
-                    if concl not in known and add(concl, ("contraction", (other, s), 0)):
+                    if concl not in known and add(concl, "contraction", (other, s), 0):
                         return target in known
             # determinism rewrites
             closed = det_cache.get(c)
@@ -556,7 +556,7 @@ class _Saturation:
                     concl = _orient(a ^ sym, b, wider)
                 else:
                     concl = (a, b, wider)
-                if concl not in known and add(concl, ("determinism_augment", (s,), sym)):
+                if concl not in known and add(concl, "determinism_augment", (s,), sym):
                     return target in known
             rest = c
             while rest:
@@ -569,10 +569,10 @@ class _Saturation:
                 if not sym & closed:
                     continue
                 concl = (a, b, narrower)
-                if concl not in known and add(concl, ("determinism_drop", (s,), sym)):
+                if concl not in known and add(concl, "determinism_drop", (s,), sym):
                     return target in known
                 concl = _orient(a, b | sym, narrower)
-                if concl not in known and add(concl, ("determinism_augment", (s,), sym)):
+                if concl not in known and add(concl, "determinism_augment", (s,), sym):
                     return target in known
         if not agenda:
             self.status = "not_derivable"
@@ -603,7 +603,7 @@ class _Saturation:
         index: dict[CIStatement, int] = {s: i for i, s in enumerate(premises)}
         steps: list[ProofStep] = []
         for t in order:
-            rule, parents, selection = self.known[t]
+            rule, parents, selection, _ = self.known[t]
             stmt = decoded[t]
             inputs = tuple(index[decoded[p]] for p in parents)
             steps.append(ProofStep(rule, inputs, memo.names_of(selection), stmt))
@@ -659,7 +659,8 @@ def derive(
     proof = search.extract_proof(memo, goal)
     assert proof.replay(memo.deps), "internal error: extracted proof failed replay"
     # a fresh search stops at the goal, or at once on a premise
-    generated = max(list(search.known).index(memo.encode(goal)) + 1, len(base))
+    prov = search.known[memo.encode(goal)]
+    generated = len(base) if prov is None else prov[3] + 1
     return DeriveResult("proved", proof, generated)
 
 

@@ -8,6 +8,7 @@ information.  With no dependencies declared this is standard d-separation.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
@@ -15,6 +16,7 @@ from typing import Iterable
 
 from . import ModcoherenceError
 from .ci import (
+    EMPTY,
     CIStatement,
     FunctionalDependency,
     OverlappingSets,
@@ -59,21 +61,36 @@ def _reach(start: Iterable[Symbol], step) -> VarSet:
     return frozenset(seen)
 
 
+def _neighbours(pairs: Iterable[tuple[Symbol, Symbol]]) -> dict[Symbol, VarSet]:
+    out: dict[Symbol, set] = {}
+    for u, v in pairs:
+        out.setdefault(u, set()).add(v)
+    return {u: frozenset(vs) for u, vs in out.items()}
+
+
 @dataclass(frozen=True)
 class Dag:
     nodes: tuple[tuple[Symbol, str], ...]
     edges: tuple[tuple[Symbol, Symbol], ...]
     dependencies: tuple[FunctionalDependency, ...] = ()
 
-    @property
+    @functools.cached_property
     def node_names(self) -> VarSet:
         return frozenset(name for name, _ in self.nodes)
 
+    @functools.cached_property
+    def _parent_map(self) -> dict[Symbol, VarSet]:  # nodes without parents are absent
+        return _neighbours((v, u) for u, v in self.edges)
+
+    @functools.cached_property
+    def _child_map(self) -> dict[Symbol, VarSet]:
+        return _neighbours(self.edges)
+
     def parents(self, name: Symbol) -> VarSet:
-        return frozenset(u for u, v in self.edges if v == name)
+        return self._parent_map.get(name, EMPTY)
 
     def children(self, name: Symbol) -> VarSet:
-        return frozenset(v for u, v in self.edges if u == name)
+        return self._child_map.get(name, EMPTY)
 
     def ancestors(self, of: Iterable[Symbol]) -> VarSet:
         return _reach(of, self.parents)
@@ -90,30 +107,28 @@ def build_dag(
     """Validate and freeze a DAG; raises on duplicates, stray endpoints, cycles."""
     nodes = tuple((str(n), str(k)) for n, k in nodes)
     edges = tuple((str(u), str(v)) for u, v in edges)
-    names = [n for n, _ in nodes]
-    if len(set(names)) != len(names):
+    dag = Dag(nodes, edges, tuple(dependencies))
+    if len(dag.node_names) != len(nodes):
+        names = [n for n, _ in nodes]
         dupes = sorted({n for n in names if names.count(n) > 1})
         raise DuplicateNode(f"duplicate node names: {dupes}")
     for _, kind in nodes:
         if kind not in NODE_KINDS:
             raise DagError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
-    name_set = set(names)
     for u, v in edges:
-        if u not in name_set or v not in name_set:
+        if u not in dag.node_names or v not in dag.node_names:
             raise UnknownEndpoint(f"edge {u}->{v} references an undeclared node")
         if u == v:
             raise CycleDetected(f"self-loop at {u}")
-    adjacency = {n: [v for u, v in edges if u == n] for n in names}
     try:
-        tuple(TopologicalSorter(adjacency).static_order())
+        tuple(TopologicalSorter(dag._parent_map).static_order())
     except CycleError as exc:
         raise CycleDetected(str(exc)) from exc
-    dependencies = tuple(dependencies)
-    for dep in dependencies:
-        stray = ({dep.determined} | dep.determiners) - name_set
+    for dep in dag.dependencies:
+        stray = ({dep.determined} | dep.determiners) - dag.node_names
         if stray:
             raise UnknownSymbol(f"dependency mentions undeclared nodes: {sorted(stray)}")
-    return Dag(nodes, edges, dependencies)
+    return dag
 
 
 def _validate_query(dag: Dag, a: VarSet, b: VarSet, c: VarSet) -> None:

@@ -1,12 +1,12 @@
 """Numeric engine for distributed panel updating versus full-joint inference.
 
-Per-panel posteriors live either in a conjugate family or on a normalized
-grid of support points.  Distributed inference composes autonomous per-panel
-updates into a product posterior; the joint oracle runs exact grid Bayes on
-the full likelihood over the product grid.  Likelihood separability - the
-condition under which the two pipelines agree - is checked both symbolically
-(factor scopes) and numerically (exact interaction residuals over each
-pair grid).
+Each panel's parameter block is a scalar.  Per-panel posteriors live either
+in a conjugate family or on a normalized grid of support points.  Distributed
+inference composes autonomous per-panel updates into a product posterior; the
+joint oracle runs exact grid Bayes on the full likelihood over the product
+grid.  Likelihood separability - the condition under which the two pipelines
+agree - is checked both symbolically (factor scopes) and numerically (exact
+interaction residuals over each pair grid).
 """
 
 from __future__ import annotations
@@ -42,10 +42,8 @@ class NonFiniteLogLikelihood(PanelsError):
 
 def _as_points(arr) -> np.ndarray:
     pts = np.asarray(arr, dtype=float)
-    if pts.ndim == 1:
-        pts = pts.reshape(-1, 1)
-    elif pts.ndim != 2:
-        raise ShapeMismatch(f"points must be 1-D or 2-D, got shape {pts.shape}")
+    if pts.ndim != 1:
+        raise ShapeMismatch(f"points must be 1-D, got shape {pts.shape}")
     return pts
 
 
@@ -53,8 +51,8 @@ def _as_points(arr) -> np.ndarray:
 class GridDensity:
     """Probability masses over a finite set of support points.
 
-    ``points`` has shape (n, d) where d is the block dimension; ``weights``
-    are non-negative and sum to one.
+    ``points`` is a 1-D array of n scalar support points; ``weights`` are
+    non-negative and sum to one.
     """
 
     points: np.ndarray
@@ -63,32 +61,26 @@ class GridDensity:
     def __post_init__(self) -> None:
         self.points = _as_points(self.points)
         self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.ndim != 1 or self.weights.shape[0] != self.points.shape[0]:
-            raise ShapeMismatch(
-                f"weights shape {self.weights.shape} does not match {self.points.shape[0]} points"
-            )
+        if self.weights.shape != self.points.shape:
+            raise ShapeMismatch(f"{self.weights.shape} weights for {self.points.shape} points")
         if np.any(self.weights < 0):
             raise PanelsError("grid weights must be non-negative")
         total = float(self.weights.sum())
         if not math.isclose(total, 1.0, abs_tol=1e-12):
             raise PanelsError(f"grid weights must sum to 1 within 1e-12, got {total!r}")
 
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
 
 @dataclass
 class JointGridPosterior:
     """Joint masses over the product of per-block support-point sets."""
 
-    blocks: tuple[np.ndarray, ...]  # per-block points, each (n_i, d_i)
+    blocks: tuple[np.ndarray, ...]  # per-block points, each of shape (n_i,)
     weights: np.ndarray  # shape (n_1, ..., n_m)
 
     def __post_init__(self) -> None:
         self.blocks = tuple(_as_points(b) for b in self.blocks)
         self.weights = np.asarray(self.weights, dtype=float)
-        expected = tuple(b.shape[0] for b in self.blocks)
+        expected = tuple(len(b) for b in self.blocks)
         if self.weights.shape != expected:
             raise ShapeMismatch(
                 f"weight array shape {self.weights.shape} != product grid shape {expected}"
@@ -97,14 +89,9 @@ class JointGridPosterior:
         if not math.isclose(total, 1.0, abs_tol=NORM_TOL):
             raise PanelsError(f"joint weights must sum to 1 within {NORM_TOL}, got {total!r}")
 
-    @property
-    def m(self) -> int:
-        return len(self.blocks)
-
 
 def uniform_grid(n: int = 101) -> GridDensity:
-    points = np.linspace(0.0, 1.0, n)
-    return GridDensity(points.reshape(-1, 1), np.full(n, 1.0 / n))
+    return GridDensity(np.linspace(0.0, 1.0, n), np.full(n, 1.0 / n))
 
 
 def interior_grid(n: int) -> np.ndarray:
@@ -172,14 +159,9 @@ def _reweight(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
 def panel_update_grid(
     prior: GridDensity, loglik: Callable[[np.ndarray], np.ndarray]
 ) -> GridDensity:
-    """Pointwise prior x likelihood on the support points, renormalized.
-
-    Scalar blocks hand the evaluator a flat array of values; d-dimensional
-    blocks an (n, d) array, matching the joint-oracle convention.  A flat
-    likelihood (e.g. no data) returns the prior masses exactly.
-    """
-    pts = prior.points[:, 0] if prior.points.shape[1] == 1 else prior.points
-    ll = np.asarray(loglik(pts), dtype=float).reshape(prior.size)
+    """Pointwise prior x likelihood on the support points, renormalized; a
+    flat likelihood (e.g. no data) returns the prior masses exactly."""
+    ll = _on_product_grid(loglik, [prior.points])
     return GridDensity(prior.points, _reweight(prior.weights, ll))
 
 
@@ -195,19 +177,8 @@ def compose_product(posteriors: Sequence[GridDensity]) -> JointGridPosterior:
 
 def _on_product_grid(f: Callable[..., np.ndarray], blocks: Sequence[np.ndarray]) -> np.ndarray:
     """``f`` evaluated on the product grid of ``blocks``, as floats of shape
-    (n_1, ..., n_m).
-
-    ``f`` receives one broadcast-ready array per block: block i with points
-    (n_i, d_i) has shape (1,..,n_i,..,1) when the block is scalar, or
-    (1,..,n_i,..,1, d_i) otherwise.
-    """
-    m = len(blocks)
-    mesh = []
-    for i, pts in enumerate(blocks):
-        n, d = pts.shape
-        shape = [1] * m
-        shape[i] = n
-        mesh.append(pts[:, 0].reshape(shape) if d == 1 else pts.reshape(shape + [d]))
+    (n_1, ..., n_m); ``f`` receives block i as an array of shape (1,..,n_i,..,1)."""
+    mesh = np.meshgrid(*blocks, indexing="ij", sparse=True)
     return np.broadcast_to(np.asarray(f(*mesh), dtype=float), tuple(len(b) for b in blocks))
 
 
@@ -236,9 +207,8 @@ class Divergence:
 def divergence(p: JointGridPosterior, q: JointGridPosterior) -> Divergence:
     if p.weights.shape != q.weights.shape:
         raise ShapeMismatch(f"grids differ: {p.weights.shape} vs {q.weights.shape}")
-    for bp, bq in zip(p.blocks, q.blocks):
-        if bp.shape != bq.shape or not np.allclose(bp, bq, atol=0, rtol=0):
-            raise ShapeMismatch("support points differ between the two posteriors")
+    if not all(map(np.array_equal, p.blocks, q.blocks)):
+        raise ShapeMismatch("support points differ between the two posteriors")
     diff = np.abs(p.weights - q.weights)
     return Divergence(float(diff.max()), float(0.5 * diff.sum()))
 
@@ -308,8 +278,8 @@ def separability_check_numeric(
         worst = max(worst, top)
         if top > tolerance:
             witnesses.append(
-                (i + 1, j + 1, tuple(grids[i][u]), tuple(grids[i][u0]),
-                 tuple(grids[j][v]), tuple(grids[j][v0]), float(residual[u, v]))
+                (i + 1, j + 1, tuple(grids[i][[u]]), tuple(grids[i][[u0]]),
+                 tuple(grids[j][[v]]), tuple(grids[j][[v0]]), float(residual[u, v]))
             )
     return SeparabilityVerdict(not witnesses, tuple(witnesses), worst)
 
@@ -341,32 +311,3 @@ def panel_joint_loglik(
 
     return joint_ll
 
-
-def categorical_loglik(counts: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
-    """Log-likelihood of category counts on a simplex-point grid."""
-    counts = np.asarray(counts, dtype=float)
-    if np.any(counts < 0):
-        raise InvalidCounts(f"counts must be non-negative, got {counts}")
-
-    def ll(points: np.ndarray) -> np.ndarray:
-        probs = np.asarray(points, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.sum(counts * np.log(probs), axis=-1)
-
-    return ll
-
-
-def simplex_grid(categories: int, resolution: int = 12) -> np.ndarray:
-    """All probability vectors with components k/resolution; interior only."""
-    points: list[tuple[float, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int) -> None:
-        if slots == 1:
-            if remaining >= 1:
-                points.append(tuple((p) / resolution for p in prefix + [remaining]))
-            return
-        for k in range(1, remaining - slots + 2):
-            rec(prefix + [k], remaining - k, slots - 1)
-
-    rec([], resolution, categories)
-    return np.asarray(points, dtype=float)

@@ -1,5 +1,6 @@
 """Unit tests for DAG construction, d-separation and the local Markov basis."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from modcoherence.dag import (
     d_separated,
     local_markov_basis,
 )
+
+from .oracles import random_dag_instance
 
 
 def nodes(*names, kind="evidence"):
@@ -47,6 +50,20 @@ class TestBuildDag:
     def test_dependency_symbols_validated(self):
         with pytest.raises(UnknownSymbol):
             build_dag(nodes("A"), [], [FunctionalDependency("A", frozenset({"Z"}))])
+
+    def test_cycle_reported_before_dependency_symbols(self):
+        with pytest.raises(CycleDetected):
+            build_dag(nodes("A", "B"), [("A", "B"), ("B", "A")],
+                      [FunctionalDependency("A", frozenset({"Z"}))])
+
+    def test_adjacency_matches_edge_scan(self):
+        rng = np.random.default_rng(4242)
+        for n in (1, 3, 5, 7, 9) * 4:
+            order, edges, _ = random_dag_instance(rng, n)
+            dag = build_dag(nodes(*order), edges)
+            for name in order:
+                assert dag.parents(name) == frozenset(u for u, v in edges if v == name)
+                assert dag.children(name) == frozenset(v for u, v in edges if u == name)
 
 
 class TestDSeparation:

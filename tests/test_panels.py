@@ -22,7 +22,6 @@ from modcoherence.panels import (
     ShapeMismatch,
     bernoulli_loglik,
     beta_grid,
-    categorical_loglik,
     compose_product,
     divergence,
     functional_expectation,
@@ -32,7 +31,6 @@ from modcoherence.panels import (
     panel_update_grid,
     separability_check_numeric,
     separability_check_symbolic,
-    simplex_grid,
     uniform_grid,
 )
 
@@ -98,11 +96,16 @@ class TestGridUpdate:
 
     def test_grid_density_validation(self):
         with pytest.raises(ShapeMismatch):
-            GridDensity(np.zeros((3, 1)), np.array([0.5, 0.5]))
+            GridDensity(np.zeros(3), np.array([0.5, 0.5]))
         with pytest.raises(PanelsError):
-            GridDensity(np.zeros((2, 1)), np.array([0.7, 0.7]))
+            GridDensity(np.zeros(2), np.array([0.7, 0.7]))
         with pytest.raises(PanelsError):
-            GridDensity(np.zeros((2, 1)), np.array([1.5, -0.5]))
+            GridDensity(np.zeros(2), np.array([1.5, -0.5]))
+
+    def test_grid_density_rejects_column_points(self):
+        # blocks are scalar: an (n, 1) column is not a 1-D point array
+        with pytest.raises(ShapeMismatch):
+            GridDensity(np.zeros((2, 1)), np.array([0.5, 0.5]))
 
 
 class TestComposeAndOracle:
@@ -245,20 +248,6 @@ class TestSeparability:
         verdict = separability_check_numeric(lambda a: 12.0 * a * a, [np.linspace(0, 1, 9)])
         assert verdict == SeparabilityVerdict(True, (), 0.0)
 
-    def test_numeric_simplex_blocks(self):
-        # d-dimensional blocks reach loglik as broadcast (..., d) arrays, and
-        # their witnesses carry whole probability vectors
-        pts = simplex_grid(3, 8)
-        ll1, ll2 = categorical_loglik((4, 1, 5)), categorical_loglik((2, 2, 6))
-        assert separability_check_numeric(lambda a, b: ll1(a) + ll2(b), [pts, pts]).separable
-        verdict = separability_check_numeric(
-            lambda a, b: ll1(a) + ll2(b) + 3.0 * a[..., 0] * b[..., 0], [pts, pts]
-        )
-        assert not verdict.separable
-        [(i, j, u, up, v, vp, _)] = verdict.offending
-        assert (i, j) == (1, 2)
-        assert all(len(p) == 3 for p in (u, up, v, vp))
-
     def test_numeric_deterministic(self):
         grid = np.linspace(0.05, 0.95, 32)
         ll = lambda a, b: 3.0 * a * b
@@ -317,29 +306,6 @@ class TestSeparability:
             separability_check_numeric(lambda a, b: np.log(a * 0.0), [grid, grid])
 
 
-class TestCategorical:
-    def test_simplex_grid_points_are_interior_distributions(self):
-        pts = simplex_grid(3, resolution=8)
-        assert np.allclose(pts.sum(axis=1), 1.0, atol=1e-12)
-        assert pts.min() > 0.0
-
-    def test_categorical_oracle_matches_distributed(self):
-        pts = simplex_grid(3, resolution=10)
-        n = pts.shape[0]
-        prior = GridDensity(pts, np.full(n, 1.0 / n))
-        counts1, counts2 = (4, 1, 5), (2, 2, 6)
-        ll1, ll2 = categorical_loglik(counts1), categorical_loglik(counts2)
-        distributed = compose_product(
-            [panel_update_grid(prior, ll1), panel_update_grid(prior, ll2)]
-        )
-        oracle = joint_oracle([prior, prior], lambda p1, p2: ll1(p1) + ll2(p2))
-        assert divergence(distributed, oracle).max_abs <= 1e-10
-
-    def test_categorical_negative_counts_rejected(self):
-        with pytest.raises(InvalidCounts):
-            categorical_loglik((1, -2, 3))
-
-
 @settings(deadline=None, max_examples=50)
 @given(
     st.integers(0, 40),
@@ -365,7 +331,7 @@ def test_compose_marginals_preserved_for_random_weights(raw):
     weights = weights / weights.sum()
     # renormalize defensively so the GridDensity invariant is met bit-exactly
     weights = weights / weights.sum()
-    p = GridDensity(np.linspace(0, 1, len(raw)).reshape(-1, 1), weights)
+    p = GridDensity(np.linspace(0, 1, len(raw)), weights)
     q = uniform_grid(4)
     joint = compose_product([p, q])
     assert np.max(np.abs(marg_keep(joint.weights, {0}).ravel() - p.weights)) <= 1e-12

@@ -199,6 +199,11 @@ class TestVerifyTheorem:
         verdict = verify_coherence(sys, GraphicalMode(confounded_dag(sys)))
         assert not verdict.sound_and_distributed
 
+    def test_graphical_mode_m32(self):
+        sys = build_system(32)
+        assert verify_coherence(sys, GraphicalMode(canonical_dag(sys))).sound_and_distributed
+        assert not verify_coherence(sys, GraphicalMode(confounded_dag(sys))).sound_and_distributed
+
     def test_missing_condition_blocks_goal(self):
         sys = build_system(2)
         kept = tuple(k for k in ALL_CONDITIONS if k is not ConditionKind.SEPARATELY_INFORMED)
