@@ -33,7 +33,8 @@ SECONDS = 20
 # (name, runs per side, code that leaves a JSON-able summary in ``out``); the
 # m=7 verification and the m=3 ablation run once, since a parent may take
 # minutes over each, and separability_m2 imports panels inside the timed code,
-# so its import cost shows
+# so its import cost shows; joint_oracle_m3_256 runs the grid engine at
+# specfile.MAX_GRID_CELLS, so its peak RSS is that of the largest spec allowed
 LAYER_CASES = (
     ("separability_m2", 3,
      "from modcoherence import panels as pn\n"
@@ -41,6 +42,14 @@ LAYER_CASES = (
      "ll = pn.panel_joint_loglik(lls, 12.0)\n"
      "v = pn.separability_check_numeric(ll, [pn.interior_grid(101)] * 2)\n"
      "out = {'separable': v.separable, 'witnesses': len(v.offending)}"),
+    ("joint_oracle_m3_256", 3,
+     "from modcoherence import panels as pn\n"
+     "priors = [pn.beta_grid(pn.BetaParams(a, b), 256) for a, b in [(2, 3), (3, 2), (1, 1)]]\n"
+     "lls = [pn.bernoulli_loglik(30, 80), pn.bernoulli_loglik(10, 40), pn.bernoulli_loglik(5, 20)]\n"
+     "dist = pn.compose_product([pn.panel_update_grid(g, ll) for g, ll in zip(priors, lls)])\n"
+     "oracle = pn.joint_oracle(priors, pn.panel_joint_loglik(lls, 12.0))\n"
+     "out = {'tv': pn.divergence(dist, oracle).total_variation,\n"
+     "       'mean': pn.functional_expectation(oracle, pn.block_product)}"),
     ("closure_m2", 3,
      "s = p.build_system(2)\n"
      "r = ci.closure(p.base_statements(s), s.dependencies, s.universe)\n"
@@ -86,7 +95,7 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     }
     if not trace:
         result["failed_ratio"] = out["failed"] / out["attempted"] if out["attempted"] else 0.0
-        result["environment"] = {k: env[k] for k in ("nproc", "python", "numpy", "scipy")}
+        result["environment"] = {k: env[k] for k in ("nproc", "python", "numpy")}
     return result
 
 

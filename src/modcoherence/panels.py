@@ -11,8 +11,10 @@ interaction residuals over each pair grid).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -138,22 +140,25 @@ def product_mean(posteriors: Sequence[BetaParams]) -> float:
 def _reweight(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
     """Grid Bayes step: ``weights * exp(ll)`` renormalized.
 
-    A flat ``ll`` (one finite value on every cell) is the identity: the
-    already-normalized prior is returned as is, not divided by its rounded sum.
+    A flat ``ll`` (one finite value on every cell) is the identity: a copy of
+    the already-normalized prior is returned, not divided by its rounded sum.
     """
-    if np.any(np.isnan(ll)) or np.any(ll == np.inf):
+    top = ll.max()  # nan or +inf anywhere makes the max nan or +inf
+    if np.isnan(top) or top == np.inf:
         raise NonFiniteLogLikelihood("log-likelihood must be finite or -inf")
-    finite = ll[np.isfinite(ll)]
-    if finite.size == 0:
+    if top == -np.inf:
         raise DegenerateLikelihood("likelihood vanished on the whole grid")
-    top = finite.max()
-    if finite.size == ll.size and finite.min() == top:
+    if ll.min() == top:
         return weights.copy()
-    posterior = weights * np.exp(ll - top)
+    # one buffer: exp(ll - top) * weights / total, computed in place
+    posterior = np.subtract(ll, top)
+    np.exp(posterior, out=posterior)
+    posterior *= weights
     total = posterior.sum()
     if total <= 0:
         raise DegenerateLikelihood("posterior mass underflowed to zero")
-    return posterior / total
+    posterior /= total
+    return posterior
 
 
 def panel_update_grid(
@@ -209,7 +214,8 @@ def divergence(p: JointGridPosterior, q: JointGridPosterior) -> Divergence:
         raise ShapeMismatch(f"grids differ: {p.weights.shape} vs {q.weights.shape}")
     if not all(map(np.array_equal, p.blocks, q.blocks)):
         raise ShapeMismatch("support points differ between the two posteriors")
-    diff = np.abs(p.weights - q.weights)
+    diff = np.subtract(p.weights, q.weights)
+    np.abs(diff, out=diff)
     return Divergence(float(diff.max()), float(0.5 * diff.sum()))
 
 
@@ -293,8 +299,9 @@ def bernoulli_loglik(successes: int, trials: int) -> Callable[[np.ndarray], np.n
 
 
 def block_product(*blocks) -> np.ndarray:
-    """The product of the blocks, broadcast against each other."""
-    return np.prod(np.broadcast_arrays(*blocks), axis=0)
+    """The product of the blocks, broadcast against each other, taken as the
+    running product ((b1 * b2) * b3) ... so no stack of full-grid copies is built."""
+    return functools.reduce(operator.mul, blocks)
 
 
 def panel_joint_loglik(

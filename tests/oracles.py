@@ -12,6 +12,7 @@ import itertools
 import numpy as np
 
 from modcoherence.ci import CIError, apply_axiom, derive, derive_through
+from modcoherence.panels import DegenerateLikelihood, NonFiniteLogLikelihood
 from modcoherence.protocol import _goal_waypoints, autonomy_goal, independence_goal
 
 
@@ -222,3 +223,28 @@ def four_point_residuals(loglik, grids) -> dict:
                     - table[:, None, None, :] - table[None, :, :, None])
         worst[(i + 1, j + 1)] = float(np.abs(residual).max())
     return worst
+
+
+def reweight_reference(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
+    """The grid Bayes step written out step by step, with a separate array
+    for each check and each stage: ``weights * exp(ll - max)`` renormalized,
+    the prior itself (copied) for a flat finite ``ll``.  ``panels._reweight``
+    must match it bit for bit, error for error."""
+    if np.any(np.isnan(ll)) or np.any(ll == np.inf):
+        raise NonFiniteLogLikelihood("log-likelihood must be finite or -inf")
+    finite = ll[np.isfinite(ll)]
+    if finite.size == 0:
+        raise DegenerateLikelihood("likelihood vanished on the whole grid")
+    top = finite.max()
+    if finite.size == ll.size and finite.min() == top:
+        return weights.copy()
+    posterior = weights * np.exp(ll - top)
+    total = posterior.sum()
+    if total <= 0:
+        raise DegenerateLikelihood("posterior mass underflowed to zero")
+    return posterior / total
+
+
+def block_product_reference(*blocks) -> np.ndarray:
+    """The product of the blocks, reduced over a stack of their broadcast copies."""
+    return np.prod(np.broadcast_arrays(*blocks), axis=0)

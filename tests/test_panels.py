@@ -2,6 +2,7 @@
 the joint oracle, divergence metrics and separability checks."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,16 +18,19 @@ from modcoherence.panels import (
     InvalidCounts,
     JointGridPosterior,
     NonFiniteLogLikelihood,
+    _reweight,
     PanelsError,
     SeparabilityVerdict,
     ShapeMismatch,
     bernoulli_loglik,
     beta_grid,
+    block_product,
     compose_product,
     divergence,
     functional_expectation,
     interior_grid,
     joint_oracle,
+    panel_joint_loglik,
     panel_update_conjugate,
     panel_update_grid,
     separability_check_numeric,
@@ -34,7 +38,12 @@ from modcoherence.panels import (
     uniform_grid,
 )
 
-from .oracles import four_point_residuals, marg_keep
+from .oracles import (
+    block_product_reference,
+    four_point_residuals,
+    marg_keep,
+    reweight_reference,
+)
 
 
 class TestConjugate:
@@ -174,6 +183,148 @@ class TestComposeAndOracle:
         # E[t1] on a uniform product grid is the grid mean of block 1
         got = functional_expectation(joint, lambda t1, t2: t1 * np.ones_like(t2))
         assert got == pytest.approx(0.5, abs=1e-12)
+
+
+def _random_reweight_case(seed: int, shape: tuple, view: bool):
+    """Random prior weights and log-likelihood on ``shape``, about a tenth of
+    the cells at -inf; with ``view``, ``ll`` is a read-only ``broadcast_to``
+    view, as ``_on_product_grid`` returns, whose first axis repeats when it
+    is not the only one."""
+    rng = np.random.default_rng(seed)
+    weights = rng.random(shape)
+    weights[rng.random(shape) < 0.05] = 0.0
+    weights /= weights.sum()
+    base = (1,) + shape[1:] if view and len(shape) > 1 else shape
+    ll = rng.normal(scale=40.0, size=base)
+    ll[rng.random(base) < 0.1] = -np.inf
+    return weights, (np.broadcast_to(ll, shape) if view else ll)
+
+
+def _bits(a) -> tuple:
+    a = np.asarray(a)
+    return a.shape, a.dtype, a.tobytes()
+
+
+class TestReweightContract:
+    """``_reweight`` against ``oracles.reweight_reference``, bit for bit."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shape", [(257,), (13, 17, 19)])
+    @pytest.mark.parametrize("view", [False, True])
+    def test_bit_identical_to_the_reference(self, seed, shape, view):
+        weights, ll = _random_reweight_case(seed, shape, view)
+        assert _bits(_reweight(weights, ll)) == _bits(reweight_reference(weights, ll))
+
+    @pytest.mark.parametrize("cells, cls, message", [
+        ([0.0, np.nan, 1.0], NonFiniteLogLikelihood, "log-likelihood must be finite or -inf"),
+        ([np.nan, np.inf, 0.0], NonFiniteLogLikelihood, "log-likelihood must be finite or -inf"),
+        ([np.inf, -np.inf, 0.0], NonFiniteLogLikelihood, "log-likelihood must be finite or -inf"),
+        ([-np.inf, -np.inf, -np.inf], DegenerateLikelihood,
+         "likelihood vanished on the whole grid"),
+    ])
+    def test_errors(self, cells, cls, message):
+        for reweight in (_reweight, reweight_reference):
+            with pytest.raises(cls) as info:
+                reweight(np.full(3, 1 / 3), np.array(cells))
+            assert str(info.value) == message
+
+    def test_underflow_to_zero_mass(self):
+        # all the likelihood sits where the prior has no mass
+        with pytest.raises(DegenerateLikelihood, match="posterior mass underflowed to zero"):
+            _reweight(np.array([0.0, 1.0]), np.array([0.0, -1e4]))
+
+    def test_flat_with_one_minus_inf_cell_is_not_the_identity(self):
+        weights = np.full(5, 0.2)
+        ll = np.full(5, 2.5)
+        ll[2] = -np.inf
+        got = _reweight(weights, ll)
+        assert got[2] == 0.0 and not np.array_equal(got, weights)
+        assert _bits(got) == _bits(reweight_reference(weights, ll))
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_flat_finite_returns_an_equal_copy(self, view):
+        weights = beta_grid(BetaParams(2, 5), 11).weights
+        ll = np.broadcast_to(np.array([3.5]), (11,)) if view else np.full(11, 3.5)
+        got = _reweight(weights, ll)
+        assert _bits(got) == _bits(weights)
+        assert not np.shares_memory(got, weights)
+
+    def test_inputs_and_posteriors_are_left_unchanged(self):
+        rng = np.random.default_rng(7)
+        priors = [beta_grid(BetaParams(2, 3), 9), beta_grid(BetaParams(3, 2), 11)]
+        prior_weights = [p.weights.copy() for p in priors]
+        ll1 = rng.normal(size=9)
+        ll2 = rng.normal(size=(9, 11))
+        owned = [ll1.copy(), ll2.copy()]
+        assert ll1.flags.writeable and ll2.flags.writeable
+        post = panel_update_grid(priors[0], lambda t: ll1)
+        distributed = compose_product([post, priors[1]])
+        oracle = joint_oracle(priors, lambda t1, t2: ll2)
+        posteriors = [distributed.weights.copy(), oracle.weights.copy()]
+        divergence(distributed, oracle)
+        for prior, before in zip(priors, prior_weights):
+            assert _bits(prior.weights) == _bits(before)
+        assert _bits(ll1) == _bits(owned[0]) and _bits(ll2) == _bits(owned[1])
+        assert _bits(distributed.weights) == _bits(posteriors[0])
+        assert _bits(oracle.weights) == _bits(posteriors[1])
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_block_product_bit_identical_to_the_stacked_product(seed, m):
+    rng = np.random.default_rng(seed)
+    blocks = [rng.normal(size=int(n)) for n in rng.integers(2, 9, size=m)]
+    mesh = np.meshgrid(*blocks, indexing="ij", sparse=True)
+    assert _bits(block_product(*mesh)) == _bits(block_product_reference(*mesh))
+
+
+def _traced_peak(call) -> int:
+    """Peak bytes that ``call()`` allocates and traces, its result included
+    (numpy reports its array buffers to ``tracemalloc``)."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestFullGridTemporaries:
+    """Peak memory of the grid steps in full-grid float arrays, so that a
+    reintroduced full-grid temporary fails."""
+
+    N = 101
+    FULL = 8 * N**3
+
+    @pytest.fixture(scope="class")
+    def case(self):
+        priors = [beta_grid(BetaParams(a, b), self.N) for a, b in [(2, 3), (3, 2), (1, 1)]]
+        logliks = [bernoulli_loglik(3, 10), bernoulli_loglik(5, 8), bernoulli_loglik(1, 4)]
+        joint_ll = panel_joint_loglik(logliks, 12.0)
+        mesh = np.meshgrid(*[p.points for p in priors], indexing="ij", sparse=True)
+        ll = np.asarray(joint_ll(*mesh))
+        oracle = joint_oracle(priors, joint_ll)
+        return priors, mesh, ll, compose_product(priors), oracle
+
+    def test_joint_oracle(self, case):
+        # the likelihood is evaluated beforehand, so only the engine's own
+        # arrays count: the composed prior and the posterior
+        priors, _, ll, _, _ = case
+        peak = _traced_peak(lambda: joint_oracle(priors, lambda *blocks: ll))
+        assert peak / self.FULL <= 2.05
+
+    def test_divergence(self, case):
+        _, _, _, distributed, oracle = case
+        assert _traced_peak(lambda: divergence(distributed, oracle)) / self.FULL <= 1.05
+
+    def test_functional_expectation_of_the_block_product(self, case):
+        oracle = case[4]
+        peak = _traced_peak(lambda: functional_expectation(oracle, block_product))
+        assert peak / self.FULL <= 2.05
+
+    def test_block_product_on_the_sparse_mesh(self, case):
+        mesh = case[1]
+        assert _traced_peak(lambda: block_product(*mesh)) / self.FULL <= 1.05
 
 
 class TestSeparability:
