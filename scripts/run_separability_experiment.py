@@ -33,7 +33,7 @@ def main() -> None:
     args = parser.parse_args()
 
     grid = interior_grid(args.grid)
-    priors = [GridDensity(grid, np.full(grid.size, 1.0 / grid.size)) for _ in range(2)]
+    priors = [GridDensity((grid,), np.full(grid.size, 1.0 / grid.size)) for _ in range(2)]
     logliks = [bernoulli_loglik(50, 100), bernoulli_loglik(20, 60)]
     distributed = compose_product(
         [panel_update_grid(p, ll) for p, ll in zip(priors, logliks)]

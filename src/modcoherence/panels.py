@@ -1,7 +1,8 @@
 """Numeric engine for distributed panel updating versus full-joint inference.
 
 Each panel's parameter block is a scalar.  Per-panel posteriors live either
-in a conjugate family or on a normalized grid of support points.  Distributed
+in a conjugate family or on a normalized grid of support points; one type,
+``GridDensity``, holds a panel's grid posterior and a product-grid one.  Distributed
 inference composes autonomous per-panel updates into a product posterior; the
 joint oracle runs exact grid Bayes on the full likelihood over the product
 grid.  Likelihood separability - the condition under which the two pipelines
@@ -13,7 +14,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -23,7 +23,7 @@ import numpy as np
 # the numpy-free value types live in .values; panels re-exports them
 from .values import BetaParams, Factor, PanelsError  # noqa: F401
 
-NORM_TOL = 1e-10
+NORM_TOL = 1e-12
 
 
 class InvalidCounts(PanelsError):
@@ -51,33 +51,15 @@ def _as_points(arr) -> np.ndarray:
 
 @dataclass
 class GridDensity:
-    """Probability masses over a finite set of support points.
+    """Probability masses over the product of scalar support-point blocks.
 
-    ``points`` is a 1-D array of n scalar support points; ``weights`` are
-    non-negative and sum to one.
+    ``blocks`` holds one 1-D array of support points per block; ``weights``
+    has shape (n_1, ..., n_m), is non-negative and sums to one.  A single
+    panel's density is the one-block case ``((points,), weights)``.
     """
 
-    points: np.ndarray
+    blocks: tuple[np.ndarray, ...]
     weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.points = _as_points(self.points)
-        self.weights = np.asarray(self.weights, dtype=float)
-        if self.weights.shape != self.points.shape:
-            raise ShapeMismatch(f"{self.weights.shape} weights for {self.points.shape} points")
-        if np.any(self.weights < 0):
-            raise PanelsError("grid weights must be non-negative")
-        total = float(self.weights.sum())
-        if not math.isclose(total, 1.0, abs_tol=1e-12):
-            raise PanelsError(f"grid weights must sum to 1 within 1e-12, got {total!r}")
-
-
-@dataclass
-class JointGridPosterior:
-    """Joint masses over the product of per-block support-point sets."""
-
-    blocks: tuple[np.ndarray, ...]  # per-block points, each of shape (n_i,)
-    weights: np.ndarray  # shape (n_1, ..., n_m)
 
     def __post_init__(self) -> None:
         self.blocks = tuple(_as_points(b) for b in self.blocks)
@@ -87,13 +69,16 @@ class JointGridPosterior:
             raise ShapeMismatch(
                 f"weight array shape {self.weights.shape} != product grid shape {expected}"
             )
+        # a reduction, not a full-grid bool array; initial=0 sends [] on to the sum check
+        if self.weights.min(initial=0.0) < 0:
+            raise PanelsError("grid weights must be non-negative")
         total = float(self.weights.sum())
-        if not math.isclose(total, 1.0, abs_tol=NORM_TOL):
-            raise PanelsError(f"joint weights must sum to 1 within {NORM_TOL}, got {total!r}")
+        if not abs(total - 1.0) <= NORM_TOL:  # false for a nan total too
+            raise PanelsError(f"grid weights must sum to 1 within {NORM_TOL}, got {total!r}")
 
 
 def uniform_grid(n: int = 101) -> GridDensity:
-    return GridDensity(np.linspace(0.0, 1.0, n), np.full(n, 1.0 / n))
+    return GridDensity((np.linspace(0.0, 1.0, n),), np.full(n, 1.0 / n))
 
 
 def interior_grid(n: int) -> np.ndarray:
@@ -164,20 +149,25 @@ def _reweight(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
 def panel_update_grid(
     prior: GridDensity, loglik: Callable[[np.ndarray], np.ndarray]
 ) -> GridDensity:
-    """Pointwise prior x likelihood on the support points, renormalized; a
+    """Pointwise prior x likelihood on the product grid, renormalized; a
     flat likelihood (e.g. no data) returns the prior masses exactly."""
-    ll = _on_product_grid(loglik, [prior.points])
-    return GridDensity(prior.points, _reweight(prior.weights, ll))
+    ll = _on_product_grid(loglik, prior.blocks)
+    return GridDensity(prior.blocks, _reweight(prior.weights, ll))
 
 
-def compose_product(posteriors: Sequence[GridDensity]) -> JointGridPosterior:
-    """Outer product of per-block masses; marginals reproduce the inputs."""
-    if not posteriors:
+def _outer_product(densities: Sequence[GridDensity]) -> tuple[tuple, np.ndarray]:
+    """The densities' blocks, concatenated, and the outer product of their masses."""
+    if not densities:
         raise ShapeMismatch("need at least one panel posterior")
-    weights = posteriors[0].weights
-    for post in posteriors[1:]:
-        weights = np.multiply.outer(weights, post.weights)
-    return JointGridPosterior(tuple(p.points for p in posteriors), weights)
+    weights = densities[0].weights
+    for density in densities[1:]:
+        weights = np.multiply.outer(weights, density.weights)
+    return tuple(b for density in densities for b in density.blocks), weights
+
+
+def compose_product(posteriors: Sequence[GridDensity]) -> GridDensity:
+    """Outer product of per-block masses; marginals reproduce the inputs."""
+    return GridDensity(*_outer_product(posteriors))
 
 
 def _on_product_grid(f: Callable[..., np.ndarray], blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -190,17 +180,18 @@ def _on_product_grid(f: Callable[..., np.ndarray], blocks: Sequence[np.ndarray])
 def joint_oracle(
     priors: Sequence[GridDensity],
     joint_loglik: Callable[..., np.ndarray],
-) -> JointGridPosterior:
+) -> GridDensity:
     """Exact grid Bayes: product of priors times the full likelihood.
 
     ``joint_loglik`` receives one broadcast-ready array per block (see
     ``_on_product_grid``) and must return log-likelihoods over the product
-    grid.  A flat likelihood (e.g. no data) returns ``compose_product(priors)``
-    exactly.
+    grid.  The result equals ``panel_update_grid(compose_product(priors),
+    joint_loglik)`` bit for bit, without validating the composed prior; a
+    flat likelihood (e.g. no data) returns the composed prior masses exactly.
     """
-    prior = compose_product(priors)
-    ll = _on_product_grid(joint_loglik, prior.blocks)
-    return JointGridPosterior(prior.blocks, _reweight(prior.weights, ll))
+    blocks, weights = _outer_product(priors)
+    ll = _on_product_grid(joint_loglik, blocks)
+    return GridDensity(blocks, _reweight(weights, ll))
 
 
 @dataclass(frozen=True)
@@ -209,7 +200,7 @@ class Divergence:
     total_variation: float
 
 
-def divergence(p: JointGridPosterior, q: JointGridPosterior) -> Divergence:
+def divergence(p: GridDensity, q: GridDensity) -> Divergence:
     if p.weights.shape != q.weights.shape:
         raise ShapeMismatch(f"grids differ: {p.weights.shape} vs {q.weights.shape}")
     if not all(map(np.array_equal, p.blocks, q.blocks)):
@@ -220,7 +211,7 @@ def divergence(p: JointGridPosterior, q: JointGridPosterior) -> Divergence:
 
 
 def functional_expectation(
-    post: JointGridPosterior, g: Callable[..., np.ndarray]
+    post: GridDensity, g: Callable[..., np.ndarray]
 ) -> float:
     """Expectation of g over the joint grid; g sees broadcast block arrays."""
     return float(np.sum(_on_product_grid(g, post.blocks) * post.weights))

@@ -34,7 +34,7 @@ from .ci import (
     derive_through,
     normalize,
 )
-from .dag import Dag, build_dag, d_separated, local_markov_basis
+from .dag import Dag, build_dag, d_separated
 
 
 class ProtocolError(ModcoherenceError):
@@ -448,11 +448,6 @@ def ablate(
         mode = AxiomaticMode(base_statements(sys, kept), budget)
         rows.append((dropped, verify_coherence(sys, mode)))
     return tuple(rows)
-
-
-def markov_seed(dag: Dag) -> tuple[CIStatement, ...]:
-    """Axiomatic base harvested from a graph's local Markov statements."""
-    return tuple(sorted(local_markov_basis(dag), key=CIStatement.sort_key))
 
 
 def canonical_dag(sys: PanelSystem) -> Dag:

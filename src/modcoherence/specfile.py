@@ -42,6 +42,9 @@ MAX_GRID_CELLS = 2**24
 # of 50k-200k), so the cap peaks near 0.7 GB; the bundled m = 3 spec asks
 # for all of it
 MAX_BUDGET = 500_000
+# the grid engine and the conjugate update take counts as float64, which
+# holds every integer up to 2**53 exactly and overflows near 10**308
+MAX_TRIALS = 2**53
 
 
 class SpecError(ModcoherenceError):
@@ -146,12 +149,15 @@ def _beta_prior(entry: dict, where: str) -> BetaParams:
 
 
 def _counts(pair, where: str) -> tuple[int, int]:
-    """``[successes, trials]``: two JSON integers with 0 <= successes <= trials."""
+    """``[successes, trials]``: two JSON integers with 0 <= successes <= trials
+    <= ``MAX_TRIALS``."""
     shaped = isinstance(pair, list) and len(pair) == 2
     if shaped and not all(type(x) is int for x in pair):
         raise ParseError(f"{where}: counts must be integers, got {pair}")
     if not (shaped and 0 <= pair[0] <= pair[1]):
         raise ParseError(f"{where}: need [successes, trials], got {pair}")
+    if pair[1] > MAX_TRIALS:
+        raise ParseError(f"{where}: trials must be at most 2**53, got {pair[1]}")
     return pair[0], pair[1]
 
 
@@ -212,6 +218,8 @@ def parse_spec(path: str | Path) -> SpecFile:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # e.g. an integer literal past the int-conversion digit limit
+        raise ParseError(f"{path}: invalid JSON: {exc}") from exc
     return parse_spec_dict(raw)
 
 

@@ -180,7 +180,7 @@ def test_criterion_5_interaction_breaks_distributivity():
         verdict = separability_check_numeric(joint_ll, [grid, grid])
         if not verdict.separable and verdict.max_residual > 1e-3:
             flagged += 1
-        priors = [GridDensity(grid, np.full(grid.size, 1.0 / grid.size)) for _ in range(2)]
+        priors = [GridDensity((grid,), np.full(grid.size, 1.0 / grid.size)) for _ in range(2)]
         distributed = compose_product(
             [panel_update_grid(p, ll) for p, ll in zip(priors, logliks)]
         )

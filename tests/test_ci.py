@@ -1,6 +1,7 @@
 """Unit and property tests for the statement algebra and saturation prover."""
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,27 @@ class TestDerive:
         proof = derive(base, goal=goal).proof
         bad = proof.__class__(proof.premises, proof.steps, normalize({"A"}, {"D"}, {"C"}))
         assert not bad.replay()
+
+    def test_replay_rejects_each_tampering_of_a_real_proof(self):
+        system = build_system(2)
+        deps = system.dependencies
+        result = derive(base_statements(system), deps, autonomy_goal(system, 1),
+                        universe=system.universe)
+        proof = result.proof
+        assert proof.replay(deps)
+        steps = list(proof.steps)
+        # a step whose output is not what its rule gives
+        k = len(steps) // 2
+        tampered = steps[:k] + [replace(steps[k], output=steps[k - 1].output)] + steps[k + 1:]
+        assert steps[k].output != steps[k - 1].output
+        assert not replace(proof, steps=tuple(tampered)).replay(deps)
+        # a selection the rule refuses
+        k = next(i for i, s in enumerate(steps) if s.rule in ("decomposition", "weak_union"))
+        outside = frozenset({"not_a_symbol"})
+        tampered = steps[:k] + [replace(steps[k], selection=outside)] + steps[k + 1:]
+        assert not replace(proof, steps=tuple(tampered)).replay(deps)
+        # a goal the last step does not reach
+        assert not replace(proof, goal=autonomy_goal(system, 2)).replay(deps)
 
     def test_memo_answers_as_a_fresh_search(self):
         # dropping separately_informed at m=2 leaves goals outside a

@@ -158,6 +158,7 @@ _BAD_FIELDS = [
      "query: independence sides must be non-empty"),
     ("separability", "separable_pair", ["run", "tolerance"], -1.0,
      "run.tolerance must be non-negative"),
+    ("simulate", "separable_pair", ["run", "grid"], 2, "run.grid must be at least 3"),
     # a template and an explicit graph are exclusive; latent is the confounder's name
     ("check", "canonical_graph", ["graph", "latent"], "Z",
      "graph: 'latent' needs the 'confounded' template"),
@@ -221,6 +222,29 @@ class TestExitCodes:
         spec["data"]["product_cell_counts"] = [True, 2]
         with pytest.raises(ParseError, match="product_cell_counts"):
             parse_spec_dict(spec)
+
+    def test_integer_literal_past_the_digit_limit_exits_2(self, tmp_path):
+        # json.loads refuses it with a plain ValueError, not a JSONDecodeError
+        path = tmp_path / "digits.spec"
+        path.write_text('{"version": 1, "protocol": {"panels": 2, "epoch": ' + "9" * 5000 + "}}")
+        result = run("check", "--spec", str(path))
+        assert result.exit_code == 2
+        assert result.exception is None
+        assert "ParseError" in result.output and "invalid JSON" in result.output
+
+    def test_counts_too_large_for_a_float_exit_2(self, tmp_path):
+        spec = self._separable_pair()
+        spec["data"]["panel_counts"] = [[10**400, 10**400], [0, 0]]
+        for command in ("simulate", "separability"):
+            result = run(command, "--spec", write_spec(tmp_path, spec))
+            assert result.exit_code == 2
+            assert result.exception is None
+            assert "ParseError" in result.output and "at most 2**53" in result.output
+        spec["data"]["panel_counts"] = [[0, 2**53 + 1], [0, 0]]
+        with pytest.raises(ParseError, match="at most 2\\*\\*53"):
+            parse_spec_dict(spec)
+        spec["data"]["panel_counts"] = [[0, 2**53], [0, 0]]
+        assert parse_spec_dict(spec).data.panel_counts[0] == (0, 2**53)
 
     def test_overlapping_dsep_query_exits_2(self, tmp_path):
         spec = json.loads((SPECS / "chain_dsep.spec").read_text())

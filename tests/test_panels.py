@@ -16,7 +16,6 @@ from modcoherence.panels import (
     Factor,
     GridDensity,
     InvalidCounts,
-    JointGridPosterior,
     NonFiniteLogLikelihood,
     _reweight,
     PanelsError,
@@ -105,16 +104,29 @@ class TestGridUpdate:
 
     def test_grid_density_validation(self):
         with pytest.raises(ShapeMismatch):
-            GridDensity(np.zeros(3), np.array([0.5, 0.5]))
+            GridDensity((np.zeros(3),), np.array([0.5, 0.5]))
         with pytest.raises(PanelsError):
-            GridDensity(np.zeros(2), np.array([0.7, 0.7]))
+            GridDensity((np.zeros(2),), np.array([0.7, 0.7]))
         with pytest.raises(PanelsError):
-            GridDensity(np.zeros(2), np.array([1.5, -0.5]))
+            GridDensity((np.zeros(2),), np.array([1.5, -0.5]))
+        with pytest.raises(PanelsError):
+            GridDensity((np.zeros(0),), np.zeros(0))
+
+    def test_two_block_density_validation(self):
+        g = np.array([0.25, 0.75])
+        # sums to one, but with a negative mass
+        with pytest.raises(PanelsError, match="non-negative"):
+            GridDensity((g, g), np.array([[1.5, 0.0], [0.0, -0.5]]))
+        # off by 1e-11: NORM_TOL is absolute, with no relative slack on top
+        with pytest.raises(PanelsError, match="sum to 1"):
+            GridDensity((g, g), np.array([[0.5, 0.0], [0.0, 0.5 + 1e-11]]))
+        with pytest.raises(ShapeMismatch):
+            GridDensity((g, g), np.full(4, 0.25))
 
     def test_grid_density_rejects_column_points(self):
         # blocks are scalar: an (n, 1) column is not a 1-D point array
         with pytest.raises(ShapeMismatch):
-            GridDensity(np.zeros((2, 1)), np.array([0.5, 0.5]))
+            GridDensity((np.zeros((2, 1)),), np.array([0.5, 0.5]))
 
 
 class TestComposeAndOracle:
@@ -162,13 +174,26 @@ class TestComposeAndOracle:
         oracle = joint_oracle(priors, lambda t1, t2: ll1(t1) + ll2(t2))
         assert divergence(distributed, oracle).max_abs <= 1e-10
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_oracle_is_the_grid_update_of_the_composed_prior(self, seed, m):
+        rng = np.random.default_rng(seed)
+        priors = [beta_grid(BetaParams(*rng.uniform(1, 6, size=2)), int(n))
+                  for n in rng.integers(5, 30, size=m)]
+        logliks = [bernoulli_loglik(int(s), 20) for s in rng.integers(0, 21, size=m)]
+        joint_ll = panel_joint_loglik(logliks, float(rng.uniform(0, 15)))
+        oracle = joint_oracle(priors, joint_ll)
+        reference = panel_update_grid(compose_product(priors), joint_ll)
+        assert np.array_equal(oracle.weights, reference.weights)
+        assert all(map(np.array_equal, oracle.blocks, reference.blocks))
+
     def test_divergence_trivial_cases(self):
         p = compose_product([uniform_grid(3), uniform_grid(3)])
         assert divergence(p, p) == Divergence(0.0, 0.0)
         w1 = np.zeros((3, 3)); w1[0, 0] = 1.0
         w2 = np.zeros((3, 3)); w2[1, 1] = 1.0
-        a = JointGridPosterior(p.blocks, w1)
-        b = JointGridPosterior(p.blocks, w2)
+        a = GridDensity(p.blocks, w1)
+        b = GridDensity(p.blocks, w2)
         assert divergence(a, b).total_variation == pytest.approx(1.0, abs=1e-15)
 
     def test_divergence_shape_mismatch(self):
@@ -301,7 +326,7 @@ class TestFullGridTemporaries:
         priors = [beta_grid(BetaParams(a, b), self.N) for a, b in [(2, 3), (3, 2), (1, 1)]]
         logliks = [bernoulli_loglik(3, 10), bernoulli_loglik(5, 8), bernoulli_loglik(1, 4)]
         joint_ll = panel_joint_loglik(logliks, 12.0)
-        mesh = np.meshgrid(*[p.points for p in priors], indexing="ij", sparse=True)
+        mesh = np.meshgrid(*[b for p in priors for b in p.blocks], indexing="ij", sparse=True)
         ll = np.asarray(joint_ll(*mesh))
         oracle = joint_oracle(priors, joint_ll)
         return priors, mesh, ll, compose_product(priors), oracle
@@ -482,7 +507,7 @@ def test_compose_marginals_preserved_for_random_weights(raw):
     weights = weights / weights.sum()
     # renormalize defensively so the GridDensity invariant is met bit-exactly
     weights = weights / weights.sum()
-    p = GridDensity(np.linspace(0, 1, len(raw)), weights)
+    p = GridDensity((np.linspace(0, 1, len(raw)),), weights)
     q = uniform_grid(4)
     joint = compose_product([p, q])
     assert np.max(np.abs(marg_keep(joint.weights, {0}).ravel() - p.weights)) <= 1e-12

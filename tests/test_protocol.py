@@ -7,7 +7,7 @@ import pytest
 
 from modcoherence import ci, protocol
 from modcoherence.ci import derive, normalize
-from modcoherence.dag import d_separated
+from modcoherence.dag import d_separated, local_markov_basis
 from modcoherence.protocol import (
     ALL_CONDITIONS,
     AxiomaticMode,
@@ -29,7 +29,6 @@ from modcoherence.protocol import (
     condition_statements,
     confounded_dag,
     independence_goal,
-    markov_seed,
     verify_coherence,
 )
 from .oracles import full_path_goal_statuses
@@ -257,7 +256,7 @@ class TestModeAgreement:
         dag = canonical_dag(sys)
         statuses = verify_coherence(sys, GraphicalMode(dag)).conditions
         assert all(s.holds for s in statuses)
-        seed = markov_seed(dag)
+        seed = tuple(local_markov_basis(dag))
         verdict = verify_coherence(sys, AxiomaticMode(seed))
         assert verdict.sound_and_distributed
         # the lumped route proves none of these goals, so their proofs come
@@ -410,7 +409,7 @@ class TestMemo:
         """The m = 2 Markov seed's condition statements and goals are all
         proved by the full system, each query resuming the one search."""
         sys = build_system(2)
-        mode = AxiomaticMode(markov_seed(canonical_dag(sys)))
+        mode = AxiomaticMode(tuple(local_markov_basis(canonical_dag(sys))))
         _, searches = self._record_full_system(monkeypatch, sys)
         verdict = verify_coherence(sys, mode)
         assert len(searches) == 1
