@@ -276,9 +276,7 @@ def separability(spec: SpecFile) -> Report:
     joint_ll = pn.panel_joint_loglik(logliks, models.interaction_strength)
 
     grid = pn.interior_grid(spec.run.grid)
-    verdict = pn.separability_check_numeric(
-        joint_ll, [grid] * len(models.priors), tolerance=spec.run.tolerance
-    )
+    verdict = pn.separability_check_numeric(joint_ll, [grid] * len(models.priors))
     results["numeric"] = {
         "separable": verdict.separable,
         "max_residual": verdict.max_residual,
@@ -301,7 +299,7 @@ def separability(spec: SpecFile) -> Report:
     results["divergence"] = {"max_abs": div.max_abs, "total_variation": div.total_variation}
 
     status = "pass" if verdict.separable else "fail"
-    return Report("separability", status, results, {"tolerance": spec.run.tolerance})
+    return Report("separability", status, results)
 
 
 if __name__ == "__main__":  # pragma: no cover

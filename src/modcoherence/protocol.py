@@ -477,9 +477,9 @@ def canonical_dag(sys: PanelSystem) -> Dag:
     return build_dag(nodes, edges, sys.dependencies)
 
 
-def confounded_dag(sys: PanelSystem, latent: Symbol = "H") -> Dag:
-    """Canonical graph plus a hidden confounder across all parameter blocks."""
+def confounded_dag(sys: PanelSystem) -> Dag:
+    """Canonical graph plus a hidden confounder ``H`` across all parameter blocks."""
     base = canonical_dag(sys)
-    nodes = base.nodes + ((latent, "parameter"),)
-    edges = base.edges + tuple((latent, t) for t in sorted(sys.thetas()))
+    nodes = base.nodes + (("H", "parameter"),)
+    edges = base.edges + tuple(("H", t) for t in sorted(sys.thetas()))
     return build_dag(nodes, edges, sys.dependencies)

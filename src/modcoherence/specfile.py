@@ -69,13 +69,14 @@ class MissingSection(SpecError):
 
 _TOP_KEYS = {"version", "protocol", "statements", "goal", "graph", "query", "models", "data", "run"}
 _PROTOCOL_KEYS = {"panels", "epoch", "conditions"}
-_GRAPH_KEYS = {"template", "latent", "nodes", "edges", "dependencies"}
+_GRAPH_KEYS = {"template", "nodes", "edges", "dependencies"}
 _MODELS_KEYS = {"panels", "interaction", "product_cell", "factors"}
 _PANEL_MODEL_KEYS = {"prior", "likelihood"}
 _PRIOR_KEYS = {"family", "alpha", "beta"}
 _DATA_KEYS = {"panel_counts", "product_cell_counts"}
-_RUN_KEYS = {"mode", "grid", "tolerance", "budget"}
+_RUN_KEYS = {"mode", "grid", "budget"}
 _STMT_KEYS = {"a", "b", "c"}
+_TEMPLATES = {"canonical": canonical_dag, "confounded": confounded_dag}
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
@@ -184,7 +185,6 @@ class Data:
 class RunOptions:
     mode: str = "axiomatic"
     grid: int = 101
-    tolerance: float = 1e-9
     budget: int = DEFAULT_BUDGET
 
 
@@ -251,17 +251,13 @@ def _graph(section: dict, system: Optional[PanelSystem]) -> Dag:
     for key in ("nodes", "edges", "dependencies"):
         if template is not None and key in section:
             raise ParseError(f"graph: {key!r} cannot be given with a template")
-    if "latent" in section and template != "confounded":
-        raise ParseError("graph: 'latent' needs the 'confounded' template")
     if template is not None and system is None:
         raise MissingSection("graph templates require a protocol section")
     try:
-        if template == "canonical":
-            return canonical_dag(system)
-        if template == "confounded":
-            return confounded_dag(system, _string(section, "latent", "graph", default="H"))
         if template is not None:
-            raise ParseError(f"graph: unknown template {template!r}")
+            if not isinstance(template, str) or template not in _TEMPLATES:
+                raise ParseError(f"graph: unknown template {template!r}")
+            return _TEMPLATES[template](system)
         for key in ("nodes", "edges"):
             if key not in section:
                 raise ParseError(f"graph is missing {key!r}")
@@ -344,7 +340,6 @@ def _run(section: dict) -> RunOptions:
     run = RunOptions(
         mode=mode,
         grid=_integer(section, "grid", default.grid, "run"),
-        tolerance=_number(section, "tolerance", default.tolerance, "run"),
         budget=_integer(section, "budget", default.budget, "run"),
     )
     if run.grid < 3:
@@ -353,8 +348,6 @@ def _run(section: dict) -> RunOptions:
         raise ParseError("run.budget must be positive")
     if run.budget > MAX_BUDGET:
         raise ParseError(f"run.budget must be at most {MAX_BUDGET}, got {run.budget}")
-    if run.tolerance < 0:
-        raise ParseError("run.tolerance must be non-negative")
     return run
 
 
@@ -372,19 +365,16 @@ def parse_spec_dict(raw: dict) -> SpecFile:
 
     dag = _graph(raw["graph"], system) if "graph" in raw else None
 
-    known_symbols: Optional[frozenset] = None
-    if system is not None or dag is not None:
-        known_symbols = frozenset()
-        if system is not None:
-            known_symbols |= system.universe
-        if dag is not None:
-            known_symbols |= dag.node_names
+    # statements and the goal range over the protocol's symbols, or without a
+    # protocol the graph's nodes, as the commands do; a query over the nodes
+    nodes = dag.node_names if dag is not None else None
+    universe = system.universe if system is not None else nodes
 
-    def statement(raw_stmt, where: str) -> tuple[frozenset, frozenset, frozenset]:
+    def statement(raw_stmt, where: str, known: Optional[frozenset]) -> tuple[frozenset, ...]:
         """The sides as written, held to ``normalize``'s rules."""
         sets = _statement_sets(raw_stmt, where)
-        if known_symbols is not None:
-            stray = frozenset().union(*sets) - known_symbols
+        if known is not None:
+            stray = frozenset().union(*sets) - known
             if stray:
                 raise UnresolvedSymbol(f"{where} references undeclared symbols: {sorted(stray)}")
         try:
@@ -394,11 +384,11 @@ def parse_spec_dict(raw: dict) -> SpecFile:
         return sets
 
     statements = tuple(
-        normalize(*statement(stmt, f"statements[{k}]"))
+        normalize(*statement(stmt, f"statements[{k}]", universe))
         for k, stmt in enumerate(_list(raw.get("statements", []), "statements"))
     )
-    goal = normalize(*statement(raw["goal"], "goal")) if "goal" in raw else None
-    query = statement(raw["query"], "query") if "query" in raw else None
+    goal = normalize(*statement(raw["goal"], "goal", universe)) if "goal" in raw else None
+    query = statement(raw["query"], "query", nodes) if "query" in raw else None
 
     models = _models(raw["models"]) if "models" in raw else None
     data = _data(raw["data"]) if "data" in raw else None

@@ -202,47 +202,56 @@ def full_path_goal_statuses(sys, mode) -> tuple:
     return tuple(out)
 
 
-def four_point_residuals(loglik, grids) -> dict:
-    """Largest four-point interaction residual of each block pair, over every
-    quadruple (u, u', v, v') of the pair's 1-D grids.
+def pair_tables(loglik, grids) -> dict:
+    """``loglik`` on each block pair's grid, as a table indexed (u, v).
 
     ``loglik`` is called once per point with scalar arguments; blocks outside
     the pair sit at their mid-grid reference point, as in the numeric check.
     Keys are 1-based block pairs.
     """
     ref = [float(g[len(g) // 2]) for g in grids]
-    worst = {}
+    tables = {}
     for i, j in itertools.combinations(range(len(grids)), 2):
         table = np.empty((len(grids[i]), len(grids[j])))
         for (a, u), (b, v) in itertools.product(enumerate(grids[i]), enumerate(grids[j])):
             point = list(ref)
             point[i], point[j] = float(u), float(v)
             table[a, b] = float(loglik(*point))
+        tables[(i + 1, j + 1)] = table
+    return tables
+
+
+def four_point_residuals(loglik, grids) -> dict:
+    """Largest four-point interaction residual of each block pair, over every
+    quadruple (u, u', v, v') of the pair's 1-D grids (see ``pair_tables``)."""
+    worst = {}
+    for pair, table in pair_tables(loglik, grids).items():
         # axes (u, u', v, v'): ll(u,v) + ll(u',v') - ll(u,v') - ll(u',v)
         residual = (table[:, None, :, None] + table[None, :, None, :]
                     - table[:, None, None, :] - table[None, :, :, None])
-        worst[(i + 1, j + 1)] = float(np.abs(residual).max())
+        worst[pair] = float(np.abs(residual).max())
     return worst
 
 
 def reweight_reference(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
     """The grid Bayes step written out step by step, with a separate array
-    for each check and each stage: ``weights * exp(ll - max)`` renormalized,
-    the prior itself (copied) for a flat finite ``ll``.  ``panels._reweight``
-    must match it bit for bit, error for error."""
+    for each check and each stage: ``weights * exp(min(ll - top, 0))``
+    renormalized, with ``top`` the largest ``ll`` on a cell the prior gives
+    mass, and the prior itself (copied) for a flat finite ``ll``.
+    ``panels._reweight`` must match it bit for bit, error for error."""
     if np.any(np.isnan(ll)) or np.any(ll == np.inf):
         raise NonFiniteLogLikelihood("log-likelihood must be finite or -inf")
     finite = ll[np.isfinite(ll)]
     if finite.size == 0:
         raise DegenerateLikelihood("likelihood vanished on the whole grid")
-    top = finite.max()
-    if finite.size == ll.size and finite.min() == top:
+    if finite.size == ll.size and finite.min() == finite.max():
         return weights.copy()
-    posterior = weights * np.exp(ll - top)
-    total = posterior.sum()
-    if total <= 0:
-        raise DegenerateLikelihood("posterior mass underflowed to zero")
-    return posterior / total
+    weighted = ll[(weights > 0) & np.isfinite(ll)]
+    if weighted.size == 0:
+        raise DegenerateLikelihood("likelihood vanished where the prior has mass")
+    top = weighted.max()
+    posterior = weights * np.exp(np.minimum(ll - top, 0.0))
+    return posterior / posterior.sum()
 
 
 def block_product_reference(*blocks) -> np.ndarray:

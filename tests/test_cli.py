@@ -105,10 +105,12 @@ _BAD_FIELDS = [
     ("check", "coherence_m2", ["protocol", "conditions"], 5, "protocol.conditions"),
     ("separability", "separable_pair", ["models", "interaction"], {"strength": "abc"},
      "models.interaction.strength"),
-    ("separability", "separable_pair", ["run", "tolerance"], "x", "run.tolerance"),
+    ("separability", "separable_pair", ["run", "tolerance"], "x",
+     "unknown key 'tolerance' in run"),
     ("simulate", "separable_pair", ["run", "grid"], "abc", "run.grid"),
     ("check", "coherence_m2", ["run", "budget"], "x", "run.budget"),
-    # removed keys: the numeric check is exact, and nothing is random
+    # removed keys: the numeric check is exact, its bound derived from the
+    # likelihood, nothing is random, and the confounder is always H
     ("separability", "separable_pair", ["run", "separability_samples"], 0,
      "unknown key 'separability_samples' in run"),
     ("separability", "separable_pair", ["models", "factors", 0, "panels"], _DROP,
@@ -157,19 +159,17 @@ _BAD_FIELDS = [
     ("dsep", "chain_dsep", ["query"], {"a": [], "b": ["B"], "c": []},
      "query: independence sides must be non-empty"),
     ("separability", "separable_pair", ["run", "tolerance"], -1.0,
-     "run.tolerance must be non-negative"),
+     "unknown key 'tolerance' in run"),
     ("simulate", "separable_pair", ["run", "grid"], 2, "run.grid must be at least 3"),
-    # a template and an explicit graph are exclusive; latent is the confounder's name
-    ("check", "canonical_graph", ["graph", "latent"], "Z",
-     "graph: 'latent' needs the 'confounded' template"),
+    # a template and an explicit graph are exclusive
+    ("check", "canonical_graph", ["graph", "latent"], "Z", "unknown key 'latent' in graph"),
     ("check", "canonical_graph", ["graph", "nodes"], [{"name": "Y"}],
      "graph: 'nodes' cannot be given with a template"),
     ("check", "canonical_graph", ["graph", "edges"], [["theta_1", "Y"]],
      "graph: 'edges' cannot be given with a template"),
     ("check", "confounded", ["graph", "dependencies"], [{"determined": "Y", "determiners": ["W"]}],
      "graph: 'dependencies' cannot be given with a template"),
-    ("dsep", "chain_dsep", ["graph", "latent"], "H",
-     "graph: 'latent' needs the 'confounded' template"),
+    ("dsep", "chain_dsep", ["graph", "latent"], "H", "unknown key 'latent' in graph"),
 ]
 
 
@@ -262,6 +262,33 @@ class TestExitCodes:
         result = run("derive", "--spec", path)
         assert result.exit_code == 2
         assert "UniverseError" in result.output
+
+    @pytest.mark.parametrize("command, section", [("check", "statements"), ("derive", "goal")])
+    def test_graph_node_outside_the_protocol_universe_exits_2(self, tmp_path, command, section):
+        # with a protocol, statements and the goal range over its symbols,
+        # not over the graph's nodes as well
+        stmt = {"a": ["X"], "b": ["theta_1"]}
+        path = write_spec(tmp_path, {
+            "version": 1,
+            "protocol": {"panels": 2},
+            "graph": {"nodes": [{"name": "X"}, {"name": "Y"}], "edges": []},
+            section: [stmt] if section == "statements" else stmt,
+        })
+        result = run(command, "--spec", path)
+        assert result.exit_code == 2
+        assert "UnresolvedSymbol" in result.output and "['X']" in result.output
+
+    def test_protocol_symbol_outside_the_graph_in_a_query_exits_2(self, tmp_path):
+        # a separation query ranges over the graph's nodes alone
+        path = write_spec(tmp_path, {
+            "version": 1,
+            "protocol": {"panels": 2},
+            "graph": {"nodes": [{"name": "X"}, {"name": "Y"}], "edges": []},
+            "query": {"a": ["X"], "b": ["theta_1"]},
+        })
+        result = run("dsep", "--spec", path)
+        assert result.exit_code == 2
+        assert "UnresolvedSymbol" in result.output and "['theta_1']" in result.output
 
     def test_graph_lacking_system_symbols_exits_2(self, tmp_path):
         path = write_spec(tmp_path, {
@@ -521,6 +548,19 @@ class TestSimulateCommand:
         assert res["product_cell_posterior_mean"] == pytest.approx(6 / 102, abs=1e-12)
         assert 4.25 <= res["distributed_over_product_cell_ratio"] <= 5.0
 
+    def test_likelihood_peak_where_the_prior_has_no_mass(self, tmp_path):
+        # panel 1's Beta(2, 3) prior is 0 at theta = 1, where 100000 successes
+        # in 100000 trials peak; its grid posterior sits on theta = 0.99
+        spec = json.loads((SPECS / "separable_pair.spec").read_text())
+        spec["data"]["panel_counts"] = [[100000, 100000], [0, 0]]
+        path = write_spec(tmp_path, spec)
+        result = run("simulate", "--spec", path, "--format", "machine")
+        assert result.exit_code == 0, result.output
+        mean = Report.from_json(result.output).results["distributed_product_mean_grid"]
+        assert mean == pytest.approx(0.99 * 0.5, rel=1e-6)
+        result = run("separability", "--spec", path, "--format", "machine")
+        assert result.exit_code == 0, result.output
+
 
 class TestSeparabilityCommand:
     def test_separable_pair_passes(self):
@@ -543,6 +583,18 @@ class TestSeparabilityCommand:
         assert report.results["numeric"]["max_residual"] > 1e-3
         assert report.results["numeric"]["witnesses"]
         assert report.results["divergence"]["total_variation"] > 1e-6
+
+    def test_large_counts_read_separable(self, tmp_path):
+        # |ll| near 6e7 puts the rounding in R near 6e-8, above the absolute
+        # 1e-9 that this check once used
+        spec = json.loads((SPECS / "separable_pair.spec").read_text())
+        spec["data"]["panel_counts"] = [[33333333, 100000000], [20000000, 100000000]]
+        result = run("separability", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 0, result.output
+        report = Report.from_json(result.output)
+        assert report.results["numeric"]["separable"] is True
+        assert report.results["numeric"]["witnesses"] == []
+        assert report.options == {}
 
     def test_no_data_divergence_is_exactly_zero(self, tmp_path):
         spec = write_spec(tmp_path, {

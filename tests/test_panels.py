@@ -19,6 +19,7 @@ from modcoherence.panels import (
     NonFiniteLogLikelihood,
     _reweight,
     PanelsError,
+    RESIDUAL_RTOL,
     SeparabilityVerdict,
     ShapeMismatch,
     bernoulli_loglik,
@@ -41,6 +42,7 @@ from .oracles import (
     block_product_reference,
     four_point_residuals,
     marg_keep,
+    pair_tables,
     reweight_reference,
 )
 
@@ -254,9 +256,28 @@ class TestReweightContract:
             assert str(info.value) == message
 
     def test_underflow_to_zero_mass(self):
-        # all the likelihood sits where the prior has no mass
-        with pytest.raises(DegenerateLikelihood, match="posterior mass underflowed to zero"):
-            _reweight(np.array([0.0, 1.0]), np.array([0.0, -1e4]))
+        # the likelihood peaks where the prior has no mass; shifting by that
+        # peak alone would underflow every weighted cell to zero mass
+        weights, ll = np.array([0.0, 1.0]), np.array([0.0, -1e4])
+        assert _bits(_reweight(weights, ll)) == _bits(np.array([0.0, 1.0]))
+        assert _bits(reweight_reference(weights, ll)) == _bits(np.array([0.0, 1.0]))
+
+    def test_massless_cells_above_the_shift_get_no_mass(self):
+        # cells 0 and 2 lie far above the weighted cells' maximum; exp of
+        # their shifted ll would overflow to inf, and inf * 0 is nan
+        weights = np.array([0.0, 0.25, 0.0, 0.75])
+        ll = np.array([1e4, -2.0, 800.0, -3.0])
+        got = _reweight(weights, ll)
+        assert np.all(np.isfinite(got)) and got[0] == got[2] == 0.0
+        assert got[1:4:2] == pytest.approx([0.25 * math.e / (0.25 * math.e + 0.75),
+                                            0.75 / (0.25 * math.e + 0.75)], rel=1e-15)
+        assert _bits(got) == _bits(reweight_reference(weights, ll))
+
+    def test_likelihood_finite_only_on_massless_cells(self):
+        for reweight in (_reweight, reweight_reference):
+            with pytest.raises(DegenerateLikelihood) as info:
+                reweight(np.array([0.0, 0.5, 0.5]), np.array([2.0, -np.inf, -np.inf]))
+            assert str(info.value) == "likelihood vanished where the prior has mass"
 
     def test_flat_with_one_minus_inf_cell_is_not_the_identity(self):
         weights = np.full(5, 0.2)
@@ -445,26 +466,37 @@ class TestSeparability:
 
     def test_numeric_agrees_with_the_four_point_oracle(self):
         # random polynomials; cross terms, when present, span many orders of
-        # magnitude so that some fall on each side of the tolerance
+        # magnitude so that some fall on each side of each pair's bound
         rng = np.random.default_rng(2024)
-        tolerance = 1e-9
+        sides = set()
         for _ in range(60):
             m = int(rng.integers(2, 4))
             grids = [np.sort(rng.uniform(0.0, 1.0, int(rng.integers(2, 13)))) for _ in range(m)]
             powers = rng.integers(0, 4, size=(6, m))
             coeffs = rng.normal(size=6) * 10.0 ** rng.uniform(-13, 1, size=6)
-            if rng.random() < 0.3:  # separable: each term in one block only
+            separable = rng.random() < 0.3
+            if separable:  # each term in one block only
                 powers *= np.arange(m) == (np.arange(6) % m)[:, None]
 
             def f(*blocks):
                 return sum(c * math.prod(b ** int(k) for b, k in zip(blocks, row))
                            for c, row in zip(coeffs, powers))
 
-            verdict = separability_check_numeric(f, grids, tolerance=tolerance)
-            brute = max(four_point_residuals(f, grids).values())
+            verdict = separability_check_numeric(f, grids)
+            brute = four_point_residuals(f, grids)
+            bounds = {pair: RESIDUAL_RTOL * np.abs(table).max()
+                      for pair, table in pair_tables(f, grids).items()}
             anchored = verdict.max_residual
-            assert anchored - 1e-12 <= brute <= 4 * anchored + 1e-12
-            assert verdict.separable == (anchored <= tolerance) == (not verdict.offending)
+            assert anchored - 1e-12 <= max(brute.values()) <= 4 * anchored + 1e-12
+            offending = {(w[0], w[1]) for w in verdict.offending}
+            assert verdict.separable == (not offending)
+            assert not (separable and offending)
+            for pair, worst in brute.items():
+                if pair in offending:  # its largest |R| is above the bound
+                    assert worst > bounds[pair] - 1e-12
+                else:  # its largest |R| is at most the bound
+                    assert worst <= 4 * bounds[pair] + 1e-12
+            sides.add(verdict.separable)
             ref = [g[len(g) // 2] for g in grids]
             for i, j, u, up, v, vp, res in verdict.offending:
                 def at(x, y):
@@ -472,9 +504,45 @@ class TestSeparability:
                     point[i - 1], point[j - 1] = x[0], y[0]
                     return f(*point)
 
-                assert abs(res) > tolerance
+                assert abs(res) > bounds[(i, j)]
                 assert res == pytest.approx(at(u, v) + at(up, vp) - at(u, vp) - at(up, v),
                                             rel=1e-9, abs=1e-12)
+        assert sides == {True, False}
+
+    def test_numeric_bernoulli_joints_up_to_2_53_trials_are_separable(self):
+        # the rounding in R grows with |ll|; an absolute tolerance of 1e-9
+        # flagged 10**8 trials as non-separable
+        rng = np.random.default_rng(11)
+        for trials in (10**2, 10**8, 10**12, 2**53):
+            for n, m in ((21, 3), (101, 2), (101, 3)):
+                counts = [(int(rng.integers(0, trials + 1)), trials) for _ in range(m)]
+                joint = panel_joint_loglik([bernoulli_loglik(*c) for c in counts], 0.0)
+                verdict = separability_check_numeric(joint, [interior_grid(n)] * m)
+                assert verdict.separable, (trials, n, m, verdict.max_residual)
+
+    def test_numeric_cross_term_just_above_the_bound_is_caught(self):
+        g = interior_grid(101)
+        base = panel_joint_loglik([bernoulli_loglik(3 * 10**7, 10**8)] * 2, 0.0)
+        top = np.abs(base(g[:, None], g[None, :])).max()
+        # the cross term's largest |R| is c * (g[-1] - g[50]) * (g[0] - g[50])
+        span = (g[-1] - g[50]) * (g[50] - g[0])
+        for ratio, caught in ((1.5, True), (0.5, False)):
+            c = ratio * RESIDUAL_RTOL * top / span
+            f = lambda a, b: base(a, b) + c * a * b
+            verdict = separability_check_numeric(f, [g, g])
+            assert verdict.max_residual == pytest.approx(ratio * RESIDUAL_RTOL * top, rel=1e-3)
+            assert verdict.separable is not caught
+
+    def test_numeric_verdict_is_invariant_to_scaling(self):
+        # a power-of-two scale is exact, so R and max|ll| scale together
+        g = interior_grid(31)
+        for f, separable in ((lambda a, b: np.log(a) + 7.0 * np.log1p(-b), True),
+                             (lambda a, b: np.log(a) + 1e-6 * a * b, False)):
+            verdicts = [separability_check_numeric(lambda a, b: 2.0**k * f(a, b), [g, g])
+                        for k in (-60, 0, 60)]
+            assert [v.separable for v in verdicts] == [separable] * 3
+            assert [v.max_residual for v in verdicts] == [
+                2.0**k * verdicts[1].max_residual for k in (-60, 0, 60)]
 
     def test_numeric_nonfinite_rejected(self):
         grid = np.linspace(0.0, 1.0, 8)
