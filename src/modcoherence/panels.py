@@ -8,12 +8,19 @@ joint oracle runs exact grid Bayes on the full likelihood over the product
 grid.  Likelihood separability - the condition under which the two pipelines
 agree - is checked both symbolically (factor scopes) and numerically (exact
 interaction residuals over each pair grid).
+
+Full-grid passes - the Bayes step, density validation, divergence and
+expectations - are swept in leaves of at most ``LEAF`` cells, so each leaf's
+arrays stay in cache and no full-grid temporary is built.  Their sums follow
+numpy's own pairwise-summation tree (``_pairwise``), so each equals ``np.sum``
+of the whole grid bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -27,6 +34,9 @@ NORM_TOL = 1e-12
 # the rounding in a sum of four values of ll is a multiple of eps * max|ll|: at most
 # 225 on 100,000 random separable polynomials, so 4096 eps leaves a margin of 18
 RESIDUAL_RTOL = 2.0**-40
+# cells per leaf of a full-grid pass: 256 KiB of floats, so the two or three
+# leaf arrays a pass touches stay in a 2 MiB L2 cache
+LEAF = 2**15
 
 
 class InvalidCounts(PanelsError):
@@ -45,6 +55,54 @@ class NonFiniteLogLikelihood(PanelsError):
     pass
 
 
+def _pairwise(n: int, piece: Callable[[int, int], float], lo: int = 0) -> float:
+    """The leaf results ``piece(lo, hi)`` over ``[lo, lo + n)``, added along
+    numpy's pairwise-summation tree.
+
+    ``np.sum`` of a contiguous float array splits a range of more than 128
+    cells at its half rounded down to a multiple of 8 and adds the sums of
+    the two parts.  This walk makes the same splits down to leaves of at
+    most ``LEAF`` cells and calls ``piece`` on each, in order.  So when
+    ``piece`` returns ``np.sum`` of a contiguous array's cells lo..hi-1, the
+    result is ``np.sum`` of the whole array, bit for bit.
+    """
+    if n <= LEAF:
+        return piece(lo, lo + n)
+    half = n // 2 // 8 * 8
+    return _pairwise(half, piece, lo) + _pairwise(n - half, piece, lo + half)
+
+
+def _copy_cells(a: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
+    """Copy the cells lo..hi-1 of ``a``, in C order, into the 1-D ``out``,
+    one rectangular block of ``a`` at a time."""
+    if a.ndim == 1:
+        out[:] = a[lo:hi]
+        return
+    inner = math.prod(a.shape[1:])
+    i, r = divmod(lo, inner)
+    j, s = divmod(hi, inner)
+    if i == j:
+        _copy_cells(a[i], r, s, out)
+        return
+    if r:
+        _copy_cells(a[i], r, inner, out[: inner - r])
+        out, i = out[inner - r :], i + 1
+    middle = (j - i) * inner
+    out[:middle].reshape(a[i:j].shape)[...] = a[i:j]
+    if s:
+        _copy_cells(a[j], 0, s, out[middle:])
+
+
+def _leaf(a: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
+    """The cells lo..hi-1 of ``a`` in C order, as a 1-D array: a view when
+    ``a`` is C-contiguous, else a copy in the first hi - lo cells of ``buf``."""
+    if a.flags.c_contiguous:
+        return a.reshape(-1)[lo:hi]
+    out = buf[: hi - lo]
+    _copy_cells(a, lo, hi, out)
+    return out
+
+
 def _as_points(arr) -> np.ndarray:
     pts = np.asarray(arr, dtype=float)
     if pts.ndim != 1:
@@ -57,8 +115,9 @@ class GridDensity:
     """Probability masses over the product of scalar support-point blocks.
 
     ``blocks`` holds one 1-D array of support points per block; ``weights``
-    has shape (n_1, ..., n_m), is non-negative and sums to one.  A single
-    panel's density is the one-block case ``((points,), weights)``.
+    has shape (n_1, ..., n_m), is non-negative and sums to one, and is kept
+    C-contiguous (a copy when given in another layout).  A single panel's
+    density is the one-block case ``((points,), weights)``.
     """
 
     blocks: tuple[np.ndarray, ...]
@@ -66,16 +125,24 @@ class GridDensity:
 
     def __post_init__(self) -> None:
         self.blocks = tuple(_as_points(b) for b in self.blocks)
-        self.weights = np.asarray(self.weights, dtype=float)
+        self.weights = np.asarray(self.weights, dtype=float, order="C")
         expected = tuple(len(b) for b in self.blocks)
         if self.weights.shape != expected:
             raise ShapeMismatch(
                 f"weight array shape {self.weights.shape} != product grid shape {expected}"
             )
-        # a reduction, not a full-grid bool array; initial=0 sends [] on to the sum check
-        if self.weights.min(initial=0.0) < 0:
+        flat = self.weights.reshape(-1)
+        low = 0.0  # a nan anywhere keeps it nan, as in weights.min()
+
+        def leaf(lo: int, hi: int) -> float:
+            nonlocal low
+            part = flat[lo:hi]
+            low = np.minimum(low, part.min(initial=0.0))
+            return part.sum()
+
+        total = float(_pairwise(flat.size, leaf))
+        if low < 0:
             raise PanelsError("grid weights must be non-negative")
-        total = float(self.weights.sum())
         if not abs(total - 1.0) <= NORM_TOL:  # false for a nan total too
             raise PanelsError(f"grid weights must sum to 1 within {NORM_TOL}, got {total!r}")
 
@@ -126,33 +193,56 @@ def product_mean(posteriors: Sequence[BetaParams]) -> float:
 
 
 def _reweight(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
-    """Grid Bayes step: ``weights * exp(ll)`` renormalized.
+    """Grid Bayes step: ``weights * exp(ll)`` renormalized, for C-contiguous
+    ``weights`` and ``ll`` of the same shape in any layout.
 
     ``ll`` is shifted by its maximum over the cells the prior gives mass, so
     the top cell keeps its own mass and the total is positive.
     A flat ``ll`` (one finite value on every cell) is the identity: a copy of
     the already-normalized prior is returned, not divided by its rounded sum.
     """
-    peak = ll.argmax()  # the first nan if there is one, else the first +inf
-    top = ll.flat[peak]
-    if np.isnan(top) or top == np.inf:
-        raise NonFiniteLogLikelihood("log-likelihood must be finite or -inf")
+    w = weights.reshape(-1)
+    n = w.size
+    posterior = np.empty(weights.shape)
+    out = posterior.reshape(-1)
+    # scratch for the scans' copies of a non-contiguous ll, overwritten by the
+    # sweep; a separate leaf buffer allocated before the posterior fragments
+    # the heap, and the posterior then takes fresh pages
+    buf = out[:LEAF]
+    # one scan: the largest and the smallest ll, and the first leaf holding the largest
+    top, low, first = -np.inf, np.inf, 0
+    for lo in range(0, n, LEAF):
+        part = _leaf(ll, lo, min(lo + LEAF, n), buf)
+        high = part.max()
+        if not high < np.inf:  # a nan or a +inf in this leaf
+            raise NonFiniteLogLikelihood("log-likelihood must be finite or -inf")
+        if high > top:
+            top, first = high, lo
+        low = min(low, part.min())
     if top == -np.inf:
         raise DegenerateLikelihood("likelihood vanished on the whole grid")
-    if ll.min() == top:
+    if low == top:
         return weights.copy()
-    massless_peak = weights.flat[peak] == 0
+    peak = first + int(_leaf(ll, first, min(first + LEAF, n), buf).argmax())
+    massless_peak = w[peak] == 0
     if massless_peak:
-        top = np.max(ll, where=weights > 0, initial=-np.inf)
+        top = -np.inf
+        for lo in range(0, n, LEAF):
+            hi = min(lo + LEAF, n)
+            top = max(top, np.max(_leaf(ll, lo, hi, buf), where=w[lo:hi] > 0, initial=-np.inf))
         if top == -np.inf:
             raise DegenerateLikelihood("likelihood vanished where the prior has mass")
-    # one buffer: exp(ll - top) * weights / total, computed in place
-    posterior = np.subtract(ll, top)
-    if massless_peak:  # massless cells above top would overflow to inf, and inf * 0 is nan
-        np.minimum(posterior, 0.0, out=posterior)
-    np.exp(posterior, out=posterior)
-    posterior *= weights
-    posterior /= posterior.sum()
+
+    def leaf(lo: int, hi: int) -> float:
+        part = out[lo:hi]  # exp(ll - top) * weights, written in place
+        np.subtract(_leaf(ll, lo, hi, part), top, out=part)
+        if massless_peak:  # massless cells above top would overflow to inf, and inf * 0 is nan
+            np.minimum(part, 0.0, out=part)
+        np.exp(part, out=part)
+        part *= w[lo:hi]
+        return part.sum()
+
+    posterior /= _pairwise(n, leaf)
     return posterior
 
 
@@ -215,16 +305,34 @@ def divergence(p: GridDensity, q: GridDensity) -> Divergence:
         raise ShapeMismatch(f"grids differ: {p.weights.shape} vs {q.weights.shape}")
     if not all(map(np.array_equal, p.blocks, q.blocks)):
         raise ShapeMismatch("support points differ between the two posteriors")
-    diff = np.subtract(p.weights, q.weights)
-    np.abs(diff, out=diff)
-    return Divergence(float(diff.max()), float(0.5 * diff.sum()))
+    a, b = p.weights.reshape(-1), q.weights.reshape(-1)
+    buf = np.empty(min(a.size, LEAF))
+    largest = 0.0  # |p - q| >= 0; a nan keeps it nan, as in diff.max()
+
+    def leaf(lo: int, hi: int) -> float:
+        nonlocal largest
+        diff = np.subtract(a[lo:hi], b[lo:hi], out=buf[: hi - lo])
+        np.abs(diff, out=diff)
+        largest = np.maximum(largest, diff.max())
+        return diff.sum()
+
+    total = _pairwise(a.size, leaf)
+    return Divergence(float(largest), float(0.5 * total))
 
 
 def functional_expectation(
     post: GridDensity, g: Callable[..., np.ndarray]
 ) -> float:
     """Expectation of g over the joint grid; g sees broadcast block arrays."""
-    return float(np.sum(_on_product_grid(g, post.blocks) * post.weights))
+    values = _on_product_grid(g, post.blocks)
+    w = post.weights.reshape(-1)
+    buf = np.empty(min(w.size, LEAF))
+
+    def leaf(lo: int, hi: int) -> float:
+        part = buf[: hi - lo]
+        return np.multiply(_leaf(values, lo, hi, part), w[lo:hi], out=part).sum()
+
+    return float(_pairwise(w.size, leaf))
 
 
 @dataclass(frozen=True)

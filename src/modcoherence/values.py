@@ -29,11 +29,6 @@ class BetaParams:
     def mean(self) -> float:
         return self.alpha / (self.alpha + self.beta)
 
-    @property
-    def variance(self) -> float:
-        s = self.alpha + self.beta
-        return self.alpha * self.beta / (s * s * (s + 1.0))
-
 
 @dataclass(frozen=True)
 class Factor:

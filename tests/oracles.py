@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 
 from modcoherence.ci import CIError, apply_axiom, derive, derive_through
-from modcoherence.panels import DegenerateLikelihood, NonFiniteLogLikelihood
+from modcoherence.panels import DegenerateLikelihood, Divergence, NonFiniteLogLikelihood
 from modcoherence.protocol import _goal_waypoints, autonomy_goal, independence_goal
 
 
@@ -237,8 +237,9 @@ def reweight_reference(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
     """The grid Bayes step written out step by step, with a separate array
     for each check and each stage: ``weights * exp(min(ll - top, 0))``
     renormalized, with ``top`` the largest ``ll`` on a cell the prior gives
-    mass, and the prior itself (copied) for a flat finite ``ll``.
-    ``panels._reweight`` must match it bit for bit, error for error."""
+    mass, and the prior itself (copied) for a flat finite ``ll``.  The
+    posterior is laid out, and so summed, in C order whatever the layout of
+    ``ll``.  ``panels._reweight`` must match it bit for bit, error for error."""
     if np.any(np.isnan(ll)) or np.any(ll == np.inf):
         raise NonFiniteLogLikelihood("log-likelihood must be finite or -inf")
     finite = ll[np.isfinite(ll)]
@@ -250,8 +251,25 @@ def reweight_reference(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
     if weighted.size == 0:
         raise DegenerateLikelihood("likelihood vanished where the prior has mass")
     top = weighted.max()
-    posterior = weights * np.exp(np.minimum(ll - top, 0.0))
+    posterior = np.asarray(weights * np.exp(np.minimum(ll - top, 0.0)), order="C")
     return posterior / posterior.sum()
+
+
+def divergence_reference(p, q) -> Divergence:
+    """The two densities' largest |p - q| and total variation, from one
+    whole-grid difference array and its ``np.sum``; ``panels.divergence``
+    must match it bit for bit."""
+    diff = np.abs(p.weights - q.weights)
+    return Divergence(float(diff.max()), float(0.5 * diff.sum()))
+
+
+def functional_expectation_reference(post, g) -> float:
+    """``np.sum`` of g times the masses over the whole grid, with g evaluated
+    on the sparse mesh of the blocks and broadcast to the grid;
+    ``panels.functional_expectation`` must match it bit for bit."""
+    mesh = np.meshgrid(*post.blocks, indexing="ij", sparse=True)
+    values = np.broadcast_to(np.asarray(g(*mesh), dtype=float), post.weights.shape)
+    return float(np.sum(values * post.weights))
 
 
 def block_product_reference(*blocks) -> np.ndarray:

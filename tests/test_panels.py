@@ -16,7 +16,9 @@ from modcoherence.panels import (
     Factor,
     GridDensity,
     InvalidCounts,
+    LEAF,
     NonFiniteLogLikelihood,
+    _pairwise,
     _reweight,
     PanelsError,
     RESIDUAL_RTOL,
@@ -40,7 +42,9 @@ from modcoherence.panels import (
 
 from .oracles import (
     block_product_reference,
+    divergence_reference,
     four_point_residuals,
+    functional_expectation_reference,
     marg_keep,
     pair_tables,
     reweight_reference,
@@ -81,7 +85,8 @@ class TestGridUpdate:
         mean = functional_expectation(joint, lambda t: t)
         var = functional_expectation(joint, lambda t: t * t) - mean * mean
         assert mean == pytest.approx(exact.mean, abs=1e-6)
-        assert var == pytest.approx(exact.variance, abs=1e-6)
+        a, b = exact.alpha, exact.beta
+        assert var == pytest.approx(a * b / ((a + b) ** 2 * (a + b + 1)), abs=1e-6)
 
     def test_zero_loglik_returns_prior(self):
         prior = beta_grid(BetaParams(2, 5), 101)
@@ -236,11 +241,44 @@ class TestReweightContract:
     """``_reweight`` against ``oracles.reweight_reference``, bit for bit."""
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("shape", [(257,), (13, 17, 19)])
+    @pytest.mark.parametrize("shape", [(257,), (13, 17, 19), (LEAF + 1,), (41, 43, 47)])
     @pytest.mark.parametrize("view", [False, True])
     def test_bit_identical_to_the_reference(self, seed, shape, view):
         weights, ll = _random_reweight_case(seed, shape, view)
         assert _bits(_reweight(weights, ll)) == _bits(reweight_reference(weights, ll))
+
+    def test_transposed_loglik(self):
+        weights, ll = _random_reweight_case(0, (41, 43, 47), False)
+        ll = np.asfortranarray(ll)
+        assert _bits(_reweight(weights, ll)) == _bits(reweight_reference(weights, ll))
+
+    @pytest.mark.parametrize("shape", [(LEAF + 1,), (41, 43, 47)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_cell_in_the_last_leaf(self, shape, value):
+        weights, ll = _random_reweight_case(1, shape, False)
+        ll.flat[-1] = value
+        for reweight in (_reweight, reweight_reference):
+            with pytest.raises(NonFiniteLogLikelihood,
+                               match="^log-likelihood must be finite or -inf$"):
+                reweight(weights, ll)
+
+    @pytest.mark.parametrize("shape", [(LEAF + 1,), (41, 43, 47)])
+    @pytest.mark.parametrize("masses", [(None, 0), (None, 1), (0, 1), (1, 0), (0, 0)])
+    def test_peak_in_a_later_leaf(self, shape, masses):
+        # the largest ll sits on the last cell and, unless the first mass is
+        # None, also on the last cell of the first leaf (a tie across leaves);
+        # a mass of 0 makes that peak cell massless
+        weights, ll = _random_reweight_case(2, shape, False)
+        cells = (LEAF - 1, weights.size - 1)
+        for cell, mass in zip(cells, masses):
+            if mass is not None:
+                ll.flat[cell] = 400.0
+                weights.flat[cell] *= mass
+        weights /= weights.sum()
+        got = _reweight(weights, ll)
+        assert _bits(got) == _bits(reweight_reference(weights, ll))
+        if masses[-1] == 0:
+            assert got.flat[-1] == 0.0
 
     @pytest.mark.parametrize("cells, cls, message", [
         ([0.0, np.nan, 1.0], NonFiniteLogLikelihood, "log-likelihood must be finite or -inf"),
@@ -360,17 +398,103 @@ class TestFullGridTemporaries:
         assert peak / self.FULL <= 2.05
 
     def test_divergence(self, case):
+        # one leaf buffer, no full-grid difference
         _, _, _, distributed, oracle = case
-        assert _traced_peak(lambda: divergence(distributed, oracle)) / self.FULL <= 1.05
+        assert _traced_peak(lambda: divergence(distributed, oracle)) / self.FULL <= 0.05
 
     def test_functional_expectation_of_the_block_product(self, case):
+        # the block product itself and one leaf buffer, no full-grid product
         oracle = case[4]
         peak = _traced_peak(lambda: functional_expectation(oracle, block_product))
-        assert peak / self.FULL <= 2.05
+        assert peak / self.FULL <= 1.05
 
     def test_block_product_on_the_sparse_mesh(self, case):
         mesh = case[1]
         assert _traced_peak(lambda: block_product(*mesh)) / self.FULL <= 1.05
+
+
+def _mixed_magnitudes(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Signed values from 1e-4 to 1e4, so the order of a sum shows in its bits."""
+    return rng.normal(size=shape) * 10.0 ** rng.integers(-4, 4, size=shape)
+
+
+def _multi_leaf_density(rng: np.random.Generator, shape: tuple, transposed: bool) -> GridDensity:
+    """Random masses on a product grid of ``shape``, given C-contiguous or as
+    the transpose of a C-contiguous array, with about a twentieth massless."""
+    raw = rng.random(shape[::-1] if transposed else shape)
+    raw[rng.random(raw.shape) < 0.05] = 0.0
+    raw /= raw.sum()
+    blocks = tuple(np.sort(rng.random(n)) for n in shape)
+    return GridDensity(blocks, raw.T if transposed else raw)
+
+
+class TestLeafSweep:
+    """The leaf-swept passes against numpy's whole-grid reductions, bit for bit."""
+
+    @pytest.mark.parametrize("shape", [
+        (1,), (7,), (8,), (127,), (128,), (129,), (LEAF - 1,), (LEAF,), (LEAF + 1,),
+        (2 * LEAF + 8,), (41, 43, 47), (3, 5, LEAF // 4 + 1), (151, 151, 151),
+    ])
+    def test_leaf_tree_sum_is_np_sum(self, shape):
+        a = _mixed_magnitudes(np.random.default_rng(math.prod(shape)), shape)
+        flat = a.reshape(-1)
+        assert _bits(_pairwise(flat.size, lambda lo, hi: flat[lo:hi].sum())) == _bits(np.sum(a))
+
+    def test_the_sum_order_shows_in_the_bits(self):
+        # the leaf-sum check can fail: on this grid, the leaf sums added left
+        # to right, or a split at the half not rounded down to a multiple of 8,
+        # give other bits than np.sum
+        flat = _mixed_magnitudes(np.random.default_rng(151**3), (151, 151, 151)).reshape(-1)
+        whole = _bits(np.sum(flat))
+        assert _bits(sum(flat[lo : lo + LEAF].sum() for lo in range(0, flat.size, LEAF))) != whole
+        half = flat.size // 2
+        assert _bits(flat[:half].sum() + flat[half:].sum()) != whole
+
+    def test_leaves_are_visited_once_in_order(self):
+        calls = []
+        _pairwise(151**3, lambda lo, hi: calls.append((lo, hi)) or 0.0)
+        assert calls[0][0] == 0 and calls[-1][1] == 151**3
+        assert all(a[1] == b[0] for a, b in zip(calls, calls[1:]))
+        assert all(0 < hi - lo <= LEAF and lo % 8 == 0 for lo, hi in calls)
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_divergence_matches_the_whole_grid_reference(self, seed, transposed):
+        rng = np.random.default_rng(seed)
+        p = _multi_leaf_density(rng, (41, 43, 47), transposed)
+        q = GridDensity(p.blocks, _multi_leaf_density(rng, (41, 43, 47), not transposed).weights)
+        got, want = divergence(p, q), divergence_reference(p, q)
+        assert (_bits(got.max_abs), _bits(got.total_variation)) == (
+            _bits(want.max_abs), _bits(want.total_variation))
+
+    @pytest.mark.parametrize("seed", range(2))
+    @pytest.mark.parametrize("transposed", [False, True])
+    @pytest.mark.parametrize("g", [
+        block_product,
+        lambda a, b, c: np.asfortranarray(block_product(a, b, c)),
+        lambda a, b, c: np.exp(a),
+        lambda a, b, c: b * c - 0.5,
+        lambda a, b, c: 2.5,
+    ], ids=["product", "fortran_product", "first_block", "last_two_blocks", "constant"])
+    def test_functional_expectation_matches_the_whole_grid_reference(self, seed, transposed, g):
+        post = _multi_leaf_density(np.random.default_rng(seed), (41, 43, 47), transposed)
+        assert _bits(functional_expectation(post, g)) == _bits(
+            functional_expectation_reference(post, g))
+
+    def test_density_keeps_c_contiguous_masses(self):
+        post = _multi_leaf_density(np.random.default_rng(0), (41, 43, 47), True)
+        assert post.weights.flags.c_contiguous
+
+    def test_density_validation_across_leaves(self):
+        blocks = (np.linspace(0.0, 1.0, 3 * LEAF),)
+        weights = np.full(3 * LEAF, 1.0 / (3 * LEAF))
+        weights[-1] = -weights[-1]
+        with pytest.raises(PanelsError, match="non-negative"):
+            GridDensity(blocks, weights)
+        # a nan in an earlier leaf hides the negative mass, as in weights.min()
+        weights[0] = np.nan
+        with pytest.raises(PanelsError, match="sum to 1 within 1e-12, got nan"):
+            GridDensity(blocks, weights)
 
 
 class TestSeparability:
