@@ -17,13 +17,11 @@ from typing import Iterable
 from . import ModcoherenceError
 from .ci import (
     EMPTY,
-    CIStatement,
     FunctionalDependency,
     OverlappingSets,
     Symbol,
     VarSet,
     determined_closure,
-    normalize,
 )
 
 NODE_KINDS = ("parameter", "evidence", "data", "common-knowledge")
@@ -95,9 +93,6 @@ class Dag:
     def ancestors(self, of: Iterable[Symbol]) -> VarSet:
         return _reach(of, self.parents)
 
-    def descendants(self, of: Symbol) -> VarSet:
-        return _reach((of,), self.children)
-
 
 def build_dag(
     nodes: Iterable[tuple[Symbol, str]],
@@ -136,7 +131,7 @@ def _validate_query(dag: Dag, a: VarSet, b: VarSet, c: VarSet) -> None:
     if stray:
         raise UnknownSymbol(f"query mentions undeclared nodes: {sorted(stray)}")
     if a & b or a & c or b & c:
-        raise OverlappingSets(f"query sets must be pairwise disjoint")
+        raise OverlappingSets("query sets must be pairwise disjoint")
 
 
 def d_separated(
@@ -177,14 +172,3 @@ def d_separated(
                 frontier.append(move)
     return True
 
-
-def local_markov_basis(dag: Dag) -> frozenset:
-    """One statement per node: node _||_ nondescendants-minus-parents | parents."""
-    out: set[CIStatement] = set()
-    names = dag.node_names
-    for node in sorted(names):
-        parents = dag.parents(node)
-        nondesc = names - dag.descendants(node) - parents - {node}
-        if nondesc:
-            out.add(normalize({node}, nondesc, parents))
-    return frozenset(out)

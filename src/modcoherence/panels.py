@@ -11,16 +11,17 @@ interaction residuals over each pair grid).
 
 Full-grid passes - the Bayes step, density validation, divergence and
 expectations - are swept in leaves of at most ``LEAF`` cells, so each leaf's
-arrays stay in cache and no full-grid temporary is built.  Their sums follow
-numpy's own pairwise-summation tree (``_pairwise``), so each equals ``np.sum``
-of the whole grid bit for bit.
+arrays stay in cache.  Each pass reads a grid through its C-order flatten, so
+a C-contiguous grid - what every bundled model returns - is read in place and
+no full-grid temporary is built; a grid in any other layout is read through
+one full-grid copy.  The sums follow numpy's own pairwise-summation tree
+(``_pairwise``), so each equals ``np.sum`` of the whole grid bit for bit.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -70,37 +71,6 @@ def _pairwise(n: int, piece: Callable[[int, int], float], lo: int = 0) -> float:
         return piece(lo, lo + n)
     half = n // 2 // 8 * 8
     return _pairwise(half, piece, lo) + _pairwise(n - half, piece, lo + half)
-
-
-def _copy_cells(a: np.ndarray, lo: int, hi: int, out: np.ndarray) -> None:
-    """Copy the cells lo..hi-1 of ``a``, in C order, into the 1-D ``out``,
-    one rectangular block of ``a`` at a time."""
-    if a.ndim == 1:
-        out[:] = a[lo:hi]
-        return
-    inner = math.prod(a.shape[1:])
-    i, r = divmod(lo, inner)
-    j, s = divmod(hi, inner)
-    if i == j:
-        _copy_cells(a[i], r, s, out)
-        return
-    if r:
-        _copy_cells(a[i], r, inner, out[: inner - r])
-        out, i = out[inner - r :], i + 1
-    middle = (j - i) * inner
-    out[:middle].reshape(a[i:j].shape)[...] = a[i:j]
-    if s:
-        _copy_cells(a[j], 0, s, out[middle:])
-
-
-def _leaf(a: np.ndarray, lo: int, hi: int, buf: np.ndarray) -> np.ndarray:
-    """The cells lo..hi-1 of ``a`` in C order, as a 1-D array: a view when
-    ``a`` is C-contiguous, else a copy in the first hi - lo cells of ``buf``."""
-    if a.flags.c_contiguous:
-        return a.reshape(-1)[lo:hi]
-    out = buf[: hi - lo]
-    _copy_cells(a, lo, hi, out)
-    return out
 
 
 def _as_points(arr) -> np.ndarray:
@@ -194,25 +164,24 @@ def product_mean(posteriors: Sequence[BetaParams]) -> float:
 
 def _reweight(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
     """Grid Bayes step: ``weights * exp(ll)`` renormalized, for C-contiguous
-    ``weights`` and ``ll`` of the same shape in any layout.
+    ``weights`` and ``ll`` of the same shape.
 
-    ``ll`` is shifted by its maximum over the cells the prior gives mass, so
-    the top cell keeps its own mass and the total is positive.
-    A flat ``ll`` (one finite value on every cell) is the identity: a copy of
-    the already-normalized prior is returned, not divided by its rounded sum.
+    ``ll`` is read through its C-order flatten: in place when it is
+    C-contiguous, as every bundled model's is, and through one full-grid copy
+    in any other layout.  It is shifted by its maximum over the cells the
+    prior gives mass, so the top cell keeps its own mass and the total is
+    positive.  A flat ``ll`` (one finite value on every cell) is the identity:
+    a copy of the already-normalized prior is returned, not divided by its
+    rounded sum.
     """
-    w = weights.reshape(-1)
+    w, flat = weights.reshape(-1), ll.reshape(-1)
     n = w.size
     posterior = np.empty(weights.shape)
     out = posterior.reshape(-1)
-    # scratch for the scans' copies of a non-contiguous ll, overwritten by the
-    # sweep; a separate leaf buffer allocated before the posterior fragments
-    # the heap, and the posterior then takes fresh pages
-    buf = out[:LEAF]
     # one scan: the largest and the smallest ll, and the first leaf holding the largest
     top, low, first = -np.inf, np.inf, 0
     for lo in range(0, n, LEAF):
-        part = _leaf(ll, lo, min(lo + LEAF, n), buf)
+        part = flat[lo : lo + LEAF]
         high = part.max()
         if not high < np.inf:  # a nan or a +inf in this leaf
             raise NonFiniteLogLikelihood("log-likelihood must be finite or -inf")
@@ -223,19 +192,18 @@ def _reweight(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
         raise DegenerateLikelihood("likelihood vanished on the whole grid")
     if low == top:
         return weights.copy()
-    peak = first + int(_leaf(ll, first, min(first + LEAF, n), buf).argmax())
+    peak = first + int(flat[first : first + LEAF].argmax())
     massless_peak = w[peak] == 0
     if massless_peak:
         top = -np.inf
         for lo in range(0, n, LEAF):
-            hi = min(lo + LEAF, n)
-            top = max(top, np.max(_leaf(ll, lo, hi, buf), where=w[lo:hi] > 0, initial=-np.inf))
+            hi = lo + LEAF
+            top = max(top, np.max(flat[lo:hi], where=w[lo:hi] > 0, initial=-np.inf))
         if top == -np.inf:
             raise DegenerateLikelihood("likelihood vanished where the prior has mass")
 
     def leaf(lo: int, hi: int) -> float:
-        part = out[lo:hi]  # exp(ll - top) * weights, written in place
-        np.subtract(_leaf(ll, lo, hi, part), top, out=part)
+        part = np.subtract(flat[lo:hi], top, out=out[lo:hi])  # exp(ll - top) * weights, in place
         if massless_peak:  # massless cells above top would overflow to inf, and inf * 0 is nan
             np.minimum(part, 0.0, out=part)
         np.exp(part, out=part)
@@ -323,14 +291,17 @@ def divergence(p: GridDensity, q: GridDensity) -> Divergence:
 def functional_expectation(
     post: GridDensity, g: Callable[..., np.ndarray]
 ) -> float:
-    """Expectation of g over the joint grid; g sees broadcast block arrays."""
-    values = _on_product_grid(g, post.blocks)
+    """Expectation of g over the joint grid; g sees broadcast block arrays.
+
+    The values of g are read through their C-order flatten, like ``ll`` in
+    ``_reweight``: in place when g returns a C-contiguous full grid, else
+    through one full-grid copy."""
+    values = _on_product_grid(g, post.blocks).reshape(-1)
     w = post.weights.reshape(-1)
     buf = np.empty(min(w.size, LEAF))
 
     def leaf(lo: int, hi: int) -> float:
-        part = buf[: hi - lo]
-        return np.multiply(_leaf(values, lo, hi, part), w[lo:hi], out=part).sum()
+        return np.multiply(values[lo:hi], w[lo:hi], out=buf[: hi - lo]).sum()
 
     return float(_pairwise(w.size, leaf))
 

@@ -1,7 +1,7 @@
 """Machine- and human-readable run reports.
 
-The machine form is canonical JSON (sorted keys) and round-trips exactly:
-``Report.from_dict(report.to_dict()) == report``.
+The machine form is canonical JSON (sorted keys, two-space indent), so a
+report built again from its parsed fields prints the same bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ class Report:
     status: str  # "pass" | "fail" | "error"
     results: dict
     options: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     @property
     def exit_code(self) -> int:
@@ -37,29 +36,15 @@ class Report:
 
     def to_dict(self) -> dict:
         return {
-            "format_version": self.format_version,
+            "format_version": FORMAT_VERSION,
             "command": self.command,
             "status": self.status,
             "options": self.options,
             "results": self.results,
         }
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "Report":
-        return cls(
-            command=raw["command"],
-            status=raw["status"],
-            results=raw["results"],
-            options=raw.get("options", {}),
-            format_version=raw.get("format_version", FORMAT_VERSION),
-        )
-
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
 
 
 def proof_to_dict(proof: Proof) -> dict:

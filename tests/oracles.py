@@ -11,7 +11,7 @@ import itertools
 
 import numpy as np
 
-from modcoherence.ci import CIError, apply_axiom, derive, derive_through
+from modcoherence.ci import CIError, apply_axiom, derive, derive_through, normalize
 from modcoherence.panels import DegenerateLikelihood, Divergence, NonFiniteLogLikelihood
 from modcoherence.protocol import _goal_waypoints, autonomy_goal, independence_goal
 
@@ -97,6 +97,30 @@ def all_small_queries(n: int, rng: np.random.Generator, count: int):
         c = [i for i in rest if rng.random() < 0.5]
         out.append(({int(a)}, {int(b)}, set(c)))
     return out
+
+
+def descendants(dag, of) -> frozenset:
+    """Every node reached from ``of`` along one or more edges."""
+    seen: set = set()
+    frontier = [of]
+    while frontier:
+        for child in dag.children(frontier.pop()):
+            if child not in seen:
+                seen.add(child)
+                frontier.append(child)
+    return frozenset(seen)
+
+
+def local_markov_basis(dag) -> frozenset:
+    """One statement per node: node _||_ nondescendants-minus-parents | parents."""
+    out = set()
+    names = dag.node_names
+    for node in sorted(names):
+        parents = dag.parents(node)
+        nondesc = names - descendants(dag, node) - parents - {node}
+        if nondesc:
+            out.add(normalize({node}, nondesc, parents))
+    return frozenset(out)
 
 
 def random_deterministic_map(rng: np.random.Generator, n_configs: int) -> np.ndarray:

@@ -372,11 +372,11 @@ class TestCheckCommand:
     def test_canonical_m2_passes(self):
         result = run("check", "--spec", str(SPECS / "coherence_m2.spec"), "--format", "machine")
         assert result.exit_code == 0
-        report = Report.from_json(result.output)
-        assert report.status == "pass"
-        assert report.results["sound_and_distributed"] is True
+        report = json.loads(result.output)
+        assert report["status"] == "pass"
+        assert report["results"]["sound_and_distributed"] is True
         # proofs ride along by default
-        assert any("proof" in g for g in report.results["goals"])
+        assert any("proof" in g for g in report["results"]["goals"])
 
     def test_axiomatic_m7_proves_every_goal(self, tmp_path):
         spec = write_spec(tmp_path, {
@@ -386,14 +386,14 @@ class TestCheckCommand:
         })
         result = run("check", "--spec", spec, "--format", "machine", "--quiet")
         assert result.exit_code == 0
-        goals = Report.from_json(result.output).results["goals"]
+        goals = json.loads(result.output)["results"]["goals"]
         assert [g["status"] for g in goals] == ["proved"] * 14
 
     def test_confounded_graphical_fails(self):
         result = run("check", "--spec", str(SPECS / "confounded.spec"), "--format", "machine")
         assert result.exit_code == 1
-        report = Report.from_json(result.output)
-        broken = [c for c in report.results["conditions"] if c["status"] != "holds"]
+        report = json.loads(result.output)
+        broken = [c for c in report["results"]["conditions"] if c["status"] != "holds"]
         assert [c["condition"] for c in broken] == ["commonly_separated"]
 
     def test_graphical_mode_refuses_restricted_conditions(self, tmp_path):
@@ -406,10 +406,10 @@ class TestCheckCommand:
         assert run("check", "--spec", write_spec(tmp_path, axiomatic, "ax.spec")).exit_code == 1
         result = run("check", "--spec", path, "--format", "machine")
         assert result.exit_code == 2
-        report = Report.from_json(result.output)
-        assert report.status == "error"
-        assert report.results["error"].startswith("SpecError: ")
-        assert "protocol.conditions" in report.results["error"]
+        report = json.loads(result.output)
+        assert report["status"] == "error"
+        assert report["results"]["error"].startswith("SpecError: ")
+        assert "protocol.conditions" in report["results"]["error"]
 
     def test_graphical_mode_refuses_statements(self, tmp_path):
         # the graph alone decides every condition, so an extra statement
@@ -421,26 +421,26 @@ class TestCheckCommand:
         assert run("check", "--spec", write_spec(tmp_path, axiomatic, "ax.spec")).exit_code == 0
         result = run("check", "--spec", path, "--format", "machine")
         assert result.exit_code == 2
-        report = Report.from_json(result.output)
-        assert report.status == "error"
-        assert report.results["error"].startswith("SpecError: ")
-        assert "statements" in report.results["error"]
+        report = json.loads(result.output)
+        assert report["status"] == "error"
+        assert report["results"]["error"].startswith("SpecError: ")
+        assert "statements" in report["results"]["error"]
 
 
 class TestDeriveCommand:
     def test_goal_derivation_with_trace(self):
         result = run("derive", "--spec", str(SPECS / "coherence_m2.spec"), "--format", "machine")
         assert result.exit_code == 0
-        report = Report.from_json(result.output)
-        assert report.results["status"] == "proved"
-        assert report.results["proof"]["steps"]
+        report = json.loads(result.output)
+        assert report["results"]["status"] == "proved"
+        assert report["results"]["proof"]["steps"]
 
     def test_counters_are_pinned(self):
         # these move whenever the saturation order moves
         result = run("derive", "--spec", str(SPECS / "coherence_m2.spec"), "--format", "machine")
-        report = Report.from_json(result.output)
-        assert report.results["statements_generated"] == 571
-        assert len(report.results["proof"]["steps"]) == 10
+        report = json.loads(result.output)
+        assert report["results"]["statements_generated"] == 571
+        assert len(report["results"]["proof"]["steps"]) == 10
 
     def test_underivable_goal_fails(self, tmp_path):
         path = write_spec(
@@ -453,7 +453,7 @@ class TestDeriveCommand:
         )
         result = run("derive", "--spec", path, "--format", "machine")
         assert result.exit_code == 1
-        assert Report.from_json(result.output).results["status"] == "not_derivable"
+        assert json.loads(result.output)["results"]["status"] == "not_derivable"
 
     def test_graph_nodes_are_the_universe(self, tmp_path):
         # C is a declared node, so a goal mentioning it is a query to decide,
@@ -469,12 +469,12 @@ class TestDeriveCommand:
         }
         result = run("derive", "--spec", write_spec(tmp_path, spec), "--format", "machine")
         assert result.exit_code == 1, result.output
-        assert Report.from_json(result.output).results["status"] == "not_derivable"
+        assert json.loads(result.output)["results"]["status"] == "not_derivable"
         # the graph's dependencies license moving C in beside D
         spec["graph"]["dependencies"] = [{"determined": "C", "determiners": ["A"]}]
         result = run("derive", "--spec", write_spec(tmp_path, spec), "--format", "machine")
         assert result.exit_code == 0, result.output
-        proof = Report.from_json(result.output).results["proof"]
+        proof = json.loads(result.output)["results"]["proof"]
         assert [step["rule"] for step in proof["steps"]] == ["determinism_augment"] * 2
 
 
@@ -482,15 +482,15 @@ class TestDsepCommand:
     def test_chain_query_true(self):
         result = run("dsep", "--spec", str(SPECS / "chain_dsep.spec"), "--format", "machine")
         assert result.exit_code == 0
-        assert Report.from_json(result.output).results["d_separated"] is True
+        assert json.loads(result.output)["results"]["d_separated"] is True
 
 
 class TestAblateCommand:
     def test_four_rows_all_failing_plus_control(self):
         result = run("ablate", "--spec", str(SPECS / "coherence_m2.spec"), "--format", "machine")
         assert result.exit_code == 0
-        report = Report.from_json(result.output)
-        rows = report.results["rows"]
+        report = json.loads(result.output)
+        rows = report["results"]["rows"]
         assert len(rows) == 5
         control, dropped = rows[0], rows[1:]
         assert control["dropped"] is None and control["sound_and_distributed"]
@@ -505,9 +505,9 @@ class TestAblateCommand:
         spec["run"]["budget"] = 500
         result = run("ablate", "--spec", write_spec(tmp_path, spec), "--format", "machine")
         assert result.exit_code == 1
-        report = Report.from_json(result.output)
-        assert report.status == "fail"
-        rows = {row["dropped"]: row for row in report.results["rows"]}
+        report = json.loads(result.output)
+        assert report["status"] == "fail"
+        rows = {row["dropped"]: row for row in report["results"]["rows"]}
         for name in ("separately_informed", "commonly_separated"):
             assert rows[name]["certificate"] is None
             assert rows[name]["unreachable_goals"] == []
@@ -532,17 +532,17 @@ class TestAblateCommand:
         assert run("check", "--spec", path, "--format", "machine").exit_code == 1
         result = run("ablate", "--spec", path, "--format", "machine")
         assert result.exit_code == 2
-        report = Report.from_json(result.output)
-        assert report.status == "error"
-        assert "protocol.conditions" in report.results["error"]
+        report = json.loads(result.output)
+        assert report["status"] == "error"
+        assert "protocol.conditions" in report["results"]["error"]
 
 
 class TestSimulateCommand:
     def test_food_example_numbers(self):
         result = run("simulate", "--spec", str(SPECS / "food_example.spec"), "--format", "machine")
         assert result.exit_code == 0
-        report = Report.from_json(result.output)
-        res = report.results
+        report = json.loads(result.output)
+        res = report["results"]
         assert res["distributed_product_mean_closed_form"] == pytest.approx(0.25, abs=1e-15)
         assert res["distributed_product_mean_grid"] == pytest.approx(0.25, abs=1e-4)
         assert res["product_cell_posterior_mean"] == pytest.approx(6 / 102, abs=1e-12)
@@ -556,7 +556,7 @@ class TestSimulateCommand:
         path = write_spec(tmp_path, spec)
         result = run("simulate", "--spec", path, "--format", "machine")
         assert result.exit_code == 0, result.output
-        mean = Report.from_json(result.output).results["distributed_product_mean_grid"]
+        mean = json.loads(result.output)["results"]["distributed_product_mean_grid"]
         assert mean == pytest.approx(0.99 * 0.5, rel=1e-6)
         result = run("separability", "--spec", path, "--format", "machine")
         assert result.exit_code == 0, result.output
@@ -568,21 +568,21 @@ class TestSeparabilityCommand:
             "separability", "--spec", str(SPECS / "separable_pair.spec"), "--format", "machine"
         )
         assert result.exit_code == 0
-        report = Report.from_json(result.output)
-        assert report.results["symbolic"]["separable"] is True
-        assert report.results["numeric"]["separable"] is True
-        assert report.results["divergence"]["total_variation"] <= 1e-10
+        report = json.loads(result.output)
+        assert report["results"]["symbolic"]["separable"] is True
+        assert report["results"]["numeric"]["separable"] is True
+        assert report["results"]["divergence"]["total_variation"] <= 1e-10
 
     def test_interaction_pair_fails_with_witness(self):
         result = run(
             "separability", "--spec", str(SPECS / "interaction_pair.spec"), "--format", "machine"
         )
         assert result.exit_code == 1
-        report = Report.from_json(result.output)
-        assert report.results["numeric"]["separable"] is False
-        assert report.results["numeric"]["max_residual"] > 1e-3
-        assert report.results["numeric"]["witnesses"]
-        assert report.results["divergence"]["total_variation"] > 1e-6
+        report = json.loads(result.output)
+        assert report["results"]["numeric"]["separable"] is False
+        assert report["results"]["numeric"]["max_residual"] > 1e-3
+        assert report["results"]["numeric"]["witnesses"]
+        assert report["results"]["divergence"]["total_variation"] > 1e-6
 
     def test_large_counts_read_separable(self, tmp_path):
         # |ll| near 6e7 puts the rounding in R near 6e-8, above the absolute
@@ -591,10 +591,10 @@ class TestSeparabilityCommand:
         spec["data"]["panel_counts"] = [[33333333, 100000000], [20000000, 100000000]]
         result = run("separability", "--spec", write_spec(tmp_path, spec), "--format", "machine")
         assert result.exit_code == 0, result.output
-        report = Report.from_json(result.output)
-        assert report.results["numeric"]["separable"] is True
-        assert report.results["numeric"]["witnesses"] == []
-        assert report.options == {}
+        report = json.loads(result.output)
+        assert report["results"]["numeric"]["separable"] is True
+        assert report["results"]["numeric"]["witnesses"] == []
+        assert report["options"] == {}
 
     def test_no_data_divergence_is_exactly_zero(self, tmp_path):
         spec = write_spec(tmp_path, {
@@ -608,15 +608,16 @@ class TestSeparabilityCommand:
         })
         result = run("separability", "--spec", spec, "--format", "machine")
         assert result.exit_code == 0
-        div = Report.from_json(result.output).results["divergence"]
+        div = json.loads(result.output)["results"]["divergence"]
         assert div["max_abs"] == 0.0 and div["total_variation"] == 0.0
 
 
 class TestReportContract:
     def test_machine_report_round_trips(self):
         result = run("check", "--spec", str(SPECS / "coherence_m2.spec"), "--format", "machine")
-        report = Report.from_json(result.output)
-        assert Report.from_json(report.to_json()) == report
+        raw = json.loads(result.output)
+        report = Report(raw["command"], raw["status"], raw["results"], raw["options"])
+        assert report.to_json() == result.output
 
     @pytest.mark.parametrize(
         "command, spec",
@@ -638,7 +639,7 @@ class TestReportContract:
             "--format", "machine", "--out", str(out),
         )
         assert result.exit_code == 0
-        assert Report.from_json(out.read_text()).command == "dsep"
+        assert json.loads(out.read_text())["command"] == "dsep"
 
     def test_quiet_elides_proof_steps(self):
         full = run("check", "--spec", str(SPECS / "coherence_m2.spec"))

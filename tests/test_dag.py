@@ -14,10 +14,9 @@ from modcoherence.dag import (
     UnknownSymbol,
     build_dag,
     d_separated,
-    local_markov_basis,
 )
 
-from .oracles import random_dag_instance
+from .oracles import local_markov_basis, random_dag_instance
 
 
 def nodes(*names, kind="evidence"):

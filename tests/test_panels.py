@@ -397,6 +397,17 @@ class TestFullGridTemporaries:
         peak = _traced_peak(lambda: joint_oracle(priors, lambda *blocks: ll))
         assert peak / self.FULL <= 2.05
 
+    @pytest.mark.parametrize("layout", ["fortran", "one_block"])
+    def test_joint_oracle_reads_another_layout_through_one_copy(self, case, layout):
+        # an ll that is not a C-contiguous full grid is flattened once
+        priors, mesh, ll, _, _ = case
+        if layout == "fortran":
+            ll = np.asfortranarray(ll)
+        else:
+            ll = np.asarray(bernoulli_loglik(3, 10)(mesh[0]))
+        peak = _traced_peak(lambda: joint_oracle(priors, lambda *blocks: ll))
+        assert peak / self.FULL <= 3.05
+
     def test_divergence(self, case):
         # one leaf buffer, no full-grid difference
         _, _, _, distributed, oracle = case
@@ -406,6 +417,12 @@ class TestFullGridTemporaries:
         # the block product itself and one leaf buffer, no full-grid product
         oracle = case[4]
         peak = _traced_peak(lambda: functional_expectation(oracle, block_product))
+        assert peak / self.FULL <= 1.05
+
+    def test_functional_expectation_of_one_block(self, case):
+        # a g of one block is broadcast to the grid and flattened once
+        oracle = case[4]
+        peak = _traced_peak(lambda: functional_expectation(oracle, lambda a, b, c: np.exp(a)))
         assert peak / self.FULL <= 1.05
 
     def test_block_product_on_the_sparse_mesh(self, case):

@@ -7,7 +7,7 @@ import pytest
 
 from modcoherence import ci, protocol
 from modcoherence.ci import derive, normalize
-from modcoherence.dag import d_separated, local_markov_basis
+from modcoherence.dag import d_separated
 from modcoherence.protocol import (
     ALL_CONDITIONS,
     AxiomaticMode,
@@ -31,7 +31,7 @@ from modcoherence.protocol import (
     independence_goal,
     verify_coherence,
 )
-from .oracles import full_path_goal_statuses
+from .oracles import full_path_goal_statuses, local_markov_basis
 
 
 class TestBuildSystem:
