@@ -153,16 +153,9 @@ def derive(spec: SpecFile) -> Report:
     if spec.goal is None:
         raise MissingSection("derive requires a goal section")
     base = _axiomatic_base(spec)
-    deps: tuple = ()
-    universe = None
-    if spec.system is not None:
-        deps = spec.system.dependencies
-        universe = spec.system.universe
-    elif spec.dag is not None:
-        deps = spec.dag.dependencies
-        universe = spec.dag.node_names
     if not base:
         raise MissingSection("derive requires base statements (statements or protocol.conditions)")
+    universe, deps = spec.scope
     result = ci_derive(base, deps, spec.goal, spec.run.budget, universe=universe)
     results = {
         "goal": spec.goal.render(),

@@ -1,4 +1,4 @@
-"""Directed acyclic graphs over typed nodes with an exact d-separation oracle.
+"""Directed acyclic graphs over named nodes with an exact d-separation oracle.
 
 Separation queries may condition through declared functional dependencies:
 the conditioning set is first closed under "is a function of" facts, which is
@@ -23,9 +23,6 @@ from .ci import (
     VarSet,
     determined_closure,
 )
-
-NODE_KINDS = ("parameter", "evidence", "data", "common-knowledge")
-
 
 class DagError(ModcoherenceError):
     pass
@@ -68,13 +65,13 @@ def _neighbours(pairs: Iterable[tuple[Symbol, Symbol]]) -> dict[Symbol, VarSet]:
 
 @dataclass(frozen=True)
 class Dag:
-    nodes: tuple[tuple[Symbol, str], ...]
+    nodes: tuple[Symbol, ...]
     edges: tuple[tuple[Symbol, Symbol], ...]
     dependencies: tuple[FunctionalDependency, ...] = ()
 
     @functools.cached_property
     def node_names(self) -> VarSet:
-        return frozenset(name for name, _ in self.nodes)
+        return frozenset(self.nodes)
 
     @functools.cached_property
     def _parent_map(self) -> dict[Symbol, VarSet]:  # nodes without parents are absent
@@ -95,21 +92,17 @@ class Dag:
 
 
 def build_dag(
-    nodes: Iterable[tuple[Symbol, str]],
+    nodes: Iterable[Symbol],
     edges: Iterable[tuple[Symbol, Symbol]],
     dependencies: Iterable[FunctionalDependency] = (),
 ) -> Dag:
     """Validate and freeze a DAG; raises on duplicates, stray endpoints, cycles."""
-    nodes = tuple((str(n), str(k)) for n, k in nodes)
+    nodes = tuple(str(n) for n in nodes)
     edges = tuple((str(u), str(v)) for u, v in edges)
     dag = Dag(nodes, edges, tuple(dependencies))
     if len(dag.node_names) != len(nodes):
-        names = [n for n, _ in nodes]
-        dupes = sorted({n for n in names if names.count(n) > 1})
+        dupes = sorted({n for n in nodes if nodes.count(n) > 1})
         raise DuplicateNode(f"duplicate node names: {dupes}")
-    for _, kind in nodes:
-        if kind not in NODE_KINDS:
-            raise DagError(f"unknown node kind {kind!r}; expected one of {NODE_KINDS}")
     for u, v in edges:
         if u not in dag.node_names or v not in dag.node_names:
             raise UnknownEndpoint(f"edge {u}->{v} references an undeclared node")

@@ -2,13 +2,14 @@
 
 A system of m autonomous panels shares a pool of admissible evidence: one
 common-knowledge symbol, one evidence symbol per ordered panel pair, the
-collection of own-domain evidence, and the full pool.  Four independence
-conditions over these symbols (delegable, separately informed, cutting,
-commonly separated) are generated here, and the coherence claim - that every
-panel's parameter block is independent of the others given the full pool,
-and is updated only through its own evidence - is verified either by the
-axiomatic prover (a lumped derivation, then one search of the full system)
-or by d-separation on a user-supplied graph.
+collection of own-domain evidence, and the full pool, each named with the
+fixed superscript ``^0`` (names are labels: renaming changes no verdict).
+Four independence conditions over these symbols (delegable, separately
+informed, cutting, commonly separated) are generated here, and the coherence
+claim - that every panel's parameter block is independent of the others
+given the full pool, and is updated only through its own evidence - is
+verified either by the axiomatic prover (a lumped derivation, then one
+search of the full system) or by d-separation on a user-supplied graph.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import enum
 import functools
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, ClassVar, Iterable, Optional, Union
 
 from . import ModcoherenceError
 from .ci import (
@@ -68,7 +69,9 @@ class PanelSystem:
     """Symbol universe and determinism facts for an m-panel composite."""
 
     m: int
-    epoch: int
+    common: ClassVar[Symbol] = "I_0^0"
+    own_evidence_pool: ClassVar[Symbol] = "I_*^0"  # every panel's own-domain evidence
+    full_pool: ClassVar[Symbol] = "I_+^0"  # all admissible evidence
 
     def theta(self, i: int) -> Symbol:
         self._check_index(i)
@@ -81,27 +84,13 @@ class PanelSystem:
     def thetas(self) -> VarSet:
         return frozenset(f"theta_{j}" for j in range(1, self.m + 1))
 
-    @property
-    def common(self) -> Symbol:
-        return f"I_0^{self.epoch}"
-
     def evidence(self, i: int, j: int) -> Symbol:
-        """``I_ij^e`` for m <= 9; from m = 10 on the indices are separated,
-        ``I_i_j^e``, since (1, 11) and (11, 1) would both read ``I_111^e``."""
+        """``I_ij^0`` for m <= 9; from m = 10 on the indices are separated,
+        ``I_i_j^0``, since (1, 11) and (11, 1) would both read ``I_111^0``."""
         self._check_index(i)
         self._check_index(j)
         sep = "_" if self.m >= 10 else ""
-        return f"I_{i}{sep}{j}^{self.epoch}"
-
-    @property
-    def own_evidence_pool(self) -> Symbol:
-        """Collection of every panel's own-domain evidence."""
-        return f"I_*^{self.epoch}"
-
-    @property
-    def full_pool(self) -> Symbol:
-        """All admissible evidence at this epoch."""
-        return f"I_+^{self.epoch}"
+        return f"I_{i}{sep}{j}^0"
 
     @functools.cached_property
     def universe(self) -> VarSet:
@@ -136,12 +125,10 @@ class PanelSystem:
             raise IndexOutOfRange(f"panel index {i} not in 1..{self.m}")
 
 
-def build_system(m: int, epoch: int = 0) -> PanelSystem:
+def build_system(m: int) -> PanelSystem:
     if m < 1:
         raise InvalidPanelCount(f"panel count must be >= 1, got {m}")
-    if epoch < 0:
-        raise ProtocolError(f"epoch must be non-negative, got {epoch}")
-    system = PanelSystem(m=m, epoch=epoch)
+    system = PanelSystem(m=m)
     assert len(system.universe) == m * m + m + 3, "panel symbols collide"
     return system
 
@@ -455,18 +442,18 @@ def canonical_dag(sys: PanelSystem) -> Dag:
     each panel's own evidence is driven by its block plus common knowledge,
     cross-panel evidence carries only common knowledge, and the two pool
     nodes deterministically aggregate their components."""
-    nodes = [(t, "parameter") for t in sorted(sys.thetas())]
-    nodes.append((sys.common, "common-knowledge"))
+    nodes = sorted(sys.thetas())
+    nodes.append(sys.common)
     edges = []
     for i in range(1, sys.m + 1):
         for j in range(1, sys.m + 1):
             name = sys.evidence(i, j)
-            nodes.append((name, "evidence"))
+            nodes.append(name)
             edges.append((sys.common, name))
             if i == j:
                 edges.append((sys.theta(i), name))
-    nodes.append((sys.own_evidence_pool, "evidence"))
-    nodes.append((sys.full_pool, "evidence"))
+    nodes.append(sys.own_evidence_pool)
+    nodes.append(sys.full_pool)
     for i in range(1, sys.m + 1):
         edges.append((sys.evidence(i, i), sys.own_evidence_pool))
         for j in range(1, sys.m + 1):
@@ -480,6 +467,6 @@ def canonical_dag(sys: PanelSystem) -> Dag:
 def confounded_dag(sys: PanelSystem) -> Dag:
     """Canonical graph plus a hidden confounder ``H`` across all parameter blocks."""
     base = canonical_dag(sys)
-    nodes = base.nodes + (("H", "parameter"),)
+    nodes = base.nodes + ("H",)
     edges = base.edges + tuple(("H", t) for t in sorted(sys.thetas()))
     return build_dag(nodes, edges, sys.dependencies)

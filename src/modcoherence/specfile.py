@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Optional
 
 from . import ModcoherenceError
-from .ci import CIError, CIStatement, DEFAULT_BUDGET, FunctionalDependency, normalize
+from .ci import CIError, CIStatement, DEFAULT_BUDGET, FunctionalDependency, VarSet, normalize
 from .dag import Dag, DagError, build_dag
 from .protocol import (
     ALL_CONDITIONS,
@@ -45,6 +45,10 @@ MAX_BUDGET = 500_000
 # the grid engine and the conjugate update take counts as float64, which
 # holds every integer up to 2**53 exactly and overflows near 10**308
 MAX_TRIALS = 2**53
+# Beta parameters lie in [1 / MAX_PRIOR, MAX_PRIOR] for the same float
+# reason: alpha + beta of a posterior stays finite, and every posterior mean
+# is at least about 2**-107, so the product-cell ratio stays finite
+MAX_PRIOR = 2**53
 
 
 class SpecError(ModcoherenceError):
@@ -68,11 +72,10 @@ class MissingSection(SpecError):
 
 
 _TOP_KEYS = {"version", "protocol", "statements", "goal", "graph", "query", "models", "data", "run"}
-_PROTOCOL_KEYS = {"panels", "epoch", "conditions"}
+_PROTOCOL_KEYS = {"panels", "conditions"}
 _GRAPH_KEYS = {"template", "nodes", "edges", "dependencies"}
 _MODELS_KEYS = {"panels", "interaction", "product_cell", "factors"}
-_PANEL_MODEL_KEYS = {"prior", "likelihood"}
-_PRIOR_KEYS = {"family", "alpha", "beta"}
+_PRIOR_KEYS = {"alpha", "beta"}
 _DATA_KEYS = {"panel_counts", "product_cell_counts"}
 _RUN_KEYS = {"mode", "grid", "budget"}
 _STMT_KEYS = {"a", "b", "c"}
@@ -118,11 +121,11 @@ def _string(section: dict, key: str, where: str, default: Optional[str] = None) 
     return value
 
 
-def _symbols(value, where: str) -> frozenset:
+def _names(value, where: str) -> list:
     """A list of symbol names; a bare string is not read as its characters."""
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise ParseError(f"{where} must be a list of symbol names, got {value!r}")
-    return frozenset(value)
+    return value
 
 
 def _statement_sets(raw: dict, where: str) -> tuple[frozenset, frozenset, frozenset]:
@@ -130,22 +133,22 @@ def _statement_sets(raw: dict, where: str) -> tuple[frozenset, frozenset, frozen
     for side in ("a", "b"):
         if side not in raw:
             raise ParseError(f"{where} is missing side {side!r}")
-    a, b, c = (_symbols(raw.get(side, []), f"{where}.{side}") for side in ("a", "b", "c"))
+    a, b, c = (frozenset(_names(raw.get(side, []), f"{where}.{side}")) for side in ("a", "b", "c"))
     return a, b, c
 
 
 def _beta_prior(entry: dict, where: str) -> BetaParams:
-    """``entry["prior"]``; a missing prior, alpha or beta defaults to 1."""
+    """``{"prior": {"alpha", "beta"}}``; a missing prior, alpha or beta
+    defaults to 1."""
+    _require_keys(entry, {"prior"}, where)
     prior = entry.get("prior", {})
     _require_keys(prior, _PRIOR_KEYS, f"{where}.prior")
     params = []
     for key in ("alpha", "beta"):
         value = prior.get(key, 1)
-        if type(value) not in (int, float) or not 0 < value < math.inf:
-            raise ParseError(f"{where}.prior.{key} must be a positive number, got {value!r}")
+        if type(value) not in (int, float) or not 1 / MAX_PRIOR <= value <= MAX_PRIOR:
+            raise ParseError(f"{where}.prior.{key} must be a number in [2**-53, 2**53], got {value!r}")
         params.append(float(value))
-    if prior.get("family", "beta") != "beta":
-        raise ParseError(f"{where}: unsupported prior family {prior.get('family')!r}")
     return BetaParams(*params)
 
 
@@ -188,6 +191,14 @@ class RunOptions:
     budget: int = DEFAULT_BUDGET
 
 
+def _scope(system: Optional[PanelSystem], dag: Optional[Dag]) -> tuple:
+    """``(universe, dependencies)``: the protocol's or, without a protocol,
+    the graph's nodes and dependencies; with neither, ``(None, ())``."""
+    if system is not None:
+        return system.universe, system.dependencies
+    return (dag.node_names, dag.dependencies) if dag is not None else (None, ())
+
+
 @dataclass(frozen=True)
 class SpecFile:
     system: Optional[PanelSystem] = None
@@ -199,6 +210,12 @@ class SpecFile:
     models: Optional[Models] = None
     data: Optional[Data] = None
     run: RunOptions = field(default_factory=RunOptions)
+
+    @property
+    def scope(self) -> tuple[Optional[VarSet], tuple[FunctionalDependency, ...]]:
+        """The symbols the statements and the goal range over, and the
+        dependencies that license the determinism rules (``_scope``)."""
+        return _scope(self.system, self.dag)
 
     def panel_inputs(self) -> tuple[Models, Data]:
         """The sections the numeric commands need, with one count pair per
@@ -220,6 +237,8 @@ def parse_spec(path: str | Path) -> SpecFile:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     except ValueError as exc:  # e.g. an integer literal past the int-conversion digit limit
         raise ParseError(f"{path}: invalid JSON: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     return parse_spec_dict(raw)
 
 
@@ -231,7 +250,7 @@ def _protocol(section: dict) -> tuple[PanelSystem, tuple[ConditionKind, ...]]:
     if m > MAX_PANELS:
         raise ParseError(f"protocol.panels must be at most {MAX_PANELS}, got {m}")
     try:
-        system = build_system(m, _integer(section, "epoch", 0, "protocol"))
+        system = build_system(m)
     except ProtocolError as exc:
         raise ParseError(f"protocol: {exc}") from exc
     if "conditions" not in section:
@@ -261,11 +280,7 @@ def _graph(section: dict, system: Optional[PanelSystem]) -> Dag:
         for key in ("nodes", "edges"):
             if key not in section:
                 raise ParseError(f"graph is missing {key!r}")
-        nodes = []
-        for node in _list(section["nodes"], "graph.nodes"):
-            _require_keys(node, {"name", "kind"}, "graph node")
-            nodes.append((_string(node, "name", "graph node"),
-                          _string(node, "kind", "graph node", default="evidence")))
+        nodes = _names(section["nodes"], "graph.nodes")
         edges = []
         for k, edge in enumerate(_list(section["edges"], "graph.edges")):
             if not (isinstance(edge, list) and len(edge) == 2
@@ -277,7 +292,7 @@ def _graph(section: dict, system: Optional[PanelSystem]) -> Dag:
             _require_keys(dep, {"determined", "determiners"}, "graph dependency")
             deps.append(FunctionalDependency(
                 _string(dep, "determined", "graph dependency"),
-                _symbols(dep.get("determiners"), "graph dependency.determiners"),
+                _names(dep.get("determiners"), "graph dependency.determiners"),
             ))
         return build_dag(nodes, edges, deps)
     except (DagError, CIError) as exc:
@@ -288,18 +303,13 @@ def _models(section: dict) -> Models:
     _require_keys(section, _MODELS_KEYS, "models")
     priors = []
     for k, panel in enumerate(_list(section.get("panels", []), "models.panels")):
-        where = f"models.panels[{k}]"
-        _require_keys(panel, _PANEL_MODEL_KEYS, where)
-        priors.append(_beta_prior(panel, where))
-        if panel.get("likelihood", "bernoulli") != "bernoulli":
-            raise ParseError(f"{where}: unsupported likelihood {panel.get('likelihood')!r}")
+        priors.append(_beta_prior(panel, f"models.panels[{k}]"))
     strength = 0.0
     if "interaction" in section:
         _require_keys(section["interaction"], {"strength"}, "models.interaction")
         strength = _number(section["interaction"], "strength", 0.0, "models.interaction")
     product_cell = None
     if "product_cell" in section:
-        _require_keys(section["product_cell"], {"prior"}, "models.product_cell")
         product_cell = _beta_prior(section["product_cell"], "models.product_cell")
     factors = None
     if "factors" in section:
@@ -365,10 +375,10 @@ def parse_spec_dict(raw: dict) -> SpecFile:
 
     dag = _graph(raw["graph"], system) if "graph" in raw else None
 
-    # statements and the goal range over the protocol's symbols, or without a
-    # protocol the graph's nodes, as the commands do; a query over the nodes
+    # statements and the goal range over the spec's scope, as the commands
+    # do; a query over the graph's nodes
+    universe, _ = _scope(system, dag)
     nodes = dag.node_names if dag is not None else None
-    universe = system.universe if system is not None else nodes
 
     def statement(raw_stmt, where: str, known: Optional[frozenset]) -> tuple[frozenset, ...]:
         """The sides as written, held to ``normalize``'s rules."""

@@ -200,7 +200,7 @@ def test_criterion_6_dsep_oracle_equivalence():
     for _ in range(110):
         n = int(rng.integers(3, 7))
         order, edges, joint = random_dag_instance(rng, n)
-        dag = build_dag([(name, "evidence") for name in order], edges)
+        dag = build_dag(order, edges)
         for a, b, c in all_small_queries(n, rng, count=12):
             names = lambda idxs: {order[i] for i in idxs}
             if d_separated(dag, names(a), names(b), names(c)):

@@ -1,6 +1,7 @@
 """End-to-end tests of the spec-file parser and the command-line front end."""
 
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -81,8 +82,7 @@ class TestParseSpec:
             {
                 "version": 1,
                 "graph": {
-                    "nodes": [{"name": "A", "kind": "evidence"},
-                              {"name": "B", "kind": "evidence"}],
+                    "nodes": ["A", "B"],
                     "edges": [["A", "B"]],
                 },
                 "query": {"a": ["A"], "b": ["B"]},
@@ -120,7 +120,11 @@ _BAD_FIELDS = [
     ("separability", "separable_pair", ["models", "factors", 0, "panels"], [7],
      "models.factors[0].panels"),
     ("dsep", "chain_dsep", ["graph", "edges", 0], ["A"], "graph.edges[0]"),
-    ("dsep", "chain_dsep", ["graph", "nodes", 0], {"kind": "parameter"}, "graph node"),
+    # a node is its name, so a node object is refused
+    ("dsep", "chain_dsep", ["graph", "nodes", 0], {"kind": "parameter"},
+     "graph.nodes must be a list of symbol names"),
+    ("dsep", "chain_dsep", ["graph", "nodes", 0], {"name": "A", "kind": "parameter"},
+     "graph.nodes must be a list of symbol names"),
     ("dsep", "chain_dsep", ["graph", "dependencies"], [{"determined": "A", "determiners": ["A"]}],
      "graph: 'A' cannot determine itself"),
     ("simulate", "separable_pair", ["models", "panels"], [{}] * 6, "run.grid"),
@@ -155,7 +159,22 @@ _BAD_FIELDS = [
     ("check", "coherence_m2", ["protocol", "conditions"], ["bogus"], "unknown condition 'bogus'"),
     ("dsep", "chain_dsep", ["graph", "edges"], _DROP, "graph is missing 'edges'"),
     ("simulate", "food_example", ["run", "seed"], -1, "unknown key 'seed' in run"),
-    ("check", "coherence_m2", ["protocol", "epoch"], -1, "epoch must be non-negative"),
+    # removed keys: labels that no computation read
+    ("check", "coherence_m2", ["protocol", "epoch"], 0, "unknown key 'epoch' in protocol"),
+    ("simulate", "separable_pair", ["models", "panels", 0, "likelihood"], "bernoulli",
+     "unknown key 'likelihood' in models.panels[0]"),
+    ("simulate", "separable_pair", ["models", "panels", 0, "prior", "family"], "beta",
+     "unknown key 'family' in models.panels[0].prior"),
+    # Beta parameters outside [2**-53, 2**53]: alpha + beta overflowed to a
+    # mean of 0.0, and a vanishing cell mean divided by zero
+    ("simulate", "separable_pair", ["models", "panels", 0, "prior", "alpha"], 2.0**-54,
+     "models.panels[0].prior.alpha must be a number in [2**-53, 2**53]"),
+    ("simulate", "separable_pair", ["models", "panels", 0, "prior", "beta"], 2**53 + 1,
+     "models.panels[0].prior.beta must be a number in [2**-53, 2**53]"),
+    ("simulate", "separable_pair", ["models", "panels", 0, "prior"],
+     {"alpha": 1e308, "beta": 1e308}, "models.panels[0].prior.alpha"),
+    ("simulate", "food_example", ["models", "product_cell", "prior", "alpha"], 5e-324,
+     "models.product_cell.prior.alpha must be a number in [2**-53, 2**53]"),
     ("dsep", "chain_dsep", ["query"], {"a": [], "b": ["B"], "c": []},
      "query: independence sides must be non-empty"),
     ("separability", "separable_pair", ["run", "tolerance"], -1.0,
@@ -163,7 +182,7 @@ _BAD_FIELDS = [
     ("simulate", "separable_pair", ["run", "grid"], 2, "run.grid must be at least 3"),
     # a template and an explicit graph are exclusive
     ("check", "canonical_graph", ["graph", "latent"], "Z", "unknown key 'latent' in graph"),
-    ("check", "canonical_graph", ["graph", "nodes"], [{"name": "Y"}],
+    ("check", "canonical_graph", ["graph", "nodes"], ["Y"],
      "graph: 'nodes' cannot be given with a template"),
     ("check", "canonical_graph", ["graph", "edges"], [["theta_1", "Y"]],
      "graph: 'edges' cannot be given with a template"),
@@ -226,11 +245,37 @@ class TestExitCodes:
     def test_integer_literal_past_the_digit_limit_exits_2(self, tmp_path):
         # json.loads refuses it with a plain ValueError, not a JSONDecodeError
         path = tmp_path / "digits.spec"
-        path.write_text('{"version": 1, "protocol": {"panels": 2, "epoch": ' + "9" * 5000 + "}}")
+        path.write_text('{"version": 1, "protocol": {"panels": ' + "9" * 5000 + "}}")
         result = run("check", "--spec", str(path))
         assert result.exit_code == 2
         assert result.exception is None
         assert "ParseError" in result.output and "invalid JSON" in result.output
+
+    @pytest.mark.parametrize("text", [
+        "[" * 100_000 + "]" * 100_000,
+        '{"version": 1, "statements": [{"a": ' + "[" * 995 + "]" * 995 + ', "b": ["x"]}]}',
+    ], ids=["bare_lists", "statement_side"])
+    def test_deeply_nested_json_exits_2(self, tmp_path, text):
+        # json.loads recurses once per level and raises RecursionError
+        path = tmp_path / "deep.spec"
+        path.write_text(text)
+        result = run("check", "--spec", str(path))
+        assert result.exit_code == 2
+        assert result.exception is None
+        assert "ParseError" in result.output
+        if len(text) > 100_000:
+            assert "JSON nested too deeply" in result.output
+
+    def test_prior_bounds_are_inclusive(self, tmp_path):
+        spec = json.loads((SPECS / "food_example.spec").read_text())
+        spec["models"]["panels"][0]["prior"] = {"alpha": 2**53, "beta": 2**53}
+        spec["models"]["product_cell"]["prior"] = {"alpha": 2.0**-53, "beta": 2**53}
+        assert parse_spec_dict(spec).models.product_cell.alpha == 2.0**-53
+        result = run("simulate", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 0, result.output
+        results = json.loads(result.output)["results"]
+        assert results["panel_posteriors"][0]["mean"] == 0.5
+        assert 0 < results["distributed_over_product_cell_ratio"] < math.inf
 
     def test_counts_too_large_for_a_float_exit_2(self, tmp_path):
         spec = self._separable_pair()
@@ -271,7 +316,7 @@ class TestExitCodes:
         path = write_spec(tmp_path, {
             "version": 1,
             "protocol": {"panels": 2},
-            "graph": {"nodes": [{"name": "X"}, {"name": "Y"}], "edges": []},
+            "graph": {"nodes": ["X", "Y"], "edges": []},
             section: [stmt] if section == "statements" else stmt,
         })
         result = run(command, "--spec", path)
@@ -283,7 +328,7 @@ class TestExitCodes:
         path = write_spec(tmp_path, {
             "version": 1,
             "protocol": {"panels": 2},
-            "graph": {"nodes": [{"name": "X"}, {"name": "Y"}], "edges": []},
+            "graph": {"nodes": ["X", "Y"], "edges": []},
             "query": {"a": ["X"], "b": ["theta_1"]},
         })
         result = run("dsep", "--spec", path)
@@ -294,7 +339,7 @@ class TestExitCodes:
         path = write_spec(tmp_path, {
             "version": 1,
             "protocol": {"panels": 2},
-            "graph": {"nodes": [{"name": "theta_1", "kind": "parameter"}], "edges": []},
+            "graph": {"nodes": ["theta_1"], "edges": []},
             "run": {"mode": "graphical"},
         })
         result = run("check", "--spec", path)
@@ -461,7 +506,7 @@ class TestDeriveCommand:
         spec = {
             "version": 1,
             "graph": {
-                "nodes": [{"name": name} for name in "ABCD"],
+                "nodes": list("ABCD"),
                 "edges": [["A", "C"], ["A", "B"], ["B", "D"]],
             },
             "statements": [{"a": ["B"], "b": ["D"], "c": ["A"]}],
@@ -600,8 +645,8 @@ class TestSeparabilityCommand:
         spec = write_spec(tmp_path, {
             "version": 1,
             "models": {"panels": [
-                {"prior": {"family": "beta", "alpha": 2, "beta": 3}, "likelihood": "bernoulli"},
-                {"prior": {"family": "beta", "alpha": 1, "beta": 1}, "likelihood": "bernoulli"},
+                {"prior": {"alpha": 2, "beta": 3}},
+                {"prior": {"alpha": 1, "beta": 1}},
             ]},
             "data": {"panel_counts": [[0, 0], [0, 0]]},
             "run": {"grid": 51},

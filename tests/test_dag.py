@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from modcoherence.ci import FunctionalDependency, normalize
 from modcoherence.dag import (
     CycleDetected,
-    DagError,
     DuplicateNode,
     UnknownEndpoint,
     UnknownSymbol,
@@ -19,47 +18,39 @@ from modcoherence.dag import (
 from .oracles import local_markov_basis, random_dag_instance
 
 
-def nodes(*names, kind="evidence"):
-    return [(n, kind) for n in names]
-
-
 class TestBuildDag:
     def test_valid_chain(self):
-        dag = build_dag(nodes("A", "B", "C"), [("A", "C"), ("C", "B")])
+        dag = build_dag(["A", "B", "C"], [("A", "C"), ("C", "B")])
         assert dag.parents("B") == frozenset({"C"})
 
     def test_cycle_detected(self):
         with pytest.raises(CycleDetected):
-            build_dag(nodes("A", "B"), [("A", "B"), ("B", "A")])
+            build_dag(["A", "B"], [("A", "B"), ("B", "A")])
         with pytest.raises(CycleDetected):
-            build_dag(nodes("A"), [("A", "A")])
+            build_dag(["A"], [("A", "A")])
 
     def test_unknown_endpoint(self):
         with pytest.raises(UnknownEndpoint):
-            build_dag(nodes("A"), [("A", "Z")])
+            build_dag(["A"], [("A", "Z")])
 
     def test_duplicate_node(self):
         with pytest.raises(DuplicateNode):
-            build_dag(nodes("A", "A"), [])
-
-    def test_unknown_node_kind(self):
-        with pytest.raises(DagError):
-            build_dag([("A", "widget")], [])
+            build_dag(["A", "A"], [])
 
     def test_dependency_symbols_validated(self):
         with pytest.raises(UnknownSymbol):
-            build_dag(nodes("A"), [], [FunctionalDependency("A", frozenset({"Z"}))])
+            build_dag(["A"], [], [FunctionalDependency("A", frozenset({"Z"}))])
 
     def test_cycle_reported_before_dependency_symbols(self):
         with pytest.raises(CycleDetected):
-            build_dag(nodes("A", "B"), [("A", "B"), ("B", "A")],
+            build_dag(["A", "B"], [("A", "B"), ("B", "A")],
                       [FunctionalDependency("A", frozenset({"Z"}))])
 
     def test_adjacency_matches_edge_scan(self):
         rng = np.random.default_rng(4242)
         for n in (1, 3, 5, 7, 9) * 4:
             order, edges, _ = random_dag_instance(rng, n)
-            dag = build_dag(nodes(*order), edges)
+            dag = build_dag(order, edges)
             for name in order:
                 assert dag.parents(name) == frozenset(u for u, v in edges if v == name)
                 assert dag.children(name) == frozenset(v for u, v in edges if u == name)
@@ -67,34 +58,34 @@ class TestBuildDag:
 
 class TestDSeparation:
     def test_blocked_chain(self):
-        dag = build_dag(nodes("A", "B", "C"), [("A", "C"), ("C", "B")])
+        dag = build_dag(["A", "B", "C"], [("A", "C"), ("C", "B")])
         assert d_separated(dag, {"A"}, {"B"}, {"C"})
         assert not d_separated(dag, {"A"}, {"B"})
 
     def test_fork(self):
-        dag = build_dag(nodes("A", "B", "C"), [("C", "A"), ("C", "B")])
+        dag = build_dag(["A", "B", "C"], [("C", "A"), ("C", "B")])
         assert d_separated(dag, {"A"}, {"B"}, {"C"})
         assert not d_separated(dag, {"A"}, {"B"})
 
     def test_collider_activation(self):
-        dag = build_dag(nodes("A", "B", "C"), [("A", "C"), ("B", "C")])
+        dag = build_dag(["A", "B", "C"], [("A", "C"), ("B", "C")])
         assert d_separated(dag, {"A"}, {"B"})
         assert not d_separated(dag, {"A"}, {"B"}, {"C"})
 
     def test_collider_descendant_activation(self):
-        dag = build_dag(nodes("A", "B", "C", "D"), [("A", "C"), ("B", "C"), ("C", "D")])
+        dag = build_dag(["A", "B", "C", "D"], [("A", "C"), ("B", "C"), ("C", "D")])
         assert not d_separated(dag, {"A"}, {"B"}, {"D"})
 
     def test_latent_confounder_opens_path(self):
         # two root parameters driving their own observations are separated;
         # adding a shared latent parent breaks that
         dag = build_dag(
-            nodes("theta_1", "theta_2", "x_1", "x_2"),
+            ["theta_1", "theta_2", "x_1", "x_2"],
             [("theta_1", "x_1"), ("theta_2", "x_2")],
         )
         assert d_separated(dag, {"theta_1"}, {"theta_2"})
         confounded = build_dag(
-            dag.nodes + (("H", "parameter"),),
+            dag.nodes + ("H",),
             dag.edges + (("H", "theta_1"), ("H", "theta_2")),
         )
         assert not d_separated(confounded, {"theta_1"}, {"theta_2"})
@@ -103,14 +94,14 @@ class TestDSeparation:
         # S is a deterministic aggregate of A; conditioning on S blocks the
         # chain through A even though A itself is not observed
         dag = build_dag(
-            nodes("A", "B", "S"),
+            ["A", "B", "S"],
             [("A", "B"), ("A", "S")],
             [FunctionalDependency("A", frozenset({"S"}))],
         )
         assert d_separated(dag, {"S"}, {"B"}, {"A"})
         # and symmetrically the closure pins A once S is given
         dag2 = build_dag(
-            nodes("A", "B", "C", "S"),
+            ["A", "B", "C", "S"],
             [("A", "B"), ("A", "C"), ("A", "S")],
             [FunctionalDependency("A", frozenset({"S"}))],
         )
@@ -118,7 +109,7 @@ class TestDSeparation:
         assert not d_separated(dag2, {"B"}, {"C"})
 
     def test_query_validation(self):
-        dag = build_dag(nodes("A", "B"), [])
+        dag = build_dag(["A", "B"], [])
         with pytest.raises(UnknownSymbol):
             d_separated(dag, {"A"}, {"Z"})
         with pytest.raises(Exception):
@@ -127,19 +118,19 @@ class TestDSeparation:
 
 class TestLocalMarkovBasis:
     def test_chain(self):
-        dag = build_dag(nodes("A", "B", "C"), [("A", "C"), ("C", "B")])
+        dag = build_dag(["A", "B", "C"], [("A", "C"), ("C", "B")])
         assert normalize({"B"}, {"A"}, {"C"}) in local_markov_basis(dag)
 
     def test_single_node_empty(self):
-        assert local_markov_basis(build_dag(nodes("A"), [])) == frozenset()
+        assert local_markov_basis(build_dag(["A"], [])) == frozenset()
 
     def test_disconnected_pair(self):
-        dag = build_dag(nodes("A", "B"), [])
+        dag = build_dag(["A", "B"], [])
         assert local_markov_basis(dag) == frozenset({normalize({"A"}, {"B"})})
 
     def test_basis_statements_are_separated(self):
         dag = build_dag(
-            nodes("A", "B", "C", "D"),
+            ["A", "B", "C", "D"],
             [("A", "B"), ("A", "C"), ("B", "D"), ("C", "D")],
         )
         for stmt in local_markov_basis(dag):
@@ -154,9 +145,9 @@ def test_d_separated_invariant_under_relabeling(perm, mask):
     pairs = [(i, j) for i in range(4) for j in range(i + 1, 4)]
     edges = [(base_names[i], base_names[j]) for (i, j), keep in zip(pairs, mask) if keep]
     rename = dict(zip(base_names, perm))
-    dag = build_dag(nodes(*base_names), edges)
+    dag = build_dag(base_names, edges)
     relabeled = build_dag(
-        nodes(*[rename[n] for n in base_names]),
+        [rename[n] for n in base_names],
         [(rename[u], rename[v]) for u, v in edges],
     )
     for a in base_names:

@@ -34,7 +34,7 @@ def random_query(rng: random.Random, names: list[str]):
 def test_d_separated_agrees_with_networkx(n, seed):
     rng = random.Random(seed)
     order, edges = random_dag(rng, n, mean_parents=1.5)
-    dag = build_dag([(name, "evidence") for name in order], edges)
+    dag = build_dag(order, edges)
     graph = nx.DiGraph(edges)
     graph.add_nodes_from(order)
     answers = []

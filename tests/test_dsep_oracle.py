@@ -22,7 +22,7 @@ TOL = 1e-10
 
 
 def confirm_all_certificates(order, edges, joint, queries) -> tuple[int, int]:
-    dag = build_dag([(n, "evidence") for n in order], edges)
+    dag = build_dag(order, edges)
     index = {n: i for i, n in enumerate(order)}
     certified = confirmed = 0
     for a, b, c in queries:
@@ -66,7 +66,7 @@ def test_dependent_queries_are_not_certified():
     endpoints are dependent and must not be certified."""
     rng = np.random.default_rng(7)
     order, edges, joint = structured_dag_instance(rng, "chain")
-    dag = build_dag([(n, "evidence") for n in order], edges)
+    dag = build_dag(order, edges)
     assert not d_separated(dag, {"v0"}, {"v2"})
     # faithfulness is not assumed, so only check the certified direction holds
     assert d_separated(dag, {"v0"}, {"v2"}, {"v1"})

@@ -36,18 +36,18 @@ from .oracles import full_path_goal_statuses, local_markov_basis
 
 class TestBuildSystem:
     def test_m2_universe(self):
-        sys = build_system(2, epoch=1)
+        sys = build_system(2)
         assert sys.universe == frozenset(
             {
                 "theta_1",
                 "theta_2",
-                "I_0^1",
-                "I_11^1",
-                "I_12^1",
-                "I_21^1",
-                "I_22^1",
-                "I_*^1",
-                "I_+^1",
+                "I_0^0",
+                "I_11^0",
+                "I_12^0",
+                "I_21^0",
+                "I_22^0",
+                "I_*^0",
+                "I_+^0",
             }
         )
         assert len(sys.aggregates) == 2
@@ -210,13 +210,6 @@ class TestVerifyTheorem:
         assert not verdict.sound_and_distributed
         failed = [g for g in verdict.goals if not g.established]
         assert failed and all(g.status == "not_derivable" for g in failed)
-
-    def test_epoch_relabeling_leaves_verdict_shape_unchanged(self):
-        for epoch in (0, 3):
-            sys = build_system(2, epoch=epoch)
-            verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys)))
-            assert verdict.sound_and_distributed
-            assert tuple(g.status for g in verdict.goals) == ("proved",) * 4
 
     def test_verdict_deterministic(self):
         sys = build_system(2)
