@@ -6,7 +6,8 @@ a function ``spec -> Report`` that takes the same four options.  Exit codes
 are stable: 0 all requested checks hold, 1 a check failed, 2 input or usage
 error; an interrupt prints ``Aborted!`` to stderr and exits 1.  Only
 ``simulate`` and ``separability`` import ``panels`` (and with it numpy),
-inside the command, so the symbolic commands start without numpy.
+inside the command and its grid helper, so the symbolic commands start
+without numpy.
 """
 
 from __future__ import annotations
@@ -214,41 +215,46 @@ def ablate(spec: SpecFile) -> Report:
     return Report("ablate", "pass" if ok else "fail", {"rows": table})
 
 
+def _grid_comparison(models, data, n: int):
+    """The joint log-likelihood, the distributed posterior (each panel's prior
+    grid updated by its own counts, then composed), the joint oracle on the
+    same prior grids, and their divergence as the report's dict."""
+    from . import panels as pn
+
+    logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
+    joint_ll = pn.panel_joint_loglik(logliks, models.interaction_strength)
+    priors = [pn.beta_grid(p, n) for p in models.priors]
+    distributed = pn.compose_product([pn.panel_update_grid(g, ll) for g, ll in zip(priors, logliks)])
+    oracle = pn.joint_oracle(priors, joint_ll)
+    div = pn.divergence(distributed, oracle)
+    return joint_ll, distributed, oracle, {"max_abs": div.max_abs, "total_variation": div.total_variation}
+
+
 def simulate(spec: SpecFile) -> Report:
     """Distributed updating versus the full-joint oracle on the spec's model."""
     from . import panels as pn
 
     models, data = spec.panel_inputs()
-    n = spec.run.grid
+    _, distributed, oracle, comparison = _grid_comparison(models, data, spec.run.grid)
     posteriors = [pn.panel_update_conjugate(p, c) for p, c in zip(models.priors, data.panel_counts)]
-    grids = [pn.beta_grid(post, n) for post in posteriors]
-    distributed = pn.compose_product(grids)
     product_mean_closed = pn.product_mean(posteriors)
-    product_mean_grid = pn.functional_expectation(distributed, pn.block_product)
     results: dict = {
         "panel_posteriors": [
             {"panel": i + 1, "alpha": p.alpha, "beta": p.beta, "mean": p.mean}
             for i, p in enumerate(posteriors)
         ],
         "distributed_product_mean_closed_form": product_mean_closed,
-        "distributed_product_mean_grid": product_mean_grid,
+        "distributed_product_mean_grid": pn.functional_expectation(distributed, pn.block_product),
+        "joint_oracle_product_mean": pn.functional_expectation(oracle, pn.block_product),
+        "divergence": comparison,
+        "interaction_strength": models.interaction_strength,
     }
-
-    strength = models.interaction_strength
-    logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
-    prior_grids = [pn.beta_grid(p, n) for p in models.priors]
-    oracle = pn.joint_oracle(prior_grids, pn.panel_joint_loglik(logliks, strength))
-    div = pn.divergence(distributed, oracle)
-    results["joint_oracle_product_mean"] = pn.functional_expectation(oracle, pn.block_product)
-    results["divergence"] = {"max_abs": div.max_abs, "total_variation": div.total_variation}
-    results["interaction_strength"] = strength
-
     if models.product_cell is not None:
         cell_post = pn.panel_update_conjugate(models.product_cell, data.product_cell_counts)
         results["product_cell_posterior_mean"] = cell_post.mean
         results["distributed_over_product_cell_ratio"] = product_mean_closed / cell_post.mean
 
-    return Report("simulate", "pass", results, {"grid": n})
+    return Report("simulate", "pass", results, {"grid": spec.run.grid})
 
 
 def separability(spec: SpecFile) -> Report:
@@ -256,17 +262,15 @@ def separability(spec: SpecFile) -> Report:
     from . import panels as pn
 
     models, data = spec.panel_inputs()
+    joint_ll, _, _, comparison = _grid_comparison(models, data, spec.run.grid)
     results: dict = {}
 
     if models.factors is not None:
-        symbolic = pn.separability_check_symbolic(models.factors, len(models.priors))
+        offending = pn.separability_check_symbolic(models.factors, len(models.priors))
         results["symbolic"] = {
-            "separable": symbolic.separable,
-            "offending_factors": [f.name for f in symbolic.offending],
+            "separable": not offending,
+            "offending_factors": [f.name for f in offending],
         }
-
-    logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
-    joint_ll = pn.panel_joint_loglik(logliks, models.interaction_strength)
 
     grid = pn.interior_grid(spec.run.grid)
     verdict = pn.separability_check_numeric(joint_ll, [grid] * len(models.priors))
@@ -274,22 +278,11 @@ def separability(spec: SpecFile) -> Report:
         "separable": verdict.separable,
         "max_residual": verdict.max_residual,
         "witnesses": [
-            {
-                "blocks": [w[0], w[1]],
-                "points": [list(w[2]), list(w[3]), list(w[4]), list(w[5])],
-                "residual": w[6],
-            }
+            {"blocks": [w[0], w[1]], "points": [list(p) for p in w[2:6]], "residual": w[6]}
             for w in verdict.offending
         ],
     }
-
-    prior_grids = [pn.beta_grid(p, spec.run.grid) for p in models.priors]
-    distributed = pn.compose_product(
-        [pn.panel_update_grid(g, ll) for g, ll in zip(prior_grids, logliks)]
-    )
-    oracle = pn.joint_oracle(prior_grids, joint_ll)
-    div = pn.divergence(distributed, oracle)
-    results["divergence"] = {"max_abs": div.max_abs, "total_variation": div.total_variation}
+    results["divergence"] = comparison
 
     status = "pass" if verdict.separable else "fail"
     return Report("separability", status, results)

@@ -117,7 +117,7 @@ class GridDensity:
             raise PanelsError(f"grid weights must sum to 1 within {NORM_TOL}, got {total!r}")
 
 
-def uniform_grid(n: int = 101) -> GridDensity:
+def uniform_grid(n: int) -> GridDensity:
     return GridDensity((np.linspace(0.0, 1.0, n),), np.full(n, 1.0 / n))
 
 
@@ -138,7 +138,7 @@ def _log_kernel(theta: np.ndarray, a: float, b: float) -> np.ndarray:
     return out
 
 
-def beta_grid(params: BetaParams, n: int = 101) -> GridDensity:
+def beta_grid(params: BetaParams, n: int) -> GridDensity:
     """A Beta density on n equispaced support points: the uniform grid updated
     by the log kernel (alpha-1)·log θ + (beta-1)·log(1-θ), so the Beta function
     cancels.  An endpoint of infinite density (alpha or beta below 1) gets no mass."""
@@ -309,17 +309,17 @@ def functional_expectation(
 @dataclass(frozen=True)
 class SeparabilityVerdict:
     separable: bool
-    offending: tuple = ()  # factors (symbolic) or witness quadruples (numeric)
-    max_residual: float = 0.0
+    offending: tuple  # witnesses (i, j, u, u0, v, v0, residual) of the numeric check
+    max_residual: float
 
 
-def separability_check_symbolic(factors: Sequence[Factor], m: int) -> SeparabilityVerdict:
-    """Separable iff every declared factor touches at most one panel."""
+def separability_check_symbolic(factors: Sequence[Factor], m: int) -> tuple[Factor, ...]:
+    """The declared factors that touch more than one of the m panels; the
+    likelihood is separable iff there are none."""
     for factor in factors:
         if not factor.scope <= set(range(1, m + 1)):
             raise PanelsError(f"factor {factor.name!r} scope {sorted(factor.scope)} not in 1..{m}")
-    offending = tuple(f for f in factors if len(f.scope) > 1)
-    return SeparabilityVerdict(not offending, offending)
+    return tuple(f for f in factors if len(f.scope) > 1)
 
 
 def separability_check_numeric(

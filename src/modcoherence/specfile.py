@@ -308,6 +308,10 @@ def _models(section: dict) -> Models:
     if "interaction" in section:
         _require_keys(section["interaction"], {"strength"}, "models.interaction")
         strength = _number(section["interaction"], "strength", 0.0, "models.interaction")
+        if strength and len(priors) < 2:  # else the term is in one panel's own likelihood
+            raise ParseError(
+                f"models.interaction.strength needs at least two models.panels, got {len(priors)}"
+            )
     product_cell = None
     if "product_cell" in section:
         product_cell = _beta_prior(section["product_cell"], "models.product_cell")

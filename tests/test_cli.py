@@ -159,6 +159,12 @@ _BAD_FIELDS = [
     ("check", "coherence_m2", ["protocol", "conditions"], ["bogus"], "unknown condition 'bogus'"),
     ("dsep", "chain_dsep", ["graph", "edges"], _DROP, "graph is missing 'edges'"),
     ("simulate", "food_example", ["run", "seed"], -1, "unknown key 'seed' in run"),
+    # an interaction with fewer than two panels is a term of one panel's own
+    # likelihood, which the distributed update leaves out
+    ("separability", "interaction_pair", ["models", "panels"], [{"prior": {"alpha": 2, "beta": 3}}],
+     "models.interaction.strength needs at least two models.panels, got 1"),
+    ("simulate", "interaction_pair", ["models", "panels"], [],
+     "models.interaction.strength needs at least two models.panels, got 0"),
     # removed keys: labels that no computation read
     ("check", "coherence_m2", ["protocol", "epoch"], 0, "unknown key 'epoch' in protocol"),
     ("simulate", "separable_pair", ["models", "panels", 0, "likelihood"], "bernoulli",
@@ -655,6 +661,16 @@ class TestSeparabilityCommand:
         assert result.exit_code == 0
         div = json.loads(result.output)["results"]["divergence"]
         assert div["max_abs"] == 0.0 and div["total_variation"] == 0.0
+
+    @pytest.mark.parametrize("bundled", ["food_example", "interaction_pair", "separable_pair"])
+    def test_simulate_reports_the_same_divergence_bit_for_bit(self, bundled):
+        divergences = []
+        for command in ("simulate", "separability"):
+            result = run(command, "--spec", str(SPECS / f"{bundled}.spec"), "--format", "machine")
+            assert result.exception is None
+            div = json.loads(result.output)["results"]["divergence"]
+            divergences.append({k: float.hex(v) for k, v in div.items()})
+        assert divergences[0] == divergences[1]
 
 
 class TestReportContract:

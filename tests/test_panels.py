@@ -518,16 +518,14 @@ class TestSeparability:
     def test_symbolic_single_panel_scopes(self):
         factors = (Factor("f1", frozenset({1})), Factor("f2", frozenset({2})),
                    Factor("f3", frozenset({1})))
-        assert separability_check_symbolic(factors, 2).separable
+        assert separability_check_symbolic(factors, 2) == ()
 
     def test_symbolic_cross_scope_offends(self):
         factors = (Factor("f1", frozenset({1})), Factor("g", frozenset({1, 2})))
-        verdict = separability_check_symbolic(factors, 2)
-        assert not verdict.separable
-        assert verdict.offending[0].name == "g"
+        assert separability_check_symbolic(factors, 2) == (factors[1],)
 
     def test_symbolic_empty_factor_list(self):
-        assert separability_check_symbolic((), 3).separable
+        assert separability_check_symbolic((), 3) == ()
 
     def test_symbolic_scope_out_of_range(self):
         with pytest.raises(PanelsError):
