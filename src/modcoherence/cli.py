@@ -104,7 +104,7 @@ def _verdict_results(verdict: Verdict) -> dict:
         entry = {
             "panel": goal.panel,
             "goal": goal.name,
-            "statement": goal.goal.render() if goal.goal else None,
+            "statement": goal.goal.render(),
             "status": goal.status,
         }
         if goal.proof is not None:

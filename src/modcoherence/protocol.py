@@ -1,6 +1,6 @@
 """Multi-panel composite systems and their admissibility-protocol checks.
 
-A system of m autonomous panels shares a pool of admissible evidence: one
+A system of m >= 2 autonomous panels shares a pool of admissible evidence: one
 common-knowledge symbol, one evidence symbol per ordered panel pair, the
 collection of own-domain evidence, and the full pool, each named with the
 fixed superscript ``^0`` (names are labels: renaming changes no verdict).
@@ -66,7 +66,9 @@ ALL_CONDITIONS = tuple(ConditionKind)
 
 @dataclass(frozen=True)
 class PanelSystem:
-    """Symbol universe and determinism facts for an m-panel composite."""
+    """Symbol universe and determinism facts for an m-panel composite, m >= 2:
+    with one panel the conditions and the goal that speak of "the other
+    panels" would assert nothing."""
 
     m: int
     common: ClassVar[Symbol] = "I_0^0"
@@ -126,8 +128,8 @@ class PanelSystem:
 
 
 def build_system(m: int) -> PanelSystem:
-    if m < 1:
-        raise InvalidPanelCount(f"panel count must be >= 1, got {m}")
+    if m < 2:
+        raise InvalidPanelCount(f"panel count must be >= 2, got {m}")
     system = PanelSystem(m=m)
     assert len(system.universe) == m * m + m + 3, "panel symbols collide"
     return system
@@ -135,12 +137,9 @@ def build_system(m: int) -> PanelSystem:
 
 def condition_statement(
     sys: PanelSystem, kind: ConditionKind, i: Optional[int] = None
-) -> Optional[CIStatement]:
-    """The independence assertion a condition makes, or None when degenerate.
-
-    Per-panel conditions need ``i``; with a single panel the conditions that
-    quantify over "the other panels" have nothing to assert.
-    """
+) -> CIStatement:
+    """The independence assertion a condition makes; the per-panel
+    conditions (all but delegable) need the panel ``i``."""
     if kind is ConditionKind.DELEGABLE:
         return normalize(
             {sys.full_pool}, sys.thetas(), {sys.common, sys.own_evidence_pool}
@@ -150,8 +149,6 @@ def condition_statement(
     sys._check_index(i)
     rest = sys.theta_rest(i)
     if kind is ConditionKind.SEPARATELY_INFORMED:
-        if not rest:
-            return None
         return normalize({sys.evidence(i, i)}, rest, {sys.common, sys.theta(i)})
     if kind is ConditionKind.CUTTING:
         return normalize(
@@ -160,8 +157,6 @@ def condition_statement(
             {sys.common, sys.evidence(i, i)} | rest,
         )
     if kind is ConditionKind.COMMONLY_SEPARATED:
-        if not rest:
-            return None
         return normalize({sys.theta(i)}, rest, {sys.common})
     raise ValueError(kind)
 
@@ -171,11 +166,7 @@ def condition_statements(sys: PanelSystem, kind: ConditionKind) -> tuple[CIState
     if kind is ConditionKind.DELEGABLE:
         stmts = {condition_statement(sys, kind)}
     else:
-        stmts = {
-            s
-            for i in range(1, sys.m + 1)
-            if (s := condition_statement(sys, kind, i)) is not None
-        }
+        stmts = {condition_statement(sys, kind, i) for i in range(1, sys.m + 1)}
     return tuple(sorted(stmts, key=CIStatement.sort_key))
 
 
@@ -202,7 +193,7 @@ class GraphicalMode:
 Mode = Union[AxiomaticMode, GraphicalMode]
 # (statement, route=None) -> (status, proof); a goal's route is its (panel, name)
 Decide = Callable[..., tuple[str, Optional[Proof]]]
-ESTABLISHED = ("proved", "trivial", "separated")  # statuses that establish a statement
+ESTABLISHED = ("proved", "separated")  # statuses that establish a statement
 
 
 @dataclass(frozen=True)
@@ -223,8 +214,8 @@ class ConditionStatus:
 class GoalResult:
     panel: int
     name: str  # "panel_independence" | "autonomous_updating"
-    goal: Optional[CIStatement]
-    status: str  # "proved" | "not_derivable" | "budget_exhausted" | "trivial" | "separated" | "not_separated"
+    goal: CIStatement
+    status: str  # "proved" | "not_derivable" | "budget_exhausted" | "separated" | "not_separated"
     proof: Optional[Proof] = None
 
     @property
@@ -244,12 +235,9 @@ class Verdict:
         return any(g.status == "budget_exhausted" for g in self.goals)
 
 
-def independence_goal(sys: PanelSystem, i: int) -> Optional[CIStatement]:
+def independence_goal(sys: PanelSystem, i: int) -> CIStatement:
     """Panel i's block is independent of all other blocks given the full pool."""
-    rest = sys.theta_rest(i)
-    if not rest:
-        return None
-    return normalize({sys.theta(i)}, rest, {sys.full_pool})
+    return normalize({sys.theta(i)}, sys.theta_rest(i), {sys.full_pool})
 
 
 def autonomy_goal(sys: PanelSystem, i: int) -> CIStatement:
@@ -262,22 +250,20 @@ def _goal_waypoints(sys: PanelSystem, i: int, name: str) -> tuple[CIStatement, .
     rest = sys.theta_rest(i)
     common, own_i = sys.common, sys.evidence(i, i)
     pool, own = sys.full_pool, sys.own_evidence_pool
-    cut_in = normalize({sys.theta(i)}, {own} | rest, {common, own_i}) if rest else None
+    cut_in = normalize({sys.theta(i)}, {own} | rest, {common, own_i})
     if name == "panel_independence":
         pooled = normalize({sys.theta(i)}, rest, {common, own})
-        return tuple(w for w in (cut_in, pooled, independence_goal(sys, i)) if w is not None)
+        return (cut_in, pooled, independence_goal(sys, i))
     shielded = normalize({sys.theta(i)}, {pool}, {common, own_i, own})
     own_only = normalize({sys.theta(i)}, {own}, {common, own_i})
-    waypoints = [cut_in, shielded, own_only, autonomy_goal(sys, i)]
-    return tuple(w for w in waypoints if w is not None)
+    return (cut_in, shielded, own_only, autonomy_goal(sys, i))
 
 
 def _lumped_universe(sys: PanelSystem, i: int) -> VarSet:
     """The six symbols of panel i's lumped derivations; the first name of
     theta_rest(i) stands for all of it (see :func:`_derive_lumped`)."""
-    first = sorted(sys.theta_rest(i))[:1]
     own = {sys.theta(i), sys.common, sys.evidence(i, i), sys.own_evidence_pool, sys.full_pool}
-    return frozenset(own).union(first)
+    return frozenset(own | {min(sys.theta_rest(i))})
 
 
 def _derive_lumped(
@@ -310,7 +296,7 @@ def _derive_lumped(
     i, name = route
     rest = sys.theta_rest(i)
     universe = _lumped_universe(sys, i)
-    lumped = min(universe & rest, default=None)
+    lumped = min(rest)
 
     def lump(s: CIStatement) -> Optional[CIStatement]:
         sides = []
@@ -410,9 +396,6 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
             ("panel_independence", independence_goal(sys, i)),
             ("autonomous_updating", autonomy_goal(sys, i)),
         ):
-            if goal is None:
-                goals.append(GoalResult(i, name, None, "trivial"))
-                continue
             status, proof = decide(goal, (i, name))
             goals.append(GoalResult(i, name, goal, status, proof))
     ok = all(g.established for g in goals)

@@ -22,7 +22,6 @@ from .protocol import (
     ALL_CONDITIONS,
     ConditionKind,
     PanelSystem,
-    ProtocolError,
     build_system,
     canonical_dag,
     confounded_dag,
@@ -167,8 +166,8 @@ def _counts(pair, where: str) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class Models:
-    """The ``models`` section: one Beta prior per panel, each with a
-    Bernoulli likelihood."""
+    """The ``models`` section: one Beta prior per panel, for at least two
+    panels, each with a Bernoulli likelihood."""
 
     priors: tuple[BetaParams, ...] = ()
     interaction_strength: float = 0.0
@@ -218,12 +217,10 @@ class SpecFile:
         return _scope(self.system, self.dag)
 
     def panel_inputs(self) -> tuple[Models, Data]:
-        """The sections the numeric commands need, with one count pair per
-        panel model."""
+        """The sections the numeric commands need, which the parser has
+        aligned, one count pair per panel model."""
         if self.models is None or self.data is None:
             raise MissingSection("this command requires models and data sections")
-        if not self.models.priors or len(self.models.priors) != len(self.data.panel_counts):
-            raise MissingSection("models.panels and data.panel_counts must align")
         return self.models, self.data
 
 
@@ -247,12 +244,9 @@ def _protocol(section: dict) -> tuple[PanelSystem, tuple[ConditionKind, ...]]:
     if "panels" not in section:
         raise ParseError("protocol is missing the panel count")
     m = _integer(section, "panels", 0, "protocol")
-    if m > MAX_PANELS:
-        raise ParseError(f"protocol.panels must be at most {MAX_PANELS}, got {m}")
-    try:
-        system = build_system(m)
-    except ProtocolError as exc:
-        raise ParseError(f"protocol: {exc}") from exc
+    if not 2 <= m <= MAX_PANELS:
+        raise ParseError(f"protocol.panels must be in 2..{MAX_PANELS}, got {m}")
+    system = build_system(m)
     if "conditions" not in section:
         return system, ALL_CONDITIONS
     kinds = []
@@ -304,27 +298,24 @@ def _models(section: dict) -> Models:
     priors = []
     for k, panel in enumerate(_list(section.get("panels", []), "models.panels")):
         priors.append(_beta_prior(panel, f"models.panels[{k}]"))
+    if len(priors) < 2:
+        raise ParseError(f"models.panels must list at least two panels, got {len(priors)}")
     strength = 0.0
     if "interaction" in section:
         _require_keys(section["interaction"], {"strength"}, "models.interaction")
         strength = _number(section["interaction"], "strength", 0.0, "models.interaction")
-        if strength and len(priors) < 2:  # else the term is in one panel's own likelihood
-            raise ParseError(
-                f"models.interaction.strength needs at least two models.panels, got {len(priors)}"
-            )
     product_cell = None
     if "product_cell" in section:
         product_cell = _beta_prior(section["product_cell"], "models.product_cell")
     factors = None
     if "factors" in section:
-        # without panel models the numeric commands report those as missing
-        top = len(priors) or math.inf
         scoped = []
         for k, factor in enumerate(_list(section["factors"], "models.factors")):
             where = f"models.factors[{k}]"
             _require_keys(factor, {"name", "panels"}, where)
             scope = factor.get("panels")
-            if not (isinstance(scope, list) and all(type(i) is int and 1 <= i <= top for i in scope)):
+            if not (isinstance(scope, list)
+                    and all(type(i) is int and 1 <= i <= len(priors) for i in scope)):
                 raise ParseError(
                     f"{where}.panels must list panel numbers in 1..{len(priors)}, got {scope!r}"
                 )
@@ -422,6 +413,8 @@ def parse_spec_dict(raw: dict) -> SpecFile:
                     f"{len(models.priors)} models.panels at run.grid {run.grid} exceed "
                     f"the cap of {MAX_GRID_CELLS} product-grid cells"
                 )
+        if data is not None and len(models.priors) != len(data.panel_counts):
+            raise ParseError("models.panels and data.panel_counts must align")
 
     return SpecFile(
         system=system,

@@ -36,4 +36,4 @@ class Factor:
     scope: frozenset  # panel ids touched by this factor
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "scope", frozenset(int(i) for i in self.scope))
+        object.__setattr__(self, "scope", frozenset(self.scope))

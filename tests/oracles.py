@@ -215,9 +215,6 @@ def full_path_goal_statuses(sys, mode) -> tuple:
             ("panel_independence", independence_goal(sys, i)),
             ("autonomous_updating", autonomy_goal(sys, i)),
         ):
-            if goal is None:
-                out.append("trivial")
-                continue
             args = (mode.base, sys.dependencies)
             result = derive_through(*args, _goal_waypoints(sys, i, name), mode.budget, sys.universe)
             if not result.proved:

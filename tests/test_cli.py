@@ -130,7 +130,21 @@ _BAD_FIELDS = [
     ("simulate", "separable_pair", ["models", "panels"], [{}] * 6, "run.grid"),
     ("check", "coherence_m2", ["protocol", "panels"], 2.5, "protocol.panels"),
     ("check", "coherence_m2", ["protocol", "panels"], 100000,
-     f"protocol.panels must be at most {MAX_PANELS}"),
+     f"protocol.panels must be in 2..{MAX_PANELS}, got 100000"),
+    # with one panel the conditions and goals about "the other panels" are
+    # empty, so a composite has at least two
+    ("check", "coherence_m2", ["protocol", "panels"], 1,
+     f"protocol.panels must be in 2..{MAX_PANELS}, got 1"),
+    ("check", "coherence_m2", ["protocol", "panels"], 0,
+     f"protocol.panels must be in 2..{MAX_PANELS}, got 0"),
+    ("derive", "coherence_m2", ["protocol", "panels"], 1,
+     f"protocol.panels must be in 2..{MAX_PANELS}, got 1"),
+    ("ablate", "coherence_m2", ["protocol", "panels"], 1,
+     f"protocol.panels must be in 2..{MAX_PANELS}, got 1"),
+    ("ablate", "coherence_m2", ["protocol", "panels"], 0,
+     f"protocol.panels must be in 2..{MAX_PANELS}, got 0"),
+    ("simulate", "separable_pair", ["models", "panels"], [{}],
+     "models.panels must list at least two panels, got 1"),
     ("derive", "coherence_m2", ["statements"], [{"a": "theta_1", "b": ["theta_2"]}],
      "statements[0].a"),
     ("dsep", "chain_dsep", ["query", "a"], "AC", "query.a"),
@@ -159,12 +173,11 @@ _BAD_FIELDS = [
     ("check", "coherence_m2", ["protocol", "conditions"], ["bogus"], "unknown condition 'bogus'"),
     ("dsep", "chain_dsep", ["graph", "edges"], _DROP, "graph is missing 'edges'"),
     ("simulate", "food_example", ["run", "seed"], -1, "unknown key 'seed' in run"),
-    # an interaction with fewer than two panels is a term of one panel's own
-    # likelihood, which the distributed update leaves out
+    # an interaction needs a second panel, as every composite does
     ("separability", "interaction_pair", ["models", "panels"], [{"prior": {"alpha": 2, "beta": 3}}],
-     "models.interaction.strength needs at least two models.panels, got 1"),
+     "models.panels must list at least two panels, got 1"),
     ("simulate", "interaction_pair", ["models", "panels"], [],
-     "models.interaction.strength needs at least two models.panels, got 0"),
+     "models.panels must list at least two panels, got 0"),
     # removed keys: labels that no computation read
     ("check", "coherence_m2", ["protocol", "epoch"], 0, "unknown key 'epoch' in protocol"),
     ("simulate", "separable_pair", ["models", "panels", 0, "likelihood"], "bernoulli",
@@ -227,6 +240,15 @@ class TestExitCodes:
     @staticmethod
     def _separable_pair():
         return json.loads((SPECS / "separable_pair.spec").read_text())
+
+    def test_misaligned_models_and_data_beside_a_protocol_exit_2(self, tmp_path):
+        spec = self._separable_pair()
+        spec["protocol"] = {"panels": 2}
+        spec["data"]["panel_counts"] = [[1, 2]]
+        result = run("check", "--spec", write_spec(tmp_path, spec))
+        assert result.exit_code == 2
+        assert result.exception is None
+        assert "ParseError: models.panels and data.panel_counts must align" in result.output
 
     def test_zero_prior_parameter_exits_2(self, tmp_path):
         spec = self._separable_pair()

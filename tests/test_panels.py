@@ -531,6 +531,12 @@ class TestSeparability:
         with pytest.raises(PanelsError):
             separability_check_symbolic((Factor("f", frozenset({5})),), 2)
 
+    def test_symbolic_scope_not_an_integer(self):
+        factor = Factor("f", {1.9})  # not read as panel 1
+        assert factor.scope == frozenset({1.9})
+        with pytest.raises(PanelsError, match="not in 1..2"):
+            separability_check_symbolic((factor,), 2)
+
     def test_numeric_separable(self):
         grid = np.linspace(0.05, 0.95, 64)
         ll = lambda t1, t2: (50 * np.log(t1) + 50 * np.log1p(-t1)

@@ -52,10 +52,6 @@ class TestBuildSystem:
         )
         assert len(sys.aggregates) == 2
 
-    def test_m1_degenerate_universe(self):
-        sys = build_system(1)
-        assert sys.universe == frozenset({"theta_1", "I_0^0", "I_11^0", "I_*^0", "I_+^0"})
-
     def test_evidence_names_unchanged_up_to_m9(self):
         assert build_system(9).evidence(9, 1) == "I_91^0"
         assert build_system(10).evidence(1, 10) == "I_1_10^0"
@@ -77,8 +73,9 @@ class TestBuildSystem:
         assert verify_coherence(sys, GraphicalMode(dag)).sound_and_distributed
 
     def test_invalid_panel_count(self):
-        with pytest.raises(InvalidPanelCount):
-            build_system(0)
+        for m in (0, 1):
+            with pytest.raises(InvalidPanelCount, match=">= 2"):
+                build_system(m)
 
     def test_index_bounds(self):
         sys = build_system(2)
@@ -117,12 +114,6 @@ class TestConditionStatements:
         sys = build_system(2)
         stmts = condition_statements(sys, ConditionKind.COMMONLY_SEPARATED)
         assert stmts == (normalize({"theta_1"}, {"theta_2"}, {"I_0^0"}),)
-
-    def test_m1_degenerate_conditions_are_none(self):
-        sys = build_system(1)
-        assert condition_statement(sys, ConditionKind.SEPARATELY_INFORMED, 1) is None
-        assert condition_statement(sys, ConditionKind.COMMONLY_SEPARATED, 1) is None
-        assert condition_statement(sys, ConditionKind.CUTTING, 1) is not None
 
     def test_per_panel_condition_requires_index(self):
         sys = build_system(2)
@@ -178,14 +169,6 @@ class TestVerifyTheorem:
         assert autonomy_goal(sys, 1) == normalize(
             {"theta_1"}, {"I_+^0"}, {"I_0^0", "I_11^0"}
         )
-
-    def test_m1_independence_is_trivial(self):
-        sys = build_system(1)
-        verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys)))
-        assert verdict.sound_and_distributed
-        by_name = {g.name: g for g in verdict.goals}
-        assert by_name["panel_independence"].status == "trivial"
-        assert by_name["autonomous_updating"].status == "proved"
 
     def test_graphical_mode_canonical(self):
         sys = build_system(2)
@@ -295,9 +278,6 @@ def _reference_verdict(sys, mode):
             ("panel_independence", independence_goal(sys, i)),
             ("autonomous_updating", autonomy_goal(sys, i)),
         ):
-            if goal is None:
-                goals.append(GoalResult(i, name, None, "trivial"))
-                continue
             result = _derive_lumped(sys, mode.base, (i, name), mode.budget)
             if not result.proved:
                 result = derive(mode.base, deps, goal, mode.budget, universe=universe)
