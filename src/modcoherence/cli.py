@@ -117,36 +117,32 @@ def _verdict_results(verdict: Verdict) -> dict:
     }
 
 
-def _require_all_conditions(spec: SpecFile, reason: str) -> None:
-    if set(spec.conditions) != set(ALL_CONDITIONS):
-        kept = [kind.value for kind in spec.conditions]
-        raise SpecError(f"{reason}, so protocol.conditions must list all four, got {kept}")
-
-
 def _axiomatic_base(spec: SpecFile) -> tuple:
     """The spec's statements, plus its protocol's condition statements."""
     system = spec.system
-    return spec.statements + (base_statements(system, spec.conditions) if system else ())
-
-
-def _mode_for(spec: SpecFile):
-    if spec.run.mode == "graphical":
-        if spec.dag is None:
-            raise MissingSection("graphical mode requires a graph section")
-        _require_all_conditions(spec, "graphical mode tests all four conditions on the graph")
-        if spec.statements:
-            raise SpecError("graphical mode tests the graph alone, so statements must be empty")
-        return GraphicalMode(spec.dag)
-    return AxiomaticMode(_axiomatic_base(spec), spec.run.budget)
+    return base_statements(system, spec.conditions, spec.statements) if system else spec.statements
 
 
 def check(spec: SpecFile) -> Report:
-    """Verify the four protocol conditions and the coherence conclusion."""
+    """Verify the four protocol conditions and the coherence conclusion.
+
+    With a graph section by d-separation on the graph, else by the prover."""
     if spec.system is None:
         raise MissingSection("check requires a protocol section")
-    verdict = verify_coherence(spec.system, _mode_for(spec))
+    if spec.dag is None:
+        mode = AxiomaticMode(_axiomatic_base(spec), spec.run.budget)
+    elif set(spec.conditions) != set(ALL_CONDITIONS):
+        kept = [kind.value for kind in spec.conditions]
+        raise SpecError("graphical mode tests all four conditions on the graph, "
+                        f"so protocol.conditions must list all four, got {kept}")
+    elif spec.statements:
+        raise SpecError("graphical mode tests the graph alone, so statements must be empty")
+    else:
+        mode = GraphicalMode(spec.dag)
+    verdict = verify_coherence(spec.system, mode)
     status = "pass" if verdict.sound_and_distributed else "fail"
-    return Report("check", status, _verdict_results(verdict), {"mode": spec.run.mode})
+    options = {"mode": "axiomatic" if spec.dag is None else "graphical"}
+    return Report("check", status, _verdict_results(verdict), options)
 
 
 def derive(spec: SpecFile) -> Report:
@@ -187,19 +183,19 @@ def ablate(spec: SpecFile) -> Report:
     A failing row certifies non-derivability within this rule system
     (saturation completed without reaching the goal), not semantic falsity.
     A row with a goal that ran out of budget is inconclusive: it carries no
-    certificate, and the command fails.  Every row starts from all four
-    conditions, so a spec that restricts ``protocol.conditions`` is refused.
+    certificate, and the command fails.  The control row is ``check`` on the
+    spec without its graph section, and each other row drops one condition
+    listed in ``protocol.conditions`` from those premises.
     """
     if spec.system is None:
         raise MissingSection("ablate requires a protocol section")
-    _require_all_conditions(spec, "ablate drops each of the four conditions in turn")
 
     def goals(verdict: Verdict, status: str) -> list[str]:
         return [f"panel {g.panel}: {g.name}" for g in verdict.goals if g.status == status]
 
     table = []
-    ok = True
-    for dropped, verdict in run_ablate(spec.system, spec.run.budget):
+    rows = run_ablate(spec.system, spec.run.budget, spec.conditions, spec.statements)
+    for dropped, verdict in rows:
         unreachable = goals(verdict, "not_derivable")
         certified = unreachable and not verdict.inconclusive
         row = {
@@ -211,7 +207,7 @@ def ablate(spec: SpecFile) -> Report:
         if verdict.inconclusive:
             row["inconclusive_goals"] = goals(verdict, "budget_exhausted")
         table.append(row)
-        ok = ok and verdict.sound_and_distributed == (dropped is None) and not verdict.inconclusive
+    ok = all(v.sound_and_distributed == (d is None) and not v.inconclusive for d, v in rows)
     return Report("ablate", "pass" if ok else "fail", {"rows": table})
 
 

@@ -96,9 +96,11 @@ def build_dag(
     edges: Iterable[tuple[Symbol, Symbol]],
     dependencies: Iterable[FunctionalDependency] = (),
 ) -> Dag:
-    """Validate and freeze a DAG; raises on duplicates, stray endpoints, cycles."""
-    nodes = tuple(str(n) for n in nodes)
-    edges = tuple((str(u), str(v)) for u, v in edges)
+    """Validate and freeze a DAG; raises on non-str names, duplicates, stray endpoints, cycles."""
+    nodes, edges = tuple(nodes), tuple((u, v) for u, v in edges)
+    for n in nodes:
+        if not isinstance(n, str):
+            raise DagError(f"node names must be strings, got {n!r}")
     dag = Dag(nodes, edges, tuple(dependencies))
     if len(dag.node_names) != len(nodes):
         dupes = sorted({n for n in nodes if nodes.count(n) > 1})

@@ -171,12 +171,13 @@ def condition_statements(sys: PanelSystem, kind: ConditionKind) -> tuple[CIState
 
 
 def base_statements(
-    sys: PanelSystem, conditions: Iterable[ConditionKind] = ALL_CONDITIONS
+    sys: PanelSystem,
+    conditions: Iterable[ConditionKind] = ALL_CONDITIONS,
+    statements: Iterable[CIStatement] = (),
 ) -> tuple[CIStatement, ...]:
-    out: list[CIStatement] = []
-    for kind in conditions:
-        out.extend(condition_statements(sys, kind))
-    return tuple(sorted(set(out), key=CIStatement.sort_key))
+    """``statements``, then the listed conditions' statements in canonical order."""
+    out = {s for kind in conditions for s in condition_statements(sys, kind)}
+    return tuple(statements) + tuple(sorted(out, key=CIStatement.sort_key))
 
 
 @dataclass(frozen=True)
@@ -403,21 +404,24 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
 
 
 def ablate(
-    sys: PanelSystem, budget: int = DEFAULT_BUDGET
+    sys: PanelSystem,
+    budget: int = DEFAULT_BUDGET,
+    conditions: tuple[ConditionKind, ...] = ALL_CONDITIONS,
+    statements: tuple[CIStatement, ...] = (),
 ) -> tuple[tuple[Optional[ConditionKind], Verdict], ...]:
-    """Verdicts with each condition dropped in turn, plus a control row.
+    """A control row on ``base_statements(sys, conditions, statements)``,
+    then one row per listed condition, dropped from those premises.
 
     Axiomatic only: a "fails" row is a saturation certificate that the goal
-    is not derivable in this rule system from the remaining conditions,
+    is not derivable in this rule system from the remaining premises,
     unless the row's verdict is ``inconclusive``.
     """
-    rows: list[tuple[Optional[ConditionKind], Verdict]] = []
-    rows.append((None, verify_coherence(sys, AxiomaticMode(base_statements(sys), budget))))
-    for dropped in ALL_CONDITIONS:
-        kept = tuple(k for k in ALL_CONDITIONS if k is not dropped)
-        mode = AxiomaticMode(base_statements(sys, kept), budget)
-        rows.append((dropped, verify_coherence(sys, mode)))
-    return tuple(rows)
+
+    def row(dropped: Optional[ConditionKind]) -> tuple[Optional[ConditionKind], Verdict]:
+        premises = base_statements(sys, [k for k in conditions if k is not dropped], statements)
+        return dropped, verify_coherence(sys, AxiomaticMode(premises, budget))
+
+    return tuple(map(row, (None, *conditions)))
 
 
 def canonical_dag(sys: PanelSystem) -> Dag:

@@ -84,7 +84,7 @@ def _render_value(value: Any, indent: int, quiet: bool, key: str = "") -> list[s
             out.extend(_render_value(v, indent + bool(key), quiet, key=str(k)))
         return out
     if isinstance(value, list):
-        if quiet and key in ("steps", "premises", "witnesses"):
+        if quiet and key in ("steps", "premises"):
             out.append(f"{pad}{key}: <{len(value)} entries elided>")
             return out
         out.append(f"{pad}{key}: [{len(value)}]" if key else f"{pad}[{len(value)}]")

@@ -76,7 +76,7 @@ _GRAPH_KEYS = {"template", "nodes", "edges", "dependencies"}
 _MODELS_KEYS = {"panels", "interaction", "product_cell", "factors"}
 _PRIOR_KEYS = {"alpha", "beta"}
 _DATA_KEYS = {"panel_counts", "product_cell_counts"}
-_RUN_KEYS = {"mode", "grid", "budget"}
+_RUN_KEYS = {"grid", "budget"}
 _STMT_KEYS = {"a", "b", "c"}
 _TEMPLATES = {"canonical": canonical_dag, "confounded": confounded_dag}
 
@@ -185,7 +185,6 @@ class Data:
 
 @dataclass(frozen=True)
 class RunOptions:
-    mode: str = "axiomatic"
     grid: int = 101
     budget: int = DEFAULT_BUDGET
 
@@ -255,6 +254,8 @@ def _protocol(section: dict) -> tuple[PanelSystem, tuple[ConditionKind, ...]]:
             kinds.append(ConditionKind(name))
         except ValueError:
             raise ParseError(f"protocol: unknown condition {name!r}") from None
+        if kinds.count(kinds[-1]) > 1:
+            raise ParseError(f"protocol.conditions lists {name!r} twice")
     return system, tuple(kinds)
 
 
@@ -338,12 +339,8 @@ def _data(section: dict) -> Data:
 
 def _run(section: dict) -> RunOptions:
     _require_keys(section, _RUN_KEYS, "run")
-    mode = section.get("mode", "axiomatic")
-    if mode not in ("axiomatic", "graphical"):
-        raise ParseError(f"run.mode must be axiomatic or graphical, got {mode!r}")
     default = RunOptions()
     run = RunOptions(
-        mode=mode,
         grid=_integer(section, "grid", default.grid, "run"),
         budget=_integer(section, "budget", default.budget, "run"),
     )

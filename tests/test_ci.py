@@ -127,6 +127,25 @@ class TestApplyAxiom:
         with pytest.raises(ValueError):
             apply_axiom("intersection", [normalize({T1}, {T2})])
 
+    @pytest.mark.parametrize(
+        "rule, n_inputs, selection, message",
+        [
+            ("symmetry", 2, (), "symmetry takes exactly one input statement, got 2"),
+            ("weak_union", 0, {ISTAR}, "weak_union takes exactly one input statement, got 0"),
+            ("contraction", 1, (), "contraction takes two input statements, got 1"),
+            # the whole side, and a symbol on neither side, are not proper subsets
+            ("decomposition", 1, {ISTAR, T2}, "is not a proper non-empty subset"),
+            ("decomposition", 1, {I0}, "is not a proper non-empty subset"),
+            ("decomposition", 1, (), "is not a proper non-empty subset"),
+            ("determinism_augment", 1, {ISTAR, I11}, "selects exactly one symbol"),
+            ("determinism_drop", 1, {I0, IPLUS}, "selects exactly one symbol"),
+        ],
+    )
+    def test_shape_mismatch(self, rule, n_inputs, selection, message):
+        s = normalize({T1}, {ISTAR, T2}, {I0, IPLUS})
+        with pytest.raises(ShapeMismatch, match=message):
+            apply_axiom(rule, [s] * n_inputs, selection)
+
 
 class TestDependencies:
     def test_self_dependency_rejected(self):
@@ -205,6 +224,12 @@ class TestDerive:
     def test_derive_requires_goal(self):
         with pytest.raises(ValueError):
             derive([normalize({T1}, {T2})])
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_derive_requires_a_positive_budget(self, budget):
+        s = normalize({T1}, {T2})
+        with pytest.raises(ValueError, match="budget must be positive"):
+            derive([s], goal=s, budget=budget)
 
     def test_replay_rejects_tampered_trace(self):
         base = [normalize({"A"}, {"B", "D"}, {"C"})]
@@ -289,6 +314,10 @@ class TestDeriveThrough:
         assert waypoints[1] in outputs[first + 1 :]
         assert result.proof.goal == waypoints[1]
         assert result.proof.replay()
+
+    def test_requires_a_waypoint(self):
+        with pytest.raises(ValueError, match="at least one waypoint"):
+            derive_through([normalize({"A"}, {"B"})])
 
     def test_unreachable_waypoint_fails(self):
         base = [normalize({"A"}, {"B"}, {"C"})]

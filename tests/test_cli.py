@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from modcoherence import cli
+from modcoherence.protocol import ALL_CONDITIONS
 from modcoherence.report import Report
 from modcoherence.specfile import (
     MAX_BUDGET,
@@ -61,7 +62,7 @@ class TestParseSpec:
 
     def test_unknown_nested_key(self):
         with pytest.raises(ParseError):
-            parse_spec_dict({"version": 1, "run": {"mode": "axiomatic", "gridd": 7}})
+            parse_spec_dict({"version": 1, "run": {"grid": 7, "gridd": 7}})
 
     def test_missing_version(self):
         with pytest.raises(ParseError):
@@ -109,6 +110,14 @@ _BAD_FIELDS = [
      "unknown key 'tolerance' in run"),
     ("simulate", "separable_pair", ["run", "grid"], "abc", "run.grid"),
     ("check", "coherence_m2", ["run", "budget"], "x", "run.budget"),
+    ("check", "coherence_m2", ["run", "budget"], 0, "run.budget must be positive"),
+    ("derive", "coherence_m2", ["run", "budget"], -1, "run.budget must be positive"),
+    # the graph section alone decides how check decides
+    ("check", "coherence_m2", ["run", "mode"], "axiomatic", "unknown key 'mode' in run"),
+    ("check", "canonical_graph", ["run"], {"mode": "graphical"}, "unknown key 'mode' in run"),
+    # a repeated condition would be ablated twice
+    ("ablate", "coherence_m2", ["protocol", "conditions"], ["cutting", "delegable", "cutting"],
+     "protocol.conditions lists 'cutting' twice"),
     # removed keys: the numeric check is exact, its bound derived from the
     # likelihood, nothing is random, and the confounder is always H
     ("separability", "separable_pair", ["run", "separability_samples"], 0,
@@ -127,6 +136,8 @@ _BAD_FIELDS = [
      "graph.nodes must be a list of symbol names"),
     ("dsep", "chain_dsep", ["graph", "dependencies"], [{"determined": "A", "determiners": ["A"]}],
      "graph: 'A' cannot determine itself"),
+    ("dsep", "chain_dsep", ["graph", "dependencies"], [{"determiners": ["A"]}],
+     "graph dependency is missing 'determined'"),
     ("simulate", "separable_pair", ["models", "panels"], [{}] * 6, "run.grid"),
     ("check", "coherence_m2", ["protocol", "panels"], 2.5, "protocol.panels"),
     ("check", "coherence_m2", ["protocol", "panels"], 100000,
@@ -149,7 +160,6 @@ _BAD_FIELDS = [
      "statements[0].a"),
     ("dsep", "chain_dsep", ["query", "a"], "AC", "query.a"),
     ("check", "coherence_m2", ["protocol"], _DROP, "check requires a protocol section"),
-    ("check", "canonical_graph", ["graph"], _DROP, "graphical mode requires a graph section"),
     ("derive", "coherence_m2", ["goal"], _DROP, "derive requires a goal section"),
     ("derive", "chain_dsep", ["goal"], {"a": ["A"], "b": ["B"], "c": ["C"]},
      "derive requires base statements (statements or protocol.conditions)"),
@@ -368,7 +378,6 @@ class TestExitCodes:
             "version": 1,
             "protocol": {"panels": 2},
             "graph": {"nodes": ["theta_1"], "edges": []},
-            "run": {"mode": "graphical"},
         })
         result = run("check", "--spec", path)
         assert result.exit_code == 2
@@ -455,7 +464,7 @@ class TestCheckCommand:
         spec = write_spec(tmp_path, {
             "version": 1,
             "protocol": {"panels": 7},
-            "run": {"mode": "axiomatic", "budget": 500_000},
+            "run": {"budget": 500_000},
         })
         result = run("check", "--spec", spec, "--format", "machine", "--quiet")
         assert result.exit_code == 0
@@ -475,7 +484,7 @@ class TestCheckCommand:
         spec = json.loads((SPECS / "canonical_graph.spec").read_text())
         spec["protocol"]["conditions"] = ["delegable"]
         path = write_spec(tmp_path, spec)
-        axiomatic = {**spec, "run": {**spec["run"], "mode": "axiomatic"}}
+        axiomatic = {k: v for k, v in spec.items() if k != "graph"}
         assert run("check", "--spec", write_spec(tmp_path, axiomatic, "ax.spec")).exit_code == 1
         result = run("check", "--spec", path, "--format", "machine")
         assert result.exit_code == 2
@@ -490,7 +499,7 @@ class TestCheckCommand:
         spec = json.loads((SPECS / "canonical_graph.spec").read_text())
         spec["statements"] = [{"a": ["theta_1"], "b": ["I_+^0"]}]
         path = write_spec(tmp_path, spec)
-        axiomatic = {**spec, "run": {**spec["run"], "mode": "axiomatic"}}
+        axiomatic = {k: v for k, v in spec.items() if k != "graph"}
         assert run("check", "--spec", write_spec(tmp_path, axiomatic, "ax.spec")).exit_code == 0
         result = run("check", "--spec", path, "--format", "machine")
         assert result.exit_code == 2
@@ -558,6 +567,10 @@ class TestDsepCommand:
         assert json.loads(result.output)["results"]["d_separated"] is True
 
 
+# theta_1 _||_ theta_2 | I_0^0
+_COMMONLY_SEPARATED_M2 = {"a": ["theta_1"], "b": ["theta_2"], "c": ["I_0^0"]}
+
+
 class TestAblateCommand:
     def test_four_rows_all_failing_plus_control(self):
         result = run("ablate", "--spec", str(SPECS / "coherence_m2.spec"), "--format", "machine")
@@ -593,9 +606,8 @@ class TestAblateCommand:
             assert rows[name]["certificate"] == "rule-system-relative non-derivability"
             assert "inconclusive_goals" not in rows[name]
 
-    def test_restricted_conditions_are_refused(self, tmp_path):
-        # check fails on this spec; an ablation table that ignored the
-        # restriction would show a passing control row
+    def test_restricted_conditions_are_honoured(self, tmp_path):
+        # the control row runs on check's premises, so it fails as check does
         spec = {
             "version": 1,
             "protocol": {"panels": 2, "conditions": ["delegable"]},
@@ -604,10 +616,52 @@ class TestAblateCommand:
         path = write_spec(tmp_path, spec)
         assert run("check", "--spec", path, "--format", "machine").exit_code == 1
         result = run("ablate", "--spec", path, "--format", "machine")
-        assert result.exit_code == 2
-        report = json.loads(result.output)
-        assert report["status"] == "error"
-        assert "protocol.conditions" in report["results"]["error"]
+        assert result.exit_code == 1, result.output
+        rows = json.loads(result.output)["results"]["rows"]
+        assert [row["dropped"] for row in rows] == [None, "delegable"]
+        assert rows[0]["sound_and_distributed"] is False
+
+    def test_a_statement_can_stand_in_for_a_condition(self, tmp_path):
+        # at m = 2 this statement is the whole commonly_separated condition,
+        # so dropping the condition breaks nothing and the table fails
+        spec = json.loads((SPECS / "coherence_m2.spec").read_text())
+        spec["statements"] = [_COMMONLY_SEPARATED_M2]
+        result = run("ablate", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 1, result.output
+        rows = {row["dropped"]: row for row in json.loads(result.output)["results"]["rows"]}
+        assert rows["commonly_separated"]["sound_and_distributed"] is True
+        assert rows["commonly_separated"]["certificate"] is None
+        assert rows[None]["sound_and_distributed"] is True
+
+    @pytest.mark.parametrize(
+        "statements, conditions",
+        [
+            ([], None),
+            ([_COMMONLY_SEPARATED_M2], None),
+            ([], ["cutting", "delegable", "commonly_separated"]),
+        ],
+        ids=["bundled", "statements", "restricted"],
+    )
+    def test_each_row_is_check_without_its_condition(self, tmp_path, statements, conditions):
+        spec = json.loads((SPECS / "coherence_m2.spec").read_text())
+        spec["statements"] = statements
+        listed = conditions or [kind.value for kind in ALL_CONDITIONS]
+        spec["protocol"]["conditions"] = listed
+        result = run("ablate", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        rows = json.loads(result.output)["results"]["rows"]
+        assert [row["dropped"] for row in rows] == [None, *listed]
+        for row in rows:
+            spec["protocol"]["conditions"] = [c for c in listed if c != row["dropped"]]
+            checked = run("check", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+            verdict = json.loads(checked.output)["results"]
+
+            def goals(status):
+                return [f"panel {g['panel']}: {g['goal']}"
+                        for g in verdict["goals"] if g["status"] == status]
+
+            assert row["sound_and_distributed"] is verdict["sound_and_distributed"]
+            assert row["unreachable_goals"] == goals("not_derivable")
+            assert row.get("inconclusive_goals", []) == goals("budget_exhausted")
 
 
 class TestSimulateCommand:
@@ -656,6 +710,14 @@ class TestSeparabilityCommand:
         assert report["results"]["numeric"]["max_residual"] > 1e-3
         assert report["results"]["numeric"]["witnesses"]
         assert report["results"]["divergence"]["total_variation"] > 1e-6
+
+    def test_quiet_keeps_the_witness(self):
+        # a witness is the evidence behind a fail, not a proof trace
+        args = ("separability", "--spec", str(SPECS / "interaction_pair.spec"))
+        quiet = run(*args, "--quiet")
+        assert quiet.exit_code == 1
+        assert quiet.output == run(*args).output
+        assert "  witnesses: [1]\n" in quiet.output and "elided" not in quiet.output
 
     def test_large_counts_read_separable(self, tmp_path):
         # |ll| near 6e7 puts the rounding in R near 6e-8, above the absolute

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from modcoherence.ci import FunctionalDependency, normalize
 from modcoherence.dag import (
     CycleDetected,
+    DagError,
     DuplicateNode,
     UnknownEndpoint,
     UnknownSymbol,
@@ -36,6 +37,19 @@ class TestBuildDag:
     def test_duplicate_node(self):
         with pytest.raises(DuplicateNode):
             build_dag(["A", "A"], [])
+
+    def test_names_are_kept_as_given(self):
+        # a name is a string, never coerced: {1} would not find a node '1'
+        with pytest.raises(DagError, match="node names must be strings, got 1"):
+            build_dag([1, 2, 3], [(1, 3), (3, 2)])
+        dag = build_dag(["1", "2", "3"], [("1", "3"), ("3", "2")])
+        assert dag.nodes == ("1", "2", "3")
+        assert d_separated(dag, {"1"}, {"2"}, {"3"})
+
+    def test_mixed_name_types_are_not_duplicates(self):
+        with pytest.raises(DagError, match="node names must be strings, got 1") as info:
+            build_dag(["1", 1], [])
+        assert not isinstance(info.value, DuplicateNode)
 
     def test_dependency_symbols_validated(self):
         with pytest.raises(UnknownSymbol):

@@ -71,6 +71,10 @@ class TestConjugate:
         with pytest.raises(InvalidCounts):
             panel_update_conjugate(BetaParams(1, 1), (-1, 3))
 
+    def test_invalid_loglik_counts(self):
+        with pytest.raises(InvalidCounts, match=r"got \(3, 2\)"):
+            bernoulli_loglik(3, 2)
+
     def test_invalid_prior(self):
         with pytest.raises(PanelsError):
             BetaParams(0, 1)
@@ -208,6 +212,17 @@ class TestComposeAndOracle:
         q = compose_product([uniform_grid(3), uniform_grid(4)])
         with pytest.raises(ShapeMismatch):
             divergence(p, q)
+
+    def test_divergence_support_mismatch(self):
+        # same shape, different support points
+        p = compose_product([uniform_grid(3), uniform_grid(3)])
+        q = GridDensity((p.blocks[0], p.blocks[1] / 2), p.weights)
+        with pytest.raises(ShapeMismatch, match="support points differ"):
+            divergence(p, q)
+
+    def test_compose_product_of_nothing(self):
+        with pytest.raises(ShapeMismatch, match="at least one panel posterior"):
+            compose_product([])
 
     def test_functional_expectation(self):
         joint = compose_product([uniform_grid(21), uniform_grid(21)])
