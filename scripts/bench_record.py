@@ -31,10 +31,12 @@ ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
 
 # (name, runs per side, code that leaves a JSON-able summary in ``out``); the
-# m=7 verification and the m=3 ablation run once, since a parent may take
-# minutes over each, and separability_m2 imports panels inside the timed code,
-# so its import cost shows; joint_oracle_m3_256 runs the grid engine at
-# specfile.MAX_GRID_CELLS, so its peak RSS is that of the largest spec allowed
+# m=7 verification runs once, since a parent may take minutes over it; the
+# m=3 ablation, about 45 s a run, runs three times, since one run per side
+# moved by 15 % on noise alone; separability_m2 imports panels inside the
+# timed code, so its import cost shows; joint_oracle_m3_256 runs the grid
+# engine at specfile.MAX_GRID_CELLS, so its peak RSS is that of the largest
+# spec allowed
 LAYER_CASES = (
     ("separability_m2", 3,
      "from modcoherence import panels as pn\n"
@@ -65,7 +67,7 @@ LAYER_CASES = (
     ("ablate_m2", 3,
      "rows = p.ablate(p.build_system(2))\n"
      "out = [[d and d.value, [g.status for g in v.goals]] for d, v in rows]"),
-    ("ablate_m3_budget_500000", 1,
+    ("ablate_m3_budget_500000", 3,
      "rows = p.ablate(p.build_system(3), 500_000)\n"
      "out = [[d and d.value, [g.status for g in v.goals]] for d, v in rows]"),
 )

@@ -183,12 +183,16 @@ def ablate(spec: SpecFile) -> Report:
     A failing row certifies non-derivability within this rule system
     (saturation completed without reaching the goal), not semantic falsity.
     A row with a goal that ran out of budget is inconclusive: it carries no
-    certificate, and the command fails.  The control row is ``check`` on the
-    spec without its graph section, and each other row drops one condition
-    listed in ``protocol.conditions`` from those premises.
+    certificate, and the command fails.  The control row is ``check``'s
+    axiomatic premises, and each other row drops one condition listed in
+    ``protocol.conditions`` from them.  With a graph section ``check`` tests
+    the graph, which has no premises to drop, so the spec is refused.
     """
     if spec.system is None:
         raise MissingSection("ablate requires a protocol section")
+    if spec.dag is not None:
+        raise SpecError("check tests a spec with a graph section on the graph, which has no "
+                        "premises to drop: remove the graph section to ablate the prover's premises")
 
     def goals(verdict: Verdict, status: str) -> list[str]:
         return [f"panel {g.panel}: {g.name}" for g in verdict.goals if g.status == status]

@@ -98,7 +98,7 @@ def build_dag(
 ) -> Dag:
     """Validate and freeze a DAG; raises on non-str names, duplicates, stray endpoints, cycles."""
     nodes, edges = tuple(nodes), tuple((u, v) for u, v in edges)
-    for n in nodes:
+    for n in (*nodes, *(end for edge in edges for end in edge)):
         if not isinstance(n, str):
             raise DagError(f"node names must be strings, got {n!r}")
     dag = Dag(nodes, edges, tuple(dependencies))

@@ -8,6 +8,8 @@ code paths it checks.
 from __future__ import annotations
 
 import itertools
+import math
+from graphlib import TopologicalSorter
 
 import numpy as np
 
@@ -86,6 +88,35 @@ def structured_dag_instance(rng: np.random.Generator, kind: str):
     parents = {node: [u for u, v in edges if v == node] for node in order}
     cpts = {node: random_cpt(rng, 2 ** len(parents[node])) for node in order}
     return order, edges, joint_from_cpts(order, parents, cpts)
+
+
+def aggregate_dag_joint(rng: np.random.Generator, dag, aggregates) -> np.ndarray:
+    """Exact joint over ``dag.nodes``, axis k for node k: each node named in
+    ``aggregates`` is the tuple of its parents' values, so it determines each
+    parent and is determined by them; every other node is binary with a random
+    CPT.  A tuple node's axis has one value per parent configuration."""
+    order = list(TopologicalSorter({n: dag.parents(n) for n in dag.nodes}).static_order())
+    configs: dict = {}
+    size: dict = {}
+    for node in order:
+        configs[node] = math.prod(size[p] for p in dag.parents(node))
+        size[node] = configs[node] if node in aggregates else 2
+    free = [n for n in dag.nodes if n not in aggregates]
+    cpts = {node: random_cpt(rng, configs[node]) for node in free}
+    joint = np.zeros([size[n] for n in dag.nodes])
+    for bits in itertools.product((0, 1), repeat=len(free)):
+        value, prob = dict(zip(free, bits)), 1.0
+        for node in order:
+            config = 0
+            for parent in sorted(dag.parents(node)):
+                config = size[parent] * config + value[parent]
+            if node in aggregates:
+                value[node] = config
+            else:
+                p1 = cpts[node][config]
+                prob *= p1 if value[node] == 1 else 1.0 - p1
+        joint[tuple(value[n] for n in dag.nodes)] = prob
+    return joint
 
 
 def all_small_queries(n: int, rng: np.random.Generator, count: int):

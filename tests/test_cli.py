@@ -633,6 +633,21 @@ class TestAblateCommand:
         assert rows["commonly_separated"]["certificate"] is None
         assert rows[None]["sound_and_distributed"] is True
 
+    @pytest.mark.parametrize("bundled", ["canonical_graph", "confounded"])
+    def test_a_graph_section_is_refused(self, tmp_path, bundled):
+        # check tests a graph spec on the graph, which has no premises to drop
+        result = run("ablate", "--spec", str(SPECS / f"{bundled}.spec"), "--format", "machine")
+        assert result.exit_code == 2, result.output
+        assert result.exception is None
+        assert json.loads(result.output)["results"]["error"] == (
+            "SpecError: check tests a spec with a graph section on the graph, which has no "
+            "premises to drop: remove the graph section to ablate the prover's premises"
+        )
+        spec = json.loads((SPECS / f"{bundled}.spec").read_text())
+        del spec["graph"]
+        result = run("ablate", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 0, result.output
+
     @pytest.mark.parametrize(
         "statements, conditions",
         [

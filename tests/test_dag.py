@@ -1,5 +1,7 @@
 """Unit tests for DAG construction, d-separation and the local Markov basis."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,13 @@ class TestBuildDag:
         with pytest.raises(DagError, match="node names must be strings, got 1") as info:
             build_dag(["1", 1], [])
         assert not isinstance(info.value, DuplicateNode)
+
+    @pytest.mark.parametrize("edge, shown", [((["A"], "A"), "['A']"), (("A", 1), "1"),
+                                             (("A", None), "None")])
+    def test_edge_endpoints_must_be_strings(self, edge, shown):
+        # an unhashable endpoint raised a bare TypeError from the node lookup
+        with pytest.raises(DagError, match=f"node names must be strings, got {re.escape(shown)}$"):
+            build_dag(["A"], [edge])
 
     def test_dependency_symbols_validated(self):
         with pytest.raises(UnknownSymbol):

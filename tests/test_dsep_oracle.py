@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from modcoherence.dag import build_dag, d_separated
+from modcoherence.protocol import build_system, canonical_dag, confounded_dag
 
 from .oracles import (
+    aggregate_dag_joint,
     all_small_queries,
     ci_holds,
     random_dag_instance,
@@ -71,3 +73,28 @@ def test_dependent_queries_are_not_certified():
     # faithfulness is not assumed, so only check the certified direction holds
     assert d_separated(dag, {"v0"}, {"v2"}, {"v1"})
     assert ci_holds(joint, {0}, {2}, {1}, tol=TOL)
+
+
+@pytest.mark.parametrize(
+    "template, pinned",
+    [(canonical_dag, (1923, 1243)), (confounded_dag, (1887, 1184))],
+    ids=["canonical", "confounded"],
+)
+def test_templates_with_dependencies_no_false_certificates(template, pinned):
+    """Graphical ``check`` closes Z under the aggregates' dependencies before
+    it searches the graph.  With each aggregate the tuple of its parents the
+    joint honours those dependencies, so every certificate must hold; the
+    second pinned count is of those the graph alone does not give."""
+    system = build_system(2)
+    dag = template(system)
+    bare = build_dag(dag.nodes, dag.edges)
+    rng = np.random.default_rng(2018)
+    joint = aggregate_dag_joint(rng, dag, {symbol for symbol, _ in system.aggregates})
+    certified = through_dependencies = 0
+    for query in all_small_queries(len(dag.nodes), rng, count=3000):
+        a, b, c = ({dag.nodes[i] for i in side} for side in query)
+        if d_separated(dag, a, b, c):
+            certified += 1
+            through_dependencies += not d_separated(bare, a, b, c)
+            assert ci_holds(joint, *query, tol=TOL), (a, b, c)
+    assert (certified, through_dependencies) == pinned
