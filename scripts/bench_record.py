@@ -32,6 +32,8 @@ SECONDS = 20
 
 # (name, runs per side, code that leaves a JSON-able summary in ``out``); the
 # m=7 verification runs once, since a parent may take minutes over it; the
+# m=32 verification, the largest protocol a spec allows, builds 64 lumped goal
+# proofs, so it is the case where proof handling weighs most; the
 # m=3 ablation, about 45 s a run, runs three times, since one run per side
 # moved by 15 % on noise alone; separability_m2 imports panels inside the
 # timed code, so its import cost shows; joint_oracle_m3_256 runs the grid
@@ -63,6 +65,10 @@ LAYER_CASES = (
     ("verify_coherence_m7", 1,
      "s = p.build_system(7)\n"
      "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s), 500_000))\n"
+     "out = [g.status for g in v.goals]"),
+    ("verify_coherence_m32", 3,
+     "s = p.build_system(32)\n"
+     "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))\n"
      "out = [g.status for g in v.goals]"),
     ("ablate_m2", 3,
      "rows = p.ablate(p.build_system(2))\n"

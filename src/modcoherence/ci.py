@@ -255,7 +255,7 @@ def apply_axiom(
 @dataclass(frozen=True)
 class ProofStep:
     rule: str
-    inputs: tuple[int, ...]  # indices into premises followed by earlier step outputs
+    inputs: tuple[CIStatement, ...]  # premises or earlier step outputs, in the rule's order
     selection: VarSet
     output: CIStatement
 
@@ -272,21 +272,22 @@ class Proof:
         return self.premises + tuple(step.output for step in self.steps)
 
     def replay(self, deps: Iterable[FunctionalDependency] = ()) -> bool:
-        """Re-run every step through apply_axiom and confirm it lands on the goal."""
+        """Re-run every step on statements already available and confirm it lands on the goal."""
         deps = tuple(deps)
-        avail: list[CIStatement] = list(self.premises)
+        avail = set(self.premises)
         for step in self.steps:
+            if not avail.issuperset(step.inputs):
+                return False
             try:
-                out = apply_axiom(step.rule, [avail[i] for i in step.inputs], step.selection, deps)
+                out = apply_axiom(step.rule, step.inputs, step.selection, deps)
             except CIError:
                 return False
             if out != step.output:
                 return False
-            avail.append(out)
-        final = avail[-1] if self.steps else None
+            avail.add(out)
         if self.steps:
-            return final == self.goal
-        return self.goal in self.premises
+            return self.steps[-1].output == self.goal
+        return self.goal in avail
 
 
 @dataclass(frozen=True)
@@ -600,14 +601,11 @@ class _Saturation:
         premises = sorted(
             (decoded[t] for t in seen if self.known[t] is None), key=CIStatement.sort_key
         )
-        index: dict[CIStatement, int] = {s: i for i, s in enumerate(premises)}
-        steps: list[ProofStep] = []
+        steps = []
         for t in order:
             rule, parents, selection, _ = self.known[t]
-            stmt = decoded[t]
-            inputs = tuple(index[decoded[p]] for p in parents)
-            steps.append(ProofStep(rule, inputs, memo.names_of(selection), stmt))
-            index[stmt] = len(premises) + len(steps) - 1
+            inputs = tuple(decoded[p] for p in parents)
+            steps.append(ProofStep(rule, inputs, memo.names_of(selection), decoded[t]))
         return Proof(tuple(premises), tuple(steps), goal)
 
 
@@ -675,7 +673,7 @@ def derive_through(
     """Derive the last waypoint with a trace that passes through all of them.
 
     Each waypoint is derived from the base plus the waypoints already proved,
-    and the sub-proofs are spliced into one trace over the original premises.
+    and the sub-proofs' steps make one trace over the original premises.
     The final waypoint is the goal of the returned proof.  Every sub-query
     goes through :func:`derive` with one shared ``memo``.
     """
@@ -684,8 +682,6 @@ def derive_through(
     deps = tuple(deps)
     base = sorted(set(base), key=CIStatement.sort_key)
     memo, universe = _memo_for(memo, base, deps, universe)
-    premises = tuple(base)
-    index: dict[CIStatement, int] = {s: i for i, s in enumerate(premises)}
     steps: list[ProofStep] = []
     current: list[CIStatement] = list(base)
     total_generated = 0
@@ -694,21 +690,11 @@ def derive_through(
         total_generated += sub.generated
         if not sub.proved:
             return DeriveResult(sub.status, None, total_generated)
-        # map sub-proof statement positions (premises, then steps) onto the
-        # spliced trace's positions
-        remap: list[int] = [index[prem] for prem in sub.proof.premises]
-        for step in sub.proof.steps:
-            inputs = tuple(remap[i] for i in step.inputs)
-            steps.append(ProofStep(step.rule, inputs, step.selection, step.output))
-            spliced_at = len(premises) + len(steps) - 1
-            remap.append(spliced_at)
-            if step.output not in index:
-                index[step.output] = spliced_at
+        steps.extend(sub.proof.steps)
         if not sub.proof.steps:
             # waypoint was already available; restate it so the trace shows it
-            steps.append(ProofStep("symmetry", (index[waypoint],), EMPTY, waypoint))
-            index[waypoint] = len(premises) + len(steps) - 1
+            steps.append(ProofStep("symmetry", (waypoint,), EMPTY, waypoint))
         current.append(waypoint)
-    proof = Proof(premises, tuple(steps), waypoints[-1])
+    proof = Proof(tuple(base), tuple(steps), waypoints[-1])
     assert proof.replay(deps), "internal error: spliced proof failed replay"
     return DeriveResult("proved", proof, total_generated)

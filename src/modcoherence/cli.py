@@ -146,9 +146,14 @@ def check(spec: SpecFile) -> Report:
 
 
 def derive(spec: SpecFile) -> Report:
-    """Derive the spec's goal statement from its base statements."""
+    """Derive the spec's goal statement from check's axiomatic premises.
+
+    A protocol spec with a graph section is refused: check tests it on the graph."""
     if spec.goal is None:
         raise MissingSection("derive requires a goal section")
+    if spec.system is not None and spec.dag is not None:
+        raise SpecError("check tests a spec with a graph section on the graph, not on the "
+                        "protocol's premises: remove the graph section to derive from them")
     base = _axiomatic_base(spec)
     if not base:
         raise MissingSection("derive requires base statements (statements or protocol.conditions)")

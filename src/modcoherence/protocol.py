@@ -312,20 +312,20 @@ def _derive_lumped(
     def expand(side: VarSet) -> VarSet:
         return side | rest if lumped in side else side
 
-    def expanded(s: CIStatement) -> CIStatement:
-        return normalize(expand(s.a), expand(s.b), expand(s.c))
-
     deps = sys.dependencies
     sliced = [t for s in base if (t := lump(s)) is not None and t.symbols() <= universe]
     waypoints = tuple(lump(w) for w in _goal_waypoints(sys, i, name))
     result = derive_through(sliced, deps, waypoints, budget, universe, memo=memo)
     if not result.proved:
         return result
+    # each statement of the proof expanded once, shared by every step that names it
+    full = {s: normalize(expand(s.a), expand(s.b), expand(s.c)) for s in result.proof.statements()}
     steps = tuple(
-        ProofStep(step.rule, step.inputs, expand(step.selection), expanded(step.output))
+        ProofStep(step.rule, tuple(full[s] for s in step.inputs), expand(step.selection),
+                  full[step.output])
         for step in result.proof.steps
     )
-    proof = Proof(tuple(map(expanded, result.proof.premises)), steps, expanded(result.proof.goal))
+    proof = Proof(tuple(full[s] for s in result.proof.premises), steps, full[result.proof.goal])
     assert proof.replay(deps), "internal error: expanded proof failed replay"
     return DeriveResult("proved", proof, result.generated)
 

@@ -48,12 +48,17 @@ class Report:
 
 
 def proof_to_dict(proof: Proof) -> dict:
+    """Each step input is numbered by its statement's first position among
+    the premises, then the step outputs."""
+    number: dict = {}
+    for i, s in enumerate(proof.statements()):
+        number.setdefault(s, i)
     return {
         "premises": [s.render() for s in proof.premises],
         "steps": [
             {
                 "rule": step.rule,
-                "inputs": list(step.inputs),
+                "inputs": [number[s] for s in step.inputs],
                 "selection": sorted(step.selection),
                 "output": step.output.render(),
             }

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modcoherence.ci import (
+    EMPTY,
     CIStatement,
     EmptySide,
     FunctionalDependency,
     Memo,
     OverlappingSets,
+    Proof,
+    ProofStep,
     ShapeMismatch,
     UnlicensedDeterminism,
     UniverseError,
@@ -258,6 +261,22 @@ class TestDerive:
         assert not replace(proof, steps=tuple(tampered)).replay(deps)
         # a goal the last step does not reach
         assert not replace(proof, goal=autonomy_goal(system, 2)).replay(deps)
+
+    def test_replay_rejects_a_step_naming_an_unavailable_statement(self):
+        # each step is a valid rule application; only its inputs are not yet
+        # available: a stray statement, the step's own output, a later output
+        premise = normalize({"A"}, {"B", "D"}, {"C"})
+        wider = normalize({"A"}, {"B"}, {"C", "D"})
+        stray = normalize({"A"}, {"B", "E"}, {"C", "D"})
+        from_premise = ProofStep("weak_union", (premise,), frozenset({"D"}), wider)
+        assert Proof((premise,), (from_premise,), wider).replay()
+        malformed = [
+            (ProofStep("decomposition", (stray,), frozenset({"B"}), wider),),
+            (ProofStep("symmetry", (wider,), EMPTY, wider),),
+            (ProofStep("symmetry", (wider,), EMPTY, wider), from_premise),
+        ]
+        for steps in malformed:
+            assert Proof((premise,), steps, wider).replay() is False
 
     def test_memo_answers_as_a_fresh_search(self):
         # dropping separately_informed at m=2 leaves goals outside a

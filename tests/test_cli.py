@@ -537,6 +537,26 @@ class TestDeriveCommand:
         assert result.exit_code == 1
         assert json.loads(result.output)["results"]["status"] == "not_derivable"
 
+    @pytest.mark.parametrize("template", ["canonical", "confounded"])
+    def test_a_protocol_with_a_graph_section_is_refused(self, tmp_path, template):
+        # check tests such a spec on the graph, not on the premises derive uses
+        spec = {
+            "version": 1,
+            "protocol": {"panels": 2},
+            "graph": {"template": template},
+            "goal": {"a": ["theta_1"], "b": ["theta_2"], "c": ["I_+^0"]},
+        }
+        result = run("derive", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 2, result.output
+        assert result.exception is None
+        assert json.loads(result.output)["results"]["error"] == (
+            "SpecError: check tests a spec with a graph section on the graph, not on the "
+            "protocol's premises: remove the graph section to derive from them"
+        )
+        del spec["graph"]
+        result = run("derive", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 0, result.output
+
     def test_graph_nodes_are_the_universe(self, tmp_path):
         # C is a declared node, so a goal mentioning it is a query to decide,
         # not a goal that leaves the universe

@@ -17,10 +17,16 @@ regenerates the file with
     PYTHONPATH=src python3 -m tests.test_golden_reports
 
 Either way, the change says which lines or fields moved and why.
+
+Every report is also the same under any hash seed: the script prints the
+same lines under ``PYTHONHASHSEED`` 0 and 1.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,6 +60,20 @@ def test_symbolic_reports_match_the_golden_file():
         for fmt in digest.FORMATS
     ]
     assert lines == GOLDEN.read_text().splitlines()
+
+
+def test_reports_do_not_depend_on_the_hash_seed():
+    outputs = []
+    for seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": seed}
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "report_digest.py")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    digest = _report_digest()
+    assert len(outputs[0].splitlines()) == len(list(digest.runs())) * len(digest.FORMATS)
 
 
 def numeric_reports() -> dict:
