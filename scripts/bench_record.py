@@ -38,8 +38,15 @@ SECONDS = 20
 # moved by 15 % on noise alone; separability_m2 imports panels inside the
 # timed code, so its import cost shows; joint_oracle_m3_256 runs the grid
 # engine at specfile.MAX_GRID_CELLS, so its peak RSS is that of the largest
-# spec allowed
+# spec allowed; cli_import starts 15 interpreters that import the CLI from
+# source, as the benchmark's CLI children do, so the import's share of a
+# command shows apart from the host noise in cli.import_s
 LAYER_CASES = (
+    ("cli_import", 3,
+     "import os, subprocess, sys\n"
+     "env = {**os.environ, 'PYTHONDONTWRITEBYTECODE': '1'}\n"
+     "cmd = [sys.executable, '-c', 'import modcoherence.cli']\n"
+     "out = [subprocess.run(cmd, env=env, check=False).returncode for _ in range(15)]"),
     ("separability_m2", 3,
      "from modcoherence import panels as pn\n"
      "lls = [pn.bernoulli_loglik(30, 80), pn.bernoulli_loglik(10, 40)]\n"

@@ -10,10 +10,9 @@ can be replayed step by step through :func:`apply_axiom`.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from . import ModcoherenceError
+from . import ModcoherenceError, Record
 
 Symbol = str
 VarSet = frozenset
@@ -64,8 +63,7 @@ def _skey(s: VarSet) -> tuple:
     return tuple(sorted(s))
 
 
-@dataclass(frozen=True)
-class CIStatement:
+class CIStatement(Record):
     """Canonical ternary independence assertion ``a _||_ b | c``.
 
     Construct through :func:`normalize`; the canonical representative has
@@ -73,9 +71,23 @@ class CIStatement:
     one representation.
     """
 
+    __slots__ = ("a", "b", "c")
     a: VarSet
     b: VarSet
     c: VarSet
+
+    def __init__(self, a: VarSet, b: VarSet, c: VarSet) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c) == (other.a, other.b, other.c)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c))
 
     def sort_key(self) -> tuple:
         return (_skey(self.a), _skey(self.b), _skey(self.c))
@@ -111,14 +123,15 @@ def normalize(a: Iterable[Symbol], b: Iterable[Symbol], c: Iterable[Symbol] = ()
     return CIStatement(a, b, c)
 
 
-@dataclass(frozen=True)
-class FunctionalDependency:
+class FunctionalDependency(Record):
     """``determined`` is a function of the symbols in ``determiners``."""
 
     determined: Symbol
     determiners: VarSet
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
+        if isinstance(self.determiners, str):  # frozenset would split it into characters
+            raise CIError(f"determiners must be a collection of symbols, got {self.determiners!r}")
         object.__setattr__(self, "determiners", frozenset(self.determiners))
         if self.determined in self.determiners:
             raise SelfDependency(f"{self.determined!r} cannot determine itself")
@@ -130,10 +143,9 @@ def aggregate_dependencies(symbol: Symbol, components: Iterable[Symbol]) -> tupl
     The aggregate is a function of its components and, being a plain
     collection, each component is recoverable from it.
     """
-    components = frozenset(components)
-    facts = [FunctionalDependency(symbol, components)]
-    facts.extend(FunctionalDependency(comp, frozenset({symbol})) for comp in sorted(components))
-    return tuple(facts)
+    whole = FunctionalDependency(symbol, components)
+    parts = (FunctionalDependency(comp, frozenset({symbol})) for comp in sorted(whole.determiners))
+    return (whole, *parts)
 
 
 def determined_closure(context: Iterable[Symbol], deps: Iterable[FunctionalDependency]) -> VarSet:
@@ -252,21 +264,56 @@ def apply_axiom(
     raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
 
 
-@dataclass(frozen=True)
-class ProofStep:
+class ProofStep(Record):
+    __slots__ = ("rule", "inputs", "selection", "output")
     rule: str
     inputs: tuple[CIStatement, ...]  # premises or earlier step outputs, in the rule's order
     selection: VarSet
     output: CIStatement
 
+    def __init__(
+        self, rule: str, inputs: tuple[CIStatement, ...], selection: VarSet, output: CIStatement
+    ) -> None:
+        object.__setattr__(self, "rule", rule)
+        object.__setattr__(self, "inputs", inputs)
+        object.__setattr__(self, "selection", selection)
+        object.__setattr__(self, "output", output)
 
-@dataclass(frozen=True)
-class Proof:
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.rule, self.inputs, self.selection, self.output) == (
+                other.rule, other.inputs, other.selection, other.output
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.rule, self.inputs, self.selection, self.output))
+
+
+class Proof(Record):
     """Ordered trace of rule applications from premises to a goal."""
 
+    __slots__ = ("premises", "steps", "goal")
     premises: tuple[CIStatement, ...]
     steps: tuple[ProofStep, ...]
     goal: CIStatement
+
+    def __init__(
+        self, premises: tuple[CIStatement, ...], steps: tuple[ProofStep, ...], goal: CIStatement
+    ) -> None:
+        object.__setattr__(self, "premises", premises)
+        object.__setattr__(self, "steps", steps)
+        object.__setattr__(self, "goal", goal)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.premises, self.steps, self.goal) == (
+                other.premises, other.steps, other.goal
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.premises, self.steps, self.goal))
 
     def statements(self) -> tuple[CIStatement, ...]:
         return self.premises + tuple(step.output for step in self.steps)
@@ -290,8 +337,7 @@ class Proof:
         return self.goal in avail
 
 
-@dataclass(frozen=True)
-class ClosureResult:
+class ClosureResult(Record):
     statements: frozenset
     complete: bool
     generated: int
@@ -300,11 +346,26 @@ class ClosureResult:
         return stmt in self.statements
 
 
-@dataclass(frozen=True)
-class DeriveResult:
+class DeriveResult(Record):
+    __slots__ = ("status", "proof", "generated")
     status: str  # "proved" | "not_derivable" | "budget_exhausted"
     proof: Optional[Proof]
     generated: int
+
+    def __init__(self, status: str, proof: Optional[Proof], generated: int) -> None:
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "proof", proof)
+        object.__setattr__(self, "generated", generated)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.status, self.proof, self.generated) == (
+                other.status, other.proof, other.generated
+            )
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.status, self.proof, self.generated))
 
     @property
     def proved(self) -> bool:

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import functools
 from collections import deque
-from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
-from . import ModcoherenceError
+from . import ModcoherenceError, Record
 from .ci import (
     EMPTY,
     FunctionalDependency,
@@ -63,8 +62,7 @@ def _neighbours(pairs: Iterable[tuple[Symbol, Symbol]]) -> dict[Symbol, VarSet]:
     return {u: frozenset(vs) for u, vs in out.items()}
 
 
-@dataclass(frozen=True)
-class Dag:
+class Dag(Record):
     nodes: tuple[Symbol, ...]
     edges: tuple[tuple[Symbol, Symbol], ...]
     dependencies: tuple[FunctionalDependency, ...] = ()

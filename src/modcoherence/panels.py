@@ -23,10 +23,11 @@ from __future__ import annotations
 import functools
 import itertools
 import operator
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from . import Record
 
 # the numpy-free value types live in .values; panels re-exports them
 from .values import BetaParams, Factor, PanelsError  # noqa: F401
@@ -80,7 +81,6 @@ def _as_points(arr) -> np.ndarray:
     return pts
 
 
-@dataclass
 class GridDensity:
     """Probability masses over the product of scalar support-point blocks.
 
@@ -93,9 +93,9 @@ class GridDensity:
     blocks: tuple[np.ndarray, ...]
     weights: np.ndarray
 
-    def __post_init__(self) -> None:
-        self.blocks = tuple(_as_points(b) for b in self.blocks)
-        self.weights = np.asarray(self.weights, dtype=float, order="C")
+    def __init__(self, blocks: Sequence[np.ndarray], weights: np.ndarray) -> None:
+        self.blocks = tuple(_as_points(b) for b in blocks)
+        self.weights = np.asarray(weights, dtype=float, order="C")
         expected = tuple(len(b) for b in self.blocks)
         if self.weights.shape != expected:
             raise ShapeMismatch(
@@ -262,8 +262,7 @@ def joint_oracle(
     return GridDensity(blocks, _reweight(weights, ll))
 
 
-@dataclass(frozen=True)
-class Divergence:
+class Divergence(Record):
     max_abs: float
     total_variation: float
 
@@ -306,8 +305,7 @@ def functional_expectation(
     return float(_pairwise(w.size, leaf))
 
 
-@dataclass(frozen=True)
-class SeparabilityVerdict:
+class SeparabilityVerdict(Record):
     separable: bool
     offending: tuple  # witnesses (i, j, u, u0, v, v0, residual) of the numeric check
     max_residual: float

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from . import ModcoherenceError
+from . import ModcoherenceError, Record
 from .ci import (
     CIStatement,
     DEFAULT_BUDGET,
@@ -64,16 +63,15 @@ class ConditionKind(enum.Enum):
 ALL_CONDITIONS = tuple(ConditionKind)
 
 
-@dataclass(frozen=True)
-class PanelSystem:
+class PanelSystem(Record):
     """Symbol universe and determinism facts for an m-panel composite, m >= 2:
     with one panel the conditions and the goal that speak of "the other
     panels" would assert nothing."""
 
     m: int
-    common: ClassVar[Symbol] = "I_0^0"
-    own_evidence_pool: ClassVar[Symbol] = "I_*^0"  # every panel's own-domain evidence
-    full_pool: ClassVar[Symbol] = "I_+^0"  # all admissible evidence
+    common = "I_0^0"
+    own_evidence_pool = "I_*^0"  # every panel's own-domain evidence
+    full_pool = "I_+^0"  # all admissible evidence
 
     def theta(self, i: int) -> Symbol:
         self._check_index(i)
@@ -180,14 +178,12 @@ def base_statements(
     return tuple(statements) + tuple(sorted(out, key=CIStatement.sort_key))
 
 
-@dataclass(frozen=True)
-class AxiomaticMode:
+class AxiomaticMode(Record):
     base: tuple[CIStatement, ...]
     budget: int = DEFAULT_BUDGET
 
 
-@dataclass(frozen=True)
-class GraphicalMode:
+class GraphicalMode(Record):
     dag: Dag
 
 
@@ -197,8 +193,7 @@ Decide = Callable[..., tuple[str, Optional[Proof]]]
 ESTABLISHED = ("proved", "separated")  # statuses that establish a statement
 
 
-@dataclass(frozen=True)
-class ConditionStatus:
+class ConditionStatus(Record):
     kind: ConditionKind
     statements: tuple[CIStatement, ...]
     status: str  # "holds" | "not_established" | "inconclusive"
@@ -211,8 +206,7 @@ class ConditionStatus:
         return self.status == "holds"
 
 
-@dataclass(frozen=True)
-class GoalResult:
+class GoalResult(Record):
     panel: int
     name: str  # "panel_independence" | "autonomous_updating"
     goal: CIStatement
@@ -224,8 +218,7 @@ class GoalResult:
         return self.status in ESTABLISHED
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     conditions: tuple[ConditionStatus, ...]
     goals: tuple[GoalResult, ...]
     sound_and_distributed: bool

@@ -7,9 +7,9 @@ report built again from its parsed fields prints the same bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any
 
+from . import Record
 from .ci import Proof
 
 FORMAT_VERSION = 1
@@ -19,12 +19,15 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT_ERROR = 2
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Record):
     command: str
     status: str  # "pass" | "fail" | "error"
     results: dict
-    options: dict = field(default_factory=dict)
+    options: dict = None  # a fresh {} per report
+
+    def _validate(self) -> None:
+        if self.options is None:
+            object.__setattr__(self, "options", {})
 
     @property
     def exit_code(self) -> int:

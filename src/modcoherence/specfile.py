@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from . import ModcoherenceError
+from . import ModcoherenceError, Record
 from .ci import CIError, CIStatement, DEFAULT_BUDGET, FunctionalDependency, VarSet, normalize
 from .dag import Dag, DagError, build_dag
 from .protocol import (
@@ -164,8 +163,7 @@ def _counts(pair, where: str) -> tuple[int, int]:
     return pair[0], pair[1]
 
 
-@dataclass(frozen=True)
-class Models:
+class Models(Record):
     """The ``models`` section: one Beta prior per panel, for at least two
     panels, each with a Bernoulli likelihood."""
 
@@ -175,16 +173,14 @@ class Models:
     factors: Optional[tuple[Factor, ...]] = None
 
 
-@dataclass(frozen=True)
-class Data:
+class Data(Record):
     """The ``data`` section: ``(successes, trials)`` per panel."""
 
     panel_counts: tuple[tuple[int, int], ...] = ()
     product_cell_counts: Optional[tuple[int, int]] = None
 
 
-@dataclass(frozen=True)
-class RunOptions:
+class RunOptions(Record):
     grid: int = 101
     budget: int = DEFAULT_BUDGET
 
@@ -197,8 +193,7 @@ def _scope(system: Optional[PanelSystem], dag: Optional[Dag]) -> tuple:
     return (dag.node_names, dag.dependencies) if dag is not None else (None, ())
 
 
-@dataclass(frozen=True)
-class SpecFile:
+class SpecFile(Record):
     system: Optional[PanelSystem] = None
     conditions: tuple[ConditionKind, ...] = ALL_CONDITIONS
     statements: tuple[CIStatement, ...] = ()
@@ -207,7 +202,11 @@ class SpecFile:
     query: Optional[tuple[frozenset, frozenset, frozenset]] = None  # (a, b, c)
     models: Optional[Models] = None
     data: Optional[Data] = None
-    run: RunOptions = field(default_factory=RunOptions)
+    run: RunOptions = None  # a fresh RunOptions() per spec
+
+    def _validate(self) -> None:
+        if self.run is None:
+            object.__setattr__(self, "run", RunOptions())
 
     @property
     def scope(self) -> tuple[Optional[VarSet], tuple[FunctionalDependency, ...]]:

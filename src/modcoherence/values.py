@@ -7,21 +7,18 @@ does the numeric work.  Keeping them here lets the symbolic commands
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from . import ModcoherenceError
+from . import ModcoherenceError, Record
 
 
 class PanelsError(ModcoherenceError):
     pass
 
 
-@dataclass(frozen=True)
-class BetaParams:
+class BetaParams(Record):
     alpha: float
     beta: float
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         if not (self.alpha > 0 and self.beta > 0):
             raise PanelsError(f"Beta parameters must be positive: ({self.alpha}, {self.beta})")
 
@@ -30,10 +27,9 @@ class BetaParams:
         return self.alpha / (self.alpha + self.beta)
 
 
-@dataclass(frozen=True)
-class Factor:
+class Factor(Record):
     name: str
     scope: frozenset  # panel ids touched by this factor
 
-    def __post_init__(self) -> None:
+    def _validate(self) -> None:
         object.__setattr__(self, "scope", frozenset(self.scope))

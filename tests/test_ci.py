@@ -1,7 +1,6 @@
 """Unit and property tests for the statement algebra and saturation prover."""
 
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from modcoherence.ci import (
     EMPTY,
+    CIError,
     CIStatement,
     EmptySide,
     FunctionalDependency,
@@ -155,6 +155,15 @@ class TestDependencies:
         with pytest.raises(ValueError):
             FunctionalDependency(T1, frozenset({T1, T2}))
 
+    def test_a_string_of_determiners_is_refused(self):
+        # frozenset("theta_1") is its characters: the dependency would never fire
+        with pytest.raises(CIError, match="collection of symbols"):
+            FunctionalDependency("I_+", "theta_1")
+
+    def test_a_string_of_components_is_refused(self):
+        with pytest.raises(CIError, match="collection of symbols"):
+            aggregate_dependencies(ISTAR, "ab")
+
     def test_aggregate_is_bidirectional(self):
         facts = aggregate_dependencies(ISTAR, {I11, "I_22"})
         assert FunctionalDependency(ISTAR, frozenset({I11, "I_22"})) in facts
@@ -251,16 +260,19 @@ class TestDerive:
         steps = list(proof.steps)
         # a step whose output is not what its rule gives
         k = len(steps) // 2
-        tampered = steps[:k] + [replace(steps[k], output=steps[k - 1].output)] + steps[k + 1:]
+        s = steps[k]
+        wrong = ProofStep(s.rule, s.inputs, s.selection, steps[k - 1].output)
+        tampered = steps[:k] + [wrong] + steps[k + 1:]
         assert steps[k].output != steps[k - 1].output
-        assert not replace(proof, steps=tuple(tampered)).replay(deps)
+        assert not Proof(proof.premises, tuple(tampered), proof.goal).replay(deps)
         # a selection the rule refuses
         k = next(i for i, s in enumerate(steps) if s.rule in ("decomposition", "weak_union"))
         outside = frozenset({"not_a_symbol"})
-        tampered = steps[:k] + [replace(steps[k], selection=outside)] + steps[k + 1:]
-        assert not replace(proof, steps=tuple(tampered)).replay(deps)
+        s = steps[k]
+        tampered = steps[:k] + [ProofStep(s.rule, s.inputs, outside, s.output)] + steps[k + 1:]
+        assert not Proof(proof.premises, tuple(tampered), proof.goal).replay(deps)
         # a goal the last step does not reach
-        assert not replace(proof, goal=autonomy_goal(system, 2)).replay(deps)
+        assert not Proof(proof.premises, proof.steps, autonomy_goal(system, 2)).replay(deps)
 
     def test_replay_rejects_a_step_naming_an_unavailable_statement(self):
         # each step is a valid rule application; only its inputs are not yet

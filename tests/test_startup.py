@@ -9,6 +9,8 @@ dependency).  The two evaluate the density differently, so they agree to
 ``rtol=1e-12``, not bit for bit: the sweep's largest relative deviation on
 masses above 1e-300 is 2.4e-13.  Masses below 1e-300, where one side may
 underflow to 0 while the other is subnormal, are held to ``atol=1e-300``.
+The sweep skips where scipy is not installed, so the start-up pins run
+without the test extra.
 """
 
 import os
@@ -17,7 +19,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
+import pytest
 
 import modcoherence
 from modcoherence.panels import BetaParams, beta_grid
@@ -72,6 +74,37 @@ def test_cli_commands_do_not_import_scipy_stats():
     assert proc.stdout.strip() == str([[]] * 5 + [["numpy"]] * 3)
 
 
+RECORD_PROBE = """
+import os
+import sys
+import modcoherence.cli
+
+def loaded():
+    return [name for name in ("dataclasses", "inspect") if name in sys.modules]
+
+seen = [loaded()]
+for command, spec in (("check", "coherence_m2"), ("derive", "coherence_m2"),
+                      ("dsep", "chain_dsep"), ("ablate", "coherence_m2"),
+                      ("simulate", "food_example"), ("separability", "separable_pair")):
+    try:
+        modcoherence.cli.main(
+            args=[command, "--spec", f"{sys.argv[1]}/{spec}.spec", "--out", os.devnull]
+        )
+    except SystemExit as exc:
+        assert exc.code == 0, (command, spec, exc.code)
+    seen.append(loaded())
+print(seen)
+"""
+
+
+def test_cli_commands_do_not_import_dataclasses_or_inspect():
+    # the records generate no code, so nothing loads dataclasses, nor the
+    # inspect it imports; numpy itself loads inspect for the numeric commands
+    proc = _python("-c", RECORD_PROBE, str(SPECS))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str([[]] * 5 + [["inspect"]] * 2)
+
+
 def test_cli_runs_without_docstrings():
     # python -OO strips the docstrings the subcommands' help is built from
     proc = _python("-OO", "-m", "modcoherence.cli", "dsep", "--spec", str(SPECS / "chain_dsep.spec"))
@@ -79,7 +112,7 @@ def test_cli_runs_without_docstrings():
     assert _python("-OO", "-m", "modcoherence.cli", "--help").returncode == 0
 
 
-def _reference_weights(alpha, beta, n):
+def _reference_weights(stats, alpha, beta, n):
     points = np.linspace(0.0, 1.0, n)
     dens = stats.beta.pdf(points, alpha, beta)
     dens = np.where(np.isfinite(dens), dens, 0.0)
@@ -87,13 +120,14 @@ def _reference_weights(alpha, beta, n):
 
 
 def test_beta_grid_matches_scipy_stats_beta_pdf():
+    stats = pytest.importorskip("scipy.stats")
     # alpha or beta below 1 puts an infinite density on an endpoint
     shapes = (0.05, 0.5, 1, 1.0, 2, 2.5, 7.0, 31.0, 200.0)
     for n in (3, 51, 101, 401, 1001):
         for alpha in shapes:
             for beta in shapes:
                 got = beta_grid(BetaParams(alpha, beta), n).weights
-                want = _reference_weights(alpha, beta, n)
+                want = _reference_weights(stats, alpha, beta, n)
                 np.testing.assert_allclose(
                     got, want, rtol=1e-12, atol=1e-300, err_msg=str((alpha, beta, n))
                 )
