@@ -31,7 +31,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SECONDS = 20
 
 # (name, runs per side, code that leaves a JSON-able summary in ``out``); the
-# m=7 verification runs once, since a parent may take minutes over it; the
+# m=6 and m=7 verifications take about 0.02 s each, so they show a prover
+# that slows down, not a few percent, and run three times like the rest; the
 # m=32 verification, the largest protocol a spec allows, builds 64 lumped goal
 # proofs, so it is the case where proof handling weighs most; the
 # m=3 ablation, about 45 s a run, runs three times, since one run per side
@@ -69,7 +70,7 @@ LAYER_CASES = (
      "s = p.build_system(6)\n"
      "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))\n"
      "out = [g.status for g in v.goals]"),
-    ("verify_coherence_m7", 1,
+    ("verify_coherence_m7", 3,
      "s = p.build_system(7)\n"
      "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s), 500_000))\n"
      "out = [g.status for g in v.goals]"),

@@ -130,11 +130,27 @@ class FunctionalDependency(Record):
     determiners: VarSet
 
     def _validate(self) -> None:
-        if isinstance(self.determiners, str):  # frozenset would split it into characters
-            raise CIError(f"determiners must be a collection of symbols, got {self.determiners!r}")
-        object.__setattr__(self, "determiners", frozenset(self.determiners))
+        _symbol(self.determined, "determined")
+        object.__setattr__(self, "determiners", _symbols(self.determiners, "determiners"))
         if self.determined in self.determiners:
             raise SelfDependency(f"{self.determined!r} cannot determine itself")
+
+
+def _symbol(value, field: str) -> None:
+    if not isinstance(value, str):
+        raise CIError(f"{field} must be a symbol, got {value!r}")
+
+
+def _symbols(value, field: str) -> VarSet:
+    """``value`` as a set of symbols; a str is refused, since frozenset
+    would split it into characters."""
+    try:
+        names = None if isinstance(value, str) else frozenset(value)
+    except TypeError:  # not iterable, or a member that is not hashable
+        names = None
+    if names is None or not all(isinstance(name, str) for name in names):
+        raise CIError(f"{field} must be a collection of symbols, got {value!r}")
+    return names
 
 
 def aggregate_dependencies(symbol: Symbol, components: Iterable[Symbol]) -> tuple[FunctionalDependency, ...]:
@@ -143,7 +159,8 @@ def aggregate_dependencies(symbol: Symbol, components: Iterable[Symbol]) -> tupl
     The aggregate is a function of its components and, being a plain
     collection, each component is recoverable from it.
     """
-    whole = FunctionalDependency(symbol, components)
+    _symbol(symbol, "symbol")
+    whole = FunctionalDependency(symbol, _symbols(components, "components"))
     parts = (FunctionalDependency(comp, frozenset({symbol})) for comp in sorted(whole.determiners))
     return (whole, *parts)
 

@@ -5,9 +5,11 @@ in a conjugate family or on a normalized grid of support points; one type,
 ``GridDensity``, holds a panel's grid posterior and a product-grid one.  Distributed
 inference composes autonomous per-panel updates into a product posterior; the
 joint oracle runs exact grid Bayes on the full likelihood over the product
-grid.  Likelihood separability - the condition under which the two pipelines
-agree - is checked both symbolically (factor scopes) and numerically (exact
-interaction residuals over each pair grid).
+grid, streaming the composed prior leaf by leaf from the outer product of all
+priors but the last and the last prior's masses, so that prior is never held
+as a full grid.  Likelihood separability - the condition under which the two
+pipelines agree - is checked both symbolically (factor scopes) and numerically
+(exact interaction residuals over each pair grid).
 
 Full-grid passes - the Bayes step, density validation, divergence and
 expectations - are swept in leaves of at most ``LEAF`` cells, so each leaf's
@@ -162,22 +164,47 @@ def product_mean(posteriors: Sequence[BetaParams]) -> float:
     return float(np.prod([p.mean for p in posteriors]))
 
 
-def _reweight(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
-    """Grid Bayes step: ``weights * exp(ll)`` renormalized, for C-contiguous
-    ``weights`` and ``ll`` of the same shape.
+def _reweight(head: np.ndarray, tail: np.ndarray, ll: np.ndarray) -> np.ndarray:
+    """Grid Bayes step: the prior times ``exp(ll)``, renormalized, for a
+    prior given as two flat factors and never held as a full grid.
 
-    ``ll`` is read through its C-order flatten: in place when it is
-    C-contiguous, as every bundled model's is, and through one full-grid copy
-    in any other layout.  It is shifted by its maximum over the cells the
-    prior gives mass, so the top cell keeps its own mass and the total is
-    positive.  A flat ``ll`` (one finite value on every cell) is the identity:
-    a copy of the already-normalized prior is returned, not divided by its
+    Cell c of the prior is ``head[c // T] * tail[c % T]``, T = ``tail.size``:
+    the product ``np.multiply.outer(head, tail)`` forms.  Each leaf computes
+    only its own prior cells, from whole rows ``head[h] * tail`` and the part
+    rows at its ends, into one leaf buffer.  ``head`` is ``[1.0]`` for a
+    prior of one density.  ``ll`` is read through its C-order flatten: in
+    place when it is C-contiguous, as every bundled model's is, and through
+    one full-grid copy in any other layout.  It is shifted by its maximum over
+    the cells the prior gives mass, so the top cell keeps its own mass and the
+    total is positive.  A flat ``ll`` (one finite value on every cell) is the
+    identity: the prior's masses are returned exactly, not divided by their
     rounded sum.
     """
-    w, flat = weights.reshape(-1), ll.reshape(-1)
-    n = w.size
-    posterior = np.empty(weights.shape)
+    flat, width = ll.reshape(-1), tail.size
+    n = flat.size
+    posterior = np.empty(ll.shape)  # before the leaf buffer, so it can reuse freed pages
     out = posterior.reshape(-1)
+    buf = np.empty(min(n, LEAF))
+
+    def prior(lo: int, hi: int) -> np.ndarray:
+        """The prior cells lo..hi-1, in ``buf``."""
+        part = buf[: hi - lo]
+        row, a = divmod(lo, width)
+        end, b = divmod(hi, width)
+        if row == end:
+            return np.multiply(head[row], tail[a:b], out=part)
+        k = 0
+        if a:  # the leaf starts mid-row
+            k = width - a
+            np.multiply(head[row], tail[a:], out=part[:k])
+            row += 1
+        rows = part[k : k + (end - row) * width].reshape(end - row, width)
+        rows[...] = tail  # then scaled in place: faster than one broadcast product
+        rows *= head[row:end, None]
+        if b:  # the leaf ends mid-row
+            np.multiply(head[end], tail[:b], out=part[hi - lo - b :])
+        return part
+
     # one scan: the largest and the smallest ll, and the first leaf holding the largest
     top, low, first = -np.inf, np.inf, 0
     for lo in range(0, n, LEAF):
@@ -191,27 +218,51 @@ def _reweight(weights: np.ndarray, ll: np.ndarray) -> np.ndarray:
     if top == -np.inf:
         raise DegenerateLikelihood("likelihood vanished on the whole grid")
     if low == top:
-        return weights.copy()
+        return np.multiply.outer(head, tail).reshape(ll.shape)
     peak = first + int(flat[first : first + LEAF].argmax())
-    massless_peak = w[peak] == 0
+    massless_peak = prior(peak, peak + 1)[0] == 0
     if massless_peak:
         top = -np.inf
         for lo in range(0, n, LEAF):
-            hi = lo + LEAF
-            top = max(top, np.max(flat[lo:hi], where=w[lo:hi] > 0, initial=-np.inf))
+            hi = min(lo + LEAF, n)
+            top = max(top, np.max(flat[lo:hi], where=prior(lo, hi) > 0, initial=-np.inf))
         if top == -np.inf:
             raise DegenerateLikelihood("likelihood vanished where the prior has mass")
 
     def leaf(lo: int, hi: int) -> float:
-        part = np.subtract(flat[lo:hi], top, out=out[lo:hi])  # exp(ll - top) * weights, in place
+        part = np.subtract(flat[lo:hi], top, out=out[lo:hi])  # exp(ll - top) * prior, in place
         if massless_peak:  # massless cells above top would overflow to inf, and inf * 0 is nan
             np.minimum(part, 0.0, out=part)
         np.exp(part, out=part)
-        part *= w[lo:hi]
+        part *= prior(lo, hi)
         return part.sum()
 
     posterior /= _pairwise(n, leaf)
     return posterior
+
+
+def _blocks(densities: Sequence[GridDensity]) -> tuple[np.ndarray, ...]:
+    """The densities' blocks, concatenated."""
+    if not densities:
+        raise ShapeMismatch("need at least one panel posterior")
+    return tuple(b for density in densities for b in density.blocks)
+
+
+def _head(densities: Sequence[GridDensity]) -> np.ndarray:
+    """The outer product of the masses of every density but the last,
+    flattened: ``[1.0]`` for one density."""
+    outer = functools.reduce(np.multiply.outer, (d.weights for d in densities[:-1]), np.ones(1))
+    return outer.reshape(-1)
+
+
+def _grid_bayes(
+    densities: Sequence[GridDensity], loglik: Callable[..., np.ndarray]
+) -> GridDensity:
+    """Exact grid Bayes on the product of the densities' grids, the prior
+    streamed from ``_head`` and the last density's masses."""
+    blocks = _blocks(densities)
+    ll = _on_product_grid(loglik, blocks)
+    return GridDensity(blocks, _reweight(_head(densities), densities[-1].weights.reshape(-1), ll))
 
 
 def panel_update_grid(
@@ -219,23 +270,14 @@ def panel_update_grid(
 ) -> GridDensity:
     """Pointwise prior x likelihood on the product grid, renormalized; a
     flat likelihood (e.g. no data) returns the prior masses exactly."""
-    ll = _on_product_grid(loglik, prior.blocks)
-    return GridDensity(prior.blocks, _reweight(prior.weights, ll))
-
-
-def _outer_product(densities: Sequence[GridDensity]) -> tuple[tuple, np.ndarray]:
-    """The densities' blocks, concatenated, and the outer product of their masses."""
-    if not densities:
-        raise ShapeMismatch("need at least one panel posterior")
-    weights = densities[0].weights
-    for density in densities[1:]:
-        weights = np.multiply.outer(weights, density.weights)
-    return tuple(b for density in densities for b in density.blocks), weights
+    return _grid_bayes([prior], loglik)
 
 
 def compose_product(posteriors: Sequence[GridDensity]) -> GridDensity:
     """Outer product of per-block masses; marginals reproduce the inputs."""
-    return GridDensity(*_outer_product(posteriors))
+    blocks = _blocks(posteriors)
+    weights = np.multiply.outer(_head(posteriors), posteriors[-1].weights)
+    return GridDensity(blocks, weights.reshape([len(b) for b in blocks]))
 
 
 def _on_product_grid(f: Callable[..., np.ndarray], blocks: Sequence[np.ndarray]) -> np.ndarray:
@@ -253,13 +295,14 @@ def joint_oracle(
 
     ``joint_loglik`` receives one broadcast-ready array per block (see
     ``_on_product_grid``) and must return log-likelihoods over the product
-    grid.  The result equals ``panel_update_grid(compose_product(priors),
-    joint_loglik)`` bit for bit, without validating the composed prior; a
-    flat likelihood (e.g. no data) returns the composed prior masses exactly.
+    grid.  The composed prior is never held as a full grid: each leaf of the
+    Bayes step streams its own prior cells from the outer product of all
+    priors but the last and the last prior's masses.  The result equals
+    ``panel_update_grid(compose_product(priors), joint_loglik)`` bit for bit,
+    without validating the composed prior; a flat likelihood (e.g. no data)
+    returns the composed prior masses exactly.
     """
-    blocks, weights = _outer_product(priors)
-    ll = _on_product_grid(joint_loglik, blocks)
-    return GridDensity(blocks, _reweight(weights, ll))
+    return _grid_bayes(priors, joint_loglik)
 
 
 class Divergence(Record):

@@ -32,7 +32,7 @@ SUPPORTED_VERSION = 1
 # build_system makes m*m + m + 3 symbols; TestVerifyTheorem builds m = 32
 MAX_PANELS = 32
 # simulate and separability hold run.grid ** len(models.panels) float64 cells
-# several times over; 2**24 cells peak near 540 MB.  The pair grids that
+# several times over; 2**24 cells peak near 415 MB.  The pair grids that
 # separability checks, run.grid ** 2 cells each, lie within the same cap
 MAX_GRID_CELLS = 2**24
 # one saturation holds up to run.budget statements, at about 0.8 kB each at

@@ -164,6 +164,24 @@ class TestDependencies:
         with pytest.raises(CIError, match="collection of symbols"):
             aggregate_dependencies(ISTAR, "ab")
 
+    @pytest.mark.parametrize("determined, determiners, field", [
+        (["a"], {"b"}, "determined"),  # a list is not hashable
+        ("a", [["b"]], "determiners"),  # nor is a list among the determiners
+        ("a", None, "determiners"),  # not iterable
+    ])
+    def test_a_malformed_dependency_is_a_ci_error(self, determined, determiners, field):
+        with pytest.raises(CIError, match=f"^{field} must be"):
+            FunctionalDependency(determined, determiners)
+
+    @pytest.mark.parametrize("symbol, components, field", [
+        (["a"], {"b"}, "symbol"),
+        ("a", [["b"]], "components"),
+        ("a", None, "components"),
+    ])
+    def test_a_malformed_aggregate_is_a_ci_error(self, symbol, components, field):
+        with pytest.raises(CIError, match=f"^{field} must be"):
+            aggregate_dependencies(symbol, components)
+
     def test_aggregate_is_bidirectional(self):
         facts = aggregate_dependencies(ISTAR, {I11, "I_22"})
         assert FunctionalDependency(ISTAR, frozenset({I11, "I_22"})) in facts
