@@ -34,7 +34,9 @@ SECONDS = 20
 # m=6 and m=7 verifications take about 0.02 s each, so they show a prover
 # that slows down, not a few percent, and run three times like the rest; the
 # m=32 verification, the largest protocol a spec allows, builds 64 lumped goal
-# proofs, so it is the case where proof handling weighs most; the
+# proofs, so it is the case where proof handling and determinism closures
+# weigh most, and with the m=16 one it runs ten times, since three runs per
+# side of unchanged code moved by more than 25 %; the
 # m=3 ablation, about 45 s a run, runs three times, since one run per side
 # moved by 15 % on noise alone; separability_m2 imports panels inside the
 # timed code, so its import cost shows; joint_oracle_m3_256 runs the grid
@@ -74,7 +76,11 @@ LAYER_CASES = (
      "s = p.build_system(7)\n"
      "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s), 500_000))\n"
      "out = [g.status for g in v.goals]"),
-    ("verify_coherence_m32", 3,
+    ("verify_coherence_m16", 10,
+     "s = p.build_system(16)\n"
+     "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))\n"
+     "out = [g.status for g in v.goals]"),
+    ("verify_coherence_m32", 10,
      "s = p.build_system(32)\n"
      "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))\n"
      "out = [g.status for g in v.goals]"),

@@ -15,12 +15,8 @@ import numpy as np
 from modcoherence.panels import (
     GridDensity,
     bernoulli_loglik,
-    compose_product,
-    divergence,
+    grid_comparison,
     interior_grid,
-    joint_oracle,
-    panel_joint_loglik,
-    panel_update_grid,
     separability_check_numeric,
 )
 
@@ -35,15 +31,12 @@ def main() -> None:
     grid = interior_grid(args.grid)
     priors = [GridDensity((grid,), np.full(grid.size, 1.0 / grid.size)) for _ in range(2)]
     logliks = [bernoulli_loglik(50, 100), bernoulli_loglik(20, 60)]
-    distributed = compose_product(
-        [panel_update_grid(p, ll) for p, ll in zip(priors, logliks)]
-    )
 
     print(f"{'strength':>9} {'separable':>10} {'max residual':>13} {'TV gap':>10}")
     for strength in args.strengths:
-        joint_ll = panel_joint_loglik(logliks, strength)
-        verdict = separability_check_numeric(joint_ll, [grid, grid])
-        gap = divergence(distributed, joint_oracle(priors, joint_ll)).total_variation
+        comparison = grid_comparison(priors, logliks, strength)
+        verdict = separability_check_numeric(comparison.joint_ll, [grid, grid])
+        gap = comparison.divergence.total_variation
         print(f"{strength:>9.2f} {str(verdict.separable):>10} "
               f"{verdict.max_residual:>13.3e} {gap:>10.3e}")
 

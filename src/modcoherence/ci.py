@@ -51,8 +51,12 @@ class UnlicensedDeterminism(CIError):
     """No functional dependency licenses the requested rewrite."""
 
 
+class UnknownRule(CIError, ValueError):
+    """A proof step names a rule outside ``RULES``."""
+
+
 class SelfDependency(CIError, ValueError):
-    """A functional dependency lists its determined symbol among its determiners."""
+    """A functional dependency lists a determined symbol among its determiners."""
 
 
 class UniverseError(CIError):
@@ -124,16 +128,18 @@ def normalize(a: Iterable[Symbol], b: Iterable[Symbol], c: Iterable[Symbol] = ()
 
 
 class FunctionalDependency(Record):
-    """``determined`` is a function of the symbols in ``determiners``."""
+    """Each symbol in ``determined`` is a function of the symbols in
+    ``determiners``: the set-valued X -> Y form of Armstrong's axioms."""
 
-    determined: Symbol
+    determined: VarSet
     determiners: VarSet
 
     def _validate(self) -> None:
-        _symbol(self.determined, "determined")
+        object.__setattr__(self, "determined", _symbols(self.determined, "determined"))
         object.__setattr__(self, "determiners", _symbols(self.determiners, "determiners"))
-        if self.determined in self.determiners:
-            raise SelfDependency(f"{self.determined!r} cannot determine itself")
+        overlap = self.determined & self.determiners
+        if overlap:
+            raise SelfDependency(f"{min(overlap)!r} cannot determine itself")
 
 
 def _symbol(value, field: str) -> None:
@@ -154,15 +160,13 @@ def _symbols(value, field: str) -> VarSet:
 
 
 def aggregate_dependencies(symbol: Symbol, components: Iterable[Symbol]) -> tuple[FunctionalDependency, ...]:
-    """Dependencies for a symbol defined as the collection of ``components``.
-
-    The aggregate is a function of its components and, being a plain
-    collection, each component is recoverable from it.
+    """The two dependencies of a symbol defined as the collection of
+    ``components``: the aggregate is a function of its components and, being
+    a plain collection, the components are a function of it.
     """
     _symbol(symbol, "symbol")
-    whole = FunctionalDependency(symbol, _symbols(components, "components"))
-    parts = (FunctionalDependency(comp, frozenset({symbol})) for comp in sorted(whole.determiners))
-    return (whole, *parts)
+    whole = FunctionalDependency(frozenset({symbol}), _symbols(components, "components"))
+    return (whole, FunctionalDependency(whole.determiners, whole.determined))
 
 
 def determined_closure(context: Iterable[Symbol], deps: Iterable[FunctionalDependency]) -> VarSet:
@@ -174,10 +178,10 @@ def determined_closure(context: Iterable[Symbol], deps: Iterable[FunctionalDepen
         changed = False
         rest = []
         for dep in pending:
-            if dep.determined in out:
+            if dep.determined <= out:
                 continue
             if dep.determiners <= out:
-                out.add(dep.determined)
+                out |= dep.determined
                 changed = True
             else:
                 rest.append(dep)
@@ -278,7 +282,7 @@ def apply_axiom(
             raise UnlicensedDeterminism(f"{x!r} is not determined by {sorted(s.c - {x})}")
         return normalize(s.a, s.b, s.c - {x})
 
-    raise ValueError(f"unknown rule {rule!r}; expected one of {RULES}")
+    raise UnknownRule(f"unknown rule {rule!r}; expected one of {RULES}")
 
 
 class ProofStep(Record):
@@ -424,7 +428,7 @@ class Memo:
         self._bit = {name: 1 << i for i, name in enumerate(self._names)}
         self.width = len(self._names)
         self._dep_masks = tuple(
-            (self._bit[d.determined], self._mask(d.determiners)) for d in self.deps
+            (self._mask(d.determiners), self._mask(d.determined)) for d in self.deps
         )
         self.det_cache: dict[int, int] = {}
         self.searches: dict[tuple, _Saturation] = {}  # (universe, base, budget) -> search
@@ -457,8 +461,8 @@ class Memo:
             changed = True
             while changed:
                 changed = False
-                for det, determiners in self._dep_masks:
-                    if not got & det and not determiners & ~got:
+                for determiners, det in self._dep_masks:
+                    if det & ~got and not determiners & ~got:
                         got |= det
                         changed = True
             self.det_cache[ctx] = got
@@ -468,8 +472,7 @@ class Memo:
 def _dependency_symbols(deps: Iterable[FunctionalDependency]) -> set:
     out = set()
     for d in deps:
-        out.add(d.determined)
-        out |= d.determiners
+        out |= d.determined | d.determiners
     return out
 
 

@@ -221,18 +221,15 @@ def ablate(spec: SpecFile) -> Report:
 
 
 def _grid_comparison(models, data, n: int):
-    """The joint log-likelihood, the distributed posterior (each panel's prior
-    grid updated by its own counts, then composed), the joint oracle on the
-    same prior grids, and their divergence as the report's dict."""
+    """``panels.grid_comparison`` on the spec's Beta prior grids and panel
+    data, with its divergence as the report's dict."""
     from . import panels as pn
 
-    logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
-    joint_ll = pn.panel_joint_loglik(logliks, models.interaction_strength)
     priors = [pn.beta_grid(p, n) for p in models.priors]
-    distributed = pn.compose_product([pn.panel_update_grid(g, ll) for g, ll in zip(priors, logliks)])
-    oracle = pn.joint_oracle(priors, joint_ll)
-    div = pn.divergence(distributed, oracle)
-    return joint_ll, distributed, oracle, {"max_abs": div.max_abs, "total_variation": div.total_variation}
+    logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
+    out = pn.grid_comparison(priors, logliks, models.interaction_strength)
+    div = out.divergence
+    return out, {"max_abs": div.max_abs, "total_variation": div.total_variation}
 
 
 def simulate(spec: SpecFile) -> Report:
@@ -240,7 +237,7 @@ def simulate(spec: SpecFile) -> Report:
     from . import panels as pn
 
     models, data = spec.panel_inputs()
-    _, distributed, oracle, comparison = _grid_comparison(models, data, spec.run.grid)
+    grids, comparison = _grid_comparison(models, data, spec.run.grid)
     posteriors = [pn.panel_update_conjugate(p, c) for p, c in zip(models.priors, data.panel_counts)]
     product_mean_closed = pn.product_mean(posteriors)
     results: dict = {
@@ -249,8 +246,8 @@ def simulate(spec: SpecFile) -> Report:
             for i, p in enumerate(posteriors)
         ],
         "distributed_product_mean_closed_form": product_mean_closed,
-        "distributed_product_mean_grid": pn.functional_expectation(distributed, pn.block_product),
-        "joint_oracle_product_mean": pn.functional_expectation(oracle, pn.block_product),
+        "distributed_product_mean_grid": pn.functional_expectation(grids.distributed, pn.block_product),
+        "joint_oracle_product_mean": pn.functional_expectation(grids.oracle, pn.block_product),
         "divergence": comparison,
         "interaction_strength": models.interaction_strength,
     }
@@ -267,7 +264,7 @@ def separability(spec: SpecFile) -> Report:
     from . import panels as pn
 
     models, data = spec.panel_inputs()
-    joint_ll, _, _, comparison = _grid_comparison(models, data, spec.run.grid)
+    grids, comparison = _grid_comparison(models, data, spec.run.grid)
     results: dict = {}
 
     if models.factors is not None:
@@ -278,7 +275,7 @@ def separability(spec: SpecFile) -> Report:
         }
 
     grid = pn.interior_grid(spec.run.grid)
-    verdict = pn.separability_check_numeric(joint_ll, [grid] * len(models.priors))
+    verdict = pn.separability_check_numeric(grids.joint_ll, [grid] * len(models.priors))
     results["numeric"] = {
         "separable": verdict.separable,
         "max_residual": verdict.max_residual,

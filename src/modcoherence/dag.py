@@ -113,7 +113,7 @@ def build_dag(
     except CycleError as exc:
         raise CycleDetected(str(exc)) from exc
     for dep in dag.dependencies:
-        stray = ({dep.determined} | dep.determiners) - dag.node_names
+        stray = (dep.determined | dep.determiners) - dag.node_names
         if stray:
             raise UnknownSymbol(f"dependency mentions undeclared nodes: {sorted(stray)}")
     return dag

@@ -440,3 +440,24 @@ def panel_joint_loglik(
 
     return joint_ll
 
+
+class GridComparison(Record):
+    joint_ll: Callable[..., np.ndarray]
+    distributed: GridDensity
+    oracle: GridDensity
+    divergence: Divergence
+
+
+def grid_comparison(
+    priors: Sequence[GridDensity],
+    logliks: Sequence[Callable[[np.ndarray], np.ndarray]],
+    strength: float,
+) -> GridComparison:
+    """Distributed updating against one analyst's on the same prior grids:
+    the joint log-likelihood ``panel_joint_loglik(logliks, strength)``, the
+    distributed posterior (each panel's prior grid updated by its own
+    log-likelihood, then composed), the joint oracle and their divergence."""
+    joint_ll = panel_joint_loglik(logliks, strength)
+    distributed = compose_product([panel_update_grid(g, ll) for g, ll in zip(priors, logliks)])
+    oracle = joint_oracle(priors, joint_ll)
+    return GridComparison(joint_ll, distributed, oracle, divergence(distributed, oracle))

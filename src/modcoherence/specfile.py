@@ -285,7 +285,7 @@ def _graph(section: dict, system: Optional[PanelSystem]) -> Dag:
         for dep in _list(section.get("dependencies", []), "graph.dependencies"):
             _require_keys(dep, {"determined", "determiners"}, "graph dependency")
             deps.append(FunctionalDependency(
-                _string(dep, "determined", "graph dependency"),
+                frozenset({_string(dep, "determined", "graph dependency")}),
                 _names(dep.get("determiners"), "graph dependency.determiners"),
             ))
         return build_dag(nodes, edges, deps)

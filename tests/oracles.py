@@ -13,7 +13,14 @@ from graphlib import TopologicalSorter
 
 import numpy as np
 
-from modcoherence.ci import CIError, apply_axiom, derive, derive_through, normalize
+from modcoherence.ci import (
+    CIError,
+    FunctionalDependency,
+    apply_axiom,
+    derive,
+    derive_through,
+    normalize,
+)
 from modcoherence.panels import DegenerateLikelihood, Divergence, NonFiniteLogLikelihood
 from modcoherence.protocol import _goal_waypoints, autonomy_goal, independence_goal
 
@@ -234,6 +241,14 @@ def reference_closure(base, deps, universe):
         fresh = found - known
         known |= fresh
     return frozenset(known)
+
+
+def single_symbol_expansion(deps) -> tuple:
+    """Each dependency X -> Y as the facts X -> {y}, one per y in Y: the
+    same closure by Armstrong's decomposition and union rules."""
+    return tuple(
+        FunctionalDependency(frozenset({y}), d.determiners) for d in deps for y in sorted(d.determined)
+    )
 
 
 def full_path_goal_statuses(sys, mode) -> tuple:

@@ -75,7 +75,7 @@ def joint_with_deterministic_x(rng: np.random.Generator) -> np.ndarray:
     return joint
 
 
-DET_DEPS = (FunctionalDependency("X", frozenset({"c0", "c1"})),)
+DET_DEPS = (FunctionalDependency(frozenset({"X"}), frozenset({"c0", "c1"})),)
 
 
 def check(joint: np.ndarray, stmt) -> bool:

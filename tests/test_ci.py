@@ -17,6 +17,7 @@ from modcoherence.ci import (
     Proof,
     ProofStep,
     ShapeMismatch,
+    UnknownRule,
     UnlicensedDeterminism,
     UniverseError,
     aggregate_dependencies,
@@ -37,7 +38,7 @@ from modcoherence.protocol import (
     condition_statements,
 )
 
-from .oracles import reference_closure
+from .oracles import reference_closure, single_symbol_expansion
 
 T1, T2, I0, ISTAR, IPLUS, I11 = "theta_1", "theta_2", "I_0", "I_*", "I_+", "I_11"
 
@@ -100,8 +101,8 @@ class TestApplyAxiom:
     def test_determinism_drop(self):
         # {I_+} determines I_* and I_0, so both can leave the context
         deps = (
-            FunctionalDependency(ISTAR, frozenset({IPLUS})),
-            FunctionalDependency(I0, frozenset({IPLUS})),
+            FunctionalDependency(frozenset({ISTAR}), frozenset({IPLUS})),
+            FunctionalDependency(frozenset({I0}), frozenset({IPLUS})),
         )
         s = normalize({T1}, {T2}, {I0, ISTAR, IPLUS})
         out = apply_axiom("determinism_drop", [s], selection={ISTAR}, deps=deps)
@@ -114,21 +115,22 @@ class TestApplyAxiom:
             apply_axiom("determinism_drop", [s], selection={ISTAR})
 
     def test_determinism_augment_adds_determined_symbol(self):
-        deps = (FunctionalDependency(ISTAR, frozenset({I11})),)
+        deps = (FunctionalDependency(frozenset({ISTAR}), frozenset({I11})),)
         s = normalize({T1}, {T2}, {I11})
         out = apply_axiom("determinism_augment", [s], selection={ISTAR}, deps=deps)
         assert out == normalize({T1}, {T2}, {I11, ISTAR})
 
     def test_determinism_augment_moves_between_side_and_context(self):
-        deps = (FunctionalDependency(ISTAR, frozenset({I11})),)
+        deps = (FunctionalDependency(frozenset({ISTAR}), frozenset({I11})),)
         side = normalize({T1}, {T2, ISTAR}, {I11})
         ctx = normalize({T1}, {T2}, {I11, ISTAR})
         assert apply_axiom("determinism_augment", [side], selection={ISTAR}, deps=deps) == ctx
         assert apply_axiom("determinism_augment", [ctx], selection={ISTAR}, deps=deps) == side
 
     def test_unknown_rule(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(UnknownRule, match="unknown rule 'intersection'") as caught:
             apply_axiom("intersection", [normalize({T1}, {T2})])
+        assert isinstance(caught.value, CIError) and isinstance(caught.value, ValueError)
 
     @pytest.mark.parametrize(
         "rule, n_inputs, selection, message",
@@ -153,21 +155,22 @@ class TestApplyAxiom:
 class TestDependencies:
     def test_self_dependency_rejected(self):
         with pytest.raises(ValueError):
-            FunctionalDependency(T1, frozenset({T1, T2}))
+            FunctionalDependency(frozenset({T1}), frozenset({T1, T2}))
 
     def test_a_string_of_determiners_is_refused(self):
         # frozenset("theta_1") is its characters: the dependency would never fire
         with pytest.raises(CIError, match="collection of symbols"):
-            FunctionalDependency("I_+", "theta_1")
+            FunctionalDependency(frozenset({"I_+"}), "theta_1")
 
     def test_a_string_of_components_is_refused(self):
         with pytest.raises(CIError, match="collection of symbols"):
             aggregate_dependencies(ISTAR, "ab")
 
     @pytest.mark.parametrize("determined, determiners, field", [
-        (["a"], {"b"}, "determined"),  # a list is not hashable
-        ("a", [["b"]], "determiners"),  # nor is a list among the determiners
-        ("a", None, "determiners"),  # not iterable
+        ("a", {"b"}, "determined"),  # a str would split into characters
+        ([["a"]], {"b"}, "determined"),  # a list among the determined is not hashable
+        ({"a"}, [["b"]], "determiners"),  # nor is a list among the determiners
+        ({"a"}, None, "determiners"),  # not iterable
     ])
     def test_a_malformed_dependency_is_a_ci_error(self, determined, determiners, field):
         with pytest.raises(CIError, match=f"^{field} must be"):
@@ -184,14 +187,15 @@ class TestDependencies:
 
     def test_aggregate_is_bidirectional(self):
         facts = aggregate_dependencies(ISTAR, {I11, "I_22"})
-        assert FunctionalDependency(ISTAR, frozenset({I11, "I_22"})) in facts
-        assert FunctionalDependency(I11, frozenset({ISTAR})) in facts
-        assert len(facts) == 3
+        assert facts == (
+            FunctionalDependency(frozenset({ISTAR}), frozenset({I11, "I_22"})),
+            FunctionalDependency(frozenset({I11, "I_22"}), frozenset({ISTAR})),
+        )
 
     def test_determined_closure_chains(self):
         deps = (
-            FunctionalDependency(ISTAR, frozenset({IPLUS})),
-            FunctionalDependency(I11, frozenset({ISTAR})),
+            FunctionalDependency(frozenset({ISTAR}), frozenset({IPLUS})),
+            FunctionalDependency(frozenset({I11}), frozenset({ISTAR})),
         )
         assert determined_closure({IPLUS}, deps) == frozenset({IPLUS, ISTAR, I11})
 
@@ -232,8 +236,8 @@ class TestDerive:
 
     def test_contraction_chain_proof_replays(self):
         deps = (
-            FunctionalDependency(ISTAR, frozenset({IPLUS})),
-            FunctionalDependency(I0, frozenset({IPLUS})),
+            FunctionalDependency(frozenset({ISTAR}), frozenset({IPLUS})),
+            FunctionalDependency(frozenset({I0}), frozenset({IPLUS})),
         )
         base = [
             normalize({T1}, {T2}, {I0}),
@@ -291,6 +295,11 @@ class TestDerive:
         assert not Proof(proof.premises, tuple(tampered), proof.goal).replay(deps)
         # a goal the last step does not reach
         assert not Proof(proof.premises, proof.steps, autonomy_goal(system, 2)).replay(deps)
+
+    def test_replay_rejects_a_step_with_an_unknown_rule(self):
+        premise = normalize({"A"}, {"B"})
+        step = ProofStep("bogus", (premise,), EMPTY, premise)
+        assert not Proof((premise,), (step,), premise).replay()
 
     def test_replay_rejects_a_step_naming_an_unavailable_statement(self):
         # each step is a valid rule application; only its inputs are not yet
@@ -438,9 +447,9 @@ def _random_instance(rng):
         base.add(normalize(picked[:n_a], picked[n_a : n_a + n_b], picked[n_a + n_b : n_a + n_b + n_c]))
     deps = []
     for _ in range(rng.randint(0, 2)):
-        determined = rng.choice(universe + ["X"])
-        others = [s for s in universe + ["X"] if s != determined]
-        deps.append(FunctionalDependency(determined, frozenset(rng.sample(others, rng.randint(1, 2)))))
+        picked = rng.sample(universe + ["X"], rng.randint(2, 4))
+        n_determined = rng.randint(1, min(2, len(picked) - 1))
+        deps.append(FunctionalDependency(frozenset(picked[:n_determined]), frozenset(picked[n_determined:])))
     return sorted(base, key=CIStatement.sort_key), deps, universe
 
 
@@ -454,10 +463,28 @@ def test_closure_matches_reference_on_random_instances():
     assert mismatched == []
 
 
+def test_set_valued_closures_match_their_single_symbol_expansion():
+    rng = random.Random(3)
+    names = NAMES + ["X"]
+    for _ in range(300):
+        deps = []
+        for _ in range(rng.randint(1, 4)):
+            picked = rng.sample(names, rng.randint(1, len(names)))
+            k = rng.randint(1, len(picked))  # k == len(picked): constants
+            deps.append(FunctionalDependency(frozenset(picked[:k]), frozenset(picked[k:])))
+        expanded = single_symbol_expansion(deps)
+        context = rng.sample(names, rng.randint(0, 3))
+        want = determined_closure(context, expanded)
+        assert determined_closure(context, deps) == want
+        for facts in (deps, expanded):
+            memo = Memo(facts, names)
+            assert memo.names_of(memo.det(memo._mask(context))) == want
+
+
 def test_dependency_chain_through_symbol_outside_universe():
     # C determines X and X determines D, so D may join the context although
     # X is not in the universe
-    deps = (FunctionalDependency("X", frozenset({"C"})), FunctionalDependency("D", frozenset({"X"})))
+    deps = (FunctionalDependency(frozenset({"X"}), frozenset({"C"})), FunctionalDependency(frozenset({"D"}), frozenset({"X"})))
     goal = normalize({"A"}, {"B"}, {"C", "D"})
     result = derive([normalize({"A"}, {"B"}, {"C"})], deps, goal, universe={"A", "B", "C", "D"})
     assert result.status == "proved"

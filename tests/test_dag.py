@@ -62,12 +62,12 @@ class TestBuildDag:
 
     def test_dependency_symbols_validated(self):
         with pytest.raises(UnknownSymbol):
-            build_dag(["A"], [], [FunctionalDependency("A", frozenset({"Z"}))])
+            build_dag(["A"], [], [FunctionalDependency(frozenset({"A"}), frozenset({"Z"}))])
 
     def test_cycle_reported_before_dependency_symbols(self):
         with pytest.raises(CycleDetected):
             build_dag(["A", "B"], [("A", "B"), ("B", "A")],
-                      [FunctionalDependency("A", frozenset({"Z"}))])
+                      [FunctionalDependency(frozenset({"A"}), frozenset({"Z"}))])
 
     def test_adjacency_matches_edge_scan(self):
         rng = np.random.default_rng(4242)
@@ -119,14 +119,14 @@ class TestDSeparation:
         dag = build_dag(
             ["A", "B", "S"],
             [("A", "B"), ("A", "S")],
-            [FunctionalDependency("A", frozenset({"S"}))],
+            [FunctionalDependency(frozenset({"A"}), frozenset({"S"}))],
         )
         assert d_separated(dag, {"S"}, {"B"}, {"A"})
         # and symmetrically the closure pins A once S is given
         dag2 = build_dag(
             ["A", "B", "C", "S"],
             [("A", "B"), ("A", "C"), ("A", "S")],
-            [FunctionalDependency("A", frozenset({"S"}))],
+            [FunctionalDependency(frozenset({"A"}), frozenset({"S"}))],
         )
         assert d_separated(dag2, {"B"}, {"C"}, {"S"})
         assert not d_separated(dag2, {"B"}, {"C"})

@@ -86,9 +86,18 @@ class TestBuildSystem:
         sys = build_system(2)
         deps = {(d.determined, d.determiners) for d in sys.dependencies}
         own = frozenset({"I_11^0", "I_22^0"})
-        assert ("I_*^0", own) in deps
-        assert ("I_11^0", frozenset({"I_*^0"})) in deps
-        assert ("I_0^0", frozenset({"I_+^0"})) in deps
+        full = own | {"I_12^0", "I_21^0", "I_0^0"}
+        assert deps == {
+            (frozenset({"I_*^0"}), own),
+            (own, frozenset({"I_*^0"})),
+            (frozenset({"I_+^0"}), full),
+            (full, frozenset({"I_+^0"})),
+        }
+
+
+    def test_two_facts_per_pool_at_every_panel_count(self):
+        for m in range(2, 33):
+            assert len(build_system(m).dependencies) == 4
 
 
 class TestConditionStatements:

@@ -17,12 +17,13 @@ STEP = ci.ProofStep("symmetry", (S,), frozenset(), S)
 PROOF = ci.Proof((S,), (STEP,), S)
 DAG = dag.build_dag(("A", "B"), (("A", "B"),))
 BETA = values.BetaParams(2.0, 3.0)
+GRID = panels.uniform_grid(3)
 RUN = specfile.RunOptions(101, 5)
 
 # one instance's field values per record class, in field order
 EXAMPLES = {
     ci.CIStatement: (frozenset({"A"}), frozenset({"B"}), frozenset({"C"})),
-    ci.FunctionalDependency: ("X", frozenset({"Y", "Z"})),
+    ci.FunctionalDependency: (frozenset({"X"}), frozenset({"Y", "Z"})),
     ci.ProofStep: ("symmetry", (S,), frozenset(), S),
     ci.Proof: ((S,), (STEP,), S),
     ci.ClosureResult: (frozenset({S}), True, 1),
@@ -43,6 +44,7 @@ EXAMPLES = {
     specfile.SpecFile: (None, (), (S,), S, DAG, None, None, None, RUN),
     panels.Divergence: (0.0, 0.5),
     panels.SeparabilityVerdict: (True, (), 0.0),
+    panels.GridComparison: (panels.block_product, GRID, GRID, panels.Divergence(0.0, 0.0)),
 }
 HOT = (ci.CIStatement, ci.ProofStep, ci.Proof, ci.DeriveResult)
 
@@ -172,10 +174,13 @@ def test_validations_are_unchanged():
         with pytest.raises(values.PanelsError, match="must be positive"):
             values.BetaParams(alpha, beta)
     with pytest.raises(SelfDependency):
-        ci.FunctionalDependency("A", {"A", "B"})
+        ci.FunctionalDependency({"A"}, {"A", "B"})
     with pytest.raises(CIError, match="collection of symbols"):
-        ci.FunctionalDependency("A", "BC")
-    assert ci.FunctionalDependency("A", ["B", "C"]).determiners == frozenset({"B", "C"})
-    assert type(ci.FunctionalDependency("A", ["B"]).determiners) is frozenset
+        ci.FunctionalDependency({"A"}, "BC")
+    with pytest.raises(CIError, match="collection of symbols"):
+        ci.FunctionalDependency("A", {"B"})
+    assert ci.FunctionalDependency(["A"], ["B", "C"]).determiners == frozenset({"B", "C"})
+    assert type(ci.FunctionalDependency(["A"], ["B"]).determined) is frozenset
+    assert type(ci.FunctionalDependency(["A"], ["B"]).determiners) is frozenset
     assert values.Factor("f", [1, 2]).scope == frozenset({1, 2})
     assert type(values.Factor("f", [1]).scope) is frozenset
