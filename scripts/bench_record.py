@@ -32,20 +32,23 @@ SECONDS = 20
 
 # (name, runs per side, code that leaves a JSON-able summary in ``out``); the
 # m=6 and m=7 verifications take about 0.02 s each, so they show a prover
-# that slows down, not a few percent, and run three times like the rest; the
-# m=32 verification, the largest protocol a spec allows, builds 64 lumped goal
-# proofs, so it is the case where proof handling and determinism closures
-# weigh most, and with the m=16 one it runs ten times, since three runs per
-# side of unchanged code moved by more than 25 %; the
+# that slows down, not a few percent, and run three times; the m=32
+# verification, the largest protocol a spec allows, runs 4 lumped
+# derivations (panels 3..32 reuse panel 2's, renamed) and still expands and
+# replays 64 goal proofs, so it is the case where proof handling and
+# determinism closures weigh most, and with the m=16 one it runs ten times,
+# since three runs per side of unchanged code moved by more than 25 %; the
 # m=3 ablation, about 45 s a run, runs three times, since one run per side
 # moved by 15 % on noise alone; separability_m2 imports panels inside the
 # timed code, so its import cost shows; joint_oracle_m3_256 runs the grid
 # engine at specfile.MAX_GRID_CELLS, so its peak RSS is that of the largest
 # spec allowed; cli_import starts 15 interpreters that import the CLI from
 # source, as the benchmark's CLI children do, so the import's share of a
-# command shows apart from the host noise in cli.import_s
+# command shows apart from the host noise in cli.import_s; it and
+# closure_m2 run ten times, since three runs per side moved by 10-18 % on
+# noise alone
 LAYER_CASES = (
-    ("cli_import", 3,
+    ("cli_import", 10,
      "import os, subprocess, sys\n"
      "env = {**os.environ, 'PYTHONDONTWRITEBYTECODE': '1'}\n"
      "cmd = [sys.executable, '-c', 'import modcoherence.cli']\n"
@@ -64,7 +67,7 @@ LAYER_CASES = (
      "oracle = pn.joint_oracle(priors, pn.panel_joint_loglik(lls, 12.0))\n"
      "out = {'tv': pn.divergence(dist, oracle).total_variation,\n"
      "       'mean': pn.functional_expectation(oracle, pn.block_product)}"),
-    ("closure_m2", 3,
+    ("closure_m2", 10,
      "s = p.build_system(2)\n"
      "r = ci.closure(p.base_statements(s), s.dependencies, s.universe)\n"
      "out = {'statements': r.generated, 'complete': r.complete}"),

@@ -408,17 +408,19 @@ class Memo:
 
     It holds the bit encoding (bit i stands for the i-th name, in sorted
     order, among the universe and every symbol a dependency mentions), one
-    determinism-closure cache, and one search per ``(universe, base,
-    budget)``.  The search order does not depend on the goal, so every query
-    on a base is answered from that search: a goal it already knows is
-    proved from the stored provenance, any other goal resumes it, and once
-    it has ended its status, ``not_derivable`` or ``budget_exhausted``, and
-    size answer every goal it does not know, as a fresh search would.
+    determinism-closure cache, one search per ``(universe, base, budget)``
+    and the statement each decoded triple stands for, so proofs that
+    extract the same statements share them.  The search order does not
+    depend on the goal, so every query on a base is answered from that
+    search: a goal it already knows is proved from the stored provenance,
+    any other goal resumes it, and once it has ended its status,
+    ``not_derivable`` or ``budget_exhausted``, and size answer every goal it
+    does not know, as a fresh search would.
 
     Pass one memo to every :func:`derive` and :func:`derive_through` call
     over the same dependencies; a call without one makes its own.  A memo
-    keeps its searches alive, so keep it no longer than the queries that
-    share it.
+    keeps its searches and decoded statements alive, so keep it no longer
+    than the queries that share it.
     """
 
     def __init__(self, deps: Iterable[FunctionalDependency], universe: Iterable[Symbol]) -> None:
@@ -432,6 +434,7 @@ class Memo:
         )
         self.det_cache: dict[int, int] = {}
         self.searches: dict[tuple, _Saturation] = {}  # (universe, base, budget) -> search
+        self._decoded: dict[_Triple, CIStatement] = {}
 
     def _mask(self, names: Iterable[Symbol]) -> int:
         mask = 0
@@ -451,7 +454,10 @@ class Memo:
         return (self._mask(s.a), self._mask(s.b), self._mask(s.c))
 
     def decode(self, t: _Triple) -> CIStatement:
-        return CIStatement(*(self.names_of(m) for m in t))
+        got = self._decoded.get(t)
+        if got is None:
+            got = self._decoded[t] = CIStatement(*(self.names_of(m) for m in t))
+        return got
 
     def det(self, ctx: int) -> int:
         """Mask of :func:`determined_closure` of ``ctx``."""

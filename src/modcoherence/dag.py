@@ -16,6 +16,7 @@ from typing import Iterable
 from . import ModcoherenceError, Record
 from .ci import (
     EMPTY,
+    EmptySide,
     FunctionalDependency,
     OverlappingSets,
     Symbol,
@@ -123,6 +124,8 @@ def _validate_query(dag: Dag, a: VarSet, b: VarSet, c: VarSet) -> None:
     stray = (a | b | c) - dag.node_names
     if stray:
         raise UnknownSymbol(f"query mentions undeclared nodes: {sorted(stray)}")
+    if not a or not b:
+        raise EmptySide("query sides a and b must be non-empty")
     if a & b or a & c or b & c:
         raise OverlappingSets("query sets must be pairwise disjoint")
 

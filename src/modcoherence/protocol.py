@@ -266,6 +266,7 @@ def _derive_lumped(
     route: tuple[int, str],
     budget: int,
     memo: Optional[Memo] = None,
+    shared: Optional[dict] = None,
 ) -> DeriveResult:
     """Goal ``route = (i, name)`` derived with theta_rest(i) lumped into one
     symbol, over :func:`_lumped_universe`.
@@ -286,10 +287,23 @@ def _derive_lumped(
     universe holding the lumped one, such as the system's: the encoding
     keeps names in sorted order, so every orientation and rule order, and
     with them the proof, are the same as in a memo of the lumped universe.
+
+    ``shared`` holds lumped derivations by order type: the sliced base and
+    the waypoints written as ranks in the sorted lumped universe, and the
+    budget.  Panels 2..m sort alike, theta_1 before their own theta, and
+    panel 1 apart, its own theta_1 first.  Swapping panels 2 and i maps the
+    dependencies onto themselves and panel 2's lumped universe onto panel
+    i's in sorted order, so a derivation of the same order type is the same
+    search renamed.  A bare verdict thus derives panel 2's goals once and
+    renames them, rank for rank, for panels 3..m; a slice that an extra
+    statement changes misses the table and is derived directly, as is
+    every goal of a call without ``shared``.  Every expanded proof is
+    replayed in the full system, renamed or not.
     """
     i, name = route
     rest = sys.theta_rest(i)
     universe = _lumped_universe(sys, i)
+    names = sorted(universe)
     lumped = min(rest)
 
     def lump(s: CIStatement) -> Optional[CIStatement]:
@@ -302,15 +316,29 @@ def _derive_lumped(
             sides.append(side)
         return normalize(*sides)
 
-    def expand(side: VarSet) -> VarSet:
-        return side | rest if lumped in side else side
-
     deps = sys.dependencies
     sliced = [t for s in base if (t := lump(s)) is not None and t.symbols() <= universe]
     waypoints = tuple(lump(w) for w in _goal_waypoints(sys, i, name))
-    result = derive_through(sliced, deps, waypoints, budget, universe, memo=memo)
+    bit = {n: 1 << k for k, n in enumerate(names)}
+
+    def ranked(s: CIStatement) -> tuple[int, ...]:
+        return tuple(sum(map(bit.__getitem__, side)) for side in (s.a, s.b, s.c))
+
+    key = (frozenset(map(ranked, sliced)), tuple(map(ranked, waypoints)), budget)
+    if shared is None:
+        shared = {}
+    if key not in shared:
+        shared[key] = names, derive_through(sliced, deps, waypoints, budget, universe, memo=memo)
+    source, result = shared[key]
     if not result.proved:
         return result
+    rename = dict(zip(source, names))
+
+    @functools.cache  # a proof repeats few distinct sides
+    def expand(side: VarSet) -> VarSet:
+        side = frozenset([rename[n] for n in side])
+        return side | rest if lumped in side else side
+
     # each statement of the proof expanded once, shared by every step that names it
     full = {s: normalize(expand(s.a), expand(s.b), expand(s.c)) for s in result.proof.statements()}
     steps = tuple(
@@ -327,17 +355,20 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
     goal's lumped derivation first (:func:`_derive_lumped`), then one
     unconstrained search of the full system, so every status but ``proved``
-    comes from the full system; all of them share one memo.  Graphical mode
-    asks d-separation."""
+    comes from the full system; all of them share one memo, and the lumped
+    derivations one table by order type, so panels 3..m reuse panel 2's
+    lumped proofs, renamed.  Both live as long as the decider, one verdict.
+    Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
         memo = Memo(sys.dependencies, sys.universe)
+        shared: dict = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
-                result = _derive_lumped(sys, mode.base, route, mode.budget, memo)
+                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, shared)
                 if result.proved:
                     return result.status, result.proof
             result = derive(mode.base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)

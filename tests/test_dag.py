@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcoherence.ci import FunctionalDependency, normalize
+from modcoherence.ci import EmptySide, FunctionalDependency, normalize
 from modcoherence.dag import (
     CycleDetected,
     DagError,
@@ -137,6 +137,14 @@ class TestDSeparation:
             d_separated(dag, {"A"}, {"Z"})
         with pytest.raises(Exception):
             d_separated(dag, {"A"}, {"A"})
+
+    @pytest.mark.parametrize("a, b", [([], ["y"]), (["x"], [])])
+    def test_empty_side_is_refused_as_normalize_refuses_it(self, a, b):
+        dag = build_dag(["x", "y"], [("x", "y")])
+        with pytest.raises(EmptySide):
+            d_separated(dag, a, b)
+        with pytest.raises(EmptySide):
+            normalize(a, b)
 
 
 class TestLocalMarkovBasis:

@@ -312,8 +312,13 @@ def _assert_matches_reference(sys, mode, verdict):
 
 
 class TestMemo:
-    @pytest.mark.parametrize("m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6)])
+    @pytest.mark.parametrize(
+        "m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8), (5, 300, 6)]
+    )
     def test_random_bases_match_memo_less_derivations(self, m, budget, instances):
+        """The reference derives every panel's goals on their own, so from
+        m = 3 on it checks the lumped results panels share, proofs renamed;
+        at budget 300 some full-system searches run out."""
         sys = build_system(m)
         statuses = set()
         for seed in range(instances):
@@ -401,6 +406,45 @@ class TestMemo:
 
 
 class TestLumpedRoute:
+    @staticmethod
+    def _record_lumped(monkeypatch):
+        """A list that fills with the result of each lumped derivation,
+        recorded at ``protocol.derive_through``, the binding it is made
+        through."""
+        results = []
+        original = protocol.derive_through
+
+        def recorded(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(protocol, "derive_through", recorded)
+        return results
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_bare_verdict_makes_four_lumped_derivations(self, monkeypatch, m):
+        """Panel 1's two goals and panel 2's are derived; panels 3..m sort
+        their lumped universes as panel 2 does and reuse its proofs."""
+        sys = build_system(m)
+        mode = AxiomaticMode(base_statements(sys))
+        results = self._record_lumped(monkeypatch)
+        verdict = verify_coherence(sys, mode)
+        assert [r.status for r in results] == ["proved"] * 4
+        monkeypatch.undo()
+        _assert_matches_reference(sys, mode, verdict)
+
+    def test_an_extra_in_one_panels_slice_is_derived_directly(self, monkeypatch):
+        """An extra over panel 3's lumped universe alone changes its slice,
+        so panel 3 misses panel 2's derivations and makes its own."""
+        sys = build_system(3)
+        extra = normalize({"I_33^0"}, {"I_*^0"}, {"I_0^0"})
+        mode = AxiomaticMode(base_statements(sys) + (extra,))
+        results = self._record_lumped(monkeypatch)
+        verdict = verify_coherence(sys, mode)
+        assert len(results) == 6
+        monkeypatch.undo()
+        _assert_matches_reference(sys, mode, verdict)
+
     @pytest.mark.parametrize(
         "m, budget, instances",
         [(2, 3_000, 12), (2, 300, 12), (3, 2_000, 8), (3, 300, 8), (4, 2_000, 4), (4, 300, 4)],
