@@ -46,7 +46,10 @@ SECONDS = 20
 # source, as the benchmark's CLI children do, so the import's share of a
 # command shows apart from the host noise in cli.import_s; it and
 # closure_m2 run ten times, since three runs per side moved by 10-18 % on
-# noise alone
+# noise alone; joint_oracle_short_last_block runs the grid engine on 13
+# blocks of 3 points, where a leaf holds about 11,000 rows of the streamed
+# prior, with its ll evaluated beforehand: a case restarts the clock
+# (``start``) after its set-up, so its seconds are ten oracle calls alone
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"
@@ -67,6 +70,17 @@ LAYER_CASES = (
      "oracle = pn.joint_oracle(priors, pn.panel_joint_loglik(lls, 12.0))\n"
      "out = {'tv': pn.divergence(dist, oracle).total_variation,\n"
      "       'mean': pn.functional_expectation(oracle, pn.block_product)}"),
+    ("joint_oracle_short_last_block", 10,
+     "import numpy as np\n"
+     "from modcoherence import panels as pn\n"
+     "rng = np.random.default_rng(0)\n"
+     "masses = rng.uniform(0.5, 1.5, size=(13, 3))\n"
+     "priors = [pn.GridDensity((pn.interior_grid(3),), w / w.sum()) for w in masses]\n"
+     "ll = rng.normal(size=(3,) * 13)\n"
+     "start = time.perf_counter()\n"
+     "for _ in range(10):\n"
+     "    oracle = pn.joint_oracle(priors, lambda *blocks: ll)\n"
+     "out = {'cells': oracle.weights.size, 'max': float(oracle.weights.max())}"),
     ("closure_m2", 10,
      "s = p.build_system(2)\n"
      "r = ci.closure(p.base_statements(s), s.dependencies, s.universe)\n"

@@ -711,7 +711,8 @@ def closure(
     memo, universe = _memo_for(None, base, deps, universe)
     search = _Saturation(base, memo, universe, budget)
     search.run(memo)
-    statements = frozenset(memo.decode(t) for t in search.known)
+    # one-off: built directly, not through the memo's decode cache
+    statements = frozenset(CIStatement(*(memo.names_of(m) for m in t)) for t in search.known)
     return ClosureResult(statements, search.status == "not_derivable", len(search.known))
 
 

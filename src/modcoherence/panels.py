@@ -18,6 +18,10 @@ a C-contiguous grid - what every bundled model returns - is read in place and
 no full-grid temporary is built; a grid in any other layout is read through
 one full-grid copy.  The sums follow numpy's own pairwise-summation tree
 (``_pairwise``), so each equals ``np.sum`` of the whole grid bit for bit.
+Every outer product of masses - the composed product, the streamed prior and
+its head - is written leaf by leaf by one helper, ``_outer_cells``, and a
+density the engine produces is written in its own validation sweep: each
+leaf is filled, then checked, while it is in cache.
 """
 
 from __future__ import annotations
@@ -41,6 +45,8 @@ RESIDUAL_RTOL = 2.0**-40
 # cells per leaf of a full-grid pass: 256 KiB of floats, so the two or three
 # leaf arrays a pass touches stay in a 2 MiB L2 cache
 LEAF = 2**15
+# writes cells lo..hi-1 (hi - lo <= LEAF) of a flattened grid into the given leaf array
+Fill = Callable[[int, int, np.ndarray], object]
 
 
 class InvalidCounts(PanelsError):
@@ -90,25 +96,47 @@ class GridDensity:
     has shape (n_1, ..., n_m), is non-negative and sums to one, and is kept
     C-contiguous (a copy when given in another layout).  A single panel's
     density is the one-block case ``((points,), weights)``.
+
+    Every density, given or produced, passes one validation sweep: ``min``
+    and ``sum`` of each leaf of its flattened masses.  The engine's own
+    densities (``_written``) have each leaf written in that sweep, just
+    before it is checked, so no separate pass reads the grid again.
     """
 
     blocks: tuple[np.ndarray, ...]
     weights: np.ndarray
 
     def __init__(self, blocks: Sequence[np.ndarray], weights: np.ndarray) -> None:
+        self._validate(blocks, np.asarray(weights, dtype=float, order="C"), None)
+
+    @classmethod
+    def _written(
+        cls, blocks: Sequence[np.ndarray], weights: np.ndarray, fill: Fill
+    ) -> GridDensity:
+        """The density whose C-contiguous masses ``weights`` are completed
+        leaf by leaf by ``fill(lo, hi, part)``, in the validation sweep."""
+        density = cls.__new__(cls)
+        density._validate(blocks, weights, fill)
+        return density
+
+    def _validate(
+        self, blocks: Sequence[np.ndarray], weights: np.ndarray, fill: Fill | None
+    ) -> None:
         self.blocks = tuple(_as_points(b) for b in blocks)
-        self.weights = np.asarray(weights, dtype=float, order="C")
+        self.weights = weights
         expected = tuple(len(b) for b in self.blocks)
-        if self.weights.shape != expected:
+        if weights.shape != expected:
             raise ShapeMismatch(
-                f"weight array shape {self.weights.shape} != product grid shape {expected}"
+                f"weight array shape {weights.shape} != product grid shape {expected}"
             )
-        flat = self.weights.reshape(-1)
+        flat = weights.reshape(-1)
         low = 0.0  # a nan anywhere keeps it nan, as in weights.min()
 
         def leaf(lo: int, hi: int) -> float:
             nonlocal low
             part = flat[lo:hi]
+            if fill is not None:
+                fill(lo, hi, part)
             low = np.minimum(low, part.min(initial=0.0))
             return part.sum()
 
@@ -164,68 +192,92 @@ def product_mean(posteriors: Sequence[BetaParams]) -> float:
     return float(np.prod([p.mean for p in posteriors]))
 
 
-def _reweight(head: np.ndarray, tail: np.ndarray, ll: np.ndarray) -> np.ndarray:
+def _outer_cells(head: np.ndarray, tail: np.ndarray) -> Fill:
+    """The flattened outer product of two flat mass arrays, leaf by leaf.
+
+    ``cells(lo, hi, out)`` writes cells lo..hi-1 into ``out`` and returns
+    it.  Cell c is ``head[c // T] * tail[c % T]``, T = ``tail.size``: the
+    product ``np.multiply.outer(head, tail)`` forms, bit for bit.  The cells
+    left in the leaf's first row are one product; the rows after it are
+    filled with their ``head`` masses, whole rows as one broadcast copy, and
+    then multiplied in place by ``tail`` tiled across the leaf: one long
+    multiply, not one numpy call per row.
+    """
+    width = tail.size
+    size = min(LEAF, head.size * width)
+    tiled = np.tile(tail[:size], -(-size // width))  # tail repeated over at least one leaf
+
+    def cells(lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+        row, a = divmod(lo, width)
+        k = min(width - a, hi - lo)  # the cells in the first row
+        np.multiply(head[row], tail[a : a + k], out=out[:k])
+        if k < hi - lo:
+            rest = out[k:]
+            full, b = divmod(rest.size, width)
+            rest[: full * width].reshape(full, width)[...] = head[row + 1 : row + 1 + full, None]
+            if b:  # the leaf ends mid-row
+                rest[full * width :] = head[row + 1 + full]
+            rest *= tiled[: rest.size]
+        return out
+
+    return cells
+
+
+def _outer(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """``np.multiply.outer(head, tail)`` of two flat arrays, flattened."""
+    out = np.empty(head.size * tail.size)
+    cells = _outer_cells(head, tail)
+    for lo in range(0, out.size, LEAF):
+        cells(lo, min(lo + LEAF, out.size), out[lo : lo + LEAF])
+    return out
+
+
+def _reweight(head: np.ndarray, tail: np.ndarray, ll: np.ndarray) -> tuple[np.ndarray, Fill]:
     """Grid Bayes step: the prior times ``exp(ll)``, renormalized, for a
     prior given as two flat factors and never held as a full grid.
 
-    Cell c of the prior is ``head[c // T] * tail[c % T]``, T = ``tail.size``:
-    the product ``np.multiply.outer(head, tail)`` forms.  Each leaf computes
-    only its own prior cells, from whole rows ``head[h] * tail`` and the part
-    rows at its ends, into one leaf buffer.  ``head`` is ``[1.0]`` for a
-    prior of one density.  ``ll`` is read through its C-order flatten: in
-    place when it is C-contiguous, as every bundled model's is, and through
-    one full-grid copy in any other layout.  It is shifted by its maximum over
-    the cells the prior gives mass, so the top cell keeps its own mass and the
-    total is positive.  A flat ``ll`` (one finite value on every cell) is the
-    identity: the prior's masses are returned exactly, not divided by their
-    rounded sum.
+    Returns the posterior's array and the fill that completes it leaf by
+    leaf in its density's validation sweep (``GridDensity._written``): the
+    array holds the unnormalized posterior and the fill divides each leaf by
+    the total.  The prior's cells are those of ``_outer_cells(head, tail)``;
+    each leaf computes only its own, into one leaf buffer.  ``head`` is
+    ``[1.0]`` for a prior of one density.  ``ll`` is read through its
+    C-order flatten: in place when it is C-contiguous, as every bundled
+    model's is, and through one full-grid copy in any other layout.  It is
+    shifted by its maximum over the cells the prior gives mass, so the top
+    cell keeps its own mass and the total is positive.  A flat ``ll`` (one
+    finite value on every cell) is the identity: the fill writes the prior's
+    masses exactly, not divided by their rounded sum.
     """
-    flat, width = ll.reshape(-1), tail.size
+    flat = ll.reshape(-1)
     n = flat.size
-    posterior = np.empty(ll.shape)  # before the leaf buffer, so it can reuse freed pages
+    posterior = np.empty(ll.shape)  # before the leaf buffers, so it can reuse freed pages
     out = posterior.reshape(-1)
+    prior = _outer_cells(head, tail)
     buf = np.empty(min(n, LEAF))
 
-    def prior(lo: int, hi: int) -> np.ndarray:
-        """The prior cells lo..hi-1, in ``buf``."""
-        part = buf[: hi - lo]
-        row, a = divmod(lo, width)
-        end, b = divmod(hi, width)
-        if row == end:
-            return np.multiply(head[row], tail[a:b], out=part)
-        k = 0
-        if a:  # the leaf starts mid-row
-            k = width - a
-            np.multiply(head[row], tail[a:], out=part[:k])
-            row += 1
-        rows = part[k : k + (end - row) * width].reshape(end - row, width)
-        rows[...] = tail  # then scaled in place: faster than one broadcast product
-        rows *= head[row:end, None]
-        if b:  # the leaf ends mid-row
-            np.multiply(head[end], tail[:b], out=part[hi - lo - b :])
-        return part
-
-    # one scan: the largest and the smallest ll, and the first leaf holding the largest
-    top, low, first = -np.inf, np.inf, 0
+    # one scan: the largest ll, and the first leaf holding it
+    top, first = -np.inf, 0
     for lo in range(0, n, LEAF):
-        part = flat[lo : lo + LEAF]
-        high = part.max()
+        high = flat[lo : lo + LEAF].max()
         if not high < np.inf:  # a nan or a +inf in this leaf
             raise NonFiniteLogLikelihood("log-likelihood must be finite or -inf")
         if high > top:
             top, first = high, lo
-        low = min(low, part.min())
     if top == -np.inf:
         raise DegenerateLikelihood("likelihood vanished on the whole grid")
-    if low == top:
-        return np.multiply.outer(head, tail).reshape(ll.shape)
-    peak = first + int(flat[first : first + LEAF].argmax())
-    massless_peak = prior(peak, peak + 1)[0] == 0
+    # a flat ll holds top on every cell, so only one whose first cell holds it is read again
+    if flat[0] == top and all(flat[lo : lo + LEAF].min() == top for lo in range(0, n, LEAF)):
+        return posterior, prior
+    # the first cell holding top; argmax would copy a read-only ll's leaf, a comparison does not
+    peak = first + int((flat[first : first + LEAF] == top).argmax())
+    massless_peak = prior(peak, peak + 1, buf)[0] == 0
     if massless_peak:
         top = -np.inf
         for lo in range(0, n, LEAF):
             hi = min(lo + LEAF, n)
-            top = max(top, np.max(flat[lo:hi], where=prior(lo, hi) > 0, initial=-np.inf))
+            mass = prior(lo, hi, buf[: hi - lo]) > 0
+            top = max(top, np.max(flat[lo:hi], where=mass, initial=-np.inf))
         if top == -np.inf:
             raise DegenerateLikelihood("likelihood vanished where the prior has mass")
 
@@ -234,11 +286,11 @@ def _reweight(head: np.ndarray, tail: np.ndarray, ll: np.ndarray) -> np.ndarray:
         if massless_peak:  # massless cells above top would overflow to inf, and inf * 0 is nan
             np.minimum(part, 0.0, out=part)
         np.exp(part, out=part)
-        part *= prior(lo, hi)
+        part *= prior(lo, hi, buf[: hi - lo])
         return part.sum()
 
-    posterior /= _pairwise(n, leaf)
-    return posterior
+    total = _pairwise(n, leaf)
+    return posterior, lambda lo, hi, part: np.divide(part, total, out=part)
 
 
 def _blocks(densities: Sequence[GridDensity]) -> tuple[np.ndarray, ...]:
@@ -250,19 +302,20 @@ def _blocks(densities: Sequence[GridDensity]) -> tuple[np.ndarray, ...]:
 
 def _head(densities: Sequence[GridDensity]) -> np.ndarray:
     """The outer product of the masses of every density but the last,
-    flattened: ``[1.0]`` for one density."""
-    outer = functools.reduce(np.multiply.outer, (d.weights for d in densities[:-1]), np.ones(1))
-    return outer.reshape(-1)
+    flattened, nested as ((w_1 · w_2) · w_3) ...: ``[1.0]`` for one density."""
+    return functools.reduce(_outer, (d.weights.reshape(-1) for d in densities[:-1]), np.ones(1))
 
 
 def _grid_bayes(
     densities: Sequence[GridDensity], loglik: Callable[..., np.ndarray]
 ) -> GridDensity:
     """Exact grid Bayes on the product of the densities' grids, the prior
-    streamed from ``_head`` and the last density's masses."""
+    streamed from ``_head`` and the last density's masses; the posterior is
+    normalized leaf by leaf in its validation sweep."""
     blocks = _blocks(densities)
     ll = _on_product_grid(loglik, blocks)
-    return GridDensity(blocks, _reweight(_head(densities), densities[-1].weights.reshape(-1), ll))
+    tail = densities[-1].weights.reshape(-1)
+    return GridDensity._written(blocks, *_reweight(_head(densities), tail, ll))
 
 
 def panel_update_grid(
@@ -274,10 +327,13 @@ def panel_update_grid(
 
 
 def compose_product(posteriors: Sequence[GridDensity]) -> GridDensity:
-    """Outer product of per-block masses; marginals reproduce the inputs."""
+    """Outer product of per-block masses; marginals reproduce the inputs.
+
+    Each leaf's cells are written by ``_outer_cells`` in the density's
+    validation sweep, so the grid is written and checked in one pass."""
     blocks = _blocks(posteriors)
-    weights = np.multiply.outer(_head(posteriors), posteriors[-1].weights)
-    return GridDensity(blocks, weights.reshape([len(b) for b in blocks]))
+    cells = _outer_cells(_head(posteriors), posteriors[-1].weights.reshape(-1))
+    return GridDensity._written(blocks, np.empty([len(b) for b in blocks]), cells)
 
 
 def _on_product_grid(f: Callable[..., np.ndarray], blocks: Sequence[np.ndarray]) -> np.ndarray:

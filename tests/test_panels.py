@@ -19,6 +19,7 @@ from modcoherence.panels import (
     InvalidCounts,
     LEAF,
     NonFiniteLogLikelihood,
+    _outer_cells,
     _pairwise,
     _reweight,
     PanelsError,
@@ -255,8 +256,10 @@ def _bits(a) -> tuple:
 
 def _reweight_whole(weights, ll):
     """``_reweight`` of a prior given whole, as ``panel_update_grid`` passes
-    it: ``head`` is ``[1.0]`` and ``tail`` the flattened masses."""
-    return _reweight(np.ones(1), weights.reshape(-1), ll)
+    it: ``head`` is ``[1.0]`` and ``tail`` the flattened masses; its fill
+    completes the posterior in the posterior density's validation sweep."""
+    blocks = [np.arange(n) for n in ll.shape]
+    return GridDensity._written(blocks, *_reweight(np.ones(1), weights.reshape(-1), ll)).weights
 
 
 class TestReweightContract:
@@ -347,6 +350,16 @@ class TestReweightContract:
         assert got[2] == 0.0 and not np.array_equal(got, weights)
         assert _bits(got) == _bits(reweight_reference(weights, ll))
 
+    @pytest.mark.parametrize("cell", [0, LEAF - 1, LEAF, 2 * LEAF])
+    def test_flat_but_for_one_cell_in_any_leaf(self, cell):
+        # the flat check reads every leaf once cell 0 holds the largest ll
+        weights = np.full(2 * LEAF + 1, 1.0 / (2 * LEAF + 1))
+        ll = np.full(2 * LEAF + 1, 2.5)
+        ll[cell] = 1.5
+        got = _reweight_whole(weights, ll)
+        assert got[cell] < weights[cell]
+        assert _bits(got) == _bits(reweight_reference(weights, ll))
+
     @pytest.mark.parametrize("view", [False, True])
     def test_flat_finite_returns_an_equal_copy(self, view):
         weights = beta_grid(BetaParams(2, 5), 11).weights
@@ -409,7 +422,8 @@ class TestStreamedOracle:
         assert _bits(composed.weights) == _bits(_nested_outer(priors))
         assert _bits(oracle.weights) == _bits(panel_update_grid(composed, lambda *b: ll).weights)
         head = (_nested_outer(priors[:-1]) if len(priors) > 1 else np.ones(1)).reshape(-1)
-        got = _reweight(head, priors[-1].weights.reshape(-1), ll)
+        posterior, fill = _reweight(head, priors[-1].weights.reshape(-1), ll)
+        got = GridDensity._written(composed.blocks, posterior, fill).weights
         assert _bits(got) == _bits(reweight_reference(composed.weights, ll))
         assert _bits(got) == _bits(oracle.weights)
         return oracle.weights
@@ -481,6 +495,128 @@ class TestStreamedOracle:
             assert not any(np.shares_memory(result.weights, p.weights) for p in priors)
 
 
+class TestOuterCells:
+    """Every outer product of masses is written leaf by leaf by
+    ``_outer_cells``, in the validation sweep of the density it builds; the
+    densities must equal the nested ``np.multiply.outer`` and
+    ``reweight_reference`` bit for bit, and every one must still be
+    validated."""
+
+    # the last shape is the last prior's, so its size is T; each grid but the
+    # small ones spans several leaves of the pairwise tree, which start and
+    # end mid-row unless T divides every split
+    SHAPES = {
+        "m1_last151": [(151,)],
+        "m1_last_over_leaf": [(2 * LEAF + 5,)],  # head is [1.0] and T the whole grid
+        "m2_last1": [(34583,), (1,)],  # T = 1: every cell its own row
+        "m2_last2": [(17161,), (2,)],
+        "m3_last3": [(43,), (331,), (3,)],
+        "m4_last11": [(7,), (9,), (61,), (11,)],
+        "m3_last151": [(13,), (17,), (151,)],
+        "m2_last_multi_block": [(3,), (131, 257)],  # T = 33,667 > LEAF
+        "m2_last_over_leaf": [(5,), (LEAF + 3,)],
+    }
+
+    @staticmethod
+    def _priors(case: str, seed: int = 0) -> list:
+        return _random_priors(np.random.default_rng(seed), TestOuterCells.SHAPES[case])
+
+    @staticmethod
+    def _ll(priors, seed: int = 1) -> np.ndarray:
+        rng = np.random.default_rng(seed)
+        shape = tuple(n for p in priors for n in p.weights.shape)
+        ll = rng.normal(scale=40.0, size=shape)
+        ll[rng.random(shape) < 0.1] = -np.inf
+        return ll
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_compose_product_is_the_nested_outer_product(self, case):
+        priors = self._priors(case)
+        composed = compose_product(priors)
+        assert _bits(composed.weights) == _bits(_nested_outer(priors))
+        assert composed.weights.flags.c_contiguous
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_joint_oracle_is_the_reference_update(self, case):
+        priors = self._priors(case)
+        ll = self._ll(priors)
+        oracle = joint_oracle(priors, lambda *blocks: ll)
+        assert _bits(oracle.weights) == _bits(reweight_reference(_nested_outer(priors), ll))
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_panel_update_grid_is_the_reference_update(self, case):
+        # the last prior alone, and the composed prior as one density
+        priors = self._priors(case)
+        ll = self._ll(priors)
+        composed = compose_product(priors)
+        got = panel_update_grid(composed, lambda *blocks: ll)
+        assert _bits(got.weights) == _bits(reweight_reference(composed.weights, ll))
+        last = priors[-1]
+        ll_last = self._ll([last], seed=2)
+        got = panel_update_grid(last, lambda *blocks: ll_last)
+        assert _bits(got.weights) == _bits(reweight_reference(last.weights, ll_last))
+
+    @pytest.mark.parametrize("case", sorted(SHAPES))
+    def test_flat_loglik_writes_the_nested_outer_product(self, case):
+        priors = self._priors(case, seed=3)
+        oracle = joint_oracle(priors, lambda *blocks: np.full((1,) * len(blocks), -7.0))
+        assert _bits(oracle.weights) == _bits(_nested_outer(priors))
+
+    @pytest.mark.parametrize("case", ["m3_last3", "m4_last11", "m2_last_over_leaf"])
+    def test_massless_peak(self, case):
+        # the massless-peak scan reads the prior's cells leaf by leaf too
+        priors = self._priors(case, seed=4)
+        first = priors[0].weights
+        first[1] = 0.0
+        first /= first.sum()
+        ll = self._ll(priors, seed=5)
+        ll[1, ...] = 800.0
+        oracle = joint_oracle(priors, lambda *blocks: ll)
+        assert _bits(oracle.weights) == _bits(reweight_reference(_nested_outer(priors), ll))
+        assert np.all(oracle.weights[1, ...] == 0.0)
+
+    @pytest.mark.parametrize("sizes", [(1, 1), (7, 1), (5, 2), (9, 3), (50, 11), (300, 151),
+                                       (4, LEAF - 1), (3, LEAF + 3), (1, 3 * LEAF)])
+    def test_cells_of_any_leaf(self, sizes):
+        # leaves that start and end mid-row, at row ends, and within one row
+        rng = np.random.default_rng(sum(sizes))
+        head, tail = rng.random(sizes[0]), rng.random(sizes[1])
+        want = np.multiply.outer(head, tail).reshape(-1)
+        n, width = want.size, tail.size
+        cells = _outer_cells(head, tail)
+        bounds = {(0, min(n, LEAF)), (max(0, n - LEAF), n), (n - 1, n)}
+        for lo in {1, width - 1, width, width + 1, n // 2 - 3}:
+            for size in (1, width - 1, width, width + 2, LEAF - 5, LEAF):
+                if 0 <= lo < n and 0 < size <= LEAF:
+                    bounds.add((lo, min(n, lo + size)))
+        for lo, hi in sorted(bounds):
+            out = np.full(hi - lo, np.nan)
+            assert _bits(cells(lo, hi, out)) == _bits(want[lo:hi]), (lo, hi)
+
+    @pytest.mark.parametrize("which", [0, -1])
+    @pytest.mark.parametrize("value, message", [
+        ("negative", "grid weights must be non-negative"),
+        (np.nan, "grid weights must sum to 1 within 1e-12, got nan"),
+    ])
+    def test_every_density_is_validated(self, which, value, message):
+        # a prior mutated after its own validation: the densities built from
+        # it are checked in the sweep that writes them
+        priors = self._priors("m3_last151", seed=6)
+        w = priors[which].weights
+        w.flat[5] = -w.flat[5] if value == "negative" else value
+        ll = self._ll(priors, seed=7)
+        calls = [
+            lambda: compose_product(priors),
+            lambda: joint_oracle(priors, lambda *blocks: ll),
+            lambda: joint_oracle(priors, lambda *blocks: np.zeros((1, 1, 1))),
+            lambda: panel_update_grid(priors[which], lambda t: np.sin(9.0 * t)),
+        ]
+        for call in calls:
+            with pytest.raises(PanelsError) as info:
+                call()
+            assert type(info.value) is PanelsError and str(info.value) == message
+
+
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_block_product_bit_identical_to_the_stacked_product(seed, m):
@@ -521,10 +657,18 @@ class TestFullGridTemporaries:
     def test_joint_oracle(self, case):
         # the likelihood is evaluated beforehand, so only the engine's own
         # arrays count: the posterior, the head of the composed prior (1/N
-        # of the grid) and one leaf buffer; the composed prior is streamed
+        # of the grid), one leaf buffer and one leaf of tiled tail masses;
+        # the composed prior is streamed
         priors, _, ll, _, _ = case
         peak = _traced_peak(lambda: joint_oracle(priors, lambda *blocks: ll))
         assert peak / self.FULL <= 1.10
+
+    def test_compose_product(self, case):
+        # the composed masses, written and validated leaf by leaf, the head
+        # (1/N of the grid) and one leaf of tiled tail masses: no full-grid
+        # outer product before the masses are written
+        priors = case[0]
+        assert _traced_peak(lambda: compose_product(priors)) / self.FULL <= 1.05
 
     @pytest.mark.parametrize("layout", ["fortran", "one_block"])
     def test_joint_oracle_reads_another_layout_through_one_copy(self, case, layout):
