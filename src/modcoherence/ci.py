@@ -743,7 +743,8 @@ def derive(
     if not search.run(memo, goal):
         return DeriveResult(search.status, None, len(search.known))
     proof = search.extract_proof(memo, goal)
-    assert proof.replay(memo.deps), "internal error: extracted proof failed replay"
+    if not proof.replay(memo.deps):
+        raise AssertionError("internal error: extracted proof failed replay")
     # a fresh search stops at the goal, or at once on a premise
     prov = search.known[memo.encode(goal)]
     generated = len(base) if prov is None else prov[3] + 1
@@ -784,5 +785,6 @@ def derive_through(
             steps.append(ProofStep("symmetry", (waypoint,), EMPTY, waypoint))
         current.append(waypoint)
     proof = Proof(tuple(base), tuple(steps), waypoints[-1])
-    assert proof.replay(deps), "internal error: spliced proof failed replay"
+    if not proof.replay(deps):
+        raise AssertionError("internal error: spliced proof failed replay")
     return DeriveResult("proved", proof, total_generated)

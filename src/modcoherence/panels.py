@@ -93,9 +93,10 @@ class GridDensity:
     """Probability masses over the product of scalar support-point blocks.
 
     ``blocks`` holds one 1-D array of support points per block; ``weights``
-    has shape (n_1, ..., n_m), is non-negative and sums to one, and is kept
-    C-contiguous (a copy when given in another layout).  A single panel's
-    density is the one-block case ``((points,), weights)``.
+    has shape (n_1, ..., n_m), is non-negative and sums to one.  The
+    density keeps its own C-contiguous copy of the masses, so writing to
+    the array it was given leaves it valid.  A single panel's density is
+    the one-block case ``((points,), weights)``.
 
     Every density, given or produced, passes one validation sweep: ``min``
     and ``sum`` of each leaf of its flattened masses.  The engine's own
@@ -107,14 +108,15 @@ class GridDensity:
     weights: np.ndarray
 
     def __init__(self, blocks: Sequence[np.ndarray], weights: np.ndarray) -> None:
-        self._validate(blocks, np.asarray(weights, dtype=float, order="C"), None)
+        self._validate(blocks, np.array(weights, dtype=float, order="C"), None)
 
     @classmethod
     def _written(
         cls, blocks: Sequence[np.ndarray], weights: np.ndarray, fill: Fill
     ) -> GridDensity:
-        """The density whose C-contiguous masses ``weights`` are completed
-        leaf by leaf by ``fill(lo, hi, part)``, in the validation sweep."""
+        """The density whose C-contiguous masses ``weights``, taken without
+        a copy, are completed leaf by leaf by ``fill(lo, hi, part)``, in the
+        validation sweep."""
         density = cls.__new__(cls)
         density._validate(blocks, weights, fill)
         return density

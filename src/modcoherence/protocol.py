@@ -61,6 +61,8 @@ class ConditionKind(enum.Enum):
 
 
 ALL_CONDITIONS = tuple(ConditionKind)
+# lumped derivations a system keeps across verdicts; past this, the oldest goes
+LUMPED_TABLE_SIZE = 1_024
 
 
 class PanelSystem(Record):
@@ -120,6 +122,12 @@ class PanelSystem(Record):
             facts.extend(aggregate_dependencies(symbol, components))
         return tuple(facts)
 
+    @functools.cached_property
+    def _lumped(self) -> dict:
+        """Lumped derivations by order type, kept across this system's
+        verdicts (see :func:`_derive_lumped`)."""
+        return {}
+
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.m:
             raise IndexOutOfRange(f"panel index {i} not in 1..{self.m}")
@@ -129,7 +137,8 @@ def build_system(m: int) -> PanelSystem:
     if m < 2:
         raise InvalidPanelCount(f"panel count must be >= 2, got {m}")
     system = PanelSystem(m=m)
-    assert len(system.universe) == m * m + m + 3, "panel symbols collide"
+    if len(system.universe) != m * m + m + 3:
+        raise AssertionError("panel symbols collide")
     return system
 
 
@@ -290,15 +299,20 @@ def _derive_lumped(
 
     ``shared`` holds lumped derivations by order type: the sliced base and
     the waypoints written as ranks in the sorted lumped universe, and the
-    budget.  Panels 2..m sort alike, theta_1 before their own theta, and
-    panel 1 apart, its own theta_1 first.  Swapping panels 2 and i maps the
-    dependencies onto themselves and panel 2's lumped universe onto panel
-    i's in sorted order, so a derivation of the same order type is the same
-    search renamed.  A bare verdict thus derives panel 2's goals once and
-    renames them, rank for rank, for panels 3..m; a slice that an extra
-    statement changes misses the table and is derived directly, as is
-    every goal of a call without ``shared``.  Every expanded proof is
-    replayed in the full system, renamed or not.
+    budget.  A result is a pure function of the system and that key, so
+    the table may outlive a verdict and the memo: it holds only each
+    result and the sorted names it was derived over, at most
+    ``LUMPED_TABLE_SIZE`` of them, the oldest dropped first.  Panels 2..m
+    sort alike, theta_1 before their own theta, and panel 1 apart, its own
+    theta_1 first.  Swapping panels 2 and i maps the dependencies onto
+    themselves and panel 2's lumped universe onto panel i's in sorted
+    order, so a derivation of the same order type is the same search
+    renamed.  A bare verdict thus derives panel 2's goals once and
+    renames them, rank for rank, for panels 3..m, and a later verdict on
+    the same system and budget derives none of them again; a slice that an
+    extra statement changes misses the table and is derived directly, as
+    is every goal of a call without ``shared``.  Every expanded proof is
+    replayed in the full system, renamed or not, reused or not.
     """
     i, name = route
     rest = sys.theta_rest(i)
@@ -327,9 +341,13 @@ def _derive_lumped(
     key = (frozenset(map(ranked, sliced)), tuple(map(ranked, waypoints)), budget)
     if shared is None:
         shared = {}
-    if key not in shared:
-        shared[key] = names, derive_through(sliced, deps, waypoints, budget, universe, memo=memo)
-    source, result = shared[key]
+    entry = shared.get(key)
+    if entry is None:
+        entry = names, derive_through(sliced, deps, waypoints, budget, universe, memo=memo)
+        if len(shared) >= LUMPED_TABLE_SIZE:
+            del shared[next(iter(shared))]
+        shared[key] = entry
+    source, result = entry
     if not result.proved:
         return result
     rename = dict(zip(source, names))
@@ -347,7 +365,8 @@ def _derive_lumped(
         for step in result.proof.steps
     )
     proof = Proof(tuple(full[s] for s in result.proof.premises), steps, full[result.proof.goal])
-    assert proof.replay(deps), "internal error: expanded proof failed replay"
+    if not proof.replay(deps):
+        raise AssertionError("internal error: expanded proof failed replay")
     return DeriveResult("proved", proof, result.generated)
 
 
@@ -355,20 +374,21 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
     goal's lumped derivation first (:func:`_derive_lumped`), then one
     unconstrained search of the full system, so every status but ``proved``
-    comes from the full system; all of them share one memo, and the lumped
-    derivations one table by order type, so panels 3..m reuse panel 2's
-    lumped proofs, renamed.  Both live as long as the decider, one verdict.
+    comes from the full system.  All of them share one memo, which lives as
+    long as the decider, one verdict.  The lumped derivations share the
+    system's table by order type, which outlives the verdict: panels 3..m
+    reuse panel 2's lumped proofs, renamed, and a later verdict on the
+    system reuses every lumped derivation whose slice it leaves unchanged.
     Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
         memo = Memo(sys.dependencies, sys.universe)
-        shared: dict = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
-                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, shared)
+                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, sys._lumped)
                 if result.proved:
                     return result.status, result.proof
             result = derive(mode.base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)
@@ -411,7 +431,10 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
 
     In axiomatic mode the verdict's derivations, lumped and full-system,
     share one :class:`~modcoherence.ci.Memo`, so each base is searched once,
-    and it is dropped when the verdict is made.
+    and it is dropped when the verdict is made.  The lumped derivations are
+    also kept on ``sys`` (see :func:`_derive_lumped`), so later verdicts on
+    it with the same budget reuse those of their slices that match, with
+    every reused proof renamed, expanded and replayed again.
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

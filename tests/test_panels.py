@@ -136,6 +136,17 @@ class TestGridUpdate:
         with pytest.raises(ShapeMismatch):
             GridDensity((g, g), np.full(4, 0.25))
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_grid_density_keeps_its_own_masses(self, order):
+        # writing to the array a density was built from leaves it valid
+        g = np.array([0.25, 0.75])
+        given = np.array([[0.1, 0.2], [0.3, 0.4]], order=order)
+        density = GridDensity((g, g), given)
+        given[0, 0] = -given[0, 0]
+        given[1, 1] = np.nan
+        assert density.weights.tolist() == [[0.1, 0.2], [0.3, 0.4]]
+        assert density.weights.flags.c_contiguous
+
     def test_grid_density_rejects_column_points(self):
         # blocks are scalar: an (n, 1) column is not a 1-D point array
         with pytest.raises(ShapeMismatch):

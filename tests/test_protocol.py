@@ -1,7 +1,11 @@
 """Tests for panel-system construction, condition generation and the
 mechanized coherence theorem (both proof modes, plus ablation)."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -471,6 +475,80 @@ class TestLumpedRoute:
             assert goal.proof.replay(sys.dependencies)
             assert split not in goal.proof.premises
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_a_second_bare_verdict_makes_no_lumped_derivation(self, monkeypatch, m):
+        """The system keeps its lumped derivations, so a second verdict on
+        it reuses all four and equals the first."""
+        sys = build_system(m)
+        mode = AxiomaticMode(base_statements(sys))
+        results = self._record_lumped(monkeypatch)
+        first = verify_coherence(sys, mode)
+        assert len(results) == 4
+        second = verify_coherence(sys, mode)
+        assert len(results) == 4
+        assert second == first
+
+    def test_another_budget_or_system_makes_its_own_derivations(self, monkeypatch):
+        """The budget is part of the key, and the table is the system's."""
+        sys = build_system(3)
+        results = self._record_lumped(monkeypatch)
+        verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+        verify_coherence(sys, AxiomaticMode(base_statements(sys), 5_000))
+        assert len(results) == 8
+        other = build_system(3)
+        verify_coherence(other, AxiomaticMode(base_statements(other)))
+        assert len(results) == 12
+        assert len(sys._lumped) == 8 and len(other._lumped) == 4
+
+    @pytest.mark.parametrize(
+        "m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8)]
+    )
+    def test_verdicts_on_one_system_match_fresh_systems(self, m, budget, instances):
+        """Statuses, proofs and witnesses of verdicts made one after another
+        on one system, in several orders, are those of each verdict made on
+        a fresh system."""
+        sys = build_system(m)
+        modes = [_random_mode(random.Random(seed), sys, budget) for seed in range(instances)]
+        fresh = [verify_coherence(build_system(m), mode) for mode in modes]
+        forward = list(range(instances))
+        for order in (forward, forward[::-1], random.Random(m).sample(forward, instances)):
+            shared = build_system(m)
+            for k in order:
+                assert verify_coherence(shared, modes[k]) == fresh[k]
+            assert shared._lumped
+
+    def test_the_table_drops_its_oldest_entry_past_the_bound(self, monkeypatch):
+        """With room for two, a bare m = 3 verdict keeps the derivations of
+        panel 2's goals, made last; the table never holds more than two,
+        and the verdicts still match the reference."""
+        sys = build_system(3)
+        mode = AxiomaticMode(base_statements(sys))
+        verify_coherence(sys, mode)
+        keys = list(sys._lumped)
+        assert len(keys) == 4
+
+        monkeypatch.setattr(protocol, "LUMPED_TABLE_SIZE", 2)
+        small = build_system(3)
+        sizes = []
+        original = protocol.derive_through
+
+        def recorded(*args, **kwargs):
+            sizes.append(len(small._lumped))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "derive_through", recorded)
+        verdicts = []
+        for _ in range(2):
+            verdicts.append(verify_coherence(small, mode))
+            assert list(small._lumped) == keys[2:]
+        # each verdict derives panel 1's goals, then panel 2's, each stored
+        # in place of the oldest entry once the table holds two, and panel
+        # 3 reuses panel 2's; the second verdict finds panel 1's gone
+        assert sizes == [0, 1, 2, 2] + [2, 2, 2, 2]
+        monkeypatch.undo()
+        for verdict in verdicts:
+            _assert_matches_reference(small, mode, verdict)
+
     def test_lumped_proofs_keep_each_statements_orientation(self):
         """determinism_augment moves a context symbol to a statement's second
         side, so an expanded proof replays only if lumping keeps which side
@@ -486,3 +564,56 @@ class TestLumpedRoute:
         autonomy = verdict.goals[3].proof
         assert extra in autonomy.premises
         assert any(step.rule == "determinism_augment" for step in autonomy.steps)
+
+
+REPLAY_FAILS = """
+from modcoherence import ci, protocol as p
+replay = ci.Proof.replay
+{patch}
+try:
+    {call}
+except AssertionError as exc:
+    print(f"AssertionError: {{exc}}")
+else:
+    print("no error")
+"""
+
+
+class TestChecksUnderOptimize:
+    """The internal checks raise ``AssertionError`` explicitly, so
+    ``python -O``, which strips ``assert`` statements, keeps them."""
+
+    # (id, message, code that patches, call that should raise)
+    CASES = [
+        ("extracted", "internal error: extracted proof failed replay",
+         "ci.Proof.replay = lambda proof, deps=(): False",
+         "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+        # only panel 1's expanded independence proof fails; its lumped
+        # derivation, whose goal names theta_2 alone, replays
+        ("expanded", "internal error: expanded proof failed replay",
+         "s = p.build_system(3); goal = p.independence_goal(s, 1)\n"
+         "ci.Proof.replay = lambda proof, deps=(): proof.goal != goal and replay(proof, deps)",
+         "p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+        # only the spliced proof lists the unused premise
+        ("spliced", "internal error: spliced proof failed replay",
+         "base = [ci.normalize({'a'}, {'b'}, {'c'}), ci.normalize({'d'}, {'e'})]\n"
+         "ci.Proof.replay = lambda proof, deps=(): len(proof.premises) < 2 and replay(proof, deps)",
+         "ci.derive_through(base, (), [ci.normalize({'b'}, {'a'}, {'c'})])"),
+        ("collide", "panel symbols collide",
+         "p.PanelSystem.evidence = lambda system, i, j: 'I_11^0'",
+         "p.build_system(2)"),
+    ]
+
+    @pytest.mark.parametrize("flags", [(), ("-O",)], ids=["plain", "optimized"])
+    @pytest.mark.parametrize("message, patch, call", [c[1:] for c in CASES],
+                             ids=[c[0] for c in CASES])
+    def test_failed_check_raises(self, flags, message, patch, call):
+        src = Path(protocol.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )}
+        code = REPLAY_FAILS.format(patch=patch, call=call)
+        proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True,
+                              text=True, env=env, timeout=120, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"AssertionError: {message}"
