@@ -6,7 +6,8 @@ seeds 1..N, alternating which side goes first, and writes one JSON record:
 every run's end-to-end metrics, the order of each pair, the per-side median
 and quartiles of each metric, how many pairs each side won, the environment
 and the net line count of ``src/``.  ``--traced`` adds one ``--trace 1`` run
-per side of the named workloads, for the per-layer metrics.  Then each layer
+per side of the named workloads, for the per-layer metrics; every run keeps
+its ``correct`` flag and the problems it printed.  Then each layer
 case below runs in a fresh interpreter on both checkouts, alternating which
 side goes first, and its wall time, peak RSS and a summary of its result are
 recorded under ``layers``.  Run everything one at a time on an otherwise idle
@@ -51,9 +52,11 @@ SECONDS = 20
 # prior, with its ll evaluated beforehand: a case restarts the clock
 # (``start``) after its set-up, so its seconds are ten oracle calls alone;
 # verify_coherence_m3_sequence makes seven verdicts on one m=3 system, the
-# bare one and then one per extra statement, as a caller checking variants
-# of one protocol does, so it shows what the system's lumped derivations
-# save from one verdict to the next; at about 0.03 s a run it runs ten times
+# bare one and then one per extra statement, as the benchmark's prove
+# workload does (no CLI command makes more than one verdict on a system
+# with the same conditions), so it shows what the system's lumped
+# derivations save from one verdict to the next; at about 0.03 s a run it
+# runs ten times
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"
@@ -142,6 +145,7 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     out = json.loads(lines[-1])
     result = {
         "correct": out["correct"],
+        "problems": [line[len("FAILED "):] for line in lines if line.startswith("FAILED ")],
         "metrics": {name: m["value"] for name, m in out["metrics"].items()},
     }
     if not trace:
@@ -212,6 +216,8 @@ def paired(parent: Path, workload: str, pairs: int, better: dict) -> dict:
         "environment": runs[0]["change"]["environment"],
         "pairs": pairs,
         "all_correct": all(r[s]["correct"] for r in runs for s in ("parent", "change")),
+        "problems": sorted({p for r in runs for s in ("parent", "change")
+                            for p in r[s]["problems"]}),
         "max_failed_ratio": max(r[s]["failed_ratio"] for r in runs for s in ("parent", "change")),
         "summary": summary,
         "runs": [

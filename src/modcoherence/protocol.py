@@ -61,7 +61,7 @@ class ConditionKind(enum.Enum):
 
 
 ALL_CONDITIONS = tuple(ConditionKind)
-# lumped derivations a system keeps across verdicts; past this, the oldest goes
+# lumped derivations a table keeps; past this, the oldest goes
 LUMPED_TABLE_SIZE = 1_024
 
 
@@ -123,9 +123,21 @@ class PanelSystem(Record):
         return tuple(facts)
 
     @functools.cached_property
+    def _own_slices(self) -> frozenset:
+        """The ranked lumped slices of this system's own conditions, one per
+        panel order type: panel 1's, and panel 2's, which panels 3..m share
+        (see :func:`_derive_lumped`)."""
+        base = base_statements(self)
+        slices = set()
+        for i in (1, 2):
+            _, lump, ranked = _lumping(self, i)
+            slices.add(frozenset(ranked(t) for s in base if (t := lump(s)) is not None))
+        return frozenset(slices)
+
+    @functools.cached_property
     def _lumped(self) -> dict:
-        """Lumped derivations by order type, kept across this system's
-        verdicts (see :func:`_derive_lumped`)."""
+        """Lumped derivations over :attr:`_own_slices`, by order type, kept
+        across this system's verdicts (see :func:`_derive_lumped`)."""
         return {}
 
     def _check_index(self, i: int) -> None:
@@ -269,6 +281,35 @@ def _lumped_universe(sys: PanelSystem, i: int) -> VarSet:
     return frozenset(own | {min(sys.theta_rest(i))})
 
 
+def _lumping(sys: PanelSystem, i: int):
+    """Panel i's sorted lumped universe (:func:`_lumped_universe`), its
+    ``lump`` and its ``ranked``.  ``lump`` writes a statement with
+    theta_rest(i) lumped into its first name, or gives None for one that
+    splits theta_rest(i) or leaves the lumped universe; ``ranked`` writes a
+    lumped statement as ranks in the sorted lumped universe."""
+    rest = sys.theta_rest(i)
+    universe = _lumped_universe(sys, i)
+    names = sorted(universe)
+    lumped = min(rest)
+    bit = {n: 1 << k for k, n in enumerate(names)}
+
+    def lump(s: CIStatement) -> Optional[CIStatement]:
+        sides = []
+        for side in (s.a, s.b, s.c):
+            if side & rest:
+                if not rest <= side:
+                    return None
+                side = side - rest | {lumped}
+            sides.append(side)
+        t = normalize(*sides)
+        return t if t.symbols() <= universe else None
+
+    def ranked(s: CIStatement) -> tuple[int, ...]:
+        return tuple(sum(map(bit.__getitem__, side)) for side in (s.a, s.b, s.c))
+
+    return names, lump, ranked
+
+
 def _derive_lumped(
     sys: PanelSystem,
     base: Iterable[CIStatement],
@@ -297,56 +338,46 @@ def _derive_lumped(
     keeps names in sorted order, so every orientation and rule order, and
     with them the proof, are the same as in a memo of the lumped universe.
 
-    ``shared`` holds lumped derivations by order type: the sliced base and
-    the waypoints written as ranks in the sorted lumped universe, and the
-    budget.  A result is a pure function of the system and that key, so
-    the table may outlive a verdict and the memo: it holds only each
-    result and the sorted names it was derived over, at most
-    ``LUMPED_TABLE_SIZE`` of them, the oldest dropped first.  Panels 2..m
-    sort alike, theta_1 before their own theta, and panel 1 apart, its own
-    theta_1 first.  Swapping panels 2 and i maps the dependencies onto
-    themselves and panel 2's lumped universe onto panel i's in sorted
-    order, so a derivation of the same order type is the same search
-    renamed.  A bare verdict thus derives panel 2's goals once and
-    renames them, rank for rank, for panels 3..m, and a later verdict on
-    the same system and budget derives none of them again; a slice that an
-    extra statement changes misses the table and is derived directly, as
-    is every goal of a call without ``shared``.  Every expanded proof is
-    replayed in the full system, renamed or not, reused or not.
+    Lumped derivations are kept by order type: the sliced base and the
+    waypoints written as ranks in the sorted lumped universe, and the
+    budget.  Panels 2..m sort alike, theta_1 before their own theta, and
+    panel 1 apart, its own theta_1 first.  Swapping panels 2 and i maps the
+    dependencies onto themselves and panel 2's lumped universe onto panel
+    i's in sorted order, so a derivation of the same order type is the same
+    search renamed.  A result is a pure function of the system and that
+    key, so a table holds only each result and the sorted names it was
+    derived over, never the memo, and at most ``LUMPED_TABLE_SIZE`` of
+    them, the oldest dropped first.  A derivation over a slice of the
+    system's own conditions (``sys._own_slices``) goes to the system's
+    table, ``sys._lumped``, and outlives the verdict; any other goes to
+    ``shared``, the verdict's.  A bare verdict thus derives panel 2's goals
+    once and renames them, rank for rank, for panels 3..m, and a later
+    verdict on the same system and budget derives none of them again; a
+    slice that an extra statement changes is derived once per verdict, so
+    what a verdict derives depends on no earlier verdict but the system's
+    own derivations.  A call without ``shared`` derives every goal
+    directly.  Every expanded proof is replayed in the full system,
+    renamed or not, reused or not.
     """
     i, name = route
     rest = sys.theta_rest(i)
-    universe = _lumped_universe(sys, i)
-    names = sorted(universe)
+    names, lump, ranked = _lumping(sys, i)
     lumped = min(rest)
-
-    def lump(s: CIStatement) -> Optional[CIStatement]:
-        sides = []
-        for side in (s.a, s.b, s.c):
-            if side & rest:
-                if not rest <= side:
-                    return None
-                side = side - rest | {lumped}
-            sides.append(side)
-        return normalize(*sides)
-
     deps = sys.dependencies
-    sliced = [t for s in base if (t := lump(s)) is not None and t.symbols() <= universe]
+    sliced = [t for s in base if (t := lump(s)) is not None]
     waypoints = tuple(lump(w) for w in _goal_waypoints(sys, i, name))
-    bit = {n: 1 << k for k, n in enumerate(names)}
-
-    def ranked(s: CIStatement) -> tuple[int, ...]:
-        return tuple(sum(map(bit.__getitem__, side)) for side in (s.a, s.b, s.c))
-
     key = (frozenset(map(ranked, sliced)), tuple(map(ranked, waypoints)), budget)
     if shared is None:
-        shared = {}
-    entry = shared.get(key)
+        table: dict = {}
+    else:
+        table = sys._lumped if key[0] in sys._own_slices else shared
+    entry = table.get(key)
     if entry is None:
+        universe = frozenset(names)
         entry = names, derive_through(sliced, deps, waypoints, budget, universe, memo=memo)
-        if len(shared) >= LUMPED_TABLE_SIZE:
-            del shared[next(iter(shared))]
-        shared[key] = entry
+        if len(table) >= LUMPED_TABLE_SIZE:
+            del table[next(iter(table))]
+        table[key] = entry
     source, result = entry
     if not result.proved:
         return result
@@ -374,21 +405,23 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
     goal's lumped derivation first (:func:`_derive_lumped`), then one
     unconstrained search of the full system, so every status but ``proved``
-    comes from the full system.  All of them share one memo, which lives as
-    long as the decider, one verdict.  The lumped derivations share the
-    system's table by order type, which outlives the verdict: panels 3..m
-    reuse panel 2's lumped proofs, renamed, and a later verdict on the
-    system reuses every lumped derivation whose slice it leaves unchanged.
-    Graphical mode asks d-separation."""
+    comes from the full system.  All of them share one memo, and the
+    lumped derivations one table by order type, which live as long as the
+    decider, one verdict; so panels 3..m reuse panel 2's lumped proofs,
+    renamed.  The lumped derivations over the slices of the system's own
+    conditions are kept on the system instead, so a later verdict reuses
+    every one whose slice it leaves unchanged.  Graphical mode asks
+    d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
         memo = Memo(sys.dependencies, sys.universe)
+        shared: dict = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
-                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, sys._lumped)
+                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, shared)
                 if result.proved:
                     return result.status, result.proof
             result = derive(mode.base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)
@@ -431,10 +464,12 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
 
     In axiomatic mode the verdict's derivations, lumped and full-system,
     share one :class:`~modcoherence.ci.Memo`, so each base is searched once,
-    and it is dropped when the verdict is made.  The lumped derivations are
-    also kept on ``sys`` (see :func:`_derive_lumped`), so later verdicts on
-    it with the same budget reuse those of their slices that match, with
-    every reused proof renamed, expanded and replayed again.
+    and it is dropped when the verdict is made.  The lumped derivations
+    over the slices of the system's own conditions are kept on ``sys``
+    (see :func:`_derive_lumped`), so later verdicts on it with the same
+    budget reuse those of their slices that match, with every reused proof
+    renamed, expanded and replayed again; every other derivation is made
+    again by each verdict that needs it.
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

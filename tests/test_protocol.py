@@ -500,6 +500,48 @@ class TestLumpedRoute:
         assert len(results) == 12
         assert len(sys._lumped) == 8 and len(other._lumped) == 4
 
+    def test_the_system_keeps_only_its_own_conditions_derivations(self, monkeypatch):
+        """An extra over panel 3's lumped universe changes that panel's
+        slice; its two derivations stay with their verdict, so the same
+        verdict again makes them again, and only those."""
+        sys = build_system(3)
+        extra = normalize({"I_33^0"}, {"I_*^0"}, {"I_0^0"})
+        mode = AxiomaticMode(base_statements(sys) + (extra,))
+        results = self._record_lumped(monkeypatch)
+        first = verify_coherence(sys, mode)
+        assert len(results) == 6 and len(sys._lumped) == 4
+        second = verify_coherence(sys, mode)
+        assert len(results) == 8 and len(sys._lumped) == 4
+        assert second == first
+
+    @pytest.mark.parametrize("m, budget, instances", [(2, 3_000, 12), (3, 2_000, 8)])
+    def test_a_verdicts_derivations_do_not_depend_on_earlier_verdicts(
+        self, monkeypatch, m, budget, instances
+    ):
+        """Once a bare verdict has run, a verdict makes as many lumped
+        derivations after any other verdicts as it does right after the
+        bare one."""
+        modes = [_random_mode(random.Random(seed), build_system(m), budget)
+                 for seed in range(instances)]
+        bare = AxiomaticMode(base_statements(build_system(m)), budget)
+        results = self._record_lumped(monkeypatch)
+
+        def made(sys, mode) -> int:
+            before = len(results)
+            verify_coherence(sys, mode)
+            return len(results) - before
+
+        alone = []
+        for mode in modes:
+            sys = build_system(m)
+            verify_coherence(sys, bare)
+            alone.append(made(sys, mode))
+        sys = build_system(m)
+        verify_coherence(sys, bare)
+        for order in (modes, modes[::-1]):
+            assert [made(sys, mode) for mode in order] == (alone if order is modes else alone[::-1])
+        assert any(alone)
+
     @pytest.mark.parametrize(
         "m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8)]
     )
