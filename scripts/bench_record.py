@@ -56,7 +56,11 @@ SECONDS = 20
 # workload does (no CLI command makes more than one verdict on a system
 # with the same conditions), so it shows what the system's lumped
 # derivations save from one verdict to the next; at about 0.03 s a run it
-# runs ten times
+# runs ten times; graphical_verdicts_m16 builds a fresh m=16 system and its
+# canonical and confounded graphs inside the timed code and makes one
+# graphical verdict on each, so it shows the cost of d-separation with no
+# state shared from an earlier verdict, and at about 0.05 s a run it runs
+# ten times
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"
@@ -116,6 +120,10 @@ LAYER_CASES = (
      "s = p.build_system(32)\n"
      "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))\n"
      "out = [g.status for g in v.goals]"),
+    ("graphical_verdicts_m16", 10,
+     "s = p.build_system(16)\n"
+     "vs = [p.verify_coherence(s, p.GraphicalMode(dag(s))) for dag in (p.canonical_dag, p.confounded_dag)]\n"
+     "out = [[[c.status for c in v.conditions], [g.status for g in v.goals]] for v in vs]"),
     ("ablate_m2", 3,
      "rows = p.ablate(p.build_system(2))\n"
      "out = [[d and d.value, [g.status for g in v.goals]] for d, v in rows]"),

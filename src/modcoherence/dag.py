@@ -4,12 +4,12 @@ Separation queries may condition through declared functional dependencies:
 the conditioning set is first closed under "is a function of" facts, which is
 sound because deterministic functions of observed symbols carry no extra
 information.  With no dependencies declared this is standard d-separation.
+A query runs over int bitmasks, one bit per node in sorted-name order.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
@@ -21,6 +21,7 @@ from .ci import (
     OverlappingSets,
     Symbol,
     VarSet,
+    _symbols,
     determined_closure,
 )
 
@@ -42,18 +43,6 @@ class DuplicateNode(DagError):
 
 class UnknownSymbol(DagError):
     pass
-
-
-def _reach(start: Iterable[Symbol], step) -> VarSet:
-    """Every node reached from ``start`` by one or more ``step`` moves."""
-    seen: set[Symbol] = set()
-    frontier = deque(start)
-    while frontier:
-        for node in step(frontier.popleft()):
-            if node not in seen:
-                seen.add(node)
-                frontier.append(node)
-    return frozenset(seen)
 
 
 def _neighbours(pairs: Iterable[tuple[Symbol, Symbol]]) -> dict[Symbol, VarSet]:
@@ -86,8 +75,16 @@ class Dag(Record):
     def children(self, name: Symbol) -> VarSet:
         return self._child_map.get(name, EMPTY)
 
-    def ancestors(self, of: Iterable[Symbol]) -> VarSet:
-        return _reach(of, self.parents)
+    @functools.cached_property
+    def _masks(self) -> tuple[dict[Symbol, int], tuple[int, ...], tuple[int, ...]]:
+        """Each node's bit, in sorted-name order, and each node's parent and
+        child masks by position."""
+        pos = {n: k for k, n in enumerate(sorted(self.nodes))}
+        parents, children = [0] * len(pos), [0] * len(pos)
+        for u, v in self.edges:
+            parents[pos[v]] |= 1 << pos[u]
+            children[pos[u]] |= 1 << pos[v]
+        return {n: 1 << k for n, k in pos.items()}, tuple(parents), tuple(children)
 
 
 def build_dag(
@@ -130,6 +127,20 @@ def _validate_query(dag: Dag, a: VarSet, b: VarSet, c: VarSet) -> None:
         raise OverlappingSets("query sets must be pairwise disjoint")
 
 
+def _mask(bit: dict[Symbol, int], names: Iterable[Symbol]) -> int:
+    return sum(map(bit.__getitem__, names))
+
+
+def _spread(frontier: int, to: tuple[int, ...]) -> int:
+    """The union of ``to``'s masks over the nodes in ``frontier``."""
+    out = 0
+    while frontier:
+        k = frontier.bit_length() - 1
+        out |= to[k]
+        frontier ^= 1 << k
+    return out
+
+
 def d_separated(
     dag: Dag,
     a: Iterable[Symbol],
@@ -138,33 +149,32 @@ def d_separated(
 ) -> bool:
     """True iff every path between ``a`` and ``b`` is blocked given ``c``.
 
-    Active-trail reachability over (node, direction) states; the conditioning
-    set is enlarged to its functional-dependency closure first.
+    Active-trail reachability (Bayes-ball) over (node, direction) states,
+    run as a layered search over int bitmasks, one bit per node in
+    sorted-name order; the conditioning set is enlarged to its
+    functional-dependency closure first.  Each side is a collection of
+    symbols: a bare str is refused, not split into characters.
     """
-    a, b, c = frozenset(a), frozenset(b), frozenset(c)
+    a, b, c = _symbols(a, "a"), _symbols(b, "b"), _symbols(c, "c")
     _validate_query(dag, a, b, c)
-    z = determined_closure(c, dag.dependencies) & dag.node_names
-    an_z = z | dag.ancestors(z)
-    # direction "up" means the trail arrived at the node from a child (or is
-    # a query source); "down" means it arrived from a parent.
-    frontier: deque = deque((node, "up") for node in sorted(a))
-    visited = set(frontier)
+    bit, parents, children = dag._masks
+    z = _mask(bit, determined_closure(c, dag.dependencies) & dag.node_names)
+    an_z = frontier = z
     while frontier:
-        node, direction = frontier.popleft()
-        if node not in z and node in b:
+        frontier = _spread(frontier, parents) & ~an_z
+        an_z |= frontier
+    hit = _mask(bit, b) & ~z
+    # "up" holds the nodes a trail arrived at from a child (or query
+    # sources), "down" those it arrived at from a parent
+    up, down = _mask(bit, a), 0
+    seen_up, seen_down = up, 0
+    while up | down:
+        if (up | down) & hit:
             return False
-        moves: list[tuple[Symbol, str]] = []
-        if direction == "up" and node not in z:
-            moves.extend((p, "up") for p in dag.parents(node))
-            moves.extend((ch, "down") for ch in dag.children(node))
-        elif direction == "down":
-            if node not in z:
-                moves.extend((ch, "down") for ch in dag.children(node))
-            if node in an_z:  # collider (or its ancestor chain) activated
-                moves.extend((p, "up") for p in dag.parents(node))
-        for move in moves:
-            if move not in visited:
-                visited.add(move)
-                frontier.append(move)
+        free = up & ~z
+        next_up = _spread(free | down & an_z, parents)
+        next_down = _spread(free | down & ~z, children)
+        up, down = next_up & ~seen_up, next_down & ~seen_down
+        seen_up |= up
+        seen_down |= down
     return True
-

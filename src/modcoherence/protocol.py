@@ -128,11 +128,7 @@ class PanelSystem(Record):
         panel order type: panel 1's, and panel 2's, which panels 3..m share
         (see :func:`_derive_lumped`)."""
         base = base_statements(self)
-        slices = set()
-        for i in (1, 2):
-            _, lump, ranked = _lumping(self, i)
-            slices.add(frozenset(ranked(t) for s in base if (t := lump(s)) is not None))
-        return frozenset(slices)
+        return frozenset(_panel_slice(self, base, i)[-1] for i in (1, 2))
 
     @functools.cached_property
     def _lumped(self) -> dict:
@@ -310,6 +306,14 @@ def _lumping(sys: PanelSystem, i: int):
     return names, lump, ranked
 
 
+def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> tuple:
+    """Panel i's :func:`_lumping`, then ``base`` sliced by its ``lump`` and
+    that slice written as a frozenset of ranks."""
+    names, lump, ranked = _lumping(sys, i)
+    sliced = [t for s in base if (t := lump(s)) is not None]
+    return names, lump, ranked, sliced, frozenset(map(ranked, sliced))
+
+
 def _derive_lumped(
     sys: PanelSystem,
     base: Iterable[CIStatement],
@@ -317,6 +321,7 @@ def _derive_lumped(
     budget: int,
     memo: Optional[Memo] = None,
     shared: Optional[dict] = None,
+    slices: Optional[dict] = None,
 ) -> DeriveResult:
     """Goal ``route = (i, name)`` derived with theta_rest(i) lumped into one
     symbol, over :func:`_lumped_universe`.
@@ -358,15 +363,23 @@ def _derive_lumped(
     own derivations.  A call without ``shared`` derives every goal
     directly.  Every expanded proof is replayed in the full system,
     renamed or not, reused or not.
+
+    ``slices`` holds the verdict's :func:`_panel_slice` by panel: panel i's
+    lumping, its slice of ``base`` and that slice's ranks are made once per
+    verdict, and both of panel i's goals read them.  A call without
+    ``slices`` makes its own.
     """
     i, name = route
     rest = sys.theta_rest(i)
-    names, lump, ranked = _lumping(sys, i)
+    if slices is None:
+        slices = {}
+    if i not in slices:
+        slices[i] = _panel_slice(sys, base, i)
+    names, lump, ranked, sliced, ranked_slice = slices[i]
     lumped = min(rest)
     deps = sys.dependencies
-    sliced = [t for s in base if (t := lump(s)) is not None]
     waypoints = tuple(lump(w) for w in _goal_waypoints(sys, i, name))
-    key = (frozenset(map(ranked, sliced)), tuple(map(ranked, waypoints)), budget)
+    key = (ranked_slice, tuple(map(ranked, waypoints)), budget)
     if shared is None:
         table: dict = {}
     else:
@@ -406,9 +419,10 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     goal's lumped derivation first (:func:`_derive_lumped`), then one
     unconstrained search of the full system, so every status but ``proved``
     comes from the full system.  All of them share one memo, and the
-    lumped derivations one table by order type, which live as long as the
-    decider, one verdict; so panels 3..m reuse panel 2's lumped proofs,
-    renamed.  The lumped derivations over the slices of the system's own
+    lumped derivations one table by order type and one slice of the base
+    per panel, which live as long as the decider, one verdict; so panels
+    3..m reuse panel 2's lumped proofs, renamed, and each panel's two goals
+    its slice.  The lumped derivations over the slices of the system's own
     conditions are kept on the system instead, so a later verdict reuses
     every one whose slice it leaves unchanged.  Graphical mode asks
     d-separation."""
@@ -418,10 +432,11 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
         memo = Memo(sys.dependencies, sys.universe)
         shared: dict = {}
+        slices: dict = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
-                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, shared)
+                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, shared, slices)
                 if result.proved:
                     return result.status, result.proof
             result = derive(mode.base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)

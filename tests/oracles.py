@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from graphlib import TopologicalSorter
 
 import numpy as np
@@ -19,8 +20,10 @@ from modcoherence.ci import (
     apply_axiom,
     derive,
     derive_through,
+    determined_closure,
     normalize,
 )
+from modcoherence.dag import _validate_query
 from modcoherence.panels import DegenerateLikelihood, Divergence, NonFiniteLogLikelihood
 from modcoherence.protocol import _goal_waypoints, autonomy_goal, independence_goal
 
@@ -147,6 +150,49 @@ def descendants(dag, of) -> frozenset:
                 seen.add(child)
                 frontier.append(child)
     return frozenset(seen)
+
+
+def ancestors(dag, of) -> frozenset:
+    """Every node reached from ``of`` against one or more edges."""
+    seen: set = set()
+    frontier = list(of)
+    while frontier:
+        for parent in dag.parents(frontier.pop()):
+            if parent not in seen:
+                seen.add(parent)
+                frontier.append(parent)
+    return frozenset(seen)
+
+
+def d_separated_reference(dag, a, b, c=()) -> bool:
+    """``dag.d_separated`` as a breadth-first search over (node, direction)
+    states held in sets, kept to check the bitmask search against."""
+    a, b, c = frozenset(a), frozenset(b), frozenset(c)
+    _validate_query(dag, a, b, c)
+    z = determined_closure(c, dag.dependencies) & dag.node_names
+    an_z = z | ancestors(dag, z)
+    # direction "up" means the trail arrived at the node from a child (or is
+    # a query source); "down" means it arrived from a parent.
+    frontier: deque = deque((node, "up") for node in sorted(a))
+    visited = set(frontier)
+    while frontier:
+        node, direction = frontier.popleft()
+        if node not in z and node in b:
+            return False
+        moves: list[tuple[str, str]] = []
+        if direction == "up" and node not in z:
+            moves.extend((p, "up") for p in dag.parents(node))
+            moves.extend((ch, "down") for ch in dag.children(node))
+        elif direction == "down":
+            if node not in z:
+                moves.extend((ch, "down") for ch in dag.children(node))
+            if node in an_z:  # collider (or its ancestor chain) activated
+                moves.extend((p, "up") for p in dag.parents(node))
+        for move in moves:
+            if move not in visited:
+                visited.add(move)
+                frontier.append(move)
+    return True
 
 
 def local_markov_basis(dag) -> frozenset:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from modcoherence.ci import EmptySide, FunctionalDependency, normalize
+from modcoherence.ci import CIError, EmptySide, FunctionalDependency, normalize
 from modcoherence.dag import (
     CycleDetected,
     DagError,
@@ -17,6 +17,7 @@ from modcoherence.dag import (
     build_dag,
     d_separated,
 )
+from modcoherence.protocol import build_system, canonical_dag
 
 from .oracles import local_markov_basis, random_dag_instance
 
@@ -137,6 +138,24 @@ class TestDSeparation:
             d_separated(dag, {"A"}, {"Z"})
         with pytest.raises(Exception):
             d_separated(dag, {"A"}, {"A"})
+
+    def test_str_side_is_refused_not_split(self):
+        # "BD" read as {"B", "D"} conditioned on the collider B and answered
+        dag = build_dag(["A", "B", "C", "D"], [("A", "B"), ("B", "C"), ("D", "B")])
+        with pytest.raises(CIError, match="^c must be a collection of symbols, got 'BD'$"):
+            d_separated(dag, {"A"}, {"C"}, "BD")
+        with pytest.raises(CIError, match="^a must be a collection of symbols, got 'A'$"):
+            d_separated(dag, "A", {"C"}, {"B"})
+        # a one-name side given as a str listed its characters as unknown nodes
+        with pytest.raises(CIError, match="^a must be a collection of symbols, got 'theta_1'$"):
+            d_separated(canonical_dag(build_system(2)), "theta_1", "theta_2", "I_+^0")
+
+    @pytest.mark.parametrize("side", [[1], ["A", None], [("A",)], None, 3])
+    def test_non_str_member_is_refused(self, side):
+        dag = build_dag(["A", "B"], [("A", "B")])
+        for sides in ((side, {"B"}, ()), ({"A"}, side, ()), ({"A"}, {"B"}, side)):
+            with pytest.raises(CIError, match="must be a collection of symbols"):
+                d_separated(dag, *sides)
 
     @pytest.mark.parametrize("a, b", [([], ["y"]), (["x"], [])])
     def test_empty_side_is_refused_as_normalize_refuses_it(self, a, b):

@@ -1,0 +1,99 @@
+"""The bitmask d-separation search versus the per-state reference search.
+
+``tests.oracles.d_separated_reference`` walks (node, direction) states
+through sets and a deque; ``d_separated`` runs the same moves as a layered
+search over int bitmasks.  They must agree on every query, with and without
+declared functional dependencies, which ``test_dsep_networkx.py`` cannot
+check.  Needs numpy only; each test pins how many queries it checked and
+how many of them were separated, so a sweep that shrinks shows.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from modcoherence.ci import FunctionalDependency
+from modcoherence.dag import build_dag, d_separated
+from modcoherence.protocol import build_system, canonical_dag, confounded_dag
+
+from .oracles import d_separated_reference
+
+
+def random_dag(rng: random.Random, n: int):
+    """A random DAG over n nodes, names shuffled against the topological
+    order, with 0-3 random functional dependencies between its nodes."""
+    order = [f"v{k}" for k in range(n)]
+    rng.shuffle(order)
+    p = 2 * rng.uniform(0.5, 2.5) / (n - 1)
+    edges = [(u, v) for i, u in enumerate(order) for v in order[i + 1:] if rng.random() < p]
+    deps = []
+    for _ in range(rng.randint(0, 3)):
+        picked = rng.sample(order, rng.randint(2, 4))
+        cut = rng.randint(1, len(picked) - 1)
+        deps.append(FunctionalDependency(frozenset(picked[:cut]), frozenset(picked[cut:])))
+    return build_dag(order, edges, deps)
+
+
+def random_query(rng: random.Random, names: list):
+    """Disjoint sides: a and b of 1-3 nodes, c of the rest of 2-12 picked."""
+    picked = rng.sample(names, min(len(names), rng.randint(2, 12)))
+    a_end = rng.randint(1, min(3, len(picked) - 1))
+    b_end = rng.randint(a_end + 1, min(a_end + 3, len(picked)))
+    return set(picked[:a_end]), set(picked[a_end:b_end]), set(picked[b_end:])
+
+
+def agree(dag, queries) -> tuple[int, int]:
+    checked = separated = 0
+    for a, b, c in queries:
+        ours = d_separated(dag, a, b, c)
+        assert ours == d_separated_reference(dag, a, b, c), (sorted(a), sorted(b), sorted(c))
+        checked += 1
+        separated += ours
+    return checked, separated
+
+
+def test_random_dags_with_dependencies():
+    rng = random.Random(1998)
+    checked = separated = 0
+    for _ in range(200):
+        dag = random_dag(rng, rng.randint(4, 90))
+        got = agree(dag, [random_query(rng, list(dag.nodes)) for _ in range(50)])
+        checked += got[0]
+        separated += got[1]
+    assert (checked, separated) == (10_000, 3217)
+
+
+@pytest.mark.parametrize("template, m, pinned", [
+    (canonical_dag, 2, (2088, 890)), (confounded_dag, 2, (3330, 1202)),
+    (canonical_dag, 3, (19_320, 7730)), (confounded_dag, 3, (25_440, 8152)),
+], ids=["canonical-2", "confounded-2", "canonical-3", "confounded-3"])
+def test_every_singleton_query_on_the_templates(template, m, pinned):
+    """Every ordered pair of nodes, given every context of at most two nodes."""
+    dag = template(build_system(m))
+    names = sorted(dag.nodes)
+    queries = []
+    for x, y in itertools.permutations(names, 2):
+        rest = [n for n in names if n not in (x, y)]
+        for size in range(3):
+            queries.extend(({x}, {y}, set(c)) for c in itertools.combinations(rest, size))
+    assert agree(dag, queries) == pinned
+
+
+@pytest.mark.parametrize("template, m, pinned", [
+    (canonical_dag, 8, (166, 43)), (confounded_dag, 8, (166, 18)),
+    (canonical_dag, 32, (214, 68)), (confounded_dag, 32, (214, 7)),
+], ids=["canonical-8", "confounded-8", "canonical-32", "confounded-32"])
+def test_a_sample_past_64_nodes(template, m, pinned):
+    """m = 8 has 75 system symbols and m = 32 has 1,059, so the masks pass
+    64 bits; the sample mixes singleton queries with the goals' shapes."""
+    system = build_system(m)
+    dag = template(system)
+    rng = random.Random(m)
+    names = sorted(dag.nodes)
+    queries = [random_query(rng, names) for _ in range(150)]
+    for i in range(1, m + 1):
+        queries.append(({system.theta(i)}, system.theta_rest(i), {system.full_pool}))
+        queries.append(({system.theta(i)}, {system.full_pool},
+                        {system.common, system.evidence(i, i)}))
+    assert agree(dag, queries) == pinned

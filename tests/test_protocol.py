@@ -437,6 +437,26 @@ class TestLumpedRoute:
         monkeypatch.undo()
         _assert_matches_reference(sys, mode, verdict)
 
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_a_verdict_slices_the_base_once_per_panel(self, monkeypatch, m):
+        """Both goals of a panel read one slice of the base, made by the
+        verdict and kept by nothing after it: a second verdict slices again,
+        and the system gains no attribute."""
+        sys = build_system(m)
+        mode = AxiomaticMode(base_statements(sys))
+        verify_coherence(sys, mode)
+        kept = dict(vars(sys))
+        panels = []
+        original = protocol._panel_slice
+        monkeypatch.setattr(protocol, "_panel_slice",
+                            lambda s, base, i: panels.append(i) or original(s, base, i))
+        for _ in range(2):
+            verdict = verify_coherence(sys, mode)
+        assert panels == list(range(1, m + 1)) * 2
+        assert vars(sys).keys() == kept.keys()
+        monkeypatch.undo()
+        _assert_matches_reference(sys, mode, verdict)
+
     def test_an_extra_in_one_panels_slice_is_derived_directly(self, monkeypatch):
         """An extra over panel 3's lumped universe alone changes its slice,
         so panel 3 misses panel 2's derivations and makes its own."""
