@@ -54,13 +54,13 @@ SECONDS = 20
 # verify_coherence_m3_sequence makes seven verdicts on one m=3 system, the
 # bare one and then one per extra statement, as the benchmark's prove
 # workload does (no CLI command makes more than one verdict on a system
-# with the same conditions), so it shows what the system's lumped
-# derivations save from one verdict to the next; at about 0.03 s a run it
-# runs ten times; graphical_verdicts_m16 builds a fresh m=16 system and its
-# canonical and confounded graphs inside the timed code and makes one
-# graphical verdict on each, so it shows the cost of d-separation with no
-# state shared from an earlier verdict, and at about 0.05 s a run it runs
-# ten times
+# with the same conditions), so it shows what the system's own lumped
+# proofs, made once per system, save from one verdict to the next; at
+# about 0.03 s a run it runs ten times; graphical_verdicts_m16 builds a
+# fresh m=16 system and its canonical and confounded graphs inside the
+# timed code and makes one graphical verdict on each, so it shows the cost
+# of d-separation with no state shared from an earlier verdict, and at
+# about 0.05 s a run it runs ten times
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"

@@ -114,7 +114,11 @@ def normalize(a: Iterable[Symbol], b: Iterable[Symbol], c: Iterable[Symbol] = ()
     """Return the canonical symmetric representative of ``(a, b, c)``.
 
     Inputs must already be pairwise disjoint; idempotent on its own output.
+    A bare str side is refused, not split into characters.
     """
+    if str in (a.__class__, b.__class__, c.__class__):
+        field, value = next((f, v) for f, v in zip("abc", (a, b, c)) if v.__class__ is str)
+        raise CIError(f"{field} must be a collection of symbols, got {value!r}")
     a, b, c = frozenset(a), frozenset(b), frozenset(c)
     if not a or not b:
         raise EmptySide(f"independence sides must be non-empty: ({sorted(a)}, {sorted(b)})")

@@ -15,7 +15,6 @@ from typing import Iterable
 
 from . import ModcoherenceError, Record
 from .ci import (
-    EMPTY,
     EmptySide,
     FunctionalDependency,
     OverlappingSets,
@@ -45,13 +44,6 @@ class UnknownSymbol(DagError):
     pass
 
 
-def _neighbours(pairs: Iterable[tuple[Symbol, Symbol]]) -> dict[Symbol, VarSet]:
-    out: dict[Symbol, set] = {}
-    for u, v in pairs:
-        out.setdefault(u, set()).add(v)
-    return {u: frozenset(vs) for u, vs in out.items()}
-
-
 class Dag(Record):
     nodes: tuple[Symbol, ...]
     edges: tuple[tuple[Symbol, Symbol], ...]
@@ -60,20 +52,6 @@ class Dag(Record):
     @functools.cached_property
     def node_names(self) -> VarSet:
         return frozenset(self.nodes)
-
-    @functools.cached_property
-    def _parent_map(self) -> dict[Symbol, VarSet]:  # nodes without parents are absent
-        return _neighbours((v, u) for u, v in self.edges)
-
-    @functools.cached_property
-    def _child_map(self) -> dict[Symbol, VarSet]:
-        return _neighbours(self.edges)
-
-    def parents(self, name: Symbol) -> VarSet:
-        return self._parent_map.get(name, EMPTY)
-
-    def children(self, name: Symbol) -> VarSet:
-        return self._child_map.get(name, EMPTY)
 
     @functools.cached_property
     def _masks(self) -> tuple[dict[Symbol, int], tuple[int, ...], tuple[int, ...]]:
@@ -106,8 +84,11 @@ def build_dag(
             raise UnknownEndpoint(f"edge {u}->{v} references an undeclared node")
         if u == v:
             raise CycleDetected(f"self-loop at {u}")
+    parents: dict = {}
+    for u, v in edges:
+        parents.setdefault(v, []).append(u)
     try:
-        tuple(TopologicalSorter(dag._parent_map).static_order())
+        tuple(TopologicalSorter(parents).static_order())
     except CycleError as exc:
         raise CycleDetected(str(exc)) from exc
     for dep in dag.dependencies:

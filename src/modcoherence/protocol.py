@@ -61,8 +61,7 @@ class ConditionKind(enum.Enum):
 
 
 ALL_CONDITIONS = tuple(ConditionKind)
-# lumped derivations a table keeps; past this, the oldest goes
-LUMPED_TABLE_SIZE = 1_024
+GOAL_NAMES = ("panel_independence", "autonomous_updating")  # each panel's two goals
 
 
 class PanelSystem(Record):
@@ -123,18 +122,20 @@ class PanelSystem(Record):
         return tuple(facts)
 
     @functools.cached_property
-    def _own_slices(self) -> frozenset:
-        """The ranked lumped slices of this system's own conditions, one per
-        panel order type: panel 1's, and panel 2's, which panels 3..m share
-        (see :func:`_derive_lumped`)."""
+    def _own_lumped(self) -> dict:
+        """The lumped derivations of panel 1's and panel 2's goals over
+        ``base_statements(self)``, by order type (panels 3..m share panel
+        2's; see :func:`_derive_lumped`), made with their own memo at
+        ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
+        allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements."""
         base = base_statements(self)
-        return frozenset(_panel_slice(self, base, i)[-1] for i in (1, 2))
-
-    @functools.cached_property
-    def _lumped(self) -> dict:
-        """Lumped derivations over :attr:`_own_slices`, by order type, kept
-        across this system's verdicts (see :func:`_derive_lumped`)."""
-        return {}
+        memo = Memo(self.dependencies, self.universe)
+        table: dict = {}
+        slices: dict = {}
+        for i in (1, 2):
+            for name in GOAL_NAMES:
+                _lumped_entry(self, base, (i, name), DEFAULT_BUDGET, memo, table, slices)
+        return table
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.m:
@@ -270,23 +271,22 @@ def _goal_waypoints(sys: PanelSystem, i: int, name: str) -> tuple[CIStatement, .
     return (cut_in, shielded, own_only, autonomy_goal(sys, i))
 
 
-def _lumped_universe(sys: PanelSystem, i: int) -> VarSet:
-    """The six symbols of panel i's lumped derivations; the first name of
-    theta_rest(i) stands for all of it (see :func:`_derive_lumped`)."""
-    own = {sys.theta(i), sys.common, sys.evidence(i, i), sys.own_evidence_pool, sys.full_pool}
-    return frozenset(own | {min(sys.theta_rest(i))})
+def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> tuple:
+    """Panel i's sorted lumped names, its ``lump`` and its ``ranked``, then
+    ``base`` sliced by ``lump`` and that slice written as a frozenset of ranks.
 
-
-def _lumping(sys: PanelSystem, i: int):
-    """Panel i's sorted lumped universe (:func:`_lumped_universe`), its
-    ``lump`` and its ``ranked``.  ``lump`` writes a statement with
-    theta_rest(i) lumped into its first name, or gives None for one that
-    splits theta_rest(i) or leaves the lumped universe; ``ranked`` writes a
-    lumped statement as ranks in the sorted lumped universe."""
+    The lumped names are the six symbols of panel i's lumped derivations;
+    the first name of theta_rest(i) stands for all of it (see
+    :func:`_derive_lumped`).  ``lump`` writes a statement with
+    theta_rest(i) lumped into that name, or gives None for one that splits
+    theta_rest(i) or leaves the lumped names; ``ranked`` writes a lumped
+    statement as ranks in the sorted lumped names."""
     rest = sys.theta_rest(i)
-    universe = _lumped_universe(sys, i)
-    names = sorted(universe)
     lumped = min(rest)
+    universe = frozenset(
+        {sys.theta(i), sys.common, sys.evidence(i, i), sys.own_evidence_pool, sys.full_pool, lumped}
+    )
+    names = sorted(universe)
     bit = {n: 1 << k for k, n in enumerate(names)}
 
     def lump(s: CIStatement) -> Optional[CIStatement]:
@@ -303,15 +303,43 @@ def _lumping(sys: PanelSystem, i: int):
     def ranked(s: CIStatement) -> tuple[int, ...]:
         return tuple(sum(map(bit.__getitem__, side)) for side in (s.a, s.b, s.c))
 
-    return names, lump, ranked
-
-
-def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> tuple:
-    """Panel i's :func:`_lumping`, then ``base`` sliced by its ``lump`` and
-    that slice written as a frozenset of ranks."""
-    names, lump, ranked = _lumping(sys, i)
     sliced = [t for s in base if (t := lump(s)) is not None]
     return names, lump, ranked, sliced, frozenset(map(ranked, sliced))
+
+
+def _lumped_entry(
+    sys: PanelSystem,
+    base: Iterable[CIStatement],
+    route: tuple[int, str],
+    budget: int,
+    memo: Optional[Memo],
+    table: dict,
+    slices: dict,
+) -> tuple:
+    """Panel i's sorted lumped names, then goal ``route = (i, name)``'s
+    lumped derivation as ``(sorted names it was derived over, result)``:
+    read from ``table``, or derived at ``budget`` and stored there.
+
+    ``table`` is keyed by order type: panel i's slice of ``base`` and the
+    goal's waypoints, both written as ranks in the sorted lumped names.
+    Panels 2..m sort alike, theta_1 before their own theta, and panel 1
+    apart, its own theta_1 first.  Swapping panels 2 and i maps the
+    dependencies onto themselves and panel 2's lumped names onto panel i's
+    in sorted order, so a derivation of the same order type is the same
+    search renamed.  ``slices`` keeps each panel's :func:`_panel_slice` of
+    ``base``, so both goals of a panel read one slice."""
+    i, name = route
+    if i not in slices:
+        slices[i] = _panel_slice(sys, base, i)
+    names, lump, ranked, sliced, ranked_slice = slices[i]
+    waypoints = tuple(lump(w) for w in _goal_waypoints(sys, i, name))
+    key = ranked_slice, tuple(map(ranked, waypoints))
+    entry = table.get(key)
+    if entry is None:
+        result = derive_through(sliced, sys.dependencies, waypoints, budget, frozenset(names),
+                                memo=memo)
+        entry = table[key] = names, result
+    return names, entry
 
 
 def _derive_lumped(
@@ -320,11 +348,11 @@ def _derive_lumped(
     route: tuple[int, str],
     budget: int,
     memo: Optional[Memo] = None,
-    shared: Optional[dict] = None,
+    table: Optional[dict] = None,
     slices: Optional[dict] = None,
 ) -> DeriveResult:
     """Goal ``route = (i, name)`` derived with theta_rest(i) lumped into one
-    symbol, over :func:`_lumped_universe`.
+    symbol, over panel i's six lumped names (see :func:`_panel_slice`).
 
     Every waypoint of panel i holds theta_rest(i) whole, and no dependency
     mentions a theta, so the determinism rules never select the lumped
@@ -334,66 +362,28 @@ def _derive_lumped(
     ``determinism_augment``, which moves a context symbol to the second
     side, stays the same rule instance.  The derivation runs on the base
     statements that hold theta_rest(i) whole on one side or not at all and
-    otherwise stay in the lumped universe.  A proof is expanded back, symbol
+    otherwise stay in the lumped names.  A proof is expanded back, symbol
     for set, into a proof in the full system, whose premises are those base
-    statements; a selection of the lumped symbol becomes a multi-symbol
-    decomposition or weak union.  Any other status certifies nothing about
-    the full system.  ``memo`` is one for ``sys.dependencies`` and a
-    universe holding the lumped one, such as the system's: the encoding
-    keeps names in sorted order, so every orientation and rule order, and
-    with them the proof, are the same as in a memo of the lumped universe.
+    statements, and replayed there; a selection of the lumped symbol
+    becomes a multi-symbol decomposition or weak union.  Any other status
+    certifies nothing about the full system.  ``memo`` is one for
+    ``sys.dependencies`` and a universe holding the lumped one, such as the
+    system's: the encoding keeps names in sorted order, so every
+    orientation and rule order, and with them the proof, are the same as in
+    a memo of the lumped universe.
 
-    Lumped derivations are kept by order type: the sliced base and the
-    waypoints written as ranks in the sorted lumped universe, and the
-    budget.  Panels 2..m sort alike, theta_1 before their own theta, and
-    panel 1 apart, its own theta_1 first.  Swapping panels 2 and i maps the
-    dependencies onto themselves and panel 2's lumped universe onto panel
-    i's in sorted order, so a derivation of the same order type is the same
-    search renamed.  A result is a pure function of the system and that
-    key, so a table holds only each result and the sorted names it was
-    derived over, never the memo, and at most ``LUMPED_TABLE_SIZE`` of
-    them, the oldest dropped first.  A derivation over a slice of the
-    system's own conditions (``sys._own_slices``) goes to the system's
-    table, ``sys._lumped``, and outlives the verdict; any other goes to
-    ``shared``, the verdict's.  A bare verdict thus derives panel 2's goals
-    once and renames them, rank for rank, for panels 3..m, and a later
-    verdict on the same system and budget derives none of them again; a
-    slice that an extra statement changes is derived once per verdict, so
-    what a verdict derives depends on no earlier verdict but the system's
-    own derivations.  A call without ``shared`` derives every goal
-    directly.  Every expanded proof is replayed in the full system,
-    renamed or not, reused or not.
-
-    ``slices`` holds the verdict's :func:`_panel_slice` by panel: panel i's
-    lumping, its slice of ``base`` and that slice's ranks are made once per
-    verdict, and both of panel i's goals read them.  A call without
-    ``slices`` makes its own.
+    ``table`` and ``slices`` are those of :func:`_lumped_entry`; a derivation
+    found in ``table`` by order type is renamed, rank for rank, before it is
+    expanded.  A call without them derives the goal directly.
     """
-    i, name = route
-    rest = sys.theta_rest(i)
-    if slices is None:
-        slices = {}
-    if i not in slices:
-        slices[i] = _panel_slice(sys, base, i)
-    names, lump, ranked, sliced, ranked_slice = slices[i]
-    lumped = min(rest)
-    deps = sys.dependencies
-    waypoints = tuple(lump(w) for w in _goal_waypoints(sys, i, name))
-    key = (ranked_slice, tuple(map(ranked, waypoints)), budget)
-    if shared is None:
-        table: dict = {}
-    else:
-        table = sys._lumped if key[0] in sys._own_slices else shared
-    entry = table.get(key)
-    if entry is None:
-        universe = frozenset(names)
-        entry = names, derive_through(sliced, deps, waypoints, budget, universe, memo=memo)
-        if len(table) >= LUMPED_TABLE_SIZE:
-            del table[next(iter(table))]
-        table[key] = entry
-    source, result = entry
+    names, (source, result) = _lumped_entry(
+        sys, base, route, budget, memo, {} if table is None else table,
+        {} if slices is None else slices,
+    )
     if not result.proved:
         return result
+    rest = sys.theta_rest(route[0])
+    lumped = min(rest)
     rename = dict(zip(source, names))
 
     @functools.cache  # a proof repeats few distinct sides
@@ -409,7 +399,7 @@ def _derive_lumped(
         for step in result.proof.steps
     )
     proof = Proof(tuple(full[s] for s in result.proof.premises), steps, full[result.proof.goal])
-    if not proof.replay(deps):
+    if not proof.replay(sys.dependencies):
         raise AssertionError("internal error: expanded proof failed replay")
     return DeriveResult("proved", proof, result.generated)
 
@@ -418,25 +408,26 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
     goal's lumped derivation first (:func:`_derive_lumped`), then one
     unconstrained search of the full system, so every status but ``proved``
-    comes from the full system.  All of them share one memo, and the
-    lumped derivations one table by order type and one slice of the base
-    per panel, which live as long as the decider, one verdict; so panels
-    3..m reuse panel 2's lumped proofs, renamed, and each panel's two goals
-    its slice.  The lumped derivations over the slices of the system's own
-    conditions are kept on the system instead, so a later verdict reuses
-    every one whose slice it leaves unchanged.  Graphical mode asks
-    d-separation."""
+    comes from the full system.  All of them share one memo, and the lumped
+    derivations one table and one slice of the base per panel, which live
+    as long as the decider, one verdict.  The table starts with the
+    system's own lumped proofs (``sys._own_lumped``) whose searches made at
+    most ``mode.budget`` statements in all: no one search held more, so at
+    this budget each would take the same steps.  Every other lumped
+    derivation is made at ``mode.budget`` into the table, so panels 3..m
+    reuse panel 2's, renamed.  Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
         memo = Memo(sys.dependencies, sys.universe)
-        shared: dict = {}
+        table = {key: entry for key, entry in sys._own_lumped.items()
+                 if entry[1].generated <= mode.budget}
         slices: dict = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
-                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, shared, slices)
+                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, table, slices)
                 if result.proved:
                     return result.status, result.proof
             result = derive(mode.base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)
@@ -477,23 +468,17 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     """Check the coherence conclusion: panel-independent beliefs plus
     own-evidence-only updating for every panel.
 
-    In axiomatic mode the verdict's derivations, lumped and full-system,
-    share one :class:`~modcoherence.ci.Memo`, so each base is searched once,
-    and it is dropped when the verdict is made.  The lumped derivations
-    over the slices of the system's own conditions are kept on ``sys``
-    (see :func:`_derive_lumped`), so later verdicts on it with the same
-    budget reuse those of their slices that match, with every reused proof
-    renamed, expanded and replayed again; every other derivation is made
-    again by each verdict that needs it.
+    In axiomatic mode the verdict's derivations share one memo and one
+    table of lumped derivations, dropped when the verdict is made (see
+    :func:`_decider`); only the system's own lumped proofs, made once per
+    system, outlive it.  Every lumped proof, reused or not, is expanded and
+    replayed in the full system.
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)
     goals: list[GoalResult] = []
     for i in range(1, sys.m + 1):
-        for name, goal in (
-            ("panel_independence", independence_goal(sys, i)),
-            ("autonomous_updating", autonomy_goal(sys, i)),
-        ):
+        for name, goal in zip(GOAL_NAMES, (independence_goal(sys, i), autonomy_goal(sys, i))):
             status, proof = decide(goal, (i, name))
             goals.append(GoalResult(i, name, goal, status, proof))
     ok = all(g.established for g in goals)

@@ -7,6 +7,7 @@ code paths it checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -105,11 +106,12 @@ def aggregate_dag_joint(rng: np.random.Generator, dag, aggregates) -> np.ndarray
     ``aggregates`` is the tuple of its parents' values, so it determines each
     parent and is determined by them; every other node is binary with a random
     CPT.  A tuple node's axis has one value per parent configuration."""
-    order = list(TopologicalSorter({n: dag.parents(n) for n in dag.nodes}).static_order())
+    parents, _ = adjacency(dag.edges)
+    order = list(TopologicalSorter({n: parents.get(n, ()) for n in dag.nodes}).static_order())
     configs: dict = {}
     size: dict = {}
     for node in order:
-        configs[node] = math.prod(size[p] for p in dag.parents(node))
+        configs[node] = math.prod(size[p] for p in parents.get(node, ()))
         size[node] = configs[node] if node in aggregates else 2
     free = [n for n in dag.nodes if n not in aggregates]
     cpts = {node: random_cpt(rng, configs[node]) for node in free}
@@ -118,7 +120,7 @@ def aggregate_dag_joint(rng: np.random.Generator, dag, aggregates) -> np.ndarray
         value, prob = dict(zip(free, bits)), 1.0
         for node in order:
             config = 0
-            for parent in sorted(dag.parents(node)):
+            for parent in sorted(parents.get(node, ())):
                 config = size[parent] * config + value[parent]
             if node in aggregates:
                 value[node] = config
@@ -140,12 +142,26 @@ def all_small_queries(n: int, rng: np.random.Generator, count: int):
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def adjacency(edges) -> tuple[dict, dict]:
+    """Each node's parents and each node's children, as frozensets, from a
+    graph's edges; a node with none is absent.  Made once per graph."""
+    parents: dict = {}
+    children: dict = {}
+    for u, v in edges:
+        parents.setdefault(v, set()).add(u)
+        children.setdefault(u, set()).add(v)
+    return ({n: frozenset(ps) for n, ps in parents.items()},
+            {n: frozenset(cs) for n, cs in children.items()})
+
+
 def descendants(dag, of) -> frozenset:
     """Every node reached from ``of`` along one or more edges."""
+    _, children = adjacency(dag.edges)
     seen: set = set()
     frontier = [of]
     while frontier:
-        for child in dag.children(frontier.pop()):
+        for child in children.get(frontier.pop(), ()):
             if child not in seen:
                 seen.add(child)
                 frontier.append(child)
@@ -154,10 +170,11 @@ def descendants(dag, of) -> frozenset:
 
 def ancestors(dag, of) -> frozenset:
     """Every node reached from ``of`` against one or more edges."""
+    parents, _ = adjacency(dag.edges)
     seen: set = set()
     frontier = list(of)
     while frontier:
-        for parent in dag.parents(frontier.pop()):
+        for parent in parents.get(frontier.pop(), ()):
             if parent not in seen:
                 seen.add(parent)
                 frontier.append(parent)
@@ -171,6 +188,7 @@ def d_separated_reference(dag, a, b, c=()) -> bool:
     _validate_query(dag, a, b, c)
     z = determined_closure(c, dag.dependencies) & dag.node_names
     an_z = z | ancestors(dag, z)
+    parents, children = adjacency(dag.edges)
     # direction "up" means the trail arrived at the node from a child (or is
     # a query source); "down" means it arrived from a parent.
     frontier: deque = deque((node, "up") for node in sorted(a))
@@ -181,13 +199,13 @@ def d_separated_reference(dag, a, b, c=()) -> bool:
             return False
         moves: list[tuple[str, str]] = []
         if direction == "up" and node not in z:
-            moves.extend((p, "up") for p in dag.parents(node))
-            moves.extend((ch, "down") for ch in dag.children(node))
+            moves.extend((p, "up") for p in parents.get(node, ()))
+            moves.extend((ch, "down") for ch in children.get(node, ()))
         elif direction == "down":
             if node not in z:
-                moves.extend((ch, "down") for ch in dag.children(node))
+                moves.extend((ch, "down") for ch in children.get(node, ()))
             if node in an_z:  # collider (or its ancestor chain) activated
-                moves.extend((p, "up") for p in dag.parents(node))
+                moves.extend((p, "up") for p in parents.get(node, ()))
         for move in moves:
             if move not in visited:
                 visited.add(move)
@@ -199,8 +217,9 @@ def local_markov_basis(dag) -> frozenset:
     """One statement per node: node _||_ nondescendants-minus-parents | parents."""
     out = set()
     names = dag.node_names
+    parent_map, _ = adjacency(dag.edges)
     for node in sorted(names):
-        parents = dag.parents(node)
+        parents = parent_map.get(node, frozenset())
         nondesc = names - descendants(dag, node) - parents - {node}
         if nondesc:
             out.add(normalize({node}, nondesc, parents))

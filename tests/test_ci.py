@@ -31,7 +31,7 @@ from modcoherence.ci import (
 from modcoherence.protocol import (
     ALL_CONDITIONS,
     ConditionKind,
-    _lumped_universe,
+    _panel_slice,
     autonomy_goal,
     base_statements,
     build_system,
@@ -64,6 +64,16 @@ class TestNormalize:
             normalize(set(), {T1})
         with pytest.raises(EmptySide):
             normalize({T1}, set())
+
+    def test_str_side_rejected(self):
+        # frozenset would split a bare str into its characters: "AB" read
+        # as A,B, and "theta_1" overlapping "I_0^0" on single letters
+        with pytest.raises(CIError, match="^a must be a collection of symbols, got 'AB'$"):
+            normalize("AB", {"C"}, "D")
+        with pytest.raises(CIError, match="^a must be a collection of symbols, got 'theta_1'$"):
+            normalize("theta_1", {"theta_2"}, "I_0^0")
+        with pytest.raises(CIError, match="^c must be a collection of symbols, got 'I_0'$"):
+            normalize({T1}, [T2], I0)
 
     def test_render(self):
         assert normalize({T2}, {T1}, {I0}).render() == "theta_1 _||_ theta_2 | I_0"
@@ -347,7 +357,7 @@ class TestDerive:
         assert fresh.generated < late.generated
         assert derive(kept, deps, early, universe=universe, memo=memo) == fresh
         # a smaller universe on the same memo
-        lumped = _lumped_universe(system, 1)
+        lumped = frozenset(_panel_slice(system, (), 1)[0])
         inside = [s for s in kept if s.symbols() <= lumped]
         for goal in (autonomy_goal(system, 1), absent):
             fresh = derive(inside, deps, goal, universe=lumped)

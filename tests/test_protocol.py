@@ -509,16 +509,26 @@ class TestLumpedRoute:
         assert second == first
 
     def test_another_budget_or_system_makes_its_own_derivations(self, monkeypatch):
-        """The budget is part of the key, and the table is the system's."""
-        sys = build_system(3)
+        """Another system derives its own proofs.  Another budget reuses the
+        system's while it is at or above their searches' totals, and below
+        one derives that proof again, in each verdict that needs it."""
         results = self._record_lumped(monkeypatch)
-        verify_coherence(sys, AxiomaticMode(base_statements(sys)))
-        verify_coherence(sys, AxiomaticMode(base_statements(sys), 5_000))
-        assert len(results) == 8
-        other = build_system(3)
-        verify_coherence(other, AxiomaticMode(base_statements(other)))
-        assert len(results) == 12
-        assert len(sys._lumped) == 8 and len(other._lumped) == 4
+
+        def made(sys, budget=ci.DEFAULT_BUDGET) -> int:
+            before = len(results)
+            verify_coherence(sys, AxiomaticMode(base_statements(sys), budget))
+            return len(results) - before
+
+        sys = build_system(3)
+        assert made(sys) == 4
+        totals = sorted(r.generated for r in results)
+        assert [made(sys, budget) for budget in (totals[-1], 5_000)] == [0, 0]
+        # below the largest total one proof is derived again, once for the
+        # panels that share it; below the smallest all four are
+        assert [made(sys, totals[-1] - 1), made(sys, totals[0] - 1), made(sys, totals[0] - 1)] == [
+            1, 4, 4,
+        ]
+        assert made(build_system(3)) == 4
 
     def test_the_system_keeps_only_its_own_conditions_derivations(self, monkeypatch):
         """An extra over panel 3's lumped universe changes that panel's
@@ -529,10 +539,41 @@ class TestLumpedRoute:
         mode = AxiomaticMode(base_statements(sys) + (extra,))
         results = self._record_lumped(monkeypatch)
         first = verify_coherence(sys, mode)
-        assert len(results) == 6 and len(sys._lumped) == 4
+        assert len(results) == 6 and len(sys._own_lumped) == 4
         second = verify_coherence(sys, mode)
-        assert len(results) == 8 and len(sys._lumped) == 4
+        assert len(results) == 8 and len(sys._own_lumped) == 4
         assert second == first
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_the_system_holds_four_own_proofs(self, m):
+        """Panel 1's two goals and panel 2's, all proved; no later verdict,
+        at any budget or base, adds a key to them or an attribute to the
+        system."""
+        sys = build_system(m)
+        own = sys._own_lumped
+        assert [result.status for _, result in own.values()] == ["proved"] * 4
+        keys, kept = list(own), set(vars(sys))
+        for seed, budget in enumerate((1, 66, 101, 300)):
+            verify_coherence(sys, AxiomaticMode(base_statements(sys), budget))
+            verify_coherence(sys, _random_mode(random.Random(seed), sys, budget))
+        verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+        assert sys._own_lumped is own and list(own) == keys
+        assert vars(sys).keys() == kept
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_reused_proofs_match_fresh_derivations_at_every_budget(self, m):
+        """A system that has made a default-budget verdict reuses its own
+        proofs only where the budget would not cut them: its bare verdicts
+        at budgets 1 to 130, which cross every own proof's largest search
+        and its total, and at 1,351, equal a fresh system's and the
+        reference's, whose lumped derivations are made at that budget."""
+        sys = build_system(m)
+        verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+        for budget in (*range(1, 131), 1_351):
+            mode = AxiomaticMode(base_statements(sys), budget)
+            verdict = verify_coherence(sys, mode)
+            assert verdict == verify_coherence(build_system(m), mode)
+            _assert_matches_reference(sys, mode, verdict)
 
     @pytest.mark.parametrize("m, budget, instances", [(2, 3_000, 12), (3, 2_000, 8)])
     def test_a_verdicts_derivations_do_not_depend_on_earlier_verdicts(
@@ -577,39 +618,7 @@ class TestLumpedRoute:
             shared = build_system(m)
             for k in order:
                 assert verify_coherence(shared, modes[k]) == fresh[k]
-            assert shared._lumped
-
-    def test_the_table_drops_its_oldest_entry_past_the_bound(self, monkeypatch):
-        """With room for two, a bare m = 3 verdict keeps the derivations of
-        panel 2's goals, made last; the table never holds more than two,
-        and the verdicts still match the reference."""
-        sys = build_system(3)
-        mode = AxiomaticMode(base_statements(sys))
-        verify_coherence(sys, mode)
-        keys = list(sys._lumped)
-        assert len(keys) == 4
-
-        monkeypatch.setattr(protocol, "LUMPED_TABLE_SIZE", 2)
-        small = build_system(3)
-        sizes = []
-        original = protocol.derive_through
-
-        def recorded(*args, **kwargs):
-            sizes.append(len(small._lumped))
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(protocol, "derive_through", recorded)
-        verdicts = []
-        for _ in range(2):
-            verdicts.append(verify_coherence(small, mode))
-            assert list(small._lumped) == keys[2:]
-        # each verdict derives panel 1's goals, then panel 2's, each stored
-        # in place of the oldest entry once the table holds two, and panel
-        # 3 reuses panel 2's; the second verdict finds panel 1's gone
-        assert sizes == [0, 1, 2, 2] + [2, 2, 2, 2]
-        monkeypatch.undo()
-        for verdict in verdicts:
-            _assert_matches_reference(small, mode, verdict)
+            assert len(shared._own_lumped) == 4
 
     def test_lumped_proofs_keep_each_statements_orientation(self):
         """determinism_augment moves a context symbol to a statement's second
