@@ -32,8 +32,9 @@ class Record:
     raises ``AttributeError``.
 
     A subclass with ``__slots__`` is one the prover builds in bulk: it
-    writes its own ``__init__``, ``__eq__`` and ``__hash__`` to the same
-    contract, and has no defaults.
+    writes its own ``__init__`` and has no defaults.  Of these, only
+    ``CIStatement``, hashed and compared throughout the search, also writes
+    its own ``__eq__`` and ``__hash__`` to the same contract.
     """
 
     __slots__ = ()

@@ -70,9 +70,9 @@ def _skey(s: VarSet) -> tuple:
 class CIStatement(Record):
     """Canonical ternary independence assertion ``a _||_ b | c``.
 
-    Construct through :func:`normalize`; the canonical representative has
-    ``a`` lexicographically before ``b``, so both symmetric readings share
-    one representation.
+    Construct through :func:`normalize`; the canonical representative puts
+    the side holding the least name in ``a``, so both symmetric readings
+    share one representation.
     """
 
     __slots__ = ("a", "b", "c")
@@ -114,10 +114,10 @@ def normalize(a: Iterable[Symbol], b: Iterable[Symbol], c: Iterable[Symbol] = ()
     """Return the canonical symmetric representative of ``(a, b, c)``.
 
     Inputs must already be pairwise disjoint; idempotent on its own output.
-    A bare str side is refused, not split into characters.
+    A str side, of any str subclass, is refused, not split into characters.
     """
-    if str in (a.__class__, b.__class__, c.__class__):
-        field, value = next((f, v) for f, v in zip("abc", (a, b, c)) if v.__class__ is str)
+    if isinstance(a, str) or isinstance(b, str) or isinstance(c, str):
+        field, value = next((f, v) for f, v in zip("abc", (a, b, c)) if isinstance(v, str))
         raise CIError(f"{field} must be a collection of symbols, got {value!r}")
     a, b, c = frozenset(a), frozenset(b), frozenset(c)
     if not a or not b:
@@ -126,7 +126,7 @@ def normalize(a: Iterable[Symbol], b: Iterable[Symbol], c: Iterable[Symbol] = ()
         raise OverlappingSets(
             f"sides must be pairwise disjoint: ({sorted(a)}, {sorted(b)}, {sorted(c)})"
         )
-    if _skey(b) < _skey(a):
+    if min(b) < min(a):
         a, b = b, a
     return CIStatement(a, b, c)
 
@@ -304,16 +304,6 @@ class ProofStep(Record):
         object.__setattr__(self, "selection", selection)
         object.__setattr__(self, "output", output)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.rule, self.inputs, self.selection, self.output) == (
-                other.rule, other.inputs, other.selection, other.output
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.rule, self.inputs, self.selection, self.output))
-
 
 class Proof(Record):
     """Ordered trace of rule applications from premises to a goal."""
@@ -329,16 +319,6 @@ class Proof(Record):
         object.__setattr__(self, "premises", premises)
         object.__setattr__(self, "steps", steps)
         object.__setattr__(self, "goal", goal)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.premises, self.steps, self.goal) == (
-                other.premises, other.steps, other.goal
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.premises, self.steps, self.goal))
 
     def statements(self) -> tuple[CIStatement, ...]:
         return self.premises + tuple(step.output for step in self.steps)
@@ -382,16 +362,6 @@ class DeriveResult(Record):
         object.__setattr__(self, "proof", proof)
         object.__setattr__(self, "generated", generated)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.status, self.proof, self.generated) == (
-                other.status, other.proof, other.generated
-            )
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.status, self.proof, self.generated))
-
     @property
     def proved(self) -> bool:
         return self.status == "proved"
@@ -412,19 +382,18 @@ class Memo:
 
     It holds the bit encoding (bit i stands for the i-th name, in sorted
     order, among the universe and every symbol a dependency mentions), one
-    determinism-closure cache, one search per ``(universe, base, budget)``
-    and the statement each decoded triple stands for, so proofs that
-    extract the same statements share them.  The search order does not
-    depend on the goal, so every query on a base is answered from that
-    search: a goal it already knows is proved from the stored provenance,
-    any other goal resumes it, and once it has ended its status,
-    ``not_derivable`` or ``budget_exhausted``, and size answer every goal it
-    does not know, as a fresh search would.
+    determinism-closure cache and one search per ``(universe, base,
+    budget)``; :meth:`decode` builds a fresh statement each call.  The
+    search order does not depend on the goal, so every query on a base is
+    answered from that search: a goal it already knows is proved from the
+    stored provenance, any other goal resumes it, and once it has ended its
+    status, ``not_derivable`` or ``budget_exhausted``, and size answer every
+    goal it does not know, as a fresh search would.
 
     Pass one memo to every :func:`derive` and :func:`derive_through` call
     over the same dependencies; a call without one makes its own.  A memo
-    keeps its searches and decoded statements alive, so keep it no longer
-    than the queries that share it.
+    keeps its searches alive, so keep it no longer than the queries that
+    share it.
     """
 
     def __init__(self, deps: Iterable[FunctionalDependency], universe: Iterable[Symbol]) -> None:
@@ -438,7 +407,6 @@ class Memo:
         )
         self.det_cache: dict[int, int] = {}
         self.searches: dict[tuple, _Saturation] = {}  # (universe, base, budget) -> search
-        self._decoded: dict[_Triple, CIStatement] = {}
 
     def _mask(self, names: Iterable[Symbol]) -> int:
         mask = 0
@@ -458,10 +426,7 @@ class Memo:
         return (self._mask(s.a), self._mask(s.b), self._mask(s.c))
 
     def decode(self, t: _Triple) -> CIStatement:
-        got = self._decoded.get(t)
-        if got is None:
-            got = self._decoded[t] = CIStatement(*(self.names_of(m) for m in t))
-        return got
+        return CIStatement(self.names_of(t[0]), self.names_of(t[1]), self.names_of(t[2]))
 
     def det(self, ctx: int) -> int:
         """Mask of :func:`determined_closure` of ``ctx``."""
@@ -534,11 +499,12 @@ class _Saturation:
     the :class:`Memo`; rewrites only add or move symbols of the search's own
     universe, while the determinism closure may chain through every
     dependency symbol.  Names and bits sort alike and sides are disjoint, so
-    putting the side with the lower lowest set bit first is
-    :func:`normalize`'s orientation, and walking a mask from its lowest bit
-    visits its symbols in sorted order, in any memo's encoding.  Triples are
-    decoded to :class:`CIStatement` only for the goal, proofs and closures,
-    by the memo that :meth:`run` and :meth:`extract_proof` take.
+    putting the side with the lower lowest set bit first (:func:`_orient`)
+    is :func:`normalize`'s least-name-first orientation, and walking a mask
+    from its lowest bit visits its symbols in sorted order, in any memo's
+    encoding.  Triples are decoded to :class:`CIStatement` only for the
+    goal, proofs and closures, by the memo that :meth:`run` and
+    :meth:`extract_proof` take.
 
     Decomposition and weak union are generated one symbol at a time; any
     multi-symbol split is reachable as a chain of single-symbol moves, so the
@@ -715,8 +681,7 @@ def closure(
     memo, universe = _memo_for(None, base, deps, universe)
     search = _Saturation(base, memo, universe, budget)
     search.run(memo)
-    # one-off: built directly, not through the memo's decode cache
-    statements = frozenset(CIStatement(*(memo.names_of(m) for m in t)) for t in search.known)
+    statements = frozenset(memo.decode(t) for t in search.known)
     return ClosureResult(statements, search.status == "not_derivable", len(search.known))
 
 

@@ -3,8 +3,8 @@
 Subcommands: ``check``, ``derive``, ``dsep``, ``ablate`` (protocol
 verification) and ``simulate``, ``separability`` (numeric experiments), each
 a function ``spec -> Report`` that takes the same four options.  Exit codes
-are stable: 0 all requested checks hold, 1 a check failed, 2 input or usage
-error; an interrupt prints ``Aborted!`` to stderr and exits 1.  Only
+are stable: 0 all requested checks hold, 1 a check failed, 2 input, usage
+or output error; an interrupt prints ``Aborted!`` to stderr and exits 1.  Only
 ``simulate`` and ``separability`` import ``panels`` (and with it numpy),
 inside the command and its grid helper, so the symbolic commands start
 without numpy.
@@ -13,6 +13,7 @@ without numpy.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import ModcoherenceError
@@ -44,7 +45,8 @@ def run(command, spec: str, out: str | None, fmt: str, quiet: bool) -> int:
     build the report, turn any package error into an exit-2 error report, then
     write the report in the requested format and return its exit code.  A
     ``--out`` file that cannot be written is an exit-2 error report on
-    stdout."""
+    stdout, and a report that cannot be written to stdout is exit 2 with one
+    ``error:`` line on stderr."""
 
     def error(exc: Exception) -> Report:
         return Report(command.__name__, "error", {"error": f"{type(exc).__name__}: {exc}"})
@@ -60,12 +62,32 @@ def run(command, spec: str, out: str | None, fmt: str, quiet: bool) -> int:
         try:
             with open(out, "w") as fh:
                 fh.write(render(report))
+            return report.exit_code
         except OSError as exc:
             report = error(exc)
-            sys.stdout.write(render(report))
-    else:
-        sys.stdout.write(render(report))
-    return report.exit_code
+    return report.exit_code if _write_stdout(render(report)) else 2
+
+
+def _write_stdout(text: str) -> bool:
+    """Write and flush ``text`` to stdout, or, when that fails (a closed
+    pipe, a closed or full stdout), report the failure in one stderr line,
+    point fd 1 at the null device so the interpreter's final flush stays
+    silent, and return False."""
+    try:
+        sys.stdout.write(text)  # AttributeError: stdout is None, fd 1 was closed
+        sys.stdout.flush()
+        return True
+    except (AttributeError, OSError) as exc:
+        try:
+            sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+            sys.stderr.flush()
+        except (AttributeError, OSError):
+            pass
+        null = os.open(os.devnull, os.O_WRONLY)
+        if null != 1:
+            os.dup2(null, 1)
+            os.close(null)
+        return False
 
 
 def main(args=None, prog_name=None) -> None:

@@ -20,6 +20,7 @@ from modcoherence.ci import (
     UnknownRule,
     UnlicensedDeterminism,
     UniverseError,
+    _orient,
     aggregate_dependencies,
     apply_axiom,
     closure,
@@ -74,6 +75,17 @@ class TestNormalize:
             normalize("theta_1", {"theta_2"}, "I_0^0")
         with pytest.raises(CIError, match="^c must be a collection of symbols, got 'I_0'$"):
             normalize({T1}, [T2], I0)
+
+    def test_str_subclass_side_rejected(self):
+        class Name(str):
+            pass
+
+        with pytest.raises(CIError, match="^b must be a collection of symbols, got 'AB'$"):
+            normalize({"C"}, Name("AB"))
+        import numpy as np
+
+        with pytest.raises(CIError, match="^a must be a collection of symbols, got "):
+            normalize(np.str_("AB"), {"C"})
 
     def test_render(self):
         assert normalize({T2}, {T1}, {I0}).render() == "theta_1 _||_ theta_2 | I_0"
@@ -437,6 +449,30 @@ def test_closure_order_independent(base, rnd):
     shuffled = list(base)
     rnd.shuffle(shuffled)
     assert closure(base, universe=SYMS).statements == closure(shuffled, universe=SYMS).statements
+
+
+# names whose string order differs from their number order
+ORDERED = ["theta_1", "theta_10", "theta_2", "I_1_10^0", "I_0^0", "I_+^0"]
+SWAPPED = 177  # of the 400 draws, those whose sides normalize swaps
+
+
+def test_normalize_orients_as_the_memo_and_decode_inverts_encode():
+    rng = random.Random(11)
+    swapped = 0
+    for _ in range(400):
+        # dependency symbols outside the universe shift the memo's encoding
+        extra = rng.sample(["A", "theta_3", "I_0_1^0"], rng.randint(0, 3))
+        deps = [FunctionalDependency(frozenset({name}), frozenset({ORDERED[0]})) for name in extra]
+        memo = Memo(deps, ORDERED)
+        picked = rng.sample(ORDERED, rng.randint(2, len(ORDERED)))
+        n_a = rng.randint(1, len(picked) - 1)
+        n_b = rng.randint(1, len(picked) - n_a)
+        a, b, c = picked[:n_a], picked[n_a : n_a + n_b], picked[n_a + n_b :]
+        s = normalize(a, b, c)
+        assert memo.encode(s) == _orient(memo._mask(a), memo._mask(b), memo._mask(c))
+        assert memo.decode(memo.encode(s)) == s
+        swapped += s.a != frozenset(a)
+    assert swapped == SWAPPED
 
 
 # -- reference closure and pinned counters --------------------------------

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import modcoherence
 from modcoherence import cli
 from modcoherence.protocol import ALL_CONDITIONS
 from modcoherence.report import Report
@@ -24,6 +28,7 @@ from modcoherence.specfile import (
 from .cli_runner import invoke
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
+SRC = Path(modcoherence.__file__).resolve().parent.parent
 
 
 def run(*args):
@@ -790,6 +795,49 @@ class TestSeparabilityCommand:
             div = json.loads(result.output)["results"]["divergence"]
             divergences.append({k: float.hex(v) for k, v in div.items()})
         assert divergences[0] == divergences[1]
+
+
+class TestStdoutFailures:
+    """A report that cannot be written to stdout exits 2 with one ``error:``
+    line on stderr and no traceback, in a real process, whose interpreter
+    flushes stdout again on the way out."""
+
+    SPEC = str(SPECS / "chain_dsep.spec")
+
+    @staticmethod
+    def cli(argv, stdout):
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )}
+        return subprocess.run(argv, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                              timeout=120, check=False)
+
+    @staticmethod
+    def assert_one_error_line(proc, name):
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith(f"error: {name}: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_a_closed_pipe_exits_2(self):
+        read, write = os.pipe()
+        os.close(read)  # no reader, so the first write fails with EPIPE
+        try:
+            proc = self.cli([sys.executable, "-m", "modcoherence.cli", "dsep", "--spec", self.SPEC],
+                            write)
+        finally:
+            os.close(write)
+        self.assert_one_error_line(proc, "BrokenPipeError")
+
+    def test_a_closed_stdout_exits_2(self):
+        argv = ["sh", "-c", 'exec "$0" -m modcoherence.cli "$@" >&-', sys.executable,
+                "check", "--spec", str(SPECS / "coherence_m2.spec")]
+        self.assert_one_error_line(self.cli(argv, None), "AttributeError")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    def test_a_full_device_exits_2(self):
+        with open("/dev/full", "w") as full:
+            proc = self.cli([sys.executable, "-m", "modcoherence.cli", "dsep", "--spec", self.SPEC],
+                            full)
+        self.assert_one_error_line(proc, "OSError")
 
 
 class TestReportContract:
