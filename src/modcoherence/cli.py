@@ -90,9 +90,21 @@ def _write_stdout(text: str) -> bool:
         return False
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help goes through :func:`_write_stdout`, so
+    help that cannot be written exits 2, as a report does; argparse's own
+    writer drops the error and exits 0."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            super().print_help(file)
+        elif not _write_stdout(self.format_help()):
+            self.exit(2)
+
+
 def main(args=None, prog_name=None) -> None:
     """Coherence checks and simulations for modular multi-panel inference."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=prog_name or "modcoherence", description=main.__doc__, allow_abbrev=False
     )
     commands = parser.add_subparsers(metavar="COMMAND", required=True)

@@ -124,8 +124,9 @@ class PanelSystem(Record):
     @functools.cached_property
     def _own_lumped(self) -> dict:
         """The lumped derivations of panel 1's and panel 2's goals over
-        ``base_statements(self)``, by order type (panels 3..m share panel
-        2's; see :func:`_derive_lumped`), made with their own memo at
+        ``base_statements(self)``, keyed by slice and waypoints in their
+        order type's names (panels 3..m share panel 2's; see
+        :func:`_derive_lumped`), made with their own memo at
         ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
         allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements."""
         base = base_statements(self)
@@ -134,7 +135,7 @@ class PanelSystem(Record):
         slices: dict = {}
         for i in (1, 2):
             for name in GOAL_NAMES:
-                _lumped_entry(self, base, (i, name), DEFAULT_BUDGET, memo, table, slices)
+                _derive_lumped(self, base, (i, name), DEFAULT_BUDGET, memo, table, slices)
         return table
 
     def _check_index(self, i: int) -> None:
@@ -272,22 +273,26 @@ def _goal_waypoints(sys: PanelSystem, i: int, name: str) -> tuple[CIStatement, .
 
 
 def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> tuple:
-    """Panel i's sorted lumped names, its ``lump`` and its ``ranked``, then
-    ``base`` sliced by ``lump`` and that slice written as a frozenset of ranks.
+    """Panel i's lumped universe, ``base`` sliced by ``lump``, ``lump`` and
+    ``expand``, all written in the names of panel i's order type: panel 1's
+    own, and panel 2's for panels 2..m (see :func:`_derive_lumped`).
 
-    The lumped names are the six symbols of panel i's lumped derivations;
-    the first name of theta_rest(i) stands for all of it (see
-    :func:`_derive_lumped`).  ``lump`` writes a statement with
-    theta_rest(i) lumped into that name, or gives None for one that splits
-    theta_rest(i) or leaves the lumped names; ``ranked`` writes a lumped
-    statement as ranks in the sorted lumped names."""
+    The lumped universe is the six symbols of panel i's lumped derivations:
+    its theta and own evidence, the common and pool symbols, and the first
+    name of theta_rest(i), which stands for all of it.  ``lump`` writes a
+    statement with theta_rest(i) lumped into that name and panel i's theta
+    and own evidence renamed to its type's, or gives None for one that
+    splits theta_rest(i) or leaves panel i's own lumped names.  ``expand``
+    writes a side of a lumped statement back in panel i's names, the
+    lumped name as theta_rest(i).  The first name of theta_rest(i) is
+    theta_1 for every panel but panel 1, so the rename leaves it alone."""
     rest = sys.theta_rest(i)
     lumped = min(rest)
-    universe = frozenset(
-        {sys.theta(i), sys.common, sys.evidence(i, i), sys.own_evidence_pool, sys.full_pool, lumped}
-    )
-    names = sorted(universe)
-    bit = {n: 1 << k for k, n in enumerate(names)}
+    own = (sys.theta(i), sys.evidence(i, i))
+    names = own if i == 1 else (sys.theta(2), sys.evidence(2, 2))
+    rename, back = dict(zip(own, names)), dict(zip(names, own))
+    shared = {sys.common, sys.own_evidence_pool, sys.full_pool, lumped}
+    own_universe = frozenset(own).union(shared)
 
     def lump(s: CIStatement) -> Optional[CIStatement]:
         sides = []
@@ -296,50 +301,18 @@ def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> tuple
                 if not rest <= side:
                     return None
                 side = side - rest | {lumped}
-            sides.append(side)
-        t = normalize(*sides)
-        return t if t.symbols() <= universe else None
+            if not side <= own_universe:
+                return None
+            sides.append([rename.get(n, n) for n in side])
+        return normalize(*sides)
 
-    def ranked(s: CIStatement) -> tuple[int, ...]:
-        return tuple(sum(map(bit.__getitem__, side)) for side in (s.a, s.b, s.c))
+    @functools.cache  # a proof repeats few distinct sides
+    def expand(side: VarSet) -> VarSet:
+        side = frozenset([back.get(n, n) for n in side])
+        return side | rest if lumped in side else side
 
-    sliced = [t for s in base if (t := lump(s)) is not None]
-    return names, lump, ranked, sliced, frozenset(map(ranked, sliced))
-
-
-def _lumped_entry(
-    sys: PanelSystem,
-    base: Iterable[CIStatement],
-    route: tuple[int, str],
-    budget: int,
-    memo: Optional[Memo],
-    table: dict,
-    slices: dict,
-) -> tuple:
-    """Panel i's sorted lumped names, then goal ``route = (i, name)``'s
-    lumped derivation as ``(sorted names it was derived over, result)``:
-    read from ``table``, or derived at ``budget`` and stored there.
-
-    ``table`` is keyed by order type: panel i's slice of ``base`` and the
-    goal's waypoints, both written as ranks in the sorted lumped names.
-    Panels 2..m sort alike, theta_1 before their own theta, and panel 1
-    apart, its own theta_1 first.  Swapping panels 2 and i maps the
-    dependencies onto themselves and panel 2's lumped names onto panel i's
-    in sorted order, so a derivation of the same order type is the same
-    search renamed.  ``slices`` keeps each panel's :func:`_panel_slice` of
-    ``base``, so both goals of a panel read one slice."""
-    i, name = route
-    if i not in slices:
-        slices[i] = _panel_slice(sys, base, i)
-    names, lump, ranked, sliced, ranked_slice = slices[i]
-    waypoints = tuple(lump(w) for w in _goal_waypoints(sys, i, name))
-    key = ranked_slice, tuple(map(ranked, waypoints))
-    entry = table.get(key)
-    if entry is None:
-        result = derive_through(sliced, sys.dependencies, waypoints, budget, frozenset(names),
-                                memo=memo)
-        entry = table[key] = names, result
-    return names, entry
+    sliced = frozenset(t for s in base if (t := lump(s)) is not None)
+    return frozenset(names).union(shared), sliced, lump, expand
 
 
 def _derive_lumped(
@@ -347,12 +320,13 @@ def _derive_lumped(
     base: Iterable[CIStatement],
     route: tuple[int, str],
     budget: int,
-    memo: Optional[Memo] = None,
-    table: Optional[dict] = None,
-    slices: Optional[dict] = None,
+    memo: Memo,
+    table: dict,
+    slices: dict,
 ) -> DeriveResult:
     """Goal ``route = (i, name)`` derived with theta_rest(i) lumped into one
-    symbol, over panel i's six lumped names (see :func:`_panel_slice`).
+    symbol, over the six lumped names of panel i's order type (see
+    :func:`_panel_slice`).
 
     Every waypoint of panel i holds theta_rest(i) whole, and no dependency
     mentions a theta, so the determinism rules never select the lumped
@@ -366,30 +340,32 @@ def _derive_lumped(
     for set, into a proof in the full system, whose premises are those base
     statements, and replayed there; a selection of the lumped symbol
     becomes a multi-symbol decomposition or weak union.  Any other status
-    certifies nothing about the full system.  ``memo`` is one for
-    ``sys.dependencies`` and a universe holding the lumped one, such as the
-    system's: the encoding keeps names in sorted order, so every
-    orientation and rule order, and with them the proof, are the same as in
-    a memo of the lumped universe.
+    certifies nothing about the full system.
 
-    ``table`` and ``slices`` are those of :func:`_lumped_entry`; a derivation
-    found in ``table`` by order type is renamed, rank for rank, before it is
-    expanded.  A call without them derives the goal directly.
+    Panels 2..m are derived in panel 2's names.  Swapping panels 2 and i
+    maps the dependencies onto themselves, and the rename keeps the sorted
+    order of the six names (the two pools, I_0^0, the own evidence,
+    theta_1, the own theta), so each panel's search, proof and counts are
+    those in its own names.  ``memo`` is one for ``sys.dependencies`` and
+    a universe holding the lumped one, such as the system's: it too keeps
+    names in sorted order.  ``table`` maps a slice and the goal's
+    waypoints, as lumped statements, to their derivation; one missing is
+    made at ``budget`` and stored, so panels 3..m reuse panel 2's.
+    ``slices`` keeps each panel's :func:`_panel_slice` of ``base``, so both
+    goals of a panel read one slice and one ``expand``.
     """
-    names, (source, result) = _lumped_entry(
-        sys, base, route, budget, memo, {} if table is None else table,
-        {} if slices is None else slices,
-    )
+    i, name = route
+    if i not in slices:
+        slices[i] = _panel_slice(sys, base, i)
+    universe, sliced, lump, expand = slices[i]
+    waypoints = tuple(map(lump, _goal_waypoints(sys, i, name)))
+    result = table.get((sliced, waypoints))
+    if result is None:
+        result = table[sliced, waypoints] = derive_through(
+            sliced, sys.dependencies, waypoints, budget, universe, memo=memo
+        )
     if not result.proved:
         return result
-    rest = sys.theta_rest(route[0])
-    lumped = min(rest)
-    rename = dict(zip(source, names))
-
-    @functools.cache  # a proof repeats few distinct sides
-    def expand(side: VarSet) -> VarSet:
-        side = frozenset([rename[n] for n in side])
-        return side | rest if lumped in side else side
 
     # each statement of the proof expanded once, shared by every step that names it
     full = {s: normalize(expand(s.a), expand(s.b), expand(s.c)) for s in result.proof.statements()}
@@ -409,20 +385,21 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     goal's lumped derivation first (:func:`_derive_lumped`), then one
     unconstrained search of the full system, so every status but ``proved``
     comes from the full system.  All of them share one memo, and the lumped
-    derivations one table and one slice of the base per panel, which live
-    as long as the decider, one verdict.  The table starts with the
-    system's own lumped proofs (``sys._own_lumped``) whose searches made at
-    most ``mode.budget`` statements in all: no one search held more, so at
-    this budget each would take the same steps.  Every other lumped
-    derivation is made at ``mode.budget`` into the table, so panels 3..m
-    reuse panel 2's, renamed.  Graphical mode asks d-separation."""
+    derivations one table, keyed by lumped statements, and one slice of the
+    base per panel, which live as long as the decider, one verdict.  The
+    table starts with the system's own lumped results (``sys._own_lumped``)
+    whose searches made at most ``mode.budget`` statements in all: no one
+    search held more, so at this budget each would take the same steps.
+    Every other lumped derivation is made at ``mode.budget`` into the
+    table, so panels 3..m reuse panel 2's, made in panel 2's names.
+    Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
         memo = Memo(sys.dependencies, sys.universe)
-        table = {key: entry for key, entry in sys._own_lumped.items()
-                 if entry[1].generated <= mode.budget}
+        table = {key: result for key, result in sys._own_lumped.items()
+                 if result.generated <= mode.budget}
         slices: dict = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
@@ -471,8 +448,8 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     In axiomatic mode the verdict's derivations share one memo and one
     table of lumped derivations, dropped when the verdict is made (see
     :func:`_decider`); only the system's own lumped proofs, made once per
-    system, outlive it.  Every lumped proof, reused or not, is expanded and
-    replayed in the full system.
+    system, outlive it.  Every lumped proof, reused or not, is expanded
+    into panel i's names and replayed in the full system.
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

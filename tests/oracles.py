@@ -17,7 +17,10 @@ import numpy as np
 
 from modcoherence.ci import (
     CIError,
+    DeriveResult,
     FunctionalDependency,
+    Proof,
+    ProofStep,
     apply_axiom,
     derive,
     derive_through,
@@ -332,6 +335,51 @@ def full_path_goal_statuses(sys, mode) -> tuple:
                 result = derive(*args, goal, mode.budget, sys.universe)
             out.append(result.status)
     return tuple(out)
+
+
+def lumped_in_own_names(sys, base, i, name, budget) -> DeriveResult:
+    """Goal ``(i, name)``'s lumped derivation made in panel i's own names,
+    with a fresh memo: ``base`` sliced to the statements that hold
+    theta_rest(i) whole on one side or not at all and otherwise stay in
+    panel i's six lumped names, with theta_rest(i) written as its first
+    name; then a proof expanded back, that name as theta_rest(i), and
+    replayed in the full system.  No panel borrows another's derivation or
+    names, so this checks the renaming that shares them."""
+    rest = sys.theta_rest(i)
+    lumped = min(rest)
+    universe = {sys.theta(i), sys.evidence(i, i), sys.common, sys.own_evidence_pool,
+                sys.full_pool, lumped}
+
+    def lump(s):
+        sides = []
+        for side in (s.a, s.b, s.c):
+            if side & rest:
+                if not rest <= side:
+                    return None
+                side = side - rest | {lumped}
+            sides.append(side)
+        return normalize(*sides) if set().union(*sides) <= universe else None
+
+    def expand(side):
+        return side | rest if lumped in side else side
+
+    def expanded(s):
+        return normalize(expand(s.a), expand(s.b), expand(s.c))
+
+    sliced = [t for s in base if (t := lump(s)) is not None]
+    waypoints = [lump(w) for w in _goal_waypoints(sys, i, name)]
+    result = derive_through(sliced, sys.dependencies, waypoints, budget, universe)
+    if not result.proved:
+        return result
+    lumped_proof = result.proof
+    steps = tuple(
+        ProofStep(step.rule, tuple(map(expanded, step.inputs)), expand(step.selection),
+                  expanded(step.output))
+        for step in lumped_proof.steps
+    )
+    proof = Proof(tuple(map(expanded, lumped_proof.premises)), steps, expanded(lumped_proof.goal))
+    assert proof.replay(sys.dependencies)
+    return DeriveResult("proved", proof, result.generated)
 
 
 def pair_tables(loglik, grids) -> dict:

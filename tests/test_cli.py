@@ -839,6 +839,31 @@ class TestStdoutFailures:
                             full)
         self.assert_one_error_line(proc, "OSError")
 
+    HELP = [("--help",), ("dsep", "--help")]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this system")
+    @pytest.mark.parametrize("args", HELP, ids=["main", "command"])
+    def test_help_to_a_full_device_exits_2(self, args):
+        with open("/dev/full", "w") as full:
+            proc = self.cli([sys.executable, "-m", "modcoherence.cli", *args], full)
+        self.assert_one_error_line(proc, "OSError")
+
+    @pytest.mark.parametrize("args", HELP, ids=["main", "command"])
+    def test_help_into_a_closed_pipe_exits_2(self, args):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = self.cli([sys.executable, "-m", "modcoherence.cli", *args], write)
+        finally:
+            os.close(write)
+        self.assert_one_error_line(proc, "BrokenPipeError")
+
+    @pytest.mark.parametrize("args", HELP, ids=["main", "command"])
+    def test_help_to_a_working_stdout_exits_0(self, args):
+        proc = self.cli([sys.executable, "-m", "modcoherence.cli", *args], subprocess.PIPE)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout == run(*args).output
+
 
 class TestReportContract:
     def test_machine_report_round_trips(self):

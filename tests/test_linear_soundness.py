@@ -12,13 +12,28 @@ its model.  Every statement of ``ci.closure`` on them must hold in the model,
 and so must every statement of the proofs that several ``derive`` queries on
 one ``Memo``, asked in a seeded random order, return.  ``apply_axiom`` checks
 each step's shape only, so this is the check that a bug in the bit encoding,
-the resumed searches or the determinism cache cannot pass.  The probe needs
-nothing beyond the standard library.
+the resumed searches or the determinism cache cannot pass.
+
+The lumped-route probe draws such models over a panel system's symbols at
+m = 2, 3 and 4, panels 3..m held at 0, and requires every statement of
+every goal proof of an axiomatic verdict to hold: most of those proofs are
+lumped derivations, made in panel 1's or panel 2's names, expanded back
+into the full system.  The probes need nothing beyond the standard library
+and the package.
 """
 
 import random
 
+from modcoherence import protocol
 from modcoherence.ci import FunctionalDependency, Memo, closure, derive, normalize
+from modcoherence.protocol import (
+    GOAL_NAMES,
+    AxiomaticMode,
+    _goal_waypoints,
+    base_statements,
+    build_system,
+    verify_coherence,
+)
 
 # names whose string order differs from their number order
 NAMES = ("theta_1", "theta_10", "theta_2", "I_0^0", "I_+^0")
@@ -27,6 +42,11 @@ N_BASE, N_DEPS, N_QUERIES = 6, 2, 8
 # pinned: the statements the probe checks, from closures and from proofs
 CLOSURE_STATEMENTS = 24118
 PROOF_STATEMENTS = 6594
+# the lumped-route probe: models per panel count, the verdicts' budget, and
+# pinned, the goals proved, their proofs' statements, and the proofs that
+# came from the lumped route
+N_SYSTEM_MODELS, SYSTEM_BUDGET = 60, 3_000
+PROVED_GOALS, GOAL_PROOF_STATEMENTS, LUMPED_GOAL_PROOFS = 669, 8718, 619
 
 
 def _rank(forms) -> int:
@@ -43,11 +63,15 @@ def _rank(forms) -> int:
 
 
 class LinearModel:
-    def __init__(self, rng: random.Random) -> None:
+    def __init__(self, forms: dict) -> None:
+        self.forms = forms  # name -> list of forms
+
+    @classmethod
+    def draw(cls, rng: random.Random) -> "LinearModel":
         k = rng.randint(1, 3)
-        self.forms = {
-            name: [rng.randrange(1 << k) for _ in range(rng.randint(1, 2))] for name in NAMES
-        }
+        return cls(
+            {name: [rng.randrange(1 << k) for _ in range(rng.randint(1, 2))] for name in NAMES}
+        )
 
     def r(self, *sides) -> int:
         return _rank([v for side in sides for name in side for v in self.forms[name]])
@@ -74,7 +98,7 @@ def _random_dependency(rng: random.Random) -> FunctionalDependency:
 def _instance(rng: random.Random):
     """A model with a base and dependencies that hold in it."""
     while True:
-        model = LinearModel(rng)
+        model = LinearModel.draw(rng)
         base, deps = set(), set()
         for _ in range(200):
             if len(base) < N_BASE:
@@ -128,3 +152,52 @@ def test_memo_proof_statements_hold_in_linear_models():
                 unsound += [(n, s.render()) for s in statements if not model.holds(s)]
     assert unsound == []
     assert checked == PROOF_STATEMENTS
+
+
+def _system_model(system, rng: random.Random) -> LinearModel:
+    """Each of panels 1 and 2's thetas and evidence and the common symbol
+    gets one form over k = 3 bits, every other base symbol, so all of
+    panels 3..m, is 0, and each pool is the tuple of its components."""
+    drawn = [system.theta(1), system.theta(2), system.common]
+    drawn += [system.evidence(i, j) for i in (1, 2) for j in (1, 2)]
+    forms = {name: [] for name in system.universe}
+    forms.update((name, [rng.randrange(8)]) for name in drawn)
+    for symbol, components in system.aggregates:
+        forms[symbol] = [v for name in sorted(components) for v in forms[name]]
+    return LinearModel(forms)
+
+
+def test_lumped_route_goal_proofs_hold_in_linear_models(monkeypatch):
+    """Each model's base is every condition statement and every waypoint
+    short of a goal that holds in it, so a goal is proved only by a
+    derivation; at m >= 3 panels 3..m reuse panel 2's lumped derivations,
+    made in panel 2's names, and every expanded proof must hold."""
+    systems = [build_system(m) for m in (2, 3, 4)]
+    for system in systems:
+        system._own_lumped  # made before the recording starts: no goal's proof
+    lumped = []
+    derive_lumped = protocol._derive_lumped
+
+    def recorded(*args):
+        lumped.append(derive_lumped(*args))
+        return lumped[-1]
+
+    monkeypatch.setattr(protocol, "_derive_lumped", recorded)
+    unsound, proved, checked = [], 0, 0
+    for system in systems:
+        waypoints = [w for i in range(1, system.m + 1) for name in GOAL_NAMES
+                     for w in _goal_waypoints(system, i, name)[:-1]]
+        candidates = dict.fromkeys([*base_statements(system), *waypoints])
+        for n in range(N_SYSTEM_MODELS):
+            model = _system_model(system, random.Random(f"{system.m}-{n}"))
+            base = tuple(s for s in candidates if model.holds(s))
+            verdict = verify_coherence(system, AxiomaticMode(base, SYSTEM_BUDGET))
+            for goal in verdict.goals:
+                if goal.established:
+                    proved += 1
+                    statements = goal.proof.statements()
+                    checked += len(statements)
+                    unsound += [(system.m, n, s.render()) for s in statements if not model.holds(s)]
+    assert unsound == []
+    assert (proved, checked) == (PROVED_GOALS, GOAL_PROOF_STATEMENTS)
+    assert sum(result.proved for result in lumped) == LUMPED_GOAL_PROOFS

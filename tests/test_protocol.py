@@ -22,7 +22,6 @@ from modcoherence.protocol import (
     IndexOutOfRange,
     InvalidPanelCount,
     UniverseMismatch,
-    _derive_lumped,
     _goal_waypoints,
     ablate,
     autonomy_goal,
@@ -35,7 +34,7 @@ from modcoherence.protocol import (
     independence_goal,
     verify_coherence,
 )
-from .oracles import full_path_goal_statuses, local_markov_basis
+from .oracles import full_path_goal_statuses, local_markov_basis, lumped_in_own_names
 
 
 class TestBuildSystem:
@@ -271,7 +270,8 @@ class TestModeAgreement:
 
 def _reference_verdict(sys, mode):
     """verify_coherence's conditions and goals from memo-less derivations:
-    a goal's lumped derivation, then the unconstrained full search."""
+    a goal's lumped derivation in its panel's own names, then the
+    unconstrained full search."""
     deps, universe = sys.dependencies, sys.universe
     conditions = []
     for kind in ALL_CONDITIONS:
@@ -291,7 +291,7 @@ def _reference_verdict(sys, mode):
             ("panel_independence", independence_goal(sys, i)),
             ("autonomous_updating", autonomy_goal(sys, i)),
         ):
-            result = _derive_lumped(sys, mode.base, (i, name), mode.budget)
+            result = lumped_in_own_names(sys, mode.base, i, name, mode.budget)
             if not result.proved:
                 result = derive(mode.base, deps, goal, mode.budget, universe=universe)
             goals.append(GoalResult(i, name, goal, result.status, result.proof))
@@ -317,12 +317,14 @@ def _assert_matches_reference(sys, mode, verdict):
 
 class TestMemo:
     @pytest.mark.parametrize(
-        "m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8), (5, 300, 6)]
+        "m, budget, instances",
+        [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8), (5, 300, 6), (8, 300, 12)],
     )
     def test_random_bases_match_memo_less_derivations(self, m, budget, instances):
-        """The reference derives every panel's goals on their own, so from
-        m = 3 on it checks the lumped results panels share, proofs renamed;
-        at budget 300 some full-system searches run out."""
+        """The reference derives every panel's goals on their own, in their
+        own names, so from m = 3 on it checks the lumped results panels 3..m
+        share, made in panel 2's names; at budget 300 some full-system
+        searches run out."""
         sys = build_system(m)
         statuses = set()
         for seed in range(instances):
@@ -330,8 +332,10 @@ class TestMemo:
             verdict = verify_coherence(sys, mode)
             _assert_matches_reference(sys, mode, verdict)
             statuses.update(g.status for g in verdict.goals)
-        # the instances reach every way a search ends
-        assert {"proved", "not_derivable", "budget_exhausted"} <= statuses
+        # the instances reach every way a search ends, but at m = 8 no
+        # full-system search of 75 symbols saturates within 300 statements
+        ends = {"proved", "budget_exhausted"} | ({"not_derivable"} if m < 8 else set())
+        assert ends <= statuses
 
     def test_ablation_rows_match_memo_less_derivations(self):
         sys = build_system(2)
@@ -427,8 +431,8 @@ class TestLumpedRoute:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_bare_verdict_makes_four_lumped_derivations(self, monkeypatch, m):
-        """Panel 1's two goals and panel 2's are derived; panels 3..m sort
-        their lumped universes as panel 2 does and reuse its proofs."""
+        """Panel 1's two goals and panel 2's are derived; panels 3..m are
+        lumped into panel 2's names and reuse its proofs."""
         sys = build_system(m)
         mode = AxiomaticMode(base_statements(sys))
         results = self._record_lumped(monkeypatch)
@@ -551,7 +555,7 @@ class TestLumpedRoute:
         system."""
         sys = build_system(m)
         own = sys._own_lumped
-        assert [result.status for _, result in own.values()] == ["proved"] * 4
+        assert [result.status for result in own.values()] == ["proved"] * 4
         keys, kept = list(own), set(vars(sys))
         for seed, budget in enumerate((1, 66, 101, 300)):
             verify_coherence(sys, AxiomaticMode(base_statements(sys), budget))
