@@ -5,11 +5,12 @@ common-knowledge symbol, one evidence symbol per ordered panel pair, the
 collection of own-domain evidence, and the full pool, each named with the
 fixed superscript ``^0`` (names are labels: renaming changes no verdict).
 Four independence conditions over these symbols (delegable, separately
-informed, cutting, commonly separated) are generated here, and the coherence
-claim - that every panel's parameter block is independent of the others
-given the full pool, and is updated only through its own evidence - is
-verified either by the axiomatic prover (a lumped derivation, then one
-search of the full system) or by d-separation on a user-supplied graph.
+informed, cutting, commonly separated) and each panel's two goals - its
+parameter block is independent of the others given the full pool, and is
+updated only through its own evidence - are stated once per system.  The
+coherence claim, that every goal holds, is verified either by the axiomatic
+prover (a lumped derivation, then one search of the full system) or by
+d-separation on a user-supplied graph.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ class ConditionKind(enum.Enum):
 
 
 ALL_CONDITIONS = tuple(ConditionKind)
-GOAL_NAMES = ("panel_independence", "autonomous_updating")  # each panel's two goals
 
 
 class PanelSystem(Record):
@@ -122,6 +122,45 @@ class PanelSystem(Record):
         return tuple(facts)
 
     @functools.cached_property
+    def condition_statements(self) -> dict[ConditionKind, tuple[CIStatement, ...]]:
+        """The statements each condition asserts, deduplicated, in canonical
+        order: one for delegable, one per panel for the others."""
+        common, own, pool = self.common, self.own_evidence_pool, self.full_pool
+        stmts: dict = {kind: set() for kind in ALL_CONDITIONS}
+        stmts[ConditionKind.DELEGABLE].add(normalize({pool}, self.thetas(), {common, own}))
+        for i in range(1, self.m + 1):
+            theta, rest, own_i = {self.theta(i)}, self.theta_rest(i), self.evidence(i, i)
+            stmts[ConditionKind.SEPARATELY_INFORMED].add(normalize({own_i}, rest, {common} | theta))
+            stmts[ConditionKind.CUTTING].add(normalize({own}, theta, {common, own_i} | rest))
+            stmts[ConditionKind.COMMONLY_SEPARATED].add(normalize(theta, rest, {common}))
+        return {kind: tuple(sorted(s, key=CIStatement.sort_key)) for kind, s in stmts.items()}
+
+    @functools.cached_property
+    def goal_chains(self) -> dict[tuple[int, str], tuple[CIStatement, ...]]:
+        """Each panel's two goals, keyed by route ``(panel, name)`` in verdict
+        order, as the milestones of the published derivation chain ending at
+        the goal: panel i's block is independent of all other blocks given
+        the full pool, and depends on the pool only through common and own
+        evidence."""
+        common, own, pool = self.common, self.own_evidence_pool, self.full_pool
+        chains = {}
+        for i in range(1, self.m + 1):
+            theta, rest, own_i = {self.theta(i)}, self.theta_rest(i), self.evidence(i, i)
+            cut_in = normalize(theta, {own} | rest, {common, own_i})
+            chains[i, "panel_independence"] = (
+                cut_in,
+                normalize(theta, rest, {common, own}),
+                normalize(theta, rest, {pool}),
+            )
+            chains[i, "autonomous_updating"] = (
+                cut_in,
+                normalize(theta, {pool}, {common, own_i, own}),
+                normalize(theta, {own}, {common, own_i}),
+                normalize(theta, {pool}, {common, own_i}),
+            )
+        return chains
+
+    @functools.cached_property
     def _own_lumped(self) -> dict:
         """The lumped derivations of panel 1's and panel 2's goals over
         ``base_statements(self)``, keyed by slice and waypoints in their
@@ -133,9 +172,9 @@ class PanelSystem(Record):
         memo = Memo(self.dependencies, self.universe)
         table: dict = {}
         slices: dict = {}
-        for i in (1, 2):
-            for name in GOAL_NAMES:
-                _derive_lumped(self, base, (i, name), DEFAULT_BUDGET, memo, table, slices)
+        for route in self.goal_chains:
+            if route[0] <= 2:
+                _derive_lumped(self, base, route, DEFAULT_BUDGET, memo, table, slices)
         return table
 
     def _check_index(self, i: int) -> None:
@@ -152,48 +191,13 @@ def build_system(m: int) -> PanelSystem:
     return system
 
 
-def condition_statement(
-    sys: PanelSystem, kind: ConditionKind, i: Optional[int] = None
-) -> CIStatement:
-    """The independence assertion a condition makes; the per-panel
-    conditions (all but delegable) need the panel ``i``."""
-    if kind is ConditionKind.DELEGABLE:
-        return normalize(
-            {sys.full_pool}, sys.thetas(), {sys.common, sys.own_evidence_pool}
-        )
-    if i is None:
-        raise IndexOutOfRange(f"{kind.value} is a per-panel condition; panel index required")
-    sys._check_index(i)
-    rest = sys.theta_rest(i)
-    if kind is ConditionKind.SEPARATELY_INFORMED:
-        return normalize({sys.evidence(i, i)}, rest, {sys.common, sys.theta(i)})
-    if kind is ConditionKind.CUTTING:
-        return normalize(
-            {sys.own_evidence_pool},
-            {sys.theta(i)},
-            {sys.common, sys.evidence(i, i)} | rest,
-        )
-    if kind is ConditionKind.COMMONLY_SEPARATED:
-        return normalize({sys.theta(i)}, rest, {sys.common})
-    raise ValueError(kind)
-
-
-def condition_statements(sys: PanelSystem, kind: ConditionKind) -> tuple[CIStatement, ...]:
-    """All statements a condition expands to, deduplicated, in canonical order."""
-    if kind is ConditionKind.DELEGABLE:
-        stmts = {condition_statement(sys, kind)}
-    else:
-        stmts = {condition_statement(sys, kind, i) for i in range(1, sys.m + 1)}
-    return tuple(sorted(stmts, key=CIStatement.sort_key))
-
-
 def base_statements(
     sys: PanelSystem,
     conditions: Iterable[ConditionKind] = ALL_CONDITIONS,
     statements: Iterable[CIStatement] = (),
 ) -> tuple[CIStatement, ...]:
     """``statements``, then the listed conditions' statements in canonical order."""
-    out = {s for kind in conditions for s in condition_statements(sys, kind)}
+    out = {s for kind in conditions for s in sys.condition_statements[kind]}
     return tuple(statements) + tuple(sorted(out, key=CIStatement.sort_key))
 
 
@@ -246,30 +250,6 @@ class Verdict(Record):
     def inconclusive(self) -> bool:
         """Some goal's search ran out of budget, so a failure certifies nothing."""
         return any(g.status == "budget_exhausted" for g in self.goals)
-
-
-def independence_goal(sys: PanelSystem, i: int) -> CIStatement:
-    """Panel i's block is independent of all other blocks given the full pool."""
-    return normalize({sys.theta(i)}, sys.theta_rest(i), {sys.full_pool})
-
-
-def autonomy_goal(sys: PanelSystem, i: int) -> CIStatement:
-    """Panel i's block depends on the pool only through common and own evidence."""
-    return normalize({sys.theta(i)}, {sys.full_pool}, {sys.common, sys.evidence(i, i)})
-
-
-def _goal_waypoints(sys: PanelSystem, i: int, name: str) -> tuple[CIStatement, ...]:
-    """Milestones mirroring the published derivation chain for each goal."""
-    rest = sys.theta_rest(i)
-    common, own_i = sys.common, sys.evidence(i, i)
-    pool, own = sys.full_pool, sys.own_evidence_pool
-    cut_in = normalize({sys.theta(i)}, {own} | rest, {common, own_i})
-    if name == "panel_independence":
-        pooled = normalize({sys.theta(i)}, rest, {common, own})
-        return (cut_in, pooled, independence_goal(sys, i))
-    shielded = normalize({sys.theta(i)}, {pool}, {common, own_i, own})
-    own_only = normalize({sys.theta(i)}, {own}, {common, own_i})
-    return (cut_in, shielded, own_only, autonomy_goal(sys, i))
 
 
 def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> tuple:
@@ -354,11 +334,11 @@ def _derive_lumped(
     ``slices`` keeps each panel's :func:`_panel_slice` of ``base``, so both
     goals of a panel read one slice and one ``expand``.
     """
-    i, name = route
+    i = route[0]
     if i not in slices:
         slices[i] = _panel_slice(sys, base, i)
     universe, sliced, lump, expand = slices[i]
-    waypoints = tuple(map(lump, _goal_waypoints(sys, i, name)))
+    waypoints = tuple(map(lump, sys.goal_chains[route]))
     result = table.get((sliced, waypoints))
     if result is None:
         result = table[sliced, waypoints] = derive_through(
@@ -426,8 +406,7 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
 
 def _conditions(sys: PanelSystem, decide: Decide) -> tuple[ConditionStatus, ...]:
     out: list[ConditionStatus] = []
-    for kind in ALL_CONDITIONS:
-        stmts = condition_statements(sys, kind)
+    for kind, stmts in sys.condition_statements.items():
         witnesses: list[Proof] = []
         status = "holds"
         for stmt in stmts:
@@ -454,10 +433,9 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)
     goals: list[GoalResult] = []
-    for i in range(1, sys.m + 1):
-        for name, goal in zip(GOAL_NAMES, (independence_goal(sys, i), autonomy_goal(sys, i))):
-            status, proof = decide(goal, (i, name))
-            goals.append(GoalResult(i, name, goal, status, proof))
+    for route, chain in sys.goal_chains.items():
+        status, proof = decide(chain[-1], route)
+        goals.append(GoalResult(*route, chain[-1], status, proof))
     ok = all(g.established for g in goals)
     return Verdict(conditions, tuple(goals), ok)
 

@@ -222,10 +222,21 @@ class SpecFile(Record):
         return self.models, self.data
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object's members as a dict, refusing a key given twice,
+    which ``json`` would keep only the last value of."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ParseError(f"key {key!r} is given twice in one object")
+        obj[key] = value
+    return obj
+
+
 def parse_spec(path: str | Path) -> SpecFile:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -29,7 +29,6 @@ from modcoherence.ci import (
 )
 from modcoherence.dag import _validate_query
 from modcoherence.panels import DegenerateLikelihood, Divergence, NonFiniteLogLikelihood
-from modcoherence.protocol import _goal_waypoints, autonomy_goal, independence_goal
 
 
 def marg_keep(p: np.ndarray, keep: set) -> np.ndarray:
@@ -324,16 +323,12 @@ def full_path_goal_statuses(sys, mode) -> tuple:
     only, without memos: each goal derived through its waypoints, then by an
     unconstrained search.  In the order of ``Verdict.goals``."""
     out = []
-    for i in range(1, sys.m + 1):
-        for name, goal in (
-            ("panel_independence", independence_goal(sys, i)),
-            ("autonomous_updating", autonomy_goal(sys, i)),
-        ):
-            args = (mode.base, sys.dependencies)
-            result = derive_through(*args, _goal_waypoints(sys, i, name), mode.budget, sys.universe)
-            if not result.proved:
-                result = derive(*args, goal, mode.budget, sys.universe)
-            out.append(result.status)
+    args = (mode.base, sys.dependencies)
+    for chain in sys.goal_chains.values():
+        result = derive_through(*args, chain, mode.budget, sys.universe)
+        if not result.proved:
+            result = derive(*args, chain[-1], mode.budget, sys.universe)
+        out.append(result.status)
     return tuple(out)
 
 
@@ -367,7 +362,7 @@ def lumped_in_own_names(sys, base, i, name, budget) -> DeriveResult:
         return normalize(expand(s.a), expand(s.b), expand(s.c))
 
     sliced = [t for s in base if (t := lump(s)) is not None]
-    waypoints = [lump(w) for w in _goal_waypoints(sys, i, name)]
+    waypoints = [lump(w) for w in sys.goal_chains[i, name]]
     result = derive_through(sliced, sys.dependencies, waypoints, budget, universe)
     if not result.proved:
         return result

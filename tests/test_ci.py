@@ -33,10 +33,8 @@ from modcoherence.protocol import (
     ALL_CONDITIONS,
     ConditionKind,
     _panel_slice,
-    autonomy_goal,
     base_statements,
     build_system,
-    condition_statements,
 )
 
 from .oracles import reference_closure, single_symbol_expansion
@@ -297,8 +295,8 @@ class TestDerive:
     def test_replay_rejects_each_tampering_of_a_real_proof(self):
         system = build_system(2)
         deps = system.dependencies
-        result = derive(base_statements(system), deps, autonomy_goal(system, 1),
-                        universe=system.universe)
+        autonomy = {i: system.goal_chains[i, "autonomous_updating"][-1] for i in (1, 2)}
+        result = derive(base_statements(system), deps, autonomy[1], universe=system.universe)
         proof = result.proof
         assert proof.replay(deps)
         steps = list(proof.steps)
@@ -316,7 +314,7 @@ class TestDerive:
         tampered = steps[:k] + [ProofStep(s.rule, s.inputs, outside, s.output)] + steps[k + 1:]
         assert not Proof(proof.premises, tuple(tampered), proof.goal).replay(deps)
         # a goal the last step does not reach
-        assert not Proof(proof.premises, proof.steps, autonomy_goal(system, 2)).replay(deps)
+        assert not Proof(proof.premises, proof.steps, autonomy[2]).replay(deps)
 
     def test_replay_rejects_a_step_with_an_unknown_rule(self):
         premise = normalize({"A"}, {"B"})
@@ -348,7 +346,7 @@ class TestDerive:
             system, [k for k in ALL_CONDITIONS if k is not ConditionKind.SEPARATELY_INFORMED]
         )
         absent = normalize({"theta_1"}, {"theta_2"}, {"I_+^0"})
-        dropped = condition_statements(system, ConditionKind.SEPARATELY_INFORMED)[0]
+        dropped = system.condition_statements[ConditionKind.SEPARATELY_INFORMED][0]
         present = normalize({"theta_1"}, {"theta_2"}, {"I_0^0"})
         memo = Memo(deps, universe)
         # a smaller budget is not answered from the complete closure; the
@@ -371,7 +369,7 @@ class TestDerive:
         # a smaller universe on the same memo
         lumped = frozenset(_panel_slice(system, (), 1)[0])
         inside = [s for s in kept if s.symbols() <= lumped]
-        for goal in (autonomy_goal(system, 1), absent):
+        for goal in (system.goal_chains[1, "autonomous_updating"][-1], absent):
             fresh = derive(inside, deps, goal, universe=lumped)
             assert derive(inside, deps, goal, universe=lumped, memo=memo) == fresh
         with pytest.raises(ValueError):

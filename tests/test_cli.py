@@ -334,6 +334,25 @@ class TestExitCodes:
         spec["data"]["panel_counts"] = [[0, 2**53], [0, 0]]
         assert parse_spec_dict(spec).data.panel_counts[0] == (0, 2**53)
 
+    @pytest.mark.parametrize("command, bundled, member, key", [
+        ("check", "coherence_m2", '"version": 1,', "version"),
+        ("dsep", "chain_dsep", '"c": ["C"]', "c"),
+        ("simulate", "separable_pair", '"alpha": 2,', "alpha"),
+    ], ids=["top_level", "nested", "in_a_list"])
+    def test_a_key_given_twice_exits_2(self, tmp_path, command, bundled, member, key):
+        # json keeps only a repeated key's last value; the spec refuses it,
+        # even with the same value twice
+        text = (SPECS / f"{bundled}.spec").read_text()
+        assert text.count(member) == 1
+        assert run(command, "--spec", str(SPECS / f"{bundled}.spec")).exit_code == 0
+        path = tmp_path / "twice.spec"
+        path.write_text(text.replace(member, f"{member.rstrip(',')}, {member}"))
+        result = run(command, "--spec", str(path))
+        assert result.exit_code == 2
+        assert result.exception is None
+        assert result.output.count("ParseError") == 1
+        assert f"ParseError: key {key!r} is given twice in one object" in result.output
+
     def test_overlapping_dsep_query_exits_2(self, tmp_path):
         spec = json.loads((SPECS / "chain_dsep.spec").read_text())
         spec["query"] = {"a": ["A"], "b": ["A"]}

@@ -27,9 +27,7 @@ import random
 from modcoherence import protocol
 from modcoherence.ci import FunctionalDependency, Memo, closure, derive, normalize
 from modcoherence.protocol import (
-    GOAL_NAMES,
     AxiomaticMode,
-    _goal_waypoints,
     base_statements,
     build_system,
     verify_coherence,
@@ -185,8 +183,7 @@ def test_lumped_route_goal_proofs_hold_in_linear_models(monkeypatch):
     monkeypatch.setattr(protocol, "_derive_lumped", recorded)
     unsound, proved, checked = [], 0, 0
     for system in systems:
-        waypoints = [w for i in range(1, system.m + 1) for name in GOAL_NAMES
-                     for w in _goal_waypoints(system, i, name)[:-1]]
+        waypoints = [w for chain in system.goal_chains.values() for w in chain[:-1]]
         candidates = dict.fromkeys([*base_statements(system), *waypoints])
         for n in range(N_SYSTEM_MODELS):
             model = _system_model(system, random.Random(f"{system.m}-{n}"))

@@ -22,16 +22,12 @@ from modcoherence.protocol import (
     IndexOutOfRange,
     InvalidPanelCount,
     UniverseMismatch,
-    _goal_waypoints,
+    _panel_slice,
     ablate,
-    autonomy_goal,
     base_statements,
     build_system,
     canonical_dag,
-    condition_statement,
-    condition_statements,
     confounded_dag,
-    independence_goal,
     verify_coherence,
 )
 from .oracles import full_path_goal_statuses, local_markov_basis, lumped_in_own_names
@@ -106,31 +102,121 @@ class TestBuildSystem:
 class TestConditionStatements:
     def test_delegable_m2(self):
         sys = build_system(2)
-        assert condition_statement(sys, ConditionKind.DELEGABLE) == normalize(
-            {"I_+^0"}, {"theta_1", "theta_2"}, {"I_0^0", "I_*^0"}
+        assert sys.condition_statements[ConditionKind.DELEGABLE] == (
+            normalize({"I_+^0"}, {"theta_1", "theta_2"}, {"I_0^0", "I_*^0"}),
         )
 
     def test_cutting_m2_panel1(self):
         sys = build_system(2)
-        assert condition_statement(sys, ConditionKind.CUTTING, 1) == normalize(
+        assert sys.condition_statements[ConditionKind.CUTTING][0] == normalize(
             {"I_*^0"}, {"theta_1"}, {"I_0^0", "I_11^0", "theta_2"}
         )
 
     def test_separately_informed_m2_panel1(self):
         sys = build_system(2)
-        assert condition_statement(sys, ConditionKind.SEPARATELY_INFORMED, 1) == normalize(
+        assert sys.condition_statements[ConditionKind.SEPARATELY_INFORMED][0] == normalize(
             {"I_11^0"}, {"theta_2"}, {"I_0^0", "theta_1"}
         )
 
     def test_commonly_separated_m2(self):
         sys = build_system(2)
-        stmts = condition_statements(sys, ConditionKind.COMMONLY_SEPARATED)
+        stmts = sys.condition_statements[ConditionKind.COMMONLY_SEPARATED]
         assert stmts == (normalize({"theta_1"}, {"theta_2"}, {"I_0^0"}),)
 
-    def test_per_panel_condition_requires_index(self):
+    def test_every_condition_m2(self):
+        """Each condition's statements, written out by hand, in canonical
+        order and keyed in ``ALL_CONDITIONS`` order; the two panels' commonly
+        separated statements are one statement."""
         sys = build_system(2)
-        with pytest.raises(IndexOutOfRange):
-            condition_statement(sys, ConditionKind.CUTTING)
+        assert sys.condition_statements == {
+            ConditionKind.DELEGABLE: (
+                normalize({"I_+^0"}, {"theta_1", "theta_2"}, {"I_0^0", "I_*^0"}),
+            ),
+            ConditionKind.SEPARATELY_INFORMED: (
+                normalize({"I_11^0"}, {"theta_2"}, {"I_0^0", "theta_1"}),
+                normalize({"I_22^0"}, {"theta_1"}, {"I_0^0", "theta_2"}),
+            ),
+            ConditionKind.CUTTING: (
+                normalize({"I_*^0"}, {"theta_1"}, {"I_0^0", "I_11^0", "theta_2"}),
+                normalize({"I_*^0"}, {"theta_2"}, {"I_0^0", "I_22^0", "theta_1"}),
+            ),
+            ConditionKind.COMMONLY_SEPARATED: (
+                normalize({"theta_1"}, {"theta_2"}, {"I_0^0"}),
+            ),
+        }
+        assert list(sys.condition_statements) == list(ALL_CONDITIONS)
+
+    def test_per_panel_conditions_m3(self):
+        sys = build_system(3)
+        stmts = sys.condition_statements
+        assert len(stmts[ConditionKind.DELEGABLE]) == 1
+        for kind in ALL_CONDITIONS[1:]:
+            assert len(stmts[kind]) == 3
+        assert normalize({"theta_3"}, {"theta_1", "theta_2"}, {"I_0^0"}) in stmts[
+            ConditionKind.COMMONLY_SEPARATED
+        ]
+
+
+class TestGoalChains:
+    def test_both_panels_chains_m2(self):
+        """Every chain at m = 2 as literal statements: cut in, pool, goal for
+        independence; cut in, shield, own evidence only, goal for autonomy."""
+        sys = build_system(2)
+        cut_in_1 = normalize({"theta_1"}, {"I_*^0", "theta_2"}, {"I_0^0", "I_11^0"})
+        cut_in_2 = normalize({"theta_2"}, {"I_*^0", "theta_1"}, {"I_0^0", "I_22^0"})
+        assert sys.goal_chains == {
+            (1, "panel_independence"): (
+                cut_in_1,
+                normalize({"theta_1"}, {"theta_2"}, {"I_0^0", "I_*^0"}),
+                normalize({"theta_1"}, {"theta_2"}, {"I_+^0"}),
+            ),
+            (1, "autonomous_updating"): (
+                cut_in_1,
+                normalize({"theta_1"}, {"I_+^0"}, {"I_0^0", "I_11^0", "I_*^0"}),
+                normalize({"theta_1"}, {"I_*^0"}, {"I_0^0", "I_11^0"}),
+                normalize({"theta_1"}, {"I_+^0"}, {"I_0^0", "I_11^0"}),
+            ),
+            (2, "panel_independence"): (
+                cut_in_2,
+                normalize({"theta_2"}, {"theta_1"}, {"I_0^0", "I_*^0"}),
+                normalize({"theta_2"}, {"theta_1"}, {"I_+^0"}),
+            ),
+            (2, "autonomous_updating"): (
+                cut_in_2,
+                normalize({"theta_2"}, {"I_+^0"}, {"I_0^0", "I_22^0", "I_*^0"}),
+                normalize({"theta_2"}, {"I_*^0"}, {"I_0^0", "I_22^0"}),
+                normalize({"theta_2"}, {"I_+^0"}, {"I_0^0", "I_22^0"}),
+            ),
+        }
+        # verdict order: panel by panel, independence before autonomy
+        assert list(sys.goal_chains) == [
+            (1, "panel_independence"), (1, "autonomous_updating"),
+            (2, "panel_independence"), (2, "autonomous_updating"),
+        ]
+
+    def test_panel3_chains_m3(self):
+        sys = build_system(3)
+        theta_3, rest = {"theta_3"}, {"theta_1", "theta_2"}
+        cut_in = normalize(theta_3, {"I_*^0", "theta_1", "theta_2"}, {"I_0^0", "I_33^0"})
+        assert sys.goal_chains[3, "panel_independence"] == (
+            cut_in,
+            normalize(theta_3, rest, {"I_0^0", "I_*^0"}),
+            normalize(theta_3, rest, {"I_+^0"}),
+        )
+        assert sys.goal_chains[3, "autonomous_updating"] == (
+            cut_in,
+            normalize(theta_3, {"I_+^0"}, {"I_0^0", "I_33^0", "I_*^0"}),
+            normalize(theta_3, {"I_*^0"}, {"I_0^0", "I_33^0"}),
+            normalize(theta_3, {"I_+^0"}, {"I_0^0", "I_33^0"}),
+        )
+        assert len(sys.goal_chains) == 6
+
+    def test_each_goal_is_its_verdicts_goal(self):
+        sys = build_system(3)
+        verdict = verify_coherence(sys, GraphicalMode(canonical_dag(sys)))
+        assert [(g.panel, g.name, g.goal) for g in verdict.goals] == [
+            (*route, chain[-1]) for route, chain in sys.goal_chains.items()
+        ]
 
 
 class TestCheckConditions:
@@ -173,12 +259,14 @@ class TestVerifyTheorem:
             assert goal.proof.replay(sys.dependencies)
             assert set(goal.proof.premises) <= set(base)
             trace = goal.proof.statements()
-            assert all(w in trace for w in _goal_waypoints(sys, goal.panel, goal.name))
+            assert all(w in trace for w in sys.goal_chains[goal.panel, goal.name])
 
     def test_goal_statements(self):
         sys = build_system(2)
-        assert independence_goal(sys, 1) == normalize({"theta_1"}, {"theta_2"}, {"I_+^0"})
-        assert autonomy_goal(sys, 1) == normalize(
+        assert sys.goal_chains[1, "panel_independence"][-1] == normalize(
+            {"theta_1"}, {"theta_2"}, {"I_+^0"}
+        )
+        assert sys.goal_chains[1, "autonomous_updating"][-1] == normalize(
             {"theta_1"}, {"I_+^0"}, {"I_0^0", "I_11^0"}
         )
 
@@ -275,7 +363,7 @@ def _reference_verdict(sys, mode):
     deps, universe = sys.dependencies, sys.universe
     conditions = []
     for kind in ALL_CONDITIONS:
-        stmts = condition_statements(sys, kind)
+        stmts = sys.condition_statements[kind]
         witnesses, status = [], "holds"
         for stmt in stmts:
             result = derive(mode.base, deps, stmt, mode.budget, universe=universe)
@@ -286,25 +374,30 @@ def _reference_verdict(sys, mode):
             witnesses.append(result.proof)
         conditions.append(ConditionStatus(kind, stmts, status, tuple(witnesses)))
     goals = []
-    for i in range(1, sys.m + 1):
-        for name, goal in (
-            ("panel_independence", independence_goal(sys, i)),
-            ("autonomous_updating", autonomy_goal(sys, i)),
-        ):
-            result = lumped_in_own_names(sys, mode.base, i, name, mode.budget)
-            if not result.proved:
-                result = derive(mode.base, deps, goal, mode.budget, universe=universe)
-            goals.append(GoalResult(i, name, goal, result.status, result.proof))
+    for (i, name), chain in sys.goal_chains.items():
+        result = lumped_in_own_names(sys, mode.base, i, name, mode.budget)
+        if not result.proved:
+            result = derive(mode.base, deps, chain[-1], mode.budget, universe=universe)
+        goals.append(GoalResult(i, name, chain[-1], result.status, result.proof))
     return tuple(conditions), tuple(goals)
 
 
 def _random_mode(rng, sys, budget):
-    """Some of the conditions plus up to three random extra statements."""
+    """Some of the conditions plus up to three random extra statements over
+    the whole universe, then up to one over a random panel's lumped names
+    (its theta and own evidence, ``I_0^0`` and the two pools), which enters
+    that panel's slice alone, so that the slices of panels 2..m differ."""
     kept = [kind for kind in ALL_CONDITIONS if rng.random() < 0.75]
     symbols = sorted(sys.universe)
     base = set(base_statements(sys, kept))
     for _ in range(rng.randint(0, 3)):
         a, b, *c = rng.sample(symbols, rng.randint(2, 4))
+        base.add(normalize({a}, {b}, c))
+    for _ in range(rng.randint(0, 1)):
+        i = rng.randint(1, sys.m)
+        names = sorted({sys.theta(i), sys.evidence(i, i), sys.common,
+                        sys.own_evidence_pool, sys.full_pool})
+        a, b, *c = rng.sample(names, rng.randint(2, 4))
         base.add(normalize({a}, {b}, c))
     return AxiomaticMode(tuple(sorted(base, key=lambda s: s.sort_key())), budget)
 
@@ -317,21 +410,31 @@ def _assert_matches_reference(sys, mode, verdict):
 
 class TestMemo:
     @pytest.mark.parametrize(
-        "m, budget, instances",
-        [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8), (5, 300, 6), (8, 300, 12)],
+        "m, budget, instances, extras, lumped",
+        [(2, 3_000, 12, 16, 10), (3, 2_000, 6, 10, 4), (4, 300, 8, 10, 4), (5, 300, 6, 9, 3),
+         (8, 300, 12, 16, 5)],
     )
-    def test_random_bases_match_memo_less_derivations(self, m, budget, instances):
+    def test_random_bases_match_memo_less_derivations(self, m, budget, instances, extras,
+                                                       lumped):
         """The reference derives every panel's goals on their own, in their
         own names, so from m = 3 on it checks the lumped results panels 3..m
-        share, made in panel 2's names; at budget 300 some full-system
-        searches run out."""
+        share, made in panel 2's names, and, where an extra enters one
+        panel's slice alone, those they do not share; at budget 300 some
+        full-system searches run out."""
         sys = build_system(m)
-        statuses = set()
+        conditions = set(base_statements(sys))
+        statuses, drawn, sliced = set(), 0, 0
         for seed in range(instances):
             mode = _random_mode(random.Random(seed), sys, budget)
             verdict = verify_coherence(sys, mode)
             _assert_matches_reference(sys, mode, verdict)
             statuses.update(g.status for g in verdict.goals)
+            added = [s for s in mode.base if s not in conditions]
+            drawn += len(added)
+            sliced += sum(any(_panel_slice(sys, (s,), i)[1] for i in range(1, m + 1))
+                          for s in added)
+        # extras that lump into some panel's six names
+        assert (drawn, sliced) == (extras, lumped)
         # the instances reach every way a search ends, but at m = 8 no
         # full-system search of 75 symbols saturates within 300 statements
         ends = {"proved", "budget_exhausted"} | ({"not_derivable"} if m < 8 else set())
@@ -666,7 +769,7 @@ class TestChecksUnderOptimize:
         # only panel 1's expanded independence proof fails; its lumped
         # derivation, whose goal names theta_2 alone, replays
         ("expanded", "internal error: expanded proof failed replay",
-         "s = p.build_system(3); goal = p.independence_goal(s, 1)\n"
+         "s = p.build_system(3); goal = s.goal_chains[1, 'panel_independence'][-1]\n"
          "ci.Proof.replay = lambda proof, deps=(): proof.goal != goal and replay(proof, deps)",
          "p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
         # only the spliced proof lists the unused premise
