@@ -2,16 +2,19 @@
 """Record paired benchmark runs of a parent checkout against this one.
 
 For each workload, runs ``perfbench/run.py --trace 0`` on both checkouts for
-seeds 1..N, alternating which side goes first, and writes one JSON record:
-every run's end-to-end metrics, the order of each pair, the per-side median
-and quartiles of each metric, how many pairs each side won, the environment
-and the net line count of ``src/``.  ``--traced`` adds one ``--trace 1`` run
+seeds 1..N (or N seeds from ``--first-seed``), alternating which side goes
+first, and writes one JSON record: every run's end-to-end metrics, the
+order of each pair, the per-side median and quartiles of each metric, how
+many pairs each side won, the environment and the net line count of
+``src/``.  ``--traced`` adds one ``--trace 1`` run
 per side of the named workloads, for the per-layer metrics; every run keeps
 its ``correct`` flag and the problems it printed.  Then each layer
 case below runs in a fresh interpreter on both checkouts, alternating which
 side goes first, and its wall time, peak RSS and a summary of its result are
-recorded under ``layers``.  Run everything one at a time on an otherwise idle
-host:
+recorded under ``layers``; one more, untimed interpreter per side runs the
+case with counting wrappers installed and records its work counts under
+``counts`` (see ``COUNT_CHILD``).  Run everything one at a time on an
+otherwise idle host:
 
     python3 scripts/bench_record.py --parent ../parent --label 3b8dff0 \\
         --workload prove:10 --workload cli:4 --workload numeric:4 \\
@@ -49,8 +52,9 @@ SECONDS = 20
 # closure_m2 run ten times, since three runs per side moved by 10-18 % on
 # noise alone; joint_oracle_short_last_block runs the grid engine on 13
 # blocks of 3 points, where a leaf holds about 11,000 rows of the streamed
-# prior, with its ll evaluated beforehand: a case restarts the clock
-# (``start``) after its set-up, so its seconds are ten oracle calls alone;
+# prior, with its ll evaluated beforehand: a case restarts the clock and
+# the counts (``restart()``) after its set-up, so its seconds are ten oracle
+# calls alone;
 # verify_coherence_m3_sequence makes seven verdicts on one m=3 system, the
 # bare one and then one per extra statement, as the benchmark's prove
 # workload does (no CLI command makes more than one verdict on a system
@@ -60,7 +64,10 @@ SECONDS = 20
 # fresh m=16 system and its canonical and confounded graphs inside the
 # timed code and makes one graphical verdict on each, so it shows the cost
 # of d-separation with no state shared from an earlier verdict, and at
-# about 0.05 s a run it runs ten times
+# about 0.05 s a run it runs ten times; prove_pass_seed1 runs the first
+# pass of the benchmark's prove workload at seed 1 (14 jobs, after its
+# set-up and warm-up job) from the checkout's own perfbench/workloads.py,
+# so its counts divided by 14 are the work of one prove job
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"
@@ -88,7 +95,7 @@ LAYER_CASES = (
      "masses = rng.uniform(0.5, 1.5, size=(13, 3))\n"
      "priors = [pn.GridDensity((pn.interior_grid(3),), w / w.sum()) for w in masses]\n"
      "ll = rng.normal(size=(3,) * 13)\n"
-     "start = time.perf_counter()\n"
+     "restart()\n"
      "for _ in range(10):\n"
      "    oracle = pn.joint_oracle(priors, lambda *blocks: ll)\n"
      "out = {'cells': oracle.weights.size, 'max': float(oracle.weights.max())}"),
@@ -124,6 +131,18 @@ LAYER_CASES = (
      "s = p.build_system(16)\n"
      "vs = [p.verify_coherence(s, p.GraphicalMode(dag(s))) for dag in (p.canonical_dag, p.confounded_dag)]\n"
      "out = [[[c.status for c in v.conditions], [g.status for g in v.goals]] for v in vs]"),
+    ("prove_pass_seed1", 3,
+     "import random, sys\n"
+     "sys.path.insert(0, 'perfbench')\n"
+     "from workloads import ProveWorkload\n"
+     "wl = ProveWorkload()\n"
+     "wl.setup()\n"
+     "wl.run(wl.warmup_job(), False)\n"
+     "rng = random.Random('1/0')\n"
+     "jobs = wl.make_pass(rng)\n"
+     "rng.shuffle(jobs)\n"
+     "restart()\n"
+     "out = [[g.status for g in wl.run(job, False)[0].goals] for job in jobs]"),
     ("ablate_m2", 3,
      "rows = p.ablate(p.build_system(2))\n"
      "out = [[d and d.value, [g.status for g in v.goals]] for d, v in rows]"),
@@ -134,11 +153,105 @@ LAYER_CASES = (
 LAYER_CHILD = """\
 import json, resource, time
 from modcoherence import ci, protocol as p
-start = time.perf_counter()
+
+
+def restart():
+    global start
+    start = time.perf_counter()
+
+
+restart()
 {code}
 seconds = time.perf_counter() - start
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({{"seconds": seconds, "peak_rss_mb": rss_mb, "result": out}}))
+"""
+# A layer case again, untimed, with every binding of the counted functions
+# in the package's modules replaced by a counting wrapper, and every
+# replaced attribute restored (and checked) before the counts are printed:
+# searches (``ci._Saturation``s created) and the statements they hold when
+# each last stops, calls of ``ci.normalize``, ``ci.apply_axiom``,
+# ``ci.derive_through``, ``Proof.replay`` and ``dag.d_separated``, and the
+# leaves and cells that ``panels._pairwise`` sweeps.  ``restart()`` drops
+# what the case's set-up counted.
+COUNT_CHILD = """\
+import collections, json, sys, time, types, weakref
+from modcoherence import ci, dag, panels, protocol as p
+
+counts, sizes, serial = collections.Counter(), [], weakref.WeakKeyDictionary()
+replaced = []
+
+
+def replace(owner, name, wrap):
+    original = getattr(owner, name)
+    replaced.append((owner, name, original))
+    setattr(owner, name, wrap(original))
+
+
+def calls(key):
+    def wrap(original):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+        return counted
+    return wrap
+
+
+def created(original):
+    def counted(search, *args, **kwargs):
+        original(search, *args, **kwargs)
+        counts["searches"] += 1
+        serial[search] = len(sizes)
+        sizes.append(len(search.known))
+    return counted
+
+
+def ran(original):
+    def counted(search, *args, **kwargs):
+        try:
+            return original(search, *args, **kwargs)
+        finally:
+            sizes[serial[search]] = len(search.known)
+    return counted
+
+
+def swept(original):
+    def counted(n, piece, lo=0):
+        if n <= panels.LEAF:
+            counts["pairwise_leaves"] += 1
+            counts["pairwise_cells"] += n
+        return original(n, piece, lo)
+    return counted
+
+
+functions = {{ci.normalize: "normalize", ci.apply_axiom: "apply_axiom",
+             ci.derive_through: "derive_through", dag.d_separated: "d_separated"}}
+for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "modcoherence"]:
+    for name, value in list(vars(module).items()):
+        if isinstance(value, types.FunctionType) and value in functions:
+            replace(module, name, calls(functions[value]))
+replace(ci.Proof, "replay", calls("replay"))
+replace(ci._Saturation, "__init__", created)
+replace(ci._Saturation, "run", ran)
+replace(panels, "_pairwise", swept)
+baseline = 0
+
+
+def restart():
+    global baseline
+    counts.clear()
+    baseline = sum(sizes)
+
+
+restart()
+{code}
+counts["statements_generated"] = sum(sizes) - baseline
+for owner, name, original in reversed(replaced):
+    setattr(owner, name, original)
+assert all(getattr(owner, name) is original for owner, name, original in replaced)
+keys = [*functions.values(), "replay", "searches", "statements_generated", "pairwise_leaves",
+        "pairwise_cells"]
+print(json.dumps({{key: counts[key] for key in sorted(keys)}}))
 """
 
 
@@ -162,8 +275,8 @@ def run_bench(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     return result
 
 
-def run_layer(checkout: Path, code: str) -> dict:
-    cmd = [sys.executable, "-c", LAYER_CHILD.format(code=code)]
+def run_layer(checkout: Path, code: str, child: str = LAYER_CHILD) -> dict:
+    cmd = [sys.executable, "-c", child.format(code=code)]
     env = {**os.environ, "PYTHONPATH": str(checkout / "src")}
     proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, check=False)
     if proc.returncode != 0:
@@ -184,6 +297,7 @@ def layers(parent: Path) -> dict:
             side: {
                 "seconds": [r["seconds"] for r in results],
                 "median_s": statistics.median(r["seconds"] for r in results),
+                "counts": run_layer(parent if side == "parent" else ROOT, code, COUNT_CHILD),
                 "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
                 "result": results[0]["result"],
             }
@@ -204,10 +318,10 @@ def src_lines(checkout: Path) -> int:
     return sum(len(p.read_text().splitlines()) for p in (checkout / "src").rglob("*.py"))
 
 
-def paired(parent: Path, workload: str, pairs: int, better: dict) -> dict:
+def paired(parent: Path, workload: str, pairs: int, better: dict, first_seed: int) -> dict:
     runs = []
-    for seed in range(1, pairs + 1):
-        order = ["parent", "change"] if seed % 2 else ["change", "parent"]
+    for seed in range(first_seed, first_seed + pairs):
+        order = ["parent", "change"] if (seed - first_seed) % 2 == 0 else ["change", "parent"]
         sides = {}
         for side in order:
             sides[side] = run_bench(parent if side == "parent" else ROOT, workload, seed, 0)
@@ -242,6 +356,8 @@ def main() -> None:
     ap.add_argument("--label", required=True, help="Short sha of the parent commit.")
     ap.add_argument("--workload", action="append", required=True, help="NAME:PAIRS")
     ap.add_argument("--traced", action="append", default=[], help="Workload for --trace 1.")
+    ap.add_argument("--first-seed", type=int, default=1,
+                    help="Seed of the first pair; pair k runs seed FIRST_SEED + k.")
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args()
     parent = args.parent.resolve()
@@ -252,6 +368,7 @@ def main() -> None:
         "parent": args.label,
         "change": f"working tree on top of {args.label}",
         "command": f"perfbench/run.py --seconds {SECONDS} --trace 0",
+        "first_seed": args.first_seed,
         "src_lines": {"parent": src_lines(parent), "change": src_lines(ROOT)},
         "workloads": {},
         "traced": {},
@@ -259,7 +376,7 @@ def main() -> None:
     record["src_lines"]["net"] = record["src_lines"]["change"] - record["src_lines"]["parent"]
     for item in args.workload:
         name, pairs = item.split(":")
-        result = paired(parent, name, int(pairs), better)
+        result = paired(parent, name, int(pairs), better, args.first_seed)
         record["environment"] = result.pop("environment")
         record["workloads"][name] = result
     for name in args.traced:

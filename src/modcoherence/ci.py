@@ -699,6 +699,9 @@ def derive(
     closure of this rule system; ``budget_exhausted`` is inconclusive.
     With a ``memo`` (see :class:`Memo`) the query is answered from the
     memo's search of this universe, base and budget, as a fresh search would.
+    A goal in the base, once the budget, the base and the goal are checked,
+    is its own zero-step proof, with the base's size as its count, as a
+    fresh search stopping at once would report; no search runs for it.
     """
     if goal is None:
         raise ValueError("derive requires a goal statement")
@@ -709,15 +712,15 @@ def derive(
         search = memo.searches[universe, base, budget] = _Saturation(base, memo, universe, budget)
     if not goal.symbols() <= universe:
         raise UniverseError(f"goal {goal.render()} leaves the universe")
+    if goal in base:
+        return DeriveResult("proved", Proof((goal,), (), goal), len(base))
     if not search.run(memo, goal):
         return DeriveResult(search.status, None, len(search.known))
     proof = search.extract_proof(memo, goal)
     if not proof.replay(memo.deps):
         raise AssertionError("internal error: extracted proof failed replay")
-    # a fresh search stops at the goal, or at once on a premise
-    prov = search.known[memo.encode(goal)]
-    generated = len(base) if prov is None else prov[3] + 1
-    return DeriveResult("proved", proof, generated)
+    # a fresh search stops at the goal
+    return DeriveResult("proved", proof, search.known[memo.encode(goal)][3] + 1)
 
 
 def derive_through(

@@ -90,7 +90,7 @@ def build_dag(
     try:
         tuple(TopologicalSorter(parents).static_order())
     except CycleError as exc:
-        raise CycleDetected(str(exc)) from exc
+        raise CycleDetected(f"nodes are in a cycle: {' -> '.join(exc.args[1])}") from exc
     for dep in dag.dependencies:
         stray = (dep.determined | dep.determiners) - dag.node_names
         if stray:

@@ -21,6 +21,7 @@ from typing import Callable, Iterable, Optional, Union
 
 from . import ModcoherenceError, Record
 from .ci import (
+    CIError,
     CIStatement,
     DEFAULT_BUDGET,
     DeriveResult,
@@ -31,6 +32,7 @@ from .ci import (
     Symbol,
     VarSet,
     aggregate_dependencies,
+    apply_axiom,
     derive,
     derive_through,
     normalize,
@@ -168,7 +170,7 @@ class PanelSystem(Record):
         :func:`_derive_lumped`), made with their own memo at
         ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
         allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements."""
-        base = base_statements(self)
+        base = frozenset(base_statements(self))
         memo = Memo(self.dependencies, self.universe)
         table: dict = {}
         slices: dict = {}
@@ -297,7 +299,7 @@ def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> tuple
 
 def _derive_lumped(
     sys: PanelSystem,
-    base: Iterable[CIStatement],
+    base: frozenset,
     route: tuple[int, str],
     budget: int,
     memo: Memo,
@@ -317,10 +319,16 @@ def _derive_lumped(
     side, stays the same rule instance.  The derivation runs on the base
     statements that hold theta_rest(i) whole on one side or not at all and
     otherwise stay in the lumped names.  A proof is expanded back, symbol
-    for set, into a proof in the full system, whose premises are those base
-    statements, and replayed there; a selection of the lumped symbol
-    becomes a multi-symbol decomposition or weak union.  Any other status
-    certifies nothing about the full system.
+    for set, into a proof in the full system in one pass that checks it as
+    it goes: each premise expanded must be a statement of ``base``; each
+    step's inputs must be premises or earlier outputs, its rule is applied
+    by :func:`~modcoherence.ci.apply_axiom` to them in the full system, and
+    its output must be the expanded lumped output; the last output must be
+    the route's goal.  A selection of the lumped symbol becomes a
+    multi-symbol decomposition or weak union.  A failed check, or a
+    ``CIError`` on the way, is an internal error, an ``AssertionError``.
+    Any other status than ``proved`` certifies nothing about the full
+    system.
 
     Panels 2..m are derived in panel 2's names.  Swapping panels 2 and i
     maps the dependencies onto themselves, and the rename keeps the sorted
@@ -347,16 +355,32 @@ def _derive_lumped(
     if not result.proved:
         return result
 
-    # each statement of the proof expanded once, shared by every step that names it
-    full = {s: normalize(expand(s.a), expand(s.b), expand(s.c)) for s in result.proof.statements()}
-    steps = tuple(
-        ProofStep(step.rule, tuple(full[s] for s in step.inputs), expand(step.selection),
-                  full[step.output])
-        for step in result.proof.steps
-    )
-    proof = Proof(tuple(full[s] for s in result.proof.premises), steps, full[result.proof.goal])
-    if not proof.replay(sys.dependencies):
-        raise AssertionError("internal error: expanded proof failed replay")
+    # one pass in the full system: each premise expanded and found in the
+    # base, each step's rule applied to the expanded inputs and its output
+    # compared with the expanded lumped output, side for side
+    deps, full, steps = sys.dependencies, {}, []
+    try:
+        for s in result.proof.premises:
+            full[s] = normalize(expand(s.a), expand(s.b), expand(s.c))
+            if full[s] not in base:
+                raise AssertionError("internal error: expanded premise is not a base statement")
+        for step in result.proof.steps:
+            inputs = tuple(map(full.get, step.inputs))
+            if None in inputs:
+                raise AssertionError("internal error: expanded step input is not available")
+            selection = expand(step.selection)
+            out, lumped = apply_axiom(step.rule, inputs, selection, deps), step.output
+            a, b = expand(lumped.a), expand(lumped.b)
+            if out.c != expand(lumped.c) or (out.a, out.b) not in ((a, b), (b, a)):
+                raise AssertionError("internal error: expanded step output is not its expansion")
+            full[lumped] = out
+            steps.append(ProofStep(step.rule, inputs, selection, out))
+    except CIError as exc:
+        raise AssertionError("internal error: expanded proof is not licensed") from exc
+    goal = sys.goal_chains[route][-1]
+    if not steps or steps[-1].output != goal:
+        raise AssertionError("internal error: expanded proof does not end at its goal")
+    proof = Proof(tuple(full[s] for s in result.proof.premises), tuple(steps), goal)
     return DeriveResult("proved", proof, result.generated)
 
 
@@ -364,7 +388,9 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
     goal's lumped derivation first (:func:`_derive_lumped`), then one
     unconstrained search of the full system, so every status but ``proved``
-    comes from the full system.  All of them share one memo, and the lumped
+    comes from the full system; a base statement, such as a condition's,
+    is its own zero-step proof (see :func:`~modcoherence.ci.derive`).  The
+    base is frozen once per verdict.  All of them share one memo, and the lumped
     derivations one table, keyed by lumped statements, and one slice of the
     base per panel, which live as long as the decider, one verdict.  The
     table starts with the system's own lumped results (``sys._own_lumped``)
@@ -377,6 +403,7 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
+        base = frozenset(mode.base)
         memo = Memo(sys.dependencies, sys.universe)
         table = {key: result for key, result in sys._own_lumped.items()
                  if result.generated <= mode.budget}
@@ -384,10 +411,10 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
-                result = _derive_lumped(sys, mode.base, route, mode.budget, memo, table, slices)
+                result = _derive_lumped(sys, base, route, mode.budget, memo, table, slices)
                 if result.proved:
                     return result.status, result.proof
-            result = derive(mode.base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)
+            result = derive(base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)
             return result.status, result.proof
 
         return derived
@@ -428,7 +455,8 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     table of lumped derivations, dropped when the verdict is made (see
     :func:`_decider`); only the system's own lumped proofs, made once per
     system, outlive it.  Every lumped proof, reused or not, is expanded
-    into panel i's names and replayed in the full system.
+    into panel i's names and checked step by step in the full system as it
+    is expanded (see :func:`_derive_lumped`).
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

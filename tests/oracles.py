@@ -450,3 +450,85 @@ def functional_expectation_reference(post, g) -> float:
 def block_product_reference(*blocks) -> np.ndarray:
     """The product of the blocks, reduced over a stack of their broadcast copies."""
     return np.prod(np.broadcast_arrays(*blocks), axis=0)
+
+
+# -- a proof checker for machine reports, apart from ``ci`` ----------------
+#
+# It reads each rendered statement as name sets and checks every step by its
+# own reading of the rules: it neither imports nor calls ``ci``, so a fault
+# that the prover and ``ci.apply_axiom`` share cannot pass it.
+
+
+def read_statement(text: str) -> tuple:
+    """``"a,b _||_ c | d"`` as (its two sides as a set, its context)."""
+    head, _, given = text.partition(" | ")
+    left, right = (frozenset(side.split(",")) for side in head.split(" _||_ "))
+    return frozenset({left, right}), frozenset(given.split(",")) if given else frozenset()
+
+
+def determined(context, deps) -> frozenset:
+    """Every name pinned down by ``context`` under ``deps``, pairs of
+    (determiners, determined) name sets."""
+    out, changed = set(context), True
+    while changed:
+        changed = False
+        for determiners, names in deps:
+            if determiners <= out and not names <= out:
+                out |= names
+                changed = True
+    return frozenset(out)
+
+
+# each rule's number of inputs and of selected names (None: any)
+RULE_SHAPES = {"symmetry": (1, 0), "contraction": (2, 0), "decomposition": (1, None),
+               "weak_union": (1, None), "determinism_augment": (1, 1), "determinism_drop": (1, 1)}
+
+
+def licensed(rule: str, inputs: list, selection: frozenset, deps) -> set:
+    """The statements ``rule`` licenses from ``inputs`` with ``selection``."""
+    count, picked = RULE_SHAPES.get(rule, (None, None))
+    if len(inputs) != count or picked is not None and len(selection) != picked:
+        return set()
+    sides, c = inputs[0]
+    pairs = [(x, y) for x in sides for y in sides if x != y]
+    if rule == "symmetry":
+        return {inputs[0]}
+    if rule == "contraction":
+        sides2, c2 = inputs[1]
+        return {(frozenset({x, y | w}), c)
+                for x, y in pairs if x in sides2 and c2 == y | c for w in sides2 - {x}}
+    if rule == "decomposition":
+        return {(frozenset({x, selection}), c) for x, y in pairs if selection and selection < y}
+    if rule == "weak_union":
+        return {(frozenset({x, y - selection}), c | selection)
+                for x, y in pairs if selection and selection < y}
+    (v,) = selection
+    if v in c and v in determined(c - {v}, deps):
+        if rule == "determinism_drop":
+            return {(sides, c - {v})}
+        return {(frozenset({x, y | {v}}), c - {v}) for x, y in pairs}
+    if rule == "determinism_drop" or v in c or v not in determined(c, deps):
+        return set()
+    if not any(v in side for side in sides):
+        return {(sides, c | {v})}
+    return {(frozenset({x, y - {v}}), c | {v}) for x, y in pairs if v in y and y != {v}}
+
+
+def proof_fault(proof: dict, deps, given) -> str | None:
+    """The first fault of a proof as ``report.proof_to_dict`` writes it, or
+    None: a premise not among the rendered statements ``given``, an input
+    number that is not the first place of an available statement, a step
+    its rule does not license, or a last output other than the goal."""
+    texts = list(proof["premises"])
+    if not set(texts) <= set(given):
+        return f"premises not given: {sorted(set(texts) - set(given))}"
+    for k, step in enumerate(proof["steps"]):
+        if not all(0 <= n < len(texts) and texts.index(texts[n]) == n for n in step["inputs"]):
+            return f"step {k}: input numbers {step['inputs']}"
+        inputs = [read_statement(texts[n]) for n in step["inputs"]]
+        if read_statement(step["output"]) not in licensed(step["rule"], inputs,
+                                                          frozenset(step["selection"]), deps):
+            return f"step {k}: {step['rule']} does not give {step['output']}"
+        texts.append(step["output"])
+    end = texts[-1] if proof["steps"] else proof["goal"] if proof["goal"] in texts else None
+    return None if end == proof["goal"] else f"the proof does not end at {proof['goal']}"

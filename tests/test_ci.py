@@ -10,6 +10,7 @@ from modcoherence.ci import (
     EMPTY,
     CIError,
     CIStatement,
+    DeriveResult,
     EmptySide,
     FunctionalDependency,
     Memo,
@@ -274,6 +275,30 @@ class TestDerive:
         result = derive(base, goal=base[0])
         assert result.proved
         assert result.proof.replay()
+
+    def test_a_premise_is_its_own_proof(self):
+        # the zero-step proof and the base's size that extracting the
+        # premise from a fresh search gives, also from a memo whose search
+        # has saturated, and with the base given twice over
+        system = build_system(2)
+        deps, universe = system.dependencies, system.universe
+        base = base_statements(system)
+        memo = Memo(deps, universe)
+        absent = normalize({"theta_1"}, {"theta_2"})
+        saturated = derive(base * 2, deps, absent, universe=universe, memo=memo)
+        assert saturated.status == "not_derivable"
+        for goal in base:
+            expected = DeriveResult("proved", Proof((goal,), (), goal), len(base))
+            assert derive(base, deps, goal, universe=universe) == expected
+            assert derive(base * 2, deps, goal, universe=universe, memo=memo) == expected
+            assert expected.proof.replay(deps)
+
+    def test_a_premise_goal_still_checks_the_budget_and_the_universe(self):
+        base = [normalize({T1}, {T2}, {I0})]
+        with pytest.raises(ValueError, match="budget must be positive"):
+            derive(base, goal=base[0], budget=0)
+        with pytest.raises(UniverseError, match="base statement"):
+            derive(base, goal=base[0], universe={T1, T2})
 
     def test_derive_requires_goal(self):
         with pytest.raises(ValueError):

@@ -360,6 +360,15 @@ class TestExitCodes:
         assert result.exit_code == 2
         assert "ParseError" in result.output and "disjoint" in result.output
 
+    def test_cyclic_graph_names_the_cycle(self, tmp_path):
+        spec = json.loads((SPECS / "chain_dsep.spec").read_text())
+        spec["graph"]["edges"] = [["A", "B"], ["B", "A"]]
+        result = run("dsep", "--spec", write_spec(tmp_path, spec), "--format", "machine")
+        assert result.exit_code == 2
+        assert result.exception is None
+        error = json.loads(result.output)["results"]["error"]
+        assert error == "ParseError: graph: nodes are in a cycle: B -> A -> B"
+
     def test_derive_goal_outside_statements_exits_2(self, tmp_path):
         path = write_spec(tmp_path, {
             "version": 1,

@@ -88,7 +88,7 @@ class TestBuildDag:
             env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                   env=env, timeout=60, check=True)
-            assert proc.stdout == "('nodes are in a cycle', ['C', 'B', 'C'])\n"
+            assert proc.stdout == "nodes are in a cycle: C -> B -> C\n"
 
 
 class TestDSeparation:

@@ -420,7 +420,11 @@ class TestMemo:
         own names, so from m = 3 on it checks the lumped results panels 3..m
         share, made in panel 2's names, and, where an extra enters one
         panel's slice alone, those they do not share; at budget 300 some
-        full-system searches run out."""
+        full-system searches run out.  Two fixed bases, whatever the draws,
+        end the goals' searches without a proof: the commonly separated
+        statements alone saturate (at m = 8 they outgrow 300 statements),
+        and with one statement that makes I_12^0 independent of every other
+        symbol but the pools they outgrow every budget here."""
         sys = build_system(m)
         conditions = set(base_statements(sys))
         statuses, drawn, sliced = set(), 0, 0
@@ -435,6 +439,16 @@ class TestMemo:
                           for s in added)
         # extras that lump into some panel's six names
         assert (drawn, sliced) == (extras, lumped)
+        wide = normalize({"I_12^0"}, sys.universe - {"I_12^0", sys.own_evidence_pool,
+                                                     sys.full_pool})
+        separated = [ConditionKind.COMMONLY_SEPARATED]
+        saturating = "not_derivable" if m < 8 else "budget_exhausted"
+        for extra, end in (((), saturating), ((wide,), "budget_exhausted")):
+            mode = AxiomaticMode(base_statements(sys, separated, extra), budget)
+            verdict = verify_coherence(sys, mode)
+            _assert_matches_reference(sys, mode, verdict)
+            statuses.update(g.status for g in verdict.goals)
+            assert {g.status for g in verdict.goals} == {end}
         # the instances reach every way a search ends, but at m = 8 no
         # full-system search of 75 symbols saturates within 300 statements
         ends = {"proved", "budget_exhausted"} | ({"not_derivable"} if m < 8 else set())
@@ -766,12 +780,43 @@ class TestChecksUnderOptimize:
         ("extracted", "internal error: extracted proof failed replay",
          "ci.Proof.replay = lambda proof, deps=(): False",
          "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
-        # only panel 1's expanded independence proof fails; its lumped
-        # derivation, whose goal names theta_2 alone, replays
-        ("expanded", "internal error: expanded proof failed replay",
-         "s = p.build_system(3); goal = s.goal_chains[1, 'panel_independence'][-1]\n"
-         "ci.Proof.replay = lambda proof, deps=(): proof.goal != goal and replay(proof, deps)",
-         "p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+        # the expansion applies each rule through protocol's binding of
+        # apply_axiom, here one that gives a wrong statement: the lumped
+        # derivations, made through ci's, still replay, but the first
+        # expanded step (panel 1's independence proof) misses its output
+        ("expanded", "internal error: expanded step output is not its expansion",
+         "p.apply_axiom = lambda *args: ci.normalize({'I_0^0'}, {'theta_1'})",
+         "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+        # a rule that does not apply in the full system is an internal
+        # error, never the CIError the command line reports as bad input
+        ("unlicensed", "internal error: expanded proof is not licensed",
+         "p.apply_axiom = lambda *args: ci.apply_axiom('symmetry', ())",
+         "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+        # panels 3..m's proofs left in panel 2's I_22^0: every step still
+        # applies, but the premises are not the base's
+        ("premise", "internal error: expanded premise is not a base statement",
+         "panel_slice = p._panel_slice\n"
+         "def leaky(s, base, i):\n"
+         "    universe, sliced, lump, expand = panel_slice(s, base, i)\n"
+         "    kept = {'I_22^0'}\n"
+         "    return universe, sliced, lump, lambda side: expand(side - kept) | side & kept\n"
+         "p._panel_slice = leaky",
+         "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+        # each lumped proof stops one waypoint short of its goal
+        ("goal", "internal error: expanded proof does not end at its goal",
+         "derive_through = p.derive_through\n"
+         "p.derive_through = lambda base, deps, ways, *args, **kw: derive_through(\n"
+         "    base, deps, ways[:-1], *args, **kw)",
+         "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+        # each lumped proof's steps in reverse: the first uses later outputs
+        ("available", "internal error: expanded step input is not available",
+         "derive_through = p.derive_through\n"
+         "def reversed_steps(*args, **kw):\n"
+         "    r = derive_through(*args, **kw)\n"
+         "    proof = ci.Proof(r.proof.premises, r.proof.steps[::-1], r.proof.goal)\n"
+         "    return ci.DeriveResult(r.status, proof, r.generated)\n"
+         "p.derive_through = reversed_steps",
+         "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
         # only the spliced proof lists the unused premise
         ("spliced", "internal error: spliced proof failed replay",
          "base = [ci.normalize({'a'}, {'b'}, {'c'}), ci.normalize({'d'}, {'e'})]\n"
