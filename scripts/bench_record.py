@@ -39,9 +39,10 @@ SECONDS = 20
 # that slows down, not a few percent, and run three times; the m=32
 # verification, the largest protocol a spec allows, runs 4 lumped
 # derivations (panels 3..32 reuse panel 2's, renamed) and still expands and
-# replays 64 goal proofs, so it is the case where proof handling and
-# determinism closures weigh most, and with the m=16 one it runs ten times,
-# since three runs per side of unchanged code moved by more than 25 %; the
+# checks 64 goal proofs, one rule application per step and no replay, so it
+# is the case where proof handling and determinism closures weigh most, and
+# with the m=16 one it runs ten times, since three runs per side of
+# unchanged code moved by more than 25 %; the
 # m=3 ablation, about 45 s a run, runs three times, since one run per side
 # moved by 15 % on noise alone; separability_m2 imports panels inside the
 # timed code, so its import cost shows; joint_oracle_m3_256 runs the grid
@@ -67,7 +68,9 @@ SECONDS = 20
 # about 0.05 s a run it runs ten times; prove_pass_seed1 runs the first
 # pass of the benchmark's prove workload at seed 1 (14 jobs, after its
 # set-up and warm-up job) from the checkout's own perfbench/workloads.py,
-# so its counts divided by 14 are the work of one prove job
+# so its counts divided by 14 are the work of one prove job; the
+# verify_coherence_m* cases and the _sequence one build a fresh system, so
+# their counts include the four lumped derivations of its own table
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"

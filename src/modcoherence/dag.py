@@ -14,15 +14,7 @@ from graphlib import CycleError, TopologicalSorter
 from typing import Iterable
 
 from . import ModcoherenceError, Record
-from .ci import (
-    EmptySide,
-    FunctionalDependency,
-    OverlappingSets,
-    Symbol,
-    VarSet,
-    _symbols,
-    determined_closure,
-)
+from .ci import FunctionalDependency, Symbol, VarSet, _symbols, determined_closure, normalize
 
 class DagError(ModcoherenceError):
     pass
@@ -102,10 +94,7 @@ def _validate_query(dag: Dag, a: VarSet, b: VarSet, c: VarSet) -> None:
     stray = (a | b | c) - dag.node_names
     if stray:
         raise UnknownSymbol(f"query mentions undeclared nodes: {sorted(stray)}")
-    if not a or not b:
-        raise EmptySide("query sides a and b must be non-empty")
-    if a & b or a & c or b & c:
-        raise OverlappingSets("query sets must be pairwise disjoint")
+    normalize(a, b, c)  # refuses an empty side or overlapping sets, as for any statement
 
 
 def _mask(bit: dict[Symbol, int], names: Iterable[Symbol]) -> int:

@@ -169,14 +169,20 @@ class PanelSystem(Record):
         order type's names (panels 3..m share panel 2's; see
         :func:`_derive_lumped`), made with their own memo at
         ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
-        allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements."""
+        allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements.
+        None is expanded here: a verdict expands and checks the ones it
+        reads."""
         base = frozenset(base_statements(self))
         memo = Memo(self.dependencies, self.universe)
         table: dict = {}
-        slices: dict = {}
-        for route in self.goal_chains:
-            if route[0] <= 2:
-                _derive_lumped(self, base, route, DEFAULT_BUDGET, memo, table, slices)
+        for i in (1, 2):
+            universe, sliced, lump, _ = _panel_slice(self, base, i)
+            for route, chain in self.goal_chains.items():
+                if route[0] == i:
+                    waypoints = tuple(map(lump, chain))
+                    table[sliced, waypoints] = derive_through(
+                        sliced, self.dependencies, waypoints, DEFAULT_BUDGET, universe, memo=memo
+                    )
         return table
 
     def _check_index(self, i: int) -> None:
@@ -338,7 +344,9 @@ def _derive_lumped(
     a universe holding the lumped one, such as the system's: it too keeps
     names in sorted order.  ``table`` maps a slice and the goal's
     waypoints, as lumped statements, to their derivation; one missing is
-    made at ``budget`` and stored, so panels 3..m reuse panel 2's.
+    made at ``budget`` and stored, so panels 3..m reuse panel 2's.  A
+    result read from the table, such as one of ``sys._own_lumped`` (derived,
+    never expanded), is expanded and checked here like one made here.
     ``slices`` keeps each panel's :func:`_panel_slice` of ``base``, so both
     goals of a panel read one slice and one ``expand``.
     """
@@ -393,12 +401,13 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     base is frozen once per verdict.  All of them share one memo, and the lumped
     derivations one table, keyed by lumped statements, and one slice of the
     base per panel, which live as long as the decider, one verdict.  The
-    table starts with the system's own lumped results (``sys._own_lumped``)
-    whose searches made at most ``mode.budget`` statements in all: no one
-    search held more, so at this budget each would take the same steps.
-    Every other lumped derivation is made at ``mode.budget`` into the
-    table, so panels 3..m reuse panel 2's, made in panel 2's names.
-    Graphical mode asks d-separation."""
+    table starts with the system's own lumped results (``sys._own_lumped``,
+    derived when the system is built and expanded only by the verdicts that
+    read them) whose searches made at most ``mode.budget`` statements in
+    all: no one search held more, so at this budget each would take the
+    same steps.  Every other lumped derivation is made at ``mode.budget``
+    into the table, so panels 3..m reuse panel 2's, made in panel 2's
+    names.  Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import modcoherence
-from modcoherence.ci import CIError, EmptySide, FunctionalDependency, normalize
+from modcoherence.ci import CIError, EmptySide, FunctionalDependency, OverlappingSets, normalize
 from modcoherence.dag import (
     CycleDetected,
     DagError,
@@ -171,10 +171,19 @@ class TestDSeparation:
     @pytest.mark.parametrize("a, b", [([], ["y"]), (["x"], [])])
     def test_empty_side_is_refused_as_normalize_refuses_it(self, a, b):
         dag = build_dag(["x", "y"], [("x", "y")])
-        with pytest.raises(EmptySide):
-            d_separated(dag, a, b)
-        with pytest.raises(EmptySide):
+        with pytest.raises(EmptySide) as refused:
             normalize(a, b)
+        with pytest.raises(EmptySide, match=f"^{re.escape(str(refused.value))}$"):
+            d_separated(dag, a, b)
+
+    @pytest.mark.parametrize("a, b, c", [(["x"], ["x"], []), (["x"], ["y"], ["x"]),
+                                         (["x"], ["y"], ["y"]), (["x", "z"], ["y"], ["z"])])
+    def test_overlapping_sets_are_refused_as_normalize_refuses_them(self, a, b, c):
+        dag = build_dag(["x", "y", "z"], [("x", "y")])
+        with pytest.raises(OverlappingSets) as refused:
+            normalize(a, b, c)
+        with pytest.raises(OverlappingSets, match=f"^{re.escape(str(refused.value))}$"):
+            d_separated(dag, a, b, c)
 
 
 class TestLocalMarkovBasis:

@@ -546,6 +546,47 @@ class TestLumpedRoute:
         monkeypatch.setattr(protocol, "derive_through", recorded)
         return results
 
+    @staticmethod
+    def _record_applied(monkeypatch):
+        """A list that fills with the arguments of each rule application
+        made at ``protocol.apply_axiom``, the binding an expansion applies
+        its rules through."""
+        applied = []
+        original = protocol.apply_axiom
+        monkeypatch.setattr(protocol, "apply_axiom",
+                            lambda *args: applied.append(args) or original(*args))
+        return applied
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 32])
+    def test_the_system_derives_its_own_proofs_and_expands_none(self, monkeypatch, m):
+        """Building the system's own table makes four lumped derivations
+        and applies no rule, and the table equals one filled through the
+        verdict's path, key for key and result for result."""
+        sys = build_system(m)
+        base = frozenset(base_statements(sys))
+        memo = ci.Memo(sys.dependencies, sys.universe)
+        reference: dict = {}
+        slices: dict = {}
+        for route in sys.goal_chains:
+            if route[0] <= 2:
+                protocol._derive_lumped(sys, base, route, ci.DEFAULT_BUDGET, memo, reference, slices)
+        applied = self._record_applied(monkeypatch)
+        results = self._record_lumped(monkeypatch)
+        own = sys._own_lumped
+        assert (len(applied), len(results)) == (0, 4)
+        assert list(own.items()) == list(reference.items())
+
+    @pytest.mark.parametrize("m, applications", [(3, 54), (32, 576)])
+    def test_a_fresh_bare_verdict_applies_each_goal_step_once(self, monkeypatch, m, applications):
+        """A bare verdict on a fresh system, its build included, applies
+        each step of its goal proofs once, in their expansion, and no other
+        rule."""
+        sys = build_system(m)
+        applied = self._record_applied(monkeypatch)
+        verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+        steps = sum(len(goal.proof.steps) for goal in verdict.goals)
+        assert len(applied) == steps == applications
+
     @pytest.mark.parametrize("m", range(2, 9))
     def test_bare_verdict_makes_four_lumped_derivations(self, monkeypatch, m):
         """Panel 1's two goals and panel 2's are derived; panels 3..m are
