@@ -60,8 +60,14 @@ SECONDS = 20
 # bare one and then one per extra statement, as the benchmark's prove
 # workload does (no CLI command makes more than one verdict on a system
 # with the same conditions), so it shows what the system's own lumped
-# proofs, made once per system, save from one verdict to the next; at
-# about 0.03 s a run it runs ten times; graphical_verdicts_m16 builds a
+# proofs and each panel's lumping (lumped universe, expand and the lumped
+# waypoints of its goal chains), made once per system, save from one
+# verdict to the next; at about 0.03 s a run it runs ten times;
+# verify_coherence_m32_repeat makes one bare verdict on an m=32 system
+# before ``restart()`` and times three more, so it shows a verdict after
+# a system's first at the largest panel count, where the lumping it reads
+# covers 32 panels and each verdict still slices the base 32 times; at
+# about 0.05 s a run it runs ten times; graphical_verdicts_m16 builds a
 # fresh m=16 system and its canonical and confounded graphs inside the
 # timed code and makes one graphical verdict on each, so it shows the cost
 # of d-separation with no state shared from an earlier verdict, and at
@@ -70,7 +76,9 @@ SECONDS = 20
 # set-up and warm-up job) from the checkout's own perfbench/workloads.py,
 # so its counts divided by 14 are the work of one prove job; the
 # verify_coherence_m* cases and the _sequence one build a fresh system, so
-# their counts include the four lumped derivations of its own table
+# their counts include the four lumped derivations of its own table and
+# its panels' lumpings, all but _m32_repeat, which counts after its first
+# verdict
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"
@@ -130,6 +138,12 @@ LAYER_CASES = (
      "s = p.build_system(32)\n"
      "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))\n"
      "out = [g.status for g in v.goals]"),
+    ("verify_coherence_m32_repeat", 10,
+     "s = p.build_system(32)\n"
+     "mode = p.AxiomaticMode(p.base_statements(s))\n"
+     "p.verify_coherence(s, mode)\n"
+     "restart()\n"
+     "out = [[g.status for g in p.verify_coherence(s, mode).goals] for _ in range(3)]"),
     ("graphical_verdicts_m16", 10,
      "s = p.build_system(16)\n"
      "vs = [p.verify_coherence(s, p.GraphicalMode(dag(s))) for dag in (p.canonical_dag, p.confounded_dag)]\n"

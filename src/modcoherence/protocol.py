@@ -69,7 +69,16 @@ ALL_CONDITIONS = tuple(ConditionKind)
 class PanelSystem(Record):
     """Symbol universe and determinism facts for an m-panel composite, m >= 2:
     with one panel the conditions and the goal that speak of "the other
-    panels" would assert nothing."""
+    panels" would assert nothing.
+
+    Besides m, a system holds only values derived from m, each made once,
+    on first use, and of a size fixed by m: its universe, dependencies,
+    condition statements and goal chains; each panel's lumping
+    (``lumpings``: lumped universe, ``lump``, ``expand`` and the lumped
+    waypoints of its two goal chains); and the lumped derivations of its
+    own conditions (``_own_lumped``), four results.  No verdict's base,
+    slice, memo or table is kept: only each ``expand``'s cache tells which
+    of the at most 64 lumped sides verdicts have expanded."""
 
     m: int
     common = "I_0^0"
@@ -163,11 +172,19 @@ class PanelSystem(Record):
         return chains
 
     @functools.cached_property
+    def lumpings(self) -> dict[int, Lumping]:
+        """Each panel's lumping (see :func:`_panel_lumping`), keyed by
+        panel: made once per system and read by every verdict, which keeps
+        only its slices of the base."""
+        return {i: _panel_lumping(self, i) for i in range(1, self.m + 1)}
+
+    @functools.cached_property
     def _own_lumped(self) -> dict:
         """The lumped derivations of panel 1's and panel 2's goals over
-        ``base_statements(self)``, keyed by slice and waypoints in their
-        order type's names (panels 3..m share panel 2's; see
-        :func:`_derive_lumped`), made with their own memo at
+        ``base_statements(self)``, each through its panel's slice and the
+        lumped waypoints of its ``lumpings`` entry, keyed by slice and
+        waypoints in their order type's names (panels 3..m share panel
+        2's; see :func:`_derive_lumped`), made with their own memo at
         ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
         allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements.
         None is expanded here: a verdict expands and checks the ones it
@@ -176,13 +193,12 @@ class PanelSystem(Record):
         memo = Memo(self.dependencies, self.universe)
         table: dict = {}
         for i in (1, 2):
-            universe, sliced, lump, _ = _panel_slice(self, base, i)
-            for route, chain in self.goal_chains.items():
-                if route[0] == i:
-                    waypoints = tuple(map(lump, chain))
-                    table[sliced, waypoints] = derive_through(
-                        sliced, self.dependencies, waypoints, DEFAULT_BUDGET, universe, memo=memo
-                    )
+            lumping, sliced = self.lumpings[i], _panel_slice(self, base, i)
+            for waypoints in lumping.waypoints.values():
+                table[sliced, waypoints] = derive_through(
+                    sliced, self.dependencies, waypoints, DEFAULT_BUDGET, lumping.universe,
+                    memo=memo,
+                )
         return table
 
     def _check_index(self, i: int) -> None:
@@ -260,47 +276,71 @@ class Verdict(Record):
         return any(g.status == "budget_exhausted" for g in self.goals)
 
 
-def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> tuple:
-    """Panel i's lumped universe, ``base`` sliced by ``lump``, ``lump`` and
-    ``expand``, all written in the names of panel i's order type: panel 1's
-    own, and panel 2's for panels 2..m (see :func:`_derive_lumped`).
+class Lumping(Record):
+    """One panel's lumping, written in the names of its order type (see
+    :func:`_panel_lumping`)."""
+
+    universe: VarSet  # the six lumped names
+    lump: Callable[[CIStatement], Optional[CIStatement]]
+    expand: Callable[[VarSet], VarSet]
+    waypoints: dict  # route -> its goal chain, lumped
+
+
+def _panel_lumping(sys: PanelSystem, i: int) -> Lumping:
+    """Panel i's lumped universe, ``lump``, ``expand`` and the lumped
+    waypoints of its two goal chains, all written in the names of panel
+    i's order type: panel 1's own, and panel 2's for panels 2..m (see
+    :func:`_derive_lumped`).  All of it depends on m alone.
 
     The lumped universe is the six symbols of panel i's lumped derivations:
     its theta and own evidence, the common and pool symbols, and the first
     name of theta_rest(i), which stands for all of it.  ``lump`` writes a
     statement with theta_rest(i) lumped into that name and panel i's theta
     and own evidence renamed to its type's, or gives None for one that
-    splits theta_rest(i) or leaves panel i's own lumped names.  ``expand``
-    writes a side of a lumped statement back in panel i's names, the
-    lumped name as theta_rest(i).  The first name of theta_rest(i) is
-    theta_1 for every panel but panel 1, so the rename leaves it alone."""
+    splits theta_rest(i) or leaves panel i's reach, its own lumped names
+    and theta_rest(i): a statement out of reach is refused by one subset
+    test per side, before any set is built.  ``expand`` writes a side of a
+    lumped statement back in panel i's names, the lumped name as
+    theta_rest(i); every side it is given is a subset of the six lumped
+    names, so its cache holds at most 2**6 of them.  The first name of
+    theta_rest(i) is theta_1 for every panel but panel 1, so the rename
+    leaves it alone."""
     rest = sys.theta_rest(i)
     lumped = min(rest)
     own = (sys.theta(i), sys.evidence(i, i))
     names = own if i == 1 else (sys.theta(2), sys.evidence(2, 2))
     rename, back = dict(zip(own, names)), dict(zip(names, own))
     shared = {sys.common, sys.own_evidence_pool, sys.full_pool, lumped}
-    own_universe = frozenset(own).union(shared)
+    reach = rest.union(own, shared)
 
     def lump(s: CIStatement) -> Optional[CIStatement]:
+        if not (s.a <= reach and s.b <= reach and s.c <= reach):
+            return None
         sides = []
         for side in (s.a, s.b, s.c):
-            if side & rest:
+            if not rest.isdisjoint(side):
                 if not rest <= side:
                     return None
                 side = side - rest | {lumped}
-            if not side <= own_universe:
-                return None
             sides.append([rename.get(n, n) for n in side])
         return normalize(*sides)
 
-    @functools.cache  # a proof repeats few distinct sides
+    @functools.cache  # at most 2**6 sides, each a subset of the six lumped names
     def expand(side: VarSet) -> VarSet:
         side = frozenset([back.get(n, n) for n in side])
         return side | rest if lumped in side else side
 
-    sliced = frozenset(t for s in base if (t := lump(s)) is not None)
-    return frozenset(names).union(shared), sliced, lump, expand
+    waypoints = {route: tuple(map(lump, chain))
+                 for route, chain in sys.goal_chains.items() if route[0] == i}
+    return Lumping(frozenset(names).union(shared), lump, expand, waypoints)
+
+
+def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> frozenset:
+    """``base`` sliced for panel i: each statement its lumping's ``lump``
+    keeps, lumped.  The one piece of a panel's lumping that depends on the
+    base, so a verdict makes it and keeps it as long as itself."""
+    lump = sys.lumpings[i].lump
+    return frozenset(t for s in base if (t := lump(s)) is not None)
 
 
 def _derive_lumped(
@@ -314,7 +354,7 @@ def _derive_lumped(
 ) -> DeriveResult:
     """Goal ``route = (i, name)`` derived with theta_rest(i) lumped into one
     symbol, over the six lumped names of panel i's order type (see
-    :func:`_panel_slice`).
+    :func:`_panel_lumping`).
 
     Every waypoint of panel i holds theta_rest(i) whole, and no dependency
     mentions a theta, so the determinism rules never select the lumped
@@ -348,17 +388,21 @@ def _derive_lumped(
     result read from the table, such as one of ``sys._own_lumped`` (derived,
     never expanded), is expanded and checked here like one made here.
     ``slices`` keeps each panel's :func:`_panel_slice` of ``base``, so both
-    goals of a panel read one slice and one ``expand``.
+    goals of a panel read one slice.  The lumped universe, the route's
+    lumped waypoints and ``expand`` are the system's own
+    (``sys.lumpings``), made once per system, so a verdict after the
+    system's first lumps no waypoint and expands each side at most once
+    per system; every step is still applied in the full system here.
     """
     i = route[0]
     if i not in slices:
         slices[i] = _panel_slice(sys, base, i)
-    universe, sliced, lump, expand = slices[i]
-    waypoints = tuple(map(lump, sys.goal_chains[route]))
+    sliced, lumping = slices[i], sys.lumpings[i]
+    waypoints = lumping.waypoints[route]
     result = table.get((sliced, waypoints))
     if result is None:
         result = table[sliced, waypoints] = derive_through(
-            sliced, sys.dependencies, waypoints, budget, universe, memo=memo
+            sliced, sys.dependencies, waypoints, budget, lumping.universe, memo=memo
         )
     if not result.proved:
         return result
@@ -366,7 +410,7 @@ def _derive_lumped(
     # one pass in the full system: each premise expanded and found in the
     # base, each step's rule applied to the expanded inputs and its output
     # compared with the expanded lumped output, side for side
-    deps, full, steps = sys.dependencies, {}, []
+    deps, expand, full, steps = sys.dependencies, lumping.expand, {}, []
     try:
         for s in result.proof.premises:
             full[s] = normalize(expand(s.a), expand(s.b), expand(s.c))
@@ -400,10 +444,12 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     is its own zero-step proof (see :func:`~modcoherence.ci.derive`).  The
     base is frozen once per verdict.  All of them share one memo, and the lumped
     derivations one table, keyed by lumped statements, and one slice of the
-    base per panel, which live as long as the decider, one verdict.  The
-    table starts with the system's own lumped results (``sys._own_lumped``,
-    derived when the system is built and expanded only by the verdicts that
-    read them) whose searches made at most ``mode.budget`` statements in
+    base per panel, which live as long as the decider, one verdict; each
+    panel's lumping, which depends on m alone, is the system's
+    (``sys.lumpings``) and outlives it.  The table starts with the
+    system's own lumped results (``sys._own_lumped``, derived when the
+    system is built and expanded only by the verdicts that read them)
+    whose searches made at most ``mode.budget`` statements in
     all: no one search held more, so at this budget each would take the
     same steps.  Every other lumped derivation is made at ``mode.budget``
     into the table, so panels 3..m reuse panel 2's, made in panel 2's
@@ -460,12 +506,13 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     """Check the coherence conclusion: panel-independent beliefs plus
     own-evidence-only updating for every panel.
 
-    In axiomatic mode the verdict's derivations share one memo and one
-    table of lumped derivations, dropped when the verdict is made (see
-    :func:`_decider`); only the system's own lumped proofs, made once per
-    system, outlive it.  Every lumped proof, reused or not, is expanded
-    into panel i's names and checked step by step in the full system as it
-    is expanded (see :func:`_derive_lumped`).
+    In axiomatic mode the verdict's derivations share one memo, one table
+    of lumped derivations and one slice of the base per panel, dropped when
+    the verdict is made (see :func:`_decider`); only the system's own
+    lumped proofs and each panel's lumping, made once per system, outlive
+    it.  Every lumped proof, reused or not, is expanded into panel i's
+    names and checked step by step in the full system as it is expanded
+    (see :func:`_derive_lumped`).
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

@@ -332,6 +332,34 @@ def full_path_goal_statuses(sys, mode) -> tuple:
     return tuple(out)
 
 
+def panel_lump_reference(sys, i):
+    """Panel i's ``lump``, written side by side with no reach test: each
+    side that meets theta_rest(i) must hold all of it and has it replaced
+    by its first name, and must then lie in panel i's six lumped names;
+    panel i's theta and own evidence are renamed to panel 2's for i >= 2.
+    None for a statement that splits theta_rest(i) or leaves those names."""
+    rest = sys.theta_rest(i)
+    lumped = min(rest)
+    own = (sys.theta(i), sys.evidence(i, i))
+    names = own if i == 1 else (sys.theta(2), sys.evidence(2, 2))
+    rename = dict(zip(own, names))
+    own_universe = frozenset(own) | {sys.common, sys.own_evidence_pool, sys.full_pool, lumped}
+
+    def lump(s):
+        sides = []
+        for side in (s.a, s.b, s.c):
+            if side & rest:
+                if not rest <= side:
+                    return None
+                side = side - rest | {lumped}
+            if not side <= own_universe:
+                return None
+            sides.append([rename.get(n, n) for n in side])
+        return normalize(*sides)
+
+    return lump
+
+
 def lumped_in_own_names(sys, base, i, name, budget) -> DeriveResult:
     """Goal ``(i, name)``'s lumped derivation made in panel i's own names,
     with a fresh memo: ``base`` sliced to the statements that hold

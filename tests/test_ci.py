@@ -33,7 +33,6 @@ from modcoherence.ci import (
 from modcoherence.protocol import (
     ALL_CONDITIONS,
     ConditionKind,
-    _panel_slice,
     base_statements,
     build_system,
 )
@@ -392,7 +391,7 @@ class TestDerive:
         assert fresh.generated < late.generated
         assert derive(kept, deps, early, universe=universe, memo=memo) == fresh
         # a smaller universe on the same memo
-        lumped = frozenset(_panel_slice(system, (), 1)[0])
+        lumped = system.lumpings[1].universe
         inside = [s for s in kept if s.symbols() <= lumped]
         for goal in (system.goal_chains[1, "autonomous_updating"][-1], absent):
             fresh = derive(inside, deps, goal, universe=lumped)

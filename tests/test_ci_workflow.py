@@ -18,13 +18,23 @@ def _job(name: str) -> str:
     return match.group(1)
 
 
-def test_the_numpy_floor_job_selects_classes_of_the_panels_tests():
-    run = re.search(r'pytest -q tests/test_panels\.py -k "([^"]+)"', _job("numpy-floor"))
-    assert run, "the numpy-floor job runs no -k selection of tests/test_panels.py"
-    names = set(re.findall(r"\w+", run.group(1))) - {"and", "or", "not"}
-    tree = ast.parse((ROOT / "tests" / "test_panels.py").read_text())
+def _assert_selects_classes(job: str, path: str) -> None:
+    """Every ``-k`` selection of ``path`` in ``job`` names classes of that file alone."""
+    runs = re.findall(rf'pytest -q {re.escape(path)} -k "([^"]+)"', _job(job))
+    assert runs, f"the {job} job runs no -k selection of {path}"
+    tree = ast.parse((ROOT / path).read_text())
     classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
-    assert names and not names - classes, f"not classes of test_panels.py: {sorted(names - classes)}"
+    for run in runs:
+        names = set(re.findall(r"\w+", run)) - {"and", "or", "not"}
+        assert names and not names - classes, f"not classes of {path}: {sorted(names - classes)}"
+
+
+def test_the_numpy_floor_job_selects_classes_of_the_panels_tests():
+    _assert_selects_classes("numpy-floor", "tests/test_panels.py")
+
+
+def test_the_tier1_job_selects_classes_of_the_protocol_tests():
+    _assert_selects_classes("tier1", "tests/test_protocol.py")
 
 
 def test_the_job_without_the_test_extra_lists_existing_files():

@@ -30,7 +30,12 @@ from modcoherence.protocol import (
     confounded_dag,
     verify_coherence,
 )
-from .oracles import full_path_goal_statuses, local_markov_basis, lumped_in_own_names
+from .oracles import (
+    full_path_goal_statuses,
+    local_markov_basis,
+    lumped_in_own_names,
+    panel_lump_reference,
+)
 
 
 class TestBuildSystem:
@@ -435,7 +440,7 @@ class TestMemo:
             statuses.update(g.status for g in verdict.goals)
             added = [s for s in mode.base if s not in conditions]
             drawn += len(added)
-            sliced += sum(any(_panel_slice(sys, (s,), i)[1] for i in range(1, m + 1))
+            sliced += sum(any(_panel_slice(sys, (s,), i) for i in range(1, m + 1))
                           for s in added)
         # extras that lump into some panel's six names
         assert (drawn, sliced) == (extras, lumped)
@@ -603,9 +608,15 @@ class TestLumpedRoute:
     def test_a_verdict_slices_the_base_once_per_panel(self, monkeypatch, m):
         """Both goals of a panel read one slice of the base, made by the
         verdict and kept by nothing after it: a second verdict slices again,
-        and the system gains no attribute."""
+        and the system gains no attribute.  The lumping each slice is made
+        with is built once per system, panel by panel, by its first
+        verdict."""
         sys = build_system(m)
         mode = AxiomaticMode(base_statements(sys))
+        built = []
+        panel_lumping = protocol._panel_lumping
+        monkeypatch.setattr(protocol, "_panel_lumping",
+                            lambda s, i: built.append(i) or panel_lumping(s, i))
         verify_coherence(sys, mode)
         kept = dict(vars(sys))
         panels = []
@@ -615,9 +626,66 @@ class TestLumpedRoute:
         for _ in range(2):
             verdict = verify_coherence(sys, mode)
         assert panels == list(range(1, m + 1)) * 2
+        assert built == list(range(1, m + 1))
         assert vars(sys).keys() == kept.keys()
         monkeypatch.undo()
         _assert_matches_reference(sys, mode, verdict)
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_a_second_verdict_builds_no_lumping(self, monkeypatch, m):
+        """Each panel's lumping is the system's: verdicts after the first,
+        on other bases and budgets, read the very objects the first one
+        built and build none."""
+        sys = build_system(m)
+        verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+        first = dict(sys.lumpings)
+        built = []
+        panel_lumping = protocol._panel_lumping
+        monkeypatch.setattr(protocol, "_panel_lumping",
+                            lambda s, i: built.append(i) or panel_lumping(s, i))
+        for seed in range(3):
+            verify_coherence(sys, _random_mode(random.Random(seed), sys, 300))
+        verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+        assert built == []
+        assert list(sys.lumpings) == list(first) == list(range(1, m + 1))
+        assert all(sys.lumpings[i] is first[i] for i in first)
+
+    @pytest.mark.parametrize(
+        "m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8), (5, 300, 6)]
+    )
+    def test_each_expand_cache_holds_at_most_64_sides(self, m, budget, instances):
+        """Every side a panel's ``expand`` is given is a subset of its six
+        lumped names, so its cache, kept by the system, holds at most 2**6
+        sides after each of ``TestMemo``'s random bases, one verdict after
+        another on one system."""
+        sys = build_system(m)
+        for seed in range(instances):
+            verify_coherence(sys, _random_mode(random.Random(seed), sys, budget))
+            sizes = [lumping.expand.cache_info().currsize for lumping in sys.lumpings.values()]
+            assert max(sizes) <= 64
+        assert min(sizes) > 0
+
+    @pytest.mark.parametrize(
+        "m, budget, instances",
+        [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8), (5, 300, 6), (8, 300, 12)],
+    )
+    def test_lump_matches_the_reference_lump(self, m, budget, instances):
+        """``lump``, which refuses a statement out of panel i's reach with a
+        subset test per side, gives what ``tests/oracles.panel_lump_reference``
+        gives on every statement of ``TestMemo``'s random bases and every
+        goal waypoint, for every panel: some lumped, some refused."""
+        sys = build_system(m)
+        statements = {w for chain in sys.goal_chains.values() for w in chain}
+        for seed in range(instances):
+            statements.update(_random_mode(random.Random(seed), sys, budget).base)
+        statements = sorted(statements, key=ci.CIStatement.sort_key)
+        outcomes = set()
+        for i in range(1, m + 1):
+            lump, reference = sys.lumpings[i].lump, panel_lump_reference(sys, i)
+            lumped = [lump(s) for s in statements]
+            assert lumped == [reference(s) for s in statements]
+            outcomes.update(t is None for t in lumped)
+        assert outcomes == {True, False}
 
     def test_an_extra_in_one_panels_slice_is_derived_directly(self, monkeypatch):
         """An extra over panel 3's lumped universe alone changes its slice,
@@ -833,15 +901,17 @@ class TestChecksUnderOptimize:
         ("unlicensed", "internal error: expanded proof is not licensed",
          "p.apply_axiom = lambda *args: ci.apply_axiom('symmetry', ())",
          "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
-        # panels 3..m's proofs left in panel 2's I_22^0: every step still
-        # applies, but the premises are not the base's
+        # panels 3..m's proofs left in panel 2's I_22^0 by a leaky expand,
+        # patched into the seam that builds each panel's lumping before the
+        # system is built: every step still applies, but the premises are
+        # not the base's
         ("premise", "internal error: expanded premise is not a base statement",
-         "panel_slice = p._panel_slice\n"
-         "def leaky(s, base, i):\n"
-         "    universe, sliced, lump, expand = panel_slice(s, base, i)\n"
-         "    kept = {'I_22^0'}\n"
-         "    return universe, sliced, lump, lambda side: expand(side - kept) | side & kept\n"
-         "p._panel_slice = leaky",
+         "panel_lumping = p._panel_lumping\n"
+         "def leaky(s, i):\n"
+         "    l, kept = panel_lumping(s, i), {'I_22^0'}\n"
+         "    expand = lambda side: l.expand(side - kept) | side & kept\n"
+         "    return p.Lumping(l.universe, l.lump, expand, l.waypoints)\n"
+         "p._panel_lumping = leaky",
          "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
         # each lumped proof stops one waypoint short of its goal
         ("goal", "internal error: expanded proof does not end at its goal",
