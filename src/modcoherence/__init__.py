@@ -31,10 +31,10 @@ class Record:
     hash is the hash of that tuple.  Assigning or deleting an attribute
     raises ``AttributeError``.
 
-    A subclass with ``__slots__`` is one the prover builds in bulk: it
-    writes its own ``__init__`` and has no defaults.  Of these, only
-    ``CIStatement``, hashed and compared throughout the search, also writes
-    its own ``__eq__`` and ``__hash__`` to the same contract.
+    Every record takes these methods from this class but ``CIStatement``,
+    built and hashed in bulk by the prover and in every base, slice and
+    table key: it has ``__slots__`` and no defaults, and writes its own
+    ``__init__``, ``__eq__`` and ``__hash__`` to the same contract.
     """
 
     __slots__ = ()
@@ -49,8 +49,9 @@ class Record:
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
-        values = dict(zip(fields, args))
+        values = zip(fields, args)
         if len(args) != len(fields) or kwargs:  # else all are given by position
+            values = dict(values)
             name = type(self).__qualname__
             if len(args) > len(fields):
                 raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")

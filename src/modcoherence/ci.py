@@ -9,7 +9,7 @@ can be replayed step by step through :func:`apply_axiom`.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from typing import Iterable, Optional, Sequence
 
 from . import ModcoherenceError, Record
@@ -290,35 +290,18 @@ def apply_axiom(
 
 
 class ProofStep(Record):
-    __slots__ = ("rule", "inputs", "selection", "output")
     rule: str
     inputs: tuple[CIStatement, ...]  # premises or earlier step outputs, in the rule's order
     selection: VarSet
     output: CIStatement
 
-    def __init__(
-        self, rule: str, inputs: tuple[CIStatement, ...], selection: VarSet, output: CIStatement
-    ) -> None:
-        object.__setattr__(self, "rule", rule)
-        object.__setattr__(self, "inputs", inputs)
-        object.__setattr__(self, "selection", selection)
-        object.__setattr__(self, "output", output)
-
 
 class Proof(Record):
     """Ordered trace of rule applications from premises to a goal."""
 
-    __slots__ = ("premises", "steps", "goal")
     premises: tuple[CIStatement, ...]
     steps: tuple[ProofStep, ...]
     goal: CIStatement
-
-    def __init__(
-        self, premises: tuple[CIStatement, ...], steps: tuple[ProofStep, ...], goal: CIStatement
-    ) -> None:
-        object.__setattr__(self, "premises", premises)
-        object.__setattr__(self, "steps", steps)
-        object.__setattr__(self, "goal", goal)
 
     def statements(self) -> tuple[CIStatement, ...]:
         return self.premises + tuple(step.output for step in self.steps)
@@ -352,15 +335,9 @@ class ClosureResult(Record):
 
 
 class DeriveResult(Record):
-    __slots__ = ("status", "proof", "generated")
     status: str  # "proved" | "not_derivable" | "budget_exhausted"
     proof: Optional[Proof]
     generated: int
-
-    def __init__(self, status: str, proof: Optional[Proof], generated: int) -> None:
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "proof", proof)
-        object.__setattr__(self, "generated", generated)
 
     @property
     def proved(self) -> bool:
@@ -409,10 +386,7 @@ class Memo:
         self.searches: dict[tuple, _Saturation] = {}  # (universe, base, budget) -> search
 
     def _mask(self, names: Iterable[Symbol]) -> int:
-        mask = 0
-        for name in names:
-            mask |= self._bit[name]
-        return mask
+        return sum(map(self._bit.__getitem__, names))
 
     def names_of(self, mask: int) -> VarSet:
         out = []
@@ -473,22 +447,13 @@ def _memo_for(
     return memo, universe
 
 
-def _index(by_ctx: dict, by_span: dict, width: int, t: _Triple) -> None:
+def _index(by_ctx: defaultdict, by_span: defaultdict, width: int, t: _Triple) -> None:
     """File ``t`` in the contraction indexes of :meth:`_Saturation.run`."""
     a, b, c = t
     for x, y in ((a, b), (b, a)):
         key = x << width | c
-        got = by_ctx.get(key)
-        if got is None:
-            by_ctx[key] = [t]
-        else:
-            got.append(t)
-        key |= y
-        got = by_span.get(key)
-        if got is None:
-            by_span[key] = [t]
-        else:
-            got.append(t)
+        by_ctx[key].append(t)
+        by_span[key | y].append(t)
 
 
 class _Saturation:
@@ -529,7 +494,7 @@ class _Saturation:
         # ctx = y | c.  s as first premise looks up x and y | c in by_ctx, as
         # second premise x and c in by_span
         self.agenda = deque(self.known)
-        self.by_ctx, self.by_span = {}, {}
+        self.by_ctx, self.by_span = defaultdict(list), defaultdict(list)
         for t in self.known:
             _index(self.by_ctx, self.by_span, memo.width, t)
 

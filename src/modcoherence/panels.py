@@ -18,10 +18,12 @@ a C-contiguous grid - what every bundled model returns - is read in place and
 no full-grid temporary is built; a grid in any other layout is read through
 one full-grid copy.  The sums follow numpy's own pairwise-summation tree
 (``_pairwise``), so each equals ``np.sum`` of the whole grid bit for bit.
-Every outer product of masses - the composed product, the streamed prior and
-its head - is written leaf by leaf by one helper, ``_outer_cells``, and a
-density the engine produces is written in its own validation sweep: each
-leaf is filled, then checked, while it is in cache.
+Every full-grid outer product of masses - the composed product and the
+streamed prior - is written leaf by leaf by one helper, ``_outer_cells``;
+their head, 1/T of the grid when the last density has T cells, is one
+``np.multiply.outer`` per density but the last.  A density the engine
+produces is written in its own validation sweep: each leaf is filled, then
+checked, while it is in cache.
 """
 
 from __future__ import annotations
@@ -225,15 +227,6 @@ def _outer_cells(head: np.ndarray, tail: np.ndarray) -> Fill:
     return cells
 
 
-def _outer(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """``np.multiply.outer(head, tail)`` of two flat arrays, flattened."""
-    out = np.empty(head.size * tail.size)
-    cells = _outer_cells(head, tail)
-    for lo in range(0, out.size, LEAF):
-        cells(lo, min(lo + LEAF, out.size), out[lo : lo + LEAF])
-    return out
-
-
 def _reweight(head: np.ndarray, tail: np.ndarray, ll: np.ndarray) -> tuple[np.ndarray, Fill]:
     """Grid Bayes step: the prior times ``exp(ll)``, renormalized, for a
     prior given as two flat factors and never held as a full grid.
@@ -305,7 +298,10 @@ def _blocks(densities: Sequence[GridDensity]) -> tuple[np.ndarray, ...]:
 def _head(densities: Sequence[GridDensity]) -> np.ndarray:
     """The outer product of the masses of every density but the last,
     flattened, nested as ((w_1 · w_2) · w_3) ...: ``[1.0]`` for one density."""
-    return functools.reduce(_outer, (d.weights.reshape(-1) for d in densities[:-1]), np.ones(1))
+    head = np.ones(1)
+    for density in densities[:-1]:
+        head = np.multiply.outer(head, density.weights).reshape(-1)
+    return head
 
 
 def _grid_bayes(

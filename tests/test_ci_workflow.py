@@ -1,7 +1,8 @@
 """The CI workflow names only tests that exist: a job that selects a test
 class by name, or lists test files, would otherwise run fewer tests without
-failing when one is renamed or removed.  Numpy-free, so the job without the
-test extra runs it too."""
+failing when one is renamed or removed.  Every job also starts at the oldest
+Python the package claims.  Numpy-free, so the job without the test extra
+runs it too."""
 
 import ast
 import re
@@ -43,3 +44,19 @@ def test_the_job_without_the_test_extra_lists_existing_files():
     files = run.group(1).split()
     assert [f for f in files if not (ROOT / f).is_file()] == []
     assert f"tests/{Path(__file__).name}" in files
+
+
+def test_every_job_starts_at_the_python_floor():
+    """Each job's lowest Python is the floor of ``requires-python``, so the
+    oldest Python the package claims is the one every job tests."""
+    pyproject = (ROOT / "pyproject.toml").read_text()
+    floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$', pyproject, re.M)
+    assert floor, "pyproject.toml states no requires-python floor"
+    jobs = re.findall(r"^  ([\w-]+):$", WORKFLOW.read_text().split("\njobs:\n", 1)[1], re.M)
+    assert jobs
+    for job in jobs:
+        named = " ".join(re.findall(r"python-version: (.+)", _job(job)))
+        versions = re.findall(r'"(\d+\.\d+)"', named)
+        assert versions, f"the {job} job names no Python version"
+        lowest = min(versions, key=lambda v: tuple(map(int, v.split("."))))
+        assert lowest == floor.group(1), f"the {job} job starts at Python {lowest}"

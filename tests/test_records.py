@@ -1,7 +1,8 @@
-"""The record contract every value type of the package keeps: the cold
-records share ``modcoherence.Record``; ``CIStatement``, ``ProofStep``,
-``Proof`` and ``DeriveResult``, which the prover builds in bulk, write their
-own ``__init__``, ``__eq__`` and ``__hash__`` to the same contract.
+"""The record contract every value type of the package keeps: every record
+takes its fields, ``__init__``, equality, hash and repr from
+``modcoherence.Record`` but ``CIStatement``, which the prover builds and
+hashes in bulk: it has ``__slots__`` and writes its own ``__init__``,
+``__eq__`` and ``__hash__`` to the same contract.
 
 The hash is the hash of the field tuple, as a frozen dataclass's was, so set
 and dict iteration orders, and with them proof search and traces, do not
@@ -47,7 +48,8 @@ EXAMPLES = {
     panels.SeparabilityVerdict: (True, (), 0.0),
     panels.GridComparison: (panels.block_product, GRID, GRID, panels.Divergence(0.0, 0.0)),
 }
-HOT = (ci.CIStatement, ci.ProofStep, ci.Proof, ci.DeriveResult)
+HOT = (ci.CIStatement,)  # slotted, with its own __init__, __eq__ and __hash__
+PROVER = (ci.ProofStep, ci.Proof, ci.DeriveResult)  # built in bulk, but plain records
 
 
 def _records(cls=Record):
@@ -130,6 +132,18 @@ def test_repr_literal():
 @pytest.mark.parametrize("cls", HOT, ids=lambda cls: cls.__name__)
 def test_hot_records_have_slots(cls):
     assert not hasattr(cls(*EXAMPLES[cls]), "__dict__")
+
+
+@pytest.mark.parametrize("cls", PROVER, ids=lambda cls: cls.__name__)
+def test_prover_records_take_the_record_methods(cls):
+    assert not {"__init__", "__slots__", "__eq__", "__hash__"} & set(vars(cls))
+    assert cls.__init__ is Record.__init__ and cls.__hash__ is Record.__hash__
+    assert hasattr(cls(*EXAMPLES[cls]), "__dict__")
+
+
+def test_only_the_statement_writes_its_own_init_or_slots():
+    own = {cls for cls in _records() if {"__init__", "__slots__"} & set(vars(cls))}
+    assert own == set(HOT)
 
 
 def test_constructor_refuses_wrong_fields():
