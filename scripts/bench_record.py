@@ -71,7 +71,12 @@ SECONDS = 20
 # fresh m=16 system and its canonical and confounded graphs inside the
 # timed code and makes one graphical verdict on each, so it shows the cost
 # of d-separation with no state shared from an earlier verdict, and at
-# about 0.05 s a run it runs ten times; prove_pass_seed1 runs the first
+# about 0.05 s a run it runs ten times; graphical_verdicts_m3_repeat
+# builds one m=3 system and its two graphs and makes one graphical verdict
+# on each before ``restart()``, then times 100 more pairs, the shape of the
+# graphical work in a prove job, so it shows the cost of a query on a graph
+# whose own masks are already made; at about 0.03 s a run it runs ten
+# times; prove_pass_seed1 runs the first
 # pass of the benchmark's prove workload at seed 1 (14 jobs, after its
 # set-up and warm-up job) from the checkout's own perfbench/workloads.py,
 # so its counts divided by 14 are the work of one prove job; the
@@ -147,6 +152,14 @@ LAYER_CASES = (
     ("graphical_verdicts_m16", 10,
      "s = p.build_system(16)\n"
      "vs = [p.verify_coherence(s, p.GraphicalMode(dag(s))) for dag in (p.canonical_dag, p.confounded_dag)]\n"
+     "out = [[[c.status for c in v.conditions], [g.status for g in v.goals]] for v in vs]"),
+    ("graphical_verdicts_m3_repeat", 10,
+     "s = p.build_system(3)\n"
+     "dags = [p.canonical_dag(s), p.confounded_dag(s)]\n"
+     "vs = [p.verify_coherence(s, p.GraphicalMode(d)) for d in dags]\n"
+     "restart()\n"
+     "for _ in range(100):\n"
+     "    vs = [p.verify_coherence(s, p.GraphicalMode(d)) for d in dags]\n"
      "out = [[[c.status for c in v.conditions], [g.status for g in v.goals]] for v in vs]"),
     ("prove_pass_seed1", 3,
      "import random, sys\n"

@@ -38,6 +38,13 @@ def test_the_tier1_job_selects_classes_of_the_protocol_tests():
     _assert_selects_classes("tier1", "tests/test_protocol.py")
 
 
+def test_the_tier1_job_runs_the_dsep_reference_tests_under_two_seeds():
+    for seed in (0, 1):
+        run = f"PYTHONHASHSEED={seed} python -m pytest -q tests/test_dsep_reference.py\n"
+        assert run in _job("tier1"), f"the tier1 job does not run: {run.strip()}"
+    assert (ROOT / "tests" / "test_dsep_reference.py").is_file()
+
+
 def test_the_job_without_the_test_extra_lists_existing_files():
     run = re.search(r"python -m pytest -q ((?:tests/\S+ ?)+)$", _job("without-test-extra"), re.M)
     assert run, "the without-test-extra job runs no list of test files"

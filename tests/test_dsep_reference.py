@@ -5,19 +5,24 @@ through sets and a deque; ``d_separated`` runs the same moves as a layered
 search over int bitmasks.  They must agree on every query, with and without
 declared functional dependencies, which ``test_dsep_networkx.py`` cannot
 check.  Needs numpy only; each test pins how many queries it checked and
-how many of them were separated, so a sweep that shrinks shows.
+how many of them were separated, so a sweep that shrinks shows.  The
+graph's own table is checked too: each node's ancestor mask against the
+reference walk, and a dependency that chains through a symbol that is not
+a node.  The reference refuses an empty side or overlapping sides with
+:func:`normalize`'s own errors, as ``d_separated`` does.
 """
 
 import itertools
 import random
+import re
 
 import pytest
 
-from modcoherence.ci import FunctionalDependency
-from modcoherence.dag import build_dag, d_separated
+from modcoherence.ci import EmptySide, FunctionalDependency, OverlappingSets, normalize
+from modcoherence.dag import CycleDetected, Dag, build_dag, d_separated
 from modcoherence.protocol import build_system, canonical_dag, confounded_dag
 
-from .oracles import d_separated_reference
+from .oracles import ancestors, d_separated_reference
 
 
 def random_dag(rng: random.Random, n: int):
@@ -97,3 +102,68 @@ def test_a_sample_past_64_nodes(template, m, pinned):
         queries.append(({system.theta(i)}, {system.full_pool},
                         {system.common, system.evidence(i, i)}))
     assert agree(dag, queries) == pinned
+
+
+def assert_ancestor_masks(dag) -> int:
+    """Each node's ancestor-or-self mask in the graph's own table against
+    the reference walk; returns how many nodes it checked."""
+    names = sorted(dag.nodes)
+    for k, mask in enumerate(dag._masks[3]):
+        got = frozenset(n for j, n in enumerate(names) if mask >> j & 1)
+        assert got == ancestors(dag, {names[k]}) | {names[k]}, names[k]
+    return len(names)
+
+
+def test_ancestor_masks_on_random_dags():
+    """On the random DAGs of ``test_random_dags_with_dependencies``."""
+    rng = random.Random(1998)
+    checked = 0
+    for _ in range(200):
+        checked += assert_ancestor_masks(random_dag(rng, rng.randint(4, 90)))
+    assert checked == 9577
+
+
+@pytest.mark.parametrize("template", [canonical_dag, confounded_dag])
+@pytest.mark.parametrize("m", range(2, 9))
+def test_ancestor_masks_on_the_templates(template, m):
+    assert_ancestor_masks(template(build_system(m)))
+
+
+def test_a_dependency_through_a_symbol_that_is_not_a_node():
+    """``Dag`` made directly, which ``build_dag`` would refuse: C pins T and
+    T pins A, where T is no node, so given C the fork B <- A -> D is
+    blocked.  A table that drops T, or the dependencies naming it, answers
+    some of these queries otherwise."""
+    dag = Dag(("A", "B", "C", "D", "E"), (("A", "B"), ("A", "D"), ("B", "E"), ("D", "E")), (
+        FunctionalDependency(frozenset({"T"}), frozenset({"C"})),
+        FunctionalDependency(frozenset({"A"}), frozenset({"T"})),
+    ))
+    assert d_separated(dag, {"B"}, {"D"}, {"C"}) and not d_separated(dag, {"B"}, {"D"})
+    names = sorted(dag.nodes)
+    queries = []
+    for x, y in itertools.permutations(names, 2):
+        rest = [n for n in names if n not in (x, y)]
+        for size in range(len(rest) + 1):
+            queries.extend(({x}, {y}, set(c)) for c in itertools.combinations(rest, size))
+    assert agree(dag, queries) == (160, 96)
+
+
+def test_a_cycle_in_a_dag_made_directly_is_refused():
+    """The topological build of the ancestor masks cannot order a cycle,
+    which ``build_dag`` refuses, so the first query refuses it too."""
+    dag = Dag(("A", "B", "C"), (("A", "B"), ("B", "C"), ("C", "B")))
+    with pytest.raises(CycleDetected, match="^nodes are in a cycle$"):
+        d_separated(dag, {"A"}, {"C"})
+
+
+@pytest.mark.parametrize("error, a, b, c", [
+    (EmptySide, [], ["y"], []), (EmptySide, ["x"], [], ["z"]),
+    (OverlappingSets, ["x"], ["x"], []), (OverlappingSets, ["x"], ["y"], ["x"]),
+    (OverlappingSets, ["x"], ["y"], ["y"]), (OverlappingSets, ["x", "z"], ["y"], ["z"]),
+])
+def test_the_reference_refuses_a_query_as_normalize_does(error, a, b, c):
+    dag = build_dag(["x", "y", "z"], [("x", "y")])
+    with pytest.raises(error) as refused:
+        normalize(a, b, c)
+    with pytest.raises(error, match=f"^{re.escape(str(refused.value))}$"):
+        d_separated_reference(dag, a, b, c)
