@@ -10,8 +10,10 @@ many pairs each side won, the environment and the net line count of
 per side of the named workloads, for the per-layer metrics; every run keeps
 its ``correct`` flag and the problems it printed.  Then each layer
 case below runs in a fresh interpreter on both checkouts, alternating which
-side goes first, and its wall time, peak RSS and a summary of its result are
-recorded under ``layers``; one more, untimed interpreter per side runs the
+side goes first, and its wall time, CPU time (``time.process_time``, so a
+move from host contention shows as wall time moving while CPU time stays
+put), peak RSS and a summary of its result are recorded under ``layers``;
+one more, untimed interpreter per side runs the
 case with counting wrappers installed and records its work counts under
 ``counts`` (see ``COUNT_CHILD``).  Run everything one at a time on an
 otherwise idle host:
@@ -53,7 +55,7 @@ SECONDS = 20
 # closure_m2 run ten times, since three runs per side moved by 10-18 % on
 # noise alone; joint_oracle_short_last_block runs the grid engine on 13
 # blocks of 3 points, where a leaf holds about 11,000 rows of the streamed
-# prior, with its ll evaluated beforehand: a case restarts the clock and
+# prior, with its ll evaluated beforehand: a case restarts the clocks and
 # the counts (``restart()``) after its set-up, so its seconds are ten oracle
 # calls alone;
 # verify_coherence_m3_sequence makes seven verdicts on one m=3 system, the
@@ -186,15 +188,16 @@ from modcoherence import ci, protocol as p
 
 
 def restart():
-    global start
-    start = time.perf_counter()
+    global start, cpu_start
+    start, cpu_start = time.perf_counter(), time.process_time()
 
 
 restart()
 {code}
-seconds = time.perf_counter() - start
+seconds, cpu_seconds = time.perf_counter() - start, time.process_time() - cpu_start
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-print(json.dumps({{"seconds": seconds, "peak_rss_mb": rss_mb, "result": out}}))
+print(json.dumps({{"seconds": seconds, "cpu_seconds": cpu_seconds, "peak_rss_mb": rss_mb,
+                  "result": out}}))
 """
 # A layer case again, untimed, with every binding of the counted functions
 # in the package's modules replaced by a counting wrapper, and every
@@ -327,6 +330,8 @@ def layers(parent: Path) -> dict:
             side: {
                 "seconds": [r["seconds"] for r in results],
                 "median_s": statistics.median(r["seconds"] for r in results),
+                "cpu_seconds": [r["cpu_seconds"] for r in results],
+                "median_cpu_s": statistics.median(r["cpu_seconds"] for r in results),
                 "counts": run_layer(parent if side == "parent" else ROOT, code, COUNT_CHILD),
                 "peak_rss_mb": max(r["peak_rss_mb"] for r in results),
                 "result": results[0]["result"],

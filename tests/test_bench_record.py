@@ -1,0 +1,26 @@
+"""``scripts/bench_record.py`` times each layer case by wall and CPU time.
+
+Host contention moves a case's wall time but not its CPU time
+(``time.process_time``), so the record keeps both.  The script is
+stdlib-only and is loaded here by path, without running it.
+"""
+
+import importlib.util
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+
+
+def _bench_record():
+    spec = importlib.util.spec_from_file_location("bench_record", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_layer_case_records_wall_and_cpu_time():
+    bench = _bench_record()
+    run = bench.run_layer(bench.ROOT, "out = sum(range(100_000))")
+    assert run["result"] == 4_999_950_000
+    assert isinstance(run["seconds"], float) and run["seconds"] > 0
+    assert isinstance(run["cpu_seconds"], float) and run["cpu_seconds"] > 0

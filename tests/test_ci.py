@@ -3,6 +3,8 @@
 import random
 
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -1,15 +1,19 @@
-"""The CI workflow names only tests that exist: a job that selects a test
-class by name, or lists test files, would otherwise run fewer tests without
-failing when one is renamed or removed.  Every job also starts at the oldest
-Python the package claims.  Numpy-free, so the job without the test extra
-runs it too."""
+"""The CI workflow runs whole test files: tier-1 runs whole under two fixed
+hash seeds, and no job picks tests by ``-k`` or lists test files, bar the
+numpy-floor job's one file, so no test can drop out of a job unseen.  Every
+job also starts at the oldest Python the package claims.  Numpy-free, so the
+job without the test extra runs it too."""
 
-import ast
 import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
+
+
+def _jobs() -> list[str]:
+    """The names of the workflow's jobs, in file order."""
+    return re.findall(r"^  ([\w-]+):$", WORKFLOW.read_text().split("\njobs:\n", 1)[1], re.M)
 
 
 def _job(name: str) -> str:
@@ -19,38 +23,19 @@ def _job(name: str) -> str:
     return match.group(1)
 
 
-def _assert_selects_classes(job: str, path: str) -> None:
-    """Every ``-k`` selection of ``path`` in ``job`` names classes of that file alone."""
-    runs = re.findall(rf'pytest -q {re.escape(path)} -k "([^"]+)"', _job(job))
-    assert runs, f"the {job} job runs no -k selection of {path}"
-    tree = ast.parse((ROOT / path).read_text())
-    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
-    for run in runs:
-        names = set(re.findall(r"\w+", run)) - {"and", "or", "not"}
-        assert names and not names - classes, f"not classes of {path}: {sorted(names - classes)}"
-
-
-def test_the_numpy_floor_job_selects_classes_of_the_panels_tests():
-    _assert_selects_classes("numpy-floor", "tests/test_panels.py")
-
-
-def test_the_tier1_job_selects_classes_of_the_protocol_tests():
-    _assert_selects_classes("tier1", "tests/test_protocol.py")
-
-
-def test_the_tier1_job_runs_the_dsep_reference_tests_under_two_seeds():
-    for seed in (0, 1):
-        run = f"PYTHONHASHSEED={seed} python -m pytest -q tests/test_dsep_reference.py\n"
-        assert run in _job("tier1"), f"the tier1 job does not run: {run.strip()}"
-    assert (ROOT / "tests" / "test_dsep_reference.py").is_file()
-
-
-def test_the_job_without_the_test_extra_lists_existing_files():
-    run = re.search(r"python -m pytest -q ((?:tests/\S+ ?)+)$", _job("without-test-extra"), re.M)
-    assert run, "the without-test-extra job runs no list of test files"
-    files = run.group(1).split()
-    assert [f for f in files if not (ROOT / f).is_file()] == []
-    assert f"tests/{Path(__file__).name}" in files
+def test_tier1_runs_whole_under_each_hash_seed_and_no_job_picks_tests():
+    tier1 = _job("tier1")
+    assert re.search(r'^ +hashseed: \["0", "1"\]$', tier1, re.M), "tier1 has no hashseed axis"
+    assert re.search(r"^ +PYTHONHASHSEED: \$\{\{ matrix\.hashseed \}\}$", tier1, re.M)
+    named = {}
+    for job in _jobs():
+        runs = re.findall(r"^ *(?:run: )?(?:python3? -m )?pytest\b.*$", _job(job), re.M)
+        assert runs, f"the {job} job runs no pytest command"
+        for run in runs:
+            assert not re.search(r"\s-k\b", run), f"the {job} job selects by name: {run.strip()}"
+            if files := re.findall(r"\btests/\S+", run):
+                named[job] = files
+    assert named == {"numpy-floor": ["tests/test_panels.py"]}
 
 
 def test_every_job_starts_at_the_python_floor():
@@ -59,7 +44,7 @@ def test_every_job_starts_at_the_python_floor():
     pyproject = (ROOT / "pyproject.toml").read_text()
     floor = re.search(r'^requires-python = ">=(\d+\.\d+)"$', pyproject, re.M)
     assert floor, "pyproject.toml states no requires-python floor"
-    jobs = re.findall(r"^  ([\w-]+):$", WORKFLOW.read_text().split("\njobs:\n", 1)[1], re.M)
+    jobs = _jobs()
     assert jobs
     for job in jobs:
         named = " ".join(re.findall(r"python-version: (.+)", _job(job)))

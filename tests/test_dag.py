@@ -7,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -18,8 +18,9 @@ regenerates the file with
 
 Either way, the change says which lines or fields moved and why.
 
-Every report is also the same under any hash seed: the script prints the
-same lines under ``PYTHONHASHSEED`` 0 and 1.
+Every report is also the same under any hash seed and with assert
+statements stripped: the script prints the same lines under
+``PYTHONHASHSEED`` 0 and 1 and under ``python -O``.
 """
 
 import importlib.util
@@ -63,15 +64,17 @@ def test_symbolic_reports_match_the_golden_file():
 
 
 def test_reports_do_not_depend_on_the_hash_seed():
+    """The digest is the same under hash seeds 0 and 1, and under ``python -O``
+    (which strips assert statements) at seed 0."""
     outputs = []
-    for seed in ("0", "1"):
+    for seed, flags in (("0", []), ("1", []), ("0", ["-O"])):
         env = {**os.environ, "PYTHONHASHSEED": seed}
         proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "report_digest.py")],
+            [sys.executable, *flags, str(ROOT / "scripts" / "report_digest.py")],
             env=env, capture_output=True, text=True, check=True,
         )
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]
     digest = _report_digest()
     assert len(outputs[0].splitlines()) == len(list(digest.runs())) * len(digest.FORMATS)
 

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

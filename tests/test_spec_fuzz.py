@@ -12,6 +12,8 @@ import tempfile
 from pathlib import Path
 
 import pytest
+
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

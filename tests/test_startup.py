@@ -1,7 +1,7 @@
 """Start-up cost of the CLI: the symbolic commands import neither numpy nor
-scipy, the numeric commands import numpy, and no command needs scipy or
-click: the probe blocks both, and every command still exits with its README
-code.
+scipy, the numeric commands import numpy, and no command needs click or
+any of the test extra (scipy, hypothesis, networkx): the probe blocks all
+four, and every command still exits with its README code.
 
 ``beta_grid`` builds the Beta grid from a numpy log kernel; the sweep below
 checks it against ``scipy.stats.beta.pdf`` as an oracle (scipy is a test-only
@@ -30,14 +30,15 @@ SRC = Path(modcoherence.__file__).resolve().parent.parent
 PROBE = """
 import os
 import sys
-sys.modules["scipy"] = None  # any scipy import now raises ImportError
-sys.modules["click"] = None  # and so does any click import
+BLOCKED = ["click", "hypothesis", "networkx", "scipy"]
+for name in BLOCKED:
+    sys.modules[name] = None  # any import of it now raises ImportError
 import modcoherence.cli
 
 def loaded():
-    blocked = sorted(name for name in sys.modules if name.split(".")[0] in ("click", "scipy"))
-    assert blocked == ["click", "scipy"], blocked
-    assert sys.modules["click"] is None and sys.modules["scipy"] is None
+    blocked = sorted(name for name in sys.modules if name.split(".")[0] in BLOCKED)
+    assert blocked == BLOCKED, blocked
+    assert all(sys.modules[name] is None for name in BLOCKED)
     return [name for name in ("numpy",) if name in sys.modules]
 
 seen = [loaded()]
