@@ -10,9 +10,10 @@ many pairs each side won, the environment and the net line count of
 per side of the named workloads, for the per-layer metrics; every run keeps
 its ``correct`` flag and the problems it printed.  Then each layer
 case below runs in a fresh interpreter on both checkouts, alternating which
-side goes first, and its wall time, CPU time (``time.process_time``, so a
-move from host contention shows as wall time moving while CPU time stays
-put), peak RSS and a summary of its result are recorded under ``layers``;
+side goes first, and its wall time, CPU time (``time.process_time`` plus
+the user and system time of the child processes it waited for, so a move
+from host contention shows as wall time moving while CPU time stays put),
+peak RSS and a summary of its result are recorded under ``layers``;
 one more, untimed interpreter per side runs the
 case with counting wrappers installed and records its work counts under
 ``counts`` (see ``COUNT_CHILD``).  Run everything one at a time on an
@@ -65,6 +66,10 @@ SECONDS = 20
 # proofs and each panel's lumping (lumped universe, expand and the lumped
 # waypoints of its goal chains), made once per system, save from one
 # verdict to the next; at about 0.03 s a run it runs ten times;
+# verify_coherence_m3_fresh_extras makes the same seven verdicts, each on
+# a fresh m=3 system, as each CLI command does, so its counts read the
+# four lumped derivations of each system's own table and none for a
+# verdict's extras; it runs ten times;
 # verify_coherence_m32_repeat makes one bare verdict on an m=32 system
 # before ``restart()`` and times three more, so it shows a verdict after
 # a system's first at the largest panel count, where the lumping it reads
@@ -129,6 +134,15 @@ LAYER_CASES = (
      "base = p.base_statements(s)\n"
      "bases = [base] + [base + (ci.normalize(*e),) for e in extras]\n"
      "out = [[g.status for g in p.verify_coherence(s, p.AxiomaticMode(b)).goals] for b in bases]"),
+    ("verify_coherence_m3_fresh_extras", 10,
+     "extras = [({'I_12^0'}, {'theta_1'}, {'I_0^0'}), ({'I_11^0'}, {'I_22^0'}, {'I_0^0'}),\n"
+     "          ({'theta_2'}, {'I_13^0'}, ()), ({'I_21^0'}, {'I_33^0'}, {'I_0^0'}),\n"
+     "          ({'theta_1'}, {'theta_3'}, ()), ({'I_31^0'}, {'theta_3'}, {'I_+^0'})]\n"
+     "out = []\n"
+     "for extra in [None, *extras]:\n"
+     "    s = p.build_system(3)\n"
+     "    base = p.base_statements(s) + ((ci.normalize(*extra),) if extra else ())\n"
+     "    out.append([g.status for g in p.verify_coherence(s, p.AxiomaticMode(base)).goals])"),
     ("verify_coherence_m6", 3,
      "s = p.build_system(6)\n"
      "v = p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))\n"
@@ -187,14 +201,19 @@ import json, resource, time
 from modcoherence import ci, protocol as p
 
 
+def cpu():
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
 def restart():
     global start, cpu_start
-    start, cpu_start = time.perf_counter(), time.process_time()
+    start, cpu_start = time.perf_counter(), cpu()
 
 
 restart()
 {code}
-seconds, cpu_seconds = time.perf_counter() - start, time.process_time() - cpu_start
+seconds, cpu_seconds = time.perf_counter() - start, cpu() - cpu_start
 rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({{"seconds": seconds, "cpu_seconds": cpu_seconds, "peak_rss_mb": rss_mb,
                   "result": out}}))

@@ -75,10 +75,11 @@ class PanelSystem(Record):
     on first use, and of a size fixed by m: its universe, dependencies,
     condition statements and goal chains; each panel's lumping
     (``lumpings``: lumped universe, ``lump``, ``expand`` and the lumped
-    waypoints of its two goal chains); and the lumped derivations of its
-    own conditions (``_own_lumped``), four results.  No verdict's base,
-    slice, memo or table is kept: only each ``expand``'s cache tells which
-    of the at most 64 lumped sides verdicts have expanded."""
+    waypoints of its two goal chains); and the four lumped derivations of
+    its own conditions (``_own_lumped``), read wherever their premises lie
+    in a verdict's slice.  No verdict's base, slice, memo or table is kept:
+    only each ``expand``'s cache tells which of the at most 64 lumped sides
+    verdicts have expanded."""
 
     m: int
     common = "I_0^0"
@@ -182,9 +183,9 @@ class PanelSystem(Record):
     def _own_lumped(self) -> dict:
         """The lumped derivations of panel 1's and panel 2's goals over
         ``base_statements(self)``, each through its panel's slice and the
-        lumped waypoints of its ``lumpings`` entry, keyed by slice and
-        waypoints in their order type's names (panels 3..m share panel
-        2's; see :func:`_derive_lumped`), made with their own memo at
+        lumped waypoints of its ``lumpings`` entry, keyed by those
+        waypoints, unique per order type (panels 3..m share panel 2's; see
+        :func:`_derive_lumped`), made with their own memo at
         ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
         allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements.
         None is expanded here: a verdict expands and checks the ones it
@@ -195,7 +196,7 @@ class PanelSystem(Record):
         for i in (1, 2):
             lumping, sliced = self.lumpings[i], _panel_slice(self, base, i)
             for waypoints in lumping.waypoints.values():
-                table[sliced, waypoints] = derive_through(
+                table[waypoints] = derive_through(
                     sliced, self.dependencies, waypoints, DEFAULT_BUDGET, lumping.universe,
                     memo=memo,
                 )
@@ -380,13 +381,14 @@ def _derive_lumped(
     maps the dependencies onto themselves, and the rename keeps the sorted
     order of the six names (the two pools, I_0^0, the own evidence,
     theta_1, the own theta), so each panel's search, proof and counts are
-    those in its own names.  ``memo`` is one for ``sys.dependencies`` and
-    a universe holding the lumped one, such as the system's: it too keeps
-    names in sorted order.  ``table`` maps a slice and the goal's
-    waypoints, as lumped statements, to their derivation; one missing is
-    made at ``budget`` and stored, so panels 3..m reuse panel 2's.  A
-    result read from the table, such as one of ``sys._own_lumped`` (derived,
-    never expanded), is expanded and checked here like one made here.
+    those in its own names.  The route's own result (``sys._own_lumped``)
+    is read if it is ``proved``, its search made at most ``budget``
+    statements and all its lumped premises lie in the slice: a derivation
+    holds in any base that holds its premises.  Otherwise ``table``, which
+    maps a slice and the waypoints to their derivation, is read; one
+    missing is made at ``budget`` with ``memo`` (for ``sys.dependencies``
+    and a universe holding the lumped one, such as the system's, which
+    keeps names in sorted order too).  Either is expanded and checked here.
     ``slices`` keeps each panel's :func:`_panel_slice` of ``base``, so both
     goals of a panel read one slice.  The lumped universe, the route's
     lumped waypoints and ``expand`` are the system's own
@@ -399,11 +401,14 @@ def _derive_lumped(
         slices[i] = _panel_slice(sys, base, i)
     sliced, lumping = slices[i], sys.lumpings[i]
     waypoints = lumping.waypoints[route]
-    result = table.get((sliced, waypoints))
-    if result is None:
-        result = table[sliced, waypoints] = derive_through(
-            sliced, sys.dependencies, waypoints, budget, lumping.universe, memo=memo
-        )
+    result = sys._own_lumped[waypoints]
+    if not (result.proved and result.generated <= budget
+            and sliced.issuperset(result.proof.premises)):
+        if (sliced, waypoints) not in table:
+            table[sliced, waypoints] = derive_through(
+                sliced, sys.dependencies, waypoints, budget, lumping.universe, memo=memo
+            )
+        result = table[sliced, waypoints]
     if not result.proved:
         return result
 
@@ -446,22 +451,17 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     derivations one table, keyed by lumped statements, and one slice of the
     base per panel, which live as long as the decider, one verdict; each
     panel's lumping, which depends on m alone, is the system's
-    (``sys.lumpings``) and outlives it.  The table starts with the
-    system's own lumped results (``sys._own_lumped``, derived when the
-    system is built and expanded only by the verdicts that read them)
-    whose searches made at most ``mode.budget`` statements in
-    all: no one search held more, so at this budget each would take the
-    same steps.  Every other lumped derivation is made at ``mode.budget``
-    into the table, so panels 3..m reuse panel 2's, made in panel 2's
-    names.  Graphical mode asks d-separation."""
+    (``sys.lumpings``) and outlives it, as do the system's own lumped
+    results, read where they hold (see :func:`_derive_lumped`).  The table
+    holds only what the verdict derives, at ``mode.budget``, so panels
+    3..m reuse panel 2's.  Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
         base = frozenset(mode.base)
         memo = Memo(sys.dependencies, sys.universe)
-        table = {key: result for key, result in sys._own_lumped.items()
-                 if result.generated <= mode.budget}
+        table: dict = {}
         slices: dict = {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
@@ -510,9 +510,9 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     of lumped derivations and one slice of the base per panel, dropped when
     the verdict is made (see :func:`_decider`); only the system's own
     lumped proofs and each panel's lumping, made once per system, outlive
-    it.  Every lumped proof, reused or not, is expanded into panel i's
-    names and checked step by step in the full system as it is expanded
-    (see :func:`_derive_lumped`).
+    it.  Every lumped proof, the system's own or the verdict's, is
+    expanded into panel i's names and checked step by step in the full
+    system as it is expanded (see :func:`_derive_lumped`).
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

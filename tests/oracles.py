@@ -16,6 +16,7 @@ from graphlib import TopologicalSorter
 import numpy as np
 
 from modcoherence.ci import (
+    DEFAULT_BUDGET,
     CIError,
     DeriveResult,
     FunctionalDependency,
@@ -29,6 +30,7 @@ from modcoherence.ci import (
 )
 from modcoherence.dag import _validate_query
 from modcoherence.panels import DegenerateLikelihood, Divergence, NonFiniteLogLikelihood
+from modcoherence.protocol import base_statements
 
 
 def marg_keep(p: np.ndarray, keep: set) -> np.ndarray:
@@ -360,14 +362,21 @@ def panel_lump_reference(sys, i):
     return lump
 
 
-def lumped_in_own_names(sys, base, i, name, budget) -> DeriveResult:
+def lumped_in_own_names(sys, base, i, name, budget, reuse=True) -> DeriveResult:
     """Goal ``(i, name)``'s lumped derivation made in panel i's own names,
     with a fresh memo: ``base`` sliced to the statements that hold
     theta_rest(i) whole on one side or not at all and otherwise stay in
     panel i's six lumped names, with theta_rest(i) written as its first
     name; then a proof expanded back, that name as theta_rest(i), and
     replayed in the full system.  No panel borrows another's derivation or
-    names, so this checks the renaming that shares them."""
+    names, so this checks the renaming that shares them.
+
+    With ``reuse``, the derivation of the bare conditions' slice
+    (``base_statements(sys)``, searched at the default budget) stands in
+    for a search of ``base``'s slice when it is proved, its search made at
+    most ``budget`` statements and its lumped premises all lie in
+    ``base``'s slice: a derivation holds in any base that holds its
+    premises.  Without it ``base``'s slice is always searched."""
     rest = sys.theta_rest(i)
     lumped = min(rest)
     universe = {sys.theta(i), sys.evidence(i, i), sys.common, sys.own_evidence_pool,
@@ -389,9 +398,19 @@ def lumped_in_own_names(sys, base, i, name, budget) -> DeriveResult:
     def expanded(s):
         return normalize(expand(s.a), expand(s.b), expand(s.c))
 
-    sliced = [t for s in base if (t := lump(s)) is not None]
+    def slice_of(statements):
+        return [t for s in statements if (t := lump(s)) is not None]
+
+    sliced = slice_of(base)
     waypoints = [lump(w) for w in sys.goal_chains[i, name]]
-    result = derive_through(sliced, sys.dependencies, waypoints, budget, universe)
+    result = None
+    if reuse:
+        bare = slice_of(base_statements(sys))
+        own = derive_through(bare, sys.dependencies, waypoints, DEFAULT_BUDGET, universe)
+        if own.proved and own.generated <= budget and set(own.proof.premises) <= set(sliced):
+            result = own
+    if result is None:
+        result = derive_through(sliced, sys.dependencies, waypoints, budget, universe)
     if not result.proved:
         return result
     lumped_proof = result.proof

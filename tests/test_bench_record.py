@@ -1,7 +1,8 @@
 """``scripts/bench_record.py`` times each layer case by wall and CPU time.
 
 Host contention moves a case's wall time but not its CPU time
-(``time.process_time``), so the record keeps both.  The script is
+(``time.process_time`` plus the time of the child processes the case
+waited for), so the record keeps both.  The script is
 stdlib-only and is loaded here by path, without running it.
 """
 
@@ -24,3 +25,17 @@ def test_a_layer_case_records_wall_and_cpu_time():
     assert run["result"] == 4_999_950_000
     assert isinstance(run["seconds"], float) and run["seconds"] > 0
     assert isinstance(run["cpu_seconds"], float) and run["cpu_seconds"] > 0
+
+
+def test_a_layer_cases_cpu_time_counts_its_children():
+    """A case that waits for a child interpreter counts the child's CPU
+    time, which the child reports as it ends, in its own."""
+    bench = _bench_record()
+    code = ("import subprocess, sys\n"
+            "child = 'import time; sum(range(3_000_000)); print(time.process_time())'\n"
+            "proc = subprocess.run([sys.executable, '-c', child], capture_output=True,\n"
+            "                      text=True, check=True)\n"
+            "out = float(proc.stdout)")
+    run = bench.run_layer(bench.ROOT, code)
+    assert run["result"] > 0
+    assert run["cpu_seconds"] >= run["result"]

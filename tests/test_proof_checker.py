@@ -4,17 +4,25 @@
 step by its own reading of the rules and of the pools' dependencies, without
 ``ci``: a fault that the prover and ``ci.apply_axiom`` share would pass
 ``Proof.replay`` but not this.  The dependencies are stated here from the
-README's definitions of the pools, not taken from ``protocol``.
+README's definitions of the pools, not taken from ``protocol``.  Besides
+the reports, it checks the goal proofs of verdicts on bases with extra
+statements that enter a panel's slice, where the system's own proofs are
+read.
 """
 
 import copy
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from modcoherence.ci import normalize
+from modcoherence.protocol import AxiomaticMode, base_statements, build_system, verify_coherence
+from modcoherence.report import proof_to_dict
+
 from .cli_runner import invoke
-from .oracles import proof_fault
+from .oracles import panel_lump_reference, proof_fault
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
 
@@ -137,3 +145,36 @@ def test_each_tampering_is_rejected(m):
             assert proof_fault(bad, deps, given) is not None
             tampered += 1
     assert tampered == TAMPERED[m]
+
+
+def extras_in_a_slice(m: int, draws: int) -> list:
+    """``I_mm^0 _||_ I_*^0 | I_0^0``, which enters panel m's slice alone,
+    then ``draws`` seeded statements over one panel's theta, own evidence,
+    ``I_0^0`` and the two pools, each of which enters that panel's slice."""
+    own = normalize({evidence(m, m, m)}, {"I_*^0"}, {"I_0^0"})
+    extras = [own]
+    for seed in range(draws):
+        rng = random.Random(seed)
+        i = rng.randint(1, m)
+        names = sorted({f"theta_{i}", evidence(m, i, i), "I_0^0", "I_*^0", "I_+^0"})
+        a, b, *c = rng.sample(names, rng.randint(2, 4))
+        extras.append(normalize({a}, {b}, c))
+    return extras
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_every_goal_proof_checks_where_extras_enter_a_slice(m):
+    """Extras that enter a panel's slice leave the premises of the system's
+    own lumped proofs in it, so its goals show those proofs, expanded;
+    each goal proof of each verdict, the I_33^0 base at m = 3 among them,
+    must check against that verdict's base."""
+    system = build_system(m)
+    deps = pool_dependencies(m)
+    for extra in extras_in_a_slice(m, 8):
+        assert any(panel_lump_reference(system, i)(extra) for i in range(1, m + 1))
+        base = base_statements(system) + (extra,)
+        verdict = verify_coherence(system, AxiomaticMode(base))
+        given = [s.render() for s in base]
+        assert all(goal.status == "proved" for goal in verdict.goals)
+        for goal in verdict.goals:
+            assert proof_fault(proof_to_dict(goal.proof), deps, given) is None

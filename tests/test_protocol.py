@@ -361,10 +361,12 @@ class TestModeAgreement:
 # -- the per-verdict memo -------------------------------------------------
 
 
-def _reference_verdict(sys, mode):
+def _reference_verdict(sys, mode, reuse=True):
     """verify_coherence's conditions and goals from memo-less derivations:
-    a goal's lumped derivation in its panel's own names, then the
-    unconstrained full search."""
+    a goal's lumped derivation in its panel's own names, the bare
+    conditions' one where it holds unless ``reuse`` is false (see
+    ``tests/oracles.lumped_in_own_names``), then the unconstrained full
+    search."""
     deps, universe = sys.dependencies, sys.universe
     conditions = []
     for kind in ALL_CONDITIONS:
@@ -380,7 +382,7 @@ def _reference_verdict(sys, mode):
         conditions.append(ConditionStatus(kind, stmts, status, tuple(witnesses)))
     goals = []
     for (i, name), chain in sys.goal_chains.items():
-        result = lumped_in_own_names(sys, mode.base, i, name, mode.budget)
+        result = lumped_in_own_names(sys, mode.base, i, name, mode.budget, reuse)
         if not result.proved:
             result = derive(mode.base, deps, chain[-1], mode.budget, universe=universe)
         goals.append(GoalResult(i, name, chain[-1], result.status, result.proof))
@@ -552,6 +554,35 @@ class TestLumpedRoute:
         return results
 
     @staticmethod
+    def _record_lumped_calls(monkeypatch):
+        """A list that fills with the slice, lumped waypoints and budget of
+        each lumped derivation made at ``protocol.derive_through``."""
+        calls = []
+        original = protocol.derive_through
+
+        def recorded(sliced, deps, waypoints, budget, *args, **kwargs):
+            calls.append((sliced, waypoints, budget))
+            return original(sliced, deps, waypoints, budget, *args, **kwargs)
+
+        monkeypatch.setattr(protocol, "derive_through", recorded)
+        return calls
+
+    @staticmethod
+    def _verdict_derivations(sys, base, budget):
+        """The slices and lumped waypoints a verdict on ``base`` at
+        ``budget`` derives, in route order, each once: those of the goals
+        whose own result made more than ``budget`` statements or has a
+        lumped premise outside the panel's slice."""
+        own, wanted = sys._own_lumped, {}
+        for i, name in sys.goal_chains:
+            sliced = _panel_slice(sys, base, i)
+            waypoints = sys.lumpings[i].waypoints[i, name]
+            result = own[waypoints]
+            if result.generated > budget or not set(result.proof.premises) <= sliced:
+                wanted[sliced, waypoints, budget] = None
+        return list(wanted)
+
+    @staticmethod
     def _record_applied(monkeypatch):
         """A list that fills with the arguments of each rule application
         made at ``protocol.apply_axiom``, the binding an expansion applies
@@ -565,21 +596,26 @@ class TestLumpedRoute:
     @pytest.mark.parametrize("m", [2, 3, 8, 32])
     def test_the_system_derives_its_own_proofs_and_expands_none(self, monkeypatch, m):
         """Building the system's own table makes four lumped derivations
-        and applies no rule, and the table equals one filled through the
-        verdict's path, key for key and result for result."""
+        and applies no rule.  It is keyed by the lumped waypoints of panel
+        1's and panel 2's routes, which every other panel's routes share,
+        and each result is the memo-less derivation of its panel's slice of
+        the conditions."""
         sys = build_system(m)
         base = frozenset(base_statements(sys))
-        memo = ci.Memo(sys.dependencies, sys.universe)
-        reference: dict = {}
-        slices: dict = {}
-        for route in sys.goal_chains:
-            if route[0] <= 2:
-                protocol._derive_lumped(sys, base, route, ci.DEFAULT_BUDGET, memo, reference, slices)
         applied = self._record_applied(monkeypatch)
         results = self._record_lumped(monkeypatch)
         own = sys._own_lumped
         assert (len(applied), len(results)) == (0, 4)
-        assert list(own.items()) == list(reference.items())
+        monkeypatch.undo()
+        routes = [route for route in sys.goal_chains if route[0] <= 2]
+        assert list(own) == [sys.lumpings[route[0]].waypoints[route] for route in routes]
+        assert all(sys.lumpings[route[0]].waypoints[route] in own for route in sys.goal_chains)
+        for i, name in routes:
+            lumping = sys.lumpings[i]
+            waypoints = lumping.waypoints[i, name]
+            assert own[waypoints] == ci.derive_through(
+                _panel_slice(sys, base, i), sys.dependencies, waypoints, ci.DEFAULT_BUDGET,
+                lumping.universe)
 
     @pytest.mark.parametrize("m, applications", [(3, 54), (32, 576)])
     def test_a_fresh_bare_verdict_applies_each_goal_step_once(self, monkeypatch, m, applications):
@@ -687,17 +723,106 @@ class TestLumpedRoute:
             outcomes.update(t is None for t in lumped)
         assert outcomes == {True, False}
 
-    def test_an_extra_in_one_panels_slice_is_derived_directly(self, monkeypatch):
-        """An extra over panel 3's lumped universe alone changes its slice,
-        so panel 3 misses panel 2's derivations and makes its own."""
+    def test_an_extra_in_one_panels_slice_reads_the_own_proofs(self, monkeypatch):
+        """An extra over panel 3's lumped universe alone enlarges its slice,
+        which still holds the premises of panel 2's own proofs: a fresh
+        system makes its four own derivations and no other, and panel 3's
+        proofs expand panel 2's."""
         sys = build_system(3)
         extra = normalize({"I_33^0"}, {"I_*^0"}, {"I_0^0"})
+        assert _panel_slice(sys, (extra,), 3) and not _panel_slice(sys, (extra,), 2)
         mode = AxiomaticMode(base_statements(sys) + (extra,))
         results = self._record_lumped(monkeypatch)
         verdict = verify_coherence(sys, mode)
-        assert len(results) == 6
+        assert len(results) == 4
         monkeypatch.undo()
         _assert_matches_reference(sys, mode, verdict)
+        proofs = {(g.panel, g.name): g.proof for g in verdict.goals}
+        for name in ("panel_independence", "autonomous_updating"):
+            lumped = [[sys.lumpings[i].lump(t) for t in proofs[i, name].statements()]
+                      for i in (2, 3)]
+            assert lumped[0] == lumped[1]
+            assert extra not in proofs[3, name].premises
+
+    @pytest.mark.parametrize("extra, searched_steps", [
+        (({"I_33^0"}, {"I_*^0"}, {"I_0^0"}), 8),
+        (({"I_+^0"}, {"theta_1"}, {"I_0^0", "I_11^0", "I_*^0"}), 7),
+    ])
+    def test_extras_in_a_slice_show_the_conditions_proofs(self, extra, searched_steps):
+        """Extras that enter a slice only add premises, so every goal shows
+        its proof from the conditions: panel 1's autonomy proof keeps its 8
+        steps, where a search of the slice with the second extra finds one
+        of 7."""
+        sys = build_system(3)
+        bare = verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+        base = base_statements(sys) + (normalize(*extra),)
+        assert any(_panel_slice(sys, base[-1:], i) for i in range(1, 4))
+        verdict = verify_coherence(sys, AxiomaticMode(base))
+        assert verdict.goals == bare.goals
+        assert [len(g.proof.steps) for g in verdict.goals] == [10, 8] * 3
+        searched = lumped_in_own_names(sys, base, 1, "autonomous_updating", ci.DEFAULT_BUDGET,
+                                       reuse=False)
+        assert len(searched.proof.steps) == searched_steps
+
+    @pytest.mark.parametrize("m, budget", [(2, ci.DEFAULT_BUDGET), (3, 300)])
+    def test_a_row_without_a_condition_an_own_proof_uses_derives(self, monkeypatch, m, budget):
+        """Each ablation row drops a condition that some own proof uses, so
+        those goals derive their slice at the row's budget; the control row
+        derives nothing, and every row's statuses are pinned."""
+        sys = build_system(m)
+        calls = self._record_lumped_calls(monkeypatch)
+        wanted = []
+        for kept in [ALL_CONDITIONS] + [[k for k in ALL_CONDITIONS if k is not dropped]
+                                        for dropped in ALL_CONDITIONS]:
+            derivations = self._verdict_derivations(sys, base_statements(sys, kept), budget)
+            assert bool(derivations) == (len(kept) < len(ALL_CONDITIONS))
+            wanted += derivations
+        rows = ablate(sys, budget)
+        assert calls[4:] == wanted  # after the own table's four
+        end = "not_derivable" if m == 2 else "budget_exhausted"
+        assert [[g.status for g in verdict.goals] for _, verdict in rows] == (
+            [["proved"] * 2 * m] + [[end] * 2 * m] * 4)
+
+    def test_below_an_own_proofs_count_a_goal_derives_at_the_budget(self, monkeypatch):
+        """On the I_33^0 base, at budgets 1 to 130, which cross the count of
+        every own proof, a goal reads its own proof where the count is
+        within the budget and, where it exceeds it, derives its slice at
+        the budget, once per slice; the verdicts equal the reference's."""
+        sys = build_system(3)
+        extra = normalize({"I_33^0"}, {"I_*^0"}, {"I_0^0"})
+        base = base_statements(sys) + (extra,)
+        counts = [result.generated for result in sys._own_lumped.values()]
+        assert counts == [101, 70, 102, 67]
+        calls = self._record_lumped_calls(monkeypatch)
+        made = []
+        for budget in range(1, 131):
+            mode = AxiomaticMode(base, budget)
+            del calls[:]
+            verdict = verify_coherence(sys, mode)
+            assert calls == self._verdict_derivations(sys, base, budget)
+            made.append(len(calls))
+            # the reference derives through ci's binding, which is not recorded
+            _assert_matches_reference(sys, mode, verdict)
+        # panels 2 and 3 derive apart, since the extra is in panel 3's slice alone
+        assert made == [6] * 66 + [4] * 3 + [3] * 31 + [2] + [0] * 29
+
+    @pytest.mark.parametrize(
+        "m, budget, instances",
+        [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8), (5, 300, 6), (8, 300, 12)],
+    )
+    def test_statuses_move_only_from_budget_exhausted_to_proved(self, m, budget, instances):
+        """On ``TestMemo``'s seeded bases a goal's status equals the one a
+        search of its slice gives (the reference without reuse), or is
+        ``proved`` where that one is ``budget_exhausted``: an own proof read
+        in an enlarged slice can only stand in for a search that ran out."""
+        sys = build_system(m)
+        for seed in range(instances):
+            mode = _random_mode(random.Random(seed), sys, budget)
+            verdict = verify_coherence(sys, mode)
+            _, searched = _reference_verdict(sys, mode, reuse=False)
+            for goal, old in zip(verdict.goals, searched, strict=True):
+                assert goal.status == old.status or (
+                    (old.status, goal.status) == ("budget_exhausted", "proved"))
 
     @pytest.mark.parametrize(
         "m, budget, instances",
@@ -761,18 +886,23 @@ class TestLumpedRoute:
         assert made(build_system(3)) == 4
 
     def test_the_system_keeps_only_its_own_conditions_derivations(self, monkeypatch):
-        """An extra over panel 3's lumped universe changes that panel's
-        slice; its two derivations stay with their verdict, so the same
-        verdict again makes them again, and only those."""
+        """A base without panel 3's cutting statement leaves out a premise
+        of panel 3's own proofs, so that panel derives both its goals; the
+        two derivations stay with their verdict, so the same verdict again
+        makes them again, and only those."""
         sys = build_system(3)
-        extra = normalize({"I_33^0"}, {"I_*^0"}, {"I_0^0"})
-        mode = AxiomaticMode(base_statements(sys) + (extra,))
+        cut = normalize({sys.own_evidence_pool}, {sys.theta(3)},
+                        {sys.common, sys.evidence(3, 3)} | sys.theta_rest(3))
+        assert cut in sys.condition_statements[ConditionKind.CUTTING]
+        mode = AxiomaticMode(tuple(s for s in base_statements(sys) if s != cut), 300)
         results = self._record_lumped(monkeypatch)
         first = verify_coherence(sys, mode)
         assert len(results) == 6 and len(sys._own_lumped) == 4
         second = verify_coherence(sys, mode)
         assert len(results) == 8 and len(sys._own_lumped) == 4
         assert second == first
+        monkeypatch.undo()
+        _assert_matches_reference(sys, mode, second)
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_the_system_holds_four_own_proofs(self, m):
@@ -913,6 +1043,19 @@ class TestChecksUnderOptimize:
          "    return p.Lumping(l.universe, l.lump, expand, l.waypoints)\n"
          "p._panel_lumping = leaky",
          "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+        # the system's own proof of panel 1's independence with a premise
+        # swapped for a statement outside the base, and slices patched to
+        # hold that statement too: the proof passes the reuse test, and its
+        # expansion still checks each premise against the base
+        ("reused", "internal error: expanded premise is not a base statement",
+         "s = p.build_system(3)\n"
+         "extra = ci.normalize({'I_11^0'}, {'I_0^0'})\n"
+         "waypoints, r = next(iter(s._own_lumped.items()))\n"
+         "proof = ci.Proof((extra, *r.proof.premises[1:]), r.proof.steps, r.proof.goal)\n"
+         "s._own_lumped[waypoints] = ci.DeriveResult(r.status, proof, r.generated)\n"
+         "panel_slice = p._panel_slice\n"
+         "p._panel_slice = lambda *args: panel_slice(*args) | {extra}",
+         "p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
         # each lumped proof stops one waypoint short of its goal
         ("goal", "internal error: expanded proof does not end at its goal",
          "derive_through = p.derive_through\n"
