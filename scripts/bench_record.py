@@ -62,19 +62,19 @@ SECONDS = 20
 # verify_coherence_m3_sequence makes seven verdicts on one m=3 system, the
 # bare one and then one per extra statement, as the benchmark's prove
 # workload does (no CLI command makes more than one verdict on a system
-# with the same conditions), so it shows what the system's own lumped
-# proofs and each panel's lumping (lumped universe, expand and the lumped
-# waypoints of its goal chains), made once per system, save from one
-# verdict to the next; at about 0.03 s a run it runs ten times;
-# verify_coherence_m3_fresh_extras makes the same seven verdicts, each on
-# a fresh m=3 system, as each CLI command does, so its counts read the
-# four lumped derivations of each system's own table and none for a
-# verdict's extras; it runs ten times;
+# with the same conditions), so it shows what the system's goal proofs
+# (made, expanded and checked once) and each panel's lumping (lumped
+# universe, expand and the lumped waypoints of its goal chains), made once
+# per system, save from one verdict to the next; at about 0.03 s a run it
+# runs ten times; verify_coherence_m3_fresh_extras makes the same seven
+# verdicts, each on a fresh m=3 system, as each CLI command does, so its
+# counts read the four lumped derivations and six expansions of each
+# system's goal proofs and none for a verdict's extras; it runs ten times;
 # verify_coherence_m32_repeat makes one bare verdict on an m=32 system
 # before ``restart()`` and times three more, so it shows a verdict after
-# a system's first at the largest panel count, where the lumping it reads
-# covers 32 panels and each verdict still slices the base 32 times; at
-# about 0.05 s a run it runs ten times; graphical_verdicts_m16 builds a
+# a system's first at the largest panel count, which reads all 64 stored
+# goal proofs, slices nothing and applies no rule; at about 0.05 s a run
+# it runs ten times; graphical_verdicts_m16 builds a
 # fresh m=16 system and its canonical and confounded graphs inside the
 # timed code and makes one graphical verdict on each, so it shows the cost
 # of d-separation with no state shared from an earlier verdict, and at
@@ -88,9 +88,9 @@ SECONDS = 20
 # set-up and warm-up job) from the checkout's own perfbench/workloads.py,
 # so its counts divided by 14 are the work of one prove job; the
 # verify_coherence_m* cases and the _sequence one build a fresh system, so
-# their counts include the four lumped derivations of its own table and
-# its panels' lumpings, all but _m32_repeat, which counts after its first
-# verdict
+# their counts include the four lumped derivations and 2m expansions of its
+# goal proofs and its panels' lumpings, all but _m32_repeat, which counts
+# after its first verdict
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"
@@ -222,7 +222,8 @@ print(json.dumps({{"seconds": seconds, "cpu_seconds": cpu_seconds, "peak_rss_mb"
 # in the package's modules replaced by a counting wrapper, and every
 # replaced attribute restored (and checked) before the counts are printed:
 # searches (``ci._Saturation``s created) and the statements they hold when
-# each last stops, calls of ``ci.normalize``, ``ci.apply_axiom``,
+# each last stops (where ``ci`` files a base at a search's first run, a
+# search no query ran holds none), calls of ``ci.normalize``, ``ci.apply_axiom``,
 # ``ci.derive_through``, ``Proof.replay`` and ``dag.d_separated``, and the
 # leaves and cells that ``panels._pairwise`` sweeps.  ``restart()`` drops
 # what the case's set-up counted.

@@ -508,7 +508,8 @@ class _Saturation:
                 raise UniverseError(f"base statement {s.render()} leaves the universe")
         self.universe = memo._mask(universe)
         self.budget = budget
-        self.known: dict[_Triple, _Prov] = {memo.encode(s): None for s in base}
+        self.unfiled = base  # encoded and indexed by the first run
+        self.known: dict[_Triple, _Prov] = {}
         self.status: Optional[str] = None  # "not_derivable" | "budget_exhausted" once ended
         # the statements still to expand and the contraction indexes: by_ctx
         # and by_span hold both orientations (x, y, c) of every known
@@ -516,17 +517,22 @@ class _Saturation:
         # other side is (a | b) ^ x: by_ctx under ctx = c, by_span under
         # ctx = y | c.  s as first premise looks up x and y | c in by_ctx, as
         # second premise x and c in by_span
-        self.agenda = deque(self.known)
+        self.agenda = deque()
         self.by_ctx, self.by_span = {}, {}
-        for t in self.known:
-            _index(self.by_ctx, self.by_span, memo.width, t)
 
     def run(self, memo: Memo, goal: Optional[CIStatement] = None) -> bool:
         """Continue the search until ``goal`` is known (True) or the closure
         is complete or the budget spent (False).  Statements are expanded in
-        full, so the next run resumes where this one stopped."""
-        target = memo.encode(goal) if goal is not None else None
+        full, so the next run resumes where this one stopped; the first run
+        files the base first."""
         known = self.known
+        for s in self.unfiled:
+            t = memo.encode(s)
+            known[t] = None
+            self.agenda.append(t)
+            _index(self.by_ctx, self.by_span, memo.width, t)
+        self.unfiled = ()
+        target = memo.encode(goal) if goal is not None else None
         if self.status is not None:
             return target in known
         budget, width, universe = self.budget, memo.width, self.universe
@@ -689,7 +695,8 @@ def derive(
     memo's search of this universe, base and budget, as a fresh search would.
     A goal in the base, once the budget, the base and the goal are checked,
     is its own zero-step proof, with the base's size as its count, as a
-    fresh search stopping at once would report; no search runs for it.
+    fresh search stopping at once would report; no search runs for it, and
+    a search no query has run has not yet encoded or indexed its base.
     """
     if goal is None:
         raise ValueError("derive requires a goal statement")

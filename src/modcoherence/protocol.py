@@ -75,10 +75,10 @@ class PanelSystem(Record):
     on first use, and of a size fixed by m: its universe, dependencies,
     condition statements and goal chains; each panel's lumping
     (``lumpings``: lumped universe, ``lump``, ``expand`` and the lumped
-    waypoints of its two goal chains); and the four lumped derivations of
-    its own conditions (``_own_lumped``), read wherever their premises lie
-    in a verdict's slice.  No verdict's base, slice, memo or table is kept:
-    only each ``expand``'s cache tells which of the at most 64 lumped sides
+    waypoints of its two goal chains); and its goals' proofs from its own
+    conditions (``goal_proofs``), read wherever a verdict's base holds
+    their premises.  No verdict's base, slice, memo or table is kept: only
+    each ``expand``'s cache tells which of the at most 64 lumped sides
     verdicts have expanded."""
 
     m: int
@@ -180,27 +180,18 @@ class PanelSystem(Record):
         return {i: _panel_lumping(self, i) for i in range(1, self.m + 1)}
 
     @functools.cached_property
-    def _own_lumped(self) -> dict:
-        """The lumped derivations of panel 1's and panel 2's goals over
-        ``base_statements(self)``, each through its panel's slice and the
-        lumped waypoints of its ``lumpings`` entry, keyed by those
-        waypoints, unique per order type (panels 3..m share panel 2's; see
-        :func:`_derive_lumped`), made with their own memo at
-        ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
-        allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements.
-        None is expanded here: a verdict expands and checks the ones it
-        reads."""
+    def goal_proofs(self) -> dict[tuple[int, str], DeriveResult]:
+        """Each route's :func:`_derive_lumped` over ``base_statements(self)``
+        at ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
+        allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements.  One
+        memo, table and slice per panel serve all routes, so the searches
+        are four: panels 3..m's slices are panel 2's.  Each proof is
+        expanded and checked once, here, and read by every verdict whose
+        base holds its premises (see :func:`_decider`)."""
         base = frozenset(base_statements(self))
-        memo = Memo(self.dependencies, self.universe)
-        table: dict = {}
-        for i in (1, 2):
-            lumping, sliced = self.lumpings[i], _panel_slice(self, base, i)
-            for waypoints in lumping.waypoints.values():
-                table[waypoints] = derive_through(
-                    sliced, self.dependencies, waypoints, DEFAULT_BUDGET, lumping.universe,
-                    memo=memo,
-                )
-        return table
+        memo, table, slices = Memo(self.dependencies, self.universe), {}, {}
+        return {route: _derive_lumped(self, base, route, DEFAULT_BUDGET, memo, table, slices)
+                for route in self.goal_chains}
 
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.m:
@@ -381,34 +372,25 @@ def _derive_lumped(
     maps the dependencies onto themselves, and the rename keeps the sorted
     order of the six names (the two pools, I_0^0, the own evidence,
     theta_1, the own theta), so each panel's search, proof and counts are
-    those in its own names.  The route's own result (``sys._own_lumped``)
-    is read if it is ``proved``, its search made at most ``budget``
-    statements and all its lumped premises lie in the slice: a derivation
-    holds in any base that holds its premises.  Otherwise ``table``, which
-    maps a slice and the waypoints to their derivation, is read; one
-    missing is made at ``budget`` with ``memo`` (for ``sys.dependencies``
-    and a universe holding the lumped one, such as the system's, which
-    keeps names in sorted order too).  Either is expanded and checked here.
-    ``slices`` keeps each panel's :func:`_panel_slice` of ``base``, so both
-    goals of a panel read one slice.  The lumped universe, the route's
-    lumped waypoints and ``expand`` are the system's own
-    (``sys.lumpings``), made once per system, so a verdict after the
-    system's first lumps no waypoint and expands each side at most once
-    per system; every step is still applied in the full system here.
+    those in its own names.  ``table`` maps a slice and the waypoints to
+    their derivation; one missing is made at ``budget`` with ``memo`` (for
+    ``sys.dependencies`` and a universe holding the lumped one, such as
+    the system's, which keeps names in sorted order too).  ``slices``
+    keeps each panel's :func:`_panel_slice` of ``base``, so both goals of
+    a panel read one slice.  The lumped universe, the route's lumped
+    waypoints and ``expand`` are the system's own (``sys.lumpings``), made
+    once per system, so each side is expanded at most once per system.
     """
     i = route[0]
     if i not in slices:
         slices[i] = _panel_slice(sys, base, i)
     sliced, lumping = slices[i], sys.lumpings[i]
     waypoints = lumping.waypoints[route]
-    result = sys._own_lumped[waypoints]
-    if not (result.proved and result.generated <= budget
-            and sliced.issuperset(result.proof.premises)):
-        if (sliced, waypoints) not in table:
-            table[sliced, waypoints] = derive_through(
-                sliced, sys.dependencies, waypoints, budget, lumping.universe, memo=memo
-            )
-        result = table[sliced, waypoints]
+    if (sliced, waypoints) not in table:
+        table[sliced, waypoints] = derive_through(
+            sliced, sys.dependencies, waypoints, budget, lumping.universe, memo=memo
+        )
+    result = table[sliced, waypoints]
     if not result.proved:
         return result
 
@@ -443,18 +425,17 @@ def _derive_lumped(
 
 def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
-    goal's lumped derivation first (:func:`_derive_lumped`), then one
-    unconstrained search of the full system, so every status but ``proved``
-    comes from the full system; a base statement, such as a condition's,
-    is its own zero-step proof (see :func:`~modcoherence.ci.derive`).  The
-    base is frozen once per verdict.  All of them share one memo, and the lumped
-    derivations one table, keyed by lumped statements, and one slice of the
-    base per panel, which live as long as the decider, one verdict; each
-    panel's lumping, which depends on m alone, is the system's
-    (``sys.lumpings``) and outlives it, as do the system's own lumped
-    results, read where they hold (see :func:`_derive_lumped`).  The table
-    holds only what the verdict derives, at ``mode.budget``, so panels
-    3..m reuse panel 2's.  Graphical mode asks d-separation."""
+    goal's lumped derivation first, then one unconstrained search of the
+    full system, so every status but ``proved`` comes from the full system;
+    a base statement, such as a condition's, is its own zero-step proof
+    (see :func:`~modcoherence.ci.derive`).  The lumped derivation is the
+    system's own (``sys.goal_proofs``) where that is ``proved``, made at
+    most ``mode.budget`` statements and the base holds its premises, as a
+    derivation holds in any base that holds its premises; else
+    :func:`_derive_lumped` makes it.  The base is frozen once per verdict,
+    and its queries share one memo, and its lumped derivations one table
+    and one slice of the base per panel, which live as long as the
+    decider, one verdict.  Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         for stmt in mode.base:
             if not stmt.symbols() <= sys.universe:
@@ -466,7 +447,10 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
-                result = _derive_lumped(sys, base, route, mode.budget, memo, table, slices)
+                result = sys.goal_proofs[route]
+                if not (result.proved and result.generated <= mode.budget
+                        and base.issuperset(result.proof.premises)):
+                    result = _derive_lumped(sys, base, route, mode.budget, memo, table, slices)
                 if result.proved:
                     return result.status, result.proof
             result = derive(base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)
@@ -508,11 +492,12 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
 
     In axiomatic mode the verdict's derivations share one memo, one table
     of lumped derivations and one slice of the base per panel, dropped when
-    the verdict is made (see :func:`_decider`); only the system's own
-    lumped proofs and each panel's lumping, made once per system, outlive
-    it.  Every lumped proof, the system's own or the verdict's, is
-    expanded into panel i's names and checked step by step in the full
-    system as it is expanded (see :func:`_derive_lumped`).
+    the verdict is made (see :func:`_decider`); only the system's goal
+    proofs and each panel's lumping, made once per system, outlive it.
+    Every lumped proof is expanded into panel i's names and checked step
+    by step in the full system as it is expanded (see
+    :func:`_derive_lumped`): the system's own once, when it is made, and
+    a verdict's when the verdict derives it.
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

@@ -295,11 +295,31 @@ class TestDerive:
             assert expected.proof.replay(deps)
 
     def test_a_premise_goal_still_checks_the_budget_and_the_universe(self):
-        base = [normalize({T1}, {T2}, {I0})]
-        with pytest.raises(ValueError, match="budget must be positive"):
-            derive(base, goal=base[0], budget=0)
-        with pytest.raises(UniverseError, match="base statement"):
+        # the budget first, then the base in sorted order: the Z statement,
+        # listed last, is the first out of the universe
+        base = [normalize({T1}, {T2}, {I0}), normalize({"Z"}, {T2})]
+        with pytest.raises(ValueError, match=r"^budget must be positive$"):
+            derive(base, goal=base[0], budget=0, universe={T1, T2})
+        with pytest.raises(UniverseError,
+                           match=r"^base statement Z _\|\|_ theta_2 leaves the universe$"):
             derive(base, goal=base[0], universe={T1, T2})
+
+    def test_a_search_files_its_base_when_it_first_runs(self):
+        # a premise goal makes the memo's search of its base, which checks
+        # it, but encodes and indexes nothing; the first query that runs
+        # the search files the base and answers as a fresh search
+        system = build_system(2)
+        deps, universe = system.dependencies, system.universe
+        base = base_statements(system)
+        memo = Memo(deps, universe)
+        assert derive(base, deps, base[0], universe=universe, memo=memo).proved
+        (search,) = memo.searches.values()
+        assert (search.known, search.by_ctx, search.by_span, list(search.agenda)) == ({}, {}, {}, [])
+        goal = system.goal_chains[1, "panel_independence"][-1]
+        fresh = derive(base, deps, goal, universe=universe)
+        assert derive(base, deps, goal, universe=universe, memo=memo) == fresh
+        # filed in the sorted order that base_statements lists them in
+        assert list(search.known)[:len(base)] == list(map(memo.encode, base))
 
     def test_derive_requires_goal(self):
         with pytest.raises(ValueError):

@@ -41,10 +41,13 @@ N_BASE, N_DEPS, N_QUERIES = 6, 2, 8
 CLOSURE_STATEMENTS = 24118
 PROOF_STATEMENTS = 6594
 # the lumped-route probe: models per panel count, the verdicts' budget, and
-# pinned, the goals proved, their proofs' statements, and the proofs that
-# came from the lumped route
+# pinned, the goals proved, their proofs' statements, the proofs that came
+# from the lumped route, those of them that were the system's own, and the
+# (model, own proof) pairs where the model holds the proof's premises: each
+# such proof is read by the model's verdict, so the last two are equal
 N_SYSTEM_MODELS, SYSTEM_BUDGET = 60, 3_000
 PROVED_GOALS, GOAL_PROOF_STATEMENTS, LUMPED_GOAL_PROOFS = 669, 8254, 619
+READ_GOAL_PROOFS, HELD_GOAL_PROOFS = 464, 464
 
 
 def _rank(forms) -> int:
@@ -169,10 +172,12 @@ def test_lumped_route_goal_proofs_hold_in_linear_models(monkeypatch):
     """Each model's base is every condition statement and every waypoint
     short of a goal that holds in it, so a goal is proved only by a
     derivation; at m >= 3 panels 3..m reuse panel 2's lumped derivations,
-    made in panel 2's names, and every expanded proof must hold."""
+    made in panel 2's names, and every expanded proof must hold.  The
+    system's own goal proofs are made before the recording starts, so each
+    is also checked on its own in every model that holds its premises, and
+    a goal that shows one counts among the lumped route's proofs."""
     systems = [build_system(m) for m in (2, 3, 4)]
-    for system in systems:
-        system._own_lumped  # made before the recording starts: no goal's proof
+    stored = {system.m: system.goal_proofs for system in systems}
     lumped = []
     derive_lumped = protocol._derive_lumped
 
@@ -181,20 +186,27 @@ def test_lumped_route_goal_proofs_hold_in_linear_models(monkeypatch):
         return lumped[-1]
 
     monkeypatch.setattr(protocol, "_derive_lumped", recorded)
-    unsound, proved, checked = [], 0, 0
+    unsound, proved, checked, read, held = [], 0, 0, 0, 0
     for system in systems:
         waypoints = [w for chain in system.goal_chains.values() for w in chain[:-1]]
         candidates = dict.fromkeys([*base_statements(system), *waypoints])
         for n in range(N_SYSTEM_MODELS):
             model = _system_model(system, random.Random(f"{system.m}-{n}"))
+            for result in stored[system.m].values():
+                if all(model.holds(s) for s in result.proof.premises):
+                    held += 1
+                    unsound += [(system.m, n, s.render()) for s in result.proof.statements()
+                                if not model.holds(s)]
             base = tuple(s for s in candidates if model.holds(s))
             verdict = verify_coherence(system, AxiomaticMode(base, SYSTEM_BUDGET))
-            for goal in verdict.goals:
+            for route, goal in zip(system.goal_chains, verdict.goals):
                 if goal.established:
                     proved += 1
+                    read += goal.proof is stored[system.m][route].proof
                     statements = goal.proof.statements()
                     checked += len(statements)
                     unsound += [(system.m, n, s.render()) for s in statements if not model.holds(s)]
     assert unsound == []
     assert (proved, checked) == (PROVED_GOALS, GOAL_PROOF_STATEMENTS)
-    assert sum(result.proved for result in lumped) == LUMPED_GOAL_PROOFS
+    assert sum(result.proved for result in lumped) + read == LUMPED_GOAL_PROOFS
+    assert (read, held) == (READ_GOAL_PROOFS, HELD_GOAL_PROOFS)

@@ -7,7 +7,7 @@ step by its own reading of the rules and of the pools' dependencies, without
 README's definitions of the pools, not taken from ``protocol``.  Besides
 the reports, it checks the goal proofs of verdicts on bases with extra
 statements that enter a panel's slice, where the system's own proofs are
-read.
+read, and those proofs themselves.
 """
 
 import copy
@@ -178,3 +178,17 @@ def test_every_goal_proof_checks_where_extras_enter_a_slice(m):
         assert all(goal.status == "proved" for goal in verdict.goals)
         for goal in verdict.goals:
             assert proof_fault(proof_to_dict(goal.proof), deps, given) is None
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 10, 32])
+def test_every_stored_goal_proof_checks_against_the_conditions(m):
+    """Each of the system's 2m stored goal proofs, checked once when it was
+    made, checks against the conditions' statements, ending at its route's
+    goal."""
+    system = build_system(m)
+    deps = pool_dependencies(m)
+    given = [s.render() for s in base_statements(system)]
+    assert len(system.goal_proofs) == 2 * m
+    for route, result in system.goal_proofs.items():
+        assert result.proof.goal == system.goal_chains[route][-1]
+        assert proof_fault(proof_to_dict(result.proof), deps, given) is None

@@ -1,6 +1,7 @@
 """Tests for panel-system construction, condition generation and the
 mechanized coherence theorem (both proof modes, plus ablation)."""
 
+import functools
 import os
 import random
 import subprocess
@@ -409,6 +410,37 @@ def _random_mode(rng, sys, budget):
     return AxiomaticMode(tuple(sorted(base, key=lambda s: s.sort_key())), budget)
 
 
+@functools.cache
+def _bare_lumped(sys):
+    """Each route's reference ``lump`` (``tests/oracles.panel_lump_reference``),
+    lumped waypoints and lumped derivation of the bare conditions' slice,
+    memo-less, at the default budget: the derivation the system's own proof
+    of the route expands."""
+    out = {}
+    for (i, name), chain in sys.goal_chains.items():
+        lump = panel_lump_reference(sys, i)
+        waypoints = tuple(map(lump, chain))
+        sliced = frozenset(t for s in base_statements(sys) if (t := lump(s)) is not None)
+        own = ci.derive_through(sliced, sys.dependencies, waypoints, ci.DEFAULT_BUDGET,
+                                sys.lumpings[i].universe)
+        out[i, name] = lump, waypoints, own
+    return out
+
+
+def _lumped_rule(sys, base, budget):
+    """Route -> (``base``'s slice, lumped waypoints, whether the route reads
+    the system's own proof), by the rule written on lumped statements: a
+    route reads it where its lumped derivation (see ``_bare_lumped``) is
+    proved, made at most ``budget`` statements and has every lumped
+    premise in ``base``'s slice."""
+    out = {}
+    for route, (lump, waypoints, own) in _bare_lumped(sys).items():
+        sliced = frozenset(t for s in base if (t := lump(s)) is not None)
+        reads = own.proved and own.generated <= budget and sliced.issuperset(own.proof.premises)
+        out[route] = sliced, waypoints, reads
+    return out
+
+
 def _assert_matches_reference(sys, mode, verdict):
     conditions, goals = _reference_verdict(sys, mode)
     assert verdict.conditions == conditions
@@ -571,16 +603,22 @@ class TestLumpedRoute:
     def _verdict_derivations(sys, base, budget):
         """The slices and lumped waypoints a verdict on ``base`` at
         ``budget`` derives, in route order, each once: those of the goals
-        whose own result made more than ``budget`` statements or has a
-        lumped premise outside the panel's slice."""
-        own, wanted = sys._own_lumped, {}
-        for i, name in sys.goal_chains:
-            sliced = _panel_slice(sys, base, i)
-            waypoints = sys.lumpings[i].waypoints[i, name]
-            result = own[waypoints]
-            if result.generated > budget or not set(result.proof.premises) <= sliced:
+        that do not read the system's own proof (see ``_lumped_rule``)."""
+        wanted = {}
+        for sliced, waypoints, reads in _lumped_rule(sys, base, budget).values():
+            if not reads:
                 wanted[sliced, waypoints, budget] = None
         return list(wanted)
+
+    @staticmethod
+    def _record_sliced(monkeypatch):
+        """A list that fills with the panel of each slice of a base made at
+        ``protocol._panel_slice``."""
+        panels = []
+        original = protocol._panel_slice
+        monkeypatch.setattr(protocol, "_panel_slice",
+                            lambda s, base, i: panels.append(i) or original(s, base, i))
+        return panels
 
     @staticmethod
     def _record_applied(monkeypatch):
@@ -594,28 +632,24 @@ class TestLumpedRoute:
         return applied
 
     @pytest.mark.parametrize("m", [2, 3, 8, 32])
-    def test_the_system_derives_its_own_proofs_and_expands_none(self, monkeypatch, m):
-        """Building the system's own table makes four lumped derivations
-        and applies no rule.  It is keyed by the lumped waypoints of panel
-        1's and panel 2's routes, which every other panel's routes share,
-        and each result is the memo-less derivation of its panel's slice of
-        the conditions."""
+    def test_the_system_derives_four_proofs_and_expands_each_route_once(self, monkeypatch, m):
+        """Storing the system's goal proofs makes four lumped derivations,
+        panel 1's two and panel 2's, whose slices panels 3..m share, and
+        applies each step of each route's proof once, in its expansion.
+        They are keyed by route, and each is the memo-less derivation of
+        its panel's slice of the conditions in the panel's own names,
+        expanded."""
         sys = build_system(m)
-        base = frozenset(base_statements(sys))
         applied = self._record_applied(monkeypatch)
         results = self._record_lumped(monkeypatch)
-        own = sys._own_lumped
-        assert (len(applied), len(results)) == (0, 4)
+        stored = sys.goal_proofs
+        assert len(results) == 4
+        assert len(applied) == sum(len(result.proof.steps) for result in stored.values())
         monkeypatch.undo()
-        routes = [route for route in sys.goal_chains if route[0] <= 2]
-        assert list(own) == [sys.lumpings[route[0]].waypoints[route] for route in routes]
-        assert all(sys.lumpings[route[0]].waypoints[route] in own for route in sys.goal_chains)
-        for i, name in routes:
-            lumping = sys.lumpings[i]
-            waypoints = lumping.waypoints[i, name]
-            assert own[waypoints] == ci.derive_through(
-                _panel_slice(sys, base, i), sys.dependencies, waypoints, ci.DEFAULT_BUDGET,
-                lumping.universe)
+        assert list(stored) == list(sys.goal_chains)
+        base = base_statements(sys)
+        for (i, name), result in stored.items():
+            assert result == lumped_in_own_names(sys, base, i, name, ci.DEFAULT_BUDGET)
 
     @pytest.mark.parametrize("m, applications", [(3, 54), (32, 576)])
     def test_a_fresh_bare_verdict_applies_each_goal_step_once(self, monkeypatch, m, applications):
@@ -642,23 +676,25 @@ class TestLumpedRoute:
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_a_verdict_slices_the_base_once_per_panel(self, monkeypatch, m):
-        """Both goals of a panel read one slice of the base, made by the
-        verdict and kept by nothing after it: a second verdict slices again,
-        and the system gains no attribute.  The lumping each slice is made
-        with is built once per system, panel by panel, by its first
-        verdict."""
+        """A verdict whose base holds the premises of every stored proof
+        slices nothing.  Without the delegable statement, a premise of
+        each, both goals of a panel derive from one slice of the base, made
+        by the verdict and kept by nothing after it: a second verdict
+        slices again, and the system gains no attribute.  The lumping each
+        slice is made with is built once per system, panel by panel, by its
+        goal proofs."""
         sys = build_system(m)
-        mode = AxiomaticMode(base_statements(sys))
+        bare = AxiomaticMode(base_statements(sys))
         built = []
         panel_lumping = protocol._panel_lumping
         monkeypatch.setattr(protocol, "_panel_lumping",
                             lambda s, i: built.append(i) or panel_lumping(s, i))
-        verify_coherence(sys, mode)
+        verify_coherence(sys, bare)
         kept = dict(vars(sys))
-        panels = []
-        original = protocol._panel_slice
-        monkeypatch.setattr(protocol, "_panel_slice",
-                            lambda s, base, i: panels.append(i) or original(s, base, i))
+        panels = self._record_sliced(monkeypatch)
+        verify_coherence(sys, bare)
+        assert panels == []
+        mode = AxiomaticMode(base_statements(sys, ALL_CONDITIONS[1:]), 300)
         for _ in range(2):
             verdict = verify_coherence(sys, mode)
         assert panels == list(range(1, m + 1)) * 2
@@ -778,7 +814,7 @@ class TestLumpedRoute:
             assert bool(derivations) == (len(kept) < len(ALL_CONDITIONS))
             wanted += derivations
         rows = ablate(sys, budget)
-        assert calls[4:] == wanted  # after the own table's four
+        assert calls[4:] == wanted  # after the four behind the goal proofs
         end = "not_derivable" if m == 2 else "budget_exhausted"
         assert [[g.status for g in verdict.goals] for _, verdict in rows] == (
             [["proved"] * 2 * m] + [[end] * 2 * m] * 4)
@@ -791,7 +827,7 @@ class TestLumpedRoute:
         sys = build_system(3)
         extra = normalize({"I_33^0"}, {"I_*^0"}, {"I_0^0"})
         base = base_statements(sys) + (extra,)
-        counts = [result.generated for result in sys._own_lumped.values()]
+        counts = [sys.goal_proofs[route].generated for route in sys.goal_chains if route[0] <= 2]
         assert counts == [101, 70, 102, 67]
         calls = self._record_lumped_calls(monkeypatch)
         made = []
@@ -852,16 +888,73 @@ class TestLumpedRoute:
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_a_second_bare_verdict_makes_no_lumped_derivation(self, monkeypatch, m):
-        """The system keeps its lumped derivations, so a second verdict on
-        it reuses all four and equals the first."""
+        """The system keeps its goal proofs, so a second verdict on it reads
+        all of them and equals the first: it makes no lumped derivation,
+        applies no rule and takes no slice, and since every condition
+        statement is a premise, its full-system search files no statement
+        in its indexes."""
         sys = build_system(m)
         mode = AxiomaticMode(base_statements(sys))
         results = self._record_lumped(monkeypatch)
         first = verify_coherence(sys, mode)
         assert len(results) == 4
+        applied = self._record_applied(monkeypatch)
+        panels = self._record_sliced(monkeypatch)
+        indexed = []
+        index = ci._index
+        monkeypatch.setattr(ci, "_index", lambda *args: indexed.append(args[-1]) or index(*args))
         second = verify_coherence(sys, mode)
-        assert len(results) == 4
+        assert (len(results), applied, panels, indexed) == (4, [], [], [])
         assert second == first
+        assert [g.proof for g in second.goals] == [r.proof for r in sys.goal_proofs.values()]
+
+    def test_a_stored_proof_with_a_premise_outside_the_base_is_not_read(self, monkeypatch):
+        """Panel 1's stored independence proof, with a premise swapped for
+        a statement outside the base, is not read: that goal alone derives
+        its slice, every other goal reads its stored proof, and the verdict
+        equals the reference's, which shows the proof as it was stored."""
+        sys = build_system(3)
+        route = (1, "panel_independence")
+        stored = sys.goal_proofs[route]
+        extra = normalize({"I_11^0"}, {"I_0^0"})
+        swapped = ci.Proof((extra, *stored.proof.premises[1:]), stored.proof.steps,
+                           stored.proof.goal)
+        sys.goal_proofs[route] = ci.DeriveResult(stored.status, swapped, stored.generated)
+        routes = []
+        derive_lumped = protocol._derive_lumped
+        monkeypatch.setattr(protocol, "_derive_lumped",
+                            lambda s, base, r, *args: routes.append(r) or derive_lumped(
+                                s, base, r, *args))
+        mode = AxiomaticMode(base_statements(sys))
+        verdict = verify_coherence(sys, mode)
+        assert routes == [route]
+        monkeypatch.undo()
+        _assert_matches_reference(sys, mode, verdict)
+        assert verdict.goals[0].proof == stored.proof
+
+    @pytest.mark.parametrize("m, budget", [(2, 300), (3, 80), (4, 300)])
+    def test_the_routes_that_read_a_stored_proof_follow_the_lumped_rule(self, m, budget):
+        """On every row of ``ablate``, over all conditions and over
+        restricted ones, a goal shows its stored proof exactly where the
+        rule written on lumped statements (``_lumped_rule``) reads it; at
+        m = 3 the budget lies between the stored counts (see
+        ``test_below_an_own_proofs_count_a_goal_derives_at_the_budget``)."""
+        sys = build_system(m)
+        stored = sys.goal_proofs
+        kinds = ConditionKind
+        restricted = [ALL_CONDITIONS, ALL_CONDITIONS[1:], (kinds.CUTTING, kinds.DELEGABLE),
+                      (kinds.COMMONLY_SEPARATED, kinds.SEPARATELY_INFORMED, kinds.CUTTING)]
+        outcomes = set()
+        for conditions in restricted:
+            for dropped, verdict in ablate(sys, budget, conditions):
+                base = base_statements(sys, [k for k in conditions if k is not dropped])
+                reads = [route for route, (_, _, read) in _lumped_rule(sys, base, budget).items()
+                         if read]
+                shown = [route for route, goal in zip(sys.goal_chains, verdict.goals)
+                         if goal.proof is stored[route].proof]
+                assert shown == reads
+                outcomes.update(route in reads for route in sys.goal_chains)
+        assert outcomes == {True, False}
 
     def test_another_budget_or_system_makes_its_own_derivations(self, monkeypatch):
         """Another system derives its own proofs.  Another budget reuses the
@@ -897,27 +990,31 @@ class TestLumpedRoute:
         mode = AxiomaticMode(tuple(s for s in base_statements(sys) if s != cut), 300)
         results = self._record_lumped(monkeypatch)
         first = verify_coherence(sys, mode)
-        assert len(results) == 6 and len(sys._own_lumped) == 4
+        assert len(results) == 6 and len(sys.goal_proofs) == 6
         second = verify_coherence(sys, mode)
-        assert len(results) == 8 and len(sys._own_lumped) == 4
+        assert len(results) == 8 and len(sys.goal_proofs) == 6
         assert second == first
         monkeypatch.undo()
         _assert_matches_reference(sys, mode, second)
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_the_system_holds_four_own_proofs(self, m):
-        """Panel 1's two goals and panel 2's, all proved; no later verdict,
-        at any budget or base, adds a key to them or an attribute to the
-        system."""
+        """Panel 1's two goals and panel 2's, all proved, which panels
+        3..m's proofs are, renamed: lumped, the 2m stored proofs are four.
+        No later verdict, at any budget or base, changes them or adds an
+        attribute to the system."""
         sys = build_system(m)
-        own = sys._own_lumped
-        assert [result.status for result in own.values()] == ["proved"] * 4
-        keys, kept = list(own), set(vars(sys))
+        stored = sys.goal_proofs
+        assert [result.status for result in stored.values()] == ["proved"] * 2 * m
+        lumped = {tuple(map(sys.lumpings[i].lump, result.proof.statements()))
+                  for (i, _), result in stored.items()}
+        assert len(lumped) == 4
+        copied, kept = dict(stored), set(vars(sys))
         for seed, budget in enumerate((1, 66, 101, 300)):
             verify_coherence(sys, AxiomaticMode(base_statements(sys), budget))
             verify_coherence(sys, _random_mode(random.Random(seed), sys, budget))
         verify_coherence(sys, AxiomaticMode(base_statements(sys)))
-        assert sys._own_lumped is own and list(own) == keys
+        assert sys.goal_proofs is stored and stored == copied
         assert vars(sys).keys() == kept
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -978,7 +1075,7 @@ class TestLumpedRoute:
             shared = build_system(m)
             for k in order:
                 assert verify_coherence(shared, modes[k]) == fresh[k]
-            assert len(shared._own_lumped) == 4
+            assert shared.goal_proofs == sys.goal_proofs
 
     def test_lumped_proofs_keep_each_statements_orientation(self):
         """determinism_augment moves a context symbol to a statement's second
@@ -1043,19 +1140,6 @@ class TestChecksUnderOptimize:
          "    return p.Lumping(l.universe, l.lump, expand, l.waypoints)\n"
          "p._panel_lumping = leaky",
          "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
-        # the system's own proof of panel 1's independence with a premise
-        # swapped for a statement outside the base, and slices patched to
-        # hold that statement too: the proof passes the reuse test, and its
-        # expansion still checks each premise against the base
-        ("reused", "internal error: expanded premise is not a base statement",
-         "s = p.build_system(3)\n"
-         "extra = ci.normalize({'I_11^0'}, {'I_0^0'})\n"
-         "waypoints, r = next(iter(s._own_lumped.items()))\n"
-         "proof = ci.Proof((extra, *r.proof.premises[1:]), r.proof.steps, r.proof.goal)\n"
-         "s._own_lumped[waypoints] = ci.DeriveResult(r.status, proof, r.generated)\n"
-         "panel_slice = p._panel_slice\n"
-         "p._panel_slice = lambda *args: panel_slice(*args) | {extra}",
-         "p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
         # each lumped proof stops one waypoint short of its goal
         ("goal", "internal error: expanded proof does not end at its goal",
          "derive_through = p.derive_through\n"
