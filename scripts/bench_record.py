@@ -221,9 +221,10 @@ print(json.dumps({{"seconds": seconds, "cpu_seconds": cpu_seconds, "peak_rss_mb"
 # A layer case again, untimed, with every binding of the counted functions
 # in the package's modules replaced by a counting wrapper, and every
 # replaced attribute restored (and checked) before the counts are printed:
-# searches (``ci._Saturation``s created) and the statements they hold when
-# each last stops (where ``ci`` files a base at a search's first run, a
-# search no query ran holds none), calls of ``ci.normalize``, ``ci.apply_axiom``,
+# searches (``ci._Saturation``s created), searches run (those a query ran,
+# each counted once, when its first run starts) and the statements they
+# hold when each last stops (where ``ci`` files a base at a search's first
+# run, a search no query ran holds none), calls of ``ci.normalize``, ``ci.apply_axiom``,
 # ``ci.derive_through``, ``Proof.replay`` and ``dag.d_separated``, and the
 # leaves and cells that ``panels._pairwise`` sweeps.  ``restart()`` drops
 # what the case's set-up counted.
@@ -232,6 +233,7 @@ import collections, json, sys, time, types, weakref
 from modcoherence import ci, dag, panels, protocol as p
 
 counts, sizes, serial = collections.Counter(), [], weakref.WeakKeyDictionary()
+started = set()  # the serials of the searches a query ran
 replaced = []
 
 
@@ -261,6 +263,9 @@ def created(original):
 
 def ran(original):
     def counted(search, *args, **kwargs):
+        if serial[search] not in started:
+            started.add(serial[search])
+            counts["searches_run"] += 1
         try:
             return original(search, *args, **kwargs)
         finally:
@@ -302,8 +307,8 @@ counts["statements_generated"] = sum(sizes) - baseline
 for owner, name, original in reversed(replaced):
     setattr(owner, name, original)
 assert all(getattr(owner, name) is original for owner, name, original in replaced)
-keys = [*functions.values(), "replay", "searches", "statements_generated", "pairwise_leaves",
-        "pairwise_cells"]
+keys = [*functions.values(), "replay", "searches", "searches_run", "statements_generated",
+        "pairwise_leaves", "pairwise_cells"]
 print(json.dumps({{key: counts[key] for key in sorted(keys)}}))
 """
 

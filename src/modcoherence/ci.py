@@ -502,13 +502,17 @@ class _Saturation:
     def __init__(self, base: Iterable[CIStatement], memo: Memo, universe: VarSet, budget: int) -> None:
         if budget <= 0:
             raise ValueError("budget must be positive")
-        base = sorted(set(base), key=CIStatement.sort_key)
+        base = frozenset(base)
         for s in base:
-            if not s.symbols() <= universe:
-                raise UniverseError(f"base statement {s.render()} leaves the universe")
+            if not (universe.issuperset(s.a) and universe.issuperset(s.b)
+                    and universe.issuperset(s.c)):
+                # the first statement to leave it in the order a run files the base
+                stray = min((x for x in base if not x.symbols() <= universe),
+                            key=CIStatement.sort_key)
+                raise UniverseError(f"base statement {stray.render()} leaves the universe")
         self.universe = memo._mask(universe)
         self.budget = budget
-        self.unfiled = base  # encoded and indexed by the first run
+        self.unfiled = base  # sorted, encoded and indexed by the first run
         self.known: dict[_Triple, _Prov] = {}
         self.status: Optional[str] = None  # "not_derivable" | "budget_exhausted" once ended
         # the statements still to expand and the contraction indexes: by_ctx
@@ -524,9 +528,9 @@ class _Saturation:
         """Continue the search until ``goal`` is known (True) or the closure
         is complete or the budget spent (False).  Statements are expanded in
         full, so the next run resumes where this one stopped; the first run
-        files the base first."""
+        files the base first, in ``sort_key`` order."""
         known = self.known
-        for s in self.unfiled:
+        for s in sorted(self.unfiled, key=CIStatement.sort_key):
             t = memo.encode(s)
             known[t] = None
             self.agenda.append(t)

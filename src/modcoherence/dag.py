@@ -125,20 +125,30 @@ def build_dag(
     return dag
 
 
-def _validate_query(dag: Dag, a: VarSet, b: VarSet, c: VarSet) -> tuple[int, int, int]:
-    """The masks of a query's sides, after refusing a name that is not a
-    node, an empty side or overlapping sides with the error that
-    :func:`normalize` raises for any statement."""
-    bit = dag._masks[0]
+def _side_mask(bit: dict[Symbol, int], side: VarSet, field: str) -> int:
+    """The mask of ``side``, a frozenset, checked in the same OR pass: a name
+    that is not a str is refused as :func:`_symbols` refuses it, and a side
+    naming a str that is not a node gets -1."""
+    mask = 0  # an OR loop: half the time of sum(map(...)) on a one- or two-name side
     try:
-        sides = _mask(bit, a), _mask(bit, b), _mask(bit, c)
+        for name in side:
+            if name.__class__ is not str:  # even one equal to a node's name; a str subclass passes
+                _symbols(side, field)
+            mask |= bit[name]
     except KeyError:
-        stray = sorted((a | b | c) - dag.node_names)
-        raise UnknownSymbol(f"query mentions undeclared nodes: {stray}") from None
-    am, bm, cm = sides
-    if not (am and bm) or am & bm or am & cm or bm & cm:
-        normalize(a, b, c)  # raises EmptySide or OverlappingSets
-    return sides
+        _symbols(side, field)  # raises for a name that is not a str
+        return -1
+    return mask
+
+
+def _refuse(dag: Dag, a: VarSet, b: VarSet, c: VarSet) -> None:
+    """Raise the error of a query whose sides, each a set of str, name a
+    symbol that is not a node, or are empty or overlap as :func:`normalize`
+    refuses them."""
+    stray = sorted((a | b | c) - dag.node_names)
+    if stray:
+        raise UnknownSymbol(f"query mentions undeclared nodes: {stray}")
+    normalize(a, b, c)  # raises EmptySide or OverlappingSets
 
 
 def _mask(bit: dict[Symbol, int], names: Iterable[Symbol]) -> int:
@@ -146,16 +156,6 @@ def _mask(bit: dict[Symbol, int], names: Iterable[Symbol]) -> int:
     for name in names:
         mask |= bit[name]
     return mask
-
-
-def _spread(frontier: int, to: tuple[int, ...]) -> int:
-    """The union of ``to``'s masks over the nodes in ``frontier``."""
-    out = 0
-    while frontier:
-        k = frontier.bit_length() - 1
-        out |= to[k]
-        frontier ^= 1 << k
-    return out
 
 
 def d_separated(
@@ -174,24 +174,52 @@ def d_separated(
     its first query: the closure runs over the dependency masks and the
     ancestors of the conditioning set are an OR of theirs.  Each side is a
     collection of symbols: a bare str is refused, not split into characters.
+    A ``frozenset`` side is checked in the OR pass that makes its mask; any
+    other side is read through :func:`ci._symbols` first.  A name that is
+    not a str, a name that is not a node, an empty side and overlapping
+    sides are refused in that order of precedence.
     """
-    a, b, c = _symbols(a, "a"), _symbols(b, "b"), _symbols(c, "c")
-    am, bm, cm = _validate_query(dag, a, b, c)
     bit, parents, children, ancestors, deps = dag._masks
+    if a.__class__ is not frozenset:
+        a = _symbols(a, "a")
+    am = _side_mask(bit, a, "a")
+    if b.__class__ is not frozenset:
+        b = _symbols(b, "b")
+    bm = _side_mask(bit, b, "b")
+    if c.__class__ is not frozenset:
+        c = _symbols(c, "c")
+    cm = _side_mask(bit, c, "c")
+    if am <= 0 or bm <= 0 or cm < 0 or am & bm or am & cm or bm & cm:
+        _refuse(dag, a, b, c)
     z = _determined_mask(cm, deps) & (1 << len(bit)) - 1
-    an_z = _spread(z, ancestors)
+    an_z, rest = 0, z
+    while rest:
+        k = rest.bit_length() - 1
+        an_z |= ancestors[k]
+        rest ^= 1 << k
     hit = bm & ~z
     # "up" holds the nodes a trail arrived at from a child (or query
-    # sources), "down" those it arrived at from a parent
+    # sources), "down" those it arrived at from a parent; each layer ORs
+    # the parents of the nodes it leaves upward and the children of those
+    # it leaves downward
     up, down = am, 0
     seen_up, seen_down = up, 0
     while up | down:
         if (up | down) & hit:
             return False
         free = up & ~z
-        next_up = _spread(free | down & an_z, parents)
-        next_down = _spread(free | down & ~z, children)
-        up, down = next_up & ~seen_up, next_down & ~seen_down
+        to_parents, to_children = free | down & an_z, free | down & ~z
+        up = down = 0
+        while to_parents:
+            k = to_parents.bit_length() - 1
+            up |= parents[k]
+            to_parents ^= 1 << k
+        while to_children:
+            k = to_children.bit_length() - 1
+            down |= children[k]
+            to_children ^= 1 << k
+        up &= ~seen_up
+        down &= ~seen_down
         seen_up |= up
         seen_down |= down
     return True

@@ -28,7 +28,7 @@ from modcoherence.ci import (
     determined_closure,
     normalize,
 )
-from modcoherence.dag import _validate_query
+from modcoherence.dag import UnknownSymbol, d_separated
 from modcoherence.panels import DegenerateLikelihood, Divergence, NonFiniteLogLikelihood
 from modcoherence.protocol import base_statements
 
@@ -189,7 +189,10 @@ def d_separated_reference(dag, a, b, c=()) -> bool:
     """``dag.d_separated`` as a breadth-first search over (node, direction)
     states held in sets, kept to check the bitmask search against."""
     a, b, c = frozenset(a), frozenset(b), frozenset(c)
-    _validate_query(dag, a, b, c)
+    stray = sorted((a | b | c) - dag.node_names)
+    if stray:
+        raise UnknownSymbol(f"query mentions undeclared nodes: {stray}")
+    normalize(a, b, c)  # refuses an empty side or overlapping sides
     z = determined_closure(c, dag.dependencies) & dag.node_names
     an_z = z | ancestors(dag, z)
     parents, children = adjacency(dag.edges)
@@ -215,6 +218,15 @@ def d_separated_reference(dag, a, b, c=()) -> bool:
                 visited.add(move)
                 frontier.append(move)
     return True
+
+
+def d_separated_both_ways(dag, a: set, b: set, c: set = frozenset()) -> bool:
+    """``d_separated`` asked with ``set`` sides, which it reads through
+    ``ci._symbols``, and with ``frozenset`` sides, the type a verdict
+    passes, which it checks in its mask pass; the two answers must agree."""
+    got = d_separated(dag, set(a), set(b), set(c))
+    assert d_separated(dag, frozenset(a), frozenset(b), frozenset(c)) is got, (a, b, c)
+    return got
 
 
 def local_markov_basis(dag) -> frozenset:

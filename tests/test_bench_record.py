@@ -2,7 +2,8 @@
 
 Host contention moves a case's wall time but not its CPU time
 (``time.process_time`` plus the time of the child processes the case
-waited for), so the record keeps both.  The script is
+waited for), so the record keeps both.  Its counting child tells the searches a query
+ran from those made only to check a base.  The script is
 stdlib-only and is loaded here by path, without running it.
 """
 
@@ -39,3 +40,31 @@ def test_a_layer_cases_cpu_time_counts_its_children():
     run = bench.run_layer(bench.ROOT, code)
     assert run["result"] > 0
     assert run["cpu_seconds"] >= run["result"]
+
+
+def test_searches_run_counts_each_search_once_when_it_first_runs():
+    """A premise goal makes its base's search without running it; a search
+    run by two queries counts once."""
+    bench = _bench_record()
+    code = ("s = p.build_system(2)\n"
+            "deps, universe, base = s.dependencies, s.universe, p.base_statements(s)\n"
+            "memo = ci.Memo(deps, universe)\n"
+            "ci.derive(base, deps, base[0], universe=universe, memo=memo)\n"
+            "ci.derive(base[1:], deps, base[1], universe=universe, memo=memo)\n"
+            "absent = ci.normalize({'theta_1'}, {'theta_2'})\n"
+            "for goal in (s.goal_chains[1, 'panel_independence'][-1], absent):\n"
+            "    ci.derive(base, deps, goal, universe=universe, memo=memo)\n"
+            "out = len(memo.searches)")
+    counts = bench.run_layer(bench.ROOT, code, bench.COUNT_CHILD)
+    assert (counts["searches"], counts["searches_run"]) == (2, 1)
+    assert counts["statements_generated"] > 0  # held by the search that ran
+
+
+def test_a_prove_pass_runs_no_search():
+    """Every query of the benchmark's prove jobs is a premise or reads a
+    stored proof: its searches check their bases and none runs."""
+    bench = _bench_record()
+    (code,) = (code for name, _, code in bench.LAYER_CASES if name == "prove_pass_seed1")
+    counts = bench.run_layer(bench.ROOT, code, bench.COUNT_CHILD)
+    got = counts["searches"], counts["searches_run"], counts["statements_generated"]
+    assert got == (14, 0, 0)

@@ -321,6 +321,28 @@ class TestDerive:
         # filed in the sorted order that base_statements lists them in
         assert list(search.known)[:len(base)] == list(map(memo.encode, base))
 
+    def test_the_first_stray_in_sort_key_order_is_named(self):
+        # two statements leave the universe, listed in reverse sort_key
+        # order; a search checks its base unsorted, and names the first
+        # stray in the order a run files the base, under any hash seed
+        base = [normalize({T1}, {T2}, {I0}), normalize({"Y"}, {T2}), normalize({"X"}, {T2})]
+        assert sorted(base, key=CIStatement.sort_key) == [base[2], base[1], base[0]]
+        with pytest.raises(UniverseError,
+                           match=r"^base statement X _\|\|_ theta_2 leaves the universe$"):
+            derive(base, goal=base[0], universe={T1, T2, I0})
+
+    def test_a_search_files_its_base_in_sort_key_order(self):
+        # the base listed in reverse: the first run files it sorted, as
+        # the search's counts and proofs depend on
+        system = build_system(2)
+        deps, universe = system.dependencies, system.universe
+        base = sorted(base_statements(system), key=CIStatement.sort_key, reverse=True)
+        memo = Memo(deps, universe)
+        goal = system.goal_chains[1, "panel_independence"][-1]
+        assert derive(base, deps, goal, universe=universe, memo=memo).proved
+        (search,) = memo.searches.values()
+        assert list(search.known)[:len(base)] == [memo.encode(s) for s in reversed(base)]
+
     def test_derive_requires_goal(self):
         with pytest.raises(ValueError):
             derive([normalize({T1}, {T2})])

@@ -27,6 +27,11 @@ from modcoherence.protocol import build_system, canonical_dag
 
 from .oracles import local_markov_basis
 
+# the side types a query may take: a verdict passes frozensets, which
+# d_separated checks in its mask pass, and reads any other through
+# ci._symbols first
+SIDE_TYPES = [frozenset, set, list, tuple]
+
 
 class TestBuildDag:
     def test_valid_chain(self):
@@ -145,12 +150,14 @@ class TestDSeparation:
         assert d_separated(dag2, {"B"}, {"C"}, {"S"})
         assert not d_separated(dag2, {"B"}, {"C"})
 
-    def test_query_validation(self):
+    @pytest.mark.parametrize("kind", SIDE_TYPES)
+    def test_query_validation(self, kind):
         dag = build_dag(["A", "B"], [])
-        with pytest.raises(UnknownSymbol):
-            d_separated(dag, {"A"}, {"Z"})
-        with pytest.raises(Exception):
-            d_separated(dag, {"A"}, {"A"})
+        with pytest.raises(UnknownSymbol, match=r"^query mentions undeclared nodes: \['Z'\]$"):
+            d_separated(dag, kind({"A"}), kind({"Z"}))
+        with pytest.raises(OverlappingSets, match=r"^sides must be pairwise disjoint: "
+                                                  r"\(\['A'\], \['A'\], \[\]\)$"):
+            d_separated(dag, kind({"A"}), kind({"A"}))
 
     def test_str_side_is_refused_not_split(self):
         # "BD" read as {"B", "D"} conditioned on the collider B and answered
@@ -163,29 +170,78 @@ class TestDSeparation:
         with pytest.raises(CIError, match="^a must be a collection of symbols, got 'theta_1'$"):
             d_separated(canonical_dag(build_system(2)), "theta_1", "theta_2", "I_+^0")
 
+    @pytest.mark.parametrize("kind", SIDE_TYPES)
     @pytest.mark.parametrize("side", [[1], ["A", None], [("A",)], None, 3])
-    def test_non_str_member_is_refused(self, side):
+    def test_non_str_member_is_refused(self, kind, side):
         dag = build_dag(["A", "B"], [("A", "B")])
+        side = side if side is None or side == 3 else kind(side)
         for sides in ((side, {"B"}, ()), ({"A"}, side, ()), ({"A"}, {"B"}, side)):
+            sides = [s if s is side else kind(s) for s in sides]
             with pytest.raises(CIError, match="must be a collection of symbols"):
                 d_separated(dag, *sides)
 
+    @pytest.mark.parametrize("kind", SIDE_TYPES)
     @pytest.mark.parametrize("a, b", [([], ["y"]), (["x"], [])])
-    def test_empty_side_is_refused_as_normalize_refuses_it(self, a, b):
+    def test_empty_side_is_refused_as_normalize_refuses_it(self, kind, a, b):
         dag = build_dag(["x", "y"], [("x", "y")])
         with pytest.raises(EmptySide) as refused:
             normalize(a, b)
         with pytest.raises(EmptySide, match=f"^{re.escape(str(refused.value))}$"):
-            d_separated(dag, a, b)
+            d_separated(dag, kind(a), kind(b))
 
+    @pytest.mark.parametrize("kind", SIDE_TYPES)
     @pytest.mark.parametrize("a, b, c", [(["x"], ["x"], []), (["x"], ["y"], ["x"]),
                                          (["x"], ["y"], ["y"]), (["x", "z"], ["y"], ["z"])])
-    def test_overlapping_sets_are_refused_as_normalize_refuses_them(self, a, b, c):
+    def test_overlapping_sets_are_refused_as_normalize_refuses_them(self, kind, a, b, c):
         dag = build_dag(["x", "y", "z"], [("x", "y")])
         with pytest.raises(OverlappingSets) as refused:
             normalize(a, b, c)
         with pytest.raises(OverlappingSets, match=f"^{re.escape(str(refused.value))}$"):
+            d_separated(dag, kind(a), kind(b), kind(c))
+
+    @pytest.mark.parametrize("a, b, c, error, message", [
+        (frozenset({"A"}), frozenset({"C"}), None, CIError,
+         r"c must be a collection of symbols, got None"),
+        (frozenset({"A"}), frozenset({"C"}), 3, CIError,
+         r"c must be a collection of symbols, got 3"),
+        (frozenset({"A"}), frozenset({"C"}), frozenset({1}), CIError,
+         r"c must be a collection of symbols, got frozenset\(\{1\}\)"),
+        (frozenset({1}), frozenset({"C"}), frozenset({"B"}), CIError,
+         r"a must be a collection of symbols, got frozenset\(\{1\}\)"),
+        (frozenset({"A"}), frozenset({"C"}), (n for n in [1]), CIError,
+         r"c must be a collection of symbols, got <generator object .*>"),
+        # a generator side is read once: its unknown node, its overlap
+        (frozenset({"A"}), frozenset({"C"}), (n for n in ["Z"]), UnknownSymbol,
+         r"query mentions undeclared nodes: \['Z'\]"),
+        ((n for n in ["A"]), frozenset({"C"}), frozenset({"A"}), OverlappingSets,
+         r"sides must be pairwise disjoint: \(\['A'\], \['C'\], \['A'\]\)"),
+        # a name that is not a str outranks a name that is not a node, on
+        # any side and within one side
+        (frozenset({"Z"}), frozenset({"C"}), frozenset({1}), CIError,
+         r"c must be a collection of symbols, got frozenset\(\{1\}\)"),
+        (frozenset({"A"}), [None], frozenset({"Z"}), CIError,
+         r"b must be a collection of symbols, got \[None\]"),
+        (frozenset({"A"}), frozenset({"C"}), ["Z", 1], CIError,
+         r"c must be a collection of symbols, got \['Z', 1\]"),
+        # a name that is not a node outranks an empty side
+        (frozenset(), frozenset({"C"}), frozenset({"Z"}), UnknownSymbol,
+         r"query mentions undeclared nodes: \['Z'\]"),
+    ], ids=["c-None", "c-3", "c-int-member", "a-int-member", "c-generator-int",
+            "c-generator-unknown", "a-generator-overlap", "unknown-then-non-str",
+            "non-str-list-then-unknown", "unknown-and-non-str-in-one-side",
+            "unknown-then-empty"])
+    def test_odd_sides_next_to_frozenset_sides(self, a, b, c, error, message):
+        """Each refusal a ``frozenset`` side's mask pass makes, or that the
+        pass hands back to the checks of any other side, keeps the class and
+        message of a query read through ``ci._symbols`` side by side."""
+        dag = build_dag(["A", "B", "C"], [("A", "B"), ("B", "C")])
+        with pytest.raises(error, match=f"^{message}$"):
             d_separated(dag, a, b, c)
+
+    def test_a_generator_side_is_answered(self):
+        dag = build_dag(["A", "B", "C"], [("A", "B"), ("B", "C")])
+        assert d_separated(dag, frozenset({"A"}), frozenset({"C"}), (n for n in ["B"]))
+        assert not d_separated(dag, (n for n in ["A"]), frozenset({"C"}), frozenset())
 
 
 class TestLocalMarkovBasis:

@@ -4,7 +4,9 @@
 through sets and a deque; ``d_separated`` runs the same moves as a layered
 search over int bitmasks.  They must agree on every query, with and without
 declared functional dependencies, which ``test_dsep_networkx.py`` cannot
-check.  Needs numpy only; each test pins how many queries it checked and
+check.  Each query is asked with ``set`` sides and with ``frozenset``
+sides, the type a verdict passes (see ``oracles.d_separated_both_ways``).
+Needs numpy only; each test pins how many queries it checked and
 how many of them were separated, so a sweep that shrinks shows.  The
 graph's own table is checked too: each node's ancestor mask against the
 reference walk, and a dependency that chains through a symbol that is not
@@ -22,7 +24,7 @@ from modcoherence.ci import EmptySide, FunctionalDependency, OverlappingSets, no
 from modcoherence.dag import CycleDetected, Dag, build_dag, d_separated
 from modcoherence.protocol import build_system, canonical_dag, confounded_dag
 
-from .oracles import ancestors, d_separated_reference
+from .oracles import ancestors, d_separated_both_ways, d_separated_reference
 
 
 def random_dag(rng: random.Random, n: int):
@@ -51,7 +53,7 @@ def random_query(rng: random.Random, names: list):
 def agree(dag, queries) -> tuple[int, int]:
     checked = separated = 0
     for a, b, c in queries:
-        ours = d_separated(dag, a, b, c)
+        ours = d_separated_both_ways(dag, a, b, c)
         assert ours == d_separated_reference(dag, a, b, c), (sorted(a), sorted(b), sorted(c))
         checked += 1
         separated += ours
