@@ -73,7 +73,7 @@ SECONDS = 20
 # verify_coherence_m32_repeat makes one bare verdict on an m=32 system
 # before ``restart()`` and times three more, so it shows a verdict after
 # a system's first at the largest panel count, which reads all 64 stored
-# goal proofs, slices nothing and applies no rule; at about 0.05 s a run
+# goal proofs, builds no memo, slices nothing and applies no rule; at about 0.05 s a run
 # it runs ten times; graphical_verdicts_m16 builds a
 # fresh m=16 system and its canonical and confounded graphs inside the
 # timed code and makes one graphical verdict on each, so it shows the cost
@@ -221,10 +221,11 @@ print(json.dumps({{"seconds": seconds, "cpu_seconds": cpu_seconds, "peak_rss_mb"
 # A layer case again, untimed, with every binding of the counted functions
 # in the package's modules replaced by a counting wrapper, and every
 # replaced attribute restored (and checked) before the counts are printed:
-# searches (``ci._Saturation``s created), searches run (those a query ran,
-# each counted once, when its first run starts) and the statements they
-# hold when each last stops (where ``ci`` files a base at a search's first
-# run, a search no query ran holds none), calls of ``ci.normalize``, ``ci.apply_axiom``,
+# memos (``ci.Memo``s built), searches (``ci._Saturation``s created),
+# searches run (those a query ran, each counted once, when its first run
+# starts) and the statements they hold when each last stops (where ``ci``
+# files a base at a search's first run, a search no query ran holds
+# none), calls of ``ci.normalize``, ``ci.apply_axiom``,
 # ``ci.derive_through``, ``Proof.replay`` and ``dag.d_separated``, and the
 # leaves and cells that ``panels._pairwise`` sweeps.  ``restart()`` drops
 # what the case's set-up counted.
@@ -289,6 +290,7 @@ for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "mo
         if isinstance(value, types.FunctionType) and value in functions:
             replace(module, name, calls(functions[value]))
 replace(ci.Proof, "replay", calls("replay"))
+replace(ci.Memo, "__init__", calls("memos"))
 replace(ci._Saturation, "__init__", created)
 replace(ci._Saturation, "run", ran)
 replace(panels, "_pairwise", swept)
@@ -307,8 +309,8 @@ counts["statements_generated"] = sum(sizes) - baseline
 for owner, name, original in reversed(replaced):
     setattr(owner, name, original)
 assert all(getattr(owner, name) is original for owner, name, original in replaced)
-keys = [*functions.values(), "replay", "searches", "searches_run", "statements_generated",
-        "pairwise_leaves", "pairwise_cells"]
+keys = [*functions.values(), "replay", "memos", "searches", "searches_run",
+        "statements_generated", "pairwise_leaves", "pairwise_cells"]
 print(json.dumps({{key: counts[key] for key in sorted(keys)}}))
 """
 

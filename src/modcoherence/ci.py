@@ -99,6 +99,10 @@ class CIStatement(Record):
     def symbols(self) -> VarSet:
         return self.a | self.b | self.c
 
+    def within(self, universe: VarSet) -> bool:
+        """Whether every symbol lies in ``universe``, building no set."""
+        return universe.issuperset(self.a) and universe.issuperset(self.b) and universe.issuperset(self.c)
+
     def render(self) -> str:
         left = ",".join(sorted(self.a))
         right = ",".join(sorted(self.b))
@@ -330,6 +334,11 @@ class Proof(Record):
         return self.goal in avail
 
 
+def premise_proof(goal: CIStatement) -> Proof:
+    """A base statement's zero-step proof: the statement itself, by no rule."""
+    return Proof((goal,), (), goal)
+
+
 class ClosureResult(Record):
     statements: frozenset
     complete: bool
@@ -504,10 +513,9 @@ class _Saturation:
             raise ValueError("budget must be positive")
         base = frozenset(base)
         for s in base:
-            if not (universe.issuperset(s.a) and universe.issuperset(s.b)
-                    and universe.issuperset(s.c)):
+            if not s.within(universe):
                 # the first statement to leave it in the order a run files the base
-                stray = min((x for x in base if not x.symbols() <= universe),
+                stray = min((x for x in base if not x.within(universe)),
                             key=CIStatement.sort_key)
                 raise UniverseError(f"base statement {stray.render()} leaves the universe")
         self.universe = memo._mask(universe)
@@ -700,7 +708,9 @@ def derive(
     A goal in the base, once the budget, the base and the goal are checked,
     is its own zero-step proof, with the base's size as its count, as a
     fresh search stopping at once would report; no search runs for it, and
-    a search no query has run has not yet encoded or indexed its base.
+    the search made to check the base encodes and indexes nothing until a
+    query runs it.  (An axiomatic verdict answers its premises with the
+    same :func:`premise_proof` and makes no search for them.)
     """
     if goal is None:
         raise ValueError("derive requires a goal statement")
@@ -712,7 +722,7 @@ def derive(
     if not goal.symbols() <= universe:
         raise UniverseError(f"goal {goal.render()} leaves the universe")
     if goal in base:
-        return DeriveResult("proved", Proof((goal,), (), goal), len(base))
+        return DeriveResult("proved", premise_proof(goal), len(base))
     if not search.run(memo, goal):
         return DeriveResult(search.status, None, len(search.known))
     proof = search.extract_proof(memo, goal)

@@ -36,6 +36,7 @@ from .ci import (
     derive,
     derive_through,
     normalize,
+    premise_proof,
 )
 from .dag import Dag, build_dag, d_separated
 
@@ -77,9 +78,10 @@ class PanelSystem(Record):
     (``lumpings``: lumped universe, ``lump``, ``expand`` and the lumped
     waypoints of its two goal chains); and its goals' proofs from its own
     conditions (``goal_proofs``), read wherever a verdict's base holds
-    their premises.  No verdict's base, slice, memo or table is kept: only
-    each ``expand``'s cache tells which of the at most 64 lumped sides
-    verdicts have expanded."""
+    their premises.  No verdict's base, slice, memo or table is kept, and
+    a verdict makes its memo only for a query that derives (see
+    :func:`_decider`): only each ``expand``'s cache tells which of the at
+    most 64 lumped sides verdicts have expanded."""
 
     m: int
     common = "I_0^0"
@@ -424,36 +426,49 @@ def _derive_lumped(
 
 
 def _decider(sys: PanelSystem, mode: Mode) -> Decide:
-    """The mode's ``(status, proof)`` for a statement.  Axiomatic mode tries a
-    goal's lumped derivation first, then one unconstrained search of the
-    full system, so every status but ``proved`` comes from the full system;
-    a base statement, such as a condition's, is its own zero-step proof
-    (see :func:`~modcoherence.ci.derive`).  The lumped derivation is the
-    system's own (``sys.goal_proofs``) where that is ``proved``, made at
-    most ``mode.budget`` statements and the base holds its premises, as a
-    derivation holds in any base that holds its premises; else
-    :func:`_derive_lumped` makes it.  The base is frozen once per verdict,
-    and its queries share one memo, and its lumped derivations one table
-    and one slice of the base per panel, which live as long as the
-    decider, one verdict.  Graphical mode asks d-separation."""
+    """The mode's ``(status, proof)`` for a statement.  Axiomatic mode answers
+    a statement of the base, such as a condition's, with no search, by
+    :func:`~modcoherence.ci.premise_proof`, the record
+    :func:`~modcoherence.ci.derive` gives for a premise.  A goal's lumped
+    derivation comes first: the system's own (``sys.goal_proofs``) where
+    that is ``proved``, made at most ``mode.budget`` statements and the
+    base holds its premises, as a derivation holds in any base that holds
+    its premises; else :func:`_derive_lumped` makes it.  Any other
+    statement, and a goal with no lumped proof, goes to one unconstrained
+    search of the full system, so every status but ``proved`` comes from
+    the full system.  The base is checked against the universe (by
+    :meth:`~modcoherence.ci.CIStatement.within`, as a search checks its
+    base), and the budget checked, before any statement is decided; it is
+    frozen once per verdict.  The verdict's
+    one memo, its table of lumped derivations and its slice of the base
+    per panel are made by the first query that derives, if any, and live
+    as long as the decider, one verdict.  Graphical mode asks
+    d-separation."""
     if isinstance(mode, AxiomaticMode):
+        universe = sys.universe
         for stmt in mode.base:
-            if not stmt.symbols() <= sys.universe:
+            if not stmt.within(universe):
                 raise UniverseMismatch(f"base statement {stmt.render()} leaves the system universe")
+        if mode.budget <= 0:
+            raise ValueError("budget must be positive")
         base = frozenset(mode.base)
-        memo = Memo(sys.dependencies, sys.universe)
-        table: dict = {}
-        slices: dict = {}
+
+        @functools.cache
+        def shared() -> tuple[Memo, dict, dict]:  # memo, lumped table, slices
+            return Memo(sys.dependencies, universe), {}, {}
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
                 result = sys.goal_proofs[route]
                 if not (result.proved and result.generated <= mode.budget
                         and base.issuperset(result.proof.premises)):
-                    result = _derive_lumped(sys, base, route, mode.budget, memo, table, slices)
+                    result = _derive_lumped(sys, base, route, mode.budget, *shared())
                 if result.proved:
                     return result.status, result.proof
-            result = derive(base, memo.deps, stmt, mode.budget, memo.universe, memo=memo)
+            if stmt in base:
+                return "proved", premise_proof(stmt)
+            memo = shared()[0]
+            result = derive(base, memo.deps, stmt, mode.budget, universe, memo=memo)
             return result.status, result.proof
 
         return derived
@@ -490,10 +505,12 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     """Check the coherence conclusion: panel-independent beliefs plus
     own-evidence-only updating for every panel.
 
-    In axiomatic mode the verdict's derivations share one memo, one table
-    of lumped derivations and one slice of the base per panel, dropped when
-    the verdict is made (see :func:`_decider`); only the system's goal
-    proofs and each panel's lumping, made once per system, outlive it.
+    In axiomatic mode a statement of the base, such as a condition's, is
+    its own zero-step proof, and the verdict's derivations, if any, share
+    one memo, one table of lumped derivations and one slice of the base
+    per panel, made by the first query that derives and dropped when the
+    verdict is made (see :func:`_decider`); only the system's goal proofs
+    and each panel's lumping, made once per system, outlive it.
     Every lumped proof is expanded into panel i's names and checked step
     by step in the full system as it is expanded (see
     :func:`_derive_lumped`): the system's own once, when it is made, and

@@ -569,6 +569,118 @@ class TestMemo:
         assert verdict.sound_and_distributed
 
 
+class TestVerdictPremises:
+    """An axiomatic verdict answers a statement of its base itself, as
+    ``ci.derive`` answers a premise, and builds its memo only for a query
+    that derives."""
+
+    @staticmethod
+    def _record_memos(monkeypatch):
+        """A list that fills with each memo ``protocol`` builds."""
+        memos, memo = [], protocol.Memo
+        monkeypatch.setattr(protocol, "Memo", lambda *args: memos.append(memo(*args)) or memos[-1])
+        return memos
+
+    @staticmethod
+    def _record_answers(monkeypatch):
+        """A dict that fills with each ``(statement, route)`` a verdict
+        decides and the ``(status, proof)`` it gives."""
+        answers, decider = {}, protocol._decider
+
+        def recording(sys, mode):
+            decide = decider(sys, mode)
+
+            def recorded(stmt, route=None):
+                answers[stmt, route] = decide(stmt, route)
+                return answers[stmt, route]
+            return recorded
+
+        monkeypatch.setattr(protocol, "_decider", recording)
+        return answers
+
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_a_verdict_whose_base_holds_every_condition_builds_no_memo(self, monkeypatch, m):
+        """The bare conditions, and the conditions with extras that only add
+        to the base, are all premises and every goal reads the system's own
+        proof: no memo is built, and each condition statement is its own
+        zero-step proof."""
+        sys = build_system(m)
+        assert len(sys.goal_proofs) == 2 * m  # made once per system, with its own memo
+        conditions = base_statements(sys)
+        extras = (normalize({"I_12^0"}, {"theta_1"}, {"I_0^0"}),
+                  normalize({"theta_1"}, {"theta_2"}))
+        memos = self._record_memos(monkeypatch)
+        for base in (conditions, extras + conditions):
+            verdict = verify_coherence(sys, AxiomaticMode(base))
+            assert memos == []
+            assert verdict.sound_and_distributed
+            for status in verdict.conditions:
+                assert status.witnesses == tuple(ci.Proof((s,), (), s) for s in status.statements)
+
+    def test_a_base_without_a_condition_statement_builds_one_memo(self, monkeypatch):
+        """Without one condition's first statement a verdict builds one
+        memo, shared by that statement's search and any goal's lumped
+        derivation or search, and the statement's status and proof are
+        ``ci.derive``'s.  At budget 2,000 the eight bases at m = 2 and 3
+        end that statement's search in each way a search ends."""
+        memos = self._record_memos(monkeypatch)
+        answers = self._record_answers(monkeypatch)
+        statuses = set()
+        for m in (2, 3):
+            sys = build_system(m)
+            assert len(sys.goal_proofs) == 2 * m  # made once per system, with its own memo
+            for kind in ALL_CONDITIONS:
+                dropped = sys.condition_statements[kind][0]
+                base = tuple(s for s in base_statements(sys) if s != dropped)
+                memos.clear()
+                verify_coherence(sys, AxiomaticMode(base, 2_000))
+                assert len(memos) == 1
+                expected = derive(base, sys.dependencies, dropped, 2_000, sys.universe)
+                assert answers[dropped, None] == (expected.status, expected.proof)
+                statuses.add(expected.status)
+        assert statuses == {"proved", "not_derivable", "budget_exhausted"}
+
+    @pytest.mark.parametrize("m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8)])
+    def test_verdicts_match_a_decider_that_derives_every_condition(self, monkeypatch, m,
+                                                                    budget, instances):
+        """On ``TestMemo``'s seeded bases, a verdict equals the one a decider
+        gives that sends every condition statement through ``ci.derive``,
+        memo-less, and every goal through the verdict's own decider."""
+        sys = build_system(m)
+        decider = protocol._decider
+
+        def reference(sys, mode):
+            decide = decider(sys, mode)
+
+            def decided(stmt, route=None):
+                if route is not None:
+                    return decide(stmt, route)
+                result = derive(mode.base, sys.dependencies, stmt, mode.budget, sys.universe)
+                return result.status, result.proof
+            return decided
+
+        for seed in range(instances):
+            mode = _random_mode(random.Random(seed), sys, budget)
+            verdict = verify_coherence(sys, mode)
+            monkeypatch.setattr(protocol, "_decider", reference)
+            assert verify_coherence(sys, mode) == verdict
+            monkeypatch.undo()
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_a_budget_below_one_is_refused_before_any_statement(self, budget):
+        """The budget is refused when the decider is made, before any
+        statement is decided; a statement outside the universe is refused
+        first."""
+        sys = build_system(2)
+        stray = normalize({"theta_9"}, {"theta_1"})
+        for make in (protocol._decider, verify_coherence):
+            with pytest.raises(ValueError, match=r"^budget must be positive$"):
+                make(sys, AxiomaticMode(base_statements(sys), budget))
+            with pytest.raises(UniverseMismatch, match=r"^base statement theta_1 _\|\|_ "
+                                                       r"theta_9 leaves the system universe$"):
+                make(sys, AxiomaticMode(base_statements(sys, statements=(stray,)), budget))
+
+
 class TestLumpedRoute:
     @staticmethod
     def _record_lumped(monkeypatch):
@@ -891,8 +1003,8 @@ class TestLumpedRoute:
         """The system keeps its goal proofs, so a second verdict on it reads
         all of them and equals the first: it makes no lumped derivation,
         applies no rule and takes no slice, and since every condition
-        statement is a premise, its full-system search files no statement
-        in its indexes."""
+        statement is a premise, it makes no search and files no statement
+        in any index."""
         sys = build_system(m)
         mode = AxiomaticMode(base_statements(sys))
         results = self._record_lumped(monkeypatch)
