@@ -719,7 +719,7 @@ def derive(
     search = memo.searches.get((universe, base, budget))
     if search is None:  # checks the budget and the base
         search = memo.searches[universe, base, budget] = _Saturation(base, memo, universe, budget)
-    if not goal.symbols() <= universe:
+    if not goal.within(universe):
         raise UniverseError(f"goal {goal.render()} leaves the universe")
     if goal in base:
         return DeriveResult("proved", premise_proof(goal), len(base))

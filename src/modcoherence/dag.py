@@ -4,9 +4,10 @@ Separation queries may condition through declared functional dependencies:
 the conditioning set is first closed under "is a function of" facts, which is
 sound because deterministic functions of observed symbols carry no extra
 information.  With no dependencies declared this is standard d-separation.
-A query runs over int bitmasks, one bit per node in sorted-name order, and
-reads every mask that depends on the graph alone (parents, children,
-ancestors and dependencies) from a table its ``Dag`` builds once.
+Every ``Dag`` is checked when it is made.  A query is Shachter's Bayes-ball
+run over int bitmasks, one bit per node in sorted-name order, and reads
+every mask that depends on the graph alone (parents, children and
+dependencies) from a table its ``Dag`` builds once.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .ci import (
     FunctionalDependency,
     Symbol,
     VarSet,
-    _dependency_symbols,
     _determined_mask,
     _symbols,
     normalize,
@@ -52,44 +52,53 @@ class Dag(Record):
     edges: tuple[tuple[Symbol, Symbol], ...]
     dependencies: tuple[FunctionalDependency, ...] = ()
 
+    def _validate(self) -> None:
+        """Refuse, in this order, a name that is not a str, duplicate nodes,
+        an edge with an undeclared endpoint or a self-loop, a cycle (named by
+        its path) and a dependency on a symbol that is not a node."""
+        nodes, edges = self.nodes, self.edges
+        for n in (*nodes, *(end for edge in edges for end in edge)):
+            if not isinstance(n, str):
+                raise DagError(f"node names must be strings, got {n!r}")
+        if len(self.node_names) != len(nodes):
+            dupes = sorted({n for n in nodes if nodes.count(n) > 1})
+            raise DuplicateNode(f"duplicate node names: {dupes}")
+        for u, v in edges:
+            if u not in self.node_names or v not in self.node_names:
+                raise UnknownEndpoint(f"edge {u}->{v} references an undeclared node")
+            if u == v:
+                raise CycleDetected(f"self-loop at {u}")
+        parents: dict = {}
+        for u, v in edges:
+            parents.setdefault(v, []).append(u)
+        try:
+            tuple(TopologicalSorter(parents).static_order())
+        except CycleError as exc:
+            raise CycleDetected(f"nodes are in a cycle: {' -> '.join(exc.args[1])}") from exc
+        for dep in self.dependencies:
+            stray = (dep.determined | dep.determiners) - self.node_names
+            if stray:
+                raise UnknownSymbol(f"dependency mentions undeclared nodes: {sorted(stray)}")
+
     @functools.cached_property
     def node_names(self) -> VarSet:
         return frozenset(self.nodes)
 
     @functools.cached_property
     def _masks(self) -> tuple:
-        """Each node's bit, in sorted-name order; each node's parent, child
-        and ancestor-or-self masks by position; and each dependency as a
-        ``(determiners, determined)`` pair of masks, in which a symbol that
-        is not a node has a bit above the nodes'."""
+        """Each node's bit, in sorted-name order; each node's parent and
+        child masks by position; and each dependency as a
+        ``(determiners, determined)`` pair of masks."""
         pos = {n: k for k, n in enumerate(sorted(self.nodes))}
         parents, children = [0] * len(pos), [0] * len(pos)
-        outof: list[list[int]] = [[] for _ in pos]  # each node's children by position
-        pending = [0] * len(pos)  # each node's parents not yet in ``order``
         for u, v in self.edges:
             ku, kv = pos[u], pos[v]
             parents[kv] |= 1 << ku
             children[ku] |= 1 << kv
-            outof[ku].append(kv)
-            pending[kv] += 1
-        # a topological order (Kahn's), so each node ORs its parents'
-        # finished masks into its own: one OR per edge
-        ancestors = [1 << k for k in range(len(pos))]
-        order = [k for k, n in enumerate(pending) if not n]
-        for k in order:
-            for j in outof[k]:
-                ancestors[j] |= ancestors[k]
-                pending[j] -= 1
-                if not pending[j]:
-                    order.append(j)
-        if len(order) < len(pos):  # a Dag made without build_dag's checks
-            raise CycleDetected("nodes are in a cycle")
         bit = {n: 1 << k for n, k in pos.items()}
-        stray = sorted(_dependency_symbols(self.dependencies) - bit.keys())
-        dep_bit = {**bit, **{s: 1 << k for k, s in enumerate(stray, len(pos))}}
-        deps = tuple((_mask(dep_bit, d.determiners), _mask(dep_bit, d.determined))
+        deps = tuple((_mask(bit, d.determiners), _mask(bit, d.determined))
                      for d in self.dependencies)
-        return bit, tuple(parents), tuple(children), tuple(ancestors), deps
+        return bit, tuple(parents), tuple(children), deps
 
 
 def build_dag(
@@ -97,32 +106,9 @@ def build_dag(
     edges: Iterable[tuple[Symbol, Symbol]],
     dependencies: Iterable[FunctionalDependency] = (),
 ) -> Dag:
-    """Validate and freeze a DAG; raises on non-str names, duplicates, stray endpoints, cycles."""
-    nodes, edges = tuple(nodes), tuple((u, v) for u, v in edges)
-    for n in (*nodes, *(end for edge in edges for end in edge)):
-        if not isinstance(n, str):
-            raise DagError(f"node names must be strings, got {n!r}")
-    dag = Dag(nodes, edges, tuple(dependencies))
-    if len(dag.node_names) != len(nodes):
-        dupes = sorted({n for n in nodes if nodes.count(n) > 1})
-        raise DuplicateNode(f"duplicate node names: {dupes}")
-    for u, v in edges:
-        if u not in dag.node_names or v not in dag.node_names:
-            raise UnknownEndpoint(f"edge {u}->{v} references an undeclared node")
-        if u == v:
-            raise CycleDetected(f"self-loop at {u}")
-    parents: dict = {}
-    for u, v in edges:
-        parents.setdefault(v, []).append(u)
-    try:
-        tuple(TopologicalSorter(parents).static_order())
-    except CycleError as exc:
-        raise CycleDetected(f"nodes are in a cycle: {' -> '.join(exc.args[1])}") from exc
-    for dep in dag.dependencies:
-        stray = (dep.determined | dep.determiners) - dag.node_names
-        if stray:
-            raise UnknownSymbol(f"dependency mentions undeclared nodes: {sorted(stray)}")
-    return dag
+    """A ``Dag`` of these nodes, edges (each a pair) and dependencies, each
+    read into a tuple; the ``Dag`` checks itself, see :meth:`Dag._validate`."""
+    return Dag(tuple(nodes), tuple((u, v) for u, v in edges), tuple(dependencies))
 
 
 def _side_mask(bit: dict[Symbol, int], side: VarSet, field: str) -> int:
@@ -166,20 +152,22 @@ def d_separated(
 ) -> bool:
     """True iff every path between ``a`` and ``b`` is blocked given ``c``.
 
-    Active-trail reachability (Bayes-ball) over (node, direction) states,
-    run as a layered search over int bitmasks, one bit per node in
-    sorted-name order; the conditioning set is enlarged to its
+    Active-trail reachability (Shachter's Bayes-ball) over (node,
+    direction) states, run as a layered search over int bitmasks, one bit
+    per node in sorted-name order; the conditioning set is enlarged to its
     functional-dependency closure first.  A query reads the graph's parent,
-    child, ancestor and dependency masks from ``dag``'s own table, made on
-    its first query: the closure runs over the dependency masks and the
-    ancestors of the conditioning set are an OR of theirs.  Each side is a
+    child and dependency masks from ``dag``'s own table, made on its first
+    query, and the closure runs over the dependency masks.  A trail that
+    reaches an observed node from a parent bounces back up to that node's
+    parents, so a collider with an observed descendant is passed through
+    along the directed path down to it and back.  Each side is a
     collection of symbols: a bare str is refused, not split into characters.
     A ``frozenset`` side is checked in the OR pass that makes its mask; any
     other side is read through :func:`ci._symbols` first.  A name that is
     not a str, a name that is not a node, an empty side and overlapping
     sides are refused in that order of precedence.
     """
-    bit, parents, children, ancestors, deps = dag._masks
+    bit, parents, children, deps = dag._masks
     if a.__class__ is not frozenset:
         a = _symbols(a, "a")
     am = _side_mask(bit, a, "a")
@@ -191,12 +179,7 @@ def d_separated(
     cm = _side_mask(bit, c, "c")
     if am <= 0 or bm <= 0 or cm < 0 or am & bm or am & cm or bm & cm:
         _refuse(dag, a, b, c)
-    z = _determined_mask(cm, deps) & (1 << len(bit)) - 1
-    an_z, rest = 0, z
-    while rest:
-        k = rest.bit_length() - 1
-        an_z |= ancestors[k]
-        rest ^= 1 << k
+    z = _determined_mask(cm, deps)
     hit = bm & ~z
     # "up" holds the nodes a trail arrived at from a child (or query
     # sources), "down" those it arrived at from a parent; each layer ORs
@@ -208,7 +191,7 @@ def d_separated(
         if (up | down) & hit:
             return False
         free = up & ~z
-        to_parents, to_children = free | down & an_z, free | down & ~z
+        to_parents, to_children = free | down & z, free | down & ~z
         up = down = 0
         while to_parents:
             k = to_parents.bit_length() - 1

@@ -186,8 +186,13 @@ def ancestors(dag, of) -> frozenset:
 
 
 def d_separated_reference(dag, a, b, c=()) -> bool:
-    """``dag.d_separated`` as a breadth-first search over (node, direction)
-    states held in sets, kept to check the bitmask search against."""
+    """d-separation as a breadth-first search over (node, direction) states
+    held in sets, kept to check the bitmask search against.  It is the an(Z)
+    search of Koller & Friedman (2009, Alg. 3.1): a trail arriving from a
+    parent at an ancestor of the conditioning set Z, or at Z itself, turns
+    up to its parents.  ``dag.d_separated`` instead bounces only at Z
+    (Bayes-ball), so this reference is now a different algorithm that must
+    reach the same answers."""
     a, b, c = frozenset(a), frozenset(b), frozenset(c)
     stray = sorted((a | b | c) - dag.node_names)
     if stray:

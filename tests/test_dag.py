@@ -16,6 +16,7 @@ import modcoherence
 from modcoherence.ci import CIError, EmptySide, FunctionalDependency, OverlappingSets, normalize
 from modcoherence.dag import (
     CycleDetected,
+    Dag,
     DagError,
     DuplicateNode,
     UnknownEndpoint,
@@ -33,69 +34,76 @@ from .oracles import local_markov_basis
 SIDE_TYPES = [frozenset, set, list, tuple]
 
 
+def refused(error, nodes, edges, deps=(), match=None) -> Exception:
+    """The error ``build_dag`` raises, after checking that a ``Dag`` made
+    directly of the same tuples raises the same class and message."""
+    with pytest.raises(error, match=match) as built:
+        build_dag(nodes, edges, deps)
+    with pytest.raises(error) as made:
+        Dag(tuple(nodes), tuple(edges), tuple(deps))
+    assert type(made.value) is type(built.value) and str(made.value) == str(built.value)
+    return built.value
+
+
 class TestBuildDag:
     def test_valid_chain(self):
         dag = build_dag(["A", "B", "C"], [("A", "C"), ("C", "B")])
         assert dag.nodes == ("A", "B", "C") and dag.edges == (("A", "C"), ("C", "B"))
 
     def test_cycle_detected(self):
-        with pytest.raises(CycleDetected):
-            build_dag(["A", "B"], [("A", "B"), ("B", "A")])
-        with pytest.raises(CycleDetected):
-            build_dag(["A"], [("A", "A")])
+        refused(CycleDetected, ["A", "B"], [("A", "B"), ("B", "A")],
+                match="^nodes are in a cycle: B -> A -> B$")
+        refused(CycleDetected, ["A"], [("A", "A")], match="^self-loop at A$")
 
     def test_unknown_endpoint(self):
-        with pytest.raises(UnknownEndpoint):
-            build_dag(["A"], [("A", "Z")])
+        refused(UnknownEndpoint, ["A"], [("A", "Z")],
+                match="^edge A->Z references an undeclared node$")
 
     def test_duplicate_node(self):
-        with pytest.raises(DuplicateNode):
-            build_dag(["A", "A"], [])
+        refused(DuplicateNode, ["A", "A"], [], match=re.escape("duplicate node names: ['A']"))
 
     def test_names_are_kept_as_given(self):
         # a name is a string, never coerced: {1} would not find a node '1'
-        with pytest.raises(DagError, match="node names must be strings, got 1"):
-            build_dag([1, 2, 3], [(1, 3), (3, 2)])
+        refused(DagError, [1, 2, 3], [(1, 3), (3, 2)], match="node names must be strings, got 1")
         dag = build_dag(["1", "2", "3"], [("1", "3"), ("3", "2")])
         assert dag.nodes == ("1", "2", "3")
         assert d_separated(dag, {"1"}, {"2"}, {"3"})
 
     def test_mixed_name_types_are_not_duplicates(self):
-        with pytest.raises(DagError, match="node names must be strings, got 1") as info:
-            build_dag(["1", 1], [])
-        assert not isinstance(info.value, DuplicateNode)
+        error = refused(DagError, ["1", 1], [], match="node names must be strings, got 1")
+        assert not isinstance(error, DuplicateNode)
 
     @pytest.mark.parametrize("edge, shown", [((["A"], "A"), "['A']"), (("A", 1), "1"),
                                              (("A", None), "None")])
     def test_edge_endpoints_must_be_strings(self, edge, shown):
         # an unhashable endpoint raised a bare TypeError from the node lookup
-        with pytest.raises(DagError, match=f"node names must be strings, got {re.escape(shown)}$"):
-            build_dag(["A"], [edge])
+        refused(DagError, ["A"], [edge], match=f"node names must be strings, got {re.escape(shown)}$")
 
     def test_dependency_symbols_validated(self):
-        with pytest.raises(UnknownSymbol):
-            build_dag(["A"], [], [FunctionalDependency(frozenset({"A"}), frozenset({"Z"}))])
+        refused(UnknownSymbol, ["A"], [], [FunctionalDependency(frozenset({"A"}), frozenset({"Z"}))],
+                match=re.escape("dependency mentions undeclared nodes: ['Z']"))
 
     def test_cycle_reported_before_dependency_symbols(self):
-        with pytest.raises(CycleDetected):
-            build_dag(["A", "B"], [("A", "B"), ("B", "A")],
-                      [FunctionalDependency(frozenset({"A"}), frozenset({"Z"}))])
+        refused(CycleDetected, ["A", "B"], [("A", "B"), ("B", "A")],
+                [FunctionalDependency(frozenset({"A"}), frozenset({"Z"}))])
 
     def test_cycle_message_is_the_same_under_every_hash_seed(self):
         # the sorter reads predecessors in edge order, so the cycle it names
         # does not follow the iteration order of a set of names
-        code = ("from modcoherence.dag import build_dag, CycleDetected\n"
-                "try:\n"
-                "    build_dag(['A', 'B', 'C'], [('C', 'A'), ('B', 'C'), ('B', 'A'), ('C', 'B')])\n"
-                "except CycleDetected as exc:\n"
-                "    print(exc)")
+        code = ("from modcoherence.dag import build_dag, CycleDetected, Dag\n"
+                "nodes, edges = ('A', 'B', 'C'), (('C', 'A'), ('B', 'C'), ('B', 'A'), ('C', 'B'))\n"
+                "for make in (build_dag, Dag):\n"
+                "    try:\n"
+                "        make(nodes, edges)\n"
+                "    except CycleDetected as exc:\n"
+                "        print(exc)")
         src = str(Path(modcoherence.__file__).resolve().parent.parent)
         path = os.pathsep.join([src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
         for seed in range(4):
             env = {**os.environ, "PYTHONPATH": path, "PYTHONHASHSEED": str(seed)}
             proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                                   env=env, timeout=60, check=True)
-            assert proc.stdout == "nodes are in a cycle: C -> B -> C\n"
+            assert proc.stdout == "nodes are in a cycle: C -> B -> C\n" * 2
 
 
 class TestDSeparation:

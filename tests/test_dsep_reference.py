@@ -8,10 +8,14 @@ check.  Each query is asked with ``set`` sides and with ``frozenset``
 sides, the type a verdict passes (see ``oracles.d_separated_both_ways``).
 Needs numpy only; each test pins how many queries it checked and
 how many of them were separated, so a sweep that shrinks shows.  The
-graph's own table is checked too: each node's ancestor mask against the
-reference walk, and a dependency that chains through a symbol that is not
-a node.  The reference refuses an empty side or overlapping sides with
-:func:`normalize`'s own errors, as ``d_separated`` does.
+reference takes the ancestors of the conditioning set, an(Z), where
+``d_separated`` bounces at an observed node, so the two reach the same
+answers by different algorithms; named tests pin the bounce, and every
+collider of the random DAGs and the templates is checked to open given any
+one of its descendants.  A ``Dag`` made directly is checked when it is
+made, as ``build_dag`` checks it.  The reference refuses an empty side or
+overlapping sides with :func:`normalize`'s own errors, as ``d_separated``
+does.
 """
 
 import itertools
@@ -21,10 +25,10 @@ import re
 import pytest
 
 from modcoherence.ci import EmptySide, FunctionalDependency, OverlappingSets, normalize
-from modcoherence.dag import CycleDetected, Dag, build_dag, d_separated
+from modcoherence.dag import CycleDetected, Dag, UnknownSymbol, build_dag, d_separated
 from modcoherence.protocol import build_system, canonical_dag, confounded_dag
 
-from .oracles import ancestors, d_separated_both_ways, d_separated_reference
+from .oracles import adjacency, d_separated_both_ways, d_separated_reference, descendants
 
 
 def random_dag(rng: random.Random, n: int):
@@ -106,56 +110,86 @@ def test_a_sample_past_64_nodes(template, m, pinned):
     assert agree(dag, queries) == pinned
 
 
-def assert_ancestor_masks(dag) -> int:
-    """Each node's ancestor-or-self mask in the graph's own table against
-    the reference walk; returns how many nodes it checked."""
-    names = sorted(dag.nodes)
-    for k, mask in enumerate(dag._masks[3]):
-        got = frozenset(n for j, n in enumerate(names) if mask >> j & 1)
-        assert got == ancestors(dag, {names[k]}) | {names[k]}, names[k]
-    return len(names)
+def collider_queries(dag) -> list:
+    """For each node X, each pair p, q of its parents and each d that is X
+    or a descendant of X: the query p _||_ q | d, which the path p -> X <- q
+    makes d-connected when no dependency is declared."""
+    parents, _ = adjacency(dag.edges)
+    queries = []
+    for x in sorted(dag.nodes):
+        below = sorted(descendants(dag, x) | {x})
+        for p, q in itertools.combinations(sorted(parents.get(x, ())), 2):
+            queries.extend(({p}, {q}, {d}) for d in below)
+    return queries
 
 
-def test_ancestor_masks_on_random_dags():
-    """On the random DAGs of ``test_random_dags_with_dependencies``."""
+def test_every_collider_is_opened_by_its_descendants_on_random_dags():
+    """On the random DAGs of ``test_random_dags_with_dependencies``, without
+    their dependencies: a search that does not bounce at an observed
+    descendant leaves some of these blocked."""
     rng = random.Random(1998)
     checked = 0
     for _ in range(200):
-        checked += assert_ancestor_masks(random_dag(rng, rng.randint(4, 90)))
-    assert checked == 9577
+        dag = random_dag(rng, rng.randint(4, 90))
+        got = agree(Dag(dag.nodes, dag.edges), collider_queries(dag))
+        assert got[1] == 0
+        checked += got[0]
+    assert checked == 46_240
 
 
 @pytest.mark.parametrize("template", [canonical_dag, confounded_dag])
-@pytest.mark.parametrize("m", range(2, 9))
-def test_ancestor_masks_on_the_templates(template, m):
-    assert_ancestor_masks(template(build_system(m)))
+@pytest.mark.parametrize("m, pinned", [(2, 14), (3, 43), (4, 115), (5, 266), (6, 544),
+                                       (7, 1009), (8, 1733)])
+def test_every_collider_is_opened_by_its_descendants_on_the_templates(template, m, pinned):
+    """The templates' edges without the system's dependencies, which may pin
+    a collider's parent and so block the query."""
+    dag = template(build_system(m))
+    assert agree(Dag(dag.nodes, dag.edges), collider_queries(dag)) == (pinned, 0)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_a_trail_bounces_at_an_observed_descendant_of_a_collider(depth):
+    """A -> X <- B with X -> D1 -> ... -> Dk and only Dk observed: the trail
+    from A runs down to Dk, bounces up its parents back to X and on to B.
+    Unobserved, or given a node that is no descendant of X, the collider
+    blocks."""
+    chain = [f"D{k}" for k in range(1, depth + 1)]
+    path = ["X", *chain]
+    dag = build_dag(["A", "B", "C", "X", *chain],
+                    [("A", "X"), ("B", "X"), ("C", "A"), *zip(path, path[1:])])
+    queries = [({"A"}, {"B"}, {chain[-1]}), ({"A"}, {"B"}, set()), ({"A"}, {"B"}, {"C"}),
+               ({"C"}, {"B"}, {chain[-1]}), ({"C"}, {"B"}, {"A", chain[-1]})]
+    assert [d_separated(dag, *q) for q in queries] == [False, True, True, False, True]
+    assert agree(dag, queries) == (5, 3)
+
+
+def test_a_bounce_returns_through_a_second_parent():
+    """The collider X reaches its observed descendant D only through W, the
+    second of D's parents V and W, and B joins X only through its parent P:
+    the bounce at D goes up to both parents, and only the trail up through W
+    and X reaches B."""
+    dag = build_dag(["A", "B", "D", "P", "V", "W", "X"],
+                    [("A", "X"), ("P", "X"), ("B", "P"), ("X", "W"), ("W", "D"), ("V", "D")])
+    queries = [({"A"}, {"B"}, {"D"}), ({"A"}, {"B"}, set()), ({"A"}, {"B"}, {"V"}),
+               ({"A"}, {"V"}, {"D"}), ({"A"}, {"B"}, {"D", "W"}), ({"A"}, {"B"}, {"D", "P"})]
+    assert [d_separated(dag, *q) for q in queries] == [False, True, True, False, False, True]
+    assert agree(dag, queries) == (6, 3)
 
 
 def test_a_dependency_through_a_symbol_that_is_not_a_node():
-    """``Dag`` made directly, which ``build_dag`` would refuse: C pins T and
-    T pins A, where T is no node, so given C the fork B <- A -> D is
-    blocked.  A table that drops T, or the dependencies naming it, answers
-    some of these queries otherwise."""
-    dag = Dag(("A", "B", "C", "D", "E"), (("A", "B"), ("A", "D"), ("B", "E"), ("D", "E")), (
-        FunctionalDependency(frozenset({"T"}), frozenset({"C"})),
-        FunctionalDependency(frozenset({"A"}), frozenset({"T"})),
-    ))
-    assert d_separated(dag, {"B"}, {"D"}, {"C"}) and not d_separated(dag, {"B"}, {"D"})
-    names = sorted(dag.nodes)
-    queries = []
-    for x, y in itertools.permutations(names, 2):
-        rest = [n for n in names if n not in (x, y)]
-        for size in range(len(rest) + 1):
-            queries.extend(({x}, {y}, set(c)) for c in itertools.combinations(rest, size))
-    assert agree(dag, queries) == (160, 96)
+    """C pins T and T pins A, where T is no node: ``Dag`` refuses T when it
+    is made, with ``build_dag``'s error, and no query reaches the table."""
+    with pytest.raises(UnknownSymbol, match=r"^dependency mentions undeclared nodes: \['T'\]$"):
+        Dag(("A", "B", "C", "D", "E"), (("A", "B"), ("A", "D"), ("B", "E"), ("D", "E")), (
+            FunctionalDependency(frozenset({"T"}), frozenset({"C"})),
+            FunctionalDependency(frozenset({"A"}), frozenset({"T"})),
+        ))
 
 
 def test_a_cycle_in_a_dag_made_directly_is_refused():
-    """The topological build of the ancestor masks cannot order a cycle,
-    which ``build_dag`` refuses, so the first query refuses it too."""
-    dag = Dag(("A", "B", "C"), (("A", "B"), ("B", "C"), ("C", "B")))
-    with pytest.raises(CycleDetected, match="^nodes are in a cycle$"):
-        d_separated(dag, {"A"}, {"C"})
+    """With the path that ``build_dag`` names."""
+    with pytest.raises(CycleDetected, match="^nodes are in a cycle: B -> C -> B$"):
+        Dag(("A", "B", "C"), (("A", "B"), ("B", "C"), ("C", "B")))
 
 
 @pytest.mark.parametrize("error, a, b, c", [
