@@ -6,7 +6,9 @@ Subpackages:
 - ``dag``: DAGs with an exact (determinism-aware) d-separation oracle
 - ``protocol``: m-panel admissibility protocols and coherence verification
 - ``panels``: distributed versus full-joint numeric posterior updating
-- ``values``: the numeric models' plain value types, importable without numpy
+- ``values``: the plain values the spec parser reads (the numeric models'
+  types, the protocol's condition kinds, the prover's default budget),
+  importable without any engine
 - ``specfile`` / ``report`` / ``cli``: run-spec parsing, reports, front end
 """
 

@@ -13,13 +13,12 @@ from collections import deque
 from typing import Iterable, Optional, Sequence
 
 from . import ModcoherenceError, Record
+from .values import DEFAULT_BUDGET
 
 Symbol = str
 VarSet = frozenset
 
 EMPTY: VarSet = frozenset()
-
-DEFAULT_BUDGET = 200_000
 
 RULES = (
     "symmetry",

@@ -4,32 +4,58 @@ Subcommands: ``check``, ``derive``, ``dsep``, ``ablate`` (protocol
 verification) and ``simulate``, ``separability`` (numeric experiments), each
 a function ``spec -> Report`` that takes the same four options.  Exit codes
 are stable: 0 all requested checks hold, 1 a check failed, 2 input, usage
-or output error; an interrupt prints ``Aborted!`` to stderr and exits 1.  Only
-``simulate`` and ``separability`` import ``panels`` (and with it numpy),
-inside the command and its grid helper, so the symbolic commands start
-without numpy.
+or output error; an interrupt prints ``Aborted!`` to stderr and exits 1.
+
+Each command loads only the engines it runs.  Only ``simulate`` and
+``separability`` import ``panels`` (and with it numpy), inside the command
+and its grid helper; neither loads ``ci``, ``dag`` or ``protocol``.
+``dsep`` loads ``ci`` and ``dag`` but not ``protocol``, and ``check``,
+``derive`` and ``ablate`` load all three but not ``panels``.  The spec
+parser imports the engine of each section it parses, and the engine
+functions the commands call (``verify_coherence``, ``base_statements``,
+``run_ablate``, ``ci_derive``, ``d_separated``) are this module's attributes
+bound on first access: ``__getattr__`` imports the engine and stores its
+function here.  The commands call them as attributes of this module, so a
+function set on one of these names is the one that runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import os
 import sys
+from typing import TYPE_CHECKING
 
 from . import ModcoherenceError
-from .ci import derive as ci_derive
-from .dag import d_separated
-from .protocol import (
-    ALL_CONDITIONS,
-    AxiomaticMode,
-    GraphicalMode,
-    Verdict,
-    base_statements,
-    verify_coherence,
-    ablate as run_ablate,
-)
 from .report import Report, proof_to_dict, render_human
 from .specfile import MissingSection, SpecError, SpecFile, parse_spec
+from .values import ALL_CONDITIONS
+
+if TYPE_CHECKING:
+    from .protocol import Verdict
+
+# attribute -> (engine module, its function), bound by ``__getattr__``
+_ENGINE_FUNCTIONS = {
+    "verify_coherence": ("protocol", "verify_coherence"),
+    "base_statements": ("protocol", "base_statements"),
+    "run_ablate": ("protocol", "ablate"),
+    "ci_derive": ("ci", "derive"),
+    "d_separated": ("dag", "d_separated"),
+}
+
+
+def __getattr__(name: str):
+    """Bind an engine function on its first access (PEP 562): import its
+    engine, store the engine's own function in this module and return it."""
+    if name not in _ENGINE_FUNCTIONS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    engine, function = _ENGINE_FUNCTIONS[name]
+    value = globals()[name] = getattr(importlib.import_module(f".{engine}", __package__), function)
+    return value
+
+
+_engines = sys.modules[__name__]  # this module, through which commands call the engines
 
 OPTIONS = (
     ("--spec", {"required": True, "help": "Run spec file."}),
@@ -154,7 +180,9 @@ def _verdict_results(verdict: Verdict) -> dict:
 def _axiomatic_base(spec: SpecFile) -> tuple:
     """The spec's statements, plus its protocol's condition statements."""
     system = spec.system
-    return base_statements(system, spec.conditions, spec.statements) if system else spec.statements
+    if system is None:
+        return spec.statements
+    return _engines.base_statements(system, spec.conditions, spec.statements)
 
 
 def check(spec: SpecFile) -> Report:
@@ -163,6 +191,8 @@ def check(spec: SpecFile) -> Report:
     With a graph section by d-separation on the graph, else by the prover."""
     if spec.system is None:
         raise MissingSection("check requires a protocol section")
+    from .protocol import AxiomaticMode, GraphicalMode
+
     if spec.dag is None:
         mode = AxiomaticMode(_axiomatic_base(spec), spec.run.budget)
     elif set(spec.conditions) != set(ALL_CONDITIONS):
@@ -173,7 +203,7 @@ def check(spec: SpecFile) -> Report:
         raise SpecError("graphical mode tests the graph alone, so statements must be empty")
     else:
         mode = GraphicalMode(spec.dag)
-    verdict = verify_coherence(spec.system, mode)
+    verdict = _engines.verify_coherence(spec.system, mode)
     status = "pass" if verdict.sound_and_distributed else "fail"
     options = {"mode": "axiomatic" if spec.dag is None else "graphical"}
     return Report("check", status, _verdict_results(verdict), options)
@@ -192,7 +222,7 @@ def derive(spec: SpecFile) -> Report:
     if not base:
         raise MissingSection("derive requires base statements (statements or protocol.conditions)")
     universe, deps = spec.scope
-    result = ci_derive(base, deps, spec.goal, spec.run.budget, universe=universe)
+    result = _engines.ci_derive(base, deps, spec.goal, spec.run.budget, universe=universe)
     results = {
         "goal": spec.goal.render(),
         "status": result.status,
@@ -208,7 +238,7 @@ def dsep(spec: SpecFile) -> Report:
     if spec.dag is None or spec.query is None:
         raise MissingSection("dsep requires graph and query sections")
     a, b, c = spec.query
-    separated = d_separated(spec.dag, a, b, c)
+    separated = _engines.d_separated(spec.dag, a, b, c)
     results = {
         "query": {"a": sorted(a), "b": sorted(b), "c": sorted(c)},
         "d_separated": separated,
@@ -237,7 +267,7 @@ def ablate(spec: SpecFile) -> Report:
         return [f"panel {g.panel}: {g.name}" for g in verdict.goals if g.status == status]
 
     table = []
-    rows = run_ablate(spec.system, spec.run.budget, spec.conditions, spec.statements)
+    rows = _engines.run_ablate(spec.system, spec.run.budget, spec.conditions, spec.statements)
     for dropped, verdict in rows:
         unreachable = goals(verdict, "not_derivable")
         certified = unreachable and not verdict.inconclusive

@@ -15,7 +15,6 @@ d-separation on a user-supplied graph.
 
 from __future__ import annotations
 
-import enum
 import functools
 from typing import Callable, Iterable, Optional, Union
 
@@ -39,6 +38,7 @@ from .ci import (
     premise_proof,
 )
 from .dag import Dag, build_dag, d_separated
+from .values import ALL_CONDITIONS, ConditionKind
 
 
 class ProtocolError(ModcoherenceError):
@@ -55,16 +55,6 @@ class IndexOutOfRange(ProtocolError):
 
 class UniverseMismatch(ProtocolError):
     pass
-
-
-class ConditionKind(enum.Enum):
-    DELEGABLE = "delegable"
-    SEPARATELY_INFORMED = "separately_informed"
-    CUTTING = "cutting"
-    COMMONLY_SEPARATED = "commonly_separated"
-
-
-ALL_CONDITIONS = tuple(ConditionKind)
 
 
 class PanelSystem(Record):

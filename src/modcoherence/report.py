@@ -7,10 +7,12 @@ report built again from its parsed fields prints the same bytes.
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import Record
-from .ci import Proof
+
+if TYPE_CHECKING:
+    from .ci import Proof
 
 FORMAT_VERSION = 1
 

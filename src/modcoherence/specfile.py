@@ -5,6 +5,10 @@ A spec file is a JSON document with a ``version`` tag and optional sections
 ``data``, ``run``).  Every field is type-checked here, once, and each section
 becomes a typed value; unknown versions, unknown keys, mistyped fields and
 dangling symbol references are all hard errors; nothing is silently ignored.
+A section imports the engine its value comes from only when it is parsed:
+``protocol`` the protocol, ``graph`` d-separation, and ``statements``,
+``goal`` and ``query`` the statement algebra; so a spec of models and data
+loads none of them.
 """
 
 from __future__ import annotations
@@ -12,20 +16,15 @@ from __future__ import annotations
 import json
 import math
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from . import ModcoherenceError, Record
-from .ci import CIError, CIStatement, DEFAULT_BUDGET, FunctionalDependency, VarSet, normalize
-from .dag import Dag, DagError, build_dag
-from .protocol import (
-    ALL_CONDITIONS,
-    ConditionKind,
-    PanelSystem,
-    build_system,
-    canonical_dag,
-    confounded_dag,
-)
-from .values import BetaParams, Factor
+from .values import ALL_CONDITIONS, DEFAULT_BUDGET, BetaParams, ConditionKind, Factor
+
+if TYPE_CHECKING:
+    from .ci import CIStatement, FunctionalDependency, VarSet
+    from .dag import Dag
+    from .protocol import PanelSystem
 
 SUPPORTED_VERSION = 1
 
@@ -77,7 +76,6 @@ _PRIOR_KEYS = {"alpha", "beta"}
 _DATA_KEYS = {"panel_counts", "product_cell_counts"}
 _RUN_KEYS = {"grid", "budget"}
 _STMT_KEYS = {"a", "b", "c"}
-_TEMPLATES = {"canonical": canonical_dag, "confounded": confounded_dag}
 
 
 def _require_keys(section: dict, allowed: set, where: str) -> None:
@@ -249,6 +247,8 @@ def parse_spec(path: str | Path) -> SpecFile:
 
 
 def _protocol(section: dict) -> tuple[PanelSystem, tuple[ConditionKind, ...]]:
+    from .protocol import build_system
+
     _require_keys(section, _PROTOCOL_KEYS, "protocol")
     if "panels" not in section:
         raise ParseError("protocol is missing the panel count")
@@ -270,6 +270,9 @@ def _protocol(section: dict) -> tuple[PanelSystem, tuple[ConditionKind, ...]]:
 
 
 def _graph(section: dict, system: Optional[PanelSystem]) -> Dag:
+    from .ci import CIError, FunctionalDependency
+    from .dag import DagError, build_dag
+
     _require_keys(section, _GRAPH_KEYS, "graph")
     template = section.get("template")
     for key in ("nodes", "edges", "dependencies"):
@@ -279,9 +282,12 @@ def _graph(section: dict, system: Optional[PanelSystem]) -> Dag:
         raise MissingSection("graph templates require a protocol section")
     try:
         if template is not None:
-            if not isinstance(template, str) or template not in _TEMPLATES:
+            from .protocol import canonical_dag, confounded_dag
+
+            templates = {"canonical": canonical_dag, "confounded": confounded_dag}
+            if not isinstance(template, str) or template not in templates:
                 raise ParseError(f"graph: unknown template {template!r}")
-            return _TEMPLATES[template](system)
+            return templates[template](system)
         for key in ("nodes", "edges"):
             if key not in section:
                 raise ParseError(f"graph is missing {key!r}")
@@ -363,22 +369,11 @@ def _run(section: dict) -> RunOptions:
     return run
 
 
-def parse_spec_dict(raw: dict) -> SpecFile:
-    _require_keys(raw, _TOP_KEYS, "spec")
-    if "version" not in raw:
-        raise ParseError("spec is missing the version tag")
-    if type(raw["version"]) is not int or raw["version"] != SUPPORTED_VERSION:
-        raise UnknownVersion(f"unsupported spec version {raw['version']!r}")
+def _statements(raw: dict, system: Optional[PanelSystem], dag: Optional[Dag]) -> tuple:
+    """``(statements, goal, query)``.  Statements and the goal range over
+    the spec's scope, as the commands do; a query over the graph's nodes."""
+    from .ci import CIError, normalize
 
-    system = None
-    conditions: tuple[ConditionKind, ...] = ALL_CONDITIONS
-    if "protocol" in raw:
-        system, conditions = _protocol(raw["protocol"])
-
-    dag = _graph(raw["graph"], system) if "graph" in raw else None
-
-    # statements and the goal range over the spec's scope, as the commands
-    # do; a query over the graph's nodes
     universe, _ = _scope(system, dag)
     nodes = dag.node_names if dag is not None else None
 
@@ -401,6 +396,25 @@ def parse_spec_dict(raw: dict) -> SpecFile:
     )
     goal = normalize(*statement(raw["goal"], "goal", universe)) if "goal" in raw else None
     query = statement(raw["query"], "query", nodes) if "query" in raw else None
+    return statements, goal, query
+
+
+def parse_spec_dict(raw: dict) -> SpecFile:
+    _require_keys(raw, _TOP_KEYS, "spec")
+    if "version" not in raw:
+        raise ParseError("spec is missing the version tag")
+    if type(raw["version"]) is not int or raw["version"] != SUPPORTED_VERSION:
+        raise UnknownVersion(f"unsupported spec version {raw['version']!r}")
+
+    system = None
+    conditions: tuple[ConditionKind, ...] = ALL_CONDITIONS
+    if "protocol" in raw:
+        system, conditions = _protocol(raw["protocol"])
+
+    dag = _graph(raw["graph"], system) if "graph" in raw else None
+    statements, goal, query = (), None, None
+    if raw.keys() & {"statements", "goal", "query"}:
+        statements, goal, query = _statements(raw, system, dag)
 
     models = _models(raw["models"]) if "models" in raw else None
     data = _data(raw["data"]) if "data" in raw else None

@@ -20,7 +20,9 @@ Either way, the change says which lines or fields moved and why.
 
 Every report is also the same under any hash seed and with assert
 statements stripped: the script prints the same lines under
-``PYTHONHASHSEED`` 0 and 1 and under ``python -O``.
+``PYTHONHASHSEED`` 0 and 1 and under ``python -O``.  And each machine
+report is the same in a fresh ``python -m modcoherence.cli`` process, which
+is the first to reach every import a command makes, as in this process.
 """
 
 import importlib.util
@@ -77,6 +79,22 @@ def test_reports_do_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1] == outputs[2]
     digest = _report_digest()
     assert len(outputs[0].splitlines()) == len(list(digest.runs())) * len(digest.FORMATS)
+
+
+def test_fresh_processes_print_the_in_process_reports():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    )}
+    runs = list(_report_digest().runs())
+    moved = []
+    for command, spec in runs:
+        args = [command, "--spec", str(spec), "--format", "machine"]
+        proc = subprocess.run([sys.executable, "-m", "modcoherence.cli", *args], env=env,
+                              capture_output=True, text=True, timeout=120, check=False)
+        result = invoke(args)
+        if (proc.returncode, proc.stdout) != (result.exit_code, result.output):
+            moved.append(f"{command} {spec.name}")
+    assert len(runs) == 43 and moved == []
 
 
 def numeric_reports() -> dict:

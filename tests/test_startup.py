@@ -3,6 +3,14 @@ scipy, the numeric commands import numpy, and no command needs click or
 any of the test extra (scipy, hypothesis, networkx): the probe blocks all
 four, and every command still exits with its README code.
 
+Each command, run alone in a fresh interpreter, loads only the engines it
+runs: ``simulate`` and ``separability`` load no ``ci``, ``dag`` or
+``protocol``, ``dsep`` on a graph-only spec loads no ``protocol``, and no
+symbolic command loads ``panels``.  Importing ``modcoherence.cli`` loads no
+engine; its five engine functions bind on first access to the engine's own
+functions, and a function set on one of those names is the one a command
+calls.
+
 ``beta_grid`` builds the Beta grid from a numpy log kernel; the sweep below
 checks it against ``scipy.stats.beta.pdf`` as an oracle (scipy is a test-only
 dependency).  The two evaluate the density differently, so they agree to
@@ -111,6 +119,93 @@ def test_cli_runs_without_docstrings():
     proc = _python("-OO", "-m", "modcoherence.cli", "dsep", "--spec", str(SPECS / "chain_dsep.spec"))
     assert proc.returncode == 0, proc.stderr
     assert _python("-OO", "-m", "modcoherence.cli", "--help").returncode == 0
+
+
+COMMAND_PROBE = """
+import os
+import sys
+import modcoherence.cli
+
+command, spec = sys.argv[1:]
+try:
+    modcoherence.cli.main(args=[command, "--spec", spec, "--out", os.devnull])
+except SystemExit as exc:
+    code = exc.code
+print([code, sorted(name for name in sys.modules if name.startswith("modcoherence."))])
+"""
+
+FRONT_END = "cli report specfile values"
+
+
+@pytest.mark.parametrize("command, spec, code, engines", [
+    ("simulate", "food_example", 0, "panels"),
+    ("separability", "separable_pair", 0, "panels"),
+    ("separability", "interaction_pair", 1, "panels"),
+    ("dsep", "chain_dsep", 0, "ci dag"),
+    ("check", "coherence_m2", 0, "ci dag protocol"),
+    ("derive", "coherence_m2", 0, "ci dag protocol"),
+    ("ablate", "coherence_m2", 0, "ci dag protocol"),
+])
+def test_each_command_loads_only_the_engines_it_runs(command, spec, code, engines):
+    proc = _python("-c", COMMAND_PROBE, command, str(SPECS / f"{spec}.spec"))
+    assert proc.returncode == 0, proc.stderr
+    modules = sorted(f"modcoherence.{name}" for name in f"{FRONT_END} {engines}".split())
+    assert proc.stdout.strip() == str([code, modules])
+
+
+BINDING_PROBE = """
+import os
+import sys
+import modcoherence.cli as cli
+
+def engines():
+    return sorted(name for name in ("ci", "dag", "panels", "protocol")
+                  if f"modcoherence.{name}" in sys.modules)
+
+assert engines() == [], engines()
+d_separated = cli.d_separated
+assert engines() == ["ci", "dag"], engines()
+ci_derive = cli.ci_derive
+assert engines() == ["ci", "dag"], engines()
+bound = (cli.verify_coherence, cli.base_statements, cli.run_ablate)
+assert engines() == ["ci", "dag", "protocol"], engines()
+
+from modcoherence import ci, dag, protocol
+assert d_separated is dag.d_separated and cli.d_separated is d_separated
+assert ci_derive is ci.derive and cli.ci_derive is ci_derive
+assert bound == (protocol.verify_coherence, protocol.base_statements, protocol.ablate)
+try:
+    cli.no_such_binding
+except AttributeError as exc:
+    assert str(exc) == "module 'modcoherence.cli' has no attribute 'no_such_binding'", exc
+else:
+    raise AssertionError("an unknown attribute resolved")
+
+calls = []
+
+def counting(fn):
+    def wrapper(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+    return wrapper
+
+cli.d_separated = counting(cli.d_separated)
+cli.verify_coherence = counting(cli.verify_coherence)
+# check on a graph asks protocol.d_separated, not the CLI's binding
+for command, spec in (("dsep", "chain_dsep"), ("check", "coherence_m2"),
+                      ("check", "canonical_graph")):
+    try:
+        cli.main(args=[command, "--spec", f"{sys.argv[1]}/{spec}.spec", "--out", os.devnull])
+    except SystemExit as exc:
+        assert exc.code == 0, (command, spec, exc.code)
+print(calls)
+"""
+
+
+def test_engine_functions_bind_on_first_access_and_calls_go_through_the_binding():
+    proc = _python("-c", BINDING_PROBE, str(SPECS))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(["d_separated", "verify_coherence", "verify_coherence"])
 
 
 def _reference_weights(stats, alpha, beta, n):
