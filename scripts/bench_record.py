@@ -41,9 +41,9 @@ SECONDS = 20
 # m=6 and m=7 verifications take about 0.02 s each, so they show a prover
 # that slows down, not a few percent, and run three times; the m=32
 # verification, the largest protocol a spec allows, runs 4 lumped
-# derivations (panels 3..32 reuse panel 2's, renamed) and still expands and
-# checks 64 goal proofs, one rule application per step and no replay, so it
-# is the case where proof handling and determinism closures weigh most, and
+# derivations (panels 3..32 reuse panel 2's, renamed) and still expands
+# 64 goal proofs and replays each once in the full system, one rule
+# application per step, so it is the case where proof handling and determinism closures weigh most, and
 # with the m=16 one it runs ten times, since three runs per side of
 # unchanged code moved by more than 25 %; the
 # m=3 ablation, about 45 s a run, runs three times, since one run per side

@@ -20,7 +20,6 @@ from typing import Callable, Iterable, Optional, Union
 
 from . import ModcoherenceError, Record
 from .ci import (
-    CIError,
     CIStatement,
     DEFAULT_BUDGET,
     DeriveResult,
@@ -31,7 +30,6 @@ from .ci import (
     Symbol,
     VarSet,
     aggregate_dependencies,
-    apply_axiom,
     derive,
     derive_through,
     normalize,
@@ -67,8 +65,9 @@ class PanelSystem(Record):
     condition statements and goal chains; each panel's lumping
     (``lumpings``: lumped universe, ``lump``, ``expand`` and the lumped
     waypoints of its two goal chains); and its goals' proofs from its own
-    conditions (``goal_proofs``), read wherever a verdict's base holds
-    their premises.  No verdict's base, slice, memo or table is kept, and
+    conditions (``goal_proofs``), each expanded into the full system and
+    replayed there once, and read wherever a verdict's base holds their
+    premises.  No verdict's base, slice, memo or table is kept, and
     a verdict makes its memo only for a query that derives (see
     :func:`_decider`): only each ``expand``'s cache tells which of the at
     most 64 lumped sides verdicts have expanded."""
@@ -178,8 +177,8 @@ class PanelSystem(Record):
         allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements.  One
         memo, table and slice per panel serve all routes, so the searches
         are four: panels 3..m's slices are panel 2's.  Each proof is
-        expanded and checked once, here, and read by every verdict whose
-        base holds its premises (see :func:`_decider`)."""
+        expanded and replayed in the full system once, here, and read by
+        every verdict whose base holds its premises (see :func:`_decider`)."""
         base = frozenset(base_statements(self))
         memo, table, slices = Memo(self.dependencies, self.universe), {}, {}
         return {route: _derive_lumped(self, base, route, DEFAULT_BUDGET, memo, table, slices)
@@ -349,16 +348,23 @@ def _derive_lumped(
     side, stays the same rule instance.  The derivation runs on the base
     statements that hold theta_rest(i) whole on one side or not at all and
     otherwise stay in the lumped names.  A proof is expanded back, symbol
-    for set, into a proof in the full system in one pass that checks it as
-    it goes: each premise expanded must be a statement of ``base``; each
-    step's inputs must be premises or earlier outputs, its rule is applied
-    by :func:`~modcoherence.ci.apply_axiom` to them in the full system, and
-    its output must be the expanded lumped output; the last output must be
-    the route's goal.  A selection of the lumped symbol becomes a
-    multi-symbol decomposition or weak union.  A failed check, or a
-    ``CIError`` on the way, is an internal error, an ``AssertionError``.
-    Any other status than ``proved`` certifies nothing about the full
-    system.
+    for set, into a proof in the full system: each statement of it, premise
+    or step output, is written in full names through ``expand``, each
+    step's inputs are mapped through the same table, its selection is
+    expanded, and the route's goal is the proof's goal.  A selection of the
+    lumped symbol becomes a multi-symbol decomposition or weak union.  The
+    expanded proof is then checked once: its premises must be statements of
+    ``base``, it must have a step, and it must pass
+    :meth:`~modcoherence.ci.Proof.replay`, which applies each rule in the
+    full system to inputs already available and compares its output with
+    the expanded one, up to the goal.  Each expanded statement is built as
+    a ``CIStatement`` directly, not by :func:`~modcoherence.ci.normalize`:
+    each is compared with a canonical statement, a premise with the
+    base's, an output with the rule's, so one a faulty expansion leaves
+    unoriented, empty or overlapping fails the check instead of raising a
+    ``CIError``, which the command line would report as bad input.  A
+    failed check is an internal error, an ``AssertionError``.  Any other
+    status than ``proved`` certifies nothing about the full system.
 
     Panels 2..m are derived in panel 2's names.  Swapping panels 2 and i
     maps the dependencies onto themselves, and the rename keeps the sorted
@@ -386,32 +392,15 @@ def _derive_lumped(
     if not result.proved:
         return result
 
-    # one pass in the full system: each premise expanded and found in the
-    # base, each step's rule applied to the expanded inputs and its output
-    # compared with the expanded lumped output, side for side
-    deps, expand, full, steps = sys.dependencies, lumping.expand, {}, []
-    try:
-        for s in result.proof.premises:
-            full[s] = normalize(expand(s.a), expand(s.b), expand(s.c))
-            if full[s] not in base:
-                raise AssertionError("internal error: expanded premise is not a base statement")
-        for step in result.proof.steps:
-            inputs = tuple(map(full.get, step.inputs))
-            if None in inputs:
-                raise AssertionError("internal error: expanded step input is not available")
-            selection = expand(step.selection)
-            out, lumped = apply_axiom(step.rule, inputs, selection, deps), step.output
-            a, b = expand(lumped.a), expand(lumped.b)
-            if out.c != expand(lumped.c) or (out.a, out.b) not in ((a, b), (b, a)):
-                raise AssertionError("internal error: expanded step output is not its expansion")
-            full[lumped] = out
-            steps.append(ProofStep(step.rule, inputs, selection, out))
-    except CIError as exc:
-        raise AssertionError("internal error: expanded proof is not licensed") from exc
-    goal = sys.goal_chains[route][-1]
-    if not steps or steps[-1].output != goal:
-        raise AssertionError("internal error: expanded proof does not end at its goal")
-    proof = Proof(tuple(full[s] for s in result.proof.premises), tuple(steps), goal)
+    expand = lumping.expand
+    full = {s: CIStatement(expand(s.a), expand(s.b), expand(s.c))
+            for s in result.proof.statements()}
+    steps = tuple(ProofStep(step.rule, tuple(map(full.get, step.inputs)),
+                            expand(step.selection), full[step.output])
+                  for step in result.proof.steps)
+    proof = Proof(tuple(map(full.get, result.proof.premises)), steps, sys.goal_chains[route][-1])
+    if not (steps and base.issuperset(proof.premises) and proof.replay(sys.dependencies)):
+        raise AssertionError("internal error: expanded proof failed replay")
     return DeriveResult("proved", proof, result.generated)
 
 
@@ -501,10 +490,11 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     per panel, made by the first query that derives and dropped when the
     verdict is made (see :func:`_decider`); only the system's goal proofs
     and each panel's lumping, made once per system, outlive it.
-    Every lumped proof is expanded into panel i's names and checked step
-    by step in the full system as it is expanded (see
-    :func:`_derive_lumped`): the system's own once, when it is made, and
-    a verdict's when the verdict derives it.
+    Every lumped proof is expanded into panel i's names, then checked
+    against the base and replayed in the full system by
+    :meth:`~modcoherence.ci.Proof.replay` (see :func:`_derive_lumped`):
+    the system's own once, when it is made, and a verdict's when the
+    verdict derives it.
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

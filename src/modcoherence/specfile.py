@@ -200,11 +200,7 @@ class SpecFile(Record):
     query: Optional[tuple[frozenset, frozenset, frozenset]] = None  # (a, b, c)
     models: Optional[Models] = None
     data: Optional[Data] = None
-    run: RunOptions = None  # a fresh RunOptions() per spec
-
-    def _validate(self) -> None:
-        if self.run is None:
-            object.__setattr__(self, "run", RunOptions())
+    run: RunOptions = RunOptions()  # frozen, so one default serves every spec
 
     @property
     def scope(self) -> tuple[Optional[VarSet], tuple[FunctionalDependency, ...]]:
@@ -355,10 +351,9 @@ def _data(section: dict) -> Data:
 
 def _run(section: dict) -> RunOptions:
     _require_keys(section, _RUN_KEYS, "run")
-    default = RunOptions()
     run = RunOptions(
-        grid=_integer(section, "grid", default.grid, "run"),
-        budget=_integer(section, "budget", default.budget, "run"),
+        grid=_integer(section, "grid", RunOptions.grid, "run"),
+        budget=_integer(section, "budget", RunOptions.budget, "run"),
     )
     if run.grid < 3:
         raise ParseError("run.grid must be at least 3")
@@ -377,25 +372,26 @@ def _statements(raw: dict, system: Optional[PanelSystem], dag: Optional[Dag]) ->
     universe, _ = _scope(system, dag)
     nodes = dag.node_names if dag is not None else None
 
-    def statement(raw_stmt, where: str, known: Optional[frozenset]) -> tuple[frozenset, ...]:
-        """The sides as written, held to ``normalize``'s rules."""
+    def statement(raw_stmt, where: str, known: Optional[frozenset]) -> tuple:
+        """``(statement, sides)``: the statement normalised once, and its
+        sides as written."""
         sets = _statement_sets(raw_stmt, where)
         if known is not None:
             stray = frozenset().union(*sets) - known
             if stray:
                 raise UnresolvedSymbol(f"{where} references undeclared symbols: {sorted(stray)}")
         try:
-            normalize(*sets)
+            return normalize(*sets), sets
         except CIError as exc:
             raise ParseError(f"{where}: {exc}") from exc
-        return sets
 
     statements = tuple(
-        normalize(*statement(stmt, f"statements[{k}]", universe))
+        statement(stmt, f"statements[{k}]", universe)[0]
         for k, stmt in enumerate(_list(raw.get("statements", []), "statements"))
     )
-    goal = normalize(*statement(raw["goal"], "goal", universe)) if "goal" in raw else None
-    query = statement(raw["query"], "query", nodes) if "query" in raw else None
+    goal = statement(raw["goal"], "goal", universe)[0] if "goal" in raw else None
+    # dsep reports a query's sides as written
+    query = statement(raw["query"], "query", nodes)[1] if "query" in raw else None
     return statements, goal, query
 
 
@@ -418,7 +414,7 @@ def parse_spec_dict(raw: dict) -> SpecFile:
 
     models = _models(raw["models"]) if "models" in raw else None
     data = _data(raw["data"]) if "data" in raw else None
-    run = _run(raw["run"]) if "run" in raw else RunOptions()
+    run = _run(raw["run"]) if "run" in raw else SpecFile.run
 
     has_cell_prior = models is not None and models.product_cell is not None
     has_cell_counts = data is not None and data.product_cell_counts is not None

@@ -96,6 +96,27 @@ class TestParseSpec:
         )
         assert spec.dag.node_names == frozenset({"A", "B"})
 
+    def test_each_statement_is_normalised_once(self, monkeypatch):
+        """Two statements, a goal and a query make one ``normalize`` call
+        each, and the query keeps its sides as written."""
+        from modcoherence import ci
+
+        calls = []
+        normalize = ci.normalize
+        monkeypatch.setattr(ci, "normalize", lambda *sides: calls.append(sides) or normalize(*sides))
+        spec = parse_spec_dict(
+            {
+                "version": 1,
+                "graph": {"nodes": ["A", "B", "C"], "edges": [["A", "B"], ["B", "C"]]},
+                "statements": [{"a": ["A"], "b": ["C"], "c": ["B"]}, {"a": ["C"], "b": ["A"]}],
+                "goal": {"a": ["C"], "b": ["A"], "c": ["B"]},
+                "query": {"a": ["C"], "b": ["A"], "c": ["B"]},
+            }
+        )
+        assert len(calls) == 4
+        assert spec.goal == normalize({"A"}, {"C"}, {"B"})
+        assert spec.query == (frozenset({"C"}), frozenset({"A"}), frozenset({"B"}))
+
     def test_bundled_specs_all_parse(self):
         for path in sorted(SPECS.glob("*.spec")):
             parse_spec(path)

@@ -733,46 +733,51 @@ class TestLumpedRoute:
         return panels
 
     @staticmethod
-    def _record_applied(monkeypatch):
-        """A list that fills with the arguments of each rule application
-        made at ``protocol.apply_axiom``, the binding an expansion applies
-        its rules through."""
-        applied = []
-        original = protocol.apply_axiom
-        monkeypatch.setattr(protocol, "apply_axiom",
-                            lambda *args: applied.append(args) or original(*args))
-        return applied
+    def _record_replayed(monkeypatch):
+        """A list that fills with each proof ``ci.Proof.replay`` checks,
+        the one checker an expanded proof passes."""
+        replayed = []
+        original = ci.Proof.replay
+
+        def recorded(proof, deps=()):
+            replayed.append(proof)
+            return original(proof, deps)
+
+        monkeypatch.setattr(ci.Proof, "replay", recorded)
+        return replayed
 
     @pytest.mark.parametrize("m", [2, 3, 8, 32])
-    def test_the_system_derives_four_proofs_and_expands_each_route_once(self, monkeypatch, m):
+    def test_the_system_derives_four_proofs_and_replays_each_expanded_proof_once(
+            self, monkeypatch, m):
         """Storing the system's goal proofs makes four lumped derivations,
         panel 1's two and panel 2's, whose slices panels 3..m share, and
-        applies each step of each route's proof once, in its expansion.
-        They are keyed by route, and each is the memo-less derivation of
-        its panel's slice of the conditions in the panel's own names,
+        replays each route's expanded proof once in the full system.  They
+        are keyed by route, and each is the memo-less derivation of its
+        panel's slice of the conditions in the panel's own names,
         expanded."""
         sys = build_system(m)
-        applied = self._record_applied(monkeypatch)
+        replayed = self._record_replayed(monkeypatch)
         results = self._record_lumped(monkeypatch)
         stored = sys.goal_proofs
         assert len(results) == 4
-        assert len(applied) == sum(len(result.proof.steps) for result in stored.values())
+        proofs = [result.proof for result in stored.values()]
+        assert [sum(p is q for p in replayed) for q in proofs] == [1] * (2 * m)
         monkeypatch.undo()
         assert list(stored) == list(sys.goal_chains)
         base = base_statements(sys)
         for (i, name), result in stored.items():
             assert result == lumped_in_own_names(sys, base, i, name, ci.DEFAULT_BUDGET)
 
-    @pytest.mark.parametrize("m, applications", [(3, 54), (32, 576)])
-    def test_a_fresh_bare_verdict_applies_each_goal_step_once(self, monkeypatch, m, applications):
-        """A bare verdict on a fresh system, its build included, applies
-        each step of its goal proofs once, in their expansion, and no other
-        rule."""
+    @pytest.mark.parametrize("m, steps", [(3, 54), (32, 576)])
+    def test_a_fresh_bare_verdict_replays_each_goal_proof_once(self, monkeypatch, m, steps):
+        """A bare verdict on a fresh system, its build included, replays
+        each of its 2m expanded goal proofs once in the full system."""
         sys = build_system(m)
-        applied = self._record_applied(monkeypatch)
+        replayed = self._record_replayed(monkeypatch)
         verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys)))
-        steps = sum(len(goal.proof.steps) for goal in verdict.goals)
-        assert len(applied) == steps == applications
+        proofs = [goal.proof for goal in verdict.goals]
+        assert [sum(p is q for p in replayed) for q in proofs] == [1] * (2 * m)
+        assert sum(len(proof.steps) for proof in proofs) == steps
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_bare_verdict_makes_four_lumped_derivations(self, monkeypatch, m):
@@ -1002,7 +1007,7 @@ class TestLumpedRoute:
     def test_a_second_bare_verdict_makes_no_lumped_derivation(self, monkeypatch, m):
         """The system keeps its goal proofs, so a second verdict on it reads
         all of them and equals the first: it makes no lumped derivation,
-        applies no rule and takes no slice, and since every condition
+        replays no proof and takes no slice, and since every condition
         statement is a premise, it makes no search and files no statement
         in any index."""
         sys = build_system(m)
@@ -1010,13 +1015,13 @@ class TestLumpedRoute:
         results = self._record_lumped(monkeypatch)
         first = verify_coherence(sys, mode)
         assert len(results) == 4
-        applied = self._record_applied(monkeypatch)
+        replayed = self._record_replayed(monkeypatch)
         panels = self._record_sliced(monkeypatch)
         indexed = []
         index = ci._index
         monkeypatch.setattr(ci, "_index", lambda *args: indexed.append(args[-1]) or index(*args))
         second = verify_coherence(sys, mode)
-        assert (len(results), applied, panels, indexed) == (4, [], [], [])
+        assert (len(results), replayed, panels, indexed) == (4, [], [], [])
         assert second == first
         assert [g.proof for g in second.goals] == [r.proof for r in sys.goal_proofs.values()]
 
@@ -1228,38 +1233,68 @@ class TestChecksUnderOptimize:
         ("extracted", "internal error: extracted proof failed replay",
          "ci.Proof.replay = lambda proof, deps=(): False",
          "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
-        # the expansion applies each rule through protocol's binding of
-        # apply_axiom, here one that gives a wrong statement: the lumped
-        # derivations, made through ci's, still replay, but the first
-        # expanded step (panel 1's independence proof) misses its output
-        ("expanded", "internal error: expanded step output is not its expansion",
-         "p.apply_axiom = lambda *args: ci.normalize({'I_0^0'}, {'theta_1'})",
+        # each lumped proof's first step gives a wrong statement: the lumped
+        # derivations, made through ci's derive_through, replay, but the
+        # first expanded step misses its rule's output
+        ("expanded", "internal error: expanded proof failed replay",
+         "derive_through = p.derive_through\n"
+         "def wrong_output(*args, **kw):\n"
+         "    r = derive_through(*args, **kw)\n"
+         "    first = r.proof.steps[0]\n"
+         "    wrong = ci.ProofStep(first.rule, first.inputs, first.selection,\n"
+         "                         ci.normalize({'I_0^0'}, {'theta_1'}))\n"
+         "    proof = ci.Proof(r.proof.premises, (wrong,) + r.proof.steps[1:], r.proof.goal)\n"
+         "    return ci.DeriveResult(r.status, proof, r.generated)\n"
+         "p.derive_through = wrong_output",
          "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
-        # a rule that does not apply in the full system is an internal
-        # error, never the CIError the command line reports as bad input
-        ("unlicensed", "internal error: expanded proof is not licensed",
-         "p.apply_axiom = lambda *args: ci.apply_axiom('symmetry', ())",
+        # each lumped proof's first step, a contraction of two statements,
+        # renamed symmetry, which takes one: a rule that does not apply is
+        # an internal error, never the CIError the command line reports as
+        # bad input
+        ("unlicensed", "internal error: expanded proof failed replay",
+         "derive_through = p.derive_through\n"
+         "def unlicensed(*args, **kw):\n"
+         "    r = derive_through(*args, **kw)\n"
+         "    first = r.proof.steps[0]\n"
+         "    wrong = ci.ProofStep('symmetry', first.inputs, first.selection, first.output)\n"
+         "    proof = ci.Proof(r.proof.premises, (wrong,) + r.proof.steps[1:], r.proof.goal)\n"
+         "    return ci.DeriveResult(r.status, proof, r.generated)\n"
+         "p.derive_through = unlicensed",
          "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
-        # panels 3..m's proofs left in panel 2's I_22^0 by a leaky expand,
-        # patched into the seam that builds each panel's lumping before the
-        # system is built: every step still applies, but the premises are
-        # not the base's
-        ("premise", "internal error: expanded premise is not a base statement",
+        # panel 3's independence proof left in panel 2's I_22^0 by a leaky
+        # expand, patched into the seam that builds each panel's lumping
+        # before the system is built: every step still applies and the
+        # proof ends at its goal, which names no own evidence, but its
+        # premises are not the base's
+        ("premise", "internal error: expanded proof failed replay",
          "panel_lumping = p._panel_lumping\n"
          "def leaky(s, i):\n"
          "    l, kept = panel_lumping(s, i), {'I_22^0'}\n"
          "    expand = lambda side: l.expand(side - kept) | side & kept\n"
          "    return p.Lumping(l.universe, l.lump, expand, l.waypoints)\n"
          "p._panel_lumping = leaky",
-         "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+         "s = p.build_system(3); base = frozenset(p.base_statements(s)); "
+         "p._derive_lumped(s, base, (3, 'panel_independence'), 10**4, "
+         "ci.Memo(s.dependencies, s.universe), {}, {})"),
+        # a leaky expand that writes I_0^0 into every side, so the sides of
+        # each expanded statement overlap: an internal error, never the
+        # OverlappingSets (a CIError) that normalize would raise
+        ("overlap", "internal error: expanded proof failed replay",
+         "panel_lumping = p._panel_lumping\n"
+         "def leaky(s, i):\n"
+         "    l = panel_lumping(s, i)\n"
+         "    expand = lambda side: l.expand(side) | {'I_0^0'}\n"
+         "    return p.Lumping(l.universe, l.lump, expand, l.waypoints)\n"
+         "p._panel_lumping = leaky",
+         "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
         # each lumped proof stops one waypoint short of its goal
-        ("goal", "internal error: expanded proof does not end at its goal",
+        ("goal", "internal error: expanded proof failed replay",
          "derive_through = p.derive_through\n"
          "p.derive_through = lambda base, deps, ways, *args, **kw: derive_through(\n"
          "    base, deps, ways[:-1], *args, **kw)",
          "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
         # each lumped proof's steps in reverse: the first uses later outputs
-        ("available", "internal error: expanded step input is not available",
+        ("available", "internal error: expanded proof failed replay",
          "derive_through = p.derive_through\n"
          "def reversed_steps(*args, **kw):\n"
          "    r = derive_through(*args, **kw)\n"
@@ -1267,6 +1302,15 @@ class TestChecksUnderOptimize:
          "    return ci.DeriveResult(r.status, proof, r.generated)\n"
          "p.derive_through = reversed_steps",
          "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+        # a lumped proof with no step, on a base that holds the goal, whose
+        # premises all expand into the base: it replays, as its goal is a
+        # premise, but an expanded goal proof must have a step
+        ("no_steps", "internal error: expanded proof failed replay",
+         "p.derive_through = lambda base, deps, ways, *args, **kw: ci.DeriveResult(\n"
+         "    'proved', ci.Proof(tuple(base), (), ways[-1]), 0)",
+         "s = p.build_system(2); r = (1, 'panel_independence'); "
+         "base = frozenset(p.base_statements(s, statements=s.goal_chains[r][-1:])); "
+         "p._derive_lumped(s, base, r, 10, ci.Memo(s.dependencies, s.universe), {}, {})"),
         # only the spliced proof lists the unused premise
         ("spliced", "internal error: spliced proof failed replay",
          "base = [ci.normalize({'a'}, {'b'}, {'c'}), ci.normalize({'d'}, {'e'})]\n"

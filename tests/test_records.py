@@ -159,6 +159,7 @@ def test_constructor_refuses_wrong_fields():
 
 def test_defaults_come_from_class_attributes():
     assert specfile.RunOptions() == specfile.RunOptions(101, ci.DEFAULT_BUDGET)
+    assert specfile.SpecFile().run == specfile.RunOptions()
     assert protocol.GoalResult(1, "panel_independence", S, "proved").proof is None
     assert specfile.Models().priors == ()
 
@@ -166,8 +167,15 @@ def test_defaults_come_from_class_attributes():
 def test_mutable_defaults_are_fresh_per_instance():
     a, b = report.Report("check", "pass", {}), report.Report("check", "pass", {})
     assert a.options == {} and a.options is not b.options
-    assert specfile.SpecFile().run == specfile.RunOptions()
-    assert specfile.SpecFile().run is not specfile.SpecFile().run
+
+
+def test_a_frozen_default_is_shared():
+    """A spec's run section defaults to one ``RunOptions``, which no spec
+    can change, as its conditions default to one tuple."""
+    a, b = specfile.SpecFile(), specfile.SpecFile()
+    assert a.run is b.run and a.conditions is b.conditions
+    with pytest.raises(AttributeError, match="frozen"):
+        a.run.grid = 3
 
 
 def test_class_constants_are_not_fields():
