@@ -53,9 +53,11 @@ SECONDS = 20
 # spec allowed; cli_import starts 15 interpreters that import the CLI from
 # source, as the benchmark's CLI children do, so the import's share of a
 # command shows apart from the host noise in cli.import_s; it and
-# closure_m2 run ten times, since three runs per side moved by 10-18 % on
-# noise alone; joint_oracle_short_last_block runs the grid engine on 13
-# blocks of 3 points, where a leaf holds about 11,000 rows of the streamed
+# saturation_m2 run ten times, since three runs per side moved by 10-18 % on
+# noise alone; saturation_m2 asks derive for a goal outside the m=2
+# closure, so one search saturates the conditions (29,880 statements);
+# joint_oracle_short_last_block runs the grid engine on 13 blocks of 3
+# points, where a leaf holds about 11,000 rows of the streamed
 # prior, with its ll evaluated beforehand: a case restarts the clocks and
 # the counts (``restart()``) after its set-up, so its seconds are ten oracle
 # calls alone;
@@ -63,13 +65,14 @@ SECONDS = 20
 # bare one and then one per extra statement, as the benchmark's prove
 # workload does (no CLI command makes more than one verdict on a system
 # with the same conditions), so it shows what the system's goal proofs
-# (made, expanded and checked once) and each panel's lumping (lumped
-# universe, expand and the lumped waypoints of its goal chains), made once
-# per system, save from one verdict to the next; at about 0.03 s a run it
-# runs ten times; verify_coherence_m3_fresh_extras makes the same seven
-# verdicts, each on a fresh m=3 system, as each CLI command does, so its
-# counts read the four lumped derivations and six expansions of each
-# system's goal proofs and none for a verdict's extras; it runs ten times;
+# (made, expanded and checked once per system) save from one verdict to
+# the next, while each verdict that derives a goal of a panel makes that
+# panel's lumping (lumped universe, expand and the lumped waypoints of its
+# goal chains) again; at about 0.03 s a run it runs ten times;
+# verify_coherence_m3_fresh_extras makes the same seven verdicts, each on
+# a fresh m=3 system, as each CLI command does, so its counts read the
+# four lumped derivations and six expansions of each system's goal proofs
+# and none for a verdict's extras; it runs ten times;
 # verify_coherence_m32_repeat makes one bare verdict on an m=32 system
 # before ``restart()`` and times three more, so it shows a verdict after
 # a system's first at the largest panel count, which reads all 64 stored
@@ -89,8 +92,7 @@ SECONDS = 20
 # so its counts divided by 14 are the work of one prove job; the
 # verify_coherence_m* cases and the _sequence one build a fresh system, so
 # their counts include the four lumped derivations and 2m expansions of its
-# goal proofs and its panels' lumpings, all but _m32_repeat, which counts
-# after its first verdict
+# goal proofs, all but _m32_repeat, which counts after its first verdict
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"
@@ -122,10 +124,11 @@ LAYER_CASES = (
      "for _ in range(10):\n"
      "    oracle = pn.joint_oracle(priors, lambda *blocks: ll)\n"
      "out = {'cells': oracle.weights.size, 'max': float(oracle.weights.max())}"),
-    ("closure_m2", 10,
+    ("saturation_m2", 10,
      "s = p.build_system(2)\n"
-     "r = ci.closure(p.base_statements(s), s.dependencies, s.universe)\n"
-     "out = {'statements': r.generated, 'complete': r.complete}"),
+     "goal = ci.normalize({'theta_1'}, {'I_11^0'})\n"
+     "r = ci.derive(p.base_statements(s), s.dependencies, goal, universe=s.universe)\n"
+     "out = {'statements': r.generated, 'status': r.status}"),
     ("verify_coherence_m3_sequence", 10,
      "s = p.build_system(3)\n"
      "extras = [({'I_12^0'}, {'theta_1'}, {'I_0^0'}), ({'I_11^0'}, {'I_22^0'}, {'I_0^0'}),\n"
@@ -223,12 +226,13 @@ print(json.dumps({{"seconds": seconds, "cpu_seconds": cpu_seconds, "peak_rss_mb"
 # replaced attribute restored (and checked) before the counts are printed:
 # memos (``ci.Memo``s built), searches (``ci._Saturation``s created),
 # searches run (those a query ran, each counted once, when its first run
-# starts) and the statements they hold when each last stops (where ``ci``
-# files a base at a search's first run, a search no query ran holds
-# none), calls of ``ci.normalize``, ``ci.apply_axiom``,
-# ``ci.derive_through``, ``Proof.replay`` and ``dag.d_separated``, and the
-# leaves and cells that ``panels._pairwise`` sweeps.  ``restart()`` drops
-# what the case's set-up counted.
+# starts) and the statements they hold when each last stops (a search
+# holds its base from the time ``ci`` files it: when the search is made,
+# or at its first run where ``ci`` files it then), calls of
+# ``ci.normalize``, ``ci.apply_axiom``, ``ci.derive_through``,
+# ``Proof.replay`` and ``dag.d_separated``, and the leaves and cells that
+# ``panels._pairwise`` sweeps.  ``restart()`` drops what the case's set-up
+# counted.
 COUNT_CHILD = """\
 import collections, json, sys, time, types, weakref
 from modcoherence import ci, dag, panels, protocol as p

@@ -338,15 +338,6 @@ def premise_proof(goal: CIStatement) -> Proof:
     return Proof((goal,), (), goal)
 
 
-class ClosureResult(Record):
-    statements: frozenset
-    complete: bool
-    generated: int
-
-    def __contains__(self, stmt: CIStatement) -> bool:
-        return stmt in self.statements
-
-
 class DeriveResult(Record):
     status: str  # "proved" | "not_derivable" | "budget_exhausted"
     proof: Optional[Proof]
@@ -393,16 +384,10 @@ class Memo:
         self._bit = {name: 1 << i for i, name in enumerate(self._names)}
         self.width = len(self._names)
         self._dep_masks = tuple(
-            (self._mask(d.determiners), self._mask(d.determined)) for d in self.deps
+            (_mask(self._bit, d.determiners), _mask(self._bit, d.determined)) for d in self.deps
         )
         self.det_cache: dict[int, int] = {}
         self.searches: dict[tuple, _Saturation] = {}  # (universe, base, budget) -> search
-
-    def _mask(self, names: Iterable[Symbol]) -> int:
-        mask = 0  # an OR loop: half the time of sum(map(...)) on a one- or two-name side
-        for name in names:
-            mask |= self._bit[name]
-        return mask
 
     def names_of(self, mask: int) -> VarSet:
         out = []
@@ -413,7 +398,8 @@ class Memo:
         return frozenset(out)
 
     def encode(self, s: CIStatement) -> _Triple:
-        return (self._mask(s.a), self._mask(s.b), self._mask(s.c))
+        bit = self._bit
+        return (_mask(bit, s.a), _mask(bit, s.b), _mask(bit, s.c))
 
     def decode(self, t: _Triple) -> CIStatement:
         return CIStatement(self.names_of(t[0]), self.names_of(t[1]), self.names_of(t[2]))
@@ -424,6 +410,14 @@ class Memo:
         if got is None:
             got = self.det_cache[ctx] = _determined_mask(ctx, self._dep_masks)
         return got
+
+
+def _mask(bit: dict[Symbol, int], names: Iterable[Symbol]) -> int:
+    """The OR of each name's bit in ``bit``."""
+    mask = 0  # an OR loop: half the time of sum(map(...)) on a one- or two-name side
+    for name in names:
+        mask |= bit[name]
+    return mask
 
 
 def _determined_mask(ctx: int, dep_masks: Iterable[tuple[int, int]]) -> int:
@@ -498,28 +492,22 @@ class _Saturation:
     putting the side with the lower lowest set bit first (:func:`_orient`)
     is :func:`normalize`'s least-name-first orientation, and walking a mask
     from its lowest bit visits its symbols in sorted order, in any memo's
-    encoding.  Triples are decoded to :class:`CIStatement` only for the
-    goal, proofs and closures, by the memo that :meth:`run` and
-    :meth:`extract_proof` take.
+    encoding.  The search files its base when it is made, in ``sort_key``
+    order, each statement checked against the universe, so the first one
+    outside it is named.  Triples are decoded to :class:`CIStatement` only
+    for the goal and proofs, by the memo that :meth:`run` and
+    :meth:`extract_proof` take; the search keeps no reference to it.
 
     Decomposition and weak union are generated one symbol at a time; any
     multi-symbol split is reachable as a chain of single-symbol moves, so the
     fixed point is unchanged while per-statement fanout stays linear.
     """
 
-    def __init__(self, base: Iterable[CIStatement], memo: Memo, universe: VarSet, budget: int) -> None:
+    def __init__(self, base: frozenset, memo: Memo, universe: VarSet, budget: int) -> None:
         if budget <= 0:
             raise ValueError("budget must be positive")
-        base = frozenset(base)
-        for s in base:
-            if not s.within(universe):
-                # the first statement to leave it in the order a run files the base
-                stray = min((x for x in base if not x.within(universe)),
-                            key=CIStatement.sort_key)
-                raise UniverseError(f"base statement {stray.render()} leaves the universe")
-        self.universe = memo._mask(universe)
+        self.universe = _mask(memo._bit, universe)
         self.budget = budget
-        self.unfiled = base  # sorted, encoded and indexed by the first run
         self.known: dict[_Triple, _Prov] = {}
         self.status: Optional[str] = None  # "not_derivable" | "budget_exhausted" once ended
         # the statements still to expand and the contraction indexes: by_ctx
@@ -530,19 +518,20 @@ class _Saturation:
         # second premise x and c in by_span
         self.agenda = deque()
         self.by_ctx, self.by_span = {}, {}
+        # filed in the order the counts and proofs depend on
+        for s in sorted(base, key=CIStatement.sort_key):
+            if not s.within(universe):
+                raise UniverseError(f"base statement {s.render()} leaves the universe")
+            t = memo.encode(s)
+            self.known[t] = None
+            self.agenda.append(t)
+            _index(self.by_ctx, self.by_span, memo.width, t)
 
     def run(self, memo: Memo, goal: Optional[CIStatement] = None) -> bool:
         """Continue the search until ``goal`` is known (True) or the closure
         is complete or the budget spent (False).  Statements are expanded in
-        full, so the next run resumes where this one stopped; the first run
-        files the base first, in ``sort_key`` order."""
+        full, so the next run resumes where this one stopped."""
         known = self.known
-        for s in sorted(self.unfiled, key=CIStatement.sort_key):
-            t = memo.encode(s)
-            known[t] = None
-            self.agenda.append(t)
-            _index(self.by_ctx, self.by_span, memo.width, t)
-        self.unfiled = ()
         target = memo.encode(goal) if goal is not None else None
         if self.status is not None:
             return target in known
@@ -671,25 +660,6 @@ class _Saturation:
         return Proof(tuple(premises), tuple(steps), goal)
 
 
-def closure(
-    base: Iterable[CIStatement],
-    deps: Iterable[FunctionalDependency] = (),
-    universe: Optional[Iterable[Symbol]] = None,
-    budget: int = DEFAULT_BUDGET,
-) -> ClosureResult:
-    """Fixed point of rule application over the universe, or a partial set.
-
-    Deterministic given identical inputs; the resulting set is invariant
-    under permutation of the base statements whenever the run completes.
-    """
-    base = frozenset(base)
-    memo, universe = _memo_for(None, base, deps, universe)
-    search = _Saturation(base, memo, universe, budget)
-    search.run(memo)
-    statements = frozenset(memo.decode(t) for t in search.known)
-    return ClosureResult(statements, search.status == "not_derivable", len(search.known))
-
-
 def derive(
     base: Iterable[CIStatement],
     deps: Iterable[FunctionalDependency] = (),
@@ -706,10 +676,10 @@ def derive(
     memo's search of this universe, base and budget, as a fresh search would.
     A goal in the base, once the budget, the base and the goal are checked,
     is its own zero-step proof, with the base's size as its count, as a
-    fresh search stopping at once would report; no search runs for it, and
-    the search made to check the base encodes and indexes nothing until a
-    query runs it.  (An axiomatic verdict answers its premises with the
-    same :func:`premise_proof` and makes no search for them.)
+    fresh search stopping at once would report; the search made to check
+    the base files it, but no search runs for the goal.  (An axiomatic
+    verdict answers its premises with the same :func:`premise_proof` and
+    makes no search for them.)
     """
     if goal is None:
         raise ValueError("derive requires a goal statement")

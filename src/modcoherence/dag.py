@@ -22,6 +22,7 @@ from .ci import (
     Symbol,
     VarSet,
     _determined_mask,
+    _mask,
     _symbols,
     normalize,
 )
@@ -135,13 +136,6 @@ def _refuse(dag: Dag, a: VarSet, b: VarSet, c: VarSet) -> None:
     if stray:
         raise UnknownSymbol(f"query mentions undeclared nodes: {stray}")
     normalize(a, b, c)  # raises EmptySide or OverlappingSets
-
-
-def _mask(bit: dict[Symbol, int], names: Iterable[Symbol]) -> int:
-    mask = 0  # an OR loop: half the time of sum(map(...)) on a one- or two-name side
-    for name in names:
-        mask |= bit[name]
-    return mask
 
 
 def d_separated(

@@ -62,15 +62,13 @@ class PanelSystem(Record):
 
     Besides m, a system holds only values derived from m, each made once,
     on first use, and of a size fixed by m: its universe, dependencies,
-    condition statements and goal chains; each panel's lumping
-    (``lumpings``: lumped universe, ``lump``, ``expand`` and the lumped
-    waypoints of its two goal chains); and its goals' proofs from its own
-    conditions (``goal_proofs``), each expanded into the full system and
-    replayed there once, and read wherever a verdict's base holds their
-    premises.  No verdict's base, slice, memo or table is kept, and
-    a verdict makes its memo only for a query that derives (see
-    :func:`_decider`): only each ``expand``'s cache tells which of the at
-    most 64 lumped sides verdicts have expanded."""
+    condition statements and goal chains, and its goals' proofs from its
+    own conditions (``goal_proofs``), each expanded into the full system
+    and replayed there once, and read wherever a verdict's base holds their
+    premises.  No verdict's base, lumping, slice, memo or table is kept: a
+    verdict makes its memo only for a query that derives, and a panel's
+    lumping only for a goal of that panel it derives (see
+    :func:`_decider`)."""
 
     m: int
     common = "I_0^0"
@@ -164,21 +162,16 @@ class PanelSystem(Record):
         return chains
 
     @functools.cached_property
-    def lumpings(self) -> dict[int, Lumping]:
-        """Each panel's lumping (see :func:`_panel_lumping`), keyed by
-        panel: made once per system and read by every verdict, which keeps
-        only its slices of the base."""
-        return {i: _panel_lumping(self, i) for i in range(1, self.m + 1)}
-
-    @functools.cached_property
     def goal_proofs(self) -> dict[tuple[int, str], DeriveResult]:
         """Each route's :func:`_derive_lumped` over ``base_statements(self)``
         at ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
         allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements.  One
-        memo, table and slice per panel serve all routes, so the searches
-        are four: panels 3..m's slices are panel 2's.  Each proof is
-        expanded and replayed in the full system once, here, and read by
-        every verdict whose base holds its premises (see :func:`_decider`)."""
+        memo and table, and one lumping and slice per panel, serve all
+        routes, so the searches are four: panels 3..m's slices are panel
+        2's.  The lumpings are dropped once the proofs are made.  Each
+        proof is expanded and replayed in the full system once, here, and
+        read by every verdict whose base holds its premises (see
+        :func:`_decider`)."""
         base = frozenset(base_statements(self))
         memo, table, slices = Memo(self.dependencies, self.universe), {}, {}
         return {route: _derive_lumped(self, base, route, DEFAULT_BUDGET, memo, table, slices)
@@ -273,7 +266,9 @@ def _panel_lumping(sys: PanelSystem, i: int) -> Lumping:
     """Panel i's lumped universe, ``lump``, ``expand`` and the lumped
     waypoints of its two goal chains, all written in the names of panel
     i's order type: panel 1's own, and panel 2's for panels 2..m (see
-    :func:`_derive_lumped`).  All of it depends on m alone.
+    :func:`_derive_lumped`).  All of it depends on m alone; it is made the
+    first time a context, ``goal_proofs`` or one verdict, derives a goal of
+    panel i, and kept beside that context's slice of the base.
 
     The lumped universe is the six symbols of panel i's lumped derivations:
     its theta and own evidence, the common and pool symbols, and the first
@@ -316,14 +311,6 @@ def _panel_lumping(sys: PanelSystem, i: int) -> Lumping:
     waypoints = {route: tuple(map(lump, chain))
                  for route, chain in sys.goal_chains.items() if route[0] == i}
     return Lumping(frozenset(names).union(shared), lump, expand, waypoints)
-
-
-def _panel_slice(sys: PanelSystem, base: Iterable[CIStatement], i: int) -> frozenset:
-    """``base`` sliced for panel i: each statement its lumping's ``lump``
-    keeps, lumped.  The one piece of a panel's lumping that depends on the
-    base, so a verdict makes it and keeps it as long as itself."""
-    lump = sys.lumpings[i].lump
-    return frozenset(t for s in base if (t := lump(s)) is not None)
 
 
 def _derive_lumped(
@@ -373,16 +360,17 @@ def _derive_lumped(
     those in its own names.  ``table`` maps a slice and the waypoints to
     their derivation; one missing is made at ``budget`` with ``memo`` (for
     ``sys.dependencies`` and a universe holding the lumped one, such as
-    the system's, which keeps names in sorted order too).  ``slices``
-    keeps each panel's :func:`_panel_slice` of ``base``, so both goals of
-    a panel read one slice.  The lumped universe, the route's lumped
-    waypoints and ``expand`` are the system's own (``sys.lumpings``), made
-    once per system, so each side is expanded at most once per system.
+    the system's, which keeps names in sorted order too).  ``slices`` maps
+    each panel a goal has needed to its :func:`_panel_lumping`, made then,
+    and its slice of ``base``: each statement the lumping's ``lump`` keeps,
+    lumped.  Both goals of a panel read one slice and one ``expand``,
+    whose cache lives as long as ``slices``.
     """
     i = route[0]
     if i not in slices:
-        slices[i] = _panel_slice(sys, base, i)
-    sliced, lumping = slices[i], sys.lumpings[i]
+        lumping = _panel_lumping(sys, i)
+        slices[i] = lumping, frozenset(t for s in base if (t := lumping.lump(s)) is not None)
+    lumping, sliced = slices[i]
     waypoints = lumping.waypoints[route]
     if (sliced, waypoints) not in table:
         table[sliced, waypoints] = derive_through(
@@ -418,11 +406,11 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     the full system.  The base is checked against the universe (by
     :meth:`~modcoherence.ci.CIStatement.within`, as a search checks its
     base), and the budget checked, before any statement is decided; it is
-    frozen once per verdict.  The verdict's
-    one memo, its table of lumped derivations and its slice of the base
-    per panel are made by the first query that derives, if any, and live
-    as long as the decider, one verdict.  Graphical mode asks
-    d-separation."""
+    frozen once per verdict.  The verdict's one memo and its table of
+    lumped derivations are made by the first query that derives, if any,
+    and a panel's lumping and slice of the base by the first of its goals
+    that derives; all of them live as long as the decider, one verdict.
+    Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         universe = sys.universe
         for stmt in mode.base:
@@ -486,10 +474,10 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
 
     In axiomatic mode a statement of the base, such as a condition's, is
     its own zero-step proof, and the verdict's derivations, if any, share
-    one memo, one table of lumped derivations and one slice of the base
-    per panel, made by the first query that derives and dropped when the
-    verdict is made (see :func:`_decider`); only the system's goal proofs
-    and each panel's lumping, made once per system, outlive it.
+    one memo, one table of lumped derivations and one lumping and slice of
+    the base per panel, made by the first query that needs them and
+    dropped when the verdict is made (see :func:`_decider`); only the
+    system's goal proofs, made once per system, outlive it.
     Every lumped proof is expanded into panel i's names, then checked
     against the base and replayed in the full system by
     :meth:`~modcoherence.ci.Proof.replay` (see :func:`_derive_lumped`):

@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to validate the symbolic machinery.
 
-Everything here works by full enumeration, over small discrete joints or over
-every instance of the inference rules, and is deliberately separate from the
-code paths it checks.
+The oracles work by full enumeration, over small discrete joints or over
+every instance of the inference rules, and are deliberately separate from
+the code paths they check.  One helper is not an oracle: :func:`closure`
+runs the prover's own search to its fixed point, the set the reference
+closure is compared against.
 """
 
 from __future__ import annotations
@@ -15,13 +17,17 @@ from graphlib import TopologicalSorter
 
 import numpy as np
 
+from modcoherence import Record
 from modcoherence.ci import (
     DEFAULT_BUDGET,
     CIError,
+    CIStatement,
     DeriveResult,
     FunctionalDependency,
     Proof,
     ProofStep,
+    _memo_for,
+    _Saturation,
     apply_axiom,
     derive,
     derive_through,
@@ -280,6 +286,30 @@ def premise_joint_independent_given(
             prob *= parts[k][assignment[k], cfg]
         joint[assignment] = prob
     return joint
+
+
+class ClosureResult(Record):
+    statements: frozenset
+    complete: bool
+    generated: int
+
+    def __contains__(self, stmt: CIStatement) -> bool:
+        return stmt in self.statements
+
+
+def closure(base, deps=(), universe=None, budget=DEFAULT_BUDGET) -> ClosureResult:
+    """The prover's own search of ``base`` run to its fixed point, or to its
+    budget, as a partial set.
+
+    Deterministic given identical inputs; the resulting set is invariant
+    under permutation of the base statements whenever the run completes.
+    """
+    base = frozenset(base)
+    memo, universe = _memo_for(None, base, deps, universe)
+    search = _Saturation(base, memo, universe, budget)
+    search.run(memo)
+    statements = frozenset(memo.decode(t) for t in search.known)
+    return ClosureResult(statements, search.status == "not_derivable", len(search.known))
 
 
 def reference_closure(base, deps, universe):

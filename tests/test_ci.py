@@ -23,10 +23,10 @@ from modcoherence.ci import (
     UnknownRule,
     UnlicensedDeterminism,
     UniverseError,
+    _mask,
     _orient,
     aggregate_dependencies,
     apply_axiom,
-    closure,
     derive,
     derive_through,
     determined_closure,
@@ -35,11 +35,12 @@ from modcoherence.ci import (
 from modcoherence.protocol import (
     ALL_CONDITIONS,
     ConditionKind,
+    _panel_lumping,
     base_statements,
     build_system,
 )
 
-from .oracles import reference_closure, single_symbol_expansion
+from .oracles import closure, reference_closure, single_symbol_expansion
 
 T1, T2, I0, ISTAR, IPLUS, I11 = "theta_1", "theta_2", "I_0", "I_*", "I_+", "I_11"
 
@@ -304,27 +305,33 @@ class TestDerive:
                            match=r"^base statement Z _\|\|_ theta_2 leaves the universe$"):
             derive(base, goal=base[0], universe={T1, T2})
 
-    def test_a_search_files_its_base_when_it_first_runs(self):
-        # a premise goal makes the memo's search of its base, which checks
-        # it, but encodes and indexes nothing; the first query that runs
-        # the search files the base and answers as a fresh search
+    def test_a_search_files_its_base_when_it_is_made(self):
+        # a premise goal makes the memo's search of its base, which runs
+        # no step but files the base at once, in the sorted order that
+        # base_statements lists it in; a later query runs that search and
+        # answers as a fresh search
         system = build_system(2)
         deps, universe = system.dependencies, system.universe
         base = base_statements(system)
         memo = Memo(deps, universe)
         assert derive(base, deps, base[0], universe=universe, memo=memo).proved
         (search,) = memo.searches.values()
-        assert (search.known, search.by_ctx, search.by_span, list(search.agenda)) == ({}, {}, {}, [])
-        goal = system.goal_chains[1, "panel_independence"][-1]
+        filed = list(map(memo.encode, base))
+        assert list(search.known.items()) == [(t, None) for t in filed]
+        assert list(search.agenda) == filed and search.status is None
+        assert sum(map(len, search.by_ctx.values())) == 2 * len(base)
+        # the memo holds the search, so a search holding the memo would make a cycle
+        assert not any(value is memo for value in vars(search).values())
+        goal =system.goal_chains[1, "panel_independence"][-1]
         fresh = derive(base, deps, goal, universe=universe)
         assert derive(base, deps, goal, universe=universe, memo=memo) == fresh
-        # filed in the sorted order that base_statements lists them in
-        assert list(search.known)[:len(base)] == list(map(memo.encode, base))
+        assert list(search.known)[:len(base)] == filed
 
     def test_the_first_stray_in_sort_key_order_is_named(self):
         # two statements leave the universe, listed in reverse sort_key
-        # order; a search checks its base unsorted, and names the first
-        # stray in the order a run files the base, under any hash seed
+        # order; a search checks each statement as it files the base in
+        # sort_key order, so it names the first stray in that order, under
+        # any hash seed
         base = [normalize({T1}, {T2}, {I0}), normalize({"Y"}, {T2}), normalize({"X"}, {T2})]
         assert sorted(base, key=CIStatement.sort_key) == [base[2], base[1], base[0]]
         with pytest.raises(UniverseError,
@@ -332,7 +339,7 @@ class TestDerive:
             derive(base, goal=base[0], universe={T1, T2, I0})
 
     def test_a_search_files_its_base_in_sort_key_order(self):
-        # the base listed in reverse: the first run files it sorted, as
+        # the base listed in reverse: the search files it sorted, as
         # the search's counts and proofs depend on
         system = build_system(2)
         deps, universe = system.dependencies, system.universe
@@ -435,7 +442,7 @@ class TestDerive:
         assert fresh.generated < late.generated
         assert derive(kept, deps, early, universe=universe, memo=memo) == fresh
         # a smaller universe on the same memo
-        lumped = system.lumpings[1].universe
+        lumped = _panel_lumping(system, 1).universe
         inside = [s for s in kept if s.symbols() <= lumped]
         for goal in (system.goal_chains[1, "autonomous_updating"][-1], absent):
             fresh = derive(inside, deps, goal, universe=lumped)
@@ -535,7 +542,7 @@ def test_normalize_orients_as_the_memo_and_decode_inverts_encode():
         n_b = rng.randint(1, len(picked) - n_a)
         a, b, c = picked[:n_a], picked[n_a : n_a + n_b], picked[n_a + n_b :]
         s = normalize(a, b, c)
-        assert memo.encode(s) == _orient(memo._mask(a), memo._mask(b), memo._mask(c))
+        assert memo.encode(s) == _orient(*(_mask(memo._bit, side) for side in (a, b, c)))
         assert memo.decode(memo.encode(s)) == s
         swapped += s.a != frozenset(a)
     assert swapped == SWAPPED
@@ -590,7 +597,7 @@ def test_set_valued_closures_match_their_single_symbol_expansion():
         assert determined_closure(context, deps) == want
         for facts in (deps, expanded):
             memo = Memo(facts, names)
-            assert memo.names_of(memo.det(memo._mask(context))) == want
+            assert memo.names_of(memo.det(_mask(memo._bit, context))) == want
 
 
 def test_dependency_chain_through_symbol_outside_universe():

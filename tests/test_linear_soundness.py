@@ -8,9 +8,10 @@ dependency X -> Y when r(XY) = r(X).  Both are exact integer identities
 that owe nothing to ``ci``.
 
 Each instance takes a base of 6 statements and 2 dependencies that hold in
-its model.  Every statement of ``ci.closure`` on them must hold in the model,
-and so must every statement of the proofs that several ``derive`` queries on
-one ``Memo``, asked in a seeded random order, return.  ``apply_axiom`` checks
+its model.  Every statement of the prover's closure on them (its own search
+run to a fixed point, ``tests/oracles.closure``) must hold in the model, and
+so must every statement of the proofs that several ``derive`` queries on one
+``Memo``, asked in a seeded random order, return.  ``apply_axiom`` checks
 each step's shape only, so this is the check that a bug in the bit encoding,
 the resumed searches or the determinism cache cannot pass.
 
@@ -25,13 +26,15 @@ and the package.
 import random
 
 from modcoherence import protocol
-from modcoherence.ci import FunctionalDependency, Memo, closure, derive, normalize
+from modcoherence.ci import FunctionalDependency, Memo, derive, normalize
 from modcoherence.protocol import (
     AxiomaticMode,
     base_statements,
     build_system,
     verify_coherence,
 )
+
+from .oracles import closure
 
 # names whose string order differs from their number order
 NAMES = ("theta_1", "theta_10", "theta_2", "I_0^0", "I_+^0")

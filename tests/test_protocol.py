@@ -23,7 +23,7 @@ from modcoherence.protocol import (
     IndexOutOfRange,
     InvalidPanelCount,
     UniverseMismatch,
-    _panel_slice,
+    _panel_lumping,
     ablate,
     base_statements,
     build_system,
@@ -31,6 +31,8 @@ from modcoherence.protocol import (
     confounded_dag,
     verify_coherence,
 )
+from modcoherence.specfile import parse_spec
+
 from .oracles import (
     full_path_goal_statuses,
     local_markov_basis,
@@ -410,6 +412,13 @@ def _random_mode(rng, sys, budget):
     return AxiomaticMode(tuple(sorted(base, key=lambda s: s.sort_key())), budget)
 
 
+def _panel_slice(sys, base, i):
+    """``base`` sliced for panel i: each statement panel i's ``lump`` keeps,
+    lumped."""
+    lump = _panel_lumping(sys, i).lump
+    return frozenset(t for s in base if (t := lump(s)) is not None)
+
+
 @functools.cache
 def _bare_lumped(sys):
     """Each route's reference ``lump`` (``tests/oracles.panel_lump_reference``),
@@ -422,7 +431,7 @@ def _bare_lumped(sys):
         waypoints = tuple(map(lump, chain))
         sliced = frozenset(t for s in base_statements(sys) if (t := lump(s)) is not None)
         own = ci.derive_through(sliced, sys.dependencies, waypoints, ci.DEFAULT_BUDGET,
-                                sys.lumpings[i].universe)
+                                _panel_lumping(sys, i).universe)
         out[i, name] = lump, waypoints, own
     return out
 
@@ -724,12 +733,13 @@ class TestLumpedRoute:
 
     @staticmethod
     def _record_sliced(monkeypatch):
-        """A list that fills with the panel of each slice of a base made at
-        ``protocol._panel_slice``."""
+        """A list that fills with the panel of each lumping made at
+        ``protocol._panel_lumping``, which a context makes with its slice
+        of a base."""
         panels = []
-        original = protocol._panel_slice
-        monkeypatch.setattr(protocol, "_panel_slice",
-                            lambda s, base, i: panels.append(i) or original(s, base, i))
+        original = protocol._panel_lumping
+        monkeypatch.setattr(protocol, "_panel_lumping",
+                            lambda s, i: panels.append(i) or original(s, i))
         return panels
 
     @staticmethod
@@ -794,65 +804,69 @@ class TestLumpedRoute:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_a_verdict_slices_the_base_once_per_panel(self, monkeypatch, m):
         """A verdict whose base holds the premises of every stored proof
-        slices nothing.  Without the delegable statement, a premise of
-        each, both goals of a panel derive from one slice of the base, made
-        by the verdict and kept by nothing after it: a second verdict
-        slices again, and the system gains no attribute.  The lumping each
-        slice is made with is built once per system, panel by panel, by its
-        goal proofs."""
+        makes no lumping and slices nothing.  Without the delegable
+        statement, a premise of each, both goals of a panel derive from one
+        lumping and slice of the base, made by the verdict and kept by
+        nothing after it: a second verdict makes them again, and the system
+        gains no attribute.  Storing the goal proofs makes one lumping per
+        panel as well."""
         sys = build_system(m)
         bare = AxiomaticMode(base_statements(sys))
-        built = []
-        panel_lumping = protocol._panel_lumping
-        monkeypatch.setattr(protocol, "_panel_lumping",
-                            lambda s, i: built.append(i) or panel_lumping(s, i))
-        verify_coherence(sys, bare)
-        kept = dict(vars(sys))
         panels = self._record_sliced(monkeypatch)
         verify_coherence(sys, bare)
-        assert panels == []
+        assert panels == list(range(1, m + 1))
+        kept = dict(vars(sys))
+        verify_coherence(sys, bare)
+        assert panels == list(range(1, m + 1))
         mode = AxiomaticMode(base_statements(sys, ALL_CONDITIONS[1:]), 300)
         for _ in range(2):
             verdict = verify_coherence(sys, mode)
-        assert panels == list(range(1, m + 1)) * 2
-        assert built == list(range(1, m + 1))
+        assert panels == list(range(1, m + 1)) * 3
         assert vars(sys).keys() == kept.keys()
         monkeypatch.undo()
         _assert_matches_reference(sys, mode, verdict)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_a_second_verdict_builds_no_lumping(self, monkeypatch, m):
-        """Each panel's lumping is the system's: verdicts after the first,
-        on other bases and budgets, read the very objects the first one
-        built and build none."""
+    def test_a_verdict_holding_the_stored_premises_builds_no_lumping(self, monkeypatch, m):
+        """A verdict whose base holds the premises of every stored goal
+        proof, at a budget each proof was made within, reads them all and
+        builds no lumping, whatever else its base holds.  Storing the
+        proofs builds one lumping per panel."""
         sys = build_system(m)
-        verify_coherence(sys, AxiomaticMode(base_statements(sys)))
-        first = dict(sys.lumpings)
-        built = []
-        panel_lumping = protocol._panel_lumping
-        monkeypatch.setattr(protocol, "_panel_lumping",
-                            lambda s, i: built.append(i) or panel_lumping(s, i))
-        for seed in range(3):
-            verify_coherence(sys, _random_mode(random.Random(seed), sys, 300))
-        verify_coherence(sys, AxiomaticMode(base_statements(sys)))
-        assert built == []
-        assert list(sys.lumpings) == list(first) == list(range(1, m + 1))
-        assert all(sys.lumpings[i] is first[i] for i in first)
+        built = self._record_sliced(monkeypatch)
+        stored = sys.goal_proofs
+        assert built == list(range(1, m + 1))
+        conditions = set(base_statements(sys))
+        least = max(result.generated for result in stored.values())
+        for seed, budget in enumerate((least, least, ci.DEFAULT_BUDGET)):
+            base = conditions.union(_random_mode(random.Random(seed), sys, budget).base)
+            mode = AxiomaticMode(tuple(sorted(base, key=ci.CIStatement.sort_key)), budget)
+            verdict = verify_coherence(sys, mode)
+            assert [g.proof for g in verdict.goals] == [r.proof for r in stored.values()]
+        assert built == list(range(1, m + 1))
 
     @pytest.mark.parametrize(
         "m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8), (5, 300, 6)]
     )
-    def test_each_expand_cache_holds_at_most_64_sides(self, m, budget, instances):
+    def test_each_expand_cache_holds_at_most_64_sides(self, monkeypatch, m, budget, instances):
         """Every side a panel's ``expand`` is given is a subset of its six
-        lumped names, so its cache, kept by the system, holds at most 2**6
-        sides after each of ``TestMemo``'s random bases, one verdict after
-        another on one system."""
+        lumped names, so the cache of each lumping a verdict makes holds at
+        most 2**6 sides once the verdict is made, over ``TestMemo``'s random
+        bases, one verdict after another on one system, the first of them
+        storing the system's goal proofs."""
         sys = build_system(m)
+        made = []
+        original = protocol._panel_lumping
+        monkeypatch.setattr(protocol, "_panel_lumping",
+                            lambda s, i: made.append(original(s, i)) or made[-1])
+        sizes = []
         for seed in range(instances):
+            del made[:]
             verify_coherence(sys, _random_mode(random.Random(seed), sys, budget))
-            sizes = [lumping.expand.cache_info().currsize for lumping in sys.lumpings.values()]
-            assert max(sizes) <= 64
-        assert min(sizes) > 0
+            sizes.append([lumping.expand.cache_info().currsize for lumping in made])
+        assert max(size for verdict in sizes for size in verdict) <= 64
+        # the first verdict stores the system's goal proofs, whose m lumpings expand
+        assert min(sizes[0][:m]) > 0
 
     @pytest.mark.parametrize(
         "m, budget, instances",
@@ -870,7 +884,7 @@ class TestLumpedRoute:
         statements = sorted(statements, key=ci.CIStatement.sort_key)
         outcomes = set()
         for i in range(1, m + 1):
-            lump, reference = sys.lumpings[i].lump, panel_lump_reference(sys, i)
+            lump, reference = _panel_lumping(sys, i).lump, panel_lump_reference(sys, i)
             lumped = [lump(s) for s in statements]
             assert lumped == [reference(s) for s in statements]
             outcomes.update(t is None for t in lumped)
@@ -892,7 +906,7 @@ class TestLumpedRoute:
         _assert_matches_reference(sys, mode, verdict)
         proofs = {(g.panel, g.name): g.proof for g in verdict.goals}
         for name in ("panel_independence", "autonomous_updating"):
-            lumped = [[sys.lumpings[i].lump(t) for t in proofs[i, name].statements()]
+            lumped = [[_panel_lumping(sys, i).lump(t) for t in proofs[i, name].statements()]
                       for i in (2, 3)]
             assert lumped[0] == lumped[1]
             assert extra not in proofs[3, name].premises
@@ -1123,7 +1137,7 @@ class TestLumpedRoute:
         sys = build_system(m)
         stored = sys.goal_proofs
         assert [result.status for result in stored.values()] == ["proved"] * 2 * m
-        lumped = {tuple(map(sys.lumpings[i].lump, result.proof.statements()))
+        lumped = {tuple(map(_panel_lumping(sys, i).lump, result.proof.statements()))
                   for (i, _), result in stored.items()}
         assert len(lumped) == 4
         copied, kept = dict(stored), set(vars(sys))
@@ -1222,6 +1236,49 @@ except AssertionError as exc:
 else:
     print("no error")
 """
+
+
+class TestSearchTraffic:
+    def test_every_search_made_is_run(self, monkeypatch):
+        """A search files its base when it is made, work that only a query
+        running the search uses.  In each call pattern a command makes,
+        fresh bare verdicts at m = 2 and 3, ``ablate`` at m = 2 and
+        ``derive`` on ``specs/coherence_m2.spec``'s premises and goal, every
+        search made is run."""
+        made, ran = [], set()
+        init, run = ci._Saturation.__init__, ci._Saturation.run
+
+        def making(search, *args):
+            init(search, *args)
+            made.append(search)
+
+        def running(search, *args):
+            ran.add(id(search))  # made holds the search, so its id is its own
+            return run(search, *args)
+
+        def bare(m):
+            sys = build_system(m)
+            verify_coherence(sys, AxiomaticMode(base_statements(sys)))
+
+        def derive_goal(spec):
+            universe, deps = spec.scope
+            base = base_statements(spec.system, spec.conditions, spec.statements)
+            derive(base, deps, spec.goal, spec.run.budget, universe=universe)
+
+        spec = parse_spec(Path(__file__).resolve().parent.parent / "specs" / "coherence_m2.spec")
+        patterns = {"bare_m2": lambda: bare(2), "bare_m3": lambda: bare(3),
+                    "ablate_m2": lambda: ablate(build_system(2)),
+                    "derive_coherence_m2": lambda: derive_goal(spec)}
+        monkeypatch.setattr(ci._Saturation, "__init__", making)
+        monkeypatch.setattr(ci._Saturation, "run", running)
+        traffic = {}
+        for name, call in patterns.items():
+            made.clear()
+            ran.clear()
+            call()
+            traffic[name] = (len(made), sum(id(search) in ran for search in made))
+        assert traffic == {"bare_m2": (10, 10), "bare_m3": (10, 10), "ablate_m2": (26, 26),
+                           "derive_coherence_m2": (1, 1)}
 
 
 class TestChecksUnderOptimize:

@@ -1,5 +1,6 @@
-"""The record contract every value type of the package keeps: every record
-takes its fields, ``__init__``, equality, hash and repr from
+"""The record contract every value type of the package, and the one record of
+the test oracles (``oracles.ClosureResult``), keeps: every record takes its
+fields, ``__init__``, equality, hash and repr from
 ``modcoherence.Record`` but ``CIStatement``, which the prover builds and
 hashes in bulk: it has ``__slots__`` and writes its own ``__init__``,
 ``__eq__`` and ``__hash__`` to the same contract.
@@ -12,6 +13,8 @@ import pytest
 
 from modcoherence import Record, ci, dag, panels, protocol, report, specfile, values
 from modcoherence.ci import CIError, SelfDependency, normalize
+
+from . import oracles
 
 S = normalize({"A"}, {"B"}, {"C"})
 STEP = ci.ProofStep("symmetry", (S,), frozenset(), S)
@@ -27,8 +30,8 @@ EXAMPLES = {
     ci.FunctionalDependency: (frozenset({"X"}), frozenset({"Y", "Z"})),
     ci.ProofStep: ("symmetry", (S,), frozenset(), S),
     ci.Proof: ((S,), (STEP,), S),
-    ci.ClosureResult: (frozenset({S}), True, 1),
     ci.DeriveResult: ("proved", PROOF, 2),
+    oracles.ClosureResult: (frozenset({S}), True, 1),
     dag.Dag: (("A", "B"), (("A", "B"),), ()),
     protocol.PanelSystem: (2,),
     protocol.AxiomaticMode: ((S,), 10),
@@ -54,7 +57,7 @@ PROVER = (ci.ProofStep, ci.Proof, ci.DeriveResult)  # built in bulk, but plain r
 
 def _records(cls=Record):
     for sub in cls.__subclasses__():
-        if sub.__module__.startswith("modcoherence."):
+        if sub.__module__.startswith("modcoherence.") or sub.__module__ == oracles.__name__:
             yield sub
         yield from _records(sub)
 
