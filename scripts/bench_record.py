@@ -67,8 +67,9 @@ SECONDS = 20
 # with the same conditions), so it shows what the system's goal proofs
 # (made, expanded and checked once per system) save from one verdict to
 # the next, while each verdict that derives a goal of a panel makes that
-# panel's lumping (lumped universe, expand and the lumped waypoints of its
-# goal chains) again; at about 0.03 s a run it runs ten times;
+# panel's lumping (lumped universe, lump and expand) again, and lumps the
+# goal chain of each route it derives; at about 0.03 s a run it runs ten
+# times;
 # verify_coherence_m3_fresh_extras makes the same seven verdicts, each on
 # a fresh m=3 system, as each CLI command does, so its counts read the
 # four lumped derivations and six expansions of each system's goal proofs

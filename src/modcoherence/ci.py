@@ -102,6 +102,9 @@ class CIStatement(Record):
         """Whether every symbol lies in ``universe``, building no set."""
         return universe.issuperset(self.a) and universe.issuperset(self.b) and universe.issuperset(self.c)
 
+    # a rendered statement reads one way while no symbol name holds one of these
+    RESERVED = (",", "|")
+
     def render(self) -> str:
         left = ",".join(sorted(self.a))
         right = ",".join(sorted(self.b))
@@ -331,11 +334,6 @@ class Proof(Record):
         if self.steps:
             return self.steps[-1].output == self.goal
         return self.goal in avail
-
-
-def premise_proof(goal: CIStatement) -> Proof:
-    """A base statement's zero-step proof: the statement itself, by no rule."""
-    return Proof((goal,), (), goal)
 
 
 class DeriveResult(Record):
@@ -674,12 +672,8 @@ def derive(
     closure of this rule system; ``budget_exhausted`` is inconclusive.
     With a ``memo`` (see :class:`Memo`) the query is answered from the
     memo's search of this universe, base and budget, as a fresh search would.
-    A goal in the base, once the budget, the base and the goal are checked,
-    is its own zero-step proof, with the base's size as its count, as a
-    fresh search stopping at once would report; the search made to check
-    the base files it, but no search runs for the goal.  (An axiomatic
-    verdict answers its premises with the same :func:`premise_proof` and
-    makes no search for them.)
+    A goal in the base is known before the search expands anything, so it
+    is its own zero-step proof, with the base's size as its count.
     """
     if goal is None:
         raise ValueError("derive requires a goal statement")
@@ -690,15 +684,14 @@ def derive(
         search = memo.searches[universe, base, budget] = _Saturation(base, memo, universe, budget)
     if not goal.within(universe):
         raise UniverseError(f"goal {goal.render()} leaves the universe")
-    if goal in base:
-        return DeriveResult("proved", premise_proof(goal), len(base))
     if not search.run(memo, goal):
         return DeriveResult(search.status, None, len(search.known))
     proof = search.extract_proof(memo, goal)
     if not proof.replay(memo.deps):
         raise AssertionError("internal error: extracted proof failed replay")
-    # a fresh search stops at the goal
-    return DeriveResult("proved", proof, search.known[memo.encode(goal)][3] + 1)
+    # a fresh search stops at the goal, at once for a premise
+    prov = search.known[memo.encode(goal)]
+    return DeriveResult("proved", proof, len(base) if prov is None else prov[3] + 1)
 
 
 def derive_through(

@@ -70,9 +70,9 @@ def run(command, spec: str, out: str | None, fmt: str, quiet: bool) -> int:
     """The CLI's one input boundary: parse the spec, let ``command(spec)``
     build the report, turn any package error into an exit-2 error report, then
     write the report in the requested format and return its exit code.  A
-    ``--out`` file that cannot be written is an exit-2 error report on
-    stdout, and a report that cannot be written to stdout is exit 2 with one
-    ``error:`` line on stderr."""
+    ``--out`` file, written in UTF-8, that cannot be written is an exit-2
+    error report on stdout, and a report that cannot be written to stdout,
+    in its encoding, is exit 2 with one ``error:`` line on stderr."""
 
     def error(exc: Exception) -> Report:
         return Report(command.__name__, "error", {"error": f"{type(exc).__name__}: {exc}"})
@@ -86,24 +86,24 @@ def run(command, spec: str, out: str | None, fmt: str, quiet: bool) -> int:
         report = error(exc)
     if out:
         try:
-            with open(out, "w") as fh:
+            with open(out, "w", encoding="utf-8") as fh:
                 fh.write(render(report))
             return report.exit_code
-        except OSError as exc:
+        except (OSError, UnicodeEncodeError) as exc:  # a lone surrogate has no UTF-8
             report = error(exc)
     return report.exit_code if _write_stdout(render(report)) else 2
 
 
 def _write_stdout(text: str) -> bool:
     """Write and flush ``text`` to stdout, or, when that fails (a closed
-    pipe, a closed or full stdout), report the failure in one stderr line,
-    point fd 1 at the null device so the interpreter's final flush stays
-    silent, and return False."""
+    pipe, a closed or full stdout, text its encoding cannot hold), report
+    the failure in one stderr line, point fd 1 at the null device so the
+    interpreter's final flush stays silent, and return False."""
     try:
         sys.stdout.write(text)  # AttributeError: stdout is None, fd 1 was closed
         sys.stdout.flush()
         return True
-    except (AttributeError, OSError) as exc:
+    except (AttributeError, OSError, UnicodeEncodeError) as exc:
         try:
             sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
             sys.stderr.flush()

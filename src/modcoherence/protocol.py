@@ -33,7 +33,6 @@ from .ci import (
     derive,
     derive_through,
     normalize,
-    premise_proof,
 )
 from .dag import Dag, build_dag, d_separated
 from .values import ALL_CONDITIONS, ConditionKind
@@ -58,7 +57,8 @@ class UniverseMismatch(ProtocolError):
 class PanelSystem(Record):
     """Symbol universe and determinism facts for an m-panel composite, m >= 2:
     with one panel the conditions and the goal that speak of "the other
-    panels" would assert nothing.
+    panels" would assert nothing.  A system is checked when it is made,
+    by ``build_system`` or directly, so it makes its universe then.
 
     Besides m, a system holds only values derived from m, each made once,
     on first use, and of a size fixed by m: its universe, dependencies,
@@ -177,18 +177,21 @@ class PanelSystem(Record):
         return {route: _derive_lumped(self, base, route, DEFAULT_BUDGET, memo, table, slices)
                 for route in self.goal_chains}
 
+    def _validate(self) -> None:
+        if type(self.m) is not int:
+            raise InvalidPanelCount(f"panel count must be an integer, got {self.m!r}")
+        if self.m < 2:
+            raise InvalidPanelCount(f"panel count must be >= 2, got {self.m}")
+        if len(self.universe) != self.m * self.m + self.m + 3:
+            raise AssertionError("panel symbols collide")
+
     def _check_index(self, i: int) -> None:
         if not 1 <= i <= self.m:
             raise IndexOutOfRange(f"panel index {i} not in 1..{self.m}")
 
 
 def build_system(m: int) -> PanelSystem:
-    if m < 2:
-        raise InvalidPanelCount(f"panel count must be >= 2, got {m}")
-    system = PanelSystem(m=m)
-    if len(system.universe) != m * m + m + 3:
-        raise AssertionError("panel symbols collide")
-    return system
+    return PanelSystem(m)
 
 
 def base_statements(
@@ -259,16 +262,15 @@ class Lumping(Record):
     universe: VarSet  # the six lumped names
     lump: Callable[[CIStatement], Optional[CIStatement]]
     expand: Callable[[VarSet], VarSet]
-    waypoints: dict  # route -> its goal chain, lumped
 
 
 def _panel_lumping(sys: PanelSystem, i: int) -> Lumping:
-    """Panel i's lumped universe, ``lump``, ``expand`` and the lumped
-    waypoints of its two goal chains, all written in the names of panel
-    i's order type: panel 1's own, and panel 2's for panels 2..m (see
-    :func:`_derive_lumped`).  All of it depends on m alone; it is made the
-    first time a context, ``goal_proofs`` or one verdict, derives a goal of
-    panel i, and kept beside that context's slice of the base.
+    """Panel i's lumped universe, ``lump`` and ``expand``, all written in
+    the names of panel i's order type: panel 1's own, and panel 2's for
+    panels 2..m (see :func:`_derive_lumped`).  All of it depends on m
+    alone; it is made the first time a context, ``goal_proofs`` or one
+    verdict, derives a goal of panel i, and kept beside that context's
+    slice of the base.
 
     The lumped universe is the six symbols of panel i's lumped derivations:
     its theta and own evidence, the common and pool symbols, and the first
@@ -308,9 +310,7 @@ def _panel_lumping(sys: PanelSystem, i: int) -> Lumping:
         side = frozenset([back.get(n, n) for n in side])
         return side | rest if lumped in side else side
 
-    waypoints = {route: tuple(map(lump, chain))
-                 for route, chain in sys.goal_chains.items() if route[0] == i}
-    return Lumping(frozenset(names).union(shared), lump, expand, waypoints)
+    return Lumping(frozenset(names).union(shared), lump, expand)
 
 
 def _derive_lumped(
@@ -335,21 +335,18 @@ def _derive_lumped(
     side, stays the same rule instance.  The derivation runs on the base
     statements that hold theta_rest(i) whole on one side or not at all and
     otherwise stay in the lumped names.  A proof is expanded back, symbol
-    for set, into a proof in the full system: each statement of it, premise
-    or step output, is written in full names through ``expand``, each
-    step's inputs are mapped through the same table, its selection is
-    expanded, and the route's goal is the proof's goal.  A selection of the
-    lumped symbol becomes a multi-symbol decomposition or weak union.  The
-    expanded proof is then checked once: its premises must be statements of
-    ``base``, it must have a step, and it must pass
-    :meth:`~modcoherence.ci.Proof.replay`, which applies each rule in the
-    full system to inputs already available and compares its output with
-    the expanded one, up to the goal.  Each expanded statement is built as
-    a ``CIStatement`` directly, not by :func:`~modcoherence.ci.normalize`:
-    each is compared with a canonical statement, a premise with the
-    base's, an output with the rule's, so one a faulty expansion leaves
-    unoriented, empty or overlapping fails the check instead of raising a
-    ``CIError``, which the command line would report as bad input.  A
+    for set, into the full system: a premise is the statement of ``base``
+    it was lumped from, a waypoint the route's own chain statement, and
+    any other step output is written in full names through ``expand``, as
+    is each selection, so one of the lumped symbol becomes a multi-symbol
+    decomposition or weak union.  The expanded proof must have a step and
+    pass :meth:`~modcoherence.ci.Proof.replay`, which applies each rule in
+    the full system to the base's own premises and the outputs before it
+    and compares the result with the expanded output, up to the goal.  An
+    output is built as a ``CIStatement`` directly, not by
+    :func:`~modcoherence.ci.normalize`, so one a faulty expansion leaves
+    unoriented, empty or overlapping fails replay instead of raising a
+    ``CIError``, which the command line would report as bad input: a
     failed check is an internal error, an ``AssertionError``.  Any other
     status than ``proved`` certifies nothing about the full system.
 
@@ -357,21 +354,23 @@ def _derive_lumped(
     maps the dependencies onto themselves, and the rename keeps the sorted
     order of the six names (the two pools, I_0^0, the own evidence,
     theta_1, the own theta), so each panel's search, proof and counts are
-    those in its own names.  ``table`` maps a slice and the waypoints to
-    their derivation; one missing is made at ``budget`` with ``memo`` (for
-    ``sys.dependencies`` and a universe holding the lumped one, such as
-    the system's, which keeps names in sorted order too).  ``slices`` maps
-    each panel a goal has needed to its :func:`_panel_lumping`, made then,
-    and its slice of ``base``: each statement the lumping's ``lump`` keeps,
-    lumped.  Both goals of a panel read one slice and one ``expand``,
-    whose cache lives as long as ``slices``.
+    those in its own names.  ``table`` maps a slice, as a frozenset, and
+    the route's goal chain, lumped, to their derivation; one missing is
+    made at ``budget`` with ``memo`` (for ``sys.dependencies`` and a
+    universe holding the lumped one, such as the system's, which keeps
+    names in sorted order too).  ``slices`` maps each panel a goal has
+    needed to its :func:`_panel_lumping`, made then, and its slice of
+    ``base``: each statement the lumping's ``lump`` keeps, lumped, mapped
+    to the statement it was lumped from.  Both goals of a panel read one
+    slice and one ``expand``, whose cache lives as long as ``slices``.
     """
     i = route[0]
     if i not in slices:
         lumping = _panel_lumping(sys, i)
-        slices[i] = lumping, frozenset(t for s in base if (t := lumping.lump(s)) is not None)
-    lumping, sliced = slices[i]
-    waypoints = lumping.waypoints[route]
+        slices[i] = lumping, {t: s for s in base if (t := lumping.lump(s)) is not None}
+    lumping, origin = slices[i]
+    chain = sys.goal_chains[route]
+    sliced, waypoints = frozenset(origin), tuple(map(lumping.lump, chain))
     if (sliced, waypoints) not in table:
         table[sliced, waypoints] = derive_through(
             sliced, sys.dependencies, waypoints, budget, lumping.universe, memo=memo
@@ -380,27 +379,28 @@ def _derive_lumped(
     if not result.proved:
         return result
 
-    expand = lumping.expand
-    full = {s: CIStatement(expand(s.a), expand(s.b), expand(s.c))
-            for s in result.proof.statements()}
-    steps = tuple(ProofStep(step.rule, tuple(map(full.get, step.inputs)),
-                            expand(step.selection), full[step.output])
-                  for step in result.proof.steps)
-    proof = Proof(tuple(map(full.get, result.proof.premises)), steps, sys.goal_chains[route][-1])
-    if not (steps and base.issuperset(proof.premises) and proof.replay(sys.dependencies)):
+    expand, lumped = lumping.expand, result.proof
+    full, steps = {**origin, **dict(zip(waypoints, chain))}, []
+    for step in lumped.steps:
+        if (s := step.output) not in full:
+            full[s] = CIStatement(expand(s.a), expand(s.b), expand(s.c))
+        steps.append(ProofStep(step.rule, tuple(map(full.get, step.inputs)),
+                               expand(step.selection), full[s]))
+    proof = Proof(tuple(map(origin.get, lumped.premises)), tuple(steps), chain[-1])
+    if not (steps and proof.replay(sys.dependencies)):
         raise AssertionError("internal error: expanded proof failed replay")
     return DeriveResult("proved", proof, result.generated)
 
 
 def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode answers
-    a statement of the base, such as a condition's, with no search, by
-    :func:`~modcoherence.ci.premise_proof`, the record
-    :func:`~modcoherence.ci.derive` gives for a premise.  A goal's lumped
-    derivation comes first: the system's own (``sys.goal_proofs``) where
-    that is ``proved``, made at most ``mode.budget`` statements and the
-    base holds its premises, as a derivation holds in any base that holds
-    its premises; else :func:`_derive_lumped` makes it.  Any other
+    a statement of the base, such as a condition's, with no memo or search,
+    by the zero-step proof :func:`~modcoherence.ci.derive` gives for a
+    premise.  A goal's lumped derivation comes first: the system's own
+    (``sys.goal_proofs``) where that is ``proved``, made at most
+    ``mode.budget`` statements and the base holds its premises, the
+    system's own condition statements, as a derivation holds in any base
+    that holds its premises; else :func:`_derive_lumped` makes it.  Any other
     statement, and a goal with no lumped proof, goes to one unconstrained
     search of the full system, so every status but ``proved`` comes from
     the full system.  The base is checked against the universe (by
@@ -433,7 +433,7 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
                 if result.proved:
                     return result.status, result.proof
             if stmt in base:
-                return "proved", premise_proof(stmt)
+                return "proved", Proof((stmt,), (), stmt)
             memo = shared()[0]
             result = derive(base, memo.deps, stmt, mode.budget, universe, memo=memo)
             return result.status, result.proof
@@ -477,12 +477,10 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     one memo, one table of lumped derivations and one lumping and slice of
     the base per panel, made by the first query that needs them and
     dropped when the verdict is made (see :func:`_decider`); only the
-    system's goal proofs, made once per system, outlive it.
-    Every lumped proof is expanded into panel i's names, then checked
-    against the base and replayed in the full system by
-    :meth:`~modcoherence.ci.Proof.replay` (see :func:`_derive_lumped`):
-    the system's own once, when it is made, and a verdict's when the
-    verdict derives it.
+    system's goal proofs, made once per system, outlive it.  Every lumped
+    proof is expanded into panel i's names and replayed in the full system
+    (see :func:`_derive_lumped`): the system's own once, when it is made,
+    and a verdict's when the verdict derives it.
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

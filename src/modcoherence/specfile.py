@@ -118,9 +118,15 @@ def _string(section: dict, key: str, where: str, default: Optional[str] = None) 
 
 
 def _names(value, where: str) -> list:
-    """A list of symbol names; a bare string is not read as its characters."""
+    """A list of symbol names, none holding a ``CIStatement.RESERVED``
+    character; a bare string is not read as its characters."""
+    from .ci import CIStatement
+
     if not isinstance(value, list) or not all(isinstance(s, str) for s in value):
         raise ParseError(f"{where} must be a list of symbol names, got {value!r}")
+    for name in value:
+        if any(char in name for char in CIStatement.RESERVED):
+            raise ParseError(f"{where}: symbol name {name!r} must not contain ',' or '|'")
     return value
 
 
@@ -230,7 +236,7 @@ def _unique_keys(pairs: list) -> dict:
 def parse_spec(path: str | Path) -> SpecFile:
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(), object_pairs_hook=_unique_keys)
+        raw = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=_unique_keys)
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -298,7 +304,8 @@ def _graph(section: dict, system: Optional[PanelSystem]) -> Dag:
         for dep in _list(section.get("dependencies", []), "graph.dependencies"):
             _require_keys(dep, {"determined", "determiners"}, "graph dependency")
             deps.append(FunctionalDependency(
-                frozenset({_string(dep, "determined", "graph dependency")}),
+                frozenset(_names([_string(dep, "determined", "graph dependency")],
+                                 "graph dependency.determined")),
                 _names(dep.get("determiners"), "graph dependency.determiners"),
             ))
         return build_dag(nodes, edges, deps)

@@ -1,5 +1,6 @@
 """End-to-end tests of the spec-file parser and the command-line front end."""
 
+import io
 import json
 import math
 import os
@@ -426,6 +427,34 @@ class TestExitCodes:
         result = run("dsep", "--spec", path)
         assert result.exit_code == 2
         assert "UnresolvedSymbol" in result.output and "['theta_1']" in result.output
+
+    NAMED = {"version": 1,
+             "graph": {"nodes": ["a", "b", "c"], "edges": [["a", "b"]],
+                       "dependencies": [{"determined": "c", "determiners": ["a"]}]},
+             "statements": [{"a": ["a"], "b": ["b"]}], "goal": {"a": ["b"], "b": ["a"]}}
+
+    @pytest.mark.parametrize("name", ["x | y", "x,y", "|", ","])
+    @pytest.mark.parametrize("where, place", [
+        ("statements[0].a", ("statements", 0, "a", 0)),
+        ("goal.b", ("goal", "b", 0)),
+        ("graph.nodes", ("graph", "nodes", 2)),
+        ("graph dependency.determined", ("graph", "dependencies", 0, "determined")),
+        ("graph dependency.determiners", ("graph", "dependencies", 0, "determiners", 0)),
+    ])
+    def test_a_name_that_would_render_ambiguously_exits_2(self, tmp_path, name, where, place):
+        """A rendered statement joins a side's names with ',' and puts '|'
+        before the context, so a name holding either is refused wherever
+        the spec gives one: ``x | y`` would read as x given y."""
+        spec = json.loads(json.dumps(self.NAMED))
+        *parents, last = place
+        node = spec
+        for key in parents:
+            node = node[key]
+        node[last] = name
+        result = run("derive", "--spec", write_spec(tmp_path, spec))
+        assert result.exit_code == 2, result.output
+        assert (f"error: ParseError: {where}: symbol name {name!r} must not contain ',' or '|'"
+                in result.output)
 
     def test_graph_lacking_system_symbols_exits_2(self, tmp_path):
         path = write_spec(tmp_path, {
@@ -912,6 +941,84 @@ class TestStdoutFailures:
         proc = self.cli([sys.executable, "-m", "modcoherence.cli", *args], subprocess.PIPE)
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout == run(*args).output
+
+
+    def test_both_streams_closed_exits_2(self):
+        """With stderr closed too, the failure has nowhere to be told, and
+        the exit code alone reports it."""
+        argv = ["sh", "-c", 'exec "$0" -m modcoherence.cli "$@" >&- 2>&-', sys.executable,
+                "dsep", "--spec", self.SPEC]
+        proc = self.cli(argv, None)
+        assert proc.returncode == 2 and proc.stderr == ""
+
+    def test_help_to_a_given_file_is_written_there(self, capsys):
+        parser = cli._Parser(prog="modcoherence")
+        parser.add_argument("--spec")
+        out = io.StringIO()
+        parser.print_help(out)
+        assert out.getvalue() == parser.format_help() and "--spec" in out.getvalue()
+        assert capsys.readouterr() == ("", "")
+
+
+class TestEncoding:
+    """Specs are read and ``--out`` files written in UTF-8, whatever the
+    locale, and a report that stdout's encoding cannot hold is an output
+    error, exit 2 with one ``error:`` line, as a stdout that cannot be
+    written is.  Each case runs a real process whose locale or stdout
+    encoding is ASCII, on a graph with a node ``θ``."""
+
+    GRAPH = {"nodes": ["θ", "b"], "edges": [["θ", "b"]]}
+    PAYLOAD = {"version": 1, "graph": GRAPH, "query": {"a": ["θ"], "b": ["b"]}}
+
+    @staticmethod
+    def cli(args, **env):
+        env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+            [str(SRC)] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        )}
+        return subprocess.run([sys.executable, *args], capture_output=True, env=env,
+                              timeout=120, check=False)
+
+    # the C locale without Python's UTF-8 mode: the locale encoding is ASCII
+    ASCII_LOCALE = (("-X", "utf8=0"), {"LC_ALL": "C"})
+
+    def spec(self, tmp_path, ensure_ascii=False) -> str:
+        path = tmp_path / "theta.spec"
+        path.write_bytes(json.dumps(self.PAYLOAD, ensure_ascii=ensure_ascii).encode("utf-8"))
+        return str(path)
+
+    def test_a_report_stdout_cannot_encode_exits_2(self, tmp_path):
+        proc = self.cli(["-m", "modcoherence.cli", "dsep", "--spec", self.spec(tmp_path)],
+                        PYTHONIOENCODING="ascii")
+        assert proc.returncode == 2 and proc.stdout == b""
+        stderr = proc.stderr.decode()
+        assert stderr.startswith("error: UnicodeEncodeError: 'ascii' codec can't encode "), stderr
+        assert stderr.count("\n") == 1
+
+    def test_an_out_file_is_written_in_utf8_in_any_locale(self, tmp_path):
+        out = tmp_path / "report.txt"
+        flags, env = self.ASCII_LOCALE
+        spec = self.spec(tmp_path, ensure_ascii=True)  # readable in any locale
+        proc = self.cli([*flags, "-m", "modcoherence.cli", "dsep", "--spec", spec,
+                         "--out", str(out)], **env)
+        assert proc.returncode == 1 and proc.stdout == proc.stderr == b"", proc.stderr
+        assert out.read_text(encoding="utf-8") == run("dsep", "--spec", spec).output
+
+    def test_a_utf8_spec_reads_alike_in_any_locale(self, tmp_path):
+        flags, env = self.ASCII_LOCALE
+        args = ["-m", "modcoherence.cli", "dsep", "--spec", self.spec(tmp_path),
+                "--format", "machine"]
+        proc, utf8 = self.cli([*flags, *args], **env), self.cli(args)
+        assert proc.returncode == utf8.returncode == 1, proc.stdout
+        assert proc.stdout == utf8.stdout and b'"\\u03b8"' in proc.stdout
+
+    def test_a_name_no_encoding_can_hold_is_an_output_error(self, tmp_path):
+        """A lone surrogate, which JSON can spell, has no UTF-8: written to
+        ``--out`` it gives an exit-2 error report on stdout."""
+        spec = json.dumps(self.PAYLOAD).replace("\\u03b8", "\\ud800")
+        out = tmp_path / "report.txt"
+        result = run("dsep", "--spec", write_spec(tmp_path, json.loads(spec)), "--out", str(out))
+        assert result.exception is None and result.exit_code == 2
+        assert "error: UnicodeEncodeError: 'utf-8' codec can't encode" in result.output
 
 
 class TestReportContract:

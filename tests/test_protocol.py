@@ -84,6 +84,19 @@ class TestBuildSystem:
             with pytest.raises(InvalidPanelCount, match=">= 2"):
                 build_system(m)
 
+    @pytest.mark.parametrize("make", [build_system, protocol.PanelSystem],
+                             ids=["build_system", "PanelSystem"])
+    def test_a_system_is_checked_when_it_is_made(self, make):
+        """A bad panel count is refused where the system is made, by either
+        maker, not later by a verdict; a count that is not an int too."""
+        with pytest.raises(InvalidPanelCount, match=r"^panel count must be >= 2, got 1$"):
+            make(1)
+        for m in (2.0, True, "3", None):
+            with pytest.raises(InvalidPanelCount,
+                               match=rf"^panel count must be an integer, got {m!r}$"):
+                make(m)
+        assert make(2) == build_system(2)
+
     def test_index_bounds(self):
         sys = build_system(2)
         with pytest.raises(IndexOutOfRange):
@@ -252,6 +265,10 @@ class TestCheckConditions:
         sys = build_system(2)
         with pytest.raises(UniverseMismatch):
             verify_coherence(sys, AxiomaticMode((normalize({"theta_9"}, {"theta_1"}),)))
+
+    def test_a_mode_of_neither_kind_is_refused(self):
+        with pytest.raises(TypeError, match=r"^unsupported mode: 'graphical'$"):
+            verify_coherence(build_system(2), "graphical")
 
 
 class TestVerifyTheorem:
@@ -1148,6 +1165,24 @@ class TestLumpedRoute:
         assert sys.goal_proofs is stored and stored == copied
         assert vars(sys).keys() == kept
 
+    @pytest.mark.parametrize("m", [2, 3, 32])
+    def test_stored_proofs_are_built_from_the_bases_and_chains_statements(self, m):
+        """After a fresh bare verdict, each stored goal proof's premises are
+        statements of ``base_statements(sys)`` themselves, and each
+        statement of its goal chain, the goal and last step output among
+        them, is the chain's own: only the other step outputs are built by
+        expanding."""
+        sys = build_system(m)
+        base = base_statements(sys)
+        verdict = verify_coherence(sys, AxiomaticMode(base))
+        own = {id(s) for s in base}
+        for goal, (route, result) in zip(verdict.goals, sys.goal_proofs.items()):
+            proof, chain = result.proof, sys.goal_chains[route]
+            assert goal.proof is proof
+            assert proof.premises and all(id(s) in own for s in proof.premises)
+            assert proof.goal is chain[-1] and proof.steps[-1].output is chain[-1]
+            assert {id(w) for w in chain} <= {id(step.output) for step in proof.steps}
+
     @pytest.mark.parametrize("m", [2, 3])
     def test_reused_proofs_match_fresh_derivations_at_every_budget(self, m):
         """A system that has made a default-budget verdict reuses its own
@@ -1320,15 +1355,16 @@ class TestChecksUnderOptimize:
          "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
         # panel 3's independence proof left in panel 2's I_22^0 by a leaky
         # expand, patched into the seam that builds each panel's lumping
-        # before the system is built: every step still applies and the
-        # proof ends at its goal, which names no own evidence, but its
-        # premises are not the base's
+        # before the system is built: the premises are the base's own and
+        # the waypoints the chain's, but the other step outputs keep
+        # I_22^0, so the rules applied to the base's premises do not give
+        # them
         ("premise", "internal error: expanded proof failed replay",
          "panel_lumping = p._panel_lumping\n"
          "def leaky(s, i):\n"
          "    l, kept = panel_lumping(s, i), {'I_22^0'}\n"
          "    expand = lambda side: l.expand(side - kept) | side & kept\n"
-         "    return p.Lumping(l.universe, l.lump, expand, l.waypoints)\n"
+         "    return p.Lumping(l.universe, l.lump, expand)\n"
          "p._panel_lumping = leaky",
          "s = p.build_system(3); base = frozenset(p.base_statements(s)); "
          "p._derive_lumped(s, base, (3, 'panel_independence'), 10**4, "
@@ -1341,7 +1377,7 @@ class TestChecksUnderOptimize:
          "def leaky(s, i):\n"
          "    l = panel_lumping(s, i)\n"
          "    expand = lambda side: l.expand(side) | {'I_0^0'}\n"
-         "    return p.Lumping(l.universe, l.lump, expand, l.waypoints)\n"
+         "    return p.Lumping(l.universe, l.lump, expand)\n"
          "p._panel_lumping = leaky",
          "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
         # each lumped proof stops one waypoint short of its goal

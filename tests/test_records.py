@@ -39,7 +39,7 @@ EXAMPLES = {
     protocol.ConditionStatus: (protocol.ConditionKind.CUTTING, (S,), "holds", (PROOF,)),
     protocol.GoalResult: (1, "panel_independence", S, "proved", PROOF),
     protocol.Verdict: ((), (), True),
-    protocol.Lumping: (frozenset({"A"}), len, len, {(1, "panel_independence"): (S,)}),
+    protocol.Lumping: (frozenset({"A"}), len, len),
     report.Report: ("check", "pass", {"goals": []}, {"grid": 3}),
     values.BetaParams: (2.0, 3.0),
     values.Factor: ("f", frozenset({1, 2})),
