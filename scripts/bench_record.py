@@ -103,7 +103,7 @@ LAYER_CASES = (
     ("separability_m2", 3,
      "from modcoherence import panels as pn\n"
      "lls = [pn.bernoulli_loglik(30, 80), pn.bernoulli_loglik(10, 40)]\n"
-     "ll = pn.panel_joint_loglik(lls, 12.0)\n"
+     "ll = pn.panel_joint_loglik(lls, (pn.Factor('all', {1, 2}, 12.0),))\n"
      "v = pn.separability_check_numeric(ll, [pn.interior_grid(101)] * 2)\n"
      "out = {'separable': v.separable, 'witnesses': len(v.offending)}"),
     ("joint_oracle_m3_256", 3,
@@ -111,7 +111,8 @@ LAYER_CASES = (
      "priors = [pn.beta_grid(pn.BetaParams(a, b), 256) for a, b in [(2, 3), (3, 2), (1, 1)]]\n"
      "lls = [pn.bernoulli_loglik(30, 80), pn.bernoulli_loglik(10, 40), pn.bernoulli_loglik(5, 20)]\n"
      "dist = pn.compose_product([pn.panel_update_grid(g, ll) for g, ll in zip(priors, lls)])\n"
-     "oracle = pn.joint_oracle(priors, pn.panel_joint_loglik(lls, 12.0))\n"
+     "every_panel = pn.Factor('all', {1, 2, 3}, 12.0)\n"
+     "oracle = pn.joint_oracle(priors, pn.panel_joint_loglik(lls, (every_panel,)))\n"
      "out = {'tv': pn.divergence(dist, oracle).total_variation,\n"
      "       'mean': pn.functional_expectation(oracle, pn.block_product)}"),
     ("joint_oracle_short_last_block", 10,

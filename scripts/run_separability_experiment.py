@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Interaction-strength sweep: how fast distributed inference drifts.
 
-For a two-panel Bernoulli model with a cross-block interaction term of
-increasing strength, prints the largest interaction residual that the exact
-numeric separability check finds on the pair grid, alongside the
-total-variation gap between the distributed product posterior and the
-full-joint oracle.
+For a two-panel Bernoulli model with one cross-panel factor over panels 1
+and 2 of increasing strength (strength 0 is no factor), prints the largest
+interaction residual that the exact numeric separability check finds on the
+pair grid, alongside the total-variation gap between the distributed product
+posterior and the full-joint oracle.
 """
 
 import argparse
@@ -13,6 +13,7 @@ import argparse
 import numpy as np
 
 from modcoherence.panels import (
+    Factor,
     GridDensity,
     bernoulli_loglik,
     grid_comparison,
@@ -34,7 +35,8 @@ def main() -> None:
 
     print(f"{'strength':>9} {'separable':>10} {'max residual':>13} {'TV gap':>10}")
     for strength in args.strengths:
-        comparison = grid_comparison(priors, logliks, strength)
+        factors = (Factor("cross_term", {1, 2}, strength),) if strength else ()
+        comparison = grid_comparison(priors, logliks, factors)
         verdict = separability_check_numeric(comparison.joint_ll, [grid, grid])
         gap = comparison.divergence.total_variation
         print(f"{strength:>9.2f} {str(verdict.separable):>10} "

@@ -291,7 +291,7 @@ def _grid_comparison(models, data, n: int):
 
     priors = [pn.beta_grid(p, n) for p in models.priors]
     logliks = [pn.bernoulli_loglik(s, t) for s, t in data.panel_counts]
-    out = pn.grid_comparison(priors, logliks, models.interaction_strength)
+    out = pn.grid_comparison(priors, logliks, models.factors)
     div = out.divergence
     return out, {"max_abs": div.max_abs, "total_variation": div.total_variation}
 
@@ -313,7 +313,6 @@ def simulate(spec: SpecFile) -> Report:
         "distributed_product_mean_grid": pn.functional_expectation(grids.distributed, pn.block_product),
         "joint_oracle_product_mean": pn.functional_expectation(grids.oracle, pn.block_product),
         "divergence": comparison,
-        "interaction_strength": models.interaction_strength,
     }
     if models.product_cell is not None:
         cell_post = pn.panel_update_conjugate(models.product_cell, data.product_cell_counts)
@@ -329,29 +328,22 @@ def separability(spec: SpecFile) -> Report:
 
     models, data = spec.panel_inputs()
     grids, comparison = _grid_comparison(models, data, spec.run.grid)
-    results: dict = {}
-
-    if models.factors is not None:
-        offending = pn.separability_check_symbolic(models.factors, len(models.priors))
-        results["symbolic"] = {
-            "separable": not offending,
-            "offending_factors": [f.name for f in offending],
-        }
-
+    offending = pn.separability_check_symbolic(models.factors)
     grid = pn.interior_grid(spec.run.grid)
     verdict = pn.separability_check_numeric(grids.joint_ll, [grid] * len(models.priors))
-    results["numeric"] = {
-        "separable": verdict.separable,
-        "max_residual": verdict.max_residual,
-        "witnesses": [
-            {"blocks": [w[0], w[1]], "points": [list(p) for p in w[2:6]], "residual": w[6]}
-            for w in verdict.offending
-        ],
+    results = {
+        "symbolic": {"separable": not offending, "offending_factors": [f.name for f in offending]},
+        "numeric": {
+            "separable": verdict.separable,
+            "max_residual": verdict.max_residual,
+            "witnesses": [
+                {"blocks": [w[0], w[1]], "points": [list(p) for p in w[2:6]], "residual": w[6]}
+                for w in verdict.offending
+            ],
+        },
+        "divergence": comparison,
     }
-    results["divergence"] = comparison
-
-    status = "pass" if verdict.separable else "fail"
-    return Report("separability", status, results)
+    return Report("separability", "pass" if verdict.separable else "fail", results)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -408,13 +408,11 @@ class SeparabilityVerdict(Record):
     max_residual: float
 
 
-def separability_check_symbolic(factors: Sequence[Factor], m: int) -> tuple[Factor, ...]:
-    """The declared factors that touch more than one of the m panels; the
-    likelihood is separable iff there are none."""
-    for factor in factors:
-        if not factor.scope <= set(range(1, m + 1)):
-            raise PanelsError(f"factor {factor.name!r} scope {sorted(factor.scope)} not in 1..{m}")
-    return tuple(f for f in factors if len(f.scope) > 1)
+def separability_check_symbolic(factors: Sequence[Factor]) -> tuple[Factor, ...]:
+    """The factors whose term couples panels: a scope of two or more and a
+    nonzero strength.  The likelihood ``panel_joint_loglik`` builds from the
+    factors separates by panel iff there are none."""
+    return tuple(f for f in factors if len(f.scope) > 1 and f.strength)
 
 
 def separability_check_numeric(
@@ -481,15 +479,19 @@ def block_product(*blocks) -> np.ndarray:
 
 
 def panel_joint_loglik(
-    logliks: Sequence[Callable[[np.ndarray], np.ndarray]], strength: float
+    logliks: Sequence[Callable[[np.ndarray], np.ndarray]], factors: Sequence[Factor]
 ) -> Callable[..., np.ndarray]:
-    """Sum of the per-panel log-likelihoods, plus ``strength`` times the
-    product of the blocks when the spec declares an interaction."""
+    """Sum of the per-panel log-likelihoods plus each factor's term, its
+    scope's blocks read in sorted order; a scope empty or not in 1..m is refused."""
+    m = len(logliks)
+    for factor in factors:
+        if not factor.scope or not factor.scope <= set(range(1, m + 1)):
+            raise PanelsError(f"factor {factor.name!r} scope {sorted(factor.scope)} not in 1..{m}")
 
     def joint_ll(*blocks):
         total = sum(ll(b) for ll, b in zip(logliks, blocks))
-        if strength:
-            total = total + strength * block_product(*blocks)
+        for f in factors:
+            total = total + f.strength * block_product(*(blocks[i - 1] for i in sorted(f.scope)))
         return total
 
     return joint_ll
@@ -505,13 +507,13 @@ class GridComparison(Record):
 def grid_comparison(
     priors: Sequence[GridDensity],
     logliks: Sequence[Callable[[np.ndarray], np.ndarray]],
-    strength: float,
+    factors: Sequence[Factor],
 ) -> GridComparison:
     """Distributed updating against one analyst's on the same prior grids:
-    the joint log-likelihood ``panel_joint_loglik(logliks, strength)``, the
+    the joint log-likelihood ``panel_joint_loglik(logliks, factors)``, the
     distributed posterior (each panel's prior grid updated by its own
     log-likelihood, then composed), the joint oracle and their divergence."""
-    joint_ll = panel_joint_loglik(logliks, strength)
+    joint_ll = panel_joint_loglik(logliks, factors)
     distributed = compose_product([panel_update_grid(g, ll) for g, ll in zip(priors, logliks)])
     oracle = joint_oracle(priors, joint_ll)
     return GridComparison(joint_ll, distributed, oracle, divergence(distributed, oracle))

@@ -71,7 +71,7 @@ class MissingSection(SpecError):
 _TOP_KEYS = {"version", "protocol", "statements", "goal", "graph", "query", "models", "data", "run"}
 _PROTOCOL_KEYS = {"panels", "conditions"}
 _GRAPH_KEYS = {"template", "nodes", "edges", "dependencies"}
-_MODELS_KEYS = {"panels", "interaction", "product_cell", "factors"}
+_MODELS_KEYS = {"panels", "product_cell", "factors"}
 _PRIOR_KEYS = {"alpha", "beta"}
 _DATA_KEYS = {"panel_counts", "product_cell_counts"}
 _RUN_KEYS = {"grid", "budget"}
@@ -169,12 +169,11 @@ def _counts(pair, where: str) -> tuple[int, int]:
 
 class Models(Record):
     """The ``models`` section: one Beta prior per panel, for at least two
-    panels, each with a Bernoulli likelihood."""
+    panels, each with a Bernoulli likelihood, and the factors coupling them."""
 
     priors: tuple[BetaParams, ...] = ()
-    interaction_strength: float = 0.0
     product_cell: Optional[BetaParams] = None
-    factors: Optional[tuple[Factor, ...]] = None
+    factors: tuple[Factor, ...] = ()
 
 
 class Data(Record):
@@ -320,28 +319,33 @@ def _models(section: dict) -> Models:
         priors.append(_beta_prior(panel, f"models.panels[{k}]"))
     if len(priors) < 2:
         raise ParseError(f"models.panels must list at least two panels, got {len(priors)}")
-    strength = 0.0
-    if "interaction" in section:
-        _require_keys(section["interaction"], {"strength"}, "models.interaction")
-        strength = _number(section["interaction"], "strength", 0.0, "models.interaction")
     product_cell = None
     if "product_cell" in section:
         product_cell = _beta_prior(section["product_cell"], "models.product_cell")
-    factors = None
-    if "factors" in section:
-        scoped = []
-        for k, factor in enumerate(_list(section["factors"], "models.factors")):
-            where = f"models.factors[{k}]"
-            _require_keys(factor, {"name", "panels"}, where)
-            scope = factor.get("panels")
-            if not (isinstance(scope, list)
-                    and all(type(i) is int and 1 <= i <= len(priors) for i in scope)):
-                raise ParseError(
-                    f"{where}.panels must list panel numbers in 1..{len(priors)}, got {scope!r}"
-                )
-            scoped.append(Factor(_string(factor, "name", where, default=str(k)), frozenset(scope)))
-        factors = tuple(scoped)
-    return Models(tuple(priors), strength, product_cell, factors)
+    m, factors = len(priors), []
+    for k, entry in enumerate(_list(section.get("factors", []), "models.factors")):
+        where = f"models.factors[{k}]"
+        _require_keys(entry, {"name", "panels", "strength"}, where)
+        scope = entry.get("panels")
+        # each entry is checked to be an int before the list is read as a set
+        if not (isinstance(scope, list) and all(type(i) is int and 1 <= i <= m for i in scope)
+                and len(set(scope)) == len(scope) >= 2):
+            raise ParseError(f"{where}.panels must list two or more distinct panel numbers "
+                             f"in 1..{m}, got {scope!r}")
+        strength = _number(entry, "strength", 0.0, where)
+        if not strength:  # missing or 0, a term that would change no result
+            raise ParseError(f"{where}.strength must be a finite nonzero number, "
+                             f"got {entry.get('strength')!r}")
+        factor = Factor(_string(entry, "name", where, default=str(k)), scope, strength)
+        # a shared name makes a report's offending factors ambiguous, and two
+        # terms over one scope would add into one
+        for earlier in factors:
+            if factor.name == earlier.name:
+                raise ParseError(f"{where}.name {factor.name!r} is given to an earlier factor")
+            if factor.scope == earlier.scope:
+                raise ParseError(f"{where}.panels repeats the scope of factor {earlier.name!r}")
+        factors.append(factor)
+    return Models(tuple(priors), product_cell, tuple(factors))
 
 
 def _data(section: dict) -> Data:

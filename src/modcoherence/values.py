@@ -48,7 +48,8 @@ class BetaParams(Record):
 
 class Factor(Record):
     name: str
-    scope: frozenset  # panel ids touched by this factor
+    scope: frozenset  # panel numbers: the term is strength · Π_{i ∈ scope} θᵢ
+    strength: float
 
     def _validate(self) -> None:
         object.__setattr__(self, "scope", frozenset(self.scope))

@@ -131,8 +131,9 @@ _BAD_FIELDS = [
     ("simulate", "separable_pair", ["data", "panel_counts"], 5, "data.panel_counts"),
     ("check", "coherence_m2", ["statements"], 5, "statements"),
     ("check", "coherence_m2", ["protocol", "conditions"], 5, "protocol.conditions"),
-    ("separability", "separable_pair", ["models", "interaction"], {"strength": "abc"},
-     "models.interaction.strength"),
+    # the declared factors are the model, so no second knob states one
+    ("separability", "separable_pair", ["models", "interaction"], {"strength": 12.0},
+     "unknown key 'interaction' in models"),
     ("separability", "separable_pair", ["run", "tolerance"], "x",
      "unknown key 'tolerance' in run"),
     ("simulate", "separable_pair", ["run", "grid"], "abc", "run.grid"),
@@ -149,12 +150,43 @@ _BAD_FIELDS = [
     # likelihood, nothing is random, and the confounder is always H
     ("separability", "separable_pair", ["run", "separability_samples"], 0,
      "unknown key 'separability_samples' in run"),
-    ("separability", "separable_pair", ["models", "factors", 0, "panels"], _DROP,
+    ("separability", "interaction_pair", ["models", "factors", 0, "panels"], _DROP,
      "models.factors[0].panels"),
-    ("separability", "separable_pair", ["models", "factors", 0, "panels"], ["a"],
+    ("separability", "interaction_pair", ["models", "factors", 0, "panels"], ["a"],
      "models.factors[0].panels"),
-    ("separability", "separable_pair", ["models", "factors", 0, "panels"], [7],
+    ("separability", "interaction_pair", ["models", "factors", 0, "panels"], [7],
      "models.factors[0].panels"),
+    # a factor couples two or more distinct panels: a panel's own term is
+    # always there, and a repeated panel was once read as a set
+    ("separability", "interaction_pair", ["models", "factors", 0, "panels"], [1],
+     "models.factors[0].panels must list two or more distinct panel numbers in 1..2, got [1]"),
+    ("separability", "interaction_pair", ["models", "factors", 0, "panels"], [],
+     "models.factors[0].panels must list two or more distinct panel numbers in 1..2, got []"),
+    ("separability", "interaction_pair", ["models", "factors", 0, "panels"], [1, 1],
+     "models.factors[0].panels must list two or more distinct panel numbers in 1..2, got [1, 1]"),
+    ("separability", "interaction_pair", ["models", "factors", 0, "panels"], [1, 1, 2],
+     "models.factors[0].panels must list two or more distinct panel numbers in 1..2, "
+     "got [1, 1, 2]"),
+    # an entry is checked before the list is read as a set
+    ("separability", "interaction_pair", ["models", "factors", 0, "panels"], [[1], 2],
+     "models.factors[0].panels must list two or more distinct panel numbers in 1..2"),
+    # a factor without a strength, or with 0, would change no result
+    ("separability", "interaction_pair", ["models", "factors", 0, "strength"], _DROP,
+     "models.factors[0].strength must be a finite nonzero number, got None"),
+    ("separability", "interaction_pair", ["models", "factors", 0, "strength"], 0,
+     "models.factors[0].strength must be a finite nonzero number, got 0"),
+    ("separability", "interaction_pair", ["models", "factors", 0, "strength"], "abc",
+     "models.factors[0].strength must be a finite number"),
+    # two terms over one scope add into one, so opposite strengths cancel
+    ("separability", "interaction_pair", ["models", "factors"],
+     [{"name": "a", "panels": [1, 2], "strength": 5.0},
+      {"name": "b", "panels": [2, 1], "strength": -5.0}],
+     "models.factors[1].panels repeats the scope of factor 'a'"),
+    # a shared name makes the offending factors ambiguous
+    ("separability", "interaction_pair", ["models", "factors"],
+     [{"name": "a", "panels": [1, 2], "strength": 5.0},
+      {"name": "a", "panels": [1, 2], "strength": 1.0}],
+     "models.factors[1].name 'a' is given to an earlier factor"),
     ("dsep", "chain_dsep", ["graph", "edges", 0], ["A"], "graph.edges[0]"),
     # a node is its name, so a node object is refused
     ("dsep", "chain_dsep", ["graph", "nodes", 0], {"kind": "parameter"},

@@ -2,6 +2,7 @@
 the joint oracle, divergence metrics and separability checks."""
 
 import functools
+import itertools
 import math
 import tracemalloc
 
@@ -34,6 +35,7 @@ from modcoherence.panels import (
     compose_product,
     divergence,
     functional_expectation,
+    grid_comparison,
     interior_grid,
     joint_oracle,
     panel_joint_loglik,
@@ -207,7 +209,8 @@ class TestComposeAndOracle:
         priors = [beta_grid(BetaParams(*rng.uniform(1, 6, size=2)), int(n))
                   for n in rng.integers(5, 30, size=m)]
         logliks = [bernoulli_loglik(int(s), 20) for s in rng.integers(0, 21, size=m)]
-        joint_ll = panel_joint_loglik(logliks, float(rng.uniform(0, 15)))
+        every_panel = Factor("all", range(1, m + 1), float(rng.uniform(0, 15)))
+        joint_ll = panel_joint_loglik(logliks, (every_panel,))
         oracle = joint_oracle(priors, joint_ll)
         reference = panel_update_grid(compose_product(priors), joint_ll)
         assert np.array_equal(oracle.weights, reference.weights)
@@ -661,7 +664,7 @@ class TestFullGridTemporaries:
     def case(self):
         priors = [beta_grid(BetaParams(a, b), self.N) for a, b in [(2, 3), (3, 2), (1, 1)]]
         logliks = [bernoulli_loglik(3, 10), bernoulli_loglik(5, 8), bernoulli_loglik(1, 4)]
-        joint_ll = panel_joint_loglik(logliks, 12.0)
+        joint_ll = panel_joint_loglik(logliks, (Factor("all", {1, 2, 3}, 12.0),))
         mesh = np.meshgrid(*[b for p in priors for b in p.blocks], indexing="ij", sparse=True)
         ll = np.asarray(joint_ll(*mesh))
         oracle = joint_oracle(priors, joint_ll)
@@ -802,26 +805,60 @@ class TestLeafSweep:
 
 class TestSeparability:
     def test_symbolic_single_panel_scopes(self):
-        factors = (Factor("f1", frozenset({1})), Factor("f2", frozenset({2})),
-                   Factor("f3", frozenset({1})))
-        assert separability_check_symbolic(factors, 2) == ()
+        # a one-panel term, or a zero strength, couples no panels
+        factors = (Factor("f1", frozenset({1}), 3.0), Factor("f2", frozenset({2}), -1.0),
+                   Factor("f3", frozenset({1, 2}), 0.0))
+        assert separability_check_symbolic(factors) == ()
 
     def test_symbolic_cross_scope_offends(self):
-        factors = (Factor("f1", frozenset({1})), Factor("g", frozenset({1, 2})))
-        assert separability_check_symbolic(factors, 2) == (factors[1],)
+        factors = (Factor("f1", frozenset({1}), 3.0), Factor("g", frozenset({1, 2}), 12.0))
+        assert separability_check_symbolic(factors) == (factors[1],)
 
     def test_symbolic_empty_factor_list(self):
-        assert separability_check_symbolic((), 3) == ()
+        assert separability_check_symbolic(()) == ()
 
-    def test_symbolic_scope_out_of_range(self):
-        with pytest.raises(PanelsError):
-            separability_check_symbolic((Factor("f", frozenset({5})),), 2)
-
-    def test_symbolic_scope_not_an_integer(self):
-        factor = Factor("f", {1.9})  # not read as panel 1
-        assert factor.scope == frozenset({1.9})
+    @pytest.mark.parametrize("scope", [{5}, {1, 5}, {0, 1}, set()])
+    def test_joint_loglik_scope_out_of_range(self, scope):
+        # blocks[0 - 1] would silently read the last block
+        lls = [bernoulli_loglik(3, 10)] * 2
         with pytest.raises(PanelsError, match="not in 1..2"):
-            separability_check_symbolic((factor,), 2)
+            panel_joint_loglik(lls, (Factor("f", scope, 1.0),))
+
+    def test_joint_loglik_scope_not_an_integer(self):
+        factor = Factor("f", {1.9, 2}, 1.0)  # not read as panel 1
+        assert factor.scope == frozenset({1.9, 2})
+        with pytest.raises(PanelsError, match="not in 1..2"):
+            panel_joint_loglik([bernoulli_loglik(3, 10)] * 2, (factor,))
+
+    def test_joint_loglik_adds_each_term_over_its_scope(self):
+        lls = [bernoulli_loglik(3, 10), bernoulli_loglik(5, 8), bernoulli_loglik(1, 4)]
+        factors = (Factor("ac", {3, 1}, 2.5), Factor("abc", {1, 2, 3}, -4.0))
+        a, b, c = (np.array([0.2, 0.7]).reshape(shape) for shape in ((2, 1, 1), (1, 2, 1), (1, 1, 2)))
+        expected = lls[0](a) + lls[1](b) + lls[2](c) + 2.5 * (a * c) + -4.0 * (a * b * c)
+        assert np.array_equal(panel_joint_loglik(lls, factors)(a, b, c), expected)
+
+    def test_symbolic_and_numeric_verdicts_agree(self):
+        # the factors are the likelihood, so both checks judge one model;
+        # a scope holds two or more panels, and no two factors share one
+        rng = np.random.default_rng(56)
+        grid = interior_grid(31)
+        sides = set()
+        for _ in range(100):
+            m = int(rng.integers(2, 4))
+            scopes = [s for k in range(2, m + 1) for s in itertools.combinations(range(1, m + 1), k)]
+            chosen = rng.permutation(len(scopes))[: int(rng.integers(0, len(scopes) + 1))]
+            signs = rng.choice([-1.0, 1.0], size=len(chosen))
+            factors = tuple(Factor(f"f{k}", scopes[k], float(sign * rng.uniform(0.5, 20)))
+                            for k, sign in zip(chosen, signs))
+            priors = [beta_grid(BetaParams(*rng.uniform(1, 6, size=2)), 31) for _ in range(m)]
+            logliks = [bernoulli_loglik(int(s), 20) for s in rng.integers(0, 21, size=m)]
+            comparison = grid_comparison(priors, logliks, factors)
+            separable = not separability_check_symbolic(factors)
+            verdict = separability_check_numeric(comparison.joint_ll, [grid] * m)
+            assert verdict.separable == separable, factors
+            assert (comparison.divergence.total_variation <= 1e-12) == separable, factors
+            sides.add(separable)
+        assert sides == {True, False}
 
     def test_numeric_separable(self):
         grid = np.linspace(0.05, 0.95, 64)
@@ -947,13 +984,13 @@ class TestSeparability:
         for trials in (10**2, 10**8, 10**12, 2**53):
             for n, m in ((21, 3), (101, 2), (101, 3)):
                 counts = [(int(rng.integers(0, trials + 1)), trials) for _ in range(m)]
-                joint = panel_joint_loglik([bernoulli_loglik(*c) for c in counts], 0.0)
+                joint = panel_joint_loglik([bernoulli_loglik(*c) for c in counts], ())
                 verdict = separability_check_numeric(joint, [interior_grid(n)] * m)
                 assert verdict.separable, (trials, n, m, verdict.max_residual)
 
     def test_numeric_cross_term_just_above_the_bound_is_caught(self):
         g = interior_grid(101)
-        base = panel_joint_loglik([bernoulli_loglik(3 * 10**7, 10**8)] * 2, 0.0)
+        base = panel_joint_loglik([bernoulli_loglik(3 * 10**7, 10**8)] * 2, ())
         top = np.abs(base(g[:, None], g[None, :])).max()
         # the cross term's largest |R| is c * (g[-1] - g[50]) * (g[0] - g[50])
         span = (g[-1] - g[50]) * (g[50] - g[0])

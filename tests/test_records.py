@@ -42,8 +42,8 @@ EXAMPLES = {
     protocol.Lumping: (frozenset({"A"}), len, len),
     report.Report: ("check", "pass", {"goals": []}, {"grid": 3}),
     values.BetaParams: (2.0, 3.0),
-    values.Factor: ("f", frozenset({1, 2})),
-    specfile.Models: ((BETA, BETA), 0.5, None, None),
+    values.Factor: ("f", frozenset({1, 2}), 12.0),
+    specfile.Models: ((BETA, BETA), None, (values.Factor("f", frozenset({1, 2}), 12.0),)),
     specfile.Data: (((1, 2), (0, 1)), None),
     specfile.RunOptions: (101, 5),
     specfile.SpecFile: (None, (), (S,), S, DAG, None, None, None, RUN),
@@ -208,5 +208,5 @@ def test_validations_are_unchanged():
     assert ci.FunctionalDependency(["A"], ["B", "C"]).determiners == frozenset({"B", "C"})
     assert type(ci.FunctionalDependency(["A"], ["B"]).determined) is frozenset
     assert type(ci.FunctionalDependency(["A"], ["B"]).determiners) is frozenset
-    assert values.Factor("f", [1, 2]).scope == frozenset({1, 2})
-    assert type(values.Factor("f", [1]).scope) is frozenset
+    assert values.Factor("f", [1, 2], 1.0).scope == frozenset({1, 2})
+    assert type(values.Factor("f", [1], 1.0).scope) is frozenset
