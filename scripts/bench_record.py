@@ -40,10 +40,10 @@ SECONDS = 20
 # (name, runs per side, code that leaves a JSON-able summary in ``out``); the
 # m=6 and m=7 verifications take about 0.02 s each, so they show a prover
 # that slows down, not a few percent, and run three times; the m=32
-# verification, the largest protocol a spec allows, runs 4 lumped
-# derivations (panels 3..32 reuse panel 2's, renamed) and still expands
-# 64 goal proofs and replays each once in the full system, one rule
-# application per step, so it is the case where proof handling and determinism closures weigh most, and
+# verification, the largest protocol a spec allows, runs no search but
+# binds 64 scripted goal proofs and replays each once in the full system,
+# one rule application per step, so it is the case where proof handling
+# and determinism closures weigh most, and
 # with the m=16 one it runs ten times, since three runs per side of
 # unchanged code moved by more than 25 %; the
 # m=3 ablation, about 45 s a run, runs three times, since one run per side
@@ -65,15 +65,15 @@ SECONDS = 20
 # bare one and then one per extra statement, as the benchmark's prove
 # workload does (no CLI command makes more than one verdict on a system
 # with the same conditions), so it shows what the system's goal proofs
-# (made, expanded and checked once per system) save from one verdict to
-# the next, while each verdict that derives a goal of a panel makes that
-# panel's lumping (lumped universe, lump and expand) again, and lumps the
-# goal chain of each route it derives; at about 0.03 s a run it runs ten
+# (bound from the script and replayed once per system) save from one verdict to
+# the next, while each verdict that derives a goal makes its panel's
+# lumping (lumped universe, lump and expand) again, and lumps the goal
+# chain of each route it derives; at about 0.03 s a run it runs ten
 # times;
 # verify_coherence_m3_fresh_extras makes the same seven verdicts, each on
 # a fresh m=3 system, as each CLI command does, so its counts read the
-# four lumped derivations and six expansions of each system's goal proofs
-# and none for a verdict's extras; it runs ten times;
+# six replays of each system's scripted goal proofs and no search for a
+# verdict's extras; it runs ten times;
 # verify_coherence_m32_repeat makes one bare verdict on an m=32 system
 # before ``restart()`` and times three more, so it shows a verdict after
 # a system's first at the largest panel count, which reads all 64 stored
@@ -92,8 +92,8 @@ SECONDS = 20
 # set-up and warm-up job) from the checkout's own perfbench/workloads.py,
 # so its counts divided by 14 are the work of one prove job; the
 # verify_coherence_m* cases and the _sequence one build a fresh system, so
-# their counts include the four lumped derivations and 2m expansions of its
-# goal proofs, all but _m32_repeat, which counts after its first verdict
+# their counts include the 2m replays of its scripted goal proofs, all but
+# _m32_repeat, which counts after its first verdict
 LAYER_CASES = (
     ("cli_import", 10,
      "import os, subprocess, sys\n"

@@ -7,10 +7,12 @@ fixed superscript ``^0`` (names are labels: renaming changes no verdict).
 Four independence conditions over these symbols (delegable, separately
 informed, cutting, commonly separated) and each panel's two goals - its
 parameter block is independent of the others given the full pool, and is
-updated only through its own evidence - are stated once per system.  The
-coherence claim, that every goal holds, is verified either by the axiomatic
-prover (a lumped derivation, then one search of the full system) or by
-d-separation on a user-supplied graph.
+updated only through its own evidence - are stated once, with the paper's
+derivation of the goals from the conditions, in the roles of one panel
+(``CONDITIONS`` and ``GOALS``).  The coherence claim, that every goal holds,
+is verified either by the axiomatic prover (the scripted derivation where a
+base holds its premises, else a lumped derivation, then one search of the
+full system) or by d-separation on a user-supplied graph.
 """
 
 from __future__ import annotations
@@ -54,6 +56,56 @@ class UniverseMismatch(ProtocolError):
     pass
 
 
+# The paper's four conditions and its derivation of each panel's two goals
+# from them, in the roles of panel i.  "a|b|c" is the statement a _||_ b | c,
+# one letter per role: t = theta_i, r = theta_rest(i), e = I_ii^0,
+# 0 = I_0^0, * = I_*^0 and + = I_+^0, and x, y = t, r in sorted order (x = t
+# for panel 1 alone).
+CONDITIONS = {
+    ConditionKind.DELEGABLE: "+|tr|0*",
+    ConditionKind.SEPARATELY_INFORMED: "e|r|0t",
+    ConditionKind.CUTTING: "*|t|0er",
+    ConditionKind.COMMONLY_SEPARATED: "t|r|0",
+}
+# a step: rule, inputs (a condition or an earlier step's output), selection, output
+_CUT_IN = (
+    ("contraction", ("t|r|0", "e|r|0t"), "", "et|r|0"),
+    ("weak_union", ("et|r|0",), "e", "t|r|0e"),
+    ("contraction", ("t|r|0e", "*|t|0er"), "", "t|*r|0e"),
+)
+# goal: (its chain, the step outputs it passes, the goal last; its proof's
+# steps; the statements the lumped search of the conditions that found the
+# proof made, for panel 1 and for every other panel, which a verdict's
+# budget must reach before it reads the proof)
+GOALS = {
+    "panel_independence": (("t|*r|0e", "t|r|0*", "t|r|+"), _CUT_IN + (
+        ("weak_union", ("t|*r|0e",), "*", "t|r|0e*"),
+        ("determinism_drop", ("t|r|0e*",), "e", "t|r|0*"),
+        ("weak_union", ("+|tr|0*",), "y", "+|x|0*y"),
+        ("contraction", ("t|r|0*", "+|x|0*y"), "", "+y|x|0*"),
+        ("weak_union", ("+y|x|0*",), "+", "t|r|0*+"),
+        ("determinism_drop", ("t|r|0*+",), "*", "t|r|0+"),
+        ("determinism_drop", ("t|r|0+",), "0", "t|r|+"),
+    ), (101, 102)),
+    "autonomous_updating": (("t|*r|0e", "+|t|0*e", "*|t|0e", "+|t|0e"), _CUT_IN + (
+        ("decomposition", ("+|tr|0*",), "t", "+|t|0*"),
+        ("determinism_augment", ("+|t|0*",), "e", "+|t|0*e"),
+        ("decomposition", ("t|*r|0e",), "*", "*|t|0e"),
+        ("contraction", ("*|t|0e", "+|t|0*e"), "", "*+|t|0e"),
+        ("decomposition", ("*+|t|0e",), "+", "+|t|0e"),
+    ), (70, 67)),
+}
+
+
+def _named(roles: dict[str, VarSet], letters: str) -> VarSet:
+    return frozenset().union(*(roles[letter] for letter in letters))
+
+
+def _bind(roles: dict[str, VarSet], text: str) -> CIStatement:
+    """Script statement ``text`` in the names ``roles`` gives its letters."""
+    return normalize(*(_named(roles, side) for side in text.split("|")))
+
+
 class PanelSystem(Record):
     """Symbol universe and determinism facts for an m-panel composite, m >= 2:
     with one panel the conditions and the goal that speak of "the other
@@ -63,12 +115,11 @@ class PanelSystem(Record):
     Besides m, a system holds only values derived from m, each made once,
     on first use, and of a size fixed by m: its universe, dependencies,
     condition statements and goal chains, and its goals' proofs from its
-    own conditions (``goal_proofs``), each expanded into the full system
-    and replayed there once, and read wherever a verdict's base holds their
-    premises.  No verdict's base, lumping, slice, memo or table is kept: a
-    verdict makes its memo only for a query that derives, and a panel's
-    lumping only for a goal of that panel it derives (see
-    :func:`_decider`)."""
+    own conditions (``goal_proofs``), the script bound to its names and
+    replayed once, and read wherever a verdict's base holds their premises.
+    No verdict's base, lumping, slice or memo is kept: a verdict makes its
+    memo only for a query that derives, and a panel's lumping only for a
+    goal of that panel it derives (see :func:`_decider`)."""
 
     m: int
     common = "I_0^0"
@@ -122,60 +173,63 @@ class PanelSystem(Record):
             facts.extend(aggregate_dependencies(symbol, components))
         return tuple(facts)
 
+    def _roles(self, i: int) -> dict[str, VarSet]:
+        """Panel i's names for the role letters of ``CONDITIONS`` and ``GOALS``."""
+        t, r = frozenset({self.theta(i)}), self.theta_rest(i)
+        x, y = sorted((t, r), key=min)
+        return {"t": t, "r": r, "x": x, "y": y, "e": {self.evidence(i, i)},
+                "0": {self.common}, "*": {self.own_evidence_pool}, "+": {self.full_pool}}
+
     @functools.cached_property
     def condition_statements(self) -> dict[ConditionKind, tuple[CIStatement, ...]]:
-        """The statements each condition asserts, deduplicated, in canonical
-        order: one for delegable, one per panel for the others."""
-        common, own, pool = self.common, self.own_evidence_pool, self.full_pool
-        stmts: dict = {kind: set() for kind in ALL_CONDITIONS}
-        stmts[ConditionKind.DELEGABLE].add(normalize({pool}, self.thetas(), {common, own}))
+        """``CONDITIONS`` in every panel's names, deduplicated, in canonical
+        order: one statement for delegable, one per panel for the others."""
+        stmts: dict = {kind: set() for kind in CONDITIONS}
         for i in range(1, self.m + 1):
-            theta, rest, own_i = {self.theta(i)}, self.theta_rest(i), self.evidence(i, i)
-            stmts[ConditionKind.SEPARATELY_INFORMED].add(normalize({own_i}, rest, {common} | theta))
-            stmts[ConditionKind.CUTTING].add(normalize({own}, theta, {common, own_i} | rest))
-            stmts[ConditionKind.COMMONLY_SEPARATED].add(normalize(theta, rest, {common}))
+            roles = self._roles(i)
+            for kind, text in CONDITIONS.items():
+                stmts[kind].add(_bind(roles, text))
         return {kind: tuple(sorted(s, key=CIStatement.sort_key)) for kind, s in stmts.items()}
 
     @functools.cached_property
     def goal_chains(self) -> dict[tuple[int, str], tuple[CIStatement, ...]]:
         """Each panel's two goals, keyed by route ``(panel, name)`` in verdict
-        order, as the milestones of the published derivation chain ending at
-        the goal: panel i's block is independent of all other blocks given
-        the full pool, and depends on the pool only through common and own
-        evidence."""
-        common, own, pool = self.common, self.own_evidence_pool, self.full_pool
+        order, as the chains of ``GOALS`` in the panel's names, ending at the
+        goal: panel i's block is independent of all other blocks given the
+        full pool, and depends on the pool only through common and own
+        evidence.  A panel's two chains share their first statement."""
         chains = {}
         for i in range(1, self.m + 1):
-            theta, rest, own_i = {self.theta(i)}, self.theta_rest(i), self.evidence(i, i)
-            cut_in = normalize(theta, {own} | rest, {common, own_i})
-            chains[i, "panel_independence"] = (
-                cut_in,
-                normalize(theta, rest, {common, own}),
-                normalize(theta, rest, {pool}),
-            )
-            chains[i, "autonomous_updating"] = (
-                cut_in,
-                normalize(theta, {pool}, {common, own_i, own}),
-                normalize(theta, {own}, {common, own_i}),
-                normalize(theta, {pool}, {common, own_i}),
-            )
+            roles = self._roles(i)
+            bound = {text: _bind(roles, text) for chain, _, _ in GOALS.values() for text in chain}
+            for name, (chain, _, _) in GOALS.items():
+                chains[i, name] = tuple(map(bound.get, chain))
         return chains
 
     @functools.cached_property
     def goal_proofs(self) -> dict[tuple[int, str], DeriveResult]:
-        """Each route's :func:`_derive_lumped` over ``base_statements(self)``
-        at ``DEFAULT_BUDGET``, which no lumped search reaches: six symbols
-        allow at most (4**6 - 2 * 3**6 + 2**6) / 2 = 1,351 statements.  One
-        memo and table, and one lumping and slice per panel, serve all
-        routes, so the searches are four: panels 3..m's slices are panel
-        2's.  The lumpings are dropped once the proofs are made.  Each
-        proof is expanded and replayed in the full system once, here, and
-        read by every verdict whose base holds its premises (see
-        :func:`_decider`)."""
-        base = frozenset(base_statements(self))
-        memo, table, slices = Memo(self.dependencies, self.universe), {}, {}
-        return {route: _derive_lumped(self, base, route, DEFAULT_BUDGET, memo, table, slices)
-                for route in self.goal_chains}
+        """Each route's proof, the steps of ``GOALS`` in its panel's names,
+        with the count of the lumped search it was read from.  Its premises
+        are the system's own condition statements and its chain outputs the
+        route's own chain statements; every other output is built.  Each
+        proof is replayed in the full system once, here, and read by every
+        verdict whose base holds its premises (see :func:`_decider`); no
+        memo, lumping or search is made."""
+        own = {s: s for stmts in self.condition_statements.values() for s in stmts}
+        proofs = {}
+        for (i, name), chain in self.goal_chains.items():
+            roles, (texts, rows, counts) = self._roles(i), GOALS[name]
+            premises = {text: own[_bind(roles, text)] for text in CONDITIONS.values()}
+            bound = {**{row[-1]: _bind(roles, row[-1]) for row in rows}, **premises,
+                     **dict(zip(texts, chain))}
+            steps = tuple(ProofStep(rule, tuple(map(bound.get, inputs)), _named(roles, selection),
+                                    bound[output]) for rule, inputs, selection, output in rows)
+            proof = Proof(tuple(sorted(premises.values(), key=CIStatement.sort_key)), steps,
+                          chain[-1])
+            if not proof.replay(self.dependencies):
+                raise AssertionError("internal error: scripted proof failed replay")
+            proofs[i, name] = DeriveResult("proved", proof, counts[0] if i == 1 else counts[1])
+        return proofs
 
     def _validate(self) -> None:
         if type(self.m) is not int:
@@ -256,8 +310,7 @@ class Verdict(Record):
 
 
 class Lumping(Record):
-    """One panel's lumping, written in the names of its order type (see
-    :func:`_panel_lumping`)."""
+    """One panel's lumping (see :func:`_panel_lumping`)."""
 
     universe: VarSet  # the six lumped names
     lump: Callable[[CIStatement], Optional[CIStatement]]
@@ -265,33 +318,22 @@ class Lumping(Record):
 
 
 def _panel_lumping(sys: PanelSystem, i: int) -> Lumping:
-    """Panel i's lumped universe, ``lump`` and ``expand``, all written in
-    the names of panel i's order type: panel 1's own, and panel 2's for
-    panels 2..m (see :func:`_derive_lumped`).  All of it depends on m
-    alone; it is made the first time a context, ``goal_proofs`` or one
-    verdict, derives a goal of panel i, and kept beside that context's
-    slice of the base.
+    """Panel i's lumped universe, ``lump`` and ``expand``, in panel i's own
+    names; all of it depends on m alone.
 
     The lumped universe is the six symbols of panel i's lumped derivations:
     its theta and own evidence, the common and pool symbols, and the first
     name of theta_rest(i), which stands for all of it.  ``lump`` writes a
-    statement with theta_rest(i) lumped into that name and panel i's theta
-    and own evidence renamed to its type's, or gives None for one that
-    splits theta_rest(i) or leaves panel i's reach, its own lumped names
-    and theta_rest(i): a statement out of reach is refused by one subset
-    test per side, before any set is built.  ``expand`` writes a side of a
-    lumped statement back in panel i's names, the lumped name as
-    theta_rest(i); every side it is given is a subset of the six lumped
-    names, so its cache holds at most 2**6 of them.  The first name of
-    theta_rest(i) is theta_1 for every panel but panel 1, so the rename
-    leaves it alone."""
+    statement with theta_rest(i) lumped into that name, or gives None for
+    one that splits theta_rest(i) or leaves the lumped names and
+    theta_rest(i): a statement out of reach is refused by one subset test
+    per side, before any set is built.  ``expand`` writes a side of a
+    lumped statement back, the lumped name as theta_rest(i)."""
     rest = sys.theta_rest(i)
     lumped = min(rest)
-    own = (sys.theta(i), sys.evidence(i, i))
-    names = own if i == 1 else (sys.theta(2), sys.evidence(2, 2))
-    rename, back = dict(zip(own, names)), dict(zip(names, own))
-    shared = {sys.common, sys.own_evidence_pool, sys.full_pool, lumped}
-    reach = rest.union(own, shared)
+    names = frozenset({sys.theta(i), sys.evidence(i, i), sys.common, sys.own_evidence_pool,
+                       sys.full_pool, lumped})
+    reach = rest | names
 
     def lump(s: CIStatement) -> Optional[CIStatement]:
         if not (s.a <= reach and s.b <= reach and s.c <= reach):
@@ -302,80 +344,45 @@ def _panel_lumping(sys: PanelSystem, i: int) -> Lumping:
                 if not rest <= side:
                     return None
                 side = side - rest | {lumped}
-            sides.append([rename.get(n, n) for n in side])
+            sides.append(side)
         return normalize(*sides)
 
-    @functools.cache  # at most 2**6 sides, each a subset of the six lumped names
     def expand(side: VarSet) -> VarSet:
-        side = frozenset([back.get(n, n) for n in side])
         return side | rest if lumped in side else side
 
-    return Lumping(frozenset(names).union(shared), lump, expand)
+    return Lumping(names, lump, expand)
 
 
-def _derive_lumped(
-    sys: PanelSystem,
-    base: frozenset,
-    route: tuple[int, str],
-    budget: int,
-    memo: Memo,
-    table: dict,
-    slices: dict,
-) -> DeriveResult:
-    """Goal ``route = (i, name)`` derived with theta_rest(i) lumped into one
-    symbol, over the six lumped names of panel i's order type (see
-    :func:`_panel_lumping`).
+def _derive_lumped(sys: PanelSystem, base: frozenset, route: tuple[int, str], budget: int,
+                   memo: Memo) -> DeriveResult:
+    """Goal ``route = (i, name)`` derived through its goal chain with
+    theta_rest(i) lumped into one symbol, over panel i's six lumped names
+    (see :func:`_panel_lumping`), at ``budget`` with ``memo`` (for
+    ``sys.dependencies`` and a universe holding the lumped one).
 
     Every waypoint of panel i holds theta_rest(i) whole, and no dependency
     mentions a theta, so the determinism rules never select the lumped
-    symbol.  It is the first name of theta_rest(i): a statement's
-    orientation (see :func:`~modcoherence.ci.normalize`) follows the first
-    name of each side, so every statement keeps it, and
+    symbol.  It is the first name of theta_rest(i), so every statement keeps
+    its orientation (see :func:`~modcoherence.ci.normalize`) and
     ``determinism_augment``, which moves a context symbol to the second
-    side, stays the same rule instance.  The derivation runs on the base
-    statements that hold theta_rest(i) whole on one side or not at all and
-    otherwise stay in the lumped names.  A proof is expanded back, symbol
-    for set, into the full system: a premise is the statement of ``base``
-    it was lumped from, a waypoint the route's own chain statement, and
-    any other step output is written in full names through ``expand``, as
-    is each selection, so one of the lumped symbol becomes a multi-symbol
-    decomposition or weak union.  The expanded proof must have a step and
-    pass :meth:`~modcoherence.ci.Proof.replay`, which applies each rule in
-    the full system to the base's own premises and the outputs before it
-    and compares the result with the expanded output, up to the goal.  An
-    output is built as a ``CIStatement`` directly, not by
-    :func:`~modcoherence.ci.normalize`, so one a faulty expansion leaves
-    unoriented, empty or overlapping fails replay instead of raising a
-    ``CIError``, which the command line would report as bad input: a
-    failed check is an internal error, an ``AssertionError``.  Any other
-    status than ``proved`` certifies nothing about the full system.
-
-    Panels 2..m are derived in panel 2's names.  Swapping panels 2 and i
-    maps the dependencies onto themselves, and the rename keeps the sorted
-    order of the six names (the two pools, I_0^0, the own evidence,
-    theta_1, the own theta), so each panel's search, proof and counts are
-    those in its own names.  ``table`` maps a slice, as a frozenset, and
-    the route's goal chain, lumped, to their derivation; one missing is
-    made at ``budget`` with ``memo`` (for ``sys.dependencies`` and a
-    universe holding the lumped one, such as the system's, which keeps
-    names in sorted order too).  ``slices`` maps each panel a goal has
-    needed to its :func:`_panel_lumping`, made then, and its slice of
-    ``base``: each statement the lumping's ``lump`` keeps, lumped, mapped
-    to the statement it was lumped from.  Both goals of a panel read one
-    slice and one ``expand``, whose cache lives as long as ``slices``.
+    side, stays the same rule instance.  The derivation runs on the
+    statements of ``base`` that ``lump`` keeps.  A proof is expanded back,
+    symbol for set: a premise is the statement of ``base`` it was lumped
+    from, a waypoint the route's own chain statement, and every other output
+    and selection is written through ``expand``.  The expanded proof must
+    have a step and pass :meth:`~modcoherence.ci.Proof.replay` in the full
+    system.  Outputs are built as ``CIStatement`` directly, not by
+    :func:`~modcoherence.ci.normalize`, so a faulty expansion fails replay,
+    an internal error (``AssertionError``), instead of raising the
+    ``CIError`` the command line reports as bad input.  Any other status
+    than ``proved`` certifies nothing about the full system.
     """
-    i = route[0]
-    if i not in slices:
-        lumping = _panel_lumping(sys, i)
-        slices[i] = lumping, {t: s for s in base if (t := lumping.lump(s)) is not None}
-    lumping, origin = slices[i]
+    lumping = _panel_lumping(sys, route[0])
+    origin = {t: s for s in base if (t := lumping.lump(s)) is not None}
     chain = sys.goal_chains[route]
-    sliced, waypoints = frozenset(origin), tuple(map(lumping.lump, chain))
-    if (sliced, waypoints) not in table:
-        table[sliced, waypoints] = derive_through(
-            sliced, sys.dependencies, waypoints, budget, lumping.universe, memo=memo
-        )
-    result = table[sliced, waypoints]
+    waypoints = tuple(map(lumping.lump, chain))
+    result = derive_through(frozenset(origin), sys.dependencies, waypoints, budget,
+                            lumping.universe, memo=memo)
     if not result.proved:
         return result
 
@@ -396,21 +403,15 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
     """The mode's ``(status, proof)`` for a statement.  Axiomatic mode answers
     a statement of the base, such as a condition's, with no memo or search,
     by the zero-step proof :func:`~modcoherence.ci.derive` gives for a
-    premise.  A goal's lumped derivation comes first: the system's own
-    (``sys.goal_proofs``) where that is ``proved``, made at most
-    ``mode.budget`` statements and the base holds its premises, the
-    system's own condition statements, as a derivation holds in any base
-    that holds its premises; else :func:`_derive_lumped` makes it.  Any other
-    statement, and a goal with no lumped proof, goes to one unconstrained
-    search of the full system, so every status but ``proved`` comes from
-    the full system.  The base is checked against the universe (by
-    :meth:`~modcoherence.ci.CIStatement.within`, as a search checks its
-    base), and the budget checked, before any statement is decided; it is
-    frozen once per verdict.  The verdict's one memo and its table of
-    lumped derivations are made by the first query that derives, if any,
-    and a panel's lumping and slice of the base by the first of its goals
-    that derives; all of them live as long as the decider, one verdict.
-    Graphical mode asks d-separation."""
+    premise.  A goal reads its scripted proof (``sys.goal_proofs``) where
+    the script's count is at most ``mode.budget`` and the base holds its
+    premises, as a derivation holds in any base that holds its premises;
+    else :func:`_derive_lumped` derives it.  Any other statement, and a
+    goal with no lumped proof, goes to one unconstrained search of the full
+    system, so every status but ``proved`` comes from the full system.  The
+    base is checked against the universe, and the budget checked, before
+    any statement is decided.  The verdict's one memo is made by the first
+    query that derives, if any.  Graphical mode asks d-separation."""
     if isinstance(mode, AxiomaticMode):
         universe = sys.universe
         for stmt in mode.base:
@@ -421,21 +422,20 @@ def _decider(sys: PanelSystem, mode: Mode) -> Decide:
         base = frozenset(mode.base)
 
         @functools.cache
-        def shared() -> tuple[Memo, dict, dict]:  # memo, lumped table, slices
-            return Memo(sys.dependencies, universe), {}, {}
+        def memo() -> Memo:
+            return Memo(sys.dependencies, universe)
 
         def derived(stmt: CIStatement, route: Optional[tuple[int, str]] = None):
             if route is not None:
                 result = sys.goal_proofs[route]
-                if not (result.proved and result.generated <= mode.budget
+                if not (result.generated <= mode.budget
                         and base.issuperset(result.proof.premises)):
-                    result = _derive_lumped(sys, base, route, mode.budget, *shared())
+                    result = _derive_lumped(sys, base, route, mode.budget, memo())
                 if result.proved:
                     return result.status, result.proof
             if stmt in base:
                 return "proved", Proof((stmt,), (), stmt)
-            memo = shared()[0]
-            result = derive(base, memo.deps, stmt, mode.budget, universe, memo=memo)
+            result = derive(base, sys.dependencies, stmt, mode.budget, universe, memo=memo())
             return result.status, result.proof
 
         return derived
@@ -473,14 +473,12 @@ def verify_coherence(sys: PanelSystem, mode: Mode) -> Verdict:
     own-evidence-only updating for every panel.
 
     In axiomatic mode a statement of the base, such as a condition's, is
-    its own zero-step proof, and the verdict's derivations, if any, share
-    one memo, one table of lumped derivations and one lumping and slice of
-    the base per panel, made by the first query that needs them and
-    dropped when the verdict is made (see :func:`_decider`); only the
-    system's goal proofs, made once per system, outlive it.  Every lumped
-    proof is expanded into panel i's names and replayed in the full system
-    (see :func:`_derive_lumped`): the system's own once, when it is made,
-    and a verdict's when the verdict derives it.
+    its own zero-step proof, a goal whose base holds the script's premises
+    reads the system's scripted proof, replayed once per system, and the
+    verdict's derivations, if any, share one memo, made by the first query
+    that needs it and dropped when the verdict is made (see
+    :func:`_decider`).  A lumped proof is expanded into its panel's names
+    and replayed in the full system (see :func:`_derive_lumped`).
     """
     decide = _decider(sys, mode)
     conditions = _conditions(sys, decide)

@@ -381,18 +381,23 @@ def full_path_goal_statuses(sys, mode) -> tuple:
     return tuple(out)
 
 
-def panel_lump_reference(sys, i):
-    """Panel i's ``lump``, written side by side with no reach test: each
-    side that meets theta_rest(i) must hold all of it and has it replaced
-    by its first name, and must then lie in panel i's six lumped names;
-    panel i's theta and own evidence are renamed to panel 2's for i >= 2.
-    None for a statement that splits theta_rest(i) or leaves those names."""
+def _lumped_names(sys, i) -> tuple:
+    """theta_rest(i), its first name, and panel i's six lumped names: its
+    theta and own evidence, ``I_0^0``, the two pools and that first name."""
     rest = sys.theta_rest(i)
     lumped = min(rest)
-    own = (sys.theta(i), sys.evidence(i, i))
-    names = own if i == 1 else (sys.theta(2), sys.evidence(2, 2))
-    rename = dict(zip(own, names))
-    own_universe = frozenset(own) | {sys.common, sys.own_evidence_pool, sys.full_pool, lumped}
+    names = {sys.theta(i), sys.evidence(i, i), sys.common, sys.own_evidence_pool, sys.full_pool,
+             lumped}
+    return rest, lumped, names
+
+
+def panel_lump_reference(sys, i):
+    """Panel i's ``lump`` in its own names, written side by side with no
+    reach test: each side that meets theta_rest(i) must hold all of it and
+    has it replaced by its first name, and must then lie in panel i's six
+    lumped names.  None for a statement that splits theta_rest(i) or leaves
+    those names."""
+    rest, lumped, names = _lumped_names(sys, i)
 
     def lump(s):
         sides = []
@@ -401,9 +406,9 @@ def panel_lump_reference(sys, i):
                 if not rest <= side:
                     return None
                 side = side - rest | {lumped}
-            if not side <= own_universe:
+            if not side <= names:
                 return None
-            sides.append([rename.get(n, n) for n in side])
+            sides.append(side)
         return normalize(*sides)
 
     return lump
@@ -411,12 +416,10 @@ def panel_lump_reference(sys, i):
 
 def lumped_in_own_names(sys, base, i, name, budget, reuse=True) -> DeriveResult:
     """Goal ``(i, name)``'s lumped derivation made in panel i's own names,
-    with a fresh memo: ``base`` sliced to the statements that hold
-    theta_rest(i) whole on one side or not at all and otherwise stay in
-    panel i's six lumped names, with theta_rest(i) written as its first
-    name; then a proof expanded back, that name as theta_rest(i), and
-    replayed in the full system.  No panel borrows another's derivation or
-    names, so this checks the renaming that shares them.
+    with a fresh memo: ``base`` sliced by :func:`panel_lump_reference`, the
+    derivation made through the lumped goal chain, then a proof expanded
+    back, the first name of theta_rest(i) as all of it, and replayed in the
+    full system.
 
     With ``reuse``, the derivation of the bare conditions' slice
     (``base_statements(sys)``, searched at the default budget) stands in
@@ -424,20 +427,8 @@ def lumped_in_own_names(sys, base, i, name, budget, reuse=True) -> DeriveResult:
     most ``budget`` statements and its lumped premises all lie in
     ``base``'s slice: a derivation holds in any base that holds its
     premises.  Without it ``base``'s slice is always searched."""
-    rest = sys.theta_rest(i)
-    lumped = min(rest)
-    universe = {sys.theta(i), sys.evidence(i, i), sys.common, sys.own_evidence_pool,
-                sys.full_pool, lumped}
-
-    def lump(s):
-        sides = []
-        for side in (s.a, s.b, s.c):
-            if side & rest:
-                if not rest <= side:
-                    return None
-                side = side - rest | {lumped}
-            sides.append(side)
-        return normalize(*sides) if set().union(*sides) <= universe else None
+    rest, lumped, universe = _lumped_names(sys, i)
+    lump = panel_lump_reference(sys, i)
 
     def expand(side):
         return side | rest if lumped in side else side

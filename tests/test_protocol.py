@@ -436,12 +436,26 @@ def _panel_slice(sys, base, i):
     return frozenset(t for s in base if (t := lump(s)) is not None)
 
 
+def _swapping(sys, i, j):
+    """A statement with panels i and j swapped in every name: a map of the
+    system, dependencies included, onto itself."""
+    panel = {i: j, j: i}
+    names = {sys.theta(k): sys.theta(panel.get(k, k)) for k in range(1, sys.m + 1)}
+    names.update({sys.evidence(k, n): sys.evidence(panel.get(k, k), panel.get(n, n))
+                  for k in range(1, sys.m + 1) for n in range(1, sys.m + 1)})
+
+    def swap(s):
+        return normalize(*([names.get(name, name) for name in side] for side in (s.a, s.b, s.c)))
+
+    return swap
+
+
 @functools.cache
 def _bare_lumped(sys):
     """Each route's reference ``lump`` (``tests/oracles.panel_lump_reference``),
     lumped waypoints and lumped derivation of the bare conditions' slice,
-    memo-less, at the default budget: the derivation the system's own proof
-    of the route expands."""
+    memo-less, at the default budget: the derivation the system's scripted
+    proof of the route equals, expanded."""
     out = {}
     for (i, name), chain in sys.goal_chains.items():
         lump = panel_lump_reference(sys, i)
@@ -455,7 +469,7 @@ def _bare_lumped(sys):
 
 def _lumped_rule(sys, base, budget):
     """Route -> (``base``'s slice, lumped waypoints, whether the route reads
-    the system's own proof), by the rule written on lumped statements: a
+    its scripted proof), by the rule written on lumped statements: a
     route reads it where its lumped derivation (see ``_bare_lumped``) is
     proved, made at most ``budget`` statements and has every lumped
     premise in ``base``'s slice."""
@@ -481,11 +495,10 @@ class TestMemo:
     )
     def test_random_bases_match_memo_less_derivations(self, m, budget, instances, extras,
                                                        lumped):
-        """The reference derives every panel's goals on their own, in their
-        own names, so from m = 3 on it checks the lumped results panels 3..m
-        share, made in panel 2's names, and, where an extra enters one
-        panel's slice alone, those they do not share; at budget 300 some
-        full-system searches run out.  Two fixed bases, whatever the draws,
+        """The reference derives every panel's goals on their own, memo-less,
+        in their own names, where an extra enters one panel's slice alone as
+        where it enters none; at budget 300 some full-system searches run
+        out.  Two fixed bases, whatever the draws,
         end the goals' searches without a proof: the commonly separated
         statements alone saturate (at m = 8 they outgrow 300 statements),
         and with one statement that makes I_12^0 independent of every other
@@ -739,20 +752,19 @@ class TestLumpedRoute:
 
     @staticmethod
     def _verdict_derivations(sys, base, budget):
-        """The slices and lumped waypoints a verdict on ``base`` at
-        ``budget`` derives, in route order, each once: those of the goals
-        that do not read the system's own proof (see ``_lumped_rule``)."""
-        wanted = {}
-        for sliced, waypoints, reads in _lumped_rule(sys, base, budget).values():
-            if not reads:
-                wanted[sliced, waypoints, budget] = None
-        return list(wanted)
+        """The slice, lumped waypoints and budget of each derivation a
+        verdict on ``base`` at ``budget`` makes, in route order: one for
+        each goal that does not read its scripted proof (see
+        ``_lumped_rule``)."""
+        return [(sliced, waypoints, budget)
+                for sliced, waypoints, reads in _lumped_rule(sys, base, budget).values()
+                if not reads]
 
     @staticmethod
     def _record_sliced(monkeypatch):
         """A list that fills with the panel of each lumping made at
-        ``protocol._panel_lumping``, which a context makes with its slice
-        of a base."""
+        ``protocol._panel_lumping``, which a verdict makes for each goal it
+        derives."""
         panels = []
         original = protocol._panel_lumping
         monkeypatch.setattr(protocol, "_panel_lumping",
@@ -762,7 +774,7 @@ class TestLumpedRoute:
     @staticmethod
     def _record_replayed(monkeypatch):
         """A list that fills with each proof ``ci.Proof.replay`` checks,
-        the one checker an expanded proof passes."""
+        the one checker a scripted or expanded proof passes."""
         replayed = []
         original = ci.Proof.replay
 
@@ -773,32 +785,10 @@ class TestLumpedRoute:
         monkeypatch.setattr(ci.Proof, "replay", recorded)
         return replayed
 
-    @pytest.mark.parametrize("m", [2, 3, 8, 32])
-    def test_the_system_derives_four_proofs_and_replays_each_expanded_proof_once(
-            self, monkeypatch, m):
-        """Storing the system's goal proofs makes four lumped derivations,
-        panel 1's two and panel 2's, whose slices panels 3..m share, and
-        replays each route's expanded proof once in the full system.  They
-        are keyed by route, and each is the memo-less derivation of its
-        panel's slice of the conditions in the panel's own names,
-        expanded."""
-        sys = build_system(m)
-        replayed = self._record_replayed(monkeypatch)
-        results = self._record_lumped(monkeypatch)
-        stored = sys.goal_proofs
-        assert len(results) == 4
-        proofs = [result.proof for result in stored.values()]
-        assert [sum(p is q for p in replayed) for q in proofs] == [1] * (2 * m)
-        monkeypatch.undo()
-        assert list(stored) == list(sys.goal_chains)
-        base = base_statements(sys)
-        for (i, name), result in stored.items():
-            assert result == lumped_in_own_names(sys, base, i, name, ci.DEFAULT_BUDGET)
-
     @pytest.mark.parametrize("m, steps", [(3, 54), (32, 576)])
     def test_a_fresh_bare_verdict_replays_each_goal_proof_once(self, monkeypatch, m, steps):
         """A bare verdict on a fresh system, its build included, replays
-        each of its 2m expanded goal proofs once in the full system."""
+        each of its 2m scripted goal proofs once in the full system."""
         sys = build_system(m)
         replayed = self._record_replayed(monkeypatch)
         verdict = verify_coherence(sys, AxiomaticMode(base_statements(sys)))
@@ -807,52 +797,50 @@ class TestLumpedRoute:
         assert sum(len(proof.steps) for proof in proofs) == steps
 
     @pytest.mark.parametrize("m", range(2, 9))
-    def test_bare_verdict_makes_four_lumped_derivations(self, monkeypatch, m):
-        """Panel 1's two goals and panel 2's are derived; panels 3..m are
-        lumped into panel 2's names and reuse its proofs."""
+    def test_a_bare_verdict_makes_no_lumped_derivation(self, monkeypatch, m):
+        """Every goal of a bare verdict on a fresh system reads its scripted
+        proof, so the verdict derives nothing."""
         sys = build_system(m)
         mode = AxiomaticMode(base_statements(sys))
         results = self._record_lumped(monkeypatch)
         verdict = verify_coherence(sys, mode)
-        assert [r.status for r in results] == ["proved"] * 4
+        assert results == []
         monkeypatch.undo()
         _assert_matches_reference(sys, mode, verdict)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
-    def test_a_verdict_slices_the_base_once_per_panel(self, monkeypatch, m):
-        """A verdict whose base holds the premises of every stored proof
-        makes no lumping and slices nothing.  Without the delegable
-        statement, a premise of each, both goals of a panel derive from one
-        lumping and slice of the base, made by the verdict and kept by
-        nothing after it: a second verdict makes them again, and the system
-        gains no attribute.  Storing the goal proofs makes one lumping per
-        panel as well."""
+    def test_a_verdict_lumps_the_base_for_each_goal_it_derives(self, monkeypatch, m):
+        """A verdict whose base holds the premises of every scripted proof,
+        the system's first included, makes no lumping and slices nothing.
+        Without the delegable statement, a premise of each, every goal
+        derives from a lumping and slice of the base in its panel's names,
+        made by the verdict and kept by nothing after it: a second verdict
+        makes them again, and the system gains no attribute."""
         sys = build_system(m)
         bare = AxiomaticMode(base_statements(sys))
         panels = self._record_sliced(monkeypatch)
         verify_coherence(sys, bare)
-        assert panels == list(range(1, m + 1))
         kept = dict(vars(sys))
         verify_coherence(sys, bare)
-        assert panels == list(range(1, m + 1))
+        assert panels == []
         mode = AxiomaticMode(base_statements(sys, ALL_CONDITIONS[1:]), 300)
         for _ in range(2):
             verdict = verify_coherence(sys, mode)
-        assert panels == list(range(1, m + 1)) * 3
+        assert panels == [i for i, _ in sys.goal_chains] * 2
         assert vars(sys).keys() == kept.keys()
         monkeypatch.undo()
         _assert_matches_reference(sys, mode, verdict)
 
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_a_verdict_holding_the_stored_premises_builds_no_lumping(self, monkeypatch, m):
-        """A verdict whose base holds the premises of every stored goal
-        proof, at a budget each proof was made within, reads them all and
-        builds no lumping, whatever else its base holds.  Storing the
-        proofs builds one lumping per panel."""
+        """A verdict whose base holds the premises of every scripted goal
+        proof, at a budget at or above each proof's count, reads them all
+        and builds no lumping, whatever else its base holds.  Storing the
+        proofs builds none either."""
         sys = build_system(m)
         built = self._record_sliced(monkeypatch)
         stored = sys.goal_proofs
-        assert built == list(range(1, m + 1))
+        assert built == []
         conditions = set(base_statements(sys))
         least = max(result.generated for result in stored.values())
         for seed, budget in enumerate((least, least, ci.DEFAULT_BUDGET)):
@@ -860,30 +848,7 @@ class TestLumpedRoute:
             mode = AxiomaticMode(tuple(sorted(base, key=ci.CIStatement.sort_key)), budget)
             verdict = verify_coherence(sys, mode)
             assert [g.proof for g in verdict.goals] == [r.proof for r in stored.values()]
-        assert built == list(range(1, m + 1))
-
-    @pytest.mark.parametrize(
-        "m, budget, instances", [(2, 3_000, 12), (3, 2_000, 6), (4, 300, 8), (5, 300, 6)]
-    )
-    def test_each_expand_cache_holds_at_most_64_sides(self, monkeypatch, m, budget, instances):
-        """Every side a panel's ``expand`` is given is a subset of its six
-        lumped names, so the cache of each lumping a verdict makes holds at
-        most 2**6 sides once the verdict is made, over ``TestMemo``'s random
-        bases, one verdict after another on one system, the first of them
-        storing the system's goal proofs."""
-        sys = build_system(m)
-        made = []
-        original = protocol._panel_lumping
-        monkeypatch.setattr(protocol, "_panel_lumping",
-                            lambda s, i: made.append(original(s, i)) or made[-1])
-        sizes = []
-        for seed in range(instances):
-            del made[:]
-            verify_coherence(sys, _random_mode(random.Random(seed), sys, budget))
-            sizes.append([lumping.expand.cache_info().currsize for lumping in made])
-        assert max(size for verdict in sizes for size in verdict) <= 64
-        # the first verdict stores the system's goal proofs, whose m lumpings expand
-        assert min(sizes[0][:m]) > 0
+        assert built == []
 
     @pytest.mark.parametrize(
         "m, budget, instances",
@@ -892,8 +857,9 @@ class TestLumpedRoute:
     def test_lump_matches_the_reference_lump(self, m, budget, instances):
         """``lump``, which refuses a statement out of panel i's reach with a
         subset test per side, gives what ``tests/oracles.panel_lump_reference``
-        gives on every statement of ``TestMemo``'s random bases and every
-        goal waypoint, for every panel: some lumped, some refused."""
+        gives, both in panel i's own names, on every statement of
+        ``TestMemo``'s random bases and every goal waypoint, for every
+        panel: some lumped, some refused."""
         sys = build_system(m)
         statements = {w for chain in sys.goal_chains.values() for w in chain}
         for seed in range(instances):
@@ -907,26 +873,22 @@ class TestLumpedRoute:
             outcomes.update(t is None for t in lumped)
         assert outcomes == {True, False}
 
-    def test_an_extra_in_one_panels_slice_reads_the_own_proofs(self, monkeypatch):
+    def test_an_extra_in_one_panels_slice_reads_the_scripted_proofs(self, monkeypatch):
         """An extra over panel 3's lumped universe alone enlarges its slice,
-        which still holds the premises of panel 2's own proofs: a fresh
-        system makes its four own derivations and no other, and panel 3's
-        proofs expand panel 2's."""
+        which still holds the premises of its scripted proofs: a fresh
+        system's verdict makes no lumped derivation, and every goal shows
+        its scripted proof, without the extra."""
         sys = build_system(3)
         extra = normalize({"I_33^0"}, {"I_*^0"}, {"I_0^0"})
         assert _panel_slice(sys, (extra,), 3) and not _panel_slice(sys, (extra,), 2)
         mode = AxiomaticMode(base_statements(sys) + (extra,))
         results = self._record_lumped(monkeypatch)
         verdict = verify_coherence(sys, mode)
-        assert len(results) == 4
+        assert results == []
         monkeypatch.undo()
         _assert_matches_reference(sys, mode, verdict)
-        proofs = {(g.panel, g.name): g.proof for g in verdict.goals}
-        for name in ("panel_independence", "autonomous_updating"):
-            lumped = [[_panel_lumping(sys, i).lump(t) for t in proofs[i, name].statements()]
-                      for i in (2, 3)]
-            assert lumped[0] == lumped[1]
-            assert extra not in proofs[3, name].premises
+        assert [g.proof for g in verdict.goals] == [r.proof for r in sys.goal_proofs.values()]
+        assert not any(extra in g.proof.premises for g in verdict.goals)
 
     @pytest.mark.parametrize("extra, searched_steps", [
         (({"I_33^0"}, {"I_*^0"}, {"I_0^0"}), 8),
@@ -950,9 +912,9 @@ class TestLumpedRoute:
 
     @pytest.mark.parametrize("m, budget", [(2, ci.DEFAULT_BUDGET), (3, 300)])
     def test_a_row_without_a_condition_an_own_proof_uses_derives(self, monkeypatch, m, budget):
-        """Each ablation row drops a condition that some own proof uses, so
-        those goals derive their slice at the row's budget; the control row
-        derives nothing, and every row's statuses are pinned."""
+        """Each ablation row drops a condition that some scripted proof
+        uses, so those goals derive their slice at the row's budget; the
+        control row derives nothing, and every row's statuses are pinned."""
         sys = build_system(m)
         calls = self._record_lumped_calls(monkeypatch)
         wanted = []
@@ -962,16 +924,16 @@ class TestLumpedRoute:
             assert bool(derivations) == (len(kept) < len(ALL_CONDITIONS))
             wanted += derivations
         rows = ablate(sys, budget)
-        assert calls[4:] == wanted  # after the four behind the goal proofs
+        assert calls == wanted
         end = "not_derivable" if m == 2 else "budget_exhausted"
         assert [[g.status for g in verdict.goals] for _, verdict in rows] == (
             [["proved"] * 2 * m] + [[end] * 2 * m] * 4)
 
     def test_below_an_own_proofs_count_a_goal_derives_at_the_budget(self, monkeypatch):
         """On the I_33^0 base, at budgets 1 to 130, which cross the count of
-        every own proof, a goal reads its own proof where the count is
-        within the budget and, where it exceeds it, derives its slice at
-        the budget, once per slice; the verdicts equal the reference's."""
+        every scripted proof, a goal reads its scripted proof where the
+        count is within the budget and, where it exceeds it, derives its
+        slice at the budget; the verdicts equal the reference's."""
         sys = build_system(3)
         extra = normalize({"I_33^0"}, {"I_*^0"}, {"I_0^0"})
         base = base_statements(sys) + (extra,)
@@ -987,7 +949,7 @@ class TestLumpedRoute:
             made.append(len(calls))
             # the reference derives through ci's binding, which is not recorded
             _assert_matches_reference(sys, mode, verdict)
-        # panels 2 and 3 derive apart, since the extra is in panel 3's slice alone
+        # each route that does not read its scripted proof derives on its own
         assert made == [6] * 66 + [4] * 3 + [3] * 31 + [2] + [0] * 29
 
     @pytest.mark.parametrize(
@@ -997,8 +959,8 @@ class TestLumpedRoute:
     def test_statuses_move_only_from_budget_exhausted_to_proved(self, m, budget, instances):
         """On ``TestMemo``'s seeded bases a goal's status equals the one a
         search of its slice gives (the reference without reuse), or is
-        ``proved`` where that one is ``budget_exhausted``: an own proof read
-        in an enlarged slice can only stand in for a search that ran out."""
+        ``proved`` where that one is ``budget_exhausted``: a scripted proof
+        read in an enlarged slice can only stand in for a search that ran out."""
         sys = build_system(m)
         for seed in range(instances):
             mode = _random_mode(random.Random(seed), sys, budget)
@@ -1037,22 +999,22 @@ class TestLumpedRoute:
     @pytest.mark.parametrize("m", [2, 3, 5])
     def test_a_second_bare_verdict_makes_no_lumped_derivation(self, monkeypatch, m):
         """The system keeps its goal proofs, so a second verdict on it reads
-        all of them and equals the first: it makes no lumped derivation,
-        replays no proof and takes no slice, and since every condition
-        statement is a premise, it makes no search and files no statement
-        in any index."""
+        all of them and equals the first: neither makes a lumped
+        derivation, the second replays no proof and takes no slice, and
+        since every condition statement is a premise, it makes no search
+        and files no statement in any index."""
         sys = build_system(m)
         mode = AxiomaticMode(base_statements(sys))
         results = self._record_lumped(monkeypatch)
         first = verify_coherence(sys, mode)
-        assert len(results) == 4
+        assert results == []
         replayed = self._record_replayed(monkeypatch)
         panels = self._record_sliced(monkeypatch)
         indexed = []
         index = ci._index
         monkeypatch.setattr(ci, "_index", lambda *args: indexed.append(args[-1]) or index(*args))
         second = verify_coherence(sys, mode)
-        assert (len(results), replayed, panels, indexed) == (4, [], [], [])
+        assert (results, replayed, panels, indexed) == ([], [], [], [])
         assert second == first
         assert [g.proof for g in second.goals] == [r.proof for r in sys.goal_proofs.values()]
 
@@ -1105,9 +1067,9 @@ class TestLumpedRoute:
         assert outcomes == {True, False}
 
     def test_another_budget_or_system_makes_its_own_derivations(self, monkeypatch):
-        """Another system derives its own proofs.  Another budget reuses the
-        system's while it is at or above their searches' totals, and below
-        one derives that proof again, in each verdict that needs it."""
+        """A bare verdict on any system derives nothing.  Another budget
+        reads the scripted proofs while it is at or above their counts, and
+        below one derives that route, in each verdict that needs it."""
         results = self._record_lumped(monkeypatch)
 
         def made(sys, budget=ci.DEFAULT_BUDGET) -> int:
@@ -1116,21 +1078,21 @@ class TestLumpedRoute:
             return len(results) - before
 
         sys = build_system(3)
-        assert made(sys) == 4
-        totals = sorted(r.generated for r in results)
-        assert [made(sys, budget) for budget in (totals[-1], 5_000)] == [0, 0]
-        # below the largest total one proof is derived again, once for the
-        # panels that share it; below the smallest all four are
-        assert [made(sys, totals[-1] - 1), made(sys, totals[0] - 1), made(sys, totals[0] - 1)] == [
-            1, 4, 4,
+        assert made(sys) == 0
+        counts = sorted(r.generated for r in sys.goal_proofs.values())
+        assert [made(sys, budget) for budget in (counts[-1], 5_000)] == [0, 0]
+        # below the largest count panels 2 and 3's independence goals derive,
+        # one each; below the smallest all six goals do
+        assert [made(sys, counts[-1] - 1), made(sys, counts[0] - 1), made(sys, counts[0] - 1)] == [
+            2, 6, 6,
         ]
-        assert made(build_system(3)) == 4
+        assert made(build_system(3)) == 0
 
     def test_the_system_keeps_only_its_own_conditions_derivations(self, monkeypatch):
         """A base without panel 3's cutting statement leaves out a premise
-        of panel 3's own proofs, so that panel derives both its goals; the
-        two derivations stay with their verdict, so the same verdict again
-        makes them again, and only those."""
+        of panel 3's scripted proofs, so that panel derives both its goals;
+        the two derivations stay with their verdict, so the same verdict
+        again makes them again, and only those."""
         sys = build_system(3)
         cut = normalize({sys.own_evidence_pool}, {sys.theta(3)},
                         {sys.common, sys.evidence(3, 3)} | sys.theta_rest(3))
@@ -1138,9 +1100,9 @@ class TestLumpedRoute:
         mode = AxiomaticMode(tuple(s for s in base_statements(sys) if s != cut), 300)
         results = self._record_lumped(monkeypatch)
         first = verify_coherence(sys, mode)
-        assert len(results) == 6 and len(sys.goal_proofs) == 6
+        assert len(results) == 2 and len(sys.goal_proofs) == 6
         second = verify_coherence(sys, mode)
-        assert len(results) == 8 and len(sys.goal_proofs) == 6
+        assert len(results) == 4 and len(sys.goal_proofs) == 6
         assert second == first
         monkeypatch.undo()
         _assert_matches_reference(sys, mode, second)
@@ -1148,15 +1110,15 @@ class TestLumpedRoute:
     @pytest.mark.parametrize("m", range(2, 9))
     def test_the_system_holds_four_own_proofs(self, m):
         """Panel 1's two goals and panel 2's, all proved, which panels
-        3..m's proofs are, renamed: lumped, the 2m stored proofs are four.
-        No later verdict, at any budget or base, changes them or adds an
-        attribute to the system."""
+        3..m's proofs are with panels 2 and i swapped in every name: the 2m
+        stored proofs are four.  No later verdict, at any budget or base,
+        changes them or adds an attribute to the system."""
         sys = build_system(m)
         stored = sys.goal_proofs
         assert [result.status for result in stored.values()] == ["proved"] * 2 * m
-        lumped = {tuple(map(_panel_lumping(sys, i).lump, result.proof.statements()))
-                  for (i, _), result in stored.items()}
-        assert len(lumped) == 4
+        swapped = {tuple(map(_swapping(sys, min(i, 2), i), result.proof.statements()))
+                   for (i, _), result in stored.items()}
+        assert len(swapped) == 4
         copied, kept = dict(stored), set(vars(sys))
         for seed, budget in enumerate((1, 66, 101, 300)):
             verify_coherence(sys, AxiomaticMode(base_statements(sys), budget))
@@ -1170,8 +1132,8 @@ class TestLumpedRoute:
         """After a fresh bare verdict, each stored goal proof's premises are
         statements of ``base_statements(sys)`` themselves, and each
         statement of its goal chain, the goal and last step output among
-        them, is the chain's own: only the other step outputs are built by
-        expanding."""
+        them, is the chain's own: only the other step outputs are bound
+        from the script."""
         sys = build_system(m)
         base = base_statements(sys)
         verdict = verify_coherence(sys, AxiomaticMode(base))
@@ -1185,10 +1147,10 @@ class TestLumpedRoute:
 
     @pytest.mark.parametrize("m", [2, 3])
     def test_reused_proofs_match_fresh_derivations_at_every_budget(self, m):
-        """A system that has made a default-budget verdict reuses its own
-        proofs only where the budget would not cut them: its bare verdicts
-        at budgets 1 to 130, which cross every own proof's largest search
-        and its total, and at 1,351, equal a fresh system's and the
+        """A system that has made a default-budget verdict reuses its
+        scripted proofs only where the budget is at or above their counts:
+        its bare verdicts at budgets 1 to 130, which cross every count, and
+        at 1,351, equal a fresh system's and the
         reference's, whose lumped derivations are made at that budget."""
         sys = build_system(m)
         verify_coherence(sys, AxiomaticMode(base_statements(sys)))
@@ -1260,6 +1222,63 @@ class TestLumpedRoute:
         assert any(step.rule == "determinism_augment" for step in autonomy.steps)
 
 
+class TestScript:
+    """``protocol.CONDITIONS`` and ``protocol.GOALS``, bound to each
+    panel's names, are the system's condition statements, goal chains and
+    goal proofs."""
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 32])
+    def test_building_the_goal_proofs_searches_nothing_and_replays_each_proof_once(
+            self, monkeypatch, m):
+        """Storing the system's goal proofs binds the script: it makes no
+        memo, search, lumping or lumped derivation, and replays each of the
+        2m proofs once in the full system.  They are keyed by route, and
+        each is the memo-less derivation of its panel's slice of the
+        conditions in the panel's own names, expanded."""
+        sys = build_system(m)
+        made = []
+        for cls in (ci.Memo, ci._Saturation):
+            monkeypatch.setattr(cls, "__init__", lambda obj, *args, init=cls.__init__: (
+                made.append(obj) or init(obj, *args)))
+        panels = TestLumpedRoute._record_sliced(monkeypatch)
+        results = TestLumpedRoute._record_lumped(monkeypatch)
+        replayed = TestLumpedRoute._record_replayed(monkeypatch)
+        stored = sys.goal_proofs
+        assert (made, panels, results) == ([], [], [])
+        proofs = [result.proof for result in stored.values()]
+        assert len(replayed) == 2 * m
+        assert [sum(p is q for p in replayed) for q in proofs] == [1] * (2 * m)
+        monkeypatch.undo()
+        assert list(stored) == list(sys.goal_chains)
+        base = base_statements(sys)
+        for (i, name), result in stored.items():
+            assert result == lumped_in_own_names(sys, base, i, name, ci.DEFAULT_BUDGET)
+
+    @pytest.mark.parametrize("m", [2, 3, 10, 11])
+    def test_each_scripted_proof_is_the_lumped_derivation_of_the_conditions(self, m):
+        """Every route derived through a verdict's lumped path, on the bare
+        conditions at the default budget with one memo, gives the system's
+        scripted proof exactly, and its count: 101 and 70 statements for
+        panel 1, 102 and 67 for every other panel.  From m = 10 on panel 1's
+        theta_1 sorts before theta_10, as before theta_2."""
+        sys = build_system(m)
+        base, memo = frozenset(base_statements(sys)), ci.Memo(sys.dependencies, sys.universe)
+        for route, scripted in sys.goal_proofs.items():
+            assert protocol._derive_lumped(sys, base, route, ci.DEFAULT_BUDGET, memo) == scripted
+        assert [r.generated for r in sys.goal_proofs.values()] == [101, 70] + [102, 67] * (m - 1)
+
+    @pytest.mark.parametrize("m", [3, 32])
+    def test_a_graphical_verdict_builds_no_proof(self, monkeypatch, m):
+        """A graphical verdict reads the goal chains, which are bound from
+        the script without its proofs: it replays no proof and leaves the
+        system's goal proofs unbuilt."""
+        sys = build_system(m)
+        replayed = TestLumpedRoute._record_replayed(monkeypatch)
+        verdict = verify_coherence(sys, GraphicalMode(canonical_dag(sys)))
+        assert verdict.sound_and_distributed
+        assert "goal_proofs" not in vars(sys) and replayed == []
+
+
 REPLAY_FAILS = """
 from modcoherence import ci, protocol as p
 replay = ci.Proof.replay
@@ -1277,9 +1296,10 @@ class TestSearchTraffic:
     def test_every_search_made_is_run(self, monkeypatch):
         """A search files its base when it is made, work that only a query
         running the search uses.  In each call pattern a command makes,
-        fresh bare verdicts at m = 2 and 3, ``ablate`` at m = 2 and
-        ``derive`` on ``specs/coherence_m2.spec``'s premises and goal, every
-        search made is run."""
+        fresh bare verdicts at m = 2 and 3, which read the scripted proofs
+        and make no search, ``ablate`` at m = 2 and ``derive`` on
+        ``specs/coherence_m2.spec``'s premises and goal, every search made
+        is run."""
         made, ran = [], set()
         init, run = ci._Saturation.__init__, ci._Saturation.run
 
@@ -1312,7 +1332,7 @@ class TestSearchTraffic:
             ran.clear()
             call()
             traffic[name] = (len(made), sum(id(search) in ran for search in made))
-        assert traffic == {"bare_m2": (10, 10), "bare_m3": (10, 10), "ablate_m2": (26, 26),
+        assert traffic == {"bare_m2": (0, 0), "bare_m3": (0, 0), "ablate_m2": (16, 16),
                            "derive_coherence_m2": (1, 1)}
 
 
@@ -1320,11 +1340,23 @@ class TestChecksUnderOptimize:
     """The internal checks raise ``AssertionError`` explicitly, so
     ``python -O``, which strips ``assert`` statements, keeps them."""
 
+    # a verdict at budget 100, below the count of each independence proof,
+    # so those goals derive their lumped slices
+    BELOW = "p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s), 100))"
     # (id, message, code that patches, call that should raise)
     CASES = [
         ("extracted", "internal error: extracted proof failed replay",
          "ci.Proof.replay = lambda proof, deps=(): False",
-         "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+         "s = p.build_system(2); ci.derive(p.base_statements(s), s.dependencies, "
+         "s.goal_chains[1, 'panel_independence'][0])"),
+        # the autonomy proof's last step selects I_*^0 where the paper's
+        # derivation selects I_+^0, so it gives another statement than the goal
+        ("scripted", "internal error: scripted proof failed replay",
+         "chain, rows, counts = p.GOALS['autonomous_updating']\n"
+         "rule, inputs, _, output = rows[-1]\n"
+         "p.GOALS['autonomous_updating'] = (chain, rows[:-1] + ((rule, inputs, '*', output),),\n"
+         "                                  counts)",
+         "p.build_system(2).goal_proofs"),
         # each lumped proof's first step gives a wrong statement: the lumped
         # derivations, made through ci's derive_through, replay, but the
         # first expanded step misses its rule's output
@@ -1338,7 +1370,7 @@ class TestChecksUnderOptimize:
          "    proof = ci.Proof(r.proof.premises, (wrong,) + r.proof.steps[1:], r.proof.goal)\n"
          "    return ci.DeriveResult(r.status, proof, r.generated)\n"
          "p.derive_through = wrong_output",
-         "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+         "s = p.build_system(3); " + BELOW),
         # each lumped proof's first step, a contraction of two statements,
         # renamed symmetry, which takes one: a rule that does not apply is
         # an internal error, never the CIError the command line reports as
@@ -1352,23 +1384,22 @@ class TestChecksUnderOptimize:
          "    proof = ci.Proof(r.proof.premises, (wrong,) + r.proof.steps[1:], r.proof.goal)\n"
          "    return ci.DeriveResult(r.status, proof, r.generated)\n"
          "p.derive_through = unlicensed",
-         "s = p.build_system(3); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
-        # panel 3's independence proof left in panel 2's I_22^0 by a leaky
-        # expand, patched into the seam that builds each panel's lumping
-        # before the system is built: the premises are the base's own and
-        # the waypoints the chain's, but the other step outputs keep
-        # I_22^0, so the rules applied to the base's premises do not give
+         "s = p.build_system(3); " + BELOW),
+        # panel 3's independence proof with its lumped theta_1 left for
+        # theta_1, theta_2 by a leaky expand, patched into the seam that
+        # builds each panel's lumping: the premises are the base's own and
+        # the waypoints the chain's, but the other step outputs miss
+        # theta_2, so the rules applied to the base's premises do not give
         # them
         ("premise", "internal error: expanded proof failed replay",
          "panel_lumping = p._panel_lumping\n"
          "def leaky(s, i):\n"
-         "    l, kept = panel_lumping(s, i), {'I_22^0'}\n"
-         "    expand = lambda side: l.expand(side - kept) | side & kept\n"
-         "    return p.Lumping(l.universe, l.lump, expand)\n"
+         "    l = panel_lumping(s, i)\n"
+         "    return p.Lumping(l.universe, l.lump, lambda side: side)\n"
          "p._panel_lumping = leaky",
          "s = p.build_system(3); base = frozenset(p.base_statements(s)); "
          "p._derive_lumped(s, base, (3, 'panel_independence'), 10**4, "
-         "ci.Memo(s.dependencies, s.universe), {}, {})"),
+         "ci.Memo(s.dependencies, s.universe))"),
         # a leaky expand that writes I_0^0 into every side, so the sides of
         # each expanded statement overlap: an internal error, never the
         # OverlappingSets (a CIError) that normalize would raise
@@ -1379,13 +1410,13 @@ class TestChecksUnderOptimize:
          "    expand = lambda side: l.expand(side) | {'I_0^0'}\n"
          "    return p.Lumping(l.universe, l.lump, expand)\n"
          "p._panel_lumping = leaky",
-         "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+         "s = p.build_system(2); " + BELOW),
         # each lumped proof stops one waypoint short of its goal
         ("goal", "internal error: expanded proof failed replay",
          "derive_through = p.derive_through\n"
          "p.derive_through = lambda base, deps, ways, *args, **kw: derive_through(\n"
          "    base, deps, ways[:-1], *args, **kw)",
-         "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+         "s = p.build_system(2); " + BELOW),
         # each lumped proof's steps in reverse: the first uses later outputs
         ("available", "internal error: expanded proof failed replay",
          "derive_through = p.derive_through\n"
@@ -1394,7 +1425,7 @@ class TestChecksUnderOptimize:
          "    proof = ci.Proof(r.proof.premises, r.proof.steps[::-1], r.proof.goal)\n"
          "    return ci.DeriveResult(r.status, proof, r.generated)\n"
          "p.derive_through = reversed_steps",
-         "s = p.build_system(2); p.verify_coherence(s, p.AxiomaticMode(p.base_statements(s)))"),
+         "s = p.build_system(2); " + BELOW),
         # a lumped proof with no step, on a base that holds the goal, whose
         # premises all expand into the base: it replays, as its goal is a
         # premise, but an expanded goal proof must have a step
@@ -1403,7 +1434,7 @@ class TestChecksUnderOptimize:
          "    'proved', ci.Proof(tuple(base), (), ways[-1]), 0)",
          "s = p.build_system(2); r = (1, 'panel_independence'); "
          "base = frozenset(p.base_statements(s, statements=s.goal_chains[r][-1:])); "
-         "p._derive_lumped(s, base, r, 10, ci.Memo(s.dependencies, s.universe), {}, {})"),
+         "p._derive_lumped(s, base, r, 10, ci.Memo(s.dependencies, s.universe))"),
         # only the spliced proof lists the unused premise
         ("spliced", "internal error: spliced proof failed replay",
          "base = [ci.normalize({'a'}, {'b'}, {'c'}), ci.normalize({'d'}, {'e'})]\n"

@@ -47,12 +47,10 @@ VALUES = st.recursive(
 
 
 def leaf_paths(node, path=()):
-    if isinstance(node, dict):
-        for key, value in node.items():
+    """The path of every scalar and of every empty list or object."""
+    if isinstance(node, (dict, list)) and node:
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
             yield from leaf_paths(value, path + (key,))
-    elif isinstance(node, list):
-        for index, value in enumerate(node):
-            yield from leaf_paths(value, path + (index,))
     else:
         yield path
 
